@@ -14,7 +14,7 @@ import numpy as np
 from zjkit import data as data_mod
 from zjkit.architect import apply_plan, compile_plan
 from zjkit.dsl import parse_config
-from zjkit.models import MiniVitSpec, build_model, param_shapes
+from zjkit.models import MiniVitSpec, build_model
 from zjkit.tuner import LossSpec, RegSpec, TrainConfig, train
 
 CONFIGS = {
@@ -38,7 +38,7 @@ def main():
 
     spec = MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=16, classes=2,
                        seq_len=2, input_dim=2)
-    shapes = param_shapes(spec)
+    shapes = spec.param_shapes()
     total = sum(int(np.prod(s)) for s in shapes.values())
     ds = data_mod.token_xor(n=512, seq=2, d=2, sigma=0.1, seed=args.seed)
     print(f"model: {spec.canonical()}  ({total} parameters)")

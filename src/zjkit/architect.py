@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint as ckpt_mod
-from . import tensor as T
 from .dsl import AdaptSpec
 from .errors import (
     IncompatibleSite,
@@ -23,7 +22,7 @@ from .errors import (
     NotMergeable,
     PlanMismatch,
 )
-from .models import ParamStore, match_prefixes, param_shapes
+from .models import ParamStore, _affine, match_prefixes
 from .tensor import Tensor
 
 
@@ -31,7 +30,6 @@ from .tensor import Tensor
 class Injection:
     site: str          # concrete module prefix, e.g. blocks[0].attn.qkv
     kind: str          # lora | adapter | prefix | ssf
-    mode: str          # in | out | inout
     instance: int      # adapter-instance index; shared index = shared weights
     params: tuple      # ((new path, shape), ...)
 
@@ -46,13 +44,6 @@ class AdaptationPlan:
     trainable_original: set = field(default_factory=set)
     new_trainable: set = field(default_factory=set)
     grad_masks: dict = field(default_factory=dict)  # path -> np mask
-
-
-def _head_paths(spec):
-    if spec.kind == "mlp":
-        last = spec.n_layers - 1
-        return {f"layers[{last}].weight", f"layers[{last}].bias"}
-    return {"head.weight", "head.bias"}
 
 
 def _linear_sites(shapes):
@@ -78,9 +69,9 @@ def _resolve_sites(adapt, shapes, valid_sites, site_word):
 
 def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
     """Turn a parsed config into an executable plan for one model spec."""
-    shapes = param_shapes(model_spec)
+    shapes = model_spec.param_shapes()
     all_paths = set(shapes)
-    head = _head_paths(model_spec)
+    head = model_spec.head_paths()
     hyper = adapt.hyperparams()
     plan = AdaptationPlan(adapt.method, hyper, model_spec.canonical())
 
@@ -91,106 +82,57 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
     if adapt.method == "linear_probe":
         freeze_all_but(head)
         return plan
-
     if adapt.method == "partial_k":
-        k = int(hyper["k"])
-        trainable = set(head)
-        if model_spec.kind == "mlp":
-            n = model_spec.n_layers
-            for i in range(max(0, n - k), n):
-                trainable |= {f"layers[{i}].weight", f"layers[{i}].bias"}
-        else:
-            b = model_spec.blocks
-            for i in range(max(0, b - k), b):
-                trainable |= {p for p in all_paths if p.startswith(f"blocks[{i}].")}
-            if k > 0:
-                trainable |= {"norm.gamma", "norm.beta"}
-            if k >= b:
-                trainable = set(all_paths)
-        freeze_all_but(trainable)
+        freeze_all_but(model_spec.partial_k_paths(int(hyper["k"])))
         return plan
-
     if adapt.method == "bitfit":
-        if model_spec.kind == "mlp":
-            trainable = {p for p in all_paths if p.endswith(".bias")} | head
-        else:
-            trainable = set(head)
-            d = model_spec.dim
-            for i in range(model_spec.blocks):
-                qb = f"blocks[{i}].attn.qkv.bias"
-                trainable.add(qb)
-                mask = np.zeros(shapes[qb])
-                mask[:d] = 1.0  # query rows of the fused qkv bias
-                plan.grad_masks[qb] = mask
-                trainable.add(f"blocks[{i}].mlp.fc1.bias")
+        trainable, plan.grad_masks = model_spec.bitfit_paths()
         freeze_all_but(trainable)
         return plan
 
-    # injection methods ------------------------------------------------
-    explicit = [h.instance for h in adapt.hooks if h.instance is not None]
-    next_auto = [max(explicit) + 1 if explicit else 0]
-    seen_instances = {}
+    # injection methods: valid sites (site -> shape or width), then the
+    # new parameters of instance i at a site
+    if adapt.method in ("lora", "ssf"):
+        valid = {s: shapes[f"{s}.weight"] for s in _linear_sites(shapes)}
+        site_word = "weight matrix"
+    elif adapt.method == "adapter":
+        valid, site_word = model_spec.adapter_sites(), "block position"
+    elif adapt.method == "prefix":
+        valid, site_word = model_spec.prefix_sites(), "block"
+    else:
+        raise PlanMismatch(f"unknown method {adapt.method}")
+    if not valid:
+        raise IncompatibleSite(f"{adapt.method} has no site in a {model_spec.kind} model")
 
-    def instance_for(hook, params_of):
+    def new_params(i, at):
+        """(path, shape) pairs of instance i at a site of shape/width ``at``."""
+        if adapt.method == "lora":
+            (m, n), r = at, int(hyper["r"])
+            return (f"lora[{i}].a", (r, n)), (f"lora[{i}].b", (m, r))
+        if adapt.method == "ssf":
+            return (f"ssf[{i}].gamma", (at[0],)), (f"ssf[{i}].beta", (at[0],))
+        if adapt.method == "adapter":
+            b = int(hyper["dim"])
+            return ((f"adapter[{i}].down.weight", (b, at)),
+                    (f"adapter[{i}].down.bias", (b,)),
+                    (f"adapter[{i}].up.weight", (at, b)),
+                    (f"adapter[{i}].up.bias", (at,)))
+        t = int(hyper["tokens"])
+        return (f"prefix[{i}].key", (t, at)), (f"prefix[{i}].value", (t, at))
+
+    explicit = [h.instance for h in adapt.hooks if h.instance is not None]
+    next_auto = max(explicit) + 1 if explicit else 0
+    seen_instances = {}
+    for site, hook in _resolve_sites(adapt, shapes, valid, site_word):
         if hook.instance is not None:
             idx = hook.instance
         else:
-            idx = next_auto[0]
-            next_auto[0] += 1
-        key = (adapt.method, idx)
-        params = params_of(idx)
-        if key in seen_instances:
-            if seen_instances[key] != params:
-                raise IncompatibleSite(
-                    f"shared instance {idx} used at sites with different shapes"
-                )
-        else:
-            seen_instances[key] = params
-        return idx, params
-
-    if adapt.method in ("lora", "ssf"):
-        sites = _resolve_sites(adapt, shapes, _linear_sites(shapes), "weight matrix")
-        for site, hook in sites:
-            m, n = shapes[f"{site}.weight"]
-            if adapt.method == "lora":
-                r = int(hyper["r"])
-                idx, params = instance_for(hook, lambda i: (
-                    (f"lora[{i}].a", (r, n)), (f"lora[{i}].b", (m, r))))
-            else:
-                idx, params = instance_for(hook, lambda i: (
-                    (f"ssf[{i}].gamma", (m,)), (f"ssf[{i}].beta", (m,))))
-            plan.injections.append(
-                Injection(site, adapt.method, hook.mode, idx, params))
-    elif adapt.method == "adapter":
-        if model_spec.kind == "mlp":
-            valid = {f"layers[{i}]" for i in range(model_spec.n_layers - 1)}
-            width = {s: shapes[f"{s}.weight"][0] for s in valid}
-        else:
-            valid = {f"blocks[{i}]" for i in range(model_spec.blocks)}
-            width = {s: model_spec.dim for s in valid}
-        sites = _resolve_sites(adapt, shapes, valid, "block position")
-        b = int(hyper["dim"])
-        for site, hook in sites:
-            d = width[site]
-            idx, params = instance_for(hook, lambda i: (
-                (f"adapter[{i}].down.weight", (b, d)),
-                (f"adapter[{i}].down.bias", (b,)),
-                (f"adapter[{i}].up.weight", (d, b)),
-                (f"adapter[{i}].up.bias", (d,))))
-            plan.injections.append(Injection(site, "adapter", hook.mode, idx, params))
-    elif adapt.method == "prefix":
-        if model_spec.kind != "vit" and model_spec.kind != "mini_vit":
-            raise IncompatibleSite("prefix tuning requires a mini_vit model")
-        valid = {f"blocks[{i}]" for i in range(model_spec.blocks)}
-        sites = _resolve_sites(adapt, shapes, valid, "block")
-        t = int(hyper["tokens"])
-        d = model_spec.dim
-        for site, hook in sites:
-            idx, params = instance_for(hook, lambda i: (
-                (f"prefix[{i}].key", (t, d)), (f"prefix[{i}].value", (t, d))))
-            plan.injections.append(Injection(site, "prefix", hook.mode, idx, params))
-    else:
-        raise PlanMismatch(f"unknown method {adapt.method}")
+            idx, next_auto = next_auto, next_auto + 1
+        params = new_params(idx, valid[site])
+        if seen_instances.setdefault(idx, params) != params:
+            raise IncompatibleSite(
+                f"shared instance {idx} used at sites with different shapes")
+        plan.injections.append(Injection(site, adapt.method, idx, params))
 
     plan.trainable_original = head & all_paths
     plan.freeze = all_paths - plan.trainable_original
@@ -223,14 +165,6 @@ def _init_extras(plan: AdaptationPlan, seed) -> ParamStore:
     return extras
 
 
-def _linmap(x: Tensor, w: Tensor) -> Tensor:
-    """x @ w.T over the last axis for 2-D or 3-D x."""
-    if x.ndim == 3:
-        n, s, din = x.shape
-        return _linmap(x.reshape(n * s, din), w).reshape(n, s, w.shape[0])
-    return T.matmul(x, w.T)
-
-
 class _Router:
     """Routes forward-pass sites through the plan's injections."""
 
@@ -247,7 +181,7 @@ class _Router:
                 a = e.get(f"lora[{inj.instance}].a")
                 b = e.get(f"lora[{inj.instance}].b")
                 s = self.adapted.plan.hyper["alpha"] / self.adapted.plan.hyper["r"]
-                y = y + _linmap(_linmap(x, a), b).scale(s)
+                y = y + _affine(_affine(x, a), b).scale(s)
             elif inj.kind == "ssf":
                 gamma = e.get(f"ssf[{inj.instance}].gamma")
                 beta = e.get(f"ssf[{inj.instance}].beta")
@@ -262,8 +196,8 @@ class _Router:
             pre = f"adapter[{inj.instance}]"
             dw, db = e.get(f"{pre}.down.weight"), e.get(f"{pre}.down.bias")
             uw, ub = e.get(f"{pre}.up.weight"), e.get(f"{pre}.up.bias")
-            mid = (_linmap(h, dw) + db.expand(h.shape[:-1] + (dw.shape[0],))).gelu()
-            h = h + _linmap(mid, uw) + ub.expand(h.shape)
+            mid = (_affine(h, dw) + db.expand(h.shape[:-1] + (dw.shape[0],))).gelu()
+            h = h + _affine(mid, uw) + ub.expand(h.shape)
         return h
 
     def kv_prefix(self, site):
@@ -307,7 +241,6 @@ def apply_plan(spec, params: ParamStore, plan: AdaptationPlan, seed=0) -> Adapte
     if plan.model_canonical != spec.canonical():
         raise PlanMismatch("plan was compiled against a different model spec")
     base = params.clone()
-    from .models import set_trainable
     for p in base.paths():
         base._trainable[p] = False
     for p in plan.trainable_original:
@@ -347,10 +280,10 @@ def plan_table(plan: AdaptationPlan, shapes=None):
     """Human-readable table of injections and trainable counts."""
     lines = [f"method: {plan.method}"]
     if plan.injections:
-        lines.append(f"{'site':<28} {'kind':<8} {'mode':<6} new parameters")
+        lines.append(f"{'site':<28} {'kind':<8} new parameters")
         for inj in plan.injections:
             ps = ", ".join(f"{p} {list(s)}" for p, s in inj.params)
-            lines.append(f"{inj.site:<28} {inj.kind:<8} {inj.mode:<6} {ps}")
+            lines.append(f"{inj.site:<28} {inj.kind:<8} {ps}")
     new_count = 0
     seen = set()
     for inj in plan.injections:

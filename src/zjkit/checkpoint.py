@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     SpecMismatch,
 )
-from .models import ParamStore, param_shapes, spec_digest
+from .models import ParamStore, spec_digest
 from .tensor import Tensor
 
 MAGIC = b"ZJK1"
@@ -49,7 +49,7 @@ def to_params(spec, ckpt: Checkpoint, requires_grad=True) -> ParamStore:
     """Materialize a checkpoint against a spec, validating digest and shapes."""
     if ckpt.digest != spec_digest(spec):
         raise SpecMismatch("checkpoint digest does not match model spec")
-    shapes = param_shapes(spec)
+    shapes = spec.param_shapes()
     store = ParamStore()
     for path, shape in shapes.items():
         if path not in ckpt.entries:

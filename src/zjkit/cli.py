@@ -5,13 +5,21 @@ adaptation string stays first class. Every command writes its fully
 resolved config next to its outputs so a run is reproducible from the
 output directory alone.
 
-Exit codes: 0 ok, 2 config-language parse error, 3 config error,
-4 spec mismatch, 5 io, 6 numeric failure, 7 dataset error.
+Exit codes (each error class carries its own ``exit_code``):
+
+    0  ok
+    2  config-language parse error (the byte offset goes to stderr)
+    3  invalid run config, and any error without a code of its own
+    4  spec mismatch
+    5  i/o error, corrupt checkpoint, missing file
+    6  numeric failure (non-finite loss or value, no convergence)
+    7  malformed dataset (bad IDX magic, label mismatch, malformed CSV)
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -20,34 +28,11 @@ import sys
 import numpy as np
 
 from . import architect, checkpoint as ckpt_mod, data as data_mod, dsl, merger, tuner
-from .errors import (
-    BadMagic,
-    ChecksumMismatch,
-    ConfigError,
-    ConvergenceFailure,
-    CorruptCheckpoint,
-    IoError,
-    LabelMismatch,
-    MalformedCsv,
-    NoConvergence,
-    NonFiniteLoss,
-    NonFiniteValue,
-    ParseError,
-    SpecMismatch,
-    ZjError,
-)
-from .models import MiniVitSpec, MlpSpec, build_model, forward, param_shapes
+from .errors import ConfigError, IoError, ParseError, ZjError
+from .models import MiniVitSpec, MlpSpec, build_model, forward
 from .tensor import Tensor
 
 log = logging.getLogger("zjkit")
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_CONFIG = 3
-EXIT_SPEC = 4
-EXIT_IO = 5
-EXIT_NUMERIC = 6
-EXIT_DATASET = 7
 
 KNOWN_KEYS = {
     "model.kind", "model.widths", "model.activation",
@@ -99,23 +84,27 @@ def render_config(cfg):
     return "\n".join(lines) + "\n"
 
 
+def _num(value, name, cast=float):
+    """A numeric run-config value; a malformed one is a ConfigError."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected {cast.__name__}, got {value!r}") from None
+
+
 def _model_spec(cfg):
     kind = cfg.get("model.kind")
-    if kind == "mlp":
-        try:
-            widths = tuple(int(w) for w in cfg["model.widths"].split(","))
-        except (KeyError, ValueError):
-            raise ConfigError("mlp needs model.widths as a comma list") from None
-        return MlpSpec(widths, cfg.get("model.activation", "relu"))
-    if kind == "mini_vit":
-        try:
-            return MiniVitSpec(
-                dim=int(cfg["model.dim"]), blocks=int(cfg["model.blocks"]),
-                heads=int(cfg["model.heads"]), mlp_dim=int(cfg["model.mlp_dim"]),
-                classes=int(cfg["model.classes"]), seq_len=int(cfg["model.seq_len"]),
-                input_dim=int(cfg["model.input_dim"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"incomplete mini_vit spec: {exc}") from None
+    try:
+        if kind == "mlp":
+            widths = tuple(_num(w, "model.widths", int)
+                           for w in cfg.get("model.widths", "").split(","))
+            return MlpSpec(widths, cfg.get("model.activation", "relu"))
+        if kind == "mini_vit":
+            keys = [f.name for f in dataclasses.fields(MiniVitSpec)]
+            return MiniVitSpec(**{k: _num(cfg.get(f"model.{k}"), f"model.{k}", int)
+                                  for k in keys})
+    except ValueError as exc:
+        raise ConfigError(f"invalid {kind} spec: {exc}") from None
     raise ConfigError(f"model.kind must be mlp or mini_vit, got {kind!r}")
 
 
@@ -142,24 +131,18 @@ def _load_dataset(cfg, seed):
     if not source:
         raise ConfigError("data.source is required")
     name, kw = _call_spec(source)
-    num = {k: float(v) for k, v in kw.items()
+    num = {k: _num(v, f"data.source {k}") for k, v in kw.items()
            if k not in ("images", "labels", "path")}
     num.setdefault("seed", seed)
-    ikw = {k: int(v) for k, v in num.items() if k not in ("sigma", "noise", "delta")}
+    ikw = {k: _num(v, f"data.source {k}", int) for k, v in num.items()
+           if k not in ("sigma", "noise", "delta")}
     fkw = {k: v for k, v in num.items() if k in ("sigma", "noise", "delta")}
-    if name == "blobs":
-        return data_mod.blobs(**ikw, **fkw)
-    if name == "blobs_shifted":
-        return data_mod.blobs_shifted(**ikw, **fkw)
-    if name == "moons":
-        return data_mod.moons(**ikw, **fkw)
-    if name == "token_xor":
-        return data_mod.token_xor(**ikw, **fkw)
+    if name in ("blobs", "blobs_shifted", "moons", "token_xor"):
+        return getattr(data_mod, name)(**ikw, **fkw)
     if name == "idx":
-        return data_mod.load_idx(kw["images"], kw["labels"], seed=int(num["seed"]))
+        return data_mod.load_idx(kw["images"], kw["labels"], seed=ikw["seed"])
     if name == "csv":
-        return data_mod.load_csv(kw["path"], int(kw.get("label_col", -1)),
-                                 seed=int(num["seed"]))
+        return data_mod.load_csv(kw["path"], ikw.get("label_col", -1), seed=ikw["seed"])
     raise ConfigError(f"unknown data source {name!r}")
 
 
@@ -171,7 +154,7 @@ def _parse_terms(text, default=None):
     for chunk in text.split(","):
         parts = chunk.strip().split(":")
         kind = parts[0]
-        weight = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0
+        weight = _num(parts[1], f"{kind} weight") if len(parts) > 1 and parts[1] else 1.0
         hyper = {}
         hooks = []
         if len(parts) > 2 and parts[2]:
@@ -184,7 +167,7 @@ def _parse_terms(text, default=None):
                 elif k == "hook":
                     hyper[k] = v
                 else:
-                    hyper[k] = float(v)
+                    hyper[k] = _num(v, f"{kind} {k}")
         terms.append(tuner.LossTerm(kind, weight, tuple(sorted(hyper.items())),
                                     tuple(hooks)))
     return terms
@@ -192,7 +175,7 @@ def _parse_terms(text, default=None):
 
 def _full_finetune_plan(spec):
     plan = architect.AdaptationPlan("finetune", {}, spec.canonical())
-    plan.trainable_original = set(param_shapes(spec))
+    plan.trainable_original = set(spec.param_shapes())
     return plan
 
 
@@ -214,7 +197,7 @@ def _load_ckpt(path):
 
 def _model_for_eval(cfg, spec, ckpt, seed):
     """Forward-capable model from a checkpoint, replaying the plan if any."""
-    base_paths = set(param_shapes(spec))
+    base_paths = set(spec.param_shapes())
     extras = {p for p in ckpt.entries if p not in base_paths}
     base_ckpt = ckpt_mod.Checkpoint(ckpt.kind, ckpt.digest,
                                     {p: a for p, a in ckpt.entries.items()
@@ -262,12 +245,12 @@ def cmd_plan(cfg, args):
         raise ConfigError("plan requires architect.config")
     adapt = dsl.parse_config(text)
     plan = architect.compile_plan(adapt, spec)
-    print(architect.plan_table(plan, param_shapes(spec)))
-    return EXIT_OK
+    print(architect.plan_table(plan, spec.param_shapes()))
+    return 0
 
 
 def cmd_train(cfg, args):
-    seed = int(cfg.get("seed", 0))
+    seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
     ds = _load_dataset(cfg, seed)
     pretrained = [p for p in cfg.get("pretrained_weights", "").split(",") if p]
@@ -292,11 +275,11 @@ def cmd_train(cfg, args):
         teacher = tuner.Teacher(spec, ckpt_mod.to_params(spec, _load_ckpt(tw)))
     train_cfg = tuner.TrainConfig(
         optimizer=cfg.get("tuner.optimizer", "sgd"),
-        lr=float(cfg.get("tuner.lr", 0.1)),
-        momentum=float(cfg.get("tuner.momentum", 0.9)),
-        weight_decay=float(cfg.get("tuner.weight_decay", 0.0)),
-        epochs=int(cfg.get("tuner.epochs", 10)),
-        batch_size=int(cfg.get("tuner.batch_size", 32)),
+        lr=_num(cfg.get("tuner.lr", 0.1), "tuner.lr"),
+        momentum=_num(cfg.get("tuner.momentum", 0.9), "tuner.momentum"),
+        weight_decay=_num(cfg.get("tuner.weight_decay", 0.0), "tuner.weight_decay"),
+        epochs=_num(cfg.get("tuner.epochs", 10), "tuner.epochs", int),
+        batch_size=_num(cfg.get("tuner.batch_size", 32), "tuner.batch_size", int),
         seed=seed,
         schedule=cfg.get("tuner.schedule", "constant"),
     )
@@ -312,11 +295,11 @@ def cmd_train(cfg, args):
     final = history[-1]
     log.info("trained %d epochs, final val_acc=%.4f", len(history), final["val_acc"])
     print(f"val_acc={final['val_acc']:.4f}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_merge(cfg, args):
-    seed = int(cfg.get("seed", 0))
+    seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
     ckpts = [_load_ckpt(p) for p in args.ckpt]
     if not ckpts:
@@ -336,28 +319,28 @@ def cmd_merge(cfg, args):
         if len(ckpts) != 2:
             raise ConfigError("wise_ft needs exactly two checkpoints (ptm, finetuned)")
         merged = merger.wise_ft(ckpts[0], ckpts[1],
-                                float(cfg.get("merger.alpha", 0.5)))
+                                _num(cfg.get("merger.alpha", 0.5), "merger.alpha"))
     elif kind == "fisher":
         ds = _load_dataset(cfg, seed)
-        n = int(cfg.get("merger.samples", 64))
+        n = _num(cfg.get("merger.samples", 64), "merger.samples", int)
         fishers = [merger.fisher_estimate(spec, c, ds, n_samples=n, seed=seed + i)
                    for i, c in enumerate(ckpts)]
         lams = None
         if cfg.get("merger.lams"):
-            lams = [float(v) for v in cfg["merger.lams"].split(",")]
+            lams = [_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]
         merged = merger.fisher_merge(ckpts, fishers, lams)
     elif kind == "ot_fusion":
         if len(ckpts) != 2:
             raise ConfigError("ot_fusion needs exactly two checkpoints")
         merged, perm = merger.ot_fuse(
-            ckpts[0], ckpts[1], eps=float(cfg.get("merger.eps", 0.01)),
-            iters=int(cfg.get("merger.iters", 500)))
+            ckpts[0], ckpts[1], eps=_num(cfg.get("merger.eps", 0.01), "merger.eps"),
+            iters=_num(cfg.get("merger.iters", 500), "merger.iters", int))
         report["permutation"] = merger.permutation_summary(perm)
     elif kind == "git_rebasin":
         if len(ckpts) != 2:
             raise ConfigError("git_rebasin needs exactly two checkpoints")
-        perm, history = merger.weight_match(
-            ckpts[0], ckpts[1], max_sweeps=int(cfg.get("merger.sweeps", 20)))
+        sweeps = _num(cfg.get("merger.sweeps", 20), "merger.sweeps", int)
+        perm, history = merger.weight_match(ckpts[0], ckpts[1], max_sweeps=sweeps)
         aligned = merger.permute_model(ckpts[1], perm)
         merged = merger.uniform_soup([ckpts[0], aligned])
         report["permutation"] = merger.permutation_summary(perm)
@@ -365,7 +348,7 @@ def cmd_merge(cfg, args):
     elif kind == "repair":
         if len(ckpts) != 2:
             raise ConfigError("repair needs exactly two endpoint checkpoints")
-        alpha = float(cfg.get("merger.alpha", 0.5))
+        alpha = _num(cfg.get("merger.alpha", 0.5), "merger.alpha")
         interp = merger.wise_ft(ckpts[1], ckpts[0], alpha)  # weight alpha on a
         ds = _load_dataset(cfg, seed)
         x_train, _ = ds.split("train")
@@ -380,11 +363,11 @@ def cmd_merge(cfg, args):
         fh.write("\n")
     _write_resolved(cfg, out)
     print(f"merged {len(ckpts)} checkpoints with {kind}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_eval(cfg, args):
-    seed = int(cfg.get("seed", 0))
+    seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
     ds = _load_dataset(cfg, seed)
     split = "test"
@@ -435,7 +418,7 @@ def cmd_eval(cfg, args):
         width = max(len(k) for k in metrics)
         for k in sorted(metrics):
             log.info("%-*s %s", width, k, metrics[k])
-    return EXIT_OK
+    return 0
 
 
 def cmd_inspect(cfg, args):
@@ -446,7 +429,7 @@ def cmd_inspect(cfg, args):
             a = ckpt.entries[p]
             norm = float(np.linalg.norm(a.astype(np.float64)))
             print(f"  {p:<32} {str(list(a.shape)):<14} |w|={norm:.6g}")
-    return EXIT_OK
+    return 0
 
 
 # -- entry point --------------------------------------------------------
@@ -462,16 +445,6 @@ def build_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--ckpt", action="append", default=[])
     return parser
-
-
-_ERROR_EXIT = (
-    (ParseError, EXIT_PARSE),
-    (ConfigError, EXIT_CONFIG),
-    (SpecMismatch, EXIT_SPEC),
-    ((IoError, CorruptCheckpoint, ChecksumMismatch, FileNotFoundError), EXIT_IO),
-    ((NonFiniteLoss, NonFiniteValue, ConvergenceFailure, NoConvergence), EXIT_NUMERIC),
-    ((BadMagic, LabelMismatch, MalformedCsv), EXIT_DATASET),
-)
 
 
 def main(argv=None):
@@ -496,17 +469,11 @@ def main(argv=None):
             "eval": cmd_eval, "inspect": cmd_inspect,
         }[args.command]
         return handler(cfg, args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"offset: {exc.offset}", file=sys.stderr)
-        return EXIT_PARSE
     except (ZjError, FileNotFoundError) as exc:
-        for classes, code in _ERROR_EXIT:
-            if isinstance(exc, classes):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, ParseError):
+            print(f"offset: {exc.offset}", file=sys.stderr)
+        return exc.exit_code if isinstance(exc, ZjError) else 5
 
 
 def entry():

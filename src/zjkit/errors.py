@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the toolbox."""
+"""Exception hierarchy shared across the toolbox.
+
+Each class's ``exit_code`` is the status ``zjkit`` exits with when the
+error ends a command; the table is in the ``cli`` docstring.
+"""
 
 
 class ZjError(Exception):
     """Base class for all toolbox errors."""
+
+    exit_code = 3
 
 
 # tensor core
@@ -11,7 +17,7 @@ class ShapeMismatch(ZjError):
 
 
 class NonFiniteValue(ZjError):
-    pass
+    exit_code = 6
 
 
 class NotScalar(ZjError):
@@ -23,16 +29,16 @@ class DetachedRoot(ZjError):
 
 
 class ConvergenceFailure(ZjError):
-    pass
+    exit_code = 6
 
 
 # model zoo / checkpoints
 class SpecMismatch(ZjError):
-    pass
+    exit_code = 4
 
 
 class CorruptCheckpoint(ZjError):
-    pass
+    exit_code = 5
 
 
 class ChecksumMismatch(CorruptCheckpoint):
@@ -40,7 +46,7 @@ class ChecksumMismatch(CorruptCheckpoint):
 
 
 class IoError(ZjError):
-    pass
+    exit_code = 5
 
 
 class UnknownHook(ZjError):
@@ -57,6 +63,8 @@ class BadPattern(ZjError):
 
 # architect
 class ParseError(ZjError):
+    exit_code = 2
+
     def __init__(self, offset, expected, message=None):
         self.offset = offset
         self.expected = frozenset(expected)
@@ -118,6 +126,8 @@ class KOutOfRange(ZjError):
 
 
 class NonFiniteLoss(ZjError):
+    exit_code = 6
+
     def __init__(self, term, value):
         self.term = term
         super().__init__(f"non-finite loss in term '{term}': {value}")
@@ -133,7 +143,7 @@ class NonFiniteCost(ZjError):
 
 
 class NoConvergence(ZjError):
-    pass
+    exit_code = 6
 
 
 class NotSupportedKind(ZjError):
@@ -152,21 +162,17 @@ class ClassCountMismatch(ZjError):
     pass
 
 
-class DegenerateUnit(ZjError):
-    pass
-
-
 # data / cli
 class BadMagic(ZjError):
-    pass
+    exit_code = 7
 
 
 class LabelMismatch(ZjError):
-    pass
+    exit_code = 7
 
 
 class MalformedCsv(ZjError):
-    pass
+    exit_code = 7
 
 
 class ConfigError(ZjError):

@@ -18,7 +18,6 @@ from .checkpoint import Checkpoint, to_params
 from .errors import (
     AmbiguousAssignment,
     ClassCountMismatch,
-    DegenerateUnit,
     EmptyClass,
     EmptyInput,
     NoConvergence,

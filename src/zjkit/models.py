@@ -4,6 +4,10 @@ Parameter paths follow ``segment('.'segment)*`` with ``name[index]``
 segments, e.g. ``layers[0].weight`` or ``blocks[1].attn.qkv.bias``. The
 path set is a pure function of the spec, so two builds of the same spec
 enumerate identical paths in identical (lexicographic) order.
+
+Each spec class carries its family's facts: parameter shapes, hook names,
+head paths, adaptation sites and trainable sets, and the forward body that
+:func:`forward` runs after its shared prologue.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +50,61 @@ class MlpSpec:
     def canonical(self):
         return f"mlp:{','.join(str(w) for w in self.widths)}:{self.activation}"
 
+    def param_shapes(self):
+        """Map parameter path -> shape tuple, in definition order."""
+        shapes = {}
+        for i in range(self.n_layers):
+            fan_out, fan_in = self.widths[i + 1], self.widths[i]
+            shapes[f"layers[{i}].weight"] = (fan_out, fan_in)
+            shapes[f"layers[{i}].bias"] = (fan_out,)
+        return shapes
+
+    def all_hooks(self):
+        return {"feature", "logits"} | {f"layers[{i}].{h}" for i in range(self.n_layers)
+                                        for h in ("input", "preact", "output")}
+
+    def head_paths(self):
+        last = self.n_layers - 1
+        return {f"layers[{last}].weight", f"layers[{last}].bias"}
+
+    def adapter_sites(self):
+        """Site -> width for bottleneck adapters: every hidden layer."""
+        return {f"layers[{i}]": self.widths[i + 1] for i in range(self.n_layers - 1)}
+
+    def prefix_sites(self):
+        return {}
+
+    def partial_k_paths(self, k):
+        """Head plus the last k layers."""
+        n = self.n_layers
+        return self.head_paths() | {f"layers[{i}].{leaf}" for i in range(max(0, n - k), n)
+                                    for leaf in ("weight", "bias")}
+
+    def bitfit_paths(self):
+        """(trainable paths, gradient masks): every bias plus the head."""
+        biases = {p for p in self.param_shapes() if p.endswith(".bias")}
+        return biases | self.head_paths(), {}
+
+    def _forward(self, params, x, hook, lin, adapters):
+        if x.ndim != 2 or x.shape[1] != self.widths[0]:
+            raise ShapeMismatch(f"mlp input {x.shape}, expected [n,{self.widths[0]}]")
+        h = x
+        act = Tensor.relu if self.activation == "relu" else Tensor.gelu
+        feature = x
+        for i in range(self.n_layers):
+            hook(f"layers[{i}].input", h)
+            pre = lin(f"layers[{i}]", h)
+            hook(f"layers[{i}].preact", pre)
+            if i < self.n_layers - 1:
+                h = act(pre)
+                h = adapters.post_mlp(f"layers[{i}]", h)
+                hook(f"layers[{i}].output", h)
+                feature = h
+            else:
+                h = pre
+                hook(f"layers[{i}].output", h)
+        return h, feature
+
 
 @dataclass(frozen=True)
 class MiniVitSpec:
@@ -76,44 +135,115 @@ class MiniVitSpec:
                 .format(self.dim, self.blocks, self.heads, self.mlp_dim,
                         self.classes, self.seq_len, self.input_dim))
 
+    def param_shapes(self):
+        """Map parameter path -> shape tuple, in definition order."""
+        d = self.dim
+        shapes = {"patch_embed.weight": (d, self.input_dim), "patch_embed.bias": (d,),
+                  "cls_token": (d,), "pos_embed": (self.seq_len + 1, d)}
+        for i in range(self.blocks):
+            p = f"blocks[{i}]"
+            shapes[f"{p}.norm1.gamma"] = (d,)
+            shapes[f"{p}.norm1.beta"] = (d,)
+            shapes[f"{p}.attn.qkv.weight"] = (3 * d, d)
+            shapes[f"{p}.attn.qkv.bias"] = (3 * d,)
+            shapes[f"{p}.attn.proj.weight"] = (d, d)
+            shapes[f"{p}.attn.proj.bias"] = (d,)
+            shapes[f"{p}.norm2.gamma"] = (d,)
+            shapes[f"{p}.norm2.beta"] = (d,)
+            shapes[f"{p}.mlp.fc1.weight"] = (self.mlp_dim, d)
+            shapes[f"{p}.mlp.fc1.bias"] = (self.mlp_dim,)
+            shapes[f"{p}.mlp.fc2.weight"] = (d, self.mlp_dim)
+            shapes[f"{p}.mlp.fc2.bias"] = (d,)
+        shapes["norm.gamma"] = (d,)
+        shapes["norm.beta"] = (d,)
+        shapes["head.weight"] = (self.classes, d)
+        shapes["head.bias"] = (self.classes,)
+        return shapes
+
+    def all_hooks(self):
+        return {"feature", "logits"} | {f"blocks[{i}].{h}" for i in range(self.blocks)
+                                        for h in ("input", "preact", "output")}
+
+    def head_paths(self):
+        return {"head.weight", "head.bias"}
+
+    def adapter_sites(self):
+        """Site -> width for bottleneck adapters and prefix tokens: every block."""
+        return {f"blocks[{i}]": self.dim for i in range(self.blocks)}
+
+    prefix_sites = adapter_sites
+
+    def partial_k_paths(self, k):
+        """Head plus the last k blocks and the final norm; everything once k >= blocks."""
+        b = self.blocks
+        if k >= b:
+            return set(self.param_shapes())
+        last = tuple(f"blocks[{i}]." for i in range(max(0, b - k), b))
+        paths = self.head_paths() | {p for p in self.param_shapes() if p.startswith(last)}
+        return paths | {"norm.gamma", "norm.beta"} if k > 0 else paths
+
+    def bitfit_paths(self):
+        """(trainable paths, gradient masks): head, query rows of each fused
+        qkv bias, and each fc1 bias."""
+        trainable, masks = self.head_paths(), {}
+        for i in range(self.blocks):
+            qb = f"blocks[{i}].attn.qkv.bias"
+            masks[qb] = np.zeros(3 * self.dim)
+            masks[qb][:self.dim] = 1.0
+            trainable |= {qb, f"blocks[{i}].mlp.fc1.bias"}
+        return trainable, masks
+
+    def _forward(self, params, x, hook, lin, adapters):
+        if x.ndim != 3 or x.shape[1] != self.seq_len or x.shape[2] != self.input_dim:
+            raise ShapeMismatch(
+                f"vit input {x.shape}, expected [n,{self.seq_len},{self.input_dim}]"
+            )
+        n = x.shape[0]
+        d, nh = self.dim, self.heads
+        hd = d // nh
+        tokens = lin("patch_embed", x)
+        cls = params.get("cls_token").reshape(1, 1, d).expand((n, 1, d))
+        h = T.concat([cls, tokens], axis=1)
+        h = h + params.get("pos_embed").expand(h.shape)
+        for i in range(self.blocks):
+            blk = f"blocks[{i}]"
+            hook(f"{blk}.input", h)
+            s = h.shape[1]
+            a_in = T.layernorm(h, params.get(f"{blk}.norm1.gamma"),
+                               params.get(f"{blk}.norm1.beta"))
+            qkv = lin(f"{blk}.attn.qkv", a_in)  # [n, s, 3d]
+            q = qkv[:, :, 0:d].reshape(n, s, nh, hd).transpose(0, 2, 1, 3)
+            k = qkv[:, :, d:2 * d].reshape(n, s, nh, hd).transpose(0, 2, 1, 3)
+            v = qkv[:, :, 2 * d:3 * d].reshape(n, s, nh, hd).transpose(0, 2, 1, 3)
+            pref = adapters.kv_prefix(blk)
+            if pref is not None:
+                pk, pv = pref  # [t, d] each
+                t_len = pk.shape[0]
+                pk = pk.reshape(t_len, nh, hd).transpose(1, 0, 2).expand((n, nh, t_len, hd))
+                pv = pv.reshape(t_len, nh, hd).transpose(1, 0, 2).expand((n, nh, t_len, hd))
+                k = T.concat([pk, k], axis=2)
+                v = T.concat([pv, v], axis=2)
+            scores = T.matmul(q, k.transpose(0, 1, 3, 2)).scale(1.0 / math.sqrt(hd))
+            attn = T.softmax(scores)
+            ctx = T.matmul(attn, v)  # [n, nh, s, hd]
+            ctx = ctx.transpose(0, 2, 1, 3).reshape(n, s, d)
+            h = h + lin(f"{blk}.attn.proj", ctx)
+            m_in = T.layernorm(h, params.get(f"{blk}.norm2.gamma"),
+                               params.get(f"{blk}.norm2.beta"))
+            pre = lin(f"{blk}.mlp.fc1", m_in)
+            hook(f"{blk}.preact", pre)
+            mid = pre.gelu()
+            mlp_out = lin(f"{blk}.mlp.fc2", mid)
+            mlp_out = adapters.post_mlp(blk, mlp_out)
+            h = h + mlp_out
+            hook(f"{blk}.output", h)
+        h = T.layernorm(h, params.get("norm.gamma"), params.get("norm.beta"))
+        feature = h[:, 0, :]
+        return lin("head", feature), feature
+
 
 def spec_digest(spec) -> bytes:
     return hashlib.sha256(spec.canonical().encode()).digest()
-
-
-def param_shapes(spec):
-    """Map parameter path -> shape tuple, in definition order."""
-    shapes = {}
-    if spec.kind == "mlp":
-        for i in range(spec.n_layers):
-            fan_out, fan_in = spec.widths[i + 1], spec.widths[i]
-            shapes[f"layers[{i}].weight"] = (fan_out, fan_in)
-            shapes[f"layers[{i}].bias"] = (fan_out,)
-        return shapes
-    d = spec.dim
-    shapes["patch_embed.weight"] = (d, spec.input_dim)
-    shapes["patch_embed.bias"] = (d,)
-    shapes["cls_token"] = (d,)
-    shapes["pos_embed"] = (spec.seq_len + 1, d)
-    for i in range(spec.blocks):
-        p = f"blocks[{i}]"
-        shapes[f"{p}.norm1.gamma"] = (d,)
-        shapes[f"{p}.norm1.beta"] = (d,)
-        shapes[f"{p}.attn.qkv.weight"] = (3 * d, d)
-        shapes[f"{p}.attn.qkv.bias"] = (3 * d,)
-        shapes[f"{p}.attn.proj.weight"] = (d, d)
-        shapes[f"{p}.attn.proj.bias"] = (d,)
-        shapes[f"{p}.norm2.gamma"] = (d,)
-        shapes[f"{p}.norm2.beta"] = (d,)
-        shapes[f"{p}.mlp.fc1.weight"] = (spec.mlp_dim, d)
-        shapes[f"{p}.mlp.fc1.bias"] = (spec.mlp_dim,)
-        shapes[f"{p}.mlp.fc2.weight"] = (d, spec.mlp_dim)
-        shapes[f"{p}.mlp.fc2.bias"] = (d,)
-    shapes["norm.gamma"] = (d,)
-    shapes["norm.beta"] = (d,)
-    shapes["head.weight"] = (spec.classes, d)
-    shapes["head.bias"] = (spec.classes,)
-    return shapes
 
 
 # -- parameter store ----------------------------------------------------
@@ -191,7 +321,7 @@ def build_model(spec, seed=0, requires_grad=True) -> ParamStore:
     """Fresh ParamStore with seeded uniform(-1/sqrt(fan_in), ..) weights."""
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    for path, shape in param_shapes(spec).items():
+    for path, shape in spec.param_shapes().items():
         leaf = path.rsplit(".", 1)[-1]
         if leaf in ("bias", "beta"):
             data = np.zeros(shape)
@@ -290,28 +420,13 @@ def select_paths(store: ParamStore, pattern):
 # -- forward ------------------------------------------------------------
 
 
-def all_hooks(spec):
-    hooks = {"feature", "logits"}
-    if spec.kind == "mlp":
-        for i in range(spec.n_layers):
-            hooks |= {f"layers[{i}].input", f"layers[{i}].preact",
-                      f"layers[{i}].output"}
-    else:
-        for i in range(spec.blocks):
-            hooks |= {f"blocks[{i}].input", f"blocks[{i}].preact",
-                      f"blocks[{i}].output"}
-    return hooks
-
-
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """y = x @ w.T + b over the last axis; supports 2-D and 3-D inputs."""
+def _affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
+    """y = x @ w.T (+ b) over the last axis; supports 2-D and 3-D inputs."""
     if x.ndim == 3:
         n, s, din = x.shape
-        flat = x.reshape(n * s, din)
-        out = _affine(flat, w, b)
-        return out.reshape(n, s, w.shape[0])
+        return _affine(x.reshape(n * s, din), w, b).reshape(n, s, w.shape[0])
     y = T.matmul(x, w.T)
-    return y + b.expand(y.shape)
+    return y if b is None else y + b.expand(y.shape)
 
 
 class _NoAdapters:
@@ -335,7 +450,7 @@ def forward(spec, params: ParamStore, x: Tensor, capture=(), adapters=None):
     """
     adapters = adapters or _NoAdapters()
     capture = set(capture)
-    unknown = capture - all_hooks(spec)
+    unknown = capture - spec.all_hooks()
     if unknown:
         raise UnknownHook(", ".join(sorted(unknown)))
     trace = {}
@@ -349,76 +464,7 @@ def forward(spec, params: ParamStore, x: Tensor, capture=(), adapters=None):
         b = params.get(f"{site}.bias")
         return adapters.linear_out(site, inp, _affine(inp, w, b))
 
-    if spec.kind == "mlp":
-        if x.ndim != 2 or x.shape[1] != spec.widths[0]:
-            raise ShapeMismatch(f"mlp input {x.shape}, expected [n,{spec.widths[0]}]")
-        h = x
-        act = Tensor.relu if spec.activation == "relu" else Tensor.gelu
-        feature = x
-        for i in range(spec.n_layers):
-            hook(f"layers[{i}].input", h)
-            pre = lin(f"layers[{i}]", h)
-            hook(f"layers[{i}].preact", pre)
-            if i < spec.n_layers - 1:
-                h = act(pre)
-                h = adapters.post_mlp(f"layers[{i}]", h)
-                hook(f"layers[{i}].output", h)
-                feature = h
-            else:
-                h = pre
-                hook(f"layers[{i}].output", h)
-        logits = h
-        hook("feature", feature)
-        hook("logits", logits)
-        return logits, trace
-
-    # mini_vit
-    if x.ndim != 3 or x.shape[1] != spec.seq_len or x.shape[2] != spec.input_dim:
-        raise ShapeMismatch(
-            f"vit input {x.shape}, expected [n,{spec.seq_len},{spec.input_dim}]"
-        )
-    n = x.shape[0]
-    d, nh = spec.dim, spec.heads
-    hd = d // nh
-    tokens = lin("patch_embed", x)
-    cls = params.get("cls_token").reshape(1, 1, d).expand((n, 1, d))
-    h = T.concat([cls, tokens], axis=1)
-    h = h + params.get("pos_embed").expand(h.shape)
-    for i in range(spec.blocks):
-        blk = f"blocks[{i}]"
-        hook(f"{blk}.input", h)
-        s = h.shape[1]
-        a_in = T.layernorm(h, params.get(f"{blk}.norm1.gamma"),
-                           params.get(f"{blk}.norm1.beta"))
-        qkv = lin(f"{blk}.attn.qkv", a_in)  # [n, s, 3d]
-        q = qkv[:, :, 0:d].reshape(n, s, nh, hd).transpose(0, 2, 1, 3)
-        k = qkv[:, :, d:2 * d].reshape(n, s, nh, hd).transpose(0, 2, 1, 3)
-        v = qkv[:, :, 2 * d:3 * d].reshape(n, s, nh, hd).transpose(0, 2, 1, 3)
-        pref = adapters.kv_prefix(blk)
-        if pref is not None:
-            pk, pv = pref  # [t, d] each
-            t_len = pk.shape[0]
-            pk = pk.reshape(t_len, nh, hd).transpose(1, 0, 2).expand((n, nh, t_len, hd))
-            pv = pv.reshape(t_len, nh, hd).transpose(1, 0, 2).expand((n, nh, t_len, hd))
-            k = T.concat([pk, k], axis=2)
-            v = T.concat([pv, v], axis=2)
-        scores = T.matmul(q, k.transpose(0, 1, 3, 2)).scale(1.0 / math.sqrt(hd))
-        attn = T.softmax(scores)
-        ctx = T.matmul(attn, v)  # [n, nh, s, hd]
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(n, s, d)
-        h = h + lin(f"{blk}.attn.proj", ctx)
-        m_in = T.layernorm(h, params.get(f"{blk}.norm2.gamma"),
-                           params.get(f"{blk}.norm2.beta"))
-        pre = lin(f"{blk}.mlp.fc1", m_in)
-        hook(f"{blk}.preact", pre)
-        mid = pre.gelu()
-        mlp_out = lin(f"{blk}.mlp.fc2", mid)
-        mlp_out = adapters.post_mlp(blk, mlp_out)
-        h = h + mlp_out
-        hook(f"{blk}.output", h)
-    h = T.layernorm(h, params.get("norm.gamma"), params.get("norm.beta"))
-    feature = h[:, 0, :]
-    logits = lin("head", feature)
+    logits, feature = spec._forward(params, x, hook, lin, adapters)
     hook("feature", feature)
     hook("logits", logits)
     return logits, trace

@@ -323,7 +323,10 @@ def _unbroadcast(grad, shape):
     g = np.asarray(grad, dtype=np.float64)
     if g.shape == shape:
         return g
-    return np.full(shape, g.sum()) if int(np.prod(shape)) == 1 else g.sum().reshape(shape)
+    if int(np.prod(shape)) == 1:
+        return np.full(shape, g.sum())
+    # the other operand has size 1 but higher rank: same size, more axes
+    return g.reshape(shape)
 
 
 # -- free-function ops --------------------------------------------------

@@ -4,7 +4,8 @@ The objective is a weighted sum of a task loss, optional distillation
 terms against a frozen teacher (KL on softened predictions, NCM-teacher
 logits, hidden-state matching, flow matrices, relational structure), and
 weight/feature regularizers (L2, anchor-to-start, spectral norm, batch
-spectral shrinkage).
+spectral shrinkage). Each loss or regularizer kind is one record in
+:data:`TERMS`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -268,11 +270,7 @@ def bss_penalty(features: Tensor, k) -> Tensor:
     return T.custom_op([f], np.float64(value), [lambda g: g * g_mat])
 
 
-# -- specs --------------------------------------------------------------
-
-LOSS_KINDS = ("ce", "kd_kl", "kd_ncm", "fitnet", "fsp", "rkd_dist", "rkd_angle")
-REG_KINDS = ("l2", "l2_sp", "spec_norm", "bss")
-TEACHER_KINDS = ("kd_kl", "kd_ncm", "fitnet", "fsp", "rkd_dist", "rkd_angle")
+# -- term table ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -286,19 +284,109 @@ class LossTerm:
         return dict(self.hyper).get(key, default)
 
 
+@dataclass(frozen=True)
+class TermKind:
+    """One loss or regularizer kind.
+
+    ``evaluate(term, batch)`` returns the term's scalar on a minibatch;
+    ``batch`` carries ``logits``, ``labels``, the student and teacher
+    traces ``s_trace``/``t_trace``, fitnet ``projectors``, kd_ncm
+    ``ncm_means``, ``targets()`` (regularized (path, tensor) pairs),
+    ``ref_params`` and ``head_exclude``. ``hooks(term)`` returns the
+    (student, teacher) hook sets the term reads, and raises ConfigError
+    on malformed hooks.
+    """
+    evaluate: object
+    hooks: object = lambda term: (set(), set())
+    teacher: bool = False
+    reg: bool = False
+
+
+def _is_pair(x, leaf=lambda h: isinstance(h, str)):
+    return isinstance(x, (tuple, list)) and len(x) == 2 and all(leaf(v) for v in x)
+
+
+def _fitnet_hooks(term):
+    if not term.hooks or not all(_is_pair(p) for p in term.hooks):
+        raise ConfigError("fitnet needs (student hook, teacher hook) pairs")
+    return {s for s, _ in term.hooks}, {t for _, t in term.hooks}
+
+
+def _fsp_hooks(term):
+    if not term.hooks or not all(_is_pair(p, _is_pair) for p in term.hooks):
+        raise ConfigError(
+            "fsp needs ((student lo, student hi), (teacher lo, teacher hi)) hook pairs")
+    return ({h for pair, _ in term.hooks for h in pair},
+            {h for _, pair in term.hooks for h in pair})
+
+
+def _feature_hooks(term):
+    hook = {term.h("hook", "feature")}
+    return hook, hook
+
+
+def _kd_ncm(term, b):
+    hook = term.h("hook", "feature")
+    tl = ncm_teacher_logits(_flatten_feature(b.t_trace[hook]),
+                            b.ncm_means[hook], term.h("tau", 1.0))
+    return kd_kl(b.logits, tl, term.h("T", 1.0))
+
+
+def _fsp(term, b):
+    sp = [(b.s_trace[lo], b.s_trace[hi]) for (lo, hi), _ in term.hooks]
+    tp = [(b.t_trace[lo], b.t_trace[hi]) for _, (lo, hi) in term.hooks]
+    return fsp_loss(sp, tp)
+
+
+def _rkd(mode):
+    def evaluate(term, b):
+        hook = term.h("hook", "feature")
+        return rkd_loss(_flatten_feature(b.s_trace[hook]),
+                        _flatten_feature(b.t_trace[hook]), mode)
+    return evaluate
+
+
+TERMS = {
+    "ce": TermKind(lambda t, b: cross_entropy(b.logits, b.labels)),
+    "kd_kl": TermKind(lambda t, b: kd_kl(b.logits, b.t_trace["logits"], t.h("T", 1.0)),
+                      lambda t: (set(), {"logits"}), teacher=True),
+    "kd_ncm": TermKind(_kd_ncm, lambda t: (set(), {t.h("hook", "feature")}), teacher=True),
+    "fitnet": TermKind(
+        lambda t, b: fitnet_loss(b.s_trace, b.t_trace, list(t.hooks), b.projectors),
+        _fitnet_hooks, teacher=True),
+    "fsp": TermKind(_fsp, _fsp_hooks, teacher=True),
+    "rkd_dist": TermKind(_rkd("dist"), _feature_hooks, teacher=True),
+    "rkd_angle": TermKind(_rkd("angle"), _feature_hooks, teacher=True),
+    "l2": TermKind(lambda t, b: weight_reg(b.targets(), kind="l2"), reg=True),
+    "l2_sp": TermKind(lambda t, b: weight_reg(b.targets(), ref=b.ref_params, kind="l2_sp",
+                                              exclude=b.head_exclude), reg=True),
+    "spec_norm": TermKind(
+        lambda t, b: spectral_penalty([(p, w) for p, w in b.targets() if w.ndim == 2],
+                                      iters=int(t.h("iters", 20))), reg=True),
+    "bss": TermKind(lambda t, b: bss_penalty(b.s_trace["feature"], int(t.h("k", 1))),
+                    lambda t: ({"feature"}, set()), reg=True),
+}
+
+
+def _check_terms(terms, reg):
+    for t in terms:
+        kind = TERMS.get(t.kind)
+        if kind is None or kind.reg != reg:
+            raise ConfigError(f"unknown {'reg' if reg else 'loss'} kind {t.kind!r}")
+        if t.weight < 0:
+            raise ConfigError(f"negative weight for {t.kind}")
+        kind.hooks(t)
+
+
 @dataclass
 class LossSpec:
     terms: list = field(default_factory=lambda: [LossTerm("ce")])
 
     def __post_init__(self):
-        for t in self.terms:
-            if t.kind not in LOSS_KINDS:
-                raise ConfigError(f"unknown loss kind {t.kind!r}")
-            if t.weight < 0:
-                raise ConfigError(f"negative weight for {t.kind}")
+        _check_terms(self.terms, reg=False)
 
     def needs_teacher(self):
-        return any(t.kind in TEACHER_KINDS for t in self.terms)
+        return any(TERMS[t.kind].teacher for t in self.terms)
 
 
 @dataclass
@@ -306,11 +394,7 @@ class RegSpec:
     terms: list = field(default_factory=list)
 
     def __post_init__(self):
-        for t in self.terms:
-            if t.kind not in REG_KINDS:
-                raise ConfigError(f"unknown reg kind {t.kind!r}")
-            if t.weight < 0:
-                raise ConfigError(f"negative weight for {t.kind}")
+        _check_terms(self.terms, reg=True)
 
 
 @dataclass
@@ -330,6 +414,8 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if self.optimizer not in ("sgd", "adamw"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):
@@ -401,30 +487,6 @@ def _accuracy(model, x, y, batch=256):
     return correct / max(1, x.shape[0])
 
 
-def _needed_hooks(loss_spec, side):
-    hooks = set()
-    for term in loss_spec.terms:
-        if term.kind == "kd_kl":
-            if side == "teacher":
-                hooks.add("logits")
-        elif term.kind == "kd_ncm":
-            if side == "teacher":
-                hooks.add(term.h("hook", "feature"))
-        elif term.kind in ("rkd_dist", "rkd_angle"):
-            hooks.add(term.h("hook", "feature"))
-        elif term.kind == "fitnet":
-            for s_hook, t_hook in term.hooks:
-                hooks.add(s_hook if side == "student" else t_hook)
-        elif term.kind == "fsp":
-            # hooks are ((s_lo, s_hi), (t_lo, t_hi)) pairs
-            for (s_lo, s_hi), (t_lo, t_hi) in term.hooks:
-                if side == "student":
-                    hooks |= {s_lo, s_hi}
-                else:
-                    hooks |= {t_lo, t_hi}
-    return hooks
-
-
 def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
           reg_spec: RegSpec, cfg: TrainConfig, ref_params=None,
           reg_new_params=False):
@@ -444,10 +506,12 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     x_train, y_train = data.split("train")
     x_val, y_val = data.split("val")
 
-    s_hooks = _needed_hooks(loss_spec, "student")
-    t_hooks = _needed_hooks(loss_spec, "teacher")
-    if any(t.kind == "bss" for t in reg_spec.terms):
-        s_hooks.add("feature")
+    terms = [*loss_spec.terms, *reg_spec.terms]
+    s_hooks, t_hooks = set(), set()
+    for term in terms:
+        s, t = TERMS[term.kind].hooks(term)
+        s_hooks |= s
+        t_hooks |= t
 
     # fitnet projectors where widths differ, trained jointly
     projectors = {}
@@ -467,13 +531,16 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
             ncm_means[hook] = fit_class_means(
                 _flatten_feature(tr[hook]), y_train, data.n_classes)
 
-    def reg_targets():
-        items = [(p, t) for p, t, _ in model.trainable()
-                 if reg_new_params or p in model.base.paths()]
-        return items
+    base_paths = set(model.base.paths())
 
-    head_exclude = {p for p in model.base.paths()} - set(ref_params.paths())
-    head_exclude |= _head_exclude(model)
+    def reg_targets():
+        return [(p, t) for p, t, _ in model.trainable()
+                if reg_new_params or p in base_paths]
+
+    head_exclude = (base_paths - set(ref_params.paths())) | model.spec.head_paths()
+    batch = SimpleNamespace(projectors=projectors, ncm_means=ncm_means,
+                            targets=reg_targets, ref_params=ref_params,
+                            head_exclude=head_exclude)
 
     history = []
     n_train = x_train.shape[0]
@@ -489,25 +556,16 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         for lo in range(0, n_train, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             xb = Tensor(x_train[idx])
-            yb = y_train[idx]
-            logits, s_trace = model.forward(xb, s_hooks)
-            t_trace = {}
-            t_logits = None
-            if teacher is not None and (t_hooks or any(
-                    t.kind == "kd_kl" for t in loss_spec.terms)):
-                t_logits, t_trace = teacher.forward(xb, t_hooks)
+            batch.labels = y_train[idx]
+            batch.logits, batch.s_trace = model.forward(xb, s_hooks)
+            batch.t_trace = {}
+            if teacher is not None and t_hooks:
+                _, batch.t_trace = teacher.forward(xb, t_hooks)
 
             total = None
             values = {}
-            for term in loss_spec.terms:
-                val = _eval_loss_term(term, logits, yb, s_trace, t_logits,
-                                      t_trace, projectors, ncm_means)
-                values[term.kind] = val
-                total = val.scale(term.weight) if total is None \
-                    else total + val.scale(term.weight)
-            for term in reg_spec.terms:
-                val = _eval_reg_term(term, reg_targets(), ref_params,
-                                     head_exclude, s_trace, logits)
+            for term in terms:
+                val = TERMS[term.kind].evaluate(term, batch)
                 values[term.kind] = val
                 total = val.scale(term.weight) if total is None \
                     else total + val.scale(term.weight)
@@ -549,11 +607,6 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     return ckpt, history
 
 
-def _head_exclude(model):
-    from .architect import _head_paths
-    return _head_paths(model.spec)
-
-
 def _probe_widths(model, teacher, x0, loss_spec):
     """Last-axis widths for every fitnet hook pair (one tiny forward)."""
     out = {}
@@ -566,45 +619,3 @@ def _probe_widths(model, teacher, x0, loss_spec):
     for s_hook, t_hook in pairs:
         out[(s_hook, t_hook)] = (s_tr[s_hook].shape[-1], t_tr[t_hook].shape[-1])
     return out
-
-
-def _eval_loss_term(term, logits, yb, s_trace, t_logits, t_trace,
-                    projectors, ncm_means):
-    if term.kind == "ce":
-        return cross_entropy(logits, yb)
-    if term.kind == "kd_kl":
-        return kd_kl(logits, t_logits, term.h("T", 1.0))
-    if term.kind == "kd_ncm":
-        hook = term.h("hook", "feature")
-        tl = ncm_teacher_logits(_flatten_feature(t_trace[hook]),
-                                ncm_means[hook], term.h("tau", 1.0))
-        return kd_kl(logits, tl, term.h("T", 1.0))
-    if term.kind == "fitnet":
-        return fitnet_loss(s_trace, t_trace, list(term.hooks), projectors)
-    if term.kind == "fsp":
-        sp = [(s_trace[lo], s_trace[hi]) for (lo, hi), _ in term.hooks]
-        tp = [(t_trace[lo], t_trace[hi]) for _, (lo, hi) in term.hooks]
-        return fsp_loss(sp, tp)
-    if term.kind in ("rkd_dist", "rkd_angle"):
-        hook = term.h("hook", "feature")
-        mode = "dist" if term.kind == "rkd_dist" else "angle"
-        return rkd_loss(_flatten_feature(s_trace[hook]),
-                        _flatten_feature(t_trace[hook]), mode)
-    raise ConfigError(f"unknown loss kind {term.kind!r}")
-
-
-def _eval_reg_term(term, targets, ref_params, head_exclude, s_trace, logits):
-    if term.kind == "l2":
-        return weight_reg(targets, kind="l2")
-    if term.kind == "l2_sp":
-        return weight_reg(targets, ref=ref_params, kind="l2_sp",
-                          exclude=head_exclude)
-    if term.kind == "spec_norm":
-        mats = [(p, w) for p, w in targets if w.ndim == 2]
-        return spectral_penalty(mats, iters=int(term.h("iters", 20)))
-    if term.kind == "bss":
-        feat = s_trace.get("feature")
-        if feat is None:
-            raise MissingHook("bss needs the 'feature' hook")
-        return bss_penalty(feat, int(term.h("k", 1)))
-    raise ConfigError(f"unknown reg kind {term.kind!r}")

@@ -22,7 +22,6 @@ from zjkit.models import (
     MlpSpec,
     build_model,
     forward,
-    param_shapes,
 )
 from zjkit.tensor import Tensor
 
@@ -53,7 +52,7 @@ def test_lora_plan_shapes_and_counts():
         assert dict(inj.params)[f"lora[{i}].b"] == (48, 4)
     # head stays trainable, rest of the originals frozen
     assert plan.trainable_original == {"head.weight", "head.bias"}
-    assert plan.freeze == set(param_shapes(VIT)) - plan.trainable_original
+    assert plan.freeze == set(VIT.param_shapes()) - plan.trainable_original
 
 
 def test_linear_probe_freezes_backbone():
@@ -115,7 +114,7 @@ def test_freeze_covers_all_original_paths():
                  "(BitFit.adapt):", "(LinearProbe.adapt):",
                  "(PartialK.adapt|k=1):"):
         plan = compile_plan(parse_config(text), VIT)
-        allp = set(param_shapes(VIT))
+        allp = set(VIT.param_shapes())
         assert plan.freeze | plan.trainable_original == allp
         assert not plan.freeze & plan.trainable_original
         assert not plan.new_trainable & allp
@@ -226,7 +225,7 @@ def test_trainable_triples():
 
 def test_plan_table_mentions_counts():
     _, plan, _ = _adapt(VIT, "(LoRA.adapt):->(blocks[0].attn.qkv){inout}")
-    table = plan_table(plan, param_shapes(VIT))
+    table = plan_table(plan, VIT.param_shapes())
     assert "lora[0].a" in table
     # 4*16 + 48*4 = 256 new parameters
     assert "new trainable parameters: 256" in table

@@ -8,7 +8,22 @@ import pytest
 from zjkit import cli
 from zjkit.checkpoint import from_params, save_checkpoint
 from zjkit.cli import main, parse_run_config
-from zjkit.errors import ConfigError
+from zjkit.errors import (
+    BadMagic,
+    ChecksumMismatch,
+    ConfigError,
+    ConvergenceFailure,
+    CorruptCheckpoint,
+    IoError,
+    LabelMismatch,
+    MalformedCsv,
+    NoConvergence,
+    NonFiniteLoss,
+    NonFiniteValue,
+    ParseError,
+    ShapeMismatch,
+    SpecMismatch,
+)
 from zjkit.models import MlpSpec, build_model
 
 BASE_CFG = """\
@@ -27,6 +42,19 @@ def _cfg(tmp_path, text=BASE_CFG, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _with(key, value, text=BASE_CFG):
+    """BASE_CFG with one key set, replacing its line if present."""
+    lines = [l for l in text.splitlines() if not l.startswith(key + "=")]
+    return "\n".join(lines + [f"{key}={value}"]) + "\n"
+
+
+def _ptm(tmp_path, name="ptm.zjk1"):
+    spec = MlpSpec((2, 8, 3))
+    path = tmp_path / name
+    save_checkpoint(from_params(spec, build_model(spec, seed=5)), path)
+    return str(path)
 
 
 # -- config file ---------------------------------------------------------
@@ -212,3 +240,76 @@ def test_wise_ft_endpoint_via_cli(tmp_path):
     b = load_checkpoint(mo / "merged.zjk1")
     for p in a.entries:
         assert np.array_equal(a.entries[p], b.entries[p])
+
+
+def test_corrupt_checkpoint_exit_5(tmp_path, capsys):
+    out = _train(tmp_path, "c")
+    blob = bytearray((out / "final.zjk1").read_bytes())
+    blob[-6] ^= 0xFF  # a payload byte of the last entry; its CRC32 follows
+    bad = tmp_path / "bad.zjk1"
+    bad.write_bytes(bytes(blob))
+    code = main(["eval", "--config", _cfg(tmp_path), "--ckpt", str(bad)])
+    assert code == 5
+    assert "checksum mismatch" in capsys.readouterr().err
+
+
+# -- exit codes ----------------------------------------------------------
+
+
+EXIT_CODES = [
+    (ParseError(4, {"("}), 2),
+    (ConfigError("x"), 3),
+    (ShapeMismatch("x"), 3),  # an error without a code of its own
+    (SpecMismatch("x"), 4),
+    (IoError("x"), 5),
+    (CorruptCheckpoint("x"), 5),
+    (ChecksumMismatch("x"), 5),
+    (FileNotFoundError("x"), 5),
+    (NonFiniteLoss("ce", float("nan")), 6),
+    (NonFiniteValue("x"), 6),
+    (ConvergenceFailure("x"), 6),
+    (NoConvergence("x"), 6),
+    (BadMagic("x"), 7),
+    (LabelMismatch("x"), 7),
+    (MalformedCsv("x"), 7),
+]
+
+
+@pytest.mark.parametrize("exc, code", EXIT_CODES,
+                         ids=[type(e).__name__ for e, _ in EXIT_CODES])
+def test_exit_code_table(monkeypatch, capsys, exc, code):
+    def fail(cfg, args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    assert main(["inspect"]) == code
+    err = capsys.readouterr().err
+    assert f"error: {exc}" in err
+    assert ("offset: 4" in err) == isinstance(exc, ParseError)
+
+
+# -- malformed run-config values -----------------------------------------
+
+
+@pytest.mark.parametrize("key, value, word", [
+    ("tuner.epochs", "two", "tuner.epochs"),
+    ("tuner.loss", "ce:x", "ce weight"),
+    ("tuner.batch_size", "0", "batch_size"),
+    ("data.source", "blobs(n=abc)", "data.source n"),
+    ("tuner.loss", "ce,fsp:1:pairs=a>b", "fsp"),
+])
+def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
+    text = _with("teacher.weights", _ptm(tmp_path), _with(key, value))
+    code = main(["train", "--config", _cfg(tmp_path, text),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert word in capsys.readouterr().err
+
+
+def test_malformed_merge_value_exit_3(tmp_path, capsys):
+    ck = _ptm(tmp_path)
+    text = _with("merger.alpha", "half", _with("merger.kind", "wise_ft"))
+    code = main(["merge", "--config", _cfg(tmp_path, text),
+                 "--out", str(tmp_path / "o"), "--ckpt", ck, "--ckpt", ck])
+    assert code == 3
+    assert "merger.alpha" in capsys.readouterr().err

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from zjkit import models as M
 from zjkit.errors import BadPattern, ShapeMismatch, UnknownHook, UnknownPath
 from zjkit.models import (
     MiniVitSpec,
@@ -11,7 +10,6 @@ from zjkit.models import (
     ParamStore,
     build_model,
     forward,
-    param_shapes,
     select_paths,
     set_trainable,
     spec_digest,
@@ -26,7 +24,7 @@ VIT = MiniVitSpec(dim=16, blocks=2, heads=4, mlp_dim=32, classes=3,
 
 
 def test_mlp_path_enumeration():
-    shapes = param_shapes(MlpSpec((4, 8, 3)))
+    shapes = MlpSpec((4, 8, 3)).param_shapes()
     assert shapes == {
         "layers[0].weight": (8, 4), "layers[0].bias": (8,),
         "layers[1].weight": (3, 8), "layers[1].bias": (3,),
@@ -34,7 +32,7 @@ def test_mlp_path_enumeration():
 
 
 def test_vit_qkv_shape():
-    shapes = param_shapes(VIT)
+    shapes = VIT.param_shapes()
     assert shapes["blocks[0].attn.qkv.weight"] == (48, 16)
     assert shapes["blocks[0].attn.qkv.bias"] == (48,)
     assert shapes["pos_embed"] == (5, 16)
@@ -131,7 +129,7 @@ def test_bad_patterns():
 def test_mlp_zero_weights_zero_logits():
     spec = MlpSpec((4, 8, 3))
     store = ParamStore()
-    for p, s in param_shapes(spec).items():
+    for p, s in spec.param_shapes().items():
         store.set(p, Tensor(np.zeros(s)))
     logits, _ = forward(spec, store, Tensor(np.ones((2, 4))))
     assert (logits.data == 0).all()
@@ -142,17 +140,17 @@ def test_capture_never_perturbs_logits():
     store = build_model(spec, seed=0)
     x = Tensor(np.random.default_rng(0).normal(size=(5, 4)))
     plain, trace0 = forward(spec, store, x)
-    full, trace = forward(spec, store, x, M.all_hooks(spec))
+    full, trace = forward(spec, store, x, spec.all_hooks())
     assert trace0 == {}
     assert np.array_equal(plain.data, full.data)  # bit-identical
-    assert set(trace) == M.all_hooks(spec)
+    assert set(trace) == spec.all_hooks()
 
 
 def test_vit_capture_bit_identity():
     store = build_model(VIT, seed=3)
     x = Tensor(np.random.default_rng(1).normal(size=(2, 4, 8)))
     plain, _ = forward(VIT, store, x)
-    full, trace = forward(VIT, store, x, M.all_hooks(VIT))
+    full, trace = forward(VIT, store, x, VIT.all_hooks())
     assert np.array_equal(plain.data, full.data)
     assert trace["feature"].shape == (2, 16)
     assert trace["logits"].shape == (2, 3)

@@ -107,6 +107,15 @@ def test_binary_grads(op):
     check_grads(op, [a, b])
 
 
+@pytest.mark.parametrize("shapes", [((1, 1, 1), (3,)), ((2, 3), (1, 1, 1, 1))])
+def test_binary_grads_size_one_operand_of_higher_rank(shapes):
+    # a size-1 operand with more axes lifts the result's rank; the other
+    # operand's gradient must fold back to its own shape
+    rng = np.random.default_rng(3)
+    a, b = (rand_tensor(rng, s) for s in shapes)
+    check_grads(lambda x, y: (x * y).square().sum(), [a, b])
+
+
 @pytest.mark.parametrize("op", [
     lambda a: a.tanh().sum(),
     lambda a: a.exp().sum(),

@@ -385,6 +385,26 @@ def test_train_config_validation():
         TrainConfig(optimizer="lbfgs")
 
 
+def test_train_config_rejects_batch_size_below_one():
+    for bs in (0, -4):
+        with pytest.raises(ConfigError):
+            TrainConfig(batch_size=bs)
+
+
+def test_fsp_hook_shape_checked_when_spec_is_built():
+    # fsp pairs are ((student lo, hi), (teacher lo, hi)); flat pairs do not fit
+    for hooks in ((("a", "b"),), (), ((("a", "b"), "c"),)):
+        with pytest.raises(ConfigError):
+            LossSpec([LossTerm("fsp", hooks=hooks)])
+    LossSpec([LossTerm("fsp", hooks=((("a", "b"), ("c", "d")),))])
+
+
+def test_fitnet_hook_shape_checked_when_spec_is_built():
+    for hooks in ((), (("a",),), ((("a", "b"), ("c", "d")),)):
+        with pytest.raises(ConfigError):
+            LossSpec([LossTerm("fitnet", hooks=hooks)])
+
+
 # -- training loop -------------------------------------------------------
 
 
@@ -484,3 +504,27 @@ def test_adamw_optimizer_runs():
     _, ds, model, cfg = _probe_setup(epochs=5, optimizer="adamw", schedule="cosine")
     _, history = train(model, None, ds, LossSpec(), RegSpec(), cfg)
     assert history[-1]["val_acc"] > 0.5
+
+
+TERM_HOOKS = {
+    "fitnet": (("layers[0].output", "layers[0].output"),),
+    "fsp": ((("layers[0].input", "layers[0].output"),
+             ("layers[0].input", "layers[0].output")),),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(tuner.TERMS))
+def test_every_registered_term_trains(kind):
+    spec = MlpSpec((2, 8, 3))
+    ds = data_mod.blobs(k=3, d=2, n=120, sigma=0.1, seed=1)
+    plan = compile_plan(parse_config("(PartialK.adapt|k=2):"), spec)
+    model = apply_plan(spec, build_model(spec, seed=0), plan, seed=0)
+    term = LossTerm(kind, 0.5, hooks=TERM_HOOKS.get(kind, ()))
+    if tuner.TERMS[kind].reg:
+        loss, reg = LossSpec(), RegSpec([term])
+    else:
+        loss, reg = LossSpec([LossTerm("ce"), term]), RegSpec()
+    teacher = Teacher(spec, build_model(spec, seed=9)) if loss.needs_teacher() else None
+    cfg = TrainConfig(lr=0.05, epochs=1, batch_size=16, seed=0)
+    _, history = train(model, teacher, ds, loss, reg, cfg)
+    assert np.isfinite(history[0][kind])
