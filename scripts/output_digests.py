@@ -1,0 +1,251 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of fixed-seed zjkit outputs, one line per output.
+
+    PYTHONPATH=src python scripts/output_digests.py > digests.txt
+
+Covers ``tuner.train`` (checkpoint and history) for each loss and
+regularizer kind alone and all together under SGD and AdamW, each
+adaptation method on both model families (plus ``merge_reparam`` where it
+applies), each merge recipe, and the plan -> train -> merge -> eval CLI
+pipeline of acceptance criterion 10. Run it on two trees and ``diff`` the
+outputs to see which outputs a change moves. The last line digests all
+the others.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+
+from zjkit import checkpoint as ckpt_mod
+from zjkit import cli, merger
+from zjkit import data as data_mod
+from zjkit.architect import apply_plan, compile_plan, merge_reparam
+from zjkit.dsl import parse_config
+from zjkit.errors import ZjError
+from zjkit.models import MiniVitSpec, MlpSpec, build_model, forward
+from zjkit.tensor import Tensor
+from zjkit.tuner import LossSpec, LossTerm, RegSpec, Teacher, TrainConfig, train
+
+MLP = MlpSpec((2, 8, 8, 3))
+MLP_GELU = MlpSpec((2, 8, 8, 3), activation="gelu")
+VIT = MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=16, classes=2, seq_len=2,
+                  input_dim=2)
+
+MLP_METHODS = {
+    "linear_probe": "(LinearProbe.adapt):",
+    "partial_k1": "(PartialK.adapt|k=1):",
+    "partial_k9": "(PartialK.adapt|k=9):",
+    "bitfit": "(BitFit.adapt):",
+    "lora": "(LoRA.adapt|r=2,alpha=4):->(layers[*]){inout}",
+    "ssf": "(SSF.adapt):->(layers[*]){out}",
+    "adapter": "(Adapter.adapt|dim=2):->(layers[0:2]){in}",
+}
+VIT_METHODS = {
+    "linear_probe": "(LinearProbe.adapt):",
+    "partial_k1": "(PartialK.adapt|k=1):",
+    "bitfit": "(BitFit.adapt):",
+    "lora": ("(LoRA.adapt|r=4,alpha=8):->(patch_embed){inout}"
+             "->(blocks[*].attn.qkv){inout}->(blocks[*].attn.proj){inout}"
+             "->(blocks[*].mlp.fc1){inout}->(blocks[*].mlp.fc2){inout}"),
+    "ssf": "(SSF.adapt):->(blocks[*].attn.proj){out}->(blocks[*].mlp.fc2){out}",
+    "adapter": "(Adapter.adapt|dim=4):->(blocks[*]){in}",
+    "prefix": "(Prefix.adapt|tokens=2):->(blocks[*]){in}",
+}
+
+_H0, _H1 = "layers[0].output", "layers[1].output"
+TERMS = {
+    "ce": [LossTerm("ce")],
+    "kd_kl": [LossTerm("kd_kl", hyper=(("T", 2.0),))],
+    "kd_ncm": [LossTerm("kd_ncm")],
+    "fitnet": [LossTerm("fitnet", hooks=((_H0, _H0),))],
+    "fitnet_x2": [LossTerm("fitnet", hooks=((_H0, _H0),)),
+                  LossTerm("fitnet", 0.5, hooks=((_H1, _H1),))],
+    "fsp": [LossTerm("fsp", hooks=(((_H0, _H1), (_H0, _H1)),))],
+    "rkd_dist": [LossTerm("ce"), LossTerm("rkd_dist")],
+    "rkd_angle": [LossTerm("ce"), LossTerm("rkd_angle")],
+}
+REGS = {
+    "l2": LossTerm("l2", 0.01),
+    "l2_sp": LossTerm("l2_sp", 0.01),
+    "spec_norm": LossTerm("spec_norm", 0.01),
+    "bss": LossTerm("bss", 0.01, (("k", 1),)),
+}
+
+PIPE_CFG = """\
+model.kind=mlp
+model.widths=2,8,3
+data.source=blobs(k=3,d=2,n=120,sigma=0.1)
+architect.config='(LoRA.adapt):->(layers[0]){inout}'
+tuner.epochs=4
+tuner.lr=0.1
+tuner.batch_size=16
+seed=7
+"""
+
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def ckpt_digest(ckpt, tmp):
+    path = os.path.join(tmp, "c.zjk1")
+    ckpt_mod.save_checkpoint(ckpt, path)
+    with open(path, "rb") as fh:
+        return sha(fh.read())
+
+
+def history_digest(history):
+    rows = ({k: v for k, v in e.items() if k != "wall_ms"} for e in history)
+    return sha("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows).encode())
+
+
+def array_digest(arrays):
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _train(spec, text, ds, loss, reg, optimizer, teacher=None, seed=0, epochs=3):
+    model = apply_plan(spec, build_model(spec, seed=seed),
+                       compile_plan(parse_config(text), spec), seed=seed + 1)
+    cfg = TrainConfig(optimizer=optimizer, lr=0.05 if optimizer == "sgd" else 0.01,
+                      epochs=epochs, batch_size=16, seed=seed)
+    ckpt, history = train(model, teacher, ds, loss, reg, cfg)
+    return model, ckpt, history
+
+
+def tuner_digests(out, tmp):
+    ds = data_mod.blobs(k=3, d=2, n=120, sigma=0.3, seed=0)
+    teacher = Teacher(MLP, build_model(MLP, seed=5))
+    full = "(PartialK.adapt|k=9):"
+    runs = {**{k: (LossSpec(list(v)), RegSpec()) for k, v in TERMS.items()},
+            **{k: (LossSpec(), RegSpec([v])) for k, v in REGS.items()},
+            "all": (LossSpec([t for v in TERMS.values() for t in v]),
+                    RegSpec(list(REGS.values())))}
+    for optimizer in ("sgd", "adamw"):
+        for name, (loss, reg) in runs.items():
+            _, ckpt, hist = _train(MLP, full, ds, loss, reg, optimizer, teacher)
+            out[f"tuner/{optimizer}/{name}/final.zjk1"] = ckpt_digest(ckpt, tmp)
+            out[f"tuner/{optimizer}/{name}/history"] = history_digest(hist)
+        _, ckpt, hist = _train(MLP_GELU, full, ds, LossSpec(), RegSpec(), optimizer)
+        out[f"tuner/{optimizer}/gelu_mlp/final.zjk1"] = ckpt_digest(ckpt, tmp)
+        out[f"tuner/{optimizer}/gelu_mlp/history"] = history_digest(hist)
+
+
+def adaptation_digests(out, tmp):
+    families = (("mlp", MLP, MLP_METHODS, data_mod.blobs(k=3, d=2, n=120, sigma=0.3)),
+                ("mini_vit", VIT, VIT_METHODS,
+                 data_mod.token_xor(n=128, seq=2, d=2, sigma=0.1)))
+    for fam, spec, methods, ds in families:
+        for name, text in methods.items():
+            model, ckpt, hist = _train(spec, text, ds, LossSpec(), RegSpec(), "adamw")
+            key = f"adapt/{fam}/{name}"
+            out[f"{key}/final.zjk1"] = ckpt_digest(ckpt, tmp)
+            out[f"{key}/history"] = history_digest(hist)
+            try:
+                out[f"{key}/merge_reparam.zjk1"] = ckpt_digest(merge_reparam(model), tmp)
+            except ZjError:
+                pass
+
+
+def _fit(spec, params, ds, seed):
+    model = apply_plan(spec, params, compile_plan(parse_config("(PartialK.adapt|k=9):"),
+                                                  spec), seed=seed)
+    ckpt, _ = train(model, None, ds, LossSpec(), RegSpec(),
+                    TrainConfig(lr=0.05, epochs=2, batch_size=16, seed=seed))
+    return ckpt
+
+
+def merge_digests(out, tmp):
+    spec = MlpSpec((4, 16, 16, 3))
+    ds = data_mod.blobs(k=3, d=4, n=240, sigma=0.5, seed=1)
+    base = _fit(spec, build_model(spec, seed=0), ds, 0)
+    ft_a = _fit(spec, ckpt_mod.to_params(spec, base), ds, 1)
+    ft_b = _fit(spec, ckpt_mod.to_params(spec, base), ds, 2)
+    indep = _fit(spec, build_model(spec, seed=3), ds, 3)
+    x_val, y_val = ds.split("val")
+
+    def evaluate(ckpt, vd):
+        logits, _ = forward(spec, ckpt_mod.to_params(spec, ckpt), Tensor(vd[0]))
+        return float((np.argmax(logits.data, axis=1) == vd[1]).mean())
+
+    perm, objective = merger.weight_match(ft_a, indep)
+    aligned = merger.permute_model(indep, perm)
+    known = merger.Permutation([np.random.default_rng(4).permutation(16) for _ in range(2)])
+    fused, _ = merger.ot_fuse(ft_a, merger.permute_model(ft_a, known))
+    interp = merger.wise_ft(aligned, ft_a, 0.5)
+    soup, ingredients = merger.greedy_soup([ft_a, ft_b, base, aligned], (x_val, y_val),
+                                           evaluate)
+    fishers = [merger.fisher_estimate(spec, c, ds, n_samples=16, seed=i)
+               for i, c in enumerate((ft_a, ft_b))]
+    results = {
+        "uniform_soup": merger.uniform_soup([ft_a, ft_b]),
+        "greedy_soup": soup,
+        "wise_ft": merger.wise_ft(base, ft_a, 0.3),
+        "fisher_merge": merger.fisher_merge([ft_a, ft_b], fishers),
+        "weight_match_soup": merger.uniform_soup([ft_a, aligned]),
+        "ot_fuse": fused,
+        "repair": merger.repair(interp, (ft_a, aligned, 0.5), spec, ds.split("train")[0]),
+    }
+    for name, ckpt in results.items():
+        out[f"merge/mlp/{name}.zjk1"] = ckpt_digest(ckpt, tmp)
+    out["merge/mlp/weight_match_objective"] = sha(json.dumps(
+        [objective, [m.tolist() for m in perm.maps], ingredients]).encode())
+    out["merge/mlp/fisher"] = array_digest({f"{i}/{p}": a for i, f in enumerate(fishers)
+                                            for p, a in f.entries.items()})
+    models_ = [apply_plan(spec, ckpt_mod.to_params(spec, c),
+                          compile_plan(parse_config("(LinearProbe.adapt):"), spec))
+               for c in (ft_a, ft_b, base)]
+    out["merge/mlp/ensemble"] = array_digest(
+        {mode: merger.ensemble(models_, x_val, mode) for mode in ("logits", "prob", "vote")})
+
+    vds = data_mod.token_xor(n=128, seq=2, d=2, sigma=0.1, seed=2)
+    vit_a = ckpt_mod.from_params(VIT, build_model(VIT, seed=0))
+    vit_b = _fit(VIT, build_model(VIT, seed=0), vds, 1)
+    vfish = [merger.fisher_estimate(VIT, c, vds, n_samples=16, seed=i)
+             for i, c in enumerate((vit_a, vit_b))]
+    out["merge/mini_vit/fisher_merge.zjk1"] = ckpt_digest(
+        merger.fisher_merge([vit_a, vit_b], vfish), tmp)
+
+
+def cli_digests(out, tmp):
+    cfg = os.path.join(tmp, "run.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(PIPE_CFG)
+    run = os.path.join(tmp, "pipe")
+    ck = os.path.join(run, "t", "final.zjk1")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["plan", "--config", cfg],
+                     ["train", "--config", cfg, "--out", os.path.join(run, "t")],
+                     ["merge", "--config", cfg, "--out", os.path.join(run, "m"),
+                      "--ckpt", ck, "--ckpt", ck],
+                     ["eval", "--config", cfg, "--out", os.path.join(run, "e"),
+                      "--ckpt", os.path.join(run, "m", "merged.zjk1")]):
+            code = cli.main(argv)
+            if code != 0:
+                raise SystemExit(f"zjkit {argv[0]} exited {code}")
+    for rel in ("t/final.zjk1", "t/history.jsonl", "m/merged.zjk1", "e/metrics.json"):
+        with open(os.path.join(run, rel), "rb") as fh:
+            out[f"cli/{rel}"] = sha(fh.read())
+
+
+def main():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for collect in (tuner_digests, adaptation_digests, merge_digests, cli_digests):
+            collect(out, tmp)
+    lines = [f"{name} {digest}" for name, digest in sorted(out.items())]
+    for line in lines:
+        print(line)
+    print(f"all {sha(''.join(line + chr(10) for line in lines).encode())}")
+
+
+if __name__ == "__main__":
+    main()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint as ckpt_mod
+from . import tensor as T
 from .dsl import AdaptSpec
 from .errors import (
     IncompatibleSite,
@@ -22,7 +23,7 @@ from .errors import (
     NotMergeable,
     PlanMismatch,
 )
-from .models import ParamStore, _affine, match_prefixes
+from .models import ParamStore, match_prefixes
 from .tensor import Tensor
 
 
@@ -181,7 +182,7 @@ class _Router:
                 a = e.get(f"lora[{inj.instance}].a")
                 b = e.get(f"lora[{inj.instance}].b")
                 s = self.adapted.plan.hyper["alpha"] / self.adapted.plan.hyper["r"]
-                y = y + _affine(_affine(x, a), b).scale(s)
+                y = y + T.affine(T.affine(x, a), b).scale(s)
             elif inj.kind == "ssf":
                 gamma = e.get(f"ssf[{inj.instance}].gamma")
                 beta = e.get(f"ssf[{inj.instance}].beta")
@@ -196,8 +197,8 @@ class _Router:
             pre = f"adapter[{inj.instance}]"
             dw, db = e.get(f"{pre}.down.weight"), e.get(f"{pre}.down.bias")
             uw, ub = e.get(f"{pre}.up.weight"), e.get(f"{pre}.up.bias")
-            mid = (_affine(h, dw) + db.expand(h.shape[:-1] + (dw.shape[0],))).gelu()
-            h = h + _affine(mid, uw) + ub.expand(h.shape)
+            mid = T.affine(h, dw, db).gelu()
+            h = h + T.affine(mid, uw) + ub.expand(h.shape)
         return h
 
     def kv_prefix(self, site):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import logging
 import os
@@ -126,24 +127,46 @@ def _call_spec(text):
     return name, kwargs
 
 
+# data.source name -> data function; config keys that differ from its parameters
+_SOURCES = {"blobs": data_mod.blobs, "blobs_shifted": data_mod.blobs_shifted,
+            "moons": data_mod.moons, "token_xor": data_mod.token_xor,
+            "idx": data_mod.load_idx, "csv": data_mod.load_csv}
+_SOURCE_KEYS = {"images": "images_path", "labels": "labels_path"}
+
+
 def _load_dataset(cfg, seed):
+    """Call the data function named by data.source.
+
+    Each argument takes the type of the function's default; one without a
+    default (a file path) stays text, and csv's ``has_header`` takes
+    ``auto`` or an integer flag. An unknown source, unknown or missing
+    argument, or value the function rejects is a ConfigError.
+    """
     source = cfg.get("data.source")
     if not source:
         raise ConfigError("data.source is required")
     name, kw = _call_spec(source)
-    num = {k: _num(v, f"data.source {k}") for k, v in kw.items()
-           if k not in ("images", "labels", "path")}
-    num.setdefault("seed", seed)
-    ikw = {k: _num(v, f"data.source {k}", int) for k, v in num.items()
-           if k not in ("sigma", "noise", "delta")}
-    fkw = {k: v for k, v in num.items() if k in ("sigma", "noise", "delta")}
-    if name in ("blobs", "blobs_shifted", "moons", "token_xor"):
-        return getattr(data_mod, name)(**ikw, **fkw)
-    if name == "idx":
-        return data_mod.load_idx(kw["images"], kw["labels"], seed=ikw["seed"])
-    if name == "csv":
-        return data_mod.load_csv(kw["path"], ikw.get("label_col", -1), seed=ikw["seed"])
-    raise ConfigError(f"unknown data source {name!r}")
+    if name not in _SOURCES:
+        raise ConfigError(f"unknown data source {name!r}")
+    params = inspect.signature(_SOURCES[name]).parameters
+    args = {"seed": seed}
+    for key, text in kw.items():
+        param = params.get(_SOURCE_KEYS.get(key, key))
+        if param is None:
+            raise ConfigError(f"data.source {name}() has no argument {key!r}")
+        default = param.default
+        if default is param.empty or text == default:
+            args[param.name] = text
+        else:
+            cast = type(default) if type(default) in (int, float) else int
+            args[param.name] = _num(text, f"data.source {key}", cast)
+    missing = [p for p, v in params.items() if v.default is v.empty and p not in args]
+    if missing:
+        raise ConfigError(f"data.source {name}() needs {', '.join(missing)}")
+    try:
+        return _SOURCES[name](**args)
+    except ValueError as exc:
+        raise ConfigError(f"data.source {source!r}: {exc}") from None
 
 
 def _parse_terms(text, default=None):

@@ -198,9 +198,7 @@ class MiniVitSpec:
             raise ShapeMismatch(
                 f"vit input {x.shape}, expected [n,{self.seq_len},{self.input_dim}]"
             )
-        n = x.shape[0]
-        d, nh = self.dim, self.heads
-        hd = d // nh
+        n, d = x.shape[0], self.dim
         tokens = lin("patch_embed", x)
         cls = params.get("cls_token").reshape(1, 1, d).expand((n, 1, d))
         h = T.concat([cls, tokens], axis=1)
@@ -208,25 +206,10 @@ class MiniVitSpec:
         for i in range(self.blocks):
             blk = f"blocks[{i}]"
             hook(f"{blk}.input", h)
-            s = h.shape[1]
             a_in = T.layernorm(h, params.get(f"{blk}.norm1.gamma"),
                                params.get(f"{blk}.norm1.beta"))
             qkv = lin(f"{blk}.attn.qkv", a_in)  # [n, s, 3d]
-            q = qkv[:, :, 0:d].reshape(n, s, nh, hd).transpose(0, 2, 1, 3)
-            k = qkv[:, :, d:2 * d].reshape(n, s, nh, hd).transpose(0, 2, 1, 3)
-            v = qkv[:, :, 2 * d:3 * d].reshape(n, s, nh, hd).transpose(0, 2, 1, 3)
-            pref = adapters.kv_prefix(blk)
-            if pref is not None:
-                pk, pv = pref  # [t, d] each
-                t_len = pk.shape[0]
-                pk = pk.reshape(t_len, nh, hd).transpose(1, 0, 2).expand((n, nh, t_len, hd))
-                pv = pv.reshape(t_len, nh, hd).transpose(1, 0, 2).expand((n, nh, t_len, hd))
-                k = T.concat([pk, k], axis=2)
-                v = T.concat([pv, v], axis=2)
-            scores = T.matmul(q, k.transpose(0, 1, 3, 2)).scale(1.0 / math.sqrt(hd))
-            attn = T.softmax(scores)
-            ctx = T.matmul(attn, v)  # [n, nh, s, hd]
-            ctx = ctx.transpose(0, 2, 1, 3).reshape(n, s, d)
+            ctx = T.attention(qkv, self.heads, adapters.kv_prefix(blk))
             h = h + lin(f"{blk}.attn.proj", ctx)
             m_in = T.layernorm(h, params.get(f"{blk}.norm2.gamma"),
                                params.get(f"{blk}.norm2.beta"))
@@ -420,15 +403,6 @@ def select_paths(store: ParamStore, pattern):
 # -- forward ------------------------------------------------------------
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
-    """y = x @ w.T (+ b) over the last axis; supports 2-D and 3-D inputs."""
-    if x.ndim == 3:
-        n, s, din = x.shape
-        return _affine(x.reshape(n * s, din), w, b).reshape(n, s, w.shape[0])
-    y = T.matmul(x, w.T)
-    return y if b is None else y + b.expand(y.shape)
-
-
 class _NoAdapters:
     def linear_out(self, site, x, y):
         return y
@@ -462,7 +436,7 @@ def forward(spec, params: ParamStore, x: Tensor, capture=(), adapters=None):
     def lin(site, inp):
         w = params.get(f"{site}.weight")
         b = params.get(f"{site}.bias")
-        return adapters.linear_out(site, inp, _affine(inp, w, b))
+        return adapters.linear_out(site, inp, T.affine(inp, w, b))
 
     logits, feature = spec._forward(params, x, hook, lin, adapters)
     hook("feature", feature)

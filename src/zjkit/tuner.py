@@ -494,7 +494,9 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
 
     Returns ``(Checkpoint, history)``; the checkpoint holds the adapted
     model's full parameter set (base plus injected parameters) under the
-    base spec digest. History is one dict per epoch.
+    base spec digest. History is one dict per epoch: each term's mean keyed
+    by its kind (the second term of a kind is ``kind[1]``, and so on), then
+    ``val_acc`` and ``wall_ms``.
     """
     if loss_spec.needs_teacher() and teacher is None:
         raise ConfigError("loss spec requires a teacher model")
@@ -507,6 +509,11 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     x_val, y_val = data.split("val")
 
     terms = [*loss_spec.terms, *reg_spec.terms]
+    # history key per term: its kind, then kind[1], kind[2] for repeats
+    keys = []
+    for term in terms:
+        n = sum(t.kind == term.kind for t in terms[:len(keys)])
+        keys.append(f"{term.kind}[{n}]" if n else term.kind)
     s_hooks, t_hooks = set(), set()
     for term in terms:
         s, t = TERMS[term.kind].hooks(term)
@@ -564,9 +571,9 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
 
             total = None
             values = {}
-            for term in terms:
+            for key, term in zip(keys, terms):
                 val = TERMS[term.kind].evaluate(term, batch)
-                values[term.kind] = val
+                values[key] = val
                 total = val.scale(term.weight) if total is None \
                     else total + val.scale(term.weight)
             for name, val in values.items():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zjkit import cli
+from zjkit import data as data_mod
 from zjkit.checkpoint import from_params, save_checkpoint
 from zjkit.cli import main, parse_run_config
 from zjkit.errors import (
@@ -296,6 +297,10 @@ def test_exit_code_table(monkeypatch, capsys, exc, code):
     ("tuner.loss", "ce:x", "ce weight"),
     ("tuner.batch_size", "0", "batch_size"),
     ("data.source", "blobs(n=abc)", "data.source n"),
+    ("data.source", "blobs(q=1)", "no argument 'q'"),
+    ("data.source", "blobs(n=-5)", "blobs(n=-5)"),
+    ("data.source", "blobs(k=0)", "blobs(k=0)"),
+    ("data.source", "csv()", "needs path"),
     ("tuner.loss", "ce,fsp:1:pairs=a>b", "fsp"),
 ])
 def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
@@ -304,6 +309,13 @@ def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert word in capsys.readouterr().err
+
+
+def test_data_source_arguments_take_the_type_of_their_default():
+    cfg = parse_run_config("data.source=blobs(n=40,spread=2.5,k=4)\n")
+    got = cli._load_dataset(cfg, 3)
+    want = data_mod.blobs(n=40, spread=2.5, k=4, seed=3)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
 
 
 def test_malformed_merge_value_exit_3(tmp_path, capsys):

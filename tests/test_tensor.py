@@ -135,6 +135,14 @@ def test_unary_grads(op):
     check_grads(op, [a])
 
 
+def test_getitem_repeated_fancy_index_accumulates():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    assert T.grad(x[[0, 0, 1]].sum(), [x])[0].data.tolist() == [2.0, 1.0, 0.0, 0.0]
+    rng = np.random.default_rng(8)
+    m = rand_tensor(rng, (3, 2))
+    check_grads(lambda t: t[np.array([2, 0, 2, 2])].square().sum(), [m])
+
+
 def test_expand_grad():
     rng = np.random.default_rng(2)
     a = rand_tensor(rng, (1, 4))
@@ -186,6 +194,112 @@ def test_matmul_grad_batched_vs_2d():
     a = rand_tensor(rng, (2, 3, 4))
     b = rand_tensor(rng, (4, 5))
     check_grads(lambda x, y: T.matmul(x, y).square().sum(), [a, b])
+
+
+# -- fused nodes: affine, attention, gelu backward ------------------------
+
+
+def _affine_chain(x, w, b=None):
+    """Unfused reference: flatten, matmul with w.T, expand and add b."""
+    if x.ndim == 3:
+        n, s, din = x.shape
+        return _affine_chain(x.reshape(n * s, din), w, b).reshape(n, s, w.shape[0])
+    y = T.matmul(x, w.T)
+    return y if b is None else y + b.expand(y.shape)
+
+
+def _attention_chain(qkv, heads, prefix=None):
+    """Unfused reference: the per-op attention block ``T.attention`` replaces."""
+    n, s, d3 = qkv.shape
+    d = d3 // 3
+    hd = d // heads
+
+    def split(lo):
+        return qkv[:, :, lo:lo + d].reshape(n, s, heads, hd).transpose(0, 2, 1, 3)
+
+    q, k, v = split(0), split(d), split(2 * d)
+    if prefix is not None:
+        pk, pv = prefix
+        t = pk.shape[0]
+        pk = pk.reshape(t, heads, hd).transpose(1, 0, 2).expand((n, heads, t, hd))
+        pv = pv.reshape(t, heads, hd).transpose(1, 0, 2).expand((n, heads, t, hd))
+        k = T.concat([pk, k], axis=2)
+        v = T.concat([pv, v], axis=2)
+    scores = T.matmul(q, k.transpose(0, 1, 3, 2)).scale(1.0 / np.sqrt(hd))
+    ctx = T.matmul(T.softmax(scores), v)
+    return ctx.transpose(0, 2, 1, 3).reshape(n, s, d)
+
+
+def _assert_same_as_chain(fused, chain, leaves, seed=0):
+    """Output and every leaf gradient of the fused node equal the chain's bit for bit."""
+    outs = [fused(*leaves), chain(*leaves)]
+    assert np.array_equal(outs[0].data, outs[1].data)
+    probe = Tensor(np.random.default_rng(seed).normal(size=outs[0].shape))
+    g_fused, g_chain = (T.grad((o * probe).sum(), leaves) for o in outs)
+    for a, b in zip(g_fused, g_chain):
+        assert np.array_equal(a.data, b.data)
+
+
+# Widths 17 -> 33 and head width 16 are sizes at which numpy's matmul
+# result depends on operand memory layout, so these tests see a fused
+# node that skips one of the chain's C-order copies.
+
+
+@pytest.mark.parametrize("x_shape", [(8, 17), (2, 4, 17)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_affine_matches_chain(x_shape, bias):
+    rng = np.random.default_rng(11)
+    leaves = [rand_tensor(rng, x_shape), rand_tensor(rng, (33, 17))]
+    if bias:
+        leaves.append(rand_tensor(rng, (33,)))
+    _assert_same_as_chain(T.affine, _affine_chain, leaves)
+    check_grads(lambda *ls: T.affine(*ls).square().sum(), leaves)
+
+
+def test_affine_shape_errors():
+    with pytest.raises(ShapeMismatch):
+        T.affine(Tensor(np.ones(4)), Tensor(np.ones((3, 4))))
+    with pytest.raises(ShapeMismatch):
+        T.affine(Tensor(np.ones((2, 5))), Tensor(np.ones((3, 4))))
+    with pytest.raises(ShapeMismatch):
+        T.affine(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
+
+
+def _attention_leaves(rng, n, s, d, prefix_len):
+    leaves = [rand_tensor(rng, (n, s, 3 * d))]
+    return leaves + [rand_tensor(rng, (prefix_len, d)) for _ in range(2 if prefix_len else 0)]
+
+
+def _with_heads(fn, heads):
+    return lambda qkv, *pre: fn(qkv, heads, tuple(pre) if pre else None)
+
+
+@pytest.mark.parametrize("prefix_len", [0, 2])
+def test_attention_matches_chain(prefix_len):
+    rng = np.random.default_rng(12)
+    leaves = _attention_leaves(rng, 2, 16, 32, prefix_len)
+    _assert_same_as_chain(_with_heads(T.attention, 2), _with_heads(_attention_chain, 2),
+                          leaves)
+    small = _attention_leaves(rng, 2, 3, 4, prefix_len)
+    check_grads(lambda *ls: _with_heads(T.attention, 2)(*ls).square().sum(), small)
+
+
+def test_attention_shape_errors():
+    with pytest.raises(ShapeMismatch):
+        T.attention(Tensor(np.ones((2, 3, 10))), heads=2)
+    with pytest.raises(ShapeMismatch):
+        T.attention(Tensor(np.ones((2, 3, 12))), 2,
+                    (Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4)))))
+
+
+def test_gelu_backward_matches_closed_form():
+    x = np.linspace(-5.0, 5.0, 201)
+    c = np.sqrt(2.0 / np.pi)
+    u = c * (x + 0.044715 * x**3)
+    want = 0.5 * (1.0 + np.tanh(u)) + 0.5 * x * c * (1.0 + 3 * 0.044715 * x**2) / np.cosh(u)**2
+    leaf = Tensor(x, requires_grad=True)
+    got = T.grad(leaf.gelu().sum(), [leaf])[0].data
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # -- softmax / log_softmax / layernorm -----------------------------------

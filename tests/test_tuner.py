@@ -506,6 +506,30 @@ def test_adamw_optimizer_runs():
     assert history[-1]["val_acc"] > 0.5
 
 
+def test_repeated_term_kind_keeps_each_value_in_history():
+    # zero weights: training follows ce alone, so each fitnet value must
+    # equal the same term's value in a run that has only that term
+    spec = MlpSpec((2, 8, 8, 3))
+    ds = data_mod.blobs(k=3, d=2, n=120, sigma=0.1, seed=1)
+    plan = compile_plan(parse_config("(PartialK.adapt|k=3):"), spec)
+    a, b = (LossTerm("fitnet", 0.0, hooks=((h, h),))
+            for h in ("layers[0].output", "layers[1].output"))
+
+    def first_epoch(*fits):
+        model = apply_plan(spec, build_model(spec, seed=0), plan, seed=0)
+        teacher = Teacher(spec, build_model(spec, seed=9))
+        cfg = TrainConfig(lr=0.05, epochs=1, batch_size=16, seed=0)
+        _, history = train(model, teacher, ds, LossSpec([LossTerm("ce"), *fits]),
+                           RegSpec(), cfg)
+        return history[0]
+
+    both = first_epoch(a, b)
+    assert [k for k in both if k.startswith("fitnet")] == ["fitnet", "fitnet[1]"]
+    assert both["fitnet"] == first_epoch(a)["fitnet"]
+    assert both["fitnet[1]"] == first_epoch(b)["fitnet"]
+    assert both["fitnet"] != both["fitnet[1]"]
+
+
 TERM_HOOKS = {
     "fitnet": (("layers[0].output", "layers[0].output"),),
     "fsp": ((("layers[0].input", "layers[0].output"),
