@@ -2,8 +2,10 @@
 
 A plan is the bridge between the config language and a concrete model:
 it lists parameter injections (LoRA factors, adapters, prefix tokens,
-scale/shift vectors), the freeze mask over original paths, and any
-per-element gradient masks (BitFit's query-bias rows). LoRA and SSF
+scale/shift vectors), which original paths train and which stay frozen,
+and any per-element gradient masks (BitFit's query-bias rows). Applying a
+plan records that split on the tensors themselves: a parameter trains iff
+its tensor requires grad, so frozen weights record no tape. LoRA and SSF
 plans can be folded back into plain weights via :func:`merge_reparam`.
 """
 
@@ -43,7 +45,6 @@ class AdaptationPlan:
     injections: list = field(default_factory=list)
     freeze: set = field(default_factory=set)
     trainable_original: set = field(default_factory=set)
-    new_trainable: set = field(default_factory=set)
     grad_masks: dict = field(default_factory=dict)  # path -> np mask
 
 
@@ -137,7 +138,6 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
 
     plan.trainable_original = head & all_paths
     plan.freeze = all_paths - plan.trainable_original
-    plan.new_trainable = {p for inj in plan.injections for p, _ in inj.params}
     return plan
 
 
@@ -225,27 +225,25 @@ class AdaptedModel:
         return forward(self.spec, self.base, x, capture, adapters=self._router)
 
     def trainable(self):
-        """(path, tensor, store) triples the optimizer may update."""
-        out = []
-        for p in self.base.trainable_paths():
-            out.append((p, self.base.get(p), self.base))
-        for p in self.extras.paths():
-            out.append((p, self.extras.get(p), self.extras))
-        return out
+        """(path, tensor, store) triples the optimizer may update: every
+        tensor, base then extras, that requires grad."""
+        return [(p, t, store) for store in (self.base, self.extras)
+                for p, t in store.items() if t.requires_grad]
 
     def grad_mask(self, path):
         return self.plan.grad_masks.get(path)
 
 
 def apply_plan(spec, params: ParamStore, plan: AdaptationPlan, seed=0) -> AdaptedModel:
-    """Wire a compiled plan onto a concrete parameter store."""
+    """Wire a compiled plan onto a concrete parameter store.
+
+    The base store gets fresh tensors that require grad exactly on the
+    plan's trainable original paths, whatever flags ``params`` carries.
+    """
     if plan.model_canonical != spec.canonical():
         raise PlanMismatch("plan was compiled against a different model spec")
-    base = params.clone()
-    for p in base.paths():
-        base._trainable[p] = False
-    for p in plan.trainable_original:
-        base._trainable[p] = True
+    base = ParamStore({p: Tensor(t.data, requires_grad=p in plan.trainable_original)
+                       for p, t in params.items()})
     extras = _init_extras(plan, seed)
     return AdaptedModel(spec, base, plan, extras)
 

@@ -5,10 +5,17 @@ length + UTF-8 kind, 32-byte spec digest (SHA-256 of the canonical spec
 string), u32 entry count; per entry: u16 path length, path UTF-8, u8
 dtype (0 = f32), u8 ndim, u64 per dim, row-major f32 payload, u32 CRC32
 of the payload. Save/load round trips are byte identical.
+
+Files are written through :func:`atomic_open`, so a failed write leaves
+any earlier file at the path whole. Loading turns every malformed file
+into a :class:`CorruptCheckpoint` (or :class:`ChecksumMismatch`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -45,8 +52,11 @@ def from_params(spec, params: ParamStore) -> Checkpoint:
     return Checkpoint(spec.kind, spec_digest(spec), entries)
 
 
-def to_params(spec, ckpt: Checkpoint, requires_grad=True) -> ParamStore:
-    """Materialize a checkpoint against a spec, validating digest and shapes."""
+def to_params(spec, ckpt: Checkpoint) -> ParamStore:
+    """Materialize a checkpoint against a spec, validating digest and shapes.
+
+    Every tensor requires grad, as in :func:`models.build_model`.
+    """
     if ckpt.digest != spec_digest(spec):
         raise SpecMismatch("checkpoint digest does not match model spec")
     shapes = spec.param_shapes()
@@ -57,36 +67,53 @@ def to_params(spec, ckpt: Checkpoint, requires_grad=True) -> ParamStore:
         arr = ckpt.entries[path]
         if arr.shape != shape:
             raise ShapeMismatch(f"{path}: {arr.shape} != {shape}")
-        store.set(path, Tensor(arr.astype(np.float64), requires_grad=requires_grad))
+        store.set(path, Tensor(arr.astype(np.float64), requires_grad=True))
     return store
 
 
-def save_checkpoint(ckpt: Checkpoint, path):
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Open ``<path>.tmp`` for writing and move it onto ``path`` on success.
+
+    On any error the temporary file is removed and ``path`` is left as it
+    was; an OSError becomes IoError.
+    """
+    tmp = f"{path}.tmp"
     try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            kind = ckpt.kind.encode()
-            fh.write(struct.pack("<H", len(kind)))
-            fh.write(kind)
-            if len(ckpt.digest) != 32:
-                raise CorruptCheckpoint("digest must be 32 bytes")
-            fh.write(ckpt.digest)
-            paths = sorted(ckpt.entries)
-            fh.write(struct.pack("<I", len(paths)))
-            for p in paths:
-                arr = np.ascontiguousarray(ckpt.entries[p], dtype=np.float32)
-                pb = p.encode()
-                fh.write(struct.pack("<H", len(pb)))
-                fh.write(pb)
-                fh.write(struct.pack("<BB", 0, arr.ndim))
-                for d in arr.shape:
-                    fh.write(struct.pack("<Q", d))
-                payload = arr.tobytes()
-                fh.write(payload)
-                fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoError(str(exc)) from exc
+        raise
+
+
+def save_checkpoint(ckpt: Checkpoint, path):
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        kind = ckpt.kind.encode()
+        fh.write(struct.pack("<H", len(kind)))
+        fh.write(kind)
+        if len(ckpt.digest) != 32:
+            raise CorruptCheckpoint("digest must be 32 bytes")
+        fh.write(ckpt.digest)
+        paths = sorted(ckpt.entries)
+        fh.write(struct.pack("<I", len(paths)))
+        for p in paths:
+            arr = np.ascontiguousarray(ckpt.entries[p], dtype=np.float32)
+            pb = p.encode()
+            fh.write(struct.pack("<H", len(pb)))
+            fh.write(pb)
+            fh.write(struct.pack("<BB", 0, arr.ndim))
+            for d in arr.shape:
+                fh.write(struct.pack("<Q", d))
+            payload = arr.tobytes()
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 class _Reader:
@@ -95,7 +122,7 @@ class _Reader:
         self.pos = 0
 
     def take(self, n):
-        if self.pos + n > len(self.data):
+        if not 0 <= n <= len(self.data) - self.pos:
             raise CorruptCheckpoint("truncated file")
         out = self.data[self.pos:self.pos + n]
         self.pos += n
@@ -103,6 +130,12 @@ class _Reader:
 
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n):
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError:
+            raise CorruptCheckpoint("invalid UTF-8 text") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -118,25 +151,25 @@ def load_checkpoint(path) -> Checkpoint:
     if version != VERSION:
         raise CorruptCheckpoint(f"unsupported version {version}")
     (klen,) = r.unpack("<H")
-    kind = r.take(klen).decode()
+    kind = r.text(klen)
     digest = r.take(32)
     (count,) = r.unpack("<I")
     entries = {}
     for _ in range(count):
         (plen,) = r.unpack("<H")
-        p = r.take(plen).decode()
+        p = r.text(plen)
         dtype, ndim = r.unpack("<BB")
         if dtype != 0:
             raise CorruptCheckpoint(f"unknown dtype {dtype}")
         dims = tuple(r.unpack("<Q")[0] for _ in range(ndim))
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * 4 if dims else 4
-        if ndim == 0:
-            n_bytes = 4
-        payload = r.take(n_bytes)
+        payload = r.take(4 * math.prod(dims))
         (crc,) = r.unpack("<I")
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise ChecksumMismatch(f"checksum mismatch for {p}")
-        entries[p] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            entries[p] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError as exc:  # more than 32 dims, or a zero-size overflow
+            raise CorruptCheckpoint(f"bad shape {dims} for {p}: {exc}") from None
     if r.pos != len(data):
         raise CorruptCheckpoint("trailing bytes")
     return Checkpoint(kind, digest, entries)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import architect, checkpoint as ckpt_mod, data as data_mod, dsl, merger, tuner
 from .errors import ConfigError, IoError, ParseError, ZjError
-from .models import MiniVitSpec, MlpSpec, build_model, forward
+from .models import MiniVitSpec, MlpSpec, build_model
 from .tensor import Tensor
 
 log = logging.getLogger("zjkit")
@@ -225,26 +225,11 @@ def _model_for_eval(cfg, spec, ckpt, seed):
     base_ckpt = ckpt_mod.Checkpoint(ckpt.kind, ckpt.digest,
                                     {p: a for p, a in ckpt.entries.items()
                                      if p in base_paths})
-    params = ckpt_mod.to_params(spec, base_ckpt)
-    if not extras and not cfg.get("architect.config"):
-        class _Plain:
-            def forward(self, x, capture=()):
-                return forward(spec, params, x, capture)
-        return _Plain()
-    adapted, _ = _build_adapted(cfg, spec, params, seed)
+    adapted, _ = _build_adapted(cfg, spec, ckpt_mod.to_params(spec, base_ckpt), seed)
     for p in sorted(extras):
         adapted.extras.set(p, Tensor(ckpt.entries[p].astype(np.float64),
                                      requires_grad=True))
     return adapted
-
-
-def _ckpt_accuracy(spec, ckpt, x, y, cfg=None, seed=0):
-    model = _model_for_eval(cfg or {}, spec, ckpt, seed)
-    preds = []
-    for lo in range(0, x.shape[0], 256):
-        logits, _ = model.forward(Tensor(x[lo:lo + 256]))
-        preds.append(np.argmax(logits.data, axis=1))
-    return float((np.concatenate(preds) == y).mean()) if len(y) else 0.0
 
 
 # -- commands -----------------------------------------------------------
@@ -257,7 +242,7 @@ def _out_dir(cfg, args):
 
 
 def _write_resolved(cfg, out):
-    with open(os.path.join(out, "resolved.cfg"), "w") as fh:
+    with ckpt_mod.atomic_open(os.path.join(out, "resolved.cfg")) as fh:
         fh.write(render_config(cfg))
 
 
@@ -310,7 +295,7 @@ def cmd_train(cfg, args):
                                 train_cfg, ref_params=ref_params)
     out = _out_dir(cfg, args)
     ckpt_mod.save_checkpoint(ckpt, os.path.join(out, "final.zjk1"))
-    with open(os.path.join(out, "history.jsonl"), "w") as fh:
+    with ckpt_mod.atomic_open(os.path.join(out, "history.jsonl")) as fh:
         for entry in history:
             row = {k: v for k, v in entry.items() if k != "wall_ms"}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -336,7 +321,7 @@ def cmd_merge(cfg, args):
         x_val, y_val = ds.split("val")
         merged, order = merger.greedy_soup(
             ckpts, (x_val, y_val),
-            lambda c, vd: _ckpt_accuracy(spec, c, vd[0], vd[1], cfg, seed))
+            lambda c, vd: tuner.accuracy(_model_for_eval(cfg, spec, c, seed), *vd))
         report["accepted"] = [args.ckpt[i] for i in order]
     elif kind == "wise_ft":
         if len(ckpts) != 2:
@@ -381,7 +366,7 @@ def cmd_merge(cfg, args):
         raise ConfigError(f"unknown merger.kind {kind!r}")
     out = _out_dir(cfg, args)
     ckpt_mod.save_checkpoint(merged, os.path.join(out, "merged.zjk1"))
-    with open(os.path.join(out, "merge_report.json"), "w") as fh:
+    with ckpt_mod.atomic_open(os.path.join(out, "merge_report.json")) as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     _write_resolved(cfg, out)
@@ -433,7 +418,7 @@ def cmd_eval(cfg, args):
     print(json.dumps(metrics, sort_keys=True))
     if args.out or cfg.get("out_dir"):
         out = _out_dir(cfg, args)
-        with open(os.path.join(out, "metrics.json"), "w") as fh:
+        with ckpt_mod.atomic_open(os.path.join(out, "metrics.json")) as fh:
             json.dump(metrics, fh, sort_keys=True, indent=2)
             fh.write("\n")
         _write_resolved(cfg, out)

@@ -233,13 +233,10 @@ def spec_digest(spec) -> bytes:
 
 
 class ParamStore:
-    """Ordered path -> Tensor map plus a per-path trainable mask."""
+    """Ordered path -> Tensor map; a parameter trains iff its tensor requires grad."""
 
-    def __init__(self, entries=None, trainable=None):
+    def __init__(self, entries=None):
         self._entries = dict(entries or {})
-        self._trainable = dict(trainable or {})
-        for p in self._entries:
-            self._trainable.setdefault(p, True)
 
     def paths(self):
         return sorted(self._entries)
@@ -260,47 +257,19 @@ class ParamStore:
         if old is not None and old.shape != tensor.shape:
             raise ShapeMismatch(f"{path}: {old.shape} -> {tensor.shape}")
         self._entries[path] = tensor
-        self._trainable.setdefault(path, True)
 
     def items(self):
         for p in self.paths():
             yield p, self._entries[p]
 
-    def is_trainable(self, path):
-        if path not in self._entries:
-            raise UnknownPath(path)
-        return self._trainable[path]
-
-    def trainable_paths(self):
-        return [p for p in self.paths() if self._trainable[p]]
-
     def clone(self):
-        return ParamStore(dict(self._entries), dict(self._trainable))
-
-
-def _expand_prefix(store: ParamStore, path):
-    """Concrete entry paths covered by an exact path or a module prefix."""
-    if path in store:
-        return [path]
-    hits = [p for p in store.paths() if p.startswith(path + ".")]
-    return hits
-
-
-def set_trainable(store: ParamStore, paths, flag):
-    if isinstance(paths, str):
-        paths = [paths]
-    for path in paths:
-        hits = _expand_prefix(store, path)
-        if not hits:
-            raise UnknownPath(path)
-        for p in hits:
-            store._trainable[p] = bool(flag)
+        return ParamStore(self._entries)
 
 
 # -- init / build -------------------------------------------------------
 
 
-def build_model(spec, seed=0, requires_grad=True) -> ParamStore:
+def build_model(spec, seed=0) -> ParamStore:
     """Fresh ParamStore with seeded uniform(-1/sqrt(fan_in), ..) weights."""
     rng = np.random.default_rng(seed)
     store = ParamStore()
@@ -314,7 +283,7 @@ def build_model(spec, seed=0, requires_grad=True) -> ParamStore:
             fan_in = shape[-1]
             bound = 1.0 / math.sqrt(fan_in)
             data = rng.uniform(-bound, bound, size=shape)
-        store.set(path, Tensor(data, requires_grad=requires_grad))
+        store.set(path, Tensor(data, requires_grad=True))
     return store
 
 

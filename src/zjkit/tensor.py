@@ -14,9 +14,12 @@ took 16, or 24 with a prefix). Each is bit-identical in value and
 gradients to the chain it replaces. A leaf that three or more of them
 read (one LoRA instance shared by three sites) sums its gradient
 contributions in another order than the chain did, which can move its
-last bit. Backward closures keep only what the derivative needs
-and do the derivative work themselves, so a forward that no backward
-follows pays nothing for it (``gelu`` keeps ``x`` and ``tanh(u)``).
+last bit. ``affine`` skips the gradient of every untracked operand, so a
+frozen weight costs no derivative work and a frozen prefix of a network
+records no tape at all. Backward closures keep only what the derivative
+needs and do the derivative work themselves, so a forward that no
+backward follows pays nothing for it (``gelu`` keeps ``x`` and
+``tanh(u)``).
 
 Numeric note: ``gelu`` computes ``x*x*x``, not ``x**3``; numpy sends the
 latter through libm ``pow``, about a hundred times slower, and the two
@@ -406,6 +409,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     Bit-identical in value and gradients to ``matmul(x, w.T) + b.expand(...)``
     on the flattened rows: ``w.T`` is copied to C order as that chain's node
     did, and the backward runs the chain's numpy calls in the same order.
+    The backward computes no gradient for an operand that is not tracked
+    (a frozen weight, a constant input).
     """
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeMismatch(f"affine input {x.shape} against weight {w.shape}")
@@ -419,11 +424,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
 
     def backward(grad, acc):
         g = np.asarray(grad).reshape(y.shape)
-        if b is not None:
+        if b is not None and _tracked(b):
             acc(b, g.sum(axis=0))
         if _tracked(x):
             acc(x, np.matmul(g, np.swapaxes(wt, -1, -2)).reshape(x.shape))
-        acc(w, np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g)))
+        if _tracked(w):
+            acc(w, np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g)))
 
     return x._make(y.reshape(x.shape[:-1] + (w.shape[0],)), (x, w, b), backward)
 

@@ -24,6 +24,7 @@ from .errors import (
     BatchMismatch,
     ConfigError,
     DegenerateBatch,
+    DetachedRoot,
     EmptyClass,
     KOutOfRange,
     LabelOutOfRange,
@@ -467,10 +468,7 @@ class Teacher:
 
     def __init__(self, spec, params: ParamStore):
         self.spec = spec
-        self.params = ParamStore(
-            {p: t.detach() for p, t in params.items()},
-            {p: False for p, _ in params.items()},
-        )
+        self.params = ParamStore({p: t.detach() for p, t in params.items()})
 
     def forward(self, x, capture=()):
         return forward(self.spec, self.params, x, capture)
@@ -479,7 +477,8 @@ class Teacher:
 # -- training loop ------------------------------------------------------
 
 
-def _accuracy(model, x, y, batch=256):
+def accuracy(model, x, y, batch=256):
+    """Share of rows whose argmax logit is the label (0.0 on an empty split)."""
     correct = 0
     for lo in range(0, x.shape[0], batch):
         logits, _ = model.forward(Tensor(x[lo:lo + batch]))
@@ -583,7 +582,10 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
                 term_sums[name] = term_sums.get(name, 0.0) + v
             n_batches += 1
 
-            gmap = T.backward(total)
+            try:
+                gmap = T.backward(total)
+            except DetachedRoot:  # the objective reaches no trainable tensor
+                gmap = {}
             for path, w, store in model.trainable():
                 g = gmap.get(w.uid)
                 if g is None:
@@ -602,7 +604,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
 
         entry = {"epoch": epoch}
         entry.update({k: v / n_batches for k, v in sorted(term_sums.items())})
-        entry["val_acc"] = _accuracy(model, x_val, y_val)
+        entry["val_acc"] = accuracy(model, x_val, y_val)
         entry["wall_ms"] = (time.monotonic() - t0) * 1000.0
         history.append(entry)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from zjkit import tensor as T
 from zjkit.architect import (
     apply_plan,
     compile_plan,
@@ -24,6 +25,7 @@ from zjkit.models import (
     forward,
 )
 from zjkit.tensor import Tensor
+from zjkit.tuner import cross_entropy
 
 VIT = MiniVitSpec(dim=16, blocks=2, heads=4, mlp_dim=32, classes=3,
                   seq_len=4, input_dim=8)
@@ -117,7 +119,7 @@ def test_freeze_covers_all_original_paths():
         allp = set(VIT.param_shapes())
         assert plan.freeze | plan.trainable_original == allp
         assert not plan.freeze & plan.trainable_original
-        assert not plan.new_trainable & allp
+        assert not {p for inj in plan.injections for p, _ in inj.params} & allp
 
 
 # -- identity at init ----------------------------------------------------
@@ -216,11 +218,23 @@ def test_adapter_not_mergeable():
 
 
 def test_trainable_triples():
-    adapted, plan, _ = _adapt(VIT, "(LoRA.adapt):->(blocks[0].attn.qkv){inout}")
+    adapted, plan, params = _adapt(VIT, "(LoRA.adapt):->(blocks[0].attn.qkv){inout}")
     paths = {p for p, _, _ in adapted.trainable()}
     assert paths == {"head.weight", "head.bias", "lora[0].a", "lora[0].b"}
     for p in plan.freeze:
-        assert not adapted.base.is_trainable(p)
+        assert not adapted.base.get(p).requires_grad
+    assert all(t.requires_grad for _, t in params.items())  # input store untouched
+
+
+def test_backward_reaches_only_trainable_leaves():
+    spec = MiniVitSpec(dim=16, blocks=4, heads=4, mlp_dim=32, classes=3,
+                       seq_len=4, input_dim=8)
+    adapted, _, _ = _adapt(spec, "(LoRA.adapt):->(blocks[*].attn.qkv){inout}")
+    logits, _ = adapted.forward(_vit_x())
+    gmap = T.backward(cross_entropy(logits, np.array([0, 1, 2, 0])))
+    trainable = {t.uid for _, t, _ in adapted.trainable()}
+    assert len(trainable) == 10  # four LoRA pairs plus the head
+    assert set(gmap) == trainable
 
 
 def test_plan_table_mentions_counts():

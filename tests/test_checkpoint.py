@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from zjkit import checkpoint as ckpt_mod
 from zjkit.checkpoint import (
+    Checkpoint,
     from_params,
     load_checkpoint,
     save_checkpoint,
@@ -14,6 +16,7 @@ from zjkit.errors import (
     CorruptCheckpoint,
     IoError,
     SpecMismatch,
+    ZjError,
 )
 from zjkit.models import MlpSpec, build_model
 
@@ -106,3 +109,55 @@ def test_header_fields(tmp_path):
     assert int.from_bytes(raw[4:8], "little") == 1  # version
     klen = int.from_bytes(raw[8:10], "little")
     assert raw[10:10 + klen] == b"mlp"
+
+
+def test_fuzzed_files_raise_typed_errors(tmp_path):
+    """Every 1-3 byte mutation of a valid file loads or raises a ZjError."""
+    spec = MlpSpec((2, 4, 3))
+    path = tmp_path / "m.zjk1"
+    save_checkpoint(from_params(spec, build_model(spec)), path)
+    raw = path.read_bytes()
+    rng = np.random.default_rng(0)
+    escapes = []
+    for _ in range(3000):
+        blob = bytearray(raw)
+        for pos in rng.integers(0, len(blob), size=rng.integers(1, 4)):
+            blob[pos] = rng.integers(0, 256)
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except ZjError:
+            pass
+        except Exception as exc:  # any other class escapes the typed errors
+            escapes.append(f"{type(exc).__name__}: {exc}")
+    assert escapes == []
+
+
+def test_size_overflow_is_corrupt(tmp_path):
+    # dims whose product wraps a signed 64-bit size must not move the reader back
+    _, path = _save(tmp_path)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"layers[0].weight") + len(b"layers[0].weight") + 2  # after dtype, ndim
+    raw[at:at + 16] = (2**62).to_bytes(8, "little") + (3).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
+def test_failed_save_keeps_the_old_file(tmp_path):
+    ckpt, path = _save(tmp_path)
+    with pytest.raises(CorruptCheckpoint):
+        save_checkpoint(Checkpoint(ckpt.kind, ckpt.digest[:31], ckpt.entries), path)
+    loaded = load_checkpoint(path)
+    for p, a in ckpt.entries.items():
+        assert np.array_equal(loaded.entries[p], a)
+    assert [f.name for f in tmp_path.iterdir()] == ["m.zjk1"]
+
+
+def test_atomic_open_failure_is_io_error_and_leaves_no_temporary(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()  # replacing a directory with a file fails
+    with pytest.raises(IoError):
+        with ckpt_mod.atomic_open(target) as fh:
+            fh.write("x")
+    assert [f.name for f in tmp_path.iterdir()] == ["out"]

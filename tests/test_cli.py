@@ -254,6 +254,25 @@ def test_corrupt_checkpoint_exit_5(tmp_path, capsys):
     assert "checksum mismatch" in capsys.readouterr().err
 
 
+def test_inspect_of_undecodable_checkpoint_exit_5(tmp_path, capsys):
+    _ptm(tmp_path)
+    blob = bytearray((tmp_path / "ptm.zjk1").read_bytes())
+    blob[10] = 0xFF  # first byte of the model kind: not UTF-8
+    bad = tmp_path / "bad.zjk1"
+    bad.write_bytes(bytes(blob))
+    assert main(["inspect", "--ckpt", str(bad)]) == 5
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_5(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "history.jsonl").mkdir(parents=True)  # a directory in the file's place
+    code = main(["train", "--config", _cfg(tmp_path), "--out", str(out)])
+    assert code == 5
+    assert "error:" in capsys.readouterr().err
+    assert sorted(f.name for f in out.iterdir()) == ["final.zjk1", "history.jsonl"]
+
+
 # -- exit codes ----------------------------------------------------------
 
 

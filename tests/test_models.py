@@ -11,7 +11,6 @@ from zjkit.models import (
     build_model,
     forward,
     select_paths,
-    set_trainable,
     spec_digest,
 )
 from zjkit.tensor import Tensor
@@ -72,16 +71,6 @@ def test_store_get_set_and_order():
         store.get("c")
     with pytest.raises(ShapeMismatch):
         store.set("a", Tensor([1.0, 2.0]))
-
-
-def test_set_trainable_prefix_expansion():
-    store = build_model(MlpSpec((4, 8, 3)))
-    set_trainable(store, "layers[0]", False)
-    assert not store.is_trainable("layers[0].weight")
-    assert not store.is_trainable("layers[0].bias")
-    assert store.is_trainable("layers[1].weight")
-    with pytest.raises(UnknownPath):
-        set_trainable(store, "layers[9]", False)
 
 
 def test_init_distribution():

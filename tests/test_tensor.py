@@ -245,15 +245,33 @@ def _assert_same_as_chain(fused, chain, leaves, seed=0):
 # node that skips one of the chain's C-order copies.
 
 
+def _affine_leaves(x_shape, bias, frozen=False):
+    """Input, weight (and bias); a frozen weight and bias do not require grad."""
+    rng = np.random.default_rng(11)
+    leaves = [rand_tensor(rng, x_shape), rand_tensor(rng, (33, 17), not frozen)]
+    if bias:
+        leaves.append(rand_tensor(rng, (33,), not frozen))
+    return leaves
+
+
 @pytest.mark.parametrize("x_shape", [(8, 17), (2, 4, 17)])
 @pytest.mark.parametrize("bias", [True, False])
 def test_affine_matches_chain(x_shape, bias):
-    rng = np.random.default_rng(11)
-    leaves = [rand_tensor(rng, x_shape), rand_tensor(rng, (33, 17))]
-    if bias:
-        leaves.append(rand_tensor(rng, (33,)))
+    leaves = _affine_leaves(x_shape, bias)
     _assert_same_as_chain(T.affine, _affine_chain, leaves)
     check_grads(lambda *ls: T.affine(*ls).square().sum(), leaves)
+
+
+@pytest.mark.parametrize("x_shape", [(8, 17), (2, 4, 17)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_affine_frozen_weight_matches_chain(x_shape, bias):
+    leaves = _affine_leaves(x_shape, bias, frozen=True)
+    _assert_same_as_chain(T.affine, _affine_chain, leaves)
+    # the frozen weight and bias get no gradient work at all
+    out = T.affine(*leaves)
+    reached = []
+    out._backward(np.ones(out.shape), lambda t, g: reached.append(t.uid))
+    assert reached == [leaves[0].uid]
 
 
 def test_affine_shape_errors():

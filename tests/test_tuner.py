@@ -552,3 +552,42 @@ def test_every_registered_term_trains(kind):
     cfg = TrainConfig(lr=0.05, epochs=1, batch_size=16, seed=0)
     _, history = train(model, teacher, ds, loss, reg, cfg)
     assert np.isfinite(history[0][kind])
+
+
+# -- trainability lives on the tensor ------------------------------------
+
+
+def test_plan_on_detached_store_trains_its_head():
+    spec = MlpSpec((2, 8, 3))
+    ds = data_mod.blobs(k=3, d=2, n=120, sigma=0.1, seed=1)
+    frozen = Teacher(spec, build_model(spec, seed=0)).params
+    assert not any(t.requires_grad for _, t in frozen.items())
+    plan = compile_plan(parse_config("(LinearProbe.adapt):"), spec)
+    model = apply_plan(spec, frozen, plan, seed=0)
+    train(model, None, ds, LossSpec(), RegSpec(), TrainConfig(lr=0.1, epochs=1, seed=0))
+    for p, t in frozen.items():
+        moved = not np.array_equal(model.base.get(p).data, t.data)
+        assert moved == (p in plan.trainable_original), p
+
+
+def test_objective_without_trainable_tensors_leaves_weights():
+    # a linear probe fed only a feature-matching term reaches no trainable
+    # tensor: training runs, records the term and updates nothing
+    spec = MlpSpec((2, 8, 3))
+    ds = data_mod.blobs(k=3, d=2, n=60, sigma=0.1, seed=1)
+    plan = compile_plan(parse_config("(LinearProbe.adapt):"), spec)
+    model = apply_plan(spec, build_model(spec, seed=0), plan, seed=0)
+    before = {p: t.data for p, t in model.base.items()}
+    loss = LossSpec([LossTerm("fitnet", hooks=(("feature", "feature"),))])
+    _, history = train(model, Teacher(spec, build_model(spec, seed=9)), ds, loss,
+                       RegSpec(), TrainConfig(epochs=1, batch_size=16, seed=0))
+    assert history[0]["fitnet"] > 0
+    for p, t in model.base.items():
+        assert np.array_equal(t.data, before[p]), p
+
+
+def test_accuracy_of_an_empty_split_is_zero():
+    spec = MlpSpec((2, 8, 3))
+    plan = compile_plan(parse_config("(LinearProbe.adapt):"), spec)
+    model = apply_plan(spec, build_model(spec, seed=0), plan)
+    assert tuner.accuracy(model, np.zeros((0, 2)), np.zeros(0, dtype=int)) == 0.0
