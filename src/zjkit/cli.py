@@ -331,8 +331,11 @@ def cmd_merge(cfg, args):
     elif kind == "fisher":
         ds = _load_dataset(cfg, seed)
         n = _num(cfg.get("merger.samples", 64), "merger.samples", int)
+        if n < 1:
+            raise ConfigError(f"merger.samples must be >= 1, got {n}")
         fishers = [merger.fisher_estimate(spec, c, ds, n_samples=n, seed=seed + i)
                    for i, c in enumerate(ckpts)]
+        report["fisher_mass"] = [f.mass() for f in fishers]
         lams = None
         if cfg.get("merger.lams"):
             lams = [_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]

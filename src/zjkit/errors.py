@@ -28,6 +28,10 @@ class DetachedRoot(ZjError):
     pass
 
 
+class NoPerSampleRule(ZjError):
+    pass
+
+
 class ConvergenceFailure(ZjError):
     exit_code = 6
 

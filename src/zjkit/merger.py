@@ -5,6 +5,13 @@ optimal-transport and permutation alignment, preactivation repair)
 operate on checkpoints sharing one spec digest; prediction mergers
 combine logits, probabilities, or votes; the feature merger is a
 nearest-class-mean classifier.
+
+The diagonal Fisher (:func:`fisher_estimate`) takes one batched forward
+and one per-sample backward for all its samples, not one of each per
+sample; its row and label draws replay a per-sample loop's RNG order, so
+it equals that loop up to rounding (the loop is the reference in the
+tests). It takes checkpoints of the spec's own parameters only; adapter
+entries are refused.
 """
 
 from __future__ import annotations
@@ -112,39 +119,65 @@ def wise_ft(ptm: Checkpoint, finetuned: Checkpoint, alpha) -> Checkpoint:
 @dataclass
 class FisherDiag:
     entries: dict = field(default_factory=dict)  # path -> np array >= 0
+    indices: np.ndarray = None  # the train rows drawn, in draw order
+    labels: np.ndarray = None   # the label each drawn row was scored with
+
+    def mass(self):
+        """Path -> sum of the diagonal."""
+        return {p: float(a.sum()) for p, a in self.entries.items()}
 
 
 def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0,
                     label_mode="sampled") -> FisherDiag:
     """Diagonal Fisher estimate from squared log-likelihood gradients.
 
-    Labels are drawn from the model's own predictive distribution
-    (``sampled``, the default) or taken from the data (``true``).
+    ``n_samples`` train rows are drawn with replacement. Labels are drawn
+    from the model's own predictive distribution (``sampled``, the default)
+    or taken from the data (``true``). All samples go through one forward
+    and one per-sample backward of sum_i log p(y_i | x_i), which yields
+    sum_i g_i^2 for every parameter directly. The random draws follow the
+    order of a per-sample loop (``integers`` for a row, then ``choice`` for
+    its label), so the result equals that loop's up to rounding.
     """
     from . import tensor as T
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if label_mode not in ("sampled", "true"):
+        raise ValueError(f"label_mode must be 'sampled' or 'true', got {label_mode!r}")
     params = to_params(spec, ckpt)
+    extra = sorted(set(ckpt.entries) - set(params.paths()))
+    if extra:
+        raise SpecMismatch(f"fisher_estimate needs the spec's parameters only; the "
+                           f"checkpoint also has {len(extra)} other entries "
+                           f"({', '.join(extra[:3])}{', ...' if len(extra) > 3 else ''})")
     x_train, y_train = data.split("train")
-    rng = np.random.default_rng(seed)
-    acc = {p: np.zeros(t.shape) for p, t in params.items()}
-    for _ in range(n_samples):
-        i = int(rng.integers(0, x_train.shape[0]))
-        xi = Tensor(x_train[i:i + 1])
-        logits, _ = forward(spec, params, xi)
-        probs = np.exp(logits.data - logits.data.max())
-        probs = (probs / probs.sum()).reshape(-1)
-        if label_mode == "sampled":
-            y = int(rng.choice(probs.size, p=probs))
-        else:
-            y = int(y_train[i])
-        logp = T.log_softmax(logits)[(np.array([0]), np.array([y]))].sum()
-        gmap = T.backward(logp)
-        for p, t in params.items():
-            g = gmap.get(t.uid)
-            if g is not None:
-                acc[p] += g.data**2
-    return FisherDiag({p: a / n_samples for p, a in acc.items()})
+    if x_train.shape[0] == 0:
+        raise EmptyInput("fisher_estimate needs a non-empty train split")
+    sampled = label_mode == "sampled"
+    # choice(k, p=...) takes one double whatever p is, so a twin generator
+    # that calls random() in its place draws the loop's rows ahead
+    ahead = np.random.default_rng(seed)
+    idx = np.empty(n_samples, dtype=np.int64)
+    for j in range(n_samples):
+        idx[j] = ahead.integers(0, x_train.shape[0])
+        if sampled:
+            ahead.random()
+    logits, _ = forward(spec, params, Tensor(x_train[idx]))
+    if sampled:
+        probs = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        rng = np.random.default_rng(seed)
+        labels = np.empty(n_samples, dtype=np.int64)
+        for j in range(n_samples):
+            rng.integers(0, x_train.shape[0])
+            labels[j] = rng.choice(probs.shape[1], p=probs[j])
+    else:
+        labels = y_train[idx].astype(np.int64)
+    logp = T.log_softmax(logits)[(np.arange(n_samples), labels)].sum()
+    sq = T.backward(logp, per_sample_sq=True)
+    entries = {p: (sq[t.uid].data if t.uid in sq else np.zeros(t.shape)) / n_samples
+               for p, t in params.items()}
+    return FisherDiag(entries, idx, labels)
 
 
 def fisher_merge(checkpoints, fishers, lams=None, eps_floor=EPS_FLOOR) -> Checkpoint:
@@ -166,6 +199,8 @@ def fisher_merge(checkpoints, fishers, lams=None, eps_floor=EPS_FLOOR) -> Checkp
         den = np.zeros_like(num)
         plain = np.zeros_like(num)
         for c, f, l in zip(checkpoints, fishers, lams):
+            if p not in f.entries:
+                raise ShapeMismatch(f"fisher has no entry for checkpoint path {p}")
             fe = f.entries[p]
             if fe.shape != num.shape:
                 raise ShapeMismatch(f"fisher shape mismatch at {p}")

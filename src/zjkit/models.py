@@ -200,7 +200,7 @@ class MiniVitSpec:
             )
         n, d = x.shape[0], self.dim
         tokens = lin("patch_embed", x)
-        cls = params.get("cls_token").reshape(1, 1, d).expand((n, 1, d))
+        cls = params.get("cls_token").expand((n, 1, d))
         h = T.concat([cls, tokens], axis=1)
         h = h + params.get("pos_embed").expand(h.shape)
         for i in range(self.blocks):

@@ -14,12 +14,23 @@ took 16, or 24 with a prefix). Each is bit-identical in value and
 gradients to the chain it replaces. A leaf that three or more of them
 read (one LoRA instance shared by three sites) sums its gradient
 contributions in another order than the chain did, which can move its
-last bit. ``affine`` skips the gradient of every untracked operand, so a
-frozen weight costs no derivative work and a frozen prefix of a network
-records no tape at all. Backward closures keep only what the derivative
-needs and do the derivative work themselves, so a forward that no
-backward follows pays nothing for it (``gelu`` keeps ``x`` and
-``tanh(u)``).
+last bit. ``affine`` and ``layernorm`` skip the gradient of every
+untracked operand, so a frozen weight or norm costs no derivative work
+and a frozen prefix of a network records no tape at all. Backward
+closures keep only what the derivative needs and do the derivative work
+themselves, so a forward that no backward follows pays nothing for it
+(``gelu`` keeps ``x`` and ``tanh(u)``).
+
+Per-sample backward: ``backward(root, per_sample_sq=True)``, on a root
+that sums one term per sample (samples on axis 0, never mixed), maps each
+leaf to the sum over samples of its squared per-sample gradient, from one
+pass over one batched tape (BackPACK's "sum of squared gradients"; the
+diagonal Fisher of ``merger.fisher_estimate``). Samples only meet where a
+leaf's gradient is summed over them, so only those ops carry a
+per-sample rule: ``affine`` (weight and bias; for a 2-D input the weight
+term is ``(g*g).T @ (x*x)``), ``layernorm`` (gamma and beta) and
+``expand``. A leaf that any other op reaches, or that two ops read,
+raises ``NoPerSampleRule`` rather than give a wrong sum.
 
 Numeric note: ``gelu`` computes ``x*x*x``, not ``x**3``; numpy sends the
 latter through libm ``pow``, about a hundred times slower, and the two
@@ -36,11 +47,13 @@ import numpy as np
 from .errors import (
     DetachedRoot,
     NonFiniteValue,
+    NoPerSampleRule,
     NotScalar,
     ShapeMismatch,
 )
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_PER_SAMPLE_BLOCK = 1 << 17  # float64 elements (1 MiB) of per-sample affine gradients
 _uid_counter = itertools.count()
 
 
@@ -284,14 +297,19 @@ class Tensor:
 
         def backward(grad, acc):
             g = np.asarray(grad)
-            # sum over prepended axes, then over axes broadcast from 1
+            _acc_summed(acc, self, lambda: _sum_to(g, src), lambda: sq(g))
+
+        def sq(g):
+            # per-sample sums keep axis 0, which src must be broadcast along
             extra = g.ndim - len(src)
             if extra:
-                g = g.sum(axis=tuple(range(extra)))
-            keep = tuple(i for i, d in enumerate(src) if d == 1 and g.shape[i] != 1)
-            if keep:
-                g = g.sum(axis=keep, keepdims=True)
-            acc(self, g)
+                per_shape = g.shape[:1] + (1,) * (extra - 1) + src
+            elif src[:1] == (1,):
+                per_shape = g.shape[:1] + src[1:]
+            else:
+                raise NoPerSampleRule(f"expand {src} -> {g.shape} keeps the sample axis")
+            per = _sum_to(g, per_shape)
+            return (per * per).sum(axis=0).reshape(src)
 
         return self._make(np.ascontiguousarray(out), (self,), backward)
 
@@ -336,6 +354,43 @@ def constant(data):
 def _tracked(t):
     """True when gradients flow into ``t``: a grad leaf or a recorded op."""
     return t.requires_grad or bool(t._parents)
+
+
+def _is_leaf(t):
+    return t.requires_grad and not t._parents
+
+
+def _sum_to(g, shape):
+    """Sum a gradient broadcast from ``shape``: over prepended axes, then over
+    axes broadcast from 1."""
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    keep = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
+    if keep:
+        g = g.sum(axis=keep, keepdims=True)
+    return g
+
+
+def _sample_sq(a):
+    """``[n, ..., d] -> [d]``: each sample's sum over the middle axes, squared,
+    summed over the samples."""
+    if a.ndim < 2:
+        raise NoPerSampleRule(f"a {a.shape} gradient has no sample axis")
+    per = a.reshape(a.shape[0], -1, a.shape[-1]).sum(axis=1)
+    return (per * per).sum(axis=0)
+
+
+def _acc_summed(acc, t, total, sq):
+    """Give ``t`` its gradient summed over the sample axis 0.
+
+    ``total()`` is that sum. In a per-sample backward a grad leaf gets
+    ``sq()`` instead: its squared per-sample gradients summed over samples.
+    """
+    if acc.per_sample and _is_leaf(t):
+        acc.add_sq(t, sq())
+    else:
+        acc(t, total())
 
 
 def _unbroadcast(grad, shape):
@@ -410,7 +465,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     on the flattened rows: ``w.T`` is copied to C order as that chain's node
     did, and the backward runs the chain's numpy calls in the same order.
     The backward computes no gradient for an operand that is not tracked
-    (a frozen weight, a constant input).
+    (a frozen weight, a constant input). A per-sample backward gets the
+    summed squared per-sample gradients of ``w`` and ``b``, the samples
+    being ``x``'s axis 0.
     """
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeMismatch(f"affine input {x.shape} against weight {w.shape}")
@@ -425,11 +482,27 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     def backward(grad, acc):
         g = np.asarray(grad).reshape(y.shape)
         if b is not None and _tracked(b):
-            acc(b, g.sum(axis=0))
+            _acc_summed(acc, b, lambda: g.sum(axis=0),
+                        lambda: _sample_sq(g.reshape(x.shape[:-1] + g.shape[1:])))
         if _tracked(x):
             acc(x, np.matmul(g, np.swapaxes(wt, -1, -2)).reshape(x.shape))
         if _tracked(w):
-            acc(w, np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g)))
+            _acc_summed(acc, w, lambda: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g)),
+                        lambda: w_sq(g))
+
+    def w_sq(g):
+        if x.ndim == 2:  # one row per sample: sum_i g_i^2 x_i^2, no [n, out, in]
+            return np.matmul((g * g).T, x2 * x2)
+        n = x.shape[0]
+        gs = np.swapaxes(g.reshape(n, -1, g.shape[1]), 1, 2)
+        xs = x2.reshape(n, -1, x2.shape[1])
+        out = np.zeros((g.shape[1], x2.shape[1]))
+        # per-sample [out, in] gradients, a cache-sized block of samples at a time
+        step = max(1, _PER_SAMPLE_BLOCK // out.size)
+        for lo in range(0, n, step):
+            per = np.matmul(gs[lo:lo + step], xs[lo:lo + step])
+            out += np.einsum("noi,noi->oi", per, per)
+        return out
 
     return x._make(y.reshape(x.shape[:-1] + (w.shape[0],)), (x, w, b), backward)
 
@@ -547,12 +620,17 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
 
     def backward(grad, acc):
         g = np.asarray(grad)
-        gg = g * gamma.data
-        acc(gamma, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
-        acc(beta, g.sum(axis=tuple(range(g.ndim - 1))))
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        acc(x, (gg - m1 - xhat * m2) * inv)
+        lead = tuple(range(g.ndim - 1))
+        if _tracked(gamma):
+            _acc_summed(acc, gamma, lambda: (g * xhat).sum(axis=lead),
+                        lambda: _sample_sq(g * xhat))
+        if _tracked(beta):
+            _acc_summed(acc, beta, lambda: g.sum(axis=lead), lambda: _sample_sq(g))
+        if _tracked(x):
+            gg = g * gamma.data
+            m1 = gg.mean(axis=-1, keepdims=True)
+            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+            acc(x, (gg - m1 - xhat * m2) * inv)
 
     return x._make(out, (x, gamma, beta), backward)
 
@@ -593,11 +671,48 @@ def custom_op(inputs, value, grads):
 # -- reverse pass -------------------------------------------------------
 
 
-def backward(root: Tensor):
+class _Acc:
+    """The ``acc`` handed to backward closures: ``acc(t, g)`` adds ``g`` to
+    the gradient of ``t``; in a per-sample backward a grad leaf takes only
+    :meth:`add_sq`, one squared-gradient sum from one op."""
+
+    def __init__(self, root, per_sample):
+        self.grads = {root.uid: np.ones(root.shape)}
+        self.per_sample = per_sample
+        self.sq = {}
+
+    def __call__(self, t, g):
+        if self.per_sample and _is_leaf(t):
+            raise NoPerSampleRule(f"the {t.shape} leaf is reached by an op with no "
+                                  "per-sample rule")
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != t.shape:
+            g = g.reshape(t.shape)
+        if t.uid in self.grads:
+            self.grads[t.uid] = self.grads[t.uid] + g
+        else:
+            self.grads[t.uid] = g
+
+    def add_sq(self, t, sq):
+        if t.uid in self.sq:
+            # sum_i (a_i + b_i)^2 is not sum_i a_i^2 + sum_i b_i^2
+            raise NoPerSampleRule(f"the {t.shape} leaf is read by more than one op")
+        self.sq[t.uid] = sq
+
+
+def backward(root: Tensor, per_sample_sq=False):
     """Run reverse-mode accumulation from a scalar root.
 
     Returns a map ``leaf uid -> gradient Tensor`` over all reachable
     leaves with ``requires_grad``.
+
+    With ``per_sample_sq`` the root must be a sum of per-sample terms,
+    with the samples on axis 0 of every activation and no op mixing them.
+    Each leaf then maps to the sum over samples of its squared per-sample
+    gradient, all from one backward pass. Only the ops that sum a leaf's
+    gradient over the samples have a rule for that (``affine`` weight and
+    bias, ``layernorm`` gamma and beta, ``expand``); a leaf that another op
+    reaches, or that two ops read, raises :class:`NoPerSampleRule`.
     """
     if root.size != 1:
         raise NotScalar(f"backward root has shape {root.shape}")
@@ -620,28 +735,16 @@ def backward(root: Tensor):
             if p.uid not in seen:
                 stack.append((p, False))
 
-    grads = {root.uid: np.ones(root.shape)}
-
-    def acc(t, g):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != t.shape:
-            g = g.reshape(t.shape)
-        if t.uid in grads:
-            grads[t.uid] = grads[t.uid] + g
-        else:
-            grads[t.uid] = g
-
+    acc = _Acc(root, per_sample_sq)
     for node in reversed(topo):
-        g = grads.get(node.uid)
+        g = acc.grads.get(node.uid)
         if g is None or node._backward is None:
             continue
         node._backward(g, acc)
 
-    out = {}
-    for node in topo:
-        if node.requires_grad and not node._parents and node.uid in grads:
-            out[node.uid] = Tensor(grads[node.uid])
-    return out
+    found = acc.sq if per_sample_sq else acc.grads
+    return {node.uid: Tensor(found[node.uid]) for node in topo
+            if _is_leaf(node) and node.uid in found}
 
 
 def grad(root: Tensor, leaves):

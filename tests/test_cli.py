@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from zjkit import cli
+from zjkit import cli, merger
 from zjkit import data as data_mod
-from zjkit.checkpoint import from_params, save_checkpoint
+from zjkit.checkpoint import from_params, load_checkpoint, save_checkpoint
 from zjkit.cli import main, parse_run_config
 from zjkit.errors import (
     BadMagic,
@@ -344,3 +344,48 @@ def test_malformed_merge_value_exit_3(tmp_path, capsys):
                  "--out", str(tmp_path / "o"), "--ckpt", ck, "--ckpt", ck])
     assert code == 3
     assert "merger.alpha" in capsys.readouterr().err
+
+
+# -- fisher merge ----------------------------------------------------------
+
+
+FISHER_CFG = _with("merger.samples", "16", _with("merger.kind", "fisher"))
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_fisher_merge_bad_sample_count_exit_3(tmp_path, capsys, samples):
+    ck = _ptm(tmp_path)
+    code = main(["merge", "--config", _cfg(tmp_path, _with("merger.samples", samples,
+                                                           FISHER_CFG)),
+                 "--out", str(tmp_path / "o"), "--ckpt", ck, "--ckpt", ck])
+    assert code == 3
+    assert "merger.samples" in capsys.readouterr().err
+
+
+def test_fisher_merge_of_adapter_checkpoints_exit_4(tmp_path, capsys):
+    lora = _with("architect.config", "'(LoRA.adapt):->(layers[0]){inout}'", FISHER_CFG)
+    ck = str(_train(tmp_path, "t", lora) / "final.zjk1")
+    capsys.readouterr()
+    code = main(["merge", "--config", _cfg(tmp_path, lora), "--out", str(tmp_path / "o"),
+                 "--ckpt", ck, "--ckpt", ck])
+    assert code == 4
+    assert "lora[0]" in capsys.readouterr().err
+
+
+def test_fisher_merge_reports_fisher_mass(tmp_path):
+    cks = [_ptm(tmp_path, "a.zjk1"), str(_train(tmp_path, "t") / "final.zjk1")]
+    reports = []
+    for out in ("o1", "o2"):
+        code = main(["merge", "--config", _cfg(tmp_path, FISHER_CFG),
+                     "--out", str(tmp_path / out), "--ckpt", cks[0], "--ckpt", cks[1]])
+        assert code == 0
+        reports.append((tmp_path / out / "merge_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    mass = json.loads(reports[0])["fisher_mass"]
+    spec = MlpSpec((2, 8, 3))
+    ds = cli._load_dataset(parse_run_config(FISHER_CFG), 0)
+    for i, (ck, got) in enumerate(zip(cks, mass)):
+        f = merger.fisher_estimate(spec, load_checkpoint(ck), ds, n_samples=16, seed=i)
+        assert got == {p: float(a.sum()) for p, a in f.entries.items()}
+        assert set(got) == set(spec.param_shapes())
+        assert all(v >= 0 for v in got.values())

@@ -10,6 +10,7 @@ from zjkit import tensor as T
 from zjkit.errors import (
     DetachedRoot,
     NonFiniteValue,
+    NoPerSampleRule,
     NotScalar,
     ShapeMismatch,
 )
@@ -390,7 +391,73 @@ def test_layernorm_grad():
                 [x, g, b], rtol=5e-4)
 
 
+def test_layernorm_frozen_gamma_beta_get_no_gradient_work():
+    rng = np.random.default_rng(12)
+    x = rand_tensor(rng, (2, 3, 6))
+    gamma, beta = rand_tensor(rng, (6,), False), rand_tensor(rng, (6,), False)
+    out = T.layernorm(x, gamma, beta)
+    reached = []
+    out._backward(np.ones(out.shape), lambda t, g: reached.append(t.uid))
+    assert reached == [x.uid]
+    # the input gradient is bit-identical to the one with tracked gamma and beta
+    w = Tensor(rng.normal(size=out.shape))
+    frozen = T.backward((out * w).sum())[x.uid]
+    tracked = [Tensor(t.data, requires_grad=True) for t in (gamma, beta)]
+    full = T.backward((T.layernorm(x, *tracked) * w).sum())[x.uid]
+    assert np.array_equal(frozen.data, full.data)
+
+
 # -- backward ------------------------------------------------------------
+
+
+# Per-sample backward: each rule against a loop of batch-1 backwards.
+# (input shape, op on (x, *leaves), leaf shapes)
+PER_SAMPLE_OPS = {
+    "affine_2d": ((5, 4), T.affine, [(3, 4), (3,)]),
+    "affine_3d": ((5, 3, 4), T.affine, [(3, 4), (3,)]),
+    "affine_3d_two_blocks": ((40, 2, 64), T.affine, [(64, 64), (64,)]),  # blocks of 32 + 8
+    "layernorm_2d": ((5, 4), T.layernorm, [(4,), (4,)]),
+    "layernorm_3d": ((5, 3, 4), T.layernorm, [(4,), (4,)]),
+    "expand_prepended": ((5, 3, 4), lambda x, p: x * p.expand(x.shape), [(3, 4)]),
+    "expand_from_1": ((5, 4), lambda x, p: x * p.expand(x.shape), [(1, 4)]),
+    "expand_cls": ((5, 1, 4), lambda x, p: x * p.expand(x.shape), [(4,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_SAMPLE_OPS))
+def test_per_sample_sq_matches_loop(name):
+    x_shape, op, shapes = PER_SAMPLE_OPS[name]
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=x_shape)
+    leaves = [rand_tensor(rng, s) for s in shapes]
+    c = rng.normal(size=op(Tensor(x), *leaves).shape)
+
+    def loss(lo, hi):  # a sum of per-sample terms
+        return (op(Tensor(x[lo:hi]), *leaves) * Tensor(c[lo:hi])).sum()
+
+    want = [np.zeros(s) for s in shapes]
+    for i in range(x.shape[0]):
+        gmap = T.backward(loss(i, i + 1))
+        for w, leaf in zip(want, leaves):
+            w += gmap[leaf.uid].data ** 2
+    got = T.backward(loss(0, x.shape[0]), per_sample_sq=True)
+    for w, leaf in zip(want, leaves):
+        np.testing.assert_allclose(got[leaf.uid].data, w, rtol=1e-12, atol=0)
+
+
+def test_per_sample_sq_raises_without_a_rule():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(5, 4)))
+    w = rand_tensor(rng, (4, 4))
+    p = rand_tensor(rng, (5, 4))
+    roots = (T.matmul(x, w).sum(),                          # matmul has no rule
+             (x * w.reshape(16)[:4].expand((5, 4))).sum(),  # nor reshape or slicing
+             T.affine(T.affine(x, w), w).sum(),             # a leaf read by two ops
+             (x * p.expand((5, 4))).sum())                  # not shared by samples
+    for root in roots:
+        T.backward(root)  # the plain backward is fine
+        with pytest.raises(NoPerSampleRule):
+            T.backward(root, per_sample_sq=True)
 
 
 def test_backward_sum_gives_ones():
