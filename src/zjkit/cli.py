@@ -343,10 +343,15 @@ def cmd_merge(cfg, args):
     elif kind == "ot_fusion":
         if len(ckpts) != 2:
             raise ConfigError("ot_fusion needs exactly two checkpoints")
-        merged, perm = merger.ot_fuse(
-            ckpts[0], ckpts[1], eps=_num(cfg.get("merger.eps", 0.01), "merger.eps"),
-            iters=_num(cfg.get("merger.iters", 500), "merger.iters", int))
+        eps = _num(cfg.get("merger.eps", 0.01), "merger.eps")
+        if not (np.isfinite(eps) and eps > 0):
+            raise ConfigError(f"merger.eps must be positive and finite, got {eps}")
+        iters = _num(cfg.get("merger.iters", 500), "merger.iters", int)
+        if iters < 1:
+            raise ConfigError(f"merger.iters must be >= 1, got {iters}")
+        merged, perm = merger.ot_fuse(ckpts[0], ckpts[1], eps=eps, iters=iters)
         report["permutation"] = merger.permutation_summary(perm)
+        report["sinkhorn"] = perm.stats
     elif kind == "git_rebasin":
         if len(ckpts) != 2:
             raise ConfigError("git_rebasin needs exactly two checkpoints")

@@ -154,6 +154,8 @@ class NotSupportedKind(ZjError):
     pass
 
 
+# Nothing in zjkit raises this since ot_fuse hardens its coupling by exact
+# assignment; it stays for callers that still catch it (bench/workloads.py).
 class AmbiguousAssignment(ZjError):
     pass
 

@@ -12,6 +12,11 @@ sample; its row and label draws replay a per-sample loop's RNG order, so
 it equals that loop up to rounding (the loop is the reference in the
 tests). It takes checkpoints of the spec's own parameters only; adapter
 entries are refused.
+
+OT fusion (:func:`ot_fuse`) solves each layer's entropic problem on a
+Gram-form cost by stabilised Sinkhorn scaling (:func:`sinkhorn`), a few
+exps per solve rather than three per iteration, and hardens the plan by an
+exact assignment, which is always a bijection.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .checkpoint import Checkpoint, to_params
 from .errors import (
-    AmbiguousAssignment,
     ClassCountMismatch,
     EmptyClass,
     EmptyInput,
@@ -217,36 +221,82 @@ def fisher_merge(checkpoints, fishers, lams=None, eps_floor=EPS_FLOOR) -> Checkp
 # -- optimal transport --------------------------------------------------
 
 
+#: A scaling leaving [1/ABSORB_TAU, ABSORB_TAU] is absorbed into its potential.
+ABSORB_TAU = 1e3
+
+
+def _lse(z, axis):
+    zmax = z.max(axis=axis, keepdims=True)
+    return (zmax + np.log(np.exp(z - zmax).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
 def sinkhorn(cost, eps, iters, tol=1e-9):
-    """Entropic OT plan with uniform marginals, in the log domain."""
+    """Entropic OT plan with uniform marginals, by stabilised scaling.
+
+    The potentials ``f, g`` live in a kernel ``K = exp((f + g - cost) / eps)``
+    and each iteration scales it by two matrix-vector products,
+    ``u = a / (K v)`` then ``v = b / (K^T u)``, so the iterates are the
+    log-domain ones up to rounding. ``eps log u`` and ``eps log v`` are
+    absorbed into ``f, g`` (one exp) only when a scaling leaves
+    ``[1/ABSORB_TAU, ABSORB_TAU]`` (Schmitzer, arXiv:1610.06519). Where the
+    kernel underflows, so that ``K v`` or ``K^T u`` has a zero (small
+    ``eps``), that half-step is taken in the log domain instead. The loop
+    stops once the row marginal ``u * K v`` is within ``tol`` of uniform;
+    the plan is built once, at the end.
+
+    Returns ``(plan, {"iterations", "marginal_violation"})``. Raises
+    ``NoConvergence`` if the final violation exceeds 1e-4 or is NaN.
+    """
     cost = np.asarray(cost, dtype=np.float64)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteCost("cost matrix contains NaN/Inf")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
     n, m = cost.shape
     log_a = np.full(n, -np.log(n))
     log_b = np.full(m, -np.log(m))
-    f = np.zeros(n)
-    g = np.zeros(m)
+    a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    f, g = np.zeros(n), np.zeros(m)
+    u, v = np.ones(n), np.ones(m)
 
-    def lse(z, axis):
-        zmax = z.max(axis=axis, keepdims=True)
-        return (zmax + np.log(np.exp(z - zmax).sum(axis=axis, keepdims=True))).squeeze(axis)
+    def kernel():
+        return np.exp((f[:, None] + g[None, :] - cost) / eps)
 
-    for _ in range(iters):
-        f = eps * (log_a - lse((g[None, :] - cost) / eps, axis=1))
-        g = eps * (log_b - lse((f[:, None] - cost) / eps, axis=0))
-        plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
-        viol = max(np.abs(plan.sum(1) - 1.0 / n).max(),
-                   np.abs(plan.sum(0) - 1.0 / m).max())
-        if viol < tol:
-            break
-    if viol > 1e-4:
-        raise NoConvergence(f"marginal violation {viol:.2e} after {iters} iters")
-    return plan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kern = kernel()
+        kv = kern.sum(axis=1)
+        for k in range(1, iters + 1):
+            u = a / kv
+            if not 0 < u.min() <= u.max() < np.inf:
+                g += eps * np.log(v)
+                f = eps * (log_a - _lse((g[None, :] - cost) / eps, axis=1))
+                u, v = np.ones(n), np.ones(m)
+                kern = kernel()
+            v = b / (kern.T @ u)
+            if not 0 < v.min() <= v.max() < np.inf:
+                f += eps * np.log(u)
+                g = eps * (log_b - _lse((f[:, None] - cost) / eps, axis=0))
+                u, v = np.ones(n), np.ones(m)
+                kern = kernel()
+            kv = kern @ v
+            if np.abs(u * kv - a).max() < tol:
+                break
+            if (min(u.min(), v.min()) < 1.0 / ABSORB_TAU
+                    or max(u.max(), v.max()) > ABSORB_TAU):
+                f += eps * np.log(u)
+                g += eps * np.log(v)
+                u, v = np.ones(n), np.ones(m)
+                kern = kernel()
+                kv = kern.sum(axis=1)
+        f += eps * np.log(u)
+        g += eps * np.log(v)
+        plan = kernel()
+    viol = max(np.abs(plan.sum(1) - a).max(), np.abs(plan.sum(0) - b).max())
+    if not viol <= 1e-4:
+        raise NoConvergence(f"marginal violation {viol:.2e} after {k} iters")
+    return plan, {"iterations": k, "marginal_violation": float(viol)}
 
 
 # -- permutations -------------------------------------------------------
@@ -257,6 +307,7 @@ class Permutation:
     """Per-hidden-layer unit reordering: new slot i takes old unit maps[l][i]."""
 
     maps: list
+    stats: list = field(default_factory=list)  # per-layer records of the search, if kept
 
     def inverse(self):
         return Permutation([np.argsort(m) for m in self.maps])
@@ -354,17 +405,27 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
     return Permutation(maps), history
 
 
+def _sq_dists(x, y):
+    """Squared Euclidean distance from each row of x to each row of y."""
+    d = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
+    return np.maximum(d, 0.0, out=d)
+
+
 def ot_fuse(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500):
     """Align b's units to a via entropic OT on incoming weights, then average.
 
-    The coupling is hardened by row argmax and must form a bijection.
-    Returns ``(fused checkpoint, Permutation)``.
+    Per hidden layer, the cost of pairing two units is the squared distance
+    between their incoming weight rows and biases. The :func:`sinkhorn`
+    plan is hardened by an exact assignment, ``linear_sum_assignment(-plan)``,
+    which is always a bijection. Returns ``(fused checkpoint, Permutation)``;
+    the permutation's ``stats`` hold one record per layer: Sinkhorn
+    iterations, final marginal violation and the plan's coupling entropy.
     """
     _check_aligned([ckpt_a, ckpt_b])
     n_layers = _require_mlp(ckpt_a)
     a = {p: v.astype(np.float64) for p, v in ckpt_a.entries.items()}
     b = {p: v.astype(np.float64) for p, v in ckpt_b.entries.items()}
-    maps = []
+    maps, stats = [], []
     prev = None
     for l in range(n_layers - 1):
         wa = a[f"layers[{l}].weight"]
@@ -375,14 +436,13 @@ def ot_fuse(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500):
         bb = b[f"layers[{l}].bias"]
         rows_a = np.concatenate([wa, ba[:, None]], axis=1)
         rows_b = np.concatenate([wb, bb[:, None]], axis=1)
-        cost = ((rows_a[:, None, :] - rows_b[None, :, :]) ** 2).sum(axis=-1)
-        plan = sinkhorn(cost, eps=eps, iters=iters)
-        assign = plan.argmax(axis=1)
-        if len(set(assign.tolist())) != assign.size:
-            raise AmbiguousAssignment(f"layer {l}: hardened coupling is not a bijection")
+        plan, record = sinkhorn(_sq_dists(rows_a, rows_b), eps=eps, iters=iters)
+        record["coupling_entropy"] = coupling_entropy(plan)
+        assign = linear_sum_assignment(-plan)[1]
         maps.append(assign)
+        stats.append(record)
         prev = assign
-    perm = Permutation(maps)
+    perm = Permutation(maps, stats)
     aligned_b = permute_model(ckpt_b, perm)
     return uniform_soup([ckpt_a, aligned_b]), perm
 

@@ -389,3 +389,37 @@ def test_fisher_merge_reports_fisher_mass(tmp_path):
         assert got == {p: float(a.sum()) for p, a in f.entries.items()}
         assert set(got) == set(spec.param_shapes())
         assert all(v >= 0 for v in got.values())
+
+
+# -- OT fusion -------------------------------------------------------------
+
+
+OT_CFG = _with("merger.kind", "ot_fusion")
+
+
+@pytest.mark.parametrize("key,value", [("merger.eps", "0"), ("merger.eps", "-1"),
+                                       ("merger.eps", "nan"), ("merger.eps", "inf"),
+                                       ("merger.iters", "0")])
+def test_ot_fusion_bad_eps_or_iters_exit_3(tmp_path, capsys, key, value):
+    ck = _ptm(tmp_path)
+    code = main(["merge", "--config", _cfg(tmp_path, _with(key, value, OT_CFG)),
+                 "--out", str(tmp_path / "o"), "--ckpt", ck, "--ckpt", ck])
+    assert code == 3
+    assert key in capsys.readouterr().err
+
+
+def test_ot_fusion_reports_sinkhorn_per_layer(tmp_path):
+    cks = [_ptm(tmp_path, "a.zjk1"), str(_train(tmp_path, "t") / "final.zjk1")]
+    reports = []
+    for out in ("o1", "o2"):
+        code = main(["merge", "--config", _cfg(tmp_path, _with("merger.eps", "0.1", OT_CFG)),
+                     "--out", str(tmp_path / out), "--ckpt", cks[0], "--ckpt", cks[1]])
+        assert code == 0
+        reports.append((tmp_path / out / "merge_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    _, perm = merger.ot_fuse(*(load_checkpoint(ck) for ck in cks), eps=0.1)
+    assert json.loads(reports[0])["sinkhorn"] == perm.stats
+    (record,) = perm.stats  # one hidden layer
+    assert record["iterations"] >= 1
+    assert 0 <= record["marginal_violation"] <= 1e-4
+    assert 0 < record["coupling_entropy"] <= np.log(8 * 8)

@@ -8,10 +8,10 @@ from zjkit import data as data_mod
 from zjkit import merger
 from zjkit.checkpoint import Checkpoint, from_params, to_params
 from zjkit.errors import (
-    AmbiguousAssignment,
     ClassCountMismatch,
     EmptyClass,
     EmptyInput,
+    NoConvergence,
     NotSupportedKind,
     SizeMismatch,
     SpecMismatch,
@@ -189,14 +189,14 @@ def test_fisher_estimate_properties():
 
 
 def test_sinkhorn_uniform_on_constant_cost():
-    plan = sinkhorn(np.zeros((2, 2)), eps=0.1, iters=100)
+    plan, _ = sinkhorn(np.zeros((2, 2)), eps=0.1, iters=100)
     assert np.abs(plan - 0.25).max() < 1e-9
 
 
 def test_sinkhorn_marginals():
     rng = np.random.default_rng(0)
     cost = rng.uniform(size=(5, 7))
-    plan = sinkhorn(cost, eps=0.05, iters=2000)
+    plan, _ = sinkhorn(cost, eps=0.05, iters=2000)
     assert np.abs(plan.sum(axis=1) - 1 / 5).max() < 1e-6
     assert np.abs(plan.sum(axis=0) - 1 / 7).max() < 1e-6
 
@@ -205,7 +205,7 @@ def test_sinkhorn_approaches_assignment():
     # unique-optimum cost: small-eps plan concentrates on the LAP solution
     cost = np.array([[0.0, 5.0, 5.0], [5.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
     rows, cols = linear_sum_assignment(cost)
-    plan = sinkhorn(cost, eps=0.02, iters=2000)
+    plan, _ = sinkhorn(cost, eps=0.02, iters=2000)
     assert np.array_equal(plan.argmax(axis=1), cols)
     assert plan[rows, cols].min() > 0.9 / 3
 
@@ -215,6 +215,111 @@ def test_sinkhorn_arg_checks():
         sinkhorn(np.zeros((2, 2)), eps=0.0, iters=10)
     with pytest.raises(ValueError):
         sinkhorn(np.zeros((2, 2)), eps=0.1, iters=0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_sinkhorn_rejects_non_finite_eps(eps):
+    with pytest.raises(ValueError):
+        sinkhorn(np.zeros((2, 2)), eps=eps, iters=10)
+
+
+def test_sinkhorn_nan_violation_is_no_convergence():
+    # every (g - cost) / eps is -inf, so the log-sum-exp is NaN
+    with pytest.raises(NoConvergence):
+        sinkhorn(np.full((2, 2), 1e308), eps=1e-300, iters=5)
+
+
+def sinkhorn_loop(cost, eps, iters, tol=1e-9):
+    """Reference: log-domain Sinkhorn, two log-sum-exps and a plan per iteration."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n, m = cost.shape
+    log_a = np.full(n, -np.log(n))
+    log_b = np.full(m, -np.log(m))
+    f = np.zeros(n)
+    g = np.zeros(m)
+
+    def lse(z, axis):
+        zmax = z.max(axis=axis, keepdims=True)
+        return (zmax + np.log(np.exp(z - zmax).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+    for k in range(iters):
+        f = eps * (log_a - lse((g[None, :] - cost) / eps, axis=1))
+        g = eps * (log_b - lse((f[:, None] - cost) / eps, axis=0))
+        plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
+        viol = max(np.abs(plan.sum(1) - 1.0 / n).max(),
+                   np.abs(plan.sum(0) - 1.0 / m).max())
+        if viol < tol:
+            break
+    if viol > 1e-4:
+        raise NoConvergence(f"marginal violation {viol:.2e} after {iters} iters")
+    return plan, k + 1
+
+
+def _assert_matches_loop(cost, eps, iters):
+    try:
+        want, want_iters = sinkhorn_loop(cost, eps, iters)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            sinkhorn(cost, eps, iters)
+        return "no convergence"
+    got, info = sinkhorn(cost, eps, iters)
+    assert info["iterations"] == want_iters
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+    return "converged"
+
+
+def _layer0_cost(spec, seed_a, seed_b):
+    rows = []
+    for seed in (seed_a, seed_b):
+        e = _ckpt(spec, seed).entries
+        rows.append(np.concatenate([e["layers[0].weight"], e["layers[0].bias"][:, None]],
+                                   axis=1).astype(np.float64))
+    return ((rows[0][:, None, :] - rows[1][None, :, :]) ** 2).sum(axis=-1)
+
+
+_RNG = np.random.default_rng(12)
+_COSTS = {
+    "mlp_layer_256": _layer0_cost(MlpSpec((32, 256, 256, 10)), 0, 1),
+    "uniform": _RNG.uniform(size=(40, 50)),
+    "squared_normal": 3 * _RNG.normal(size=(64, 64)) ** 2,
+    "exponential": _RNG.exponential(size=(30, 30)),
+}
+
+
+@pytest.mark.parametrize("iters", [5, 500])
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01, 0.003, 0.001])
+@pytest.mark.parametrize("name", sorted(_COSTS))
+def test_sinkhorn_matches_log_domain_loop(name, eps, iters):
+    _assert_matches_loop(_COSTS[name], eps, iters)
+
+
+def test_sinkhorn_grid_covers_both_outcomes():
+    outcomes = {_assert_matches_loop(_COSTS["uniform"], eps, 500) for eps in (0.01, 0.001)}
+    assert outcomes == {"converged", "no convergence"}
+
+
+def test_sinkhorn_underflow_takes_log_domain_half_steps(monkeypatch):
+    # exp(-cost / eps) is 0 on a whole row and a whole column of the kernel
+    cost = np.random.default_rng(13).uniform(size=(6, 5))
+    cost[:, 2] += 10.0
+    cost[3, :] += 10.0
+    eps = 0.01
+    assert not np.exp(-cost / eps)[:, 2].any() and not np.exp(-cost / eps)[3].any()
+    calls = []
+    lse = merger._lse
+    monkeypatch.setattr(merger, "_lse", lambda z, axis: calls.append(axis) or lse(z, axis))
+    assert _assert_matches_loop(cost, eps, 500) == "converged"
+    assert set(calls) == {0, 1}
+
+
+def test_sq_dists_matches_broadcast():
+    rng = np.random.default_rng(14)
+    x = 100 * rng.normal(size=(20, 9))
+    y = np.concatenate([x[::-1], rng.normal(size=(5, 9))])  # exact twins of every x row
+    want = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+    got = merger._sq_dists(x, y)
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+    assert got.min() >= 0.0
 
 
 # -- permutations --------------------------------------------------------
@@ -298,8 +403,8 @@ def test_ot_fuse_recovers_permutation():
         assert np.abs(fused.entries[p] - c.entries[p]).max() < 1e-6
 
 
-def test_ot_fuse_ambiguous_assignment():
-    # two identical hidden units: argmax picks the same column twice
+def test_ot_fuse_tied_units_give_a_bijection():
+    # two identical hidden units: every coupling row ties between them
     ent = {
         "layers[0].weight": np.float32([[1.0], [1.0]]),
         "layers[0].bias": np.float32([0.0, 0.0]),
@@ -307,8 +412,25 @@ def test_ot_fuse_ambiguous_assignment():
         "layers[1].bias": np.float32([0.0]),
     }
     c = Checkpoint("mlp", b"\x02" * 32, ent)
-    with pytest.raises(AmbiguousAssignment):
-        ot_fuse(c, c.clone(), eps=0.5, iters=200)
+    fused, perm = ot_fuse(c, c.clone(), eps=0.5, iters=200)
+    assert sorted(perm.maps[0].tolist()) == [0, 1]
+    for p in c.entries:
+        assert np.array_equal(fused.entries[p], c.entries[p])
+
+
+def test_ot_fuse_independent_nets_give_a_bijection():
+    spec = MlpSpec((8, 32, 32, 3))
+    a, b = _ckpt(spec, seed=0), _ckpt(spec, seed=1)
+    plan, _ = sinkhorn(_layer0_cost(spec, 0, 1), eps=0.01, iters=500)
+    assert np.unique(plan.argmax(axis=1)).size < 32  # row argmax repeats a column
+    fused, perm = ot_fuse(a, b)
+    for m in perm.maps:
+        assert np.array_equal(np.sort(m), np.arange(32))
+    want = uniform_soup([a, permute_model(b, perm)])
+    for p in a.entries:
+        assert np.array_equal(fused.entries[p], want.entries[p])
+    assert [sorted(r) for r in perm.stats] == [
+        ["coupling_entropy", "iterations", "marginal_violation"]] * 2
 
 
 # -- permutation consistency property ------------------------------------
