@@ -7,34 +7,117 @@ and any per-element gradient masks (BitFit's query-bias rows). Applying a
 plan records that split on the tensors themselves: a parameter trains iff
 its tensor requires grad, so frozen weights record no tape. LoRA and SSF
 plans can be folded back into plain weights via :func:`merge_reparam`.
+
+An adaptation method is registered in one place, its :class:`Method` record
+in :data:`METHODS`, which the config language, plan compilation, extras
+initialisation, forward routing and :func:`merge_reparam` all read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import checkpoint as ckpt_mod
 from . import tensor as T
-from .dsl import AdaptSpec
 from .errors import (
     IncompatibleSite,
     NoMatchingSite,
     NotMergeable,
     PlanMismatch,
 )
-from .models import ParamStore, match_prefixes
+from .models import ParamStore, match_prefixes, spec_digest
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .dsl import AdaptSpec
+
+
+@dataclass(frozen=True)
+class Method:
+    """One adaptation method. A hook-free method sets ``trains``; an injection
+    method sets every field from ``sites`` to ``compute``, and ``fold`` when
+    its injections fold into plain weights."""
+
+    name: str              # config spelling, e.g. "PartialK"
+    defaults: dict         # hyperparameter -> default value
+    count: tuple = None    # (integer hyperparameter, lowest allowed value)
+    trains: object = None  # (spec, hyper) -> (original paths that train, grad masks)
+    sites: object = None   # (spec, shapes) -> {site: weight shape or width}
+    site_word: str = ""    # what a site is, for errors
+    params: tuple = ()     # ((leaf, fill), ...); fill is 0.0, 1.0 or "uniform"
+    shapes: object = None  # (site shape or width, hyper) -> leaf shapes, as params
+    route: str = ""        # forward hook joined: linear_out | post_mlp | kv_prefix
+    compute: object = None  # (hyper, *route args, *leaf tensors) -> routed value
+    fold: object = None    # (hyper, weight, bias, *leaf arrays) -> (weight, bias)
+
+    @property
+    def hook_free(self):
+        return self.trains is not None
+
+
+def _weight_sites(spec, shapes):
+    return {p[: -len(".weight")]: s for p, s in shapes.items()
+            if p.endswith(".weight") and len(s) == 2}
+
+
+def _lora_scale(hyper):
+    return hyper["alpha"] / hyper["r"]
+
+
+METHODS = {
+    "lora": Method(
+        "LoRA", {"r": 4.0, "alpha": 4.0}, ("r", 1),
+        sites=_weight_sites, site_word="weight matrix",
+        params=(("a", "uniform"), ("b", 0.0)),
+        shapes=lambda at, hp: ((int(hp["r"]), at[1]), (at[0], int(hp["r"]))),
+        route="linear_out",
+        compute=lambda hp, x, y, a, b: y + T.affine(T.affine(x, a), b).scale(_lora_scale(hp)),
+        fold=lambda hp, w, bias, a, b: (w + _lora_scale(hp) * (b @ a), bias)),
+    "adapter": Method(
+        "Adapter", {"dim": 8.0}, ("dim", 1),
+        sites=lambda spec, shapes: spec.adapter_sites(), site_word="block position",
+        params=(("down.weight", "uniform"), ("down.bias", 0.0),
+                ("up.weight", 0.0), ("up.bias", 0.0)),
+        shapes=lambda at, hp: ((int(hp["dim"]), at), (int(hp["dim"]),),
+                               (at, int(hp["dim"])), (at,)),
+        route="post_mlp",
+        compute=lambda hp, h, dw, db, uw, ub:
+            h + T.affine(T.affine(h, dw, db).gelu(), uw) + ub.expand(h.shape)),
+    "prefix": Method(
+        "Prefix", {"tokens": 2.0}, ("tokens", 1),
+        sites=lambda spec, shapes: spec.prefix_sites(), site_word="block",
+        params=(("key", "uniform"), ("value", "uniform")),
+        shapes=lambda at, hp: ((int(hp["tokens"]), at), (int(hp["tokens"]), at)),
+        route="kv_prefix",
+        compute=lambda hp, key, value: (key, value)),
+    "bitfit": Method("BitFit", {}, trains=lambda spec, hp: spec.bitfit_paths()),
+    "ssf": Method(
+        "SSF", {},
+        sites=_weight_sites, site_word="weight matrix",
+        params=(("gamma", 1.0), ("beta", 0.0)),
+        shapes=lambda at, hp: ((at[0],), (at[0],)),
+        route="linear_out",
+        compute=lambda hp, x, y, gamma, beta:
+            y * gamma.expand(y.shape) + beta.expand(y.shape),
+        fold=lambda hp, w, bias, gamma, beta: (gamma[:, None] * w, gamma * bias + beta)),
+    "linear_probe": Method(
+        "LinearProbe", {}, trains=lambda spec, hp: (spec.head_paths(), {})),
+    "partial_k": Method(
+        "PartialK", {"k": 1.0}, ("k", 0),
+        trains=lambda spec, hp: (spec.partial_k_paths(int(hp["k"])), {})),
+}
 
 
 @dataclass(frozen=True)
 class Injection:
     site: str          # concrete module prefix, e.g. blocks[0].attn.qkv
-    kind: str          # lora | adapter | prefix | ssf
+    kind: str          # the METHODS key: lora | adapter | prefix | ssf
     instance: int      # adapter-instance index; shared index = shared weights
-    params: tuple      # ((new path, shape), ...)
+    params: tuple      # ((new path, shape), ...) in the record's params order
 
 
 @dataclass
@@ -46,11 +129,6 @@ class AdaptationPlan:
     freeze: set = field(default_factory=set)
     trainable_original: set = field(default_factory=set)
     grad_masks: dict = field(default_factory=dict)  # path -> np mask
-
-
-def _linear_sites(shapes):
-    return {p[: -len(".weight")] for p in shapes
-            if p.endswith(".weight") and len(shapes[p]) == 2}
 
 
 def _resolve_sites(adapt, shapes, valid_sites, site_word):
@@ -71,72 +149,38 @@ def _resolve_sites(adapt, shapes, valid_sites, site_word):
 
 def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
     """Turn a parsed config into an executable plan for one model spec."""
+    method = METHODS.get(adapt.method)
+    if method is None:
+        raise PlanMismatch(f"unknown method {adapt.method}")
     shapes = model_spec.param_shapes()
     all_paths = set(shapes)
-    head = model_spec.head_paths()
     hyper = adapt.hyperparams()
     plan = AdaptationPlan(adapt.method, hyper, model_spec.canonical())
 
-    def freeze_all_but(trainable):
-        plan.trainable_original = set(trainable) & all_paths
-        plan.freeze = all_paths - plan.trainable_original
-
-    if adapt.method == "linear_probe":
-        freeze_all_but(head)
-        return plan
-    if adapt.method == "partial_k":
-        freeze_all_but(model_spec.partial_k_paths(int(hyper["k"])))
-        return plan
-    if adapt.method == "bitfit":
-        trainable, plan.grad_masks = model_spec.bitfit_paths()
-        freeze_all_but(trainable)
-        return plan
-
-    # injection methods: valid sites (site -> shape or width), then the
-    # new parameters of instance i at a site
-    if adapt.method in ("lora", "ssf"):
-        valid = {s: shapes[f"{s}.weight"] for s in _linear_sites(shapes)}
-        site_word = "weight matrix"
-    elif adapt.method == "adapter":
-        valid, site_word = model_spec.adapter_sites(), "block position"
-    elif adapt.method == "prefix":
-        valid, site_word = model_spec.prefix_sites(), "block"
+    if method.hook_free:
+        trainable, plan.grad_masks = method.trains(model_spec, hyper)
     else:
-        raise PlanMismatch(f"unknown method {adapt.method}")
-    if not valid:
-        raise IncompatibleSite(f"{adapt.method} has no site in a {model_spec.kind} model")
-
-    def new_params(i, at):
-        """(path, shape) pairs of instance i at a site of shape/width ``at``."""
-        if adapt.method == "lora":
-            (m, n), r = at, int(hyper["r"])
-            return (f"lora[{i}].a", (r, n)), (f"lora[{i}].b", (m, r))
-        if adapt.method == "ssf":
-            return (f"ssf[{i}].gamma", (at[0],)), (f"ssf[{i}].beta", (at[0],))
-        if adapt.method == "adapter":
-            b = int(hyper["dim"])
-            return ((f"adapter[{i}].down.weight", (b, at)),
-                    (f"adapter[{i}].down.bias", (b,)),
-                    (f"adapter[{i}].up.weight", (at, b)),
-                    (f"adapter[{i}].up.bias", (at,)))
-        t = int(hyper["tokens"])
-        return (f"prefix[{i}].key", (t, at)), (f"prefix[{i}].value", (t, at))
-
-    explicit = [h.instance for h in adapt.hooks if h.instance is not None]
-    next_auto = max(explicit) + 1 if explicit else 0
-    seen_instances = {}
-    for site, hook in _resolve_sites(adapt, shapes, valid, site_word):
-        if hook.instance is not None:
-            idx = hook.instance
-        else:
-            idx, next_auto = next_auto, next_auto + 1
-        params = new_params(idx, valid[site])
-        if seen_instances.setdefault(idx, params) != params:
+        trainable = model_spec.head_paths()
+        valid = method.sites(model_spec, shapes)  # site -> shape or width
+        if not valid:
             raise IncompatibleSite(
-                f"shared instance {idx} used at sites with different shapes")
-        plan.injections.append(Injection(site, adapt.method, idx, params))
+                f"{adapt.method} has no site in a {model_spec.kind} model")
+        explicit = [h.instance for h in adapt.hooks if h.instance is not None]
+        next_auto = max(explicit) + 1 if explicit else 0
+        seen_instances = {}
+        for site, hook in _resolve_sites(adapt, shapes, valid, method.site_word):
+            if hook.instance is not None:
+                idx = hook.instance
+            else:
+                idx, next_auto = next_auto, next_auto + 1
+            params = tuple((f"{adapt.method}[{idx}].{leaf}", shape) for (leaf, _), shape
+                           in zip(method.params, method.shapes(valid[site], hyper)))
+            if seen_instances.setdefault(idx, params) != params:
+                raise IncompatibleSite(
+                    f"shared instance {idx} used at sites with different shapes")
+            plan.injections.append(Injection(site, adapt.method, idx, params))
 
-    plan.trainable_original = head & all_paths
+    plan.trainable_original = set(trainable) & all_paths
     plan.freeze = all_paths - plan.trainable_original
     return plan
 
@@ -147,82 +191,60 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
 def _init_extras(plan: AdaptationPlan, seed) -> ParamStore:
     rng = np.random.default_rng(seed)
     extras = ParamStore()
-    done = set()
     for inj in plan.injections:
-        for path, shape in inj.params:
-            if path in done:
+        for (path, shape), (_, fill) in zip(inj.params, METHODS[inj.kind].params):
+            if path in extras:
                 continue
-            done.add(path)
-            leaf = path.rsplit(".", 1)[-1]
-            if leaf in ("b", "bias") or path.endswith(".up.weight") \
-                    or leaf == "beta" or path.startswith("lora") and leaf == "b":
-                data = np.zeros(shape)
-            elif leaf == "gamma":
-                data = np.ones(shape)
-            else:
+            if fill == "uniform":
                 bound = 1.0 / math.sqrt(shape[-1])
                 data = rng.uniform(-bound, bound, size=shape)
+            else:
+                data = np.full(shape, fill)
             extras.set(path, Tensor(data, requires_grad=True))
     return extras
 
 
-class _Router:
-    """Routes forward-pass sites through the plan's injections."""
-
-    def __init__(self, adapted):
-        self.adapted = adapted
-        self.by_site = {}
-        for inj in adapted.plan.injections:
-            self.by_site.setdefault(inj.site, []).append(inj)
-
-    def linear_out(self, site, x, y):
-        for inj in self.by_site.get(site, ()):
-            e = self.adapted.extras
-            if inj.kind == "lora":
-                a = e.get(f"lora[{inj.instance}].a")
-                b = e.get(f"lora[{inj.instance}].b")
-                s = self.adapted.plan.hyper["alpha"] / self.adapted.plan.hyper["r"]
-                y = y + T.affine(T.affine(x, a), b).scale(s)
-            elif inj.kind == "ssf":
-                gamma = e.get(f"ssf[{inj.instance}].gamma")
-                beta = e.get(f"ssf[{inj.instance}].beta")
-                y = y * gamma.expand(y.shape) + beta.expand(y.shape)
-        return y
-
-    def post_mlp(self, site, h):
-        for inj in self.by_site.get(site, ()):
-            if inj.kind != "adapter":
-                continue
-            e = self.adapted.extras
-            pre = f"adapter[{inj.instance}]"
-            dw, db = e.get(f"{pre}.down.weight"), e.get(f"{pre}.down.bias")
-            uw, ub = e.get(f"{pre}.up.weight"), e.get(f"{pre}.up.bias")
-            mid = T.affine(h, dw, db).gelu()
-            h = h + T.affine(mid, uw) + ub.expand(h.shape)
-        return h
-
-    def kv_prefix(self, site):
-        for inj in self.by_site.get(site, ()):
-            if inj.kind == "prefix":
-                e = self.adapted.extras
-                return (e.get(f"prefix[{inj.instance}].key"),
-                        e.get(f"prefix[{inj.instance}].value"))
-        return None
-
-
 class AdaptedModel:
-    """A base model plus applied plan; forward-capable composite."""
+    """A base model plus applied plan; forward-capable composite.
+
+    It is also the router :func:`models.forward` calls at each site: every
+    injection there joins its record's route and computes on its tensors.
+    """
 
     def __init__(self, spec, base: ParamStore, plan: AdaptationPlan, extras):
         self.spec = spec
         self.base = base
         self.plan = plan
         self.extras = extras
-        self._router = _Router(self)
+        self._routes = {}  # (route, site) -> [(compute, leaf paths), ...]
+        for inj in plan.injections:
+            method = METHODS[inj.kind]
+            self._routes.setdefault((method.route, inj.site), []).append(
+                (method.compute, [p for p, _ in inj.params]))
+
+    def _joined(self, route, site):
+        """(compute, leaf tensors) of each injection joining route at site."""
+        return [(compute, [self.extras.get(p) for p in paths])
+                for compute, paths in self._routes.get((route, site), ())]
+
+    def linear_out(self, site, x, y):
+        for compute, leaves in self._joined("linear_out", site):
+            y = compute(self.plan.hyper, x, y, *leaves)
+        return y
+
+    def post_mlp(self, site, h):
+        for compute, leaves in self._joined("post_mlp", site):
+            h = compute(self.plan.hyper, h, *leaves)
+        return h
+
+    def kv_prefix(self, site):
+        for compute, leaves in self._joined("kv_prefix", site):
+            return compute(self.plan.hyper, *leaves)
+        return None
 
     def forward(self, x, capture=()):
         from .models import forward
-        return forward(self.spec, self.base, x, capture, adapters=self._router)
+        return forward(self.spec, self.base, x, capture, adapters=self)
 
     def trainable(self):
         """(path, tensor, store) triples the optimizer may update: every
@@ -251,26 +273,19 @@ def apply_plan(spec, params: ParamStore, plan: AdaptationPlan, seed=0) -> Adapte
 def merge_reparam(adapted: AdaptedModel):
     """Fold mergeable injections back into plain weights.
 
-    Only LoRA and SSF are mergeable; adapter and prefix injections change
-    the computation graph and cannot be expressed as plain weights.
+    Only methods whose record has a ``fold`` merge (LoRA and SSF); adapter
+    and prefix injections change the computation graph and cannot be
+    expressed as plain weights.
     """
-    bad = [i.kind for i in adapted.plan.injections if i.kind not in ("lora", "ssf")]
+    bad = [i.kind for i in adapted.plan.injections if METHODS[i.kind].fold is None]
     if bad:
         raise NotMergeable(f"injections of kind {sorted(set(bad))} cannot be merged")
     merged = {p: t.data.copy() for p, t in adapted.base.items()}
-    hyper = adapted.plan.hyper
     for inj in adapted.plan.injections:
-        w = merged[f"{inj.site}.weight"]
-        if inj.kind == "lora":
-            a = adapted.extras.get(f"lora[{inj.instance}].a").data
-            b = adapted.extras.get(f"lora[{inj.instance}].b").data
-            merged[f"{inj.site}.weight"] = w + (hyper["alpha"] / hyper["r"]) * (b @ a)
-        else:
-            gamma = adapted.extras.get(f"ssf[{inj.instance}].gamma").data
-            beta = adapted.extras.get(f"ssf[{inj.instance}].beta").data
-            merged[f"{inj.site}.weight"] = gamma[:, None] * w
-            merged[f"{inj.site}.bias"] = gamma * merged[f"{inj.site}.bias"] + beta
-    from .models import spec_digest
+        w, b = f"{inj.site}.weight", f"{inj.site}.bias"
+        leaves = [adapted.extras.get(p).data for p, _ in inj.params]
+        merged[w], merged[b] = METHODS[inj.kind].fold(
+            adapted.plan.hyper, merged[w], merged[b], *leaves)
     entries = {p: merged[p].astype(np.float32) for p in sorted(merged)}
     return ckpt_mod.Checkpoint(adapted.spec.kind, spec_digest(adapted.spec), entries)
 
@@ -283,20 +298,13 @@ def plan_table(plan: AdaptationPlan, shapes=None):
         for inj in plan.injections:
             ps = ", ".join(f"{p} {list(s)}" for p, s in inj.params)
             lines.append(f"{inj.site:<28} {inj.kind:<8} {ps}")
-    new_count = 0
-    seen = set()
-    for inj in plan.injections:
-        for p, s in inj.params:
-            if p not in seen:
-                seen.add(p)
-                new_count += int(np.prod(s))
-    orig_count = 0
-    if shapes is not None:
-        orig_count = sum(int(np.prod(shapes[p])) for p in plan.trainable_original)
-        frozen = sum(int(np.prod(shapes[p])) for p in plan.freeze)
-        lines.append(f"frozen original parameters: {frozen}")
-    lines.append(f"trainable original parameters: {orig_count}"
-                 if shapes is not None else
-                 f"trainable original paths: {len(plan.trainable_original)}")
+    new = {p: s for inj in plan.injections for p, s in inj.params}  # shared once
+    new_count = sum(int(np.prod(s)) for s in new.values())
+    if shapes is None:
+        lines.append(f"trainable original paths: {len(plan.trainable_original)}")
+    else:
+        for word, paths in (("frozen", plan.freeze), ("trainable", plan.trainable_original)):
+            count = sum(int(np.prod(shapes[p])) for p in paths)
+            lines.append(f"{word} original parameters: {count}")
     lines.append(f"new trainable parameters: {new_count}")
     return "\n".join(lines)

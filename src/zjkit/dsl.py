@@ -11,38 +11,25 @@ Grammar::
 
 Index ranges are half-open. Example:
 ``(LoRA.adapt):->(blocks[0:12].attn.qkv){inout1}``.
+
+Methods are registered in :data:`zjkit.architect.METHODS`: names, keys,
+defaults, count floors and the hook requirement come from the records. An
+unlisted or repeated key, or a count that is not a finite integer at or
+above its floor, is a :class:`ParseError`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
+from .architect import METHODS
 from .errors import ParseError
 
-METHODS = {
-    "lora": "lora",
-    "adapter": "adapter",
-    "prefix": "prefix",
-    "bitfit": "bitfit",
-    "ssf": "ssf",
-    "linearprobe": "linear_probe",
-    "linear_probe": "linear_probe",
-    "partialk": "partial_k",
-    "partial_k": "partial_k",
-}
-
-HOOK_FREE_METHODS = {"linear_probe", "partial_k", "bitfit"}
-
-DEFAULT_HYPERPARAMS = {
-    "lora": {"r": 4.0, "alpha": 4.0},
-    "adapter": {"dim": 8.0},
-    "prefix": {"tokens": 2.0},
-    "partial_k": {"k": 1.0},
-    "bitfit": {},
-    "ssf": {},
-    "linear_probe": {},
-}
+# config spelling, lower-cased, or METHODS key -> METHODS key
+_ALIASES = {alias: key for key, method in METHODS.items()
+            for alias in (key, method.name.lower())}
 
 
 @dataclass(frozen=True)
@@ -60,7 +47,7 @@ class AdaptSpec:
     hooks: list = field(default_factory=list)
 
     def hyperparams(self):
-        merged = dict(DEFAULT_HYPERPARAMS.get(self.method, {}))
+        merged = dict(METHODS[self.method].defaults)
         merged.update(self.hyper)
         return merged
 
@@ -68,6 +55,7 @@ class AdaptSpec:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM_RE = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
 _INT_RE = re.compile(r"\d+")
+_MODE_RE = re.compile(r"inout|in|out")
 
 
 class _Parser:
@@ -99,7 +87,6 @@ class _Parser:
     # grammar rules ----------------------------------------------------
 
     def config(self):
-        method_off = self.pos
         method, action, hyper = self.decl()
         self.expect(":")
         hooks = []
@@ -108,35 +95,45 @@ class _Parser:
             hooks.append(self.hook())
         if not self.eof():
             self.fail({"'->'", "end of input"})
-        if method not in HOOK_FREE_METHODS and not hooks:
+        if not METHODS[method].hook_free and not hooks:
             raise ParseError(
                 self.pos, {"'->'"},
                 f"method {method!r} requires at least one hook",
             )
-        spec = AdaptSpec(method, action, hyper, hooks)
-        _validate_hyper(spec, method_off)
-        return spec
+        return AdaptSpec(method, action, hyper, hooks)
 
     def decl(self):
+        decl_off = self.pos
         self.expect("(")
         name_off = self.pos
         raw = self.regex(_NAME_RE, "method name")
-        method = METHODS.get(raw.lower())
+        method = _ALIASES.get(raw.lower())
         if method is None:
-            raise ParseError(name_off, set(METHODS), f"unknown method {raw!r}")
+            raise ParseError(name_off, set(_ALIASES), f"unknown method {raw!r}")
+        record = METHODS[method]
         self.expect(".")
         action = self.regex(_NAME_RE, "action name")
         hyper = {}
         if self.peek("|"):
             self.pos += 1
             while True:
+                key_off = self.pos
                 key = self.regex(_NAME_RE, "hyperparameter name")
+                if key not in record.defaults or key in hyper:
+                    word = "repeated" if key in hyper else "unknown"
+                    raise ParseError(key_off, set(record.defaults) - set(hyper) or {"')'"},
+                                     f"{word} hyperparameter {key!r} for {record.name}")
                 self.expect("=")
                 hyper[key] = float(self.regex(_NUM_RE, "number"))
                 if not self.peek(","):
                     break
                 self.pos += 1
         self.expect(")")
+        if record.count:  # reported at the declaration
+            key, low = record.count
+            v = hyper.get(key, record.defaults[key])
+            if not (math.isfinite(v) and v.is_integer() and v >= low):
+                raise ParseError(decl_off, {key}, f"{key}={v} is not an integer >= {low}")
         return method, action, hyper
 
     def hook(self):
@@ -144,14 +141,7 @@ class _Parser:
         pattern = self.path()
         self.expect(")")
         self.expect("{")
-        mode = None
-        for cand in ("inout", "in", "out"):
-            if self.peek(cand):
-                mode = cand
-                self.pos += len(cand)
-                break
-        if mode is None:
-            self.fail({"'in'", "'out'", "'inout'"})
+        mode = self.regex(_MODE_RE, {"'in'", "'out'", "'inout'"})
         instance = None
         m = _INT_RE.match(self.text, self.pos)
         if m:
@@ -186,34 +176,9 @@ class _Parser:
         return f"{name}[{lo}]"
 
 
-def _validate_hyper(spec: AdaptSpec, offset):
-    h = spec.hyperparams()
-    checks = {
-        "lora": ("r", lambda v: v >= 1),
-        "partial_k": ("k", lambda v: v >= 0),
-        "prefix": ("tokens", lambda v: v >= 1),
-        "adapter": ("dim", lambda v: v >= 1),
-    }
-    if spec.method in checks:
-        key, ok = checks[spec.method]
-        if not ok(h[key]):
-            raise ParseError(offset, {key}, f"{key}={h[key]} out of range")
-
-
 def parse_config(text) -> AdaptSpec:
     """Parse a one-line adaptation config into an AdaptSpec."""
     return _Parser(text).config()
-
-
-_CANON_NAMES = {
-    "lora": "LoRA",
-    "adapter": "Adapter",
-    "prefix": "Prefix",
-    "bitfit": "BitFit",
-    "ssf": "SSF",
-    "linear_probe": "LinearProbe",
-    "partial_k": "PartialK",
-}
 
 
 def _fmt_num(v):
@@ -222,7 +187,7 @@ def _fmt_num(v):
 
 def serialize(spec: AdaptSpec) -> str:
     """Canonical string form; parse(serialize(parse(s))) == parse(s)."""
-    out = f"({_CANON_NAMES[spec.method]}.{spec.action}"
+    out = f"({METHODS[spec.method].name}.{spec.action}"
     if spec.hyper:
         kv = ",".join(f"{k}={_fmt_num(v)}" for k, v in sorted(spec.hyper.items()))
         out += f"|{kv}"

@@ -584,8 +584,9 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
 
             try:
                 gmap = T.backward(total)
-            except DetachedRoot:  # the objective reaches no trainable tensor
-                gmap = {}
+            except DetachedRoot:  # raised at the first batch, before any update
+                raise ConfigError("no trainable tensor is reached by the objective's "
+                                  f"terms: {', '.join(keys)}") from None
             for path, w, store in model.trainable():
                 g = gmap.get(w.uid)
                 if g is None:

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from zjkit import data as data_mod
 from zjkit import tensor as T
 from zjkit.architect import (
+    METHODS,
     apply_plan,
     compile_plan,
     merge_reparam,
     plan_table,
 )
 from zjkit.checkpoint import to_params
-from zjkit.dsl import parse_config
+from zjkit.dsl import parse_config, serialize
 from zjkit.errors import (
     IncompatibleSite,
     NoMatchingSite,
@@ -25,7 +27,7 @@ from zjkit.models import (
     forward,
 )
 from zjkit.tensor import Tensor
-from zjkit.tuner import cross_entropy
+from zjkit.tuner import LossSpec, RegSpec, TrainConfig, cross_entropy, train
 
 VIT = MiniVitSpec(dim=16, blocks=2, heads=4, mlp_dim=32, classes=3,
                   seq_len=4, input_dim=8)
@@ -250,3 +252,44 @@ def test_shared_instance_single_param_set():
         VIT, "(LoRA.adapt):->(blocks[0].attn.qkv){in0}->(blocks[1].attn.qkv){in0}")
     assert len(plan.injections) == 2
     assert adapted.extras.paths() == ["lora[0].a", "lora[0].b"]
+
+
+# -- the METHODS table ---------------------------------------------------
+
+TABLE_FAMILIES = {
+    "mlp": (MlpSpec((2, 8, 3)), lambda: data_mod.blobs(k=3, d=2, n=64, sigma=0.3)),
+    "mini_vit": (MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=16, classes=2,
+                             seq_len=2, input_dim=2),
+                 lambda: data_mod.token_xor(n=64, seq=2, d=2, sigma=0.1)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+@pytest.mark.parametrize("key", sorted(METHODS))
+def test_every_registered_method_adapts_trains_and_merges(key, family):
+    method, (spec, make_data) = METHODS[key], TABLE_FAMILIES[family]
+    sites = {} if method.hook_free else method.sites(spec, spec.param_shapes())
+    # every site the record accepts; a family without one gets a stand-in
+    hooks = "" if method.hook_free else \
+        "".join(f"->({s}){{inout}}" for s in sorted(sites) or ["head"])
+    adapt = parse_config(f"({method.name}.adapt):{hooks}")
+    assert adapt.method == key
+    assert parse_config(serialize(adapt)) == adapt
+    if not method.hook_free and not sites:
+        with pytest.raises(IncompatibleSite):
+            compile_plan(adapt, spec)
+        return
+    model = apply_plan(spec, build_model(spec, seed=0), compile_plan(adapt, spec), seed=1)
+    ds = make_data()
+    _, history = train(model, None, ds, LossSpec(), RegSpec(),
+                       TrainConfig(lr=0.05, epochs=1, batch_size=16, seed=0))
+    assert all(np.isfinite(v) for v in history[0].values())
+    if method.fold is None and not method.hook_free:
+        with pytest.raises(NotMergeable):
+            merge_reparam(model)
+        return
+    # a hook-free plan has no injection, so its merge is the trained base
+    x = Tensor(ds.split("test")[0])
+    want, _ = model.forward(x)
+    got, _ = forward(spec, to_params(spec, merge_reparam(model)), x)
+    assert np.abs(want.data - got.data).max() < 1e-5

@@ -107,6 +107,13 @@ def test_plan_malformed_dsl_exit_2(tmp_path, capsys):
     assert "offset: 12" in err
 
 
+def test_plan_overflowing_rank_exit_2(tmp_path, capsys):
+    cfg = BASE_CFG.replace("(LinearProbe.adapt):", "(LoRA.adapt|r=1e400):->(layers[0]){inout}")
+    code = main(["plan", "--config", _cfg(tmp_path, cfg)])
+    assert code == 2
+    assert "r=inf is not an integer" in capsys.readouterr().err
+
+
 def test_unknown_key_exit_3(tmp_path, capsys):
     code = main(["plan", "--config", _cfg(tmp_path, BASE_CFG + "no.such=1\n")])
     assert code == 3

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zjkit.architect import METHODS
 from zjkit.dsl import AdaptSpec, Hook, parse_config, serialize
 from zjkit.errors import ParseError
 
 LISTING = "(LoRA.adapt):->(blocks[0:12].attn.qkv){inout1}"
 
-# 20-case golden corpus: 10 valid strings, 10 invalid with expected offsets.
+# Golden corpus: 10 valid strings, and invalid ones with expected offsets.
 VALID = [
     LISTING,
     "(BitFit.adapt):",
@@ -34,6 +35,12 @@ INVALID = [
     ("(LoRA.adapt|r=0):->(x){in}", 0),    # r out of range (reported at decl)
     ("(LoRA.adapt|r):->(x){in}", 13),     # key without '='
     ("(LoRA.adapt):->(x){in}extra", 22),  # trailing garbage
+    ("(LoRA.adapt|rank=8):->(layers[0]){inout}", 12),  # key the record does not list
+    ("(BitFit.adapt|r=1):", 14),          # a method with no hyperparameters
+    ("(LoRA.adapt|r=4,r=8):->(x){in}", 16),  # repeated key
+    ("(LoRA.adapt|r=2.5):->(x){in}", 0),  # count that is not an integer
+    ("(LoRA.adapt|r=1e400):->(x){in}", 0),  # count that overflows to inf
+    ("(PartialK.adapt|k=1e400):", 0),     # the same for partial-k
 ]
 
 
@@ -101,7 +108,7 @@ def test_parse_serialize_fixed_point(text):
     assert serialize(parse_config(canon)) == canon
 
 
-_method = st.sampled_from(["LoRA", "Adapter", "Prefix", "SSF"])
+_method = st.sampled_from(sorted(METHODS))
 _pattern = st.sampled_from(
     ["blocks[0].attn.qkv", "blocks[0:12].attn.qkv", "layers[*]", "head",
      "blocks[3].mlp.fc1"])
@@ -113,10 +120,10 @@ _instance = st.one_of(st.none(), st.integers(0, 9))
 @given(_method, _pattern, _mode, _instance,
        st.integers(1, 64), st.booleans())
 def test_round_trip_property(method, pattern, mode, instance, num, with_hyper):
-    key = {"LoRA": "r", "Adapter": "dim", "Prefix": "tokens", "SSF": None}[method]
-    decl = f"({method}.adapt"
-    if with_hyper and key:
-        decl += f"|{key}={num}"
+    record = METHODS[method]
+    decl = f"({record.name}.adapt"
+    if with_hyper and record.count:
+        decl += f"|{record.count[0]}={num}"
     inst = "" if instance is None else str(instance)
     text = f"{decl}):->({pattern}){{{mode}{inst}}}"
     spec = parse_config(text)

@@ -572,16 +572,17 @@ def test_plan_on_detached_store_trains_its_head():
 
 def test_objective_without_trainable_tensors_leaves_weights():
     # a linear probe fed only a feature-matching term reaches no trainable
-    # tensor: training runs, records the term and updates nothing
+    # tensor: training stops at the first batch, naming the term, and
+    # updates nothing
     spec = MlpSpec((2, 8, 3))
     ds = data_mod.blobs(k=3, d=2, n=60, sigma=0.1, seed=1)
     plan = compile_plan(parse_config("(LinearProbe.adapt):"), spec)
     model = apply_plan(spec, build_model(spec, seed=0), plan, seed=0)
     before = {p: t.data for p, t in model.base.items()}
     loss = LossSpec([LossTerm("fitnet", hooks=(("feature", "feature"),))])
-    _, history = train(model, Teacher(spec, build_model(spec, seed=9)), ds, loss,
-                       RegSpec(), TrainConfig(epochs=1, batch_size=16, seed=0))
-    assert history[0]["fitnet"] > 0
+    with pytest.raises(ConfigError, match="fitnet"):
+        train(model, Teacher(spec, build_model(spec, seed=9)), ds, loss,
+              RegSpec(), TrainConfig(epochs=1, batch_size=16, seed=0))
     for p, t in model.base.items():
         assert np.array_equal(t.data, before[p]), p
 
