@@ -23,12 +23,7 @@ import numpy as np
 
 from . import checkpoint as ckpt_mod
 from . import tensor as T
-from .errors import (
-    IncompatibleSite,
-    NoMatchingSite,
-    NotMergeable,
-    PlanMismatch,
-)
+from .errors import ConfigError
 from .models import ParamStore, match_prefixes, spec_digest
 from .tensor import Tensor
 
@@ -137,10 +132,10 @@ def _resolve_sites(adapt, shapes, valid_sites, site_word):
     for hook in adapt.hooks:
         matches = match_prefixes(sorted(shapes), hook.pattern)
         if not matches:
-            raise NoMatchingSite(f"pattern {hook.pattern!r} matched nothing")
+            raise ConfigError(f"pattern {hook.pattern!r} matched nothing")
         for site in matches:
             if site not in valid_sites:
-                raise IncompatibleSite(
+                raise ConfigError(
                     f"{adapt.method} needs a {site_word}, got {site!r}"
                 )
             out.append((site, hook))
@@ -151,7 +146,7 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
     """Turn a parsed config into an executable plan for one model spec."""
     method = METHODS.get(adapt.method)
     if method is None:
-        raise PlanMismatch(f"unknown method {adapt.method}")
+        raise ConfigError(f"unknown method {adapt.method}")
     shapes = model_spec.param_shapes()
     all_paths = set(shapes)
     hyper = adapt.hyperparams()
@@ -163,7 +158,7 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
         trainable = model_spec.head_paths()
         valid = method.sites(model_spec, shapes)  # site -> shape or width
         if not valid:
-            raise IncompatibleSite(
+            raise ConfigError(
                 f"{adapt.method} has no site in a {model_spec.kind} model")
         explicit = [h.instance for h in adapt.hooks if h.instance is not None]
         next_auto = max(explicit) + 1 if explicit else 0
@@ -175,8 +170,12 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
                 idx, next_auto = next_auto, next_auto + 1
             params = tuple((f"{adapt.method}[{idx}].{leaf}", shape) for (leaf, _), shape
                            in zip(method.params, method.shapes(valid[site], hyper)))
+            for path, shape in params:
+                if math.prod(shape) > np.iinfo(np.intp).max:
+                    raise ConfigError(f"{path} of shape {shape} has more elements "
+                                      "than an array can index")
             if seen_instances.setdefault(idx, params) != params:
-                raise IncompatibleSite(
+                raise ConfigError(
                     f"shared instance {idx} used at sites with different shapes")
             plan.injections.append(Injection(site, adapt.method, idx, params))
 
@@ -263,7 +262,7 @@ def apply_plan(spec, params: ParamStore, plan: AdaptationPlan, seed=0) -> Adapte
     plan's trainable original paths, whatever flags ``params`` carries.
     """
     if plan.model_canonical != spec.canonical():
-        raise PlanMismatch("plan was compiled against a different model spec")
+        raise ConfigError("plan was compiled against a different model spec")
     base = ParamStore({p: Tensor(t.data, requires_grad=p in plan.trainable_original)
                        for p, t in params.items()})
     extras = _init_extras(plan, seed)
@@ -279,7 +278,7 @@ def merge_reparam(adapted: AdaptedModel):
     """
     bad = [i.kind for i in adapted.plan.injections if METHODS[i.kind].fold is None]
     if bad:
-        raise NotMergeable(f"injections of kind {sorted(set(bad))} cannot be merged")
+        raise ConfigError(f"injections of kind {sorted(set(bad))} cannot be merged")
     merged = {p: t.data.copy() for p, t in adapted.base.items()}
     for inj in adapted.plan.injections:
         w, b = f"{inj.site}.weight", f"{inj.site}.bias"

@@ -8,7 +8,7 @@ of the payload. Save/load round trips are byte identical.
 
 Files are written through :func:`atomic_open`, so a failed write leaves
 any earlier file at the path whole. Loading turns every malformed file
-into a :class:`CorruptCheckpoint` (or :class:`ChecksumMismatch`).
+into a :class:`CorruptCheckpoint`, a failed checksum included.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ChecksumMismatch,
-    CorruptCheckpoint,
-    IoError,
-    ShapeMismatch,
-    SpecMismatch,
-)
+from .errors import CorruptCheckpoint, IoError, ShapeMismatch, SpecMismatch
 from .models import ParamStore, spec_digest
 from .tensor import Tensor
 
@@ -165,7 +159,7 @@ def load_checkpoint(path) -> Checkpoint:
         payload = r.take(4 * math.prod(dims))
         (crc,) = r.unpack("<I")
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise ChecksumMismatch(f"checksum mismatch for {p}")
+            raise CorruptCheckpoint(f"checksum mismatch for {p}")
         try:
             entries[p] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         except ValueError as exc:  # more than 32 dims, or a zero-size overflow

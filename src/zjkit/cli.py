@@ -5,15 +5,17 @@ adaptation string stays first class. Every command writes its fully
 resolved config next to its outputs so a run is reproducible from the
 output directory alone.
 
-Exit codes (each error class carries its own ``exit_code``):
+Exit codes (each error class in ``errors`` carries its own ``exit_code``):
 
     0  ok
-    2  config-language parse error (the byte offset goes to stderr)
-    3  invalid run config, and any error without a code of its own
-    4  spec mismatch
-    5  i/o error, corrupt checkpoint, missing file
-    6  numeric failure (non-finite loss or value, no convergence)
-    7  malformed dataset (bad IDX magic, label mismatch, malformed CSV)
+    2  config-language parse error: ParseError (the byte offset goes to stderr)
+    3  invalid run config or input: ConfigError, ShapeMismatch, DetachedRoot,
+       AmbiguousAssignment
+    4  spec mismatch: SpecMismatch
+    5  i/o error, corrupt checkpoint, missing file: IoError, CorruptCheckpoint
+    6  numeric failure: NonFiniteValue, NonFiniteLoss, NoConvergence
+    7  malformed dataset (bad IDX magic, label mismatch, malformed CSV):
+       MalformedData
 """
 
 from __future__ import annotations
@@ -95,17 +97,14 @@ def _num(value, name, cast=float):
 
 def _model_spec(cfg):
     kind = cfg.get("model.kind")
-    try:
-        if kind == "mlp":
-            widths = tuple(_num(w, "model.widths", int)
-                           for w in cfg.get("model.widths", "").split(","))
-            return MlpSpec(widths, cfg.get("model.activation", "relu"))
-        if kind == "mini_vit":
-            keys = [f.name for f in dataclasses.fields(MiniVitSpec)]
-            return MiniVitSpec(**{k: _num(cfg.get(f"model.{k}"), f"model.{k}", int)
-                                  for k in keys})
-    except ValueError as exc:
-        raise ConfigError(f"invalid {kind} spec: {exc}") from None
+    if kind == "mlp":
+        widths = tuple(_num(w, "model.widths", int)
+                       for w in cfg.get("model.widths", "").split(","))
+        return MlpSpec(widths, cfg.get("model.activation", "relu"))
+    if kind == "mini_vit":
+        keys = [f.name for f in dataclasses.fields(MiniVitSpec)]
+        return MiniVitSpec(**{k: _num(cfg.get(f"model.{k}"), f"model.{k}", int)
+                              for k in keys})
     raise ConfigError(f"model.kind must be mlp or mini_vit, got {kind!r}")
 
 
@@ -165,7 +164,7 @@ def _load_dataset(cfg, seed):
         raise ConfigError(f"data.source {name}() needs {', '.join(missing)}")
     try:
         return _SOURCES[name](**args)
-    except ValueError as exc:
+    except ValueError as exc:  # numpy rejecting an argument, e.g. n=-5
         raise ConfigError(f"data.source {source!r}: {exc}") from None
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagic, IoError, LabelMismatch, MalformedCsv
+from .errors import IoError, MalformedData
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -36,7 +36,7 @@ class Dataset:
 
 def _with_splits(x, y, n_classes, seed):
     if y.min(initial=0) < 0 or (y.size and y.max() >= n_classes):
-        raise LabelMismatch("label outside [0, n_classes)")
+        raise MalformedData("label outside [0, n_classes)")
     n = x.shape[0]
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(n * 0.70)
@@ -106,20 +106,20 @@ def load_idx(images_path, labels_path, seed=0):
     except OSError as exc:
         raise IoError(str(exc)) from exc
     if len(img) < 16 or struct.unpack(">I", img[:4])[0] != IDX_IMAGES_MAGIC:
-        raise BadMagic(f"bad image magic in {images_path}")
+        raise MalformedData(f"bad image magic in {images_path}")
     if len(lab) < 8 or struct.unpack(">I", lab[:4])[0] != IDX_LABELS_MAGIC:
-        raise BadMagic(f"bad label magic in {labels_path}")
+        raise MalformedData(f"bad label magic in {labels_path}")
     n_img, rows, cols = struct.unpack(">III", img[4:16])
     n_lab = struct.unpack(">I", lab[4:8])[0]
     if n_img != n_lab:
-        raise LabelMismatch(f"{n_img} images vs {n_lab} labels")
+        raise MalformedData(f"{n_img} images vs {n_lab} labels")
     x = np.frombuffer(img, dtype=np.uint8, offset=16)
     if x.size != n_img * rows * cols:
-        raise BadMagic("image payload size mismatch")
+        raise MalformedData("image payload size mismatch")
     x = x.reshape(n_img, rows * cols).astype(np.float64) / 255.0
     y = np.frombuffer(lab, dtype=np.uint8, offset=8).astype(int)
     if y.size != n_lab:
-        raise BadMagic("label payload size mismatch")
+        raise MalformedData("label payload size mismatch")
     return _with_splits(x, y, int(y.max()) + 1 if y.size else 1, seed)
 
 
@@ -131,7 +131,7 @@ def load_csv(path, label_col=-1, has_header="auto", seed=0):
     except OSError as exc:
         raise IoError(str(exc)) from exc
     if not rows:
-        raise MalformedCsv("empty file")
+        raise MalformedData("empty file")
     start = 0
     if has_header == "auto":
         try:
@@ -144,19 +144,19 @@ def load_csv(path, label_col=-1, has_header="auto", seed=0):
     feats, labels = [], []
     for r, row in enumerate(rows[start:], start=start):
         if len(row) != width:
-            raise MalformedCsv(f"row {r}: expected {width} columns, got {len(row)}")
+            raise MalformedData(f"row {r}: expected {width} columns, got {len(row)}")
         vals = []
         for c, cell in enumerate(row):
             try:
                 vals.append(float(cell))
             except ValueError:
-                raise MalformedCsv(f"row {r}, column {c}: non-numeric {cell!r}") from None
+                raise MalformedData(f"row {r}, column {c}: non-numeric {cell!r}") from None
         lc = label_col if label_col >= 0 else width + label_col
         labels.append(vals[lc])
         feats.append([v for i, v in enumerate(vals) if i != lc])
     y = np.asarray(labels)
     if not np.allclose(y, np.round(y)) or y.min() < 0:
-        raise LabelMismatch("label column must hold nonnegative integers")
+        raise MalformedData("label column must hold nonnegative integers")
     y = y.astype(int)
     x = np.asarray(feats)
     return _with_splits(x, y, int(y.max()) + 1, seed)

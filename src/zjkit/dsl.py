@@ -14,8 +14,8 @@ Index ranges are half-open. Example:
 
 Methods are registered in :data:`zjkit.architect.METHODS`: names, keys,
 defaults, count floors and the hook requirement come from the records. An
-unlisted or repeated key, or a count that is not a finite integer at or
-above its floor, is a :class:`ParseError`.
+unlisted or repeated key, a value that is not finite, or a count that is
+not a finite integer at or above its floor, is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -114,6 +114,7 @@ class _Parser:
         self.expect(".")
         action = self.regex(_NAME_RE, "action name")
         hyper = {}
+        count_key = record.count[0] if record.count else None  # range-checked below
         if self.peek("|"):
             self.pos += 1
             while True:
@@ -125,6 +126,9 @@ class _Parser:
                                      f"{word} hyperparameter {key!r} for {record.name}")
                 self.expect("=")
                 hyper[key] = float(self.regex(_NUM_RE, "number"))
+                if not math.isfinite(hyper[key]) and key != count_key:
+                    raise ParseError(key_off, {"finite number"},
+                                     f"{key}={hyper[key]} is not finite")
                 if not self.peek(","):
                     break
                 self.pos += 1

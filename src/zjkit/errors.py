@@ -1,7 +1,18 @@
-"""Exception hierarchy shared across the toolbox.
+"""Exception hierarchy shared across the toolbox: one class per exit-code meaning.
 
 Each class's ``exit_code`` is the status ``zjkit`` exits with when the
-error ends a command; the table is in the ``cli`` docstring.
+error ends a command:
+
+    2  ParseError
+    3  ConfigError, ShapeMismatch, DetachedRoot, AmbiguousAssignment
+    4  SpecMismatch
+    5  IoError, CorruptCheckpoint
+    6  NonFiniteValue, NonFiniteLoss, NoConvergence
+    7  MalformedData
+
+``ZjError`` is the base class and is never raised itself. ``ConfigError``
+is also a ``ValueError``, so callers that catch ``ValueError`` for a bad
+argument still catch it.
 """
 
 
@@ -11,62 +22,9 @@ class ZjError(Exception):
     exit_code = 3
 
 
-# tensor core
-class ShapeMismatch(ZjError):
-    pass
-
-
-class NonFiniteValue(ZjError):
-    exit_code = 6
-
-
-class NotScalar(ZjError):
-    pass
-
-
-class DetachedRoot(ZjError):
-    pass
-
-
-class NoPerSampleRule(ZjError):
-    pass
-
-
-class ConvergenceFailure(ZjError):
-    exit_code = 6
-
-
-# model zoo / checkpoints
-class SpecMismatch(ZjError):
-    exit_code = 4
-
-
-class CorruptCheckpoint(ZjError):
-    exit_code = 5
-
-
-class ChecksumMismatch(CorruptCheckpoint):
-    pass
-
-
-class IoError(ZjError):
-    exit_code = 5
-
-
-class UnknownHook(ZjError):
-    pass
-
-
-class UnknownPath(ZjError):
-    pass
-
-
-class BadPattern(ZjError):
-    pass
-
-
-# architect
 class ParseError(ZjError):
+    """A config-language string that does not parse; ``offset`` is the byte."""
+
     exit_code = 2
 
     def __init__(self, offset, expected, message=None):
@@ -76,57 +34,42 @@ class ParseError(ZjError):
         super().__init__(f"parse error at offset {offset}: {detail}")
 
 
-class NoMatchingSite(ZjError):
+class ConfigError(ZjError, ValueError):
+    """A value, option or combination of inputs the toolbox does not accept."""
+
+
+class ShapeMismatch(ZjError):
+    """Operands whose shapes, widths, batch sizes or counts disagree."""
+
+
+class DetachedRoot(ZjError):
+    """A backward root that no tape records."""
+
+
+# Nothing in zjkit raises this since ot_fuse hardens its coupling by exact
+# assignment; it stays for callers that still catch it (bench/workloads.py).
+class AmbiguousAssignment(ZjError):
     pass
 
 
-class IncompatibleSite(ZjError):
-    pass
+class SpecMismatch(ZjError):
+    """A checkpoint whose digest or entries do not fit the model spec."""
+
+    exit_code = 4
 
 
-class PlanMismatch(ZjError):
-    pass
+class IoError(ZjError):
+    exit_code = 5
 
 
-class NotMergeable(ZjError):
-    pass
+class CorruptCheckpoint(ZjError):
+    """A checkpoint file that is malformed or fails its checksum."""
+
+    exit_code = 5
 
 
-# tuner
-class LabelOutOfRange(ZjError):
-    pass
-
-
-class EmptyClass(ZjError):
-    pass
-
-
-class MissingHook(ZjError):
-    pass
-
-
-class WidthMismatch(ZjError):
-    pass
-
-
-class BatchMismatch(ZjError):
-    pass
-
-
-class DegenerateBatch(ZjError):
-    pass
-
-
-class RefMismatch(ZjError):
-    pass
-
-
-class NotAMatrix(ZjError):
-    pass
-
-
-class KOutOfRange(ZjError):
-    pass
+class NonFiniteValue(ZjError):
+    exit_code = 6
 
 
 class NonFiniteLoss(ZjError):
@@ -137,49 +80,13 @@ class NonFiniteLoss(ZjError):
         super().__init__(f"non-finite loss in term '{term}': {value}")
 
 
-# merger
-class EmptyInput(ZjError):
-    pass
-
-
-class NonFiniteCost(ZjError):
-    pass
-
-
 class NoConvergence(ZjError):
+    """An iterative solver that did not reach its tolerance."""
+
     exit_code = 6
 
 
-class NotSupportedKind(ZjError):
-    pass
+class MalformedData(ZjError):
+    """A dataset file with bad magic, a bad label, or a malformed row."""
 
-
-# Nothing in zjkit raises this since ot_fuse hardens its coupling by exact
-# assignment; it stays for callers that still catch it (bench/workloads.py).
-class AmbiguousAssignment(ZjError):
-    pass
-
-
-class SizeMismatch(ZjError):
-    pass
-
-
-class ClassCountMismatch(ZjError):
-    pass
-
-
-# data / cli
-class BadMagic(ZjError):
     exit_code = 7
-
-
-class LabelMismatch(ZjError):
-    exit_code = 7
-
-
-class MalformedCsv(ZjError):
-    exit_code = 7
-
-
-class ConfigError(ZjError):
-    pass

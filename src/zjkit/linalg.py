@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, ShapeMismatch
+from .errors import ConfigError, NoConvergence, ShapeMismatch
 from .tensor import Tensor
 
 MAX_SIDE = 512  # desk-scale guard
@@ -25,7 +25,7 @@ def svd(a):
     try:
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+        raise NoConvergence(str(exc)) from exc
     return Tensor(u), Tensor(s), Tensor(vt.T)
 
 
@@ -40,7 +40,7 @@ def spectral_norm(w, iters=50, seed=0):
     if mat.ndim != 2:
         raise ShapeMismatch(f"spectral_norm expects a matrix, got {mat.shape}")
     if iters < 1:
-        raise ValueError("iters must be >= 1")
+        raise ConfigError("iters must be >= 1")
     m, n = mat.shape
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, size=n)

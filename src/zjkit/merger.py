@@ -27,17 +27,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .checkpoint import Checkpoint, to_params
-from .errors import (
-    ClassCountMismatch,
-    EmptyClass,
-    EmptyInput,
-    NoConvergence,
-    NonFiniteCost,
-    NotSupportedKind,
-    ShapeMismatch,
-    SizeMismatch,
-    SpecMismatch,
-)
+from .errors import ConfigError, NoConvergence, NonFiniteValue, ShapeMismatch, SpecMismatch
 from .models import forward
 from .tensor import Tensor
 
@@ -46,7 +36,7 @@ EPS_FLOOR = 1e-12
 
 def _check_aligned(checkpoints):
     if not checkpoints:
-        raise EmptyInput("need at least one checkpoint")
+        raise ConfigError("need at least one checkpoint")
     first = checkpoints[0]
     for c in checkpoints[1:]:
         if c.digest != first.digest or c.kind != first.kind:
@@ -105,7 +95,7 @@ def greedy_soup(checkpoints, val_data, eval_fn):
 def wise_ft(ptm: Checkpoint, finetuned: Checkpoint, alpha) -> Checkpoint:
     """(1 - alpha) * pre-trained + alpha * fine-tuned, elementwise."""
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0,1]")
+        raise ConfigError(f"alpha {alpha} outside [0,1]")
     _check_aligned([ptm, finetuned])
     if alpha == 0.0:
         return ptm.clone()
@@ -145,9 +135,9 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0,
     """
     from . import tensor as T
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise ConfigError("n_samples must be >= 1")
     if label_mode not in ("sampled", "true"):
-        raise ValueError(f"label_mode must be 'sampled' or 'true', got {label_mode!r}")
+        raise ConfigError(f"label_mode must be 'sampled' or 'true', got {label_mode!r}")
     params = to_params(spec, ckpt)
     extra = sorted(set(ckpt.entries) - set(params.paths()))
     if extra:
@@ -156,7 +146,7 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0,
                            f"({', '.join(extra[:3])}{', ...' if len(extra) > 3 else ''})")
     x_train, y_train = data.split("train")
     if x_train.shape[0] == 0:
-        raise EmptyInput("fisher_estimate needs a non-empty train split")
+        raise ConfigError("fisher_estimate needs a non-empty train split")
     sampled = label_mode == "sampled"
     # choice(k, p=...) takes one double whatever p is, so a twin generator
     # that calls random() in its place draws the loop's rows ahead
@@ -193,8 +183,10 @@ def fisher_merge(checkpoints, fishers, lams=None, eps_floor=EPS_FLOOR) -> Checkp
     _check_aligned(checkpoints)
     if lams is None:
         lams = [1.0] * len(checkpoints)
-    if len(lams) != len(checkpoints) or any(l < 0 for l in lams) or sum(lams) <= 0:
-        raise ValueError("need nonnegative lambdas with positive sum")
+    if len(lams) != len(checkpoints):
+        raise ConfigError(f"{len(lams)} lambdas for {len(checkpoints)} checkpoints")
+    if not all(0 <= l < np.inf for l in lams) or sum(lams) <= 0:
+        raise ConfigError("need finite nonnegative lambdas with positive sum")
     if len(fishers) != len(checkpoints):
         raise ShapeMismatch("one Fisher per checkpoint required")
     out = {}
@@ -249,11 +241,11 @@ def sinkhorn(cost, eps, iters, tol=1e-9):
     """
     cost = np.asarray(cost, dtype=np.float64)
     if not np.all(np.isfinite(cost)):
-        raise NonFiniteCost("cost matrix contains NaN/Inf")
+        raise NonFiniteValue("cost matrix contains NaN/Inf")
     if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+        raise ConfigError(f"eps must be positive and finite, got {eps}")
     if iters < 1:
-        raise ValueError("iters must be >= 1")
+        raise ConfigError("iters must be >= 1")
     n, m = cost.shape
     log_a = np.full(n, -np.log(n))
     log_b = np.full(m, -np.log(m))
@@ -318,13 +310,13 @@ def _mlp_layers(ckpt: Checkpoint):
     while f"layers[{n}].weight" in ckpt.entries:
         n += 1
     if n == 0:
-        raise NotSupportedKind("checkpoint has no layers[i].weight entries")
+        raise ConfigError("checkpoint has no layers[i].weight entries")
     return n
 
 
 def _require_mlp(ckpt: Checkpoint):
     if ckpt.kind != "mlp":
-        raise NotSupportedKind(f"operation defined for mlp models, got {ckpt.kind!r}")
+        raise ConfigError(f"operation defined for mlp models, got {ckpt.kind!r}")
     return _mlp_layers(ckpt)
 
 
@@ -332,12 +324,12 @@ def permute_model(ckpt: Checkpoint, perm: Permutation) -> Checkpoint:
     """Reorder hidden units; the network function is exactly preserved."""
     n_layers = _require_mlp(ckpt)
     if len(perm.maps) != n_layers - 1:
-        raise SizeMismatch(f"{len(perm.maps)} maps for {n_layers - 1} hidden layers")
+        raise ShapeMismatch(f"{len(perm.maps)} maps for {n_layers - 1} hidden layers")
     out = {p: a.astype(np.float64).copy() for p, a in ckpt.entries.items()}
     for l, pmap in enumerate(perm.maps):
         w = out[f"layers[{l}].weight"]
         if pmap.shape != (w.shape[0],) or sorted(pmap) != list(range(w.shape[0])):
-            raise SizeMismatch(f"map {l} is not a bijection over {w.shape[0]} units")
+            raise ShapeMismatch(f"map {l} is not a bijection over {w.shape[0]} units")
         out[f"layers[{l}].weight"] = w[pmap, :]
         out[f"layers[{l}].bias"] = out[f"layers[{l}].bias"][pmap]
         out[f"layers[{l + 1}].weight"] = out[f"layers[{l + 1}].weight"][:, pmap]
@@ -407,7 +399,8 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
 
 def _sq_dists(x, y):
     """Squared Euclidean distance from each row of x to each row of y."""
-    d = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # sinkhorn rejects a non-finite cost
+        d = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
     return np.maximum(d, 0.0, out=d)
 
 
@@ -469,10 +462,10 @@ def repair(interp: Checkpoint, endpoints, spec, calib_x,
     ckpt_a, ckpt_b, alpha = endpoints
     _check_aligned([interp, ckpt_a, ckpt_b])
     if spec.kind != "mlp":
-        raise NotSupportedKind("repair is defined for mlp models")
+        raise ConfigError("repair is defined for mlp models")
     calib_x = np.asarray(calib_x, dtype=np.float64)
     if calib_x.shape[0] < 16:
-        raise ValueError("calibration batch must have >= 16 samples")
+        raise ConfigError("calibration batch must have >= 16 samples")
     stats_a = _mlp_preacts(spec, ckpt_a, calib_x)
     stats_b = _mlp_preacts(spec, ckpt_b, calib_x)
     out = {p: v.astype(np.float64) for p, v in interp.entries.items()}
@@ -500,11 +493,11 @@ def repair(interp: Checkpoint, endpoints, spec, calib_x,
 def combine_logits(logits_list, mode):
     """Fuse per-model logits: mean logits, mean probabilities, or votes."""
     if not logits_list:
-        raise EmptyInput("no logits to combine")
+        raise ConfigError("no logits to combine")
     shape = np.asarray(logits_list[0]).shape
     for lg in logits_list:
         if np.asarray(lg).shape != shape:
-            raise ClassCountMismatch("models disagree on class count")
+            raise ShapeMismatch("models disagree on class count")
     stack = np.stack([np.asarray(lg, dtype=np.float64) for lg in logits_list])
     if mode == "logits":
         return stack.mean(axis=0)
@@ -520,7 +513,7 @@ def combine_logits(logits_list, mode):
         for row in preds:
             counts[np.arange(row.size), row] += 1
         return counts.argmax(axis=1)  # ties: lowest class id
-    raise ValueError(f"unknown ensemble mode {mode!r}")
+    raise ConfigError(f"unknown ensemble mode {mode!r}")
 
 
 def ensemble(models, x, mode="logits"):
@@ -543,7 +536,7 @@ class NcmClassifier:
 
     def __init__(self, metric="euclidean"):
         if metric not in ("euclidean", "cosine"):
-            raise ValueError(f"unknown metric {metric!r}")
+            raise ConfigError(f"unknown metric {metric!r}")
         self.metric = metric
         self.means = None
 
@@ -553,7 +546,7 @@ class NcmClassifier:
         n_classes = int(labels.max()) + 1
         for c in range(n_classes):
             if not (labels == c).any():
-                raise EmptyClass(f"class {c} has no samples")
+                raise ConfigError(f"class {c} has no samples")
         self.means = fit_class_means(features, labels, n_classes)
         return self
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import BadPattern, ShapeMismatch, UnknownHook, UnknownPath
+from .errors import ConfigError, ShapeMismatch
 from .tensor import Tensor
 
 # -- specs --------------------------------------------------------------
@@ -35,9 +35,9 @@ class MlpSpec:
 
     def __post_init__(self):
         if len(self.widths) < 2 or any(w <= 0 for w in self.widths):
-            raise ValueError(f"bad widths {self.widths}")
+            raise ConfigError(f"bad widths {self.widths}")
         if self.activation not in ("relu", "gelu"):
-            raise ValueError(f"unknown activation {self.activation}")
+            raise ConfigError(f"unknown activation {self.activation}")
 
     @property
     def n_layers(self):
@@ -122,9 +122,9 @@ class MiniVitSpec:
         dims = (self.dim, self.blocks, self.heads, self.mlp_dim,
                 self.classes, self.seq_len, self.input_dim)
         if any(d <= 0 for d in dims):
-            raise ValueError(f"all dims must be positive: {self}")
+            raise ConfigError(f"all dims must be positive: {self}")
         if self.dim % self.heads != 0:
-            raise ValueError(f"heads {self.heads} must divide dim {self.dim}")
+            raise ConfigError(f"heads {self.heads} must divide dim {self.dim}")
 
     @property
     def n_classes(self):
@@ -249,7 +249,7 @@ class ParamStore:
 
     def get(self, path) -> Tensor:
         if path not in self._entries:
-            raise UnknownPath(path)
+            raise ConfigError(f"unknown parameter path {path!r}")
         return self._entries[path]
 
     def set(self, path, tensor: Tensor):
@@ -295,11 +295,11 @@ _SEG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[([^\]]*)\])?$")
 def _parse_pattern(pattern):
     segs = []
     if not pattern:
-        raise BadPattern("empty pattern")
+        raise ConfigError("empty pattern")
     for raw in pattern.split("."):
         m = _SEG_RE.match(raw)
         if not m:
-            raise BadPattern(f"bad segment {raw!r} in {pattern!r}")
+            raise ConfigError(f"bad segment {raw!r} in {pattern!r}")
         name, idx = m.group(1), m.group(2)
         if idx is None:
             segs.append((name, None))
@@ -310,12 +310,12 @@ def _parse_pattern(pattern):
             try:
                 segs.append((name, (int(lo), int(hi))))
             except ValueError:
-                raise BadPattern(f"bad range {raw!r}") from None
+                raise ConfigError(f"bad range {raw!r}") from None
         else:
             try:
                 segs.append((name, int(idx)))
             except ValueError:
-                raise BadPattern(f"bad index {raw!r}") from None
+                raise ConfigError(f"bad index {raw!r}") from None
     return segs
 
 
@@ -395,7 +395,7 @@ def forward(spec, params: ParamStore, x: Tensor, capture=(), adapters=None):
     capture = set(capture)
     unknown = capture - spec.all_hooks()
     if unknown:
-        raise UnknownHook(", ".join(sorted(unknown)))
+        raise ConfigError(f"unknown hook {', '.join(sorted(unknown))}")
     trace = {}
 
     def hook(name, value):

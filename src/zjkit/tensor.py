@@ -30,7 +30,7 @@ leaf's gradient is summed over them, so only those ops carry a
 per-sample rule: ``affine`` (weight and bias; for a 2-D input the weight
 term is ``(g*g).T @ (x*x)``), ``layernorm`` (gamma and beta) and
 ``expand``. A leaf that any other op reaches, or that two ops read,
-raises ``NoPerSampleRule`` rather than give a wrong sum.
+raises ``ConfigError`` rather than give a wrong sum.
 
 Numeric note: ``gelu`` computes ``x*x*x``, not ``x**3``; numpy sends the
 latter through libm ``pow``, about a hundred times slower, and the two
@@ -44,13 +44,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DetachedRoot,
-    NonFiniteValue,
-    NoPerSampleRule,
-    NotScalar,
-    ShapeMismatch,
-)
+from .errors import ConfigError, DetachedRoot, NonFiniteValue, ShapeMismatch
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _PER_SAMPLE_BLOCK = 1 << 17  # float64 elements (1 MiB) of per-sample affine gradients
@@ -90,7 +84,7 @@ class Tensor:
 
     def item(self):
         if self.data.size != 1:
-            raise NotScalar(f"item() on tensor of shape {self.shape}")
+            raise ShapeMismatch(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
     def tolist(self):
@@ -307,7 +301,8 @@ class Tensor:
             elif src[:1] == (1,):
                 per_shape = g.shape[:1] + src[1:]
             else:
-                raise NoPerSampleRule(f"expand {src} -> {g.shape} keeps the sample axis")
+                raise ConfigError(f"no per-sample rule: expand {src} -> {g.shape} "
+                                  "keeps the sample axis")
             per = _sum_to(g, per_shape)
             return (per * per).sum(axis=0).reshape(src)
 
@@ -376,7 +371,7 @@ def _sample_sq(a):
     """``[n, ..., d] -> [d]``: each sample's sum over the middle axes, squared,
     summed over the samples."""
     if a.ndim < 2:
-        raise NoPerSampleRule(f"a {a.shape} gradient has no sample axis")
+        raise ConfigError(f"no per-sample rule: a {a.shape} gradient has no sample axis")
     per = a.reshape(a.shape[0], -1, a.shape[-1]).sum(axis=1)
     return (per * per).sum(axis=0)
 
@@ -428,7 +423,7 @@ def ew_op(kind, a, b=None):
         return a.scale(b)
     if kind in _EW_BINARY:
         return _EW_BINARY[kind](a, b)
-    raise ValueError(f"unknown elementwise op {kind!r}")
+    raise ConfigError(f"unknown elementwise op {kind!r}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -578,7 +573,7 @@ def _softmax_grad(g, y):
 def softmax(x: Tensor, temperature=1.0) -> Tensor:
     """Row-stabilized softmax along the last axis at the given temperature."""
     if temperature <= 0:
-        raise ValueError("temperature must be positive")
+        raise ConfigError("temperature must be positive")
     y = _softmax(x.data / temperature)
 
     def backward(grad, acc):
@@ -589,7 +584,7 @@ def softmax(x: Tensor, temperature=1.0) -> Tensor:
 
 def log_softmax(x: Tensor, temperature=1.0) -> Tensor:
     if temperature <= 0:
-        raise ValueError("temperature must be positive")
+        raise ConfigError("temperature must be positive")
     z = x.data / temperature
     z = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -606,7 +601,7 @@ def log_softmax(x: Tensor, temperature=1.0) -> Tensor:
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError("eps must be positive")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeMismatch(
@@ -683,8 +678,8 @@ class _Acc:
 
     def __call__(self, t, g):
         if self.per_sample and _is_leaf(t):
-            raise NoPerSampleRule(f"the {t.shape} leaf is reached by an op with no "
-                                  "per-sample rule")
+            raise ConfigError(f"the {t.shape} leaf is reached by an op with no "
+                              "per-sample rule")
         g = np.asarray(g, dtype=np.float64)
         if g.shape != t.shape:
             g = g.reshape(t.shape)
@@ -696,7 +691,8 @@ class _Acc:
     def add_sq(self, t, sq):
         if t.uid in self.sq:
             # sum_i (a_i + b_i)^2 is not sum_i a_i^2 + sum_i b_i^2
-            raise NoPerSampleRule(f"the {t.shape} leaf is read by more than one op")
+            raise ConfigError(f"no per-sample rule: the {t.shape} leaf is read by "
+                              "more than one op")
         self.sq[t.uid] = sq
 
 
@@ -712,10 +708,10 @@ def backward(root: Tensor, per_sample_sq=False):
     gradient, all from one backward pass. Only the ops that sum a leaf's
     gradient over the samples have a rule for that (``affine`` weight and
     bias, ``layernorm`` gamma and beta, ``expand``); a leaf that another op
-    reaches, or that two ops read, raises :class:`NoPerSampleRule`.
+    reaches, or that two ops read, raises :class:`ConfigError`.
     """
     if root.size != 1:
-        raise NotScalar(f"backward root has shape {root.shape}")
+        raise ShapeMismatch(f"backward root has shape {root.shape}")
     if not root._parents and not root.requires_grad:
         raise DetachedRoot("root is not recorded on any tape")
 

@@ -20,21 +20,7 @@ import numpy as np
 from . import checkpoint as ckpt_mod
 from . import tensor as T
 from .architect import AdaptedModel
-from .errors import (
-    BatchMismatch,
-    ConfigError,
-    DegenerateBatch,
-    DetachedRoot,
-    EmptyClass,
-    KOutOfRange,
-    LabelOutOfRange,
-    MissingHook,
-    NonFiniteLoss,
-    NotAMatrix,
-    RefMismatch,
-    ShapeMismatch,
-    WidthMismatch,
-)
+from .errors import ConfigError, DetachedRoot, NonFiniteLoss, ShapeMismatch
 from .linalg import spectral_norm
 from .models import ParamStore, forward, spec_digest
 from .tensor import Tensor
@@ -47,7 +33,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     labels = np.asarray(labels)
     n, c = logits.shape
     if labels.min(initial=0) < 0 or (labels.size and labels.max() >= c):
-        raise LabelOutOfRange(f"labels must be in [0,{c})")
+        raise ConfigError(f"labels must be in [0,{c})")
     logp = T.log_softmax(logits)
     picked = logp[(np.arange(n), labels)]
     return -picked.mean()
@@ -56,7 +42,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 def kd_kl(student_logits: Tensor, teacher_logits, temperature=1.0) -> Tensor:
     """T^2-scaled mean KL between softened teacher and student rows."""
     if temperature <= 0:
-        raise ValueError("temperature must be positive")
+        raise ConfigError("temperature must be positive")
     t = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
     if student_logits.shape != t.shape:
         raise ShapeMismatch(f"{student_logits.shape} vs {t.shape}")
@@ -74,14 +60,14 @@ def kd_kl(student_logits: Tensor, teacher_logits, temperature=1.0) -> Tensor:
 
 
 def fit_class_means(features, labels, n_classes):
-    """Per-class feature means; raises EmptyClass for unseen classes."""
+    """Per-class feature means; raises ConfigError for unseen classes."""
     feats = features.data if isinstance(features, Tensor) else np.asarray(features)
     labels = np.asarray(labels)
     means = np.zeros((n_classes, feats.shape[1]))
     for c in range(n_classes):
         mask = labels == c
         if not mask.any():
-            raise EmptyClass(f"class {c} has no samples")
+            raise ConfigError(f"class {c} has no samples")
         means[c] = feats[mask].mean(axis=0)
     return means
 
@@ -89,7 +75,7 @@ def fit_class_means(features, labels, n_classes):
 def ncm_teacher_logits(teacher_features, class_means, tau=1.0) -> Tensor:
     """Negative squared distance to class means, scaled by 1/tau."""
     if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise ConfigError("tau must be positive")
     f = teacher_features.data if isinstance(teacher_features, Tensor) else np.asarray(teacher_features)
     mu = class_means.data if isinstance(class_means, Tensor) else np.asarray(class_means)
     d2 = ((f[:, None, :] - mu[None, :, :]) ** 2).sum(axis=-1)
@@ -113,14 +99,14 @@ def fitnet_loss(student_trace, teacher_trace, pairs, projectors=None) -> Tensor:
     total = None
     for s_hook, t_hook in pairs:
         if s_hook not in student_trace:
-            raise MissingHook(f"student hook {s_hook!r} not captured")
+            raise ConfigError(f"student hook {s_hook!r} not captured")
         if t_hook not in teacher_trace:
-            raise MissingHook(f"teacher hook {t_hook!r} not captured")
+            raise ConfigError(f"teacher hook {t_hook!r} not captured")
         s = _flatten_feature(student_trace[s_hook])
         t = _flatten_feature(teacher_trace[t_hook]).detach()
         proj = projectors.get((s_hook, t_hook))
         if s.shape[-1] != t.shape[-1] and proj is None:
-            raise WidthMismatch(
+            raise ShapeMismatch(
                 f"widths {s.shape[-1]} vs {t.shape[-1]} need a projector")
         if proj is not None:
             s = T.matmul(s, proj.T)
@@ -133,7 +119,7 @@ def fitnet_loss(student_trace, teacher_trace, pairs, projectors=None) -> Tensor:
 
 def _fsp_matrix(a1: Tensor, a2: Tensor) -> Tensor:
     if a1.shape[0] != a2.shape[0]:
-        raise BatchMismatch(f"batch {a1.shape[0]} vs {a2.shape[0]}")
+        raise ShapeMismatch(f"batch {a1.shape[0]} vs {a2.shape[0]}")
     n = a1.shape[0]
     return T.matmul(a1.T, a2).scale(1.0 / n)
 
@@ -141,7 +127,7 @@ def _fsp_matrix(a1: Tensor, a2: Tensor) -> Tensor:
 def fsp_loss(student_pairs, teacher_pairs) -> Tensor:
     """Frobenius gap between flow matrices of paired layer couples."""
     if len(student_pairs) != len(teacher_pairs):
-        raise BatchMismatch("pair count mismatch")
+        raise ShapeMismatch("pair count mismatch")
     total = None
     for (s1, s2), (t1, t2) in zip(student_pairs, teacher_pairs):
         gs = _fsp_matrix(_flatten_feature(s1), _flatten_feature(s2))
@@ -177,17 +163,17 @@ def rkd_loss(student_emb: Tensor, teacher_emb, mode="dist", delta=1.0) -> Tensor
     n = student_emb.shape[0]
     if mode == "dist":
         if n < 2:
-            raise BatchMismatch("rkd dist needs n >= 2")
+            raise ShapeMismatch("rkd dist needs n >= 2")
         ds = _pairwise_dist(student_emb)
         dt = _pairwise_dist(t)
         mu_s, mu_t = ds.mean(), dt.mean()
         if mu_s.item() == 0.0 or mu_t.item() == 0.0:
-            raise DegenerateBatch("all embeddings coincide")
+            raise ConfigError("all embeddings coincide")
         return _huber(ds / mu_s - (dt / mu_t).detach(), delta).mean()
     if mode != "angle":
-        raise ValueError(f"unknown rkd mode {mode!r}")
+        raise ConfigError(f"unknown rkd mode {mode!r}")
     if n < 3:
-        raise BatchMismatch("rkd angle needs n >= 3")
+        raise ShapeMismatch("rkd angle needs n >= 3")
 
     def angles(e):
         d = e.shape[1]
@@ -221,17 +207,17 @@ def weight_reg(trainable, ref=None, kind="l2", exclude=()) -> Tensor:
             continue
         if kind == "l2_sp":
             if ref is None:
-                raise RefMismatch("l2_sp needs a reference store")
+                raise ConfigError("l2_sp needs a reference store")
             if path not in ref:
                 continue
             w0 = ref.get(path)
             if w0.shape != w.shape:
-                raise RefMismatch(f"{path}: {w.shape} vs ref {w0.shape}")
+                raise ShapeMismatch(f"{path}: {w.shape} vs ref {w0.shape}")
             term = (w - w0.detach()).square().sum()
         elif kind == "l2":
             term = w.square().sum()
         else:
-            raise ValueError(f"unknown weight reg {kind!r}")
+            raise ConfigError(f"unknown weight reg {kind!r}")
         total = term if total is None else total + term
     if total is None:
         return Tensor(0.0)
@@ -247,7 +233,7 @@ def spectral_penalty(trainable, iters=50, seed=0) -> Tensor:
     total = None
     for path, w in trainable:
         if w.ndim != 2:
-            raise NotAMatrix(f"{path} has shape {w.shape}")
+            raise ShapeMismatch(f"{path} has shape {w.shape}")
         sigma, u, v = spectral_norm(w.data, iters=iters, seed=seed)
         outer = 2.0 * sigma * np.outer(u.data, v.data)
         term = T.custom_op([w], np.float64(sigma**2), [lambda g, o=outer: g * o])
@@ -261,7 +247,7 @@ def bss_penalty(features: Tensor, k) -> Tensor:
     n, d = f.shape
     r = min(n, d)
     if not 1 <= k <= r:
-        raise KOutOfRange(f"k={k} outside [1,{r}]")
+        raise ConfigError(f"k={k} outside [1,{r}]")
     u, s, vt = np.linalg.svd(f.data, full_matrices=False)
     idx = range(r - k, r)  # lexicographic deterministic choice on ties
     value = float(sum(s[i] ** 2 for i in idx))

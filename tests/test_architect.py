@@ -14,12 +14,7 @@ from zjkit.architect import (
 )
 from zjkit.checkpoint import to_params
 from zjkit.dsl import parse_config, serialize
-from zjkit.errors import (
-    IncompatibleSite,
-    NoMatchingSite,
-    NotMergeable,
-    PlanMismatch,
-)
+from zjkit.errors import ConfigError
 from zjkit.models import (
     MiniVitSpec,
     MlpSpec,
@@ -81,24 +76,33 @@ def test_bitfit_vit_query_rows_masked():
 
 
 def test_no_matching_site():
-    with pytest.raises(NoMatchingSite):
+    with pytest.raises(ConfigError, match=r"pattern 'blocks\[7\]\.attn\.qkv' matched nothing"):
         compile_plan(parse_config("(LoRA.adapt):->(blocks[7].attn.qkv){in}"), VIT)
 
 
+def test_count_past_the_index_range_is_a_config_error():
+    # r=2**62 fits an index alone, but the [r, 16] factor does not
+    with pytest.raises(ConfigError, match=r"lora\[0\]\.a of shape \(4611686018427387904, 16\)"):
+        compile_plan(parse_config(f"(LoRA.adapt|r={2**62}):->(blocks[0].attn.qkv){{in}}"), VIT)
+    plan = compile_plan(parse_config("(LoRA.adapt|r=4):->(blocks[0].attn.qkv){in}"), VIT)
+    assert [s for _, s in plan.injections[0].params] == [(4, 16), (48, 4)]
+
+
 def test_lora_on_bias_is_incompatible():
-    with pytest.raises(IncompatibleSite):
+    with pytest.raises(ConfigError,
+                       match=r"lora needs a weight matrix, got 'blocks\[0\]\.attn\.qkv\.bias'"):
         compile_plan(
             parse_config("(LoRA.adapt):->(blocks[0].attn.qkv.bias){in}"), VIT)
 
 
 def test_prefix_requires_vit():
-    with pytest.raises(IncompatibleSite):
+    with pytest.raises(ConfigError, match="prefix has no site in a mlp model"):
         compile_plan(parse_config("(Prefix.adapt):->(layers[0]){in}"), MLP)
 
 
 def test_shared_instance_shape_check():
     # qkv is [48,16], proj is [16,16]: sharing one SSF instance must fail
-    with pytest.raises(IncompatibleSite):
+    with pytest.raises(ConfigError, match="shared instance 0 used at sites with different shapes"):
         compile_plan(parse_config(
             "(SSF.adapt):->(blocks[0].attn.qkv){out0}"
             "->(blocks[0].attn.proj){out0}"), VIT)
@@ -107,7 +111,7 @@ def test_shared_instance_shape_check():
 def test_plan_against_wrong_spec():
     plan = compile_plan(parse_config("(LinearProbe.adapt):"), MLP)
     other = MlpSpec((4, 9, 3))
-    with pytest.raises(PlanMismatch):
+    with pytest.raises(ConfigError, match="plan was compiled against a different model spec"):
         apply_plan(other, build_model(other), plan)
 
 
@@ -209,10 +213,10 @@ def test_ssf_merge_matches_adapted_forward():
 
 def test_adapter_not_mergeable():
     adapted, _, _ = _adapt(VIT, "(Adapter.adapt):->(blocks[0]){in}")
-    with pytest.raises(NotMergeable):
+    with pytest.raises(ConfigError, match=r"injections of kind \['adapter'\] cannot be merged"):
         merge_reparam(adapted)
     prefixed, _, _ = _adapt(VIT, "(Prefix.adapt):->(blocks[0]){in}")
-    with pytest.raises(NotMergeable):
+    with pytest.raises(ConfigError, match=r"injections of kind \['prefix'\] cannot be merged"):
         merge_reparam(prefixed)
 
 
@@ -276,7 +280,7 @@ def test_every_registered_method_adapts_trains_and_merges(key, family):
     assert adapt.method == key
     assert parse_config(serialize(adapt)) == adapt
     if not method.hook_free and not sites:
-        with pytest.raises(IncompatibleSite):
+        with pytest.raises(ConfigError, match=f"{key} has no site in a {spec.kind} model"):
             compile_plan(adapt, spec)
         return
     model = apply_plan(spec, build_model(spec, seed=0), compile_plan(adapt, spec), seed=1)
@@ -285,7 +289,7 @@ def test_every_registered_method_adapts_trains_and_merges(key, family):
                        TrainConfig(lr=0.05, epochs=1, batch_size=16, seed=0))
     assert all(np.isfinite(v) for v in history[0].values())
     if method.fold is None and not method.hook_free:
-        with pytest.raises(NotMergeable):
+        with pytest.raises(ConfigError, match=rf"injections of kind \['{key}'\] cannot be merged"):
             merge_reparam(model)
         return
     # a hook-free plan has no injection, so its merge is the trained base

@@ -12,7 +12,6 @@ from zjkit.checkpoint import (
     to_params,
 )
 from zjkit.errors import (
-    ChecksumMismatch,
     CorruptCheckpoint,
     IoError,
     SpecMismatch,
@@ -62,7 +61,7 @@ def test_flipped_payload_byte(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[-10] ^= 0xFF  # inside the last entry's payload
     path.write_bytes(bytes(raw))
-    with pytest.raises(ChecksumMismatch):
+    with pytest.raises(CorruptCheckpoint, match="checksum mismatch for "):
         load_checkpoint(path)
 
 

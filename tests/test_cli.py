@@ -1,29 +1,30 @@
 """CLI: config parsing, commands, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zjkit import cli, merger
+from zjkit import cli, errors, linalg, merger
 from zjkit import data as data_mod
 from zjkit.checkpoint import from_params, load_checkpoint, save_checkpoint
 from zjkit.cli import main, parse_run_config
 from zjkit.errors import (
-    BadMagic,
-    ChecksumMismatch,
+    AmbiguousAssignment,
     ConfigError,
-    ConvergenceFailure,
     CorruptCheckpoint,
+    DetachedRoot,
     IoError,
-    LabelMismatch,
-    MalformedCsv,
+    MalformedData,
     NoConvergence,
     NonFiniteLoss,
     NonFiniteValue,
     ParseError,
     ShapeMismatch,
     SpecMismatch,
+    ZjError,
 )
 from zjkit.models import MlpSpec, build_model
 
@@ -112,6 +113,22 @@ def test_plan_overflowing_rank_exit_2(tmp_path, capsys):
     code = main(["plan", "--config", _cfg(tmp_path, cfg)])
     assert code == 2
     assert "r=inf is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "train"])
+@pytest.mark.parametrize("adapt, code, words", [
+    ("(LoRA.adapt|r=1e300):->(layers[0]){inout}", 3,  # parses, but cannot be indexed
+     ["lora[0].a of shape (1000000000000000052504760255204420248704468581108159154",
+      "more elements than an array can index"]),
+    ("(LoRA.adapt|alpha=1e400):->(layers[0]){in}", 2, ["alpha=inf is not finite",
+                                                       "offset: 12"]),
+])
+def test_unusable_hyperparameter_exit_code(tmp_path, capsys, command, adapt, code, words):
+    cfg = BASE_CFG.replace("(LinearProbe.adapt):", adapt)
+    assert main([command, "--config", _cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert all(w in err for w in words)
+    assert not (tmp_path / "o" / "final.zjk1").exists()
 
 
 def test_unknown_key_exit_3(tmp_path, capsys):
@@ -284,35 +301,94 @@ def test_unwritable_output_exit_5(tmp_path, capsys):
 
 
 EXIT_CODES = [
+    (ZjError("x"), 3),  # the base class, never raised itself
     (ParseError(4, {"("}), 2),
     (ConfigError("x"), 3),
-    (ShapeMismatch("x"), 3),  # an error without a code of its own
+    (ShapeMismatch("x"), 3),
+    (DetachedRoot("x"), 3),
+    (AmbiguousAssignment("x"), 3),
     (SpecMismatch("x"), 4),
     (IoError("x"), 5),
     (CorruptCheckpoint("x"), 5),
-    (ChecksumMismatch("x"), 5),
     (FileNotFoundError("x"), 5),
-    (NonFiniteLoss("ce", float("nan")), 6),
     (NonFiniteValue("x"), 6),
-    (ConvergenceFailure("x"), 6),
+    (NonFiniteLoss("ce", float("nan")), 6),
     (NoConvergence("x"), 6),
-    (BadMagic("x"), 7),
-    (LabelMismatch("x"), 7),
-    (MalformedCsv("x"), 7),
+    (MalformedData("x"), 7),
 ]
 
 
-@pytest.mark.parametrize("exc, code", EXIT_CODES,
-                         ids=[type(e).__name__ for e, _ in EXIT_CODES])
-def test_exit_code_table(monkeypatch, capsys, exc, code):
-    def fail(cfg, args):
+def _raising(exc):
+    def site(tmp_path):
         raise exc
+    return site
+
+
+def _file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _flipped_payload(tmp_path):
+    blob = bytearray(Path(_ptm(tmp_path)).read_bytes())
+    blob[-6] ^= 0xFF  # a payload byte of the last entry; its CRC32 follows
+    return _file(tmp_path, "flipped.zjk1", bytes(blob))
+
+
+# Failures that had a class of their own until it was folded into the class
+# that now reports them, raised at their real site; the id is the old name.
+FOLDED = {
+    "BadMagic": (lambda tmp: data_mod.load_idx(_file(tmp, "img", bytes(16)),
+                                               _file(tmp, "lab", bytes(8))),
+                 MalformedData, 7),
+    "LabelMismatch": (lambda tmp: data_mod.load_csv(_file(tmp, "d.csv", b"1,2,0.5\n")),
+                      MalformedData, 7),
+    "MalformedCsv": (lambda tmp: data_mod.load_csv(_file(tmp, "d.csv", b"1,2,0\n1,2\n")),
+                     MalformedData, 7),
+    "ChecksumMismatch": (lambda tmp: load_checkpoint(_flipped_payload(tmp)),
+                         CorruptCheckpoint, 5),
+    "ConvergenceFailure": (lambda tmp: linalg.svd(np.full((2, 2), np.nan)),
+                           NoConvergence, 6),
+}
+
+
+@pytest.mark.parametrize(
+    "site, cls, code",
+    [(_raising(e), type(e), c) for e, c in EXIT_CODES] + list(FOLDED.values()),
+    ids=[type(e).__name__ for e, _ in EXIT_CODES] + list(FOLDED))
+def test_exit_code_table(monkeypatch, capsys, tmp_path, site, cls, code):
+    with pytest.raises(cls) as info:
+        site(tmp_path)
+    exc = info.value
+    assert type(exc) is cls
+
+    def fail(cfg, args):
+        site(tmp_path)
 
     monkeypatch.setattr(cli, "cmd_inspect", fail)
     assert main(["inspect"]) == code
     err = capsys.readouterr().err
     assert f"error: {exc}" in err
     assert ("offset: 4" in err) == isinstance(exc, ParseError)
+
+
+def test_error_classes_match_the_readme_table():
+    """Every error class, and no other, is in the exit-code table, at its code."""
+    classes = [errors.ZjError, *errors.ZjError.__subclasses__()]
+    assert sorted(c.__name__ for c in classes) == sorted(
+        type(e).__name__ for e, _ in EXIT_CODES if isinstance(e, ZjError))
+    assert all(not c.__subclasses__() for c in classes[1:])  # one level deep
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        m = re.match(r"\| `(\d)` \| (.*) \|$", line)
+        if m:
+            rows[int(m.group(1))] = set(re.findall(r"`(\w+)`", m.group(2)))
+    for cls in classes[1:]:
+        assert cls.__name__ in rows.get(cls.exit_code, ()), cls.__name__
+    # and the table names no class that is gone
+    assert set().union(*rows.values()) <= {c.__name__ for c in classes} | {"ValueError"}
 
 
 # -- malformed run-config values -----------------------------------------
@@ -328,6 +404,8 @@ def test_exit_code_table(monkeypatch, capsys, exc, code):
     ("data.source", "blobs(k=0)", "blobs(k=0)"),
     ("data.source", "csv()", "needs path"),
     ("tuner.loss", "ce,fsp:1:pairs=a>b", "fsp"),
+    ("tuner.loss", "ce,kd_kl:1:T=0", "temperature must be positive"),
+    ("tuner.reg", "spec_norm:1:iters=0", "iters must be >= 1"),
 ])
 def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
     text = _with("teacher.weights", _ptm(tmp_path), _with(key, value))
@@ -344,13 +422,31 @@ def test_data_source_arguments_take_the_type_of_their_default():
     assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
 
 
-def test_malformed_merge_value_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("kind, key, value, word", [
+    ("wise_ft", "merger.alpha", "half", "merger.alpha"),
+    ("wise_ft", "merger.alpha", "2", "alpha 2.0 outside [0,1]"),
+    ("repair", "merger.alpha", "-0.5", "alpha -0.5 outside [0,1]"),
+    ("fisher", "merger.lams", "-1,1", "nonnegative lambdas with positive sum"),
+    ("fisher", "merger.lams", "0,0", "nonnegative lambdas with positive sum"),
+    ("fisher", "merger.lams", "1,nan", "need finite nonnegative lambdas"),
+    ("fisher", "merger.lams", "1", "1 lambdas for 2 checkpoints"),
+])
+def test_malformed_merge_value_exit_3(tmp_path, capsys, kind, key, value, word):
     ck = _ptm(tmp_path)
-    text = _with("merger.alpha", "half", _with("merger.kind", "wise_ft"))
+    text = _with(key, value, _with("merger.samples", "16", _with("merger.kind", kind)))
     code = main(["merge", "--config", _cfg(tmp_path, text),
                  "--out", str(tmp_path / "o"), "--ckpt", ck, "--ckpt", ck])
     assert code == 3
-    assert "merger.alpha" in capsys.readouterr().err
+    assert word in capsys.readouterr().err
+    assert not (tmp_path / "o" / "merged.zjk1").exists()
+
+
+def test_unknown_ensemble_mode_exit_3(tmp_path, capsys):
+    ck = _ptm(tmp_path)
+    code = main(["eval", "--config", _cfg(tmp_path, _with("merger.ensemble", "bogus")),
+                 "--ckpt", ck, "--ckpt", ck])
+    assert code == 3
+    assert "unknown ensemble mode 'bogus'" in capsys.readouterr().err
 
 
 # -- fisher merge ----------------------------------------------------------
@@ -413,6 +509,16 @@ def test_ot_fusion_bad_eps_or_iters_exit_3(tmp_path, capsys, key, value):
                  "--out", str(tmp_path / "o"), "--ckpt", ck, "--ckpt", ck])
     assert code == 3
     assert key in capsys.readouterr().err
+
+
+def test_ot_fusion_of_a_non_finite_checkpoint_exit_6(tmp_path, capsys):
+    ck = load_checkpoint(_ptm(tmp_path))
+    ck.entries["layers[0].weight"][3, 1] = np.inf
+    save_checkpoint(ck, tmp_path / "inf.zjk1")
+    code = main(["merge", "--config", _cfg(tmp_path, OT_CFG), "--out", str(tmp_path / "o"),
+                 "--ckpt", _ptm(tmp_path), "--ckpt", str(tmp_path / "inf.zjk1")])
+    assert code == 6
+    assert "cost matrix contains NaN/Inf" in capsys.readouterr().err
 
 
 def test_ot_fusion_reports_sinkhorn_per_layer(tmp_path):

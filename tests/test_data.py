@@ -13,7 +13,7 @@ from zjkit.data import (
     moons,
     token_xor,
 )
-from zjkit.errors import BadMagic, IoError, LabelMismatch, MalformedCsv
+from zjkit.errors import IoError, MalformedData
 
 
 def test_split_arithmetic():
@@ -85,13 +85,13 @@ def test_idx_round_trip(tmp_path):
 
 def test_idx_bad_magic(tmp_path):
     img, lab = _write_idx(tmp_path, image_magic=0x123)
-    with pytest.raises(BadMagic):
+    with pytest.raises(MalformedData, match="bad image magic in "):
         load_idx(img, lab)
 
 
 def test_idx_count_mismatch(tmp_path):
     img, lab = _write_idx(tmp_path, n_labels=7)
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(MalformedData, match="10 images vs 7 labels"):
         load_idx(img, lab)
 
 
@@ -120,7 +120,7 @@ def test_csv_headerless(tmp_path):
 def test_csv_ragged_row_diagnostic(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,2,0\n1,2\n")
-    with pytest.raises(MalformedCsv) as exc:
+    with pytest.raises(MalformedData, match="expected 3 columns, got 2") as exc:
         load_csv(p)
     assert "row 1" in str(exc.value)
 
@@ -128,7 +128,7 @@ def test_csv_ragged_row_diagnostic(tmp_path):
 def test_csv_non_numeric_cell_diagnostic(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,2,0\n1,oops,1\n")
-    with pytest.raises(MalformedCsv) as exc:
+    with pytest.raises(MalformedData, match="non-numeric 'oops'") as exc:
         load_csv(p)
     assert "row 1" in str(exc.value) and "column 1" in str(exc.value)
 
@@ -136,5 +136,5 @@ def test_csv_non_numeric_cell_diagnostic(tmp_path):
 def test_csv_fractional_labels_rejected(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,2,0.5\n")
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(MalformedData, match="label column must hold nonnegative integers"):
         load_csv(p)

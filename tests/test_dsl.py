@@ -41,6 +41,7 @@ INVALID = [
     ("(LoRA.adapt|r=2.5):->(x){in}", 0),  # count that is not an integer
     ("(LoRA.adapt|r=1e400):->(x){in}", 0),  # count that overflows to inf
     ("(PartialK.adapt|k=1e400):", 0),     # the same for partial-k
+    ("(LoRA.adapt|alpha=1e400):->(x){in}", 12),  # a value that overflows to inf
 ]
 
 

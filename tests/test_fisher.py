@@ -6,7 +6,7 @@ import pytest
 from zjkit import data as data_mod
 from zjkit import tensor as T
 from zjkit.checkpoint import Checkpoint, from_params, to_params
-from zjkit.errors import EmptyInput, ShapeMismatch, SpecMismatch
+from zjkit.errors import ConfigError, ShapeMismatch, SpecMismatch
 from zjkit.merger import FisherDiag, fisher_estimate, fisher_merge
 from zjkit.models import MiniVitSpec, MlpSpec, build_model, forward
 from zjkit.tensor import Tensor
@@ -96,7 +96,7 @@ def test_fisher_rejects_empty_train_split():
     ckpt, ds = _case(RELU, 60)
     empty = data_mod.Dataset(ds.x, ds.y, ds.n_classes,
                              {**ds.splits, "train": np.array([], dtype=np.int64)})
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ConfigError, match="needs a non-empty train split"):
         fisher_estimate(RELU, ckpt, empty, n_samples=4)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zjkit.errors import BadPattern, ShapeMismatch, UnknownHook, UnknownPath
+from zjkit.errors import ConfigError, ShapeMismatch
 from zjkit.models import (
     MiniVitSpec,
     MlpSpec,
@@ -67,7 +67,7 @@ def test_store_get_set_and_order():
     store.set("b", Tensor([1.0]))
     store.set("a", Tensor([2.0]))
     assert store.paths() == ["a", "b"]  # lexicographic
-    with pytest.raises(UnknownPath):
+    with pytest.raises(ConfigError, match="unknown parameter path 'c'"):
         store.get("c")
     with pytest.raises(ShapeMismatch):
         store.set("a", Tensor([1.0, 2.0]))
@@ -107,8 +107,10 @@ def test_select_paths_empty_range():
 
 def test_bad_patterns():
     store = build_model(VIT)
-    for bad in ("", "blocks[", "blocks[x]", "blocks[1:z]", "1abc"):
-        with pytest.raises(BadPattern):
+    for bad, word in (("", "empty pattern"), ("blocks[", "bad segment"),
+                      ("blocks[x]", "bad index"), ("blocks[1:z]", "bad range"),
+                      ("1abc", "bad segment")):
+        with pytest.raises(ConfigError, match=word):
             select_paths(store, bad)
 
 
@@ -148,7 +150,7 @@ def test_vit_capture_bit_identity():
 
 def test_unknown_hook_rejected():
     store = build_model(VIT)
-    with pytest.raises(UnknownHook):
+    with pytest.raises(ConfigError, match=r"unknown hook blocks\[9\]\.output"):
         forward(VIT, store, Tensor(np.zeros((1, 4, 8))), {"blocks[9].output"})
 
 
