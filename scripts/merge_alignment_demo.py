@@ -40,7 +40,7 @@ def main():
     ckpts = []
     for seed in (args.seed, args.seed + 1):
         model = apply_plan(spec, build_model(spec, seed=seed),
-                           cli._full_finetune_plan(spec), seed=seed)
+                           cli._plan({}, spec), seed=seed)
         cfg = TrainConfig(lr=0.3, epochs=args.epochs, batch_size=16, seed=seed)
         ckpt, _ = train(model, None, ds, LossSpec(), RegSpec(), cfg)
         ckpts.append(ckpt)

@@ -7,7 +7,8 @@ Covers ``tuner.train`` (checkpoint and history) for each loss and
 regularizer kind alone and all together under SGD and AdamW, each
 adaptation method on both model families (plus ``merge_reparam`` where it
 applies), each merge recipe, and the plan -> train -> merge -> eval CLI
-pipeline of acceptance criterion 10. Run it on two trees and ``diff`` the
+pipeline of acceptance criterion 10, plus a greedy soup and a two-checkpoint
+probability ensemble through the CLI. Run it on two trees and ``diff`` the
 outputs to see which outputs a change moves. The last line digests all
 the others.
 """
@@ -216,22 +217,31 @@ def merge_digests(out, tmp):
 
 
 def cli_digests(out, tmp):
-    cfg = os.path.join(tmp, "run.cfg")
+    cfg, soup_cfg = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "soup.cfg")
     with open(cfg, "w") as fh:
         fh.write(PIPE_CFG)
+    with open(soup_cfg, "w") as fh:
+        fh.write(PIPE_CFG + "merger.kind=greedy_soup\n")
     run = os.path.join(tmp, "pipe")
-    ck = os.path.join(run, "t", "final.zjk1")
+    ck, ck2 = (os.path.join(run, d, "final.zjk1") for d in ("t", "t2"))
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in (["plan", "--config", cfg],
                      ["train", "--config", cfg, "--out", os.path.join(run, "t")],
                      ["merge", "--config", cfg, "--out", os.path.join(run, "m"),
                       "--ckpt", ck, "--ckpt", ck],
                      ["eval", "--config", cfg, "--out", os.path.join(run, "e"),
-                      "--ckpt", os.path.join(run, "m", "merged.zjk1")]):
+                      "--ckpt", os.path.join(run, "m", "merged.zjk1")],
+                     # a second run; a greedy soup of both; their prob ensemble
+                     ["train", "--config", cfg, "--seed", "8", "--out", os.path.join(run, "t2")],
+                     ["merge", "--config", soup_cfg, "--out", os.path.join(run, "g"),
+                      "--ckpt", ck, "--ckpt", ck2],
+                     ["eval", "--config", cfg, "--out", os.path.join(run, "e2"),
+                      "--ckpt", ck, "--ckpt", ck2]):
             code = cli.main(argv)
             if code != 0:
                 raise SystemExit(f"zjkit {argv[0]} exited {code}")
-    for rel in ("t/final.zjk1", "t/history.jsonl", "m/merged.zjk1", "e/metrics.json"):
+    for rel in ("t/final.zjk1", "t/history.jsonl", "m/merged.zjk1", "e/metrics.json",
+                "t2/final.zjk1", "g/merged.zjk1", "e2/metrics.json"):
         with open(os.path.join(run, rel), "rb") as fh:
             out[f"cli/{rel}"] = sha(fh.read())
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import checkpoint as ckpt_mod
 from . import tensor as T
 from .errors import ConfigError
-from .models import ParamStore, match_prefixes, spec_digest
+from .models import ParamStore, check_shapes, match_prefixes
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -170,10 +170,7 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
                 idx, next_auto = next_auto, next_auto + 1
             params = tuple((f"{adapt.method}[{idx}].{leaf}", shape) for (leaf, _), shape
                            in zip(method.params, method.shapes(valid[site], hyper)))
-            for path, shape in params:
-                if math.prod(shape) > np.iinfo(np.intp).max:
-                    raise ConfigError(f"{path} of shape {shape} has more elements "
-                                      "than an array can index")
+            check_shapes(dict(params))
             if seen_instances.setdefault(idx, params) != params:
                 raise ConfigError(
                     f"shared instance {idx} used at sites with different shapes")
@@ -242,7 +239,7 @@ class AdaptedModel:
         return None
 
     def forward(self, x, capture=()):
-        from .models import forward
+        from .models import forward  # looked up per call, so a wrapper on models.forward applies
         return forward(self.spec, self.base, x, capture, adapters=self)
 
     def trainable(self):
@@ -285,8 +282,7 @@ def merge_reparam(adapted: AdaptedModel):
         leaves = [adapted.extras.get(p).data for p, _ in inj.params]
         merged[w], merged[b] = METHODS[inj.kind].fold(
             adapted.plan.hyper, merged[w], merged[b], *leaves)
-    entries = {p: merged[p].astype(np.float32) for p in sorted(merged)}
-    return ckpt_mod.Checkpoint(adapted.spec.kind, spec_digest(adapted.spec), entries)
+    return ckpt_mod.from_params(adapted.spec).with_entries(merged)
 
 
 def plan_table(plan: AdaptationPlan, shapes=None):

@@ -36,14 +36,20 @@ class Checkpoint:
     digest: bytes
     entries: dict = field(default_factory=dict)  # path -> np.float32 array
 
-    def clone(self):
+    def with_entries(self, arrays):
+        """A checkpoint of this kind and digest holding float32 copies of the
+        given path -> array map, sorted by path."""
         return Checkpoint(self.kind, self.digest,
-                          {p: a.copy() for p, a in self.entries.items()})
+                          {p: arrays[p].astype(np.float32) for p in sorted(arrays)})
+
+    def clone(self):
+        return self.with_entries(self.entries)
 
 
-def from_params(spec, params: ParamStore) -> Checkpoint:
-    entries = {p: t.data.astype(np.float32) for p, t in params.items()}
-    return Checkpoint(spec.kind, spec_digest(spec), entries)
+def from_params(spec, *stores: ParamStore) -> Checkpoint:
+    """The parameters of every store, packed under the spec's digest."""
+    return Checkpoint(spec.kind, spec_digest(spec)).with_entries(
+        {p: t.data for store in stores for p, t in store.items()})
 
 
 def to_params(spec, ckpt: Checkpoint) -> ParamStore:

@@ -195,37 +195,21 @@ def _parse_terms(text, default=None):
     return terms
 
 
-def _full_finetune_plan(spec):
+def _plan(cfg, spec):
+    """The plan compiled from architect.config; full fine-tuning without one."""
+    text = cfg.get("architect.config")
+    if text:
+        return architect.compile_plan(dsl.parse_config(text), spec)
     plan = architect.AdaptationPlan("finetune", {}, spec.canonical())
     plan.trainable_original = set(spec.param_shapes())
     return plan
 
 
-def _build_adapted(cfg, spec, params, seed):
-    text = cfg.get("architect.config")
-    if text:
-        adapt = dsl.parse_config(text)
-        plan = architect.compile_plan(adapt, spec)
-    else:
-        plan = _full_finetune_plan(spec)
-    return architect.apply_plan(spec, params, plan, seed=seed), plan
-
-
-def _load_ckpt(path):
-    if not os.path.exists(path):
-        raise IoError(f"no such file: {path}")
-    return ckpt_mod.load_checkpoint(path)
-
-
-def _model_for_eval(cfg, spec, ckpt, seed):
-    """Forward-capable model from a checkpoint, replaying the plan if any."""
-    base_paths = set(spec.param_shapes())
-    extras = {p for p in ckpt.entries if p not in base_paths}
-    base_ckpt = ckpt_mod.Checkpoint(ckpt.kind, ckpt.digest,
-                                    {p: a for p, a in ckpt.entries.items()
-                                     if p in base_paths})
-    adapted, _ = _build_adapted(cfg, spec, ckpt_mod.to_params(spec, base_ckpt), seed)
-    for p in sorted(extras):
+def _model_for_eval(spec, plan, ckpt, seed):
+    """Forward-capable model from a checkpoint: the plan applied to its spec
+    entries, then its other entries (the plan's new parameters) set."""
+    adapted = architect.apply_plan(spec, ckpt_mod.to_params(spec, ckpt), plan, seed=seed)
+    for p in sorted(set(ckpt.entries) - set(spec.param_shapes())):
         adapted.extras.set(p, Tensor(ckpt.entries[p].astype(np.float64),
                                      requires_grad=True))
     return adapted
@@ -236,8 +220,17 @@ def _model_for_eval(cfg, spec, ckpt, seed):
 
 def _out_dir(cfg, args):
     out = args.out or cfg.get("out_dir") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"output directory {out!r}: {exc}") from None
     return out
+
+
+def _write_json(path, obj):
+    with ckpt_mod.atomic_open(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_resolved(cfg, out):
@@ -247,27 +240,24 @@ def _write_resolved(cfg, out):
 
 def cmd_plan(cfg, args):
     spec = _model_spec(cfg)
-    text = cfg.get("architect.config")
-    if not text:
+    if not cfg.get("architect.config"):
         raise ConfigError("plan requires architect.config")
-    adapt = dsl.parse_config(text)
-    plan = architect.compile_plan(adapt, spec)
-    print(architect.plan_table(plan, spec.param_shapes()))
+    print(architect.plan_table(_plan(cfg, spec), spec.param_shapes()))
     return 0
 
 
 def cmd_train(cfg, args):
+    out = _out_dir(cfg, args)
     seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
     ds = _load_dataset(cfg, seed)
     pretrained = [p for p in cfg.get("pretrained_weights", "").split(",") if p]
-    ref_params = None
+    ref_params = None  # apply_plan copies the store, so training leaves it as loaded
     if pretrained:
-        params = ckpt_mod.to_params(spec, _load_ckpt(pretrained[0]))
-        ref_params = ckpt_mod.to_params(spec, _load_ckpt(pretrained[0]))
+        params = ref_params = ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(pretrained[0]))
     else:
         params = build_model(spec, seed=seed)
-    adapted, plan = _build_adapted(cfg, spec, params, seed)
+    adapted = architect.apply_plan(spec, params, _plan(cfg, spec), seed=seed)
 
     loss_spec = tuner.LossSpec(_parse_terms(
         cfg.get("tuner.loss"), default=[tuner.LossTerm("ce")]))
@@ -279,7 +269,7 @@ def cmd_train(cfg, args):
         tw = cfg.get("teacher.weights")
         if not tw:
             raise ConfigError("distillation terms require teacher.weights")
-        teacher = tuner.Teacher(spec, ckpt_mod.to_params(spec, _load_ckpt(tw)))
+        teacher = tuner.Teacher(spec, ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(tw)))
     train_cfg = tuner.TrainConfig(
         optimizer=cfg.get("tuner.optimizer", "sgd"),
         lr=_num(cfg.get("tuner.lr", 0.1), "tuner.lr"),
@@ -292,7 +282,6 @@ def cmd_train(cfg, args):
     )
     ckpt, history = tuner.train(adapted, teacher, ds, loss_spec, reg_spec,
                                 train_cfg, ref_params=ref_params)
-    out = _out_dir(cfg, args)
     ckpt_mod.save_checkpoint(ckpt, os.path.join(out, "final.zjk1"))
     with ckpt_mod.atomic_open(os.path.join(out, "history.jsonl")) as fh:
         for entry in history:
@@ -306,25 +295,26 @@ def cmd_train(cfg, args):
 
 
 def cmd_merge(cfg, args):
+    out = _out_dir(cfg, args)
     seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
-    ckpts = [_load_ckpt(p) for p in args.ckpt]
+    ckpts = [ckpt_mod.load_checkpoint(p) for p in args.ckpt]
     if not ckpts:
         raise ConfigError("merge needs at least one --ckpt")
     kind = cfg.get("merger.kind", "uniform_soup")
+    if kind in ("wise_ft", "ot_fusion", "git_rebasin", "repair") and len(ckpts) != 2:
+        raise ConfigError(f"{kind} needs exactly two checkpoints")
     report = {"recipe": kind, "ingredients": list(args.ckpt)}
     if kind == "uniform_soup":
         merged = merger.uniform_soup(ckpts)
     elif kind == "greedy_soup":
         ds = _load_dataset(cfg, seed)
-        x_val, y_val = ds.split("val")
+        plan = _plan(cfg, spec)
         merged, order = merger.greedy_soup(
-            ckpts, (x_val, y_val),
-            lambda c, vd: tuner.accuracy(_model_for_eval(cfg, spec, c, seed), *vd))
+            ckpts, ds.split("val"),
+            lambda c, vd: tuner.accuracy(_model_for_eval(spec, plan, c, seed), *vd))
         report["accepted"] = [args.ckpt[i] for i in order]
     elif kind == "wise_ft":
-        if len(ckpts) != 2:
-            raise ConfigError("wise_ft needs exactly two checkpoints (ptm, finetuned)")
         merged = merger.wise_ft(ckpts[0], ckpts[1],
                                 _num(cfg.get("merger.alpha", 0.5), "merger.alpha"))
     elif kind == "fisher":
@@ -340,8 +330,6 @@ def cmd_merge(cfg, args):
             lams = [_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]
         merged = merger.fisher_merge(ckpts, fishers, lams)
     elif kind == "ot_fusion":
-        if len(ckpts) != 2:
-            raise ConfigError("ot_fusion needs exactly two checkpoints")
         eps = _num(cfg.get("merger.eps", 0.01), "merger.eps")
         if not (np.isfinite(eps) and eps > 0):
             raise ConfigError(f"merger.eps must be positive and finite, got {eps}")
@@ -352,8 +340,6 @@ def cmd_merge(cfg, args):
         report["permutation"] = merger.permutation_summary(perm)
         report["sinkhorn"] = perm.stats
     elif kind == "git_rebasin":
-        if len(ckpts) != 2:
-            raise ConfigError("git_rebasin needs exactly two checkpoints")
         sweeps = _num(cfg.get("merger.sweeps", 20), "merger.sweeps", int)
         perm, history = merger.weight_match(ckpts[0], ckpts[1], max_sweeps=sweeps)
         aligned = merger.permute_model(ckpts[1], perm)
@@ -361,8 +347,6 @@ def cmd_merge(cfg, args):
         report["permutation"] = merger.permutation_summary(perm)
         report["objective"] = history
     elif kind == "repair":
-        if len(ckpts) != 2:
-            raise ConfigError("repair needs exactly two endpoint checkpoints")
         alpha = _num(cfg.get("merger.alpha", 0.5), "merger.alpha")
         interp = merger.wise_ft(ckpts[1], ckpts[0], alpha)  # weight alpha on a
         ds = _load_dataset(cfg, seed)
@@ -371,27 +355,27 @@ def cmd_merge(cfg, args):
                                x_train[:256], log=log.info)
     else:
         raise ConfigError(f"unknown merger.kind {kind!r}")
-    out = _out_dir(cfg, args)
     ckpt_mod.save_checkpoint(merged, os.path.join(out, "merged.zjk1"))
-    with ckpt_mod.atomic_open(os.path.join(out, "merge_report.json")) as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out, "merge_report.json"), report)
     _write_resolved(cfg, out)
     print(f"merged {len(ckpts)} checkpoints with {kind}")
     return 0
 
 
 def cmd_eval(cfg, args):
+    out = _out_dir(cfg, args) if args.out or cfg.get("out_dir") else None
     seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
     ds = _load_dataset(cfg, seed)
     split = "test"
     x, y = ds.split(split)
-    ckpts = [_load_ckpt(p) for p in args.ckpt]
+    ckpts = [ckpt_mod.load_checkpoint(p) for p in args.ckpt]
     if not ckpts:
         raise ConfigError("eval needs at least one --ckpt")
-    models = [_model_for_eval(cfg, spec, c, seed) for c in ckpts]
+    plan = _plan(cfg, spec)
+    models = [_model_for_eval(spec, plan, c, seed) for c in ckpts]
     mode = cfg.get("merger.ensemble", "prob")
+    pred_mode = mode if len(models) > 1 else "logits"  # one model: its own argmax
     all_preds = []
     total_loss = 0.0
     for lo in range(0, x.shape[0], 256):
@@ -401,13 +385,8 @@ def cmd_eval(cfg, args):
         total_loss += float(
             tuner.cross_entropy(Tensor(fused), y[lo:lo + 256]).item()
         ) * xb.shape[0]
-        if len(models) == 1:
-            all_preds.append(np.argmax(logits_list[0], axis=1))
-        elif mode == "vote":
-            all_preds.append(merger.combine_logits(logits_list, "vote"))
-        else:
-            all_preds.append(
-                np.argmax(merger.combine_logits(logits_list, mode), axis=1))
+        combined = merger.combine_logits(logits_list, pred_mode)
+        all_preds.append(combined if pred_mode == "vote" else np.argmax(combined, axis=1))
     preds = np.concatenate(all_preds) if all_preds else np.zeros(0, dtype=int)
     acc = float((preds == y).mean()) if len(y) else 0.0
     per_class = {}
@@ -423,11 +402,8 @@ def cmd_eval(cfg, args):
         "ensemble": mode if len(models) > 1 else None,
     }
     print(json.dumps(metrics, sort_keys=True))
-    if args.out or cfg.get("out_dir"):
-        out = _out_dir(cfg, args)
-        with ckpt_mod.atomic_open(os.path.join(out, "metrics.json")) as fh:
-            json.dump(metrics, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    if out:
+        _write_json(os.path.join(out, "metrics.json"), metrics)
         _write_resolved(cfg, out)
     if log.isEnabledFor(logging.INFO):
         width = max(len(k) for k in metrics)
@@ -438,7 +414,7 @@ def cmd_eval(cfg, args):
 
 def cmd_inspect(cfg, args):
     for path in args.ckpt:
-        ckpt = _load_ckpt(path)
+        ckpt = ckpt_mod.load_checkpoint(path)
         print(f"{path}: kind={ckpt.kind} digest={ckpt.digest.hex()[:16]}...")
         for p in sorted(ckpt.entries):
             a = ckpt.entries[p]

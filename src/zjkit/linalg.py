@@ -22,11 +22,16 @@ def svd(a):
     m, n = mat.shape
     if m > MAX_SIDE or n > MAX_SIDE:
         raise ShapeMismatch(f"svd limited to {MAX_SIDE}x{MAX_SIDE}, got {mat.shape}")
+    u, s, vt = thin_svd(mat)
+    return Tensor(u), Tensor(s), Tensor(vt.T)
+
+
+def thin_svd(mat):
+    """``np.linalg.svd(mat, full_matrices=False)``; a LinAlgError is NoConvergence."""
     try:
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        return np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return Tensor(u), Tensor(s), Tensor(vt.T)
 
 
 def spectral_norm(w, iters=50, seed=0):

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import tensor as T
 from .checkpoint import Checkpoint, to_params
 from .errors import ConfigError, NoConvergence, NonFiniteValue, ShapeMismatch, SpecMismatch
 from .models import forward
@@ -48,12 +49,6 @@ def _check_aligned(checkpoints):
                 raise ShapeMismatch(f"{p}: {a.shape} vs {c.entries[p].shape}")
 
 
-def _rebuild(template: Checkpoint, entries):
-    return Checkpoint(template.kind, template.digest,
-                      {p: np.asarray(entries[p], dtype=np.float32)
-                       for p in sorted(entries)})
-
-
 # -- soups and interpolation --------------------------------------------
 
 
@@ -64,7 +59,7 @@ def uniform_soup(checkpoints) -> Checkpoint:
     for p in checkpoints[0].entries:
         out[p] = np.mean([c.entries[p].astype(np.float64) for c in checkpoints],
                          axis=0)
-    return _rebuild(checkpoints[0], out)
+    return checkpoints[0].with_entries(out)
 
 
 def greedy_soup(checkpoints, val_data, eval_fn):
@@ -104,7 +99,7 @@ def wise_ft(ptm: Checkpoint, finetuned: Checkpoint, alpha) -> Checkpoint:
     out = {p: (1.0 - alpha) * ptm.entries[p].astype(np.float64)
            + alpha * finetuned.entries[p].astype(np.float64)
            for p in ptm.entries}
-    return _rebuild(ptm, out)
+    return ptm.with_entries(out)
 
 
 # -- Fisher merging -----------------------------------------------------
@@ -133,7 +128,6 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0,
     order of a per-sample loop (``integers`` for a row, then ``choice`` for
     its label), so the result equals that loop's up to rounding.
     """
-    from . import tensor as T
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     if label_mode not in ("sampled", "true"):
@@ -158,8 +152,7 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0,
             ahead.random()
     logits, _ = forward(spec, params, Tensor(x_train[idx]))
     if sampled:
-        probs = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = T.softmax(logits.detach()).data
         rng = np.random.default_rng(seed)
         labels = np.empty(n_samples, dtype=np.int64)
         for j in range(n_samples):
@@ -174,7 +167,7 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0,
     return FisherDiag(entries, idx, labels)
 
 
-def fisher_merge(checkpoints, fishers, lams=None, eps_floor=EPS_FLOOR) -> Checkpoint:
+def fisher_merge(checkpoints, fishers, lams=None) -> Checkpoint:
     """Precision-weighted average: theta* = sum(l F theta) / sum(l F).
 
     Elements where every Fisher is zero fall back to the plain
@@ -205,9 +198,9 @@ def fisher_merge(checkpoints, fishers, lams=None, eps_floor=EPS_FLOOR) -> Checkp
             den += l * fe
             plain += l * theta
         plain /= sum(lams)
-        merged = num / (den + eps_floor)
+        merged = num / (den + EPS_FLOOR)
         out[p] = np.where(den > 0, merged, plain)
-    return _rebuild(checkpoints[0], out)
+    return checkpoints[0].with_entries(out)
 
 
 # -- optimal transport --------------------------------------------------
@@ -305,19 +298,16 @@ class Permutation:
         return Permutation([np.argsort(m) for m in self.maps])
 
 
-def _mlp_layers(ckpt: Checkpoint):
+def _require_mlp(ckpt: Checkpoint):
+    """Layer count of an mlp checkpoint."""
+    if ckpt.kind != "mlp":
+        raise ConfigError(f"operation defined for mlp models, got {ckpt.kind!r}")
     n = 0
     while f"layers[{n}].weight" in ckpt.entries:
         n += 1
     if n == 0:
         raise ConfigError("checkpoint has no layers[i].weight entries")
     return n
-
-
-def _require_mlp(ckpt: Checkpoint):
-    if ckpt.kind != "mlp":
-        raise ConfigError(f"operation defined for mlp models, got {ckpt.kind!r}")
-    return _mlp_layers(ckpt)
 
 
 def permute_model(ckpt: Checkpoint, perm: Permutation) -> Checkpoint:
@@ -333,7 +323,7 @@ def permute_model(ckpt: Checkpoint, perm: Permutation) -> Checkpoint:
         out[f"layers[{l}].weight"] = w[pmap, :]
         out[f"layers[{l}].bias"] = out[f"layers[{l}].bias"][pmap]
         out[f"layers[{l + 1}].weight"] = out[f"layers[{l + 1}].weight"][:, pmap]
-    return _rebuild(ckpt, out)
+    return ckpt.with_entries(out)
 
 
 def _match_objective(a, b, maps, n_layers):
@@ -450,8 +440,7 @@ def _mlp_preacts(spec, ckpt, x):
     return {h: t.data for h, t in trace.items()}
 
 
-def repair(interp: Checkpoint, endpoints, spec, calib_x,
-           min_std=1e-8, log=None) -> Checkpoint:
+def repair(interp: Checkpoint, endpoints, spec, calib_x, log=None) -> Checkpoint:
     """Per-unit affine correction of an interpolated network.
 
     Targets are the alpha-weighted endpoint preactivation statistics
@@ -471,20 +460,20 @@ def repair(interp: Checkpoint, endpoints, spec, calib_x,
     out = {p: v.astype(np.float64) for p, v in interp.entries.items()}
     for l in range(spec.n_layers - 1):
         hook = f"layers[{l}].preact"
-        cur = _mlp_preacts(spec, _rebuild(interp, out), calib_x)[hook]
+        cur = _mlp_preacts(spec, interp.with_entries(out), calib_x)[hook]
         m_t = alpha * stats_a[hook].mean(0) + (1 - alpha) * stats_b[hook].mean(0)
         s_t = alpha * stats_a[hook].std(0) + (1 - alpha) * stats_b[hook].std(0)
         m_c = cur.mean(0)
         s_c = cur.std(0)
         scale = np.ones_like(s_c)
-        ok = s_c >= min_std
+        ok = s_c >= 1e-8  # a unit with less spread gets a shift only
         scale[ok] = s_t[ok] / s_c[ok]
         if not ok.all() and log is not None:
             log(f"layer {l}: {int((~ok).sum())} degenerate units, shift-only")
         shift = m_t - scale * m_c
         out[f"layers[{l}].weight"] = scale[:, None] * out[f"layers[{l}].weight"]
         out[f"layers[{l}].bias"] = scale * out[f"layers[{l}].bias"] + shift
-    return _rebuild(interp, out)
+    return interp.with_entries(out)
 
 
 # -- prediction mergers -------------------------------------------------
@@ -502,10 +491,7 @@ def combine_logits(logits_list, mode):
     if mode == "logits":
         return stack.mean(axis=0)
     if mode == "prob":
-        z = stack - stack.max(axis=-1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=-1, keepdims=True)
-        return p.mean(axis=0)
+        return T.softmax(Tensor(stack)).data.mean(axis=0)
     if mode == "vote":
         preds = stack.argmax(axis=-1)  # [models, n]
         n_class = shape[-1]
@@ -543,11 +529,7 @@ class NcmClassifier:
     def fit(self, features, labels):
         from .tuner import fit_class_means
         labels = np.asarray(labels)
-        n_classes = int(labels.max()) + 1
-        for c in range(n_classes):
-            if not (labels == c).any():
-                raise ConfigError(f"class {c} has no samples")
-        self.means = fit_class_means(features, labels, n_classes)
+        self.means = fit_class_means(features, labels, int(labels.max()) + 1)
         return self
 
     def predict(self, features):

@@ -26,6 +26,14 @@ from .tensor import Tensor
 # -- specs --------------------------------------------------------------
 
 
+def check_shapes(shapes):
+    """Reject a path -> shape map with a shape no array can index."""
+    for path, shape in shapes.items():
+        if math.prod(shape) > np.iinfo(np.intp).max:
+            raise ConfigError(f"{path} of shape {shape} has more elements "
+                              "than an array can index")
+
+
 @dataclass(frozen=True)
 class MlpSpec:
     widths: tuple  # input width, hidden widths..., class count
@@ -38,6 +46,7 @@ class MlpSpec:
             raise ConfigError(f"bad widths {self.widths}")
         if self.activation not in ("relu", "gelu"):
             raise ConfigError(f"unknown activation {self.activation}")
+        check_shapes(self.param_shapes())
 
     @property
     def n_layers(self):
@@ -125,6 +134,7 @@ class MiniVitSpec:
             raise ConfigError(f"all dims must be positive: {self}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must divide dim {self.dim}")
+        check_shapes(self.param_shapes())
 
     @property
     def n_classes(self):
@@ -292,72 +302,36 @@ def build_model(spec, seed=0) -> ParamStore:
 _SEG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[([^\]]*)\])?$")
 
 
-def _parse_pattern(pattern):
-    segs = []
+def match_prefixes(paths, pattern):
+    """Concrete prefixes of the given paths matched by a pattern.
+
+    A ``name[index]`` segment takes an integer, ``*`` or a half-open
+    ``lo:hi`` range. The pattern compiles to one regex; each index group it
+    captures is then checked against its segment's range.
+    """
     if not pattern:
         raise ConfigError("empty pattern")
+    parts, ranges = [], []
     for raw in pattern.split("."):
         m = _SEG_RE.match(raw)
         if not m:
             raise ConfigError(f"bad segment {raw!r} in {pattern!r}")
-        name, idx = m.group(1), m.group(2)
+        name, idx = m.groups()
         if idx is None:
-            segs.append((name, None))
-        elif idx == "*":
-            segs.append((name, "*"))
-        elif ":" in idx:
-            lo, hi = idx.split(":", 1)
-            try:
-                segs.append((name, (int(lo), int(hi))))
-            except ValueError:
-                raise ConfigError(f"bad range {raw!r}") from None
-        else:
-            try:
-                segs.append((name, int(idx)))
-            except ValueError:
-                raise ConfigError(f"bad index {raw!r}") from None
-    return segs
-
-
-def _parse_concrete(path):
-    segs = []
-    for raw in path.split("."):
-        m = _SEG_RE.match(raw)
-        name, idx = m.group(1), m.group(2)
-        segs.append((name, int(idx) if idx is not None else None))
-    return segs
-
-
-def _seg_matches(pat, conc):
-    (pname, pidx), (cname, cidx) = pat, conc
-    if pname != cname:
-        return False
-    if pidx is None:
-        return cidx is None
-    if cidx is None:
-        return False
-    if pidx == "*":
-        return True
-    if isinstance(pidx, tuple):
-        return pidx[0] <= cidx < pidx[1]  # half-open
-    return pidx == cidx
-
-
-def _render(segs):
-    return ".".join(n if i is None else f"{n}[{i}]" for n, i in segs)
-
-
-def match_prefixes(paths, pattern):
-    """Concrete prefixes of the given paths matched by a pattern."""
-    pat = _parse_pattern(pattern)
-    hits = set()
-    for path in paths:
-        conc = _parse_concrete(path)
-        if len(pat) > len(conc):
+            parts.append(name)
             continue
-        if all(_seg_matches(p, c) for p, c in zip(pat, conc)):
-            hits.add(_render(conc[: len(pat)]))
-    return sorted(hits)
+        parts.append(name + r"\[(\d+)\]")
+        lo, sep, hi = idx.partition(":")
+        try:
+            if idx == "*":
+                ranges.append((0, math.inf))
+            else:
+                ranges.append((int(lo), int(hi)) if sep else (int(idx), int(idx) + 1))
+        except ValueError:
+            raise ConfigError(f"bad {'range' if sep else 'index'} {raw!r}") from None
+    rx = re.compile(r"\.".join(parts) + r"(?=\.|$)")
+    return sorted({m.group(0) for m in map(rx.match, paths) if m and all(
+        lo <= int(i) < hi for i, (lo, hi) in zip(m.groups(), ranges))})
 
 
 def select_paths(store: ParamStore, pattern):

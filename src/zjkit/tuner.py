@@ -21,8 +21,8 @@ from . import checkpoint as ckpt_mod
 from . import tensor as T
 from .architect import AdaptedModel
 from .errors import ConfigError, DetachedRoot, NonFiniteLoss, ShapeMismatch
-from .linalg import spectral_norm
-from .models import ParamStore, forward, spec_digest
+from .linalg import spectral_norm, thin_svd
+from .models import ParamStore, forward
 from .tensor import Tensor
 
 # -- loss terms ---------------------------------------------------------
@@ -41,15 +41,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def kd_kl(student_logits: Tensor, teacher_logits, temperature=1.0) -> Tensor:
     """T^2-scaled mean KL between softened teacher and student rows."""
-    if temperature <= 0:
-        raise ConfigError("temperature must be positive")
     t = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
     if student_logits.shape != t.shape:
         raise ShapeMismatch(f"{student_logits.shape} vs {t.shape}")
-    zt = t / temperature
-    zt = zt - zt.max(axis=-1, keepdims=True)
-    pt = np.exp(zt)
-    pt /= pt.sum(axis=-1, keepdims=True)
+    pt = T.softmax(Tensor(t), temperature).data
     log_pt = np.log(np.maximum(pt, 1e-300))
     log_ps = T.log_softmax(student_logits, temperature)
     n = student_logits.shape[0]
@@ -248,7 +243,7 @@ def bss_penalty(features: Tensor, k) -> Tensor:
     r = min(n, d)
     if not 1 <= k <= r:
         raise ConfigError(f"k={k} outside [1,{r}]")
-    u, s, vt = np.linalg.svd(f.data, full_matrices=False)
+    u, s, vt = thin_svd(f.data)
     idx = range(r - k, r)  # lexicographic deterministic choice on ties
     value = float(sum(s[i] ** 2 for i in idx))
     g_mat = np.zeros((n, d))
@@ -360,8 +355,11 @@ def _check_terms(terms, reg):
         kind = TERMS.get(t.kind)
         if kind is None or kind.reg != reg:
             raise ConfigError(f"unknown {'reg' if reg else 'loss'} kind {t.kind!r}")
-        if t.weight < 0:
-            raise ConfigError(f"negative weight for {t.kind}")
+        if not 0 <= t.weight < math.inf:
+            raise ConfigError(f"{t.kind} weight must be finite and nonnegative, got {t.weight}")
+        for key, value in t.hyper:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{t.kind} {key} must be finite, got {value}")
         kind.hooks(t)
 
 
@@ -397,6 +395,9 @@ class TrainConfig:
     schedule: str = "constant"  # constant | cosine
 
     def __post_init__(self):
+        for name in ("lr", "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.epochs < 1:
@@ -473,8 +474,7 @@ def accuracy(model, x, y, batch=256):
 
 
 def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
-          reg_spec: RegSpec, cfg: TrainConfig, ref_params=None,
-          reg_new_params=False):
+          reg_spec: RegSpec, cfg: TrainConfig, ref_params=None):
     """Minibatch optimization of the composite objective.
 
     Returns ``(Checkpoint, history)``; the checkpoint holds the adapted
@@ -526,8 +526,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     base_paths = set(model.base.paths())
 
     def reg_targets():
-        return [(p, t) for p, t, _ in model.trainable()
-                if reg_new_params or p in base_paths]
+        return [(p, t) for p, t, _ in model.trainable() if p in base_paths]
 
     head_exclude = (base_paths - set(ref_params.paths())) | model.spec.head_paths()
     batch = SimpleNamespace(projectors=projectors, ncm_means=ncm_means,
@@ -577,11 +576,10 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
                 g = gmap.get(w.uid)
                 if g is None:
                     continue
-                garr = g.data
+                new = opt.step(path, w.data, g.data, lr)
                 mask = model.grad_mask(path)
-                if mask is not None:
-                    garr = garr * mask
-                new = opt.step(path, w.data, garr, lr)
+                if mask is not None:  # masked-out elements keep their value
+                    new = np.where(mask > 0, new, w.data)
                 store.set(path, Tensor(new, requires_grad=True))
             for pair, proj in list(projectors.items()):
                 g = gmap.get(proj.uid)
@@ -595,12 +593,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         entry["wall_ms"] = (time.monotonic() - t0) * 1000.0
         history.append(entry)
 
-    entries = {p: t.data.astype(np.float32) for p, t in model.base.items()}
-    for p, t in model.extras.items():
-        entries[p] = t.data.astype(np.float32)
-    ckpt = ckpt_mod.Checkpoint(model.spec.kind, spec_digest(model.spec),
-                               {p: entries[p] for p in sorted(entries)})
-    return ckpt, history
+    return ckpt_mod.from_params(model.spec, model.base, model.extras), history
 
 
 def _probe_widths(model, teacher, x0, loss_spec):

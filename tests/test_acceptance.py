@@ -265,7 +265,7 @@ def test_criterion_06_alignment_recovery():
     barrier_hits = 0
     for seed in range(10):
         model = apply_plan(spec, build_model(spec, seed=seed),
-                           cli._full_finetune_plan(spec), seed=seed)
+                           cli._plan({}, spec), seed=seed)
         cfg = TrainConfig(lr=0.3, epochs=15, batch_size=16, seed=seed)
         base, _ = train(model, None, ds, LossSpec(), RegSpec(), cfg)
         r = np.random.default_rng(seed + 50)

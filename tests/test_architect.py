@@ -75,6 +75,26 @@ def test_bitfit_vit_query_rows_masked():
     assert "blocks[0].mlp.fc1.bias" in plan.trainable_original
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+def test_bitfit_weight_decay_leaves_key_and_value_bias_rows(optimizer):
+    spec = MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=16, classes=2, seq_len=2,
+                       input_dim=2)
+    params = build_model(spec, seed=0)
+    rng = np.random.default_rng(1)
+    for i in range(2):
+        params.set(f"blocks[{i}].attn.qkv.bias", Tensor(rng.normal(size=24)))
+    model = apply_plan(spec, params, compile_plan(parse_config("(BitFit.adapt):"), spec))
+    ds = data_mod.token_xor(n=64, seq=2, d=2, sigma=0.1, seed=0)
+    ckpt, _ = train(model, None, ds, LossSpec(), RegSpec(),
+                    TrainConfig(optimizer=optimizer, lr=0.1, weight_decay=0.1, epochs=2,
+                                batch_size=16))
+    for i in range(2):
+        before = params.get(f"blocks[{i}].attn.qkv.bias").data
+        after = ckpt.entries[f"blocks[{i}].attn.qkv.bias"]
+        assert np.array_equal(after[8:], before[8:].astype(np.float32))  # key, value rows
+        assert not np.allclose(after[:8], before[:8])  # query rows train
+
+
 def test_no_matching_site():
     with pytest.raises(ConfigError, match=r"pattern 'blocks\[7\]\.attn\.qkv' matched nothing"):
         compile_plan(parse_config("(LoRA.adapt):->(blocks[7].attn.qkv){in}"), VIT)

@@ -223,6 +223,21 @@ def test_merge_missing_ckpt_exit_5(tmp_path):
     assert code == 5
 
 
+@pytest.mark.parametrize("command, kind", [("train", None), ("merge", "fisher"), ("eval", None)])
+def test_output_path_that_is_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           command, kind):
+    ck = _ptm(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(cli, "_load_dataset", lambda *a: pytest.fail("loaded data"))
+    text = _with("merger.kind", kind) if kind else BASE_CFG
+    code = main([command, "--config", _cfg(tmp_path, text), "--out", str(taken),
+                 "--ckpt", ck, "--ckpt", ck])
+    assert code == 5
+    assert f"output directory {str(taken)!r}" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_malformed_csv_exit_7(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2,0\n1,nope,1\n")
@@ -406,6 +421,14 @@ def test_error_classes_match_the_readme_table():
     ("tuner.loss", "ce,fsp:1:pairs=a>b", "fsp"),
     ("tuner.loss", "ce,kd_kl:1:T=0", "temperature must be positive"),
     ("tuner.reg", "spec_norm:1:iters=0", "iters must be >= 1"),
+    ("tuner.lr", "nan", "lr must be finite"),
+    ("tuner.lr", "inf", "lr must be finite"),
+    ("tuner.momentum", "nan", "momentum must be finite"),
+    ("tuner.weight_decay", "inf", "weight_decay must be finite"),
+    ("tuner.loss", "ce:nan", "ce weight must be finite"),
+    ("tuner.loss", "ce,kd_kl:1:T=nan", "kd_kl T must be finite"),
+    ("tuner.reg", "l2:inf", "l2 weight must be finite"),
+    ("model.widths", "2,99999999999999999999,3", "more elements than an array can index"),
 ])
 def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
     text = _with("teacher.weights", _ptm(tmp_path), _with(key, value))

@@ -1,13 +1,21 @@
 """Merger: soups, interpolation, Fisher, OT/permutation alignment, REPAIR."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from zjkit import data as data_mod
-from zjkit import merger
+from zjkit import merger, tuner
 from zjkit.checkpoint import Checkpoint, from_params, to_params
-from zjkit.errors import ConfigError, NoConvergence, ShapeMismatch, SpecMismatch
+from zjkit.errors import (
+    ConfigError,
+    NoConvergence,
+    NonFiniteValue,
+    ShapeMismatch,
+    SpecMismatch,
+)
 from zjkit.merger import (
     FisherDiag,
     NcmClassifier,
@@ -164,6 +172,12 @@ def test_fisher_merge_lambda_validation():
     f = FisherDiag({p: np.ones(v.shape) for p, v in a.entries.items()})
     with pytest.raises(ValueError):
         fisher_merge([a, a], [f, f], lams=[-1.0, 1.0])
+
+
+def test_options_no_caller_set_are_gone():
+    assert "eps_floor" not in inspect.signature(fisher_merge).parameters
+    assert "min_std" not in inspect.signature(repair).parameters
+    assert "reg_new_params" not in inspect.signature(tuner.train).parameters
 
 
 def test_fisher_estimate_properties():
@@ -483,6 +497,8 @@ def test_combine_logits_validation():
         combine_logits([np.zeros((1, 2)), np.zeros((1, 3))], "logits")
     with pytest.raises(ValueError):
         combine_logits([np.zeros((1, 2))], "nope")
+    with pytest.raises(NonFiniteValue):
+        combine_logits([np.array([[np.inf, 0.0]]), np.zeros((1, 2))], "prob")
 
 
 def test_vote_majority():

@@ -1,5 +1,7 @@
 """Model zoo: path enumeration, pattern matching, forward, hooks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         MiniVitSpec(dim=10, blocks=1, heads=4, mlp_dim=8, classes=2,
                     seq_len=2, input_dim=4)  # heads must divide dim
+    with pytest.raises(ConfigError, match=r"layers\[0\]\.weight of shape \(10{20}, 2\) has more"):
+        MlpSpec((2, 10**20, 3))
+    with pytest.raises(ConfigError, match="more elements than an array can index"):
+        MiniVitSpec(dim=2**62, blocks=1, heads=1, mlp_dim=8, classes=2,
+                    seq_len=2, input_dim=4)
 
 
 def test_spec_digest_distinguishes_specs():
@@ -97,20 +104,25 @@ def test_select_paths_star_and_exact():
     assert select_paths(store, "layers[*].bias") == \
         ["layers[0].bias", "layers[1].bias"]
     assert select_paths(store, "layers[1].weight") == ["layers[1].weight"]
+    assert select_paths(build_model(VIT), "blocks[*]") == ["blocks[0]", "blocks[1]"]
 
 
 def test_select_paths_empty_range():
     store = build_model(VIT)
     assert select_paths(store, "blocks[2:2].attn.qkv") == []
     assert select_paths(store, "blocks[5:9].attn.qkv") == []
+    assert select_paths(store, "blocks[-1]") == []  # an index no path has
+    assert select_paths(store, "blocks.attn") == []  # an unindexed segment skips blocks[i]
 
 
 def test_bad_patterns():
     store = build_model(VIT)
     for bad, word in (("", "empty pattern"), ("blocks[", "bad segment"),
                       ("blocks[x]", "bad index"), ("blocks[1:z]", "bad range"),
-                      ("1abc", "bad segment")):
-        with pytest.raises(ConfigError, match=word):
+                      ("1abc", "bad segment"), ("blocks[1:]", "bad range 'blocks[1:]'"),
+                      ("blocks[:2]", "bad range 'blocks[:2]'"),
+                      ("blocks[]", "bad index 'blocks[]'")):
+        with pytest.raises(ConfigError, match=re.escape(word)):
             select_paths(store, bad)
 
 

@@ -9,7 +9,7 @@ from zjkit import tensor as T
 from zjkit import tuner
 from zjkit.architect import apply_plan, compile_plan
 from zjkit.dsl import parse_config
-from zjkit.errors import ConfigError, ShapeMismatch
+from zjkit.errors import ConfigError, NoConvergence, ShapeMismatch
 from zjkit.models import MlpSpec, ParamStore, build_model
 from zjkit.tensor import Tensor
 from zjkit.tuner import (
@@ -349,6 +349,19 @@ def test_bss_k_range():
         bss_penalty(f, k=0)
     with pytest.raises(ConfigError, match=r"k=4 outside \[1,3\]"):
         bss_penalty(f, k=4)
+
+
+def test_bss_svd_failure_is_no_convergence(monkeypatch):
+    rng = np.random.default_rng(18)
+    tall = Tensor(rng.normal(size=(600, 3)))  # more rows than linalg.svd takes
+    assert bss_penalty(tall, k=1).item() > 0
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergence, match="SVD did not converge"):
+        bss_penalty(tall, k=1)
 
 
 def test_bss_grad():
