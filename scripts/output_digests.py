@@ -4,7 +4,8 @@
     PYTHONPATH=src python scripts/output_digests.py > digests.txt
 
 Covers ``tuner.train`` (checkpoint and history) for each loss and
-regularizer kind alone and all together under SGD and AdamW, each
+regularizer kind alone and all together under SGD and AdamW, a mini-ViT
+with ``fitnet`` and ``rkd_dist`` on block hooks, each
 adaptation method on both model families (plus ``merge_reparam`` where it
 applies), each merge recipe, and the plan -> train -> merge -> eval CLI
 pipeline of acceptance criterion 10, plus a greedy soup and a two-checkpoint
@@ -59,6 +60,7 @@ VIT_METHODS = {
 }
 
 _H0, _H1 = "layers[0].output", "layers[1].output"
+_B0, _B1 = "blocks[0].output", "blocks[1].output"
 TERMS = {
     "ce": [LossTerm("ce")],
     "kd_kl": [LossTerm("kd_kl", hyper=(("T", 2.0),))],
@@ -138,6 +140,13 @@ def tuner_digests(out, tmp):
         _, ckpt, hist = _train(MLP_GELU, full, ds, LossSpec(), RegSpec(), optimizer)
         out[f"tuner/{optimizer}/gelu_mlp/final.zjk1"] = ckpt_digest(ckpt, tmp)
         out[f"tuner/{optimizer}/gelu_mlp/history"] = history_digest(hist)
+    # [n, s, d] token features on both feature terms
+    loss = LossSpec([LossTerm("ce"), LossTerm("fitnet", hooks=((_B1, _B1),)),
+                     LossTerm("rkd_dist", hyper=(("hook", _B0),))])
+    _, ckpt, hist = _train(VIT, full, data_mod.token_xor(n=128, seq=2, d=2, sigma=0.1),
+                           loss, RegSpec(), "adamw", Teacher(VIT, build_model(VIT, seed=5)))
+    out["tuner/adamw/vit_block_hooks/final.zjk1"] = ckpt_digest(ckpt, tmp)
+    out["tuner/adamw/vit_block_hooks/history"] = history_digest(hist)
 
 
 def adaptation_digests(out, tmp):

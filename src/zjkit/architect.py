@@ -10,7 +10,9 @@ plans can be folded back into plain weights via :func:`merge_reparam`.
 
 An adaptation method is registered in one place, its :class:`Method` record
 in :data:`METHODS`, which the config language, plan compilation, extras
-initialisation, forward routing and :func:`merge_reparam` all read.
+initialisation, forward routing and :func:`merge_reparam` all read. The
+forward routing is :meth:`AdaptedModel.route`, the one function through
+which :func:`models.forward` lets every injection in.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import checkpoint as ckpt_mod
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ShapeMismatch
 from .models import ParamStore, check_shapes, match_prefixes
 from .tensor import Tensor
 
@@ -45,8 +47,8 @@ class Method:
     site_word: str = ""    # what a site is, for errors
     params: tuple = ()     # ((leaf, fill), ...); fill is 0.0, 1.0 or "uniform"
     shapes: object = None  # (site shape or width, hyper) -> leaf shapes, as params
-    route: str = ""        # forward hook joined: linear_out | post_mlp | kv_prefix
-    compute: object = None  # (hyper, *route args, *leaf tensors) -> routed value
+    route: str = ""        # models.forward route joined: linear_out | post_mlp | kv_prefix
+    compute: object = None  # (hyper, value, *route args, *leaf tensors) -> new value
     fold: object = None    # (hyper, weight, bias, *leaf arrays) -> (weight, bias)
 
     @property
@@ -70,7 +72,7 @@ METHODS = {
         params=(("a", "uniform"), ("b", 0.0)),
         shapes=lambda at, hp: ((int(hp["r"]), at[1]), (at[0], int(hp["r"]))),
         route="linear_out",
-        compute=lambda hp, x, y, a, b: y + T.affine(T.affine(x, a), b).scale(_lora_scale(hp)),
+        compute=lambda hp, y, x, a, b: y + T.affine(T.affine(x, a), b).scale(_lora_scale(hp)),
         fold=lambda hp, w, bias, a, b: (w + _lora_scale(hp) * (b @ a), bias)),
     "adapter": Method(
         "Adapter", {"dim": 8.0}, ("dim", 1),
@@ -88,7 +90,7 @@ METHODS = {
         params=(("key", "uniform"), ("value", "uniform")),
         shapes=lambda at, hp: ((int(hp["tokens"]), at), (int(hp["tokens"]), at)),
         route="kv_prefix",
-        compute=lambda hp, key, value: (key, value)),
+        compute=lambda hp, _, key, value: (key, value)),
     "bitfit": Method("BitFit", {}, trains=lambda spec, hp: spec.bitfit_paths()),
     "ssf": Method(
         "SSF", {},
@@ -96,7 +98,7 @@ METHODS = {
         params=(("gamma", 1.0), ("beta", 0.0)),
         shapes=lambda at, hp: ((at[0],), (at[0],)),
         route="linear_out",
-        compute=lambda hp, x, y, gamma, beta:
+        compute=lambda hp, y, x, gamma, beta:
             y * gamma.expand(y.shape) + beta.expand(y.shape),
         fold=lambda hp, w, bias, gamma, beta: (gamma[:, None] * w, gamma * bias + beta)),
     "linear_probe": Method(
@@ -174,6 +176,8 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
             if seen_instances.setdefault(idx, params) != params:
                 raise ConfigError(
                     f"shared instance {idx} used at sites with different shapes")
+            if method.route == "kv_prefix" and any(i.site == site for i in plan.injections):
+                raise ConfigError(f"{adapt.method} twice at {site!r}: a block takes one prefix")
             plan.injections.append(Injection(site, adapt.method, idx, params))
 
     plan.trainable_original = set(trainable) & all_paths
@@ -201,46 +205,40 @@ def _init_extras(plan: AdaptationPlan, seed) -> ParamStore:
 
 
 class AdaptedModel:
-    """A base model plus applied plan; forward-capable composite.
+    """A base model plus an applied plan; forward-capable composite.
 
-    It is also the router :func:`models.forward` calls at each site: every
-    injection there joins its record's route and computes on its tensors.
+    ``params`` become the base: fresh tensors that require grad exactly on
+    the plan's trainable original paths, whatever flags ``params`` carries.
+    ``extras`` must hold each new parameter of the plan at its shape.
     """
 
-    def __init__(self, spec, base: ParamStore, plan: AdaptationPlan, extras):
+    def __init__(self, spec, params: ParamStore, plan: AdaptationPlan, extras: ParamStore):
+        if plan.model_canonical != spec.canonical():
+            raise ConfigError("plan was compiled against a different model spec")
         self.spec = spec
-        self.base = base
+        self.base = ParamStore({p: Tensor(t.data, requires_grad=p in plan.trainable_original)
+                                for p, t in params.items()})
         self.plan = plan
         self.extras = extras
         self._routes = {}  # (route, site) -> [(compute, leaf paths), ...]
         for inj in plan.injections:
+            for path, shape in inj.params:
+                if extras.get(path).shape != shape:
+                    raise ShapeMismatch(f"{path}: {extras.get(path).shape} != {shape}")
             method = METHODS[inj.kind]
             self._routes.setdefault((method.route, inj.site), []).append(
                 (method.compute, [p for p, _ in inj.params]))
 
-    def _joined(self, route, site):
-        """(compute, leaf tensors) of each injection joining route at site."""
-        return [(compute, [self.extras.get(p) for p in paths])
-                for compute, paths in self._routes.get((route, site), ())]
-
-    def linear_out(self, site, x, y):
-        for compute, leaves in self._joined("linear_out", site):
-            y = compute(self.plan.hyper, x, y, *leaves)
-        return y
-
-    def post_mlp(self, site, h):
-        for compute, leaves in self._joined("post_mlp", site):
-            h = compute(self.plan.hyper, h, *leaves)
-        return h
-
-    def kv_prefix(self, site):
-        for compute, leaves in self._joined("kv_prefix", site):
-            return compute(self.plan.hyper, *leaves)
-        return None
+    def route(self, name, site, value, *args):
+        """The route :func:`models.forward` calls: each injection joining
+        ``name`` at ``site`` computes on ``value`` in turn."""
+        for compute, paths in self._routes.get((name, site), ()):
+            value = compute(self.plan.hyper, value, *args, *map(self.extras.get, paths))
+        return value
 
     def forward(self, x, capture=()):
         from .models import forward  # looked up per call, so a wrapper on models.forward applies
-        return forward(self.spec, self.base, x, capture, adapters=self)
+        return forward(self.spec, self.base, x, capture, self.route)
 
     def trainable(self):
         """(path, tensor, store) triples the optimizer may update: every
@@ -253,17 +251,9 @@ class AdaptedModel:
 
 
 def apply_plan(spec, params: ParamStore, plan: AdaptationPlan, seed=0) -> AdaptedModel:
-    """Wire a compiled plan onto a concrete parameter store.
-
-    The base store gets fresh tensors that require grad exactly on the
-    plan's trainable original paths, whatever flags ``params`` carries.
-    """
-    if plan.model_canonical != spec.canonical():
-        raise ConfigError("plan was compiled against a different model spec")
-    base = ParamStore({p: Tensor(t.data, requires_grad=p in plan.trainable_original)
-                       for p, t in params.items()})
-    extras = _init_extras(plan, seed)
-    return AdaptedModel(spec, base, plan, extras)
+    """Wire a compiled plan onto a concrete parameter store, its new
+    parameters freshly initialised from ``seed`` (see :class:`AdaptedModel`)."""
+    return AdaptedModel(spec, params, plan, _init_extras(plan, seed))
 
 
 def merge_reparam(adapted: AdaptedModel):

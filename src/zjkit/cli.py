@@ -32,7 +32,7 @@ import numpy as np
 
 from . import architect, checkpoint as ckpt_mod, data as data_mod, dsl, merger, tuner
 from .errors import ConfigError, IoError, ParseError, ZjError
-from .models import MiniVitSpec, MlpSpec, build_model
+from .models import MiniVitSpec, MlpSpec, ParamStore, build_model
 from .tensor import Tensor
 
 log = logging.getLogger("zjkit")
@@ -205,14 +205,13 @@ def _plan(cfg, spec):
     return plan
 
 
-def _model_for_eval(spec, plan, ckpt, seed):
-    """Forward-capable model from a checkpoint: the plan applied to its spec
-    entries, then its other entries (the plan's new parameters) set."""
-    adapted = architect.apply_plan(spec, ckpt_mod.to_params(spec, ckpt), plan, seed=seed)
-    for p in sorted(set(ckpt.entries) - set(spec.param_shapes())):
-        adapted.extras.set(p, Tensor(ckpt.entries[p].astype(np.float64),
-                                     requires_grad=True))
-    return adapted
+def _model_for_eval(spec, plan, ckpt):
+    """Forward-capable model from a checkpoint: the plan on its spec entries,
+    its other entries the plan's new parameters."""
+    base = ckpt_mod.to_params(spec, ckpt)
+    extras = ParamStore({p: Tensor(a.astype(np.float64), requires_grad=True)
+                         for p, a in ckpt.entries.items() if p not in base})
+    return architect.AdaptedModel(spec, base, plan, extras)
 
 
 # -- commands -----------------------------------------------------------
@@ -312,7 +311,7 @@ def cmd_merge(cfg, args):
         plan = _plan(cfg, spec)
         merged, order = merger.greedy_soup(
             ckpts, ds.split("val"),
-            lambda c, vd: tuner.accuracy(_model_for_eval(spec, plan, c, seed), *vd))
+            lambda c, vd: tuner.accuracy(_model_for_eval(spec, plan, c), *vd))
         report["accepted"] = [args.ckpt[i] for i in order]
     elif kind == "wise_ft":
         merged = merger.wise_ft(ckpts[0], ckpts[1],
@@ -373,7 +372,7 @@ def cmd_eval(cfg, args):
     if not ckpts:
         raise ConfigError("eval needs at least one --ckpt")
     plan = _plan(cfg, spec)
-    models = [_model_for_eval(spec, plan, c, seed) for c in ckpts]
+    models = [_model_for_eval(spec, plan, c) for c in ckpts]
     mode = cfg.get("merger.ensemble", "prob")
     pred_mode = mode if len(models) > 1 else "logits"  # one model: its own argmax
     all_preds = []

@@ -70,15 +70,12 @@ def greedy_soup(checkpoints, val_data, eval_fn):
     soup's. Returns ``(soup, ingredients in acceptance order)``.
     """
     _check_aligned(checkpoints)
-    scored = sorted(
-        enumerate(checkpoints),
-        key=lambda iv: (-eval_fn(iv[1], val_data), iv[0]),
-    )
-    ingredients = [scored[0][0]]
-    soup = checkpoints[scored[0][0]]
-    soup_acc = eval_fn(soup, val_data)
-    for idx, cand in scored[1:]:
-        trial = uniform_soup([checkpoints[i] for i in ingredients] + [cand])
+    scores = [eval_fn(c, val_data) for c in checkpoints]
+    order = sorted(range(len(checkpoints)), key=lambda i: (-scores[i], i))
+    ingredients = order[:1]
+    soup, soup_acc = checkpoints[order[0]], scores[order[0]]
+    for idx in order[1:]:
+        trial = uniform_soup([checkpoints[i] for i in ingredients + [idx]])
         trial_acc = eval_fn(trial, val_data)
         if trial_acc >= soup_acc:
             ingredients.append(idx)

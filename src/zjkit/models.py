@@ -94,24 +94,19 @@ class MlpSpec:
         biases = {p for p in self.param_shapes() if p.endswith(".bias")}
         return biases | self.head_paths(), {}
 
-    def _forward(self, params, x, hook, lin, adapters):
+    def _forward(self, params, x, hook, lin, route):
         if x.ndim != 2 or x.shape[1] != self.widths[0]:
             raise ShapeMismatch(f"mlp input {x.shape}, expected [n,{self.widths[0]}]")
-        h = x
         act = Tensor.relu if self.activation == "relu" else Tensor.gelu
-        feature = x
+        h = feature = x
         for i in range(self.n_layers):
-            hook(f"layers[{i}].input", h)
-            pre = lin(f"layers[{i}]", h)
-            hook(f"layers[{i}].preact", pre)
-            if i < self.n_layers - 1:
-                h = act(pre)
-                h = adapters.post_mlp(f"layers[{i}]", h)
-                hook(f"layers[{i}].output", h)
-                feature = h
-            else:
-                h = pre
-                hook(f"layers[{i}].output", h)
+            site = f"layers[{i}]"
+            hook(f"{site}.input", h)
+            h = lin(site, h)
+            hook(f"{site}.preact", h)
+            if i < self.n_layers - 1:  # the last layer's output is the logits
+                h = feature = route("post_mlp", site, act(h))
+            hook(f"{site}.output", h)
         return h, feature
 
 
@@ -203,7 +198,7 @@ class MiniVitSpec:
             trainable |= {qb, f"blocks[{i}].mlp.fc1.bias"}
         return trainable, masks
 
-    def _forward(self, params, x, hook, lin, adapters):
+    def _forward(self, params, x, hook, lin, route):
         if x.ndim != 3 or x.shape[1] != self.seq_len or x.shape[2] != self.input_dim:
             raise ShapeMismatch(
                 f"vit input {x.shape}, expected [n,{self.seq_len},{self.input_dim}]"
@@ -219,7 +214,7 @@ class MiniVitSpec:
             a_in = T.layernorm(h, params.get(f"{blk}.norm1.gamma"),
                                params.get(f"{blk}.norm1.beta"))
             qkv = lin(f"{blk}.attn.qkv", a_in)  # [n, s, 3d]
-            ctx = T.attention(qkv, self.heads, adapters.kv_prefix(blk))
+            ctx = T.attention(qkv, self.heads, route("kv_prefix", blk, None))
             h = h + lin(f"{blk}.attn.proj", ctx)
             m_in = T.layernorm(h, params.get(f"{blk}.norm2.gamma"),
                                params.get(f"{blk}.norm2.beta"))
@@ -227,7 +222,7 @@ class MiniVitSpec:
             hook(f"{blk}.preact", pre)
             mid = pre.gelu()
             mlp_out = lin(f"{blk}.mlp.fc2", mid)
-            mlp_out = adapters.post_mlp(blk, mlp_out)
+            mlp_out = route("post_mlp", blk, mlp_out)
             h = h + mlp_out
             hook(f"{blk}.output", h)
         h = T.layernorm(h, params.get("norm.gamma"), params.get("norm.beta"))
@@ -346,26 +341,18 @@ def select_paths(store: ParamStore, pattern):
 # -- forward ------------------------------------------------------------
 
 
-class _NoAdapters:
-    def linear_out(self, site, x, y):
-        return y
-
-    def post_mlp(self, site, h):
-        return h
-
-    def kv_prefix(self, site):
-        return None
-
-
-def forward(spec, params: ParamStore, x: Tensor, capture=(), adapters=None):
+def forward(spec, params: ParamStore, x: Tensor, capture=(), route=None):
     """Run the model; returns ``(logits, trace)``.
 
     ``capture`` is a set of hook paths to record; the trace contains
     exactly those hooks and capturing never perturbs the logits.
-    ``adapters`` is an injection router used by the architect; the
-    default routes everything through unchanged.
+    ``route(name, site, value, *args)`` is where injections enter; the
+    forward uses what it returns in place of ``value``: ``linear_out`` gets
+    a linear layer's output and then its input, ``post_mlp`` an MLP's
+    output, ``kv_prefix`` ``None`` for a block's prefix keys and values.
+    The default passes each value through.
     """
-    adapters = adapters or _NoAdapters()
+    route = route or (lambda name, site, value, *args: value)
     capture = set(capture)
     unknown = capture - spec.all_hooks()
     if unknown:
@@ -379,9 +366,9 @@ def forward(spec, params: ParamStore, x: Tensor, capture=(), adapters=None):
     def lin(site, inp):
         w = params.get(f"{site}.weight")
         b = params.get(f"{site}.bias")
-        return adapters.linear_out(site, inp, T.affine(inp, w, b))
+        return route("linear_out", site, T.affine(inp, w, b), inp)
 
-    logits, feature = spec._forward(params, x, hook, lin, adapters)
+    logits, feature = spec._forward(params, x, hook, lin, route)
     hook("feature", feature)
     hook("logits", logits)
     return logits, trace

@@ -2,9 +2,15 @@
 
 Values are immutable after creation; every op that touches a tensor with
 ``requires_grad`` records the local backward rule so that :func:`backward`
-can replay the graph in reverse topological order. Non-finite values are
-rejected at creation time, which makes divergence surface as an error at
-the op that produced it instead of poisoning downstream results.
+can replay the graph in reverse topological order. A one-input op records
+it through ``Tensor._unary(out, dgrad)``, ``dgrad`` mapping the output's
+gradient to the input's; the ops with more inputs (``_binary``, ``matmul``,
+``affine``, ``attention``, ``layernorm``, ``concat``, ``custom_op``) and
+``expand``, which has a per-sample rule, write their own closures. ``sum``
+and ``mean`` take an int, negative or tuple axis, and ``reshape`` one
+``-1``. Non-finite values are rejected at creation time, which makes
+divergence surface as an error at the op that produced it instead of
+poisoning downstream results.
 
 Two fused nodes keep the tape short on the model hot path: :func:`affine`
 (``x @ w.T + b``, one node where a chain took up to six) and
@@ -105,6 +111,16 @@ class Tensor:
             return Tensor(data)
         return Tensor(data, _parents=parents, _backward=backward)
 
+    def _unary(self, out, dgrad):
+        """Wrap the result of a one-input op whose backward hands
+        ``dgrad(grad)`` to ``self``. The gradient arrives in the shape numpy
+        gave ``out``, also where ``Tensor`` stores a 0-d result as ``(1,)``."""
+        if not _tracked(self):
+            return Tensor(out)
+        shape = np.shape(out)
+        return Tensor(out, _parents=(self,),
+                      _backward=lambda grad, acc: acc(self, dgrad(grad.reshape(shape))))
+
     # -- elementwise ----------------------------------------------------
 
     def _binary(self, other, fwd, bwd_self, bwd_other):
@@ -156,114 +172,71 @@ class Tensor:
 
     def scale(self, s):
         s = float(s)
-
-        def backward(grad, acc):
-            acc(self, grad * s)
-
-        return self._make(self.data * s, (self,), backward)
+        return self._unary(self.data * s, lambda g: g * s)
 
     def relu(self):
         mask = self.data > 0
-
-        def backward(grad, acc):
-            acc(self, grad * mask)
-
-        return self._make(np.where(mask, self.data, 0.0), (self,), backward)
+        return self._unary(np.where(mask, self.data, 0.0), lambda g: g * mask)
 
     def gelu(self):
         # tanh approximation; x*x*x, not x**3, which numpy sends through pow
         x = self.data
         t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
 
-        def backward(grad, acc):
+        def dgrad(g):
             # d/dx [0.5 x (1 + tanh(u))], u = c (x + 0.044715 x^3)
             du = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-            acc(self, grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du))
+            return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
-        return self._make(0.5 * x * (1.0 + t), (self,), backward)
+        return self._unary(0.5 * x * (1.0 + t), dgrad)
 
     def tanh(self):
         t = np.tanh(self.data)
-
-        def backward(grad, acc):
-            acc(self, grad * (1.0 - t**2))
-
-        return self._make(t, (self,), backward)
+        return self._unary(t, lambda g: g * (1.0 - t**2))
 
     def exp(self):
         e = np.exp(self.data)
-
-        def backward(grad, acc):
-            acc(self, grad * e)
-
-        return self._make(e, (self,), backward)
+        return self._unary(e, lambda g: g * e)
 
     def log(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.log(self.data)
         x = self.data
-
-        def backward(grad, acc):
-            acc(self, grad / x)
-
-        return self._make(out, (self,), backward)
+        return self._unary(out, lambda g: g / x)
 
     def sqrt(self):
         r = np.sqrt(self.data)
-
-        def backward(grad, acc):
-            acc(self, grad * 0.5 / r)
-
-        return self._make(r, (self,), backward)
+        return self._unary(r, lambda g: g * 0.5 / r)
 
     def square(self):
         x = self.data
-
-        def backward(grad, acc):
-            acc(self, grad * 2.0 * x)
-
-        return self._make(x * x, (self,), backward)
+        return self._unary(x * x, lambda g: g * 2.0 * x)
 
     def abs(self):
         s = np.sign(self.data)
-
-        def backward(grad, acc):
-            acc(self, grad * s)
-
-        return self._make(np.abs(self.data), (self,), backward)
+        return self._unary(np.abs(self.data), lambda g: g * s)
 
     # -- reductions and shape -------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.shape
-
-        def backward(grad, acc):
-            g = np.asarray(grad)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            acc(self, np.broadcast_to(g, shape))
-
-        return self._make(out, (self,), backward)
+        dropped = () if axis is None or keepdims else axis  # axes the gradient lacks
+        return self._unary(self.data.sum(axis=axis, keepdims=keepdims),
+                           lambda g: np.broadcast_to(np.expand_dims(g, dropped), shape))
 
     def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.size
-        else:
-            n = self.shape[axis]
+        n = self.size if axis is None else int(np.prod(np.take(self.shape, axis)))
         return self.sum(axis=axis, keepdims=keepdims).scale(1.0 / n)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        if int(np.prod(shape)) != self.size:
-            raise ShapeMismatch(f"cannot reshape {self.shape} to {shape}")
+        try:
+            out = self.data.reshape(shape)  # numpy resolves one -1
+        except (TypeError, ValueError):
+            raise ShapeMismatch(f"cannot reshape {self.shape} to {shape}") from None
         old = self.shape
-
-        def backward(grad, acc):
-            acc(self, np.asarray(grad).reshape(old))
-
-        return self._make(self.data.reshape(shape), (self,), backward)
+        return self._unary(out, lambda g: g.reshape(old))
 
     def transpose(self, *axes):
         if not axes:
@@ -271,11 +244,7 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
-
-        def backward(grad, acc):
-            acc(self, np.transpose(grad, inv))
-
-        return self._make(np.transpose(self.data, axes), (self,), backward)
+        return self._unary(np.transpose(self.data, axes), lambda g: np.transpose(g, inv))
 
     @property
     def T(self):
@@ -289,8 +258,7 @@ class Tensor:
             raise ShapeMismatch(str(exc)) from None
         src = self.shape
 
-        def backward(grad, acc):
-            g = np.asarray(grad)
+        def backward(g, acc):
             _acc_summed(acc, self, lambda: _sum_to(g, src), lambda: sq(g))
 
         def sq(g):
@@ -309,23 +277,21 @@ class Tensor:
         return self._make(np.ascontiguousarray(out), (self,), backward)
 
     def __getitem__(self, key):
-        out = self.data[key]
         shape = self.shape
 
-        def backward(grad, acc):
-            g = np.zeros(shape)
-            np.add.at(g, key, grad)  # repeated fancy indices accumulate
-            acc(self, g)
+        def dgrad(g):
+            out = np.zeros(shape)
+            np.add.at(out, key, g)  # repeated fancy indices accumulate
+            return out
 
-        return self._make(out, (self,), backward)
+        return self._unary(self.data[key], dgrad)
 
     # -- matmul ---------------------------------------------------------
 
     def matmul(self, other):
         return matmul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
+    __matmul__ = matmul
 
 
 # -- construction -------------------------------------------------------
@@ -439,9 +405,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def backward(grad, acc):
-        g = np.asarray(grad)
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = np.matmul(grad, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), grad)
         # when one operand is 2-D against a batched one, reduce batch dims
         if ga.ndim > a.ndim:
             ga = ga.sum(axis=tuple(range(ga.ndim - a.ndim)))
@@ -475,7 +440,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
         y = y + b.data
 
     def backward(grad, acc):
-        g = np.asarray(grad).reshape(y.shape)
+        g = grad.reshape(y.shape)
         if b is not None and _tracked(b):
             _acc_summed(acc, b, lambda: g.sum(axis=0),
                         lambda: _sample_sq(g.reshape(x.shape[:-1] + g.shape[1:])))
@@ -539,7 +504,7 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     ctx = np.matmul(attn, v)
 
     def backward(grad, acc):
-        g = np.transpose(np.asarray(grad).reshape(n, s, heads, hd), (0, 2, 1, 3))
+        g = np.transpose(grad.reshape(n, s, heads, hd), (0, 2, 1, 3))
         g_attn = np.matmul(g, np.swapaxes(v, -1, -2))
         g_v = np.matmul(np.swapaxes(attn, -1, -2), g)
         g_scores = _softmax_grad(g_attn, attn) * scale
@@ -575,11 +540,7 @@ def softmax(x: Tensor, temperature=1.0) -> Tensor:
     if temperature <= 0:
         raise ConfigError("temperature must be positive")
     y = _softmax(x.data / temperature)
-
-    def backward(grad, acc):
-        acc(x, _softmax_grad(np.asarray(grad), y) / temperature)
-
-    return x._make(y, (x,), backward)
+    return x._unary(y, lambda g: _softmax_grad(g, y) / temperature)
 
 
 def log_softmax(x: Tensor, temperature=1.0) -> Tensor:
@@ -590,12 +551,7 @@ def log_softmax(x: Tensor, temperature=1.0) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out = z - lse
     y = np.exp(out)
-
-    def backward(grad, acc):
-        g = np.asarray(grad)
-        acc(x, (g - y * g.sum(axis=-1, keepdims=True)) / temperature)
-
-    return x._make(out, (x,), backward)
+    return x._unary(out, lambda g: (g - y * g.sum(axis=-1, keepdims=True)) / temperature)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
@@ -613,8 +569,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
     xhat = (x.data - mu) * inv
     out = gamma.data * xhat + beta.data
 
-    def backward(grad, acc):
-        g = np.asarray(grad)
+    def backward(g, acc):
         lead = tuple(range(g.ndim - 1))
         if _tracked(gamma):
             _acc_summed(acc, gamma, lambda: (g * xhat).sum(axis=lead),
@@ -633,15 +588,11 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
 def concat(tensors, axis=0):
     tensors = list(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def backward(grad, acc):
-        g = np.asarray(grad)
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            acc(t, g[tuple(idx)])
+        for t, g in zip(tensors, np.split(grad, cuts, axis=axis)):
+            acc(t, g)
 
     return tensors[0]._make(out, tensors, backward)
 

@@ -78,9 +78,16 @@ def ncm_teacher_logits(teacher_features, class_means, tau=1.0) -> Tensor:
 
 
 def _flatten_feature(t: Tensor) -> Tensor:
+    """A ``[n, s, d]`` token hook as ``n*s`` rows of width ``d`` (FitNet, FSP)."""
     if t.ndim == 2:
         return t
     return t.reshape(-1, t.shape[-1])
+
+
+def _sample_rows(t: Tensor) -> Tensor:
+    """One row per sample, a token hook's tokens side by side: RKD relates
+    samples, and an NCM teacher keeps one mean per class."""
+    return t if t.ndim == 2 else t.reshape(t.shape[0], -1)
 
 
 def fitnet_loss(student_trace, teacher_trace, pairs, projectors=None) -> Tensor:
@@ -309,8 +316,8 @@ def _feature_hooks(term):
 
 def _kd_ncm(term, b):
     hook = term.h("hook", "feature")
-    tl = ncm_teacher_logits(_flatten_feature(b.t_trace[hook]),
-                            b.ncm_means[hook], term.h("tau", 1.0))
+    tl = ncm_teacher_logits(_sample_rows(b.t_trace[hook]), b.ncm_means[hook],
+                            term.h("tau", 1.0))
     return kd_kl(b.logits, tl, term.h("T", 1.0))
 
 
@@ -323,8 +330,7 @@ def _fsp(term, b):
 def _rkd(mode):
     def evaluate(term, b):
         hook = term.h("hook", "feature")
-        return rkd_loss(_flatten_feature(b.s_trace[hook]),
-                        _flatten_feature(b.t_trace[hook]), mode)
+        return rkd_loss(_sample_rows(b.s_trace[hook]), _sample_rows(b.t_trace[hook]), mode)
     return evaluate
 
 
@@ -520,8 +526,8 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         if term.kind == "kd_ncm":
             hook = term.h("hook", "feature")
             _, tr = teacher.forward(Tensor(x_train), {hook})
-            ncm_means[hook] = fit_class_means(
-                _flatten_feature(tr[hook]), y_train, data.n_classes)
+            ncm_means[hook] = fit_class_means(_sample_rows(tr[hook]), y_train,
+                                              data.n_classes)
 
     base_paths = set(model.base.paths())
 

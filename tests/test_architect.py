@@ -1,5 +1,7 @@
 """Architect: plan compilation, injection wiring, re-parameterization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,17 @@ def test_lora_on_bias_is_incompatible():
 def test_prefix_requires_vit():
     with pytest.raises(ConfigError, match="prefix has no site in a mlp model"):
         compile_plan(parse_config("(Prefix.adapt):->(layers[0]){in}"), MLP)
+
+
+@pytest.mark.parametrize("text, site", [
+    ("(Prefix.adapt):->(blocks[0]){inout}->(blocks[0]){inout}", "blocks[0]"),
+    ("(Prefix.adapt):->(blocks[*]){in}->(blocks[1]){in}", "blocks[1]"),
+    ("(Prefix.adapt):->(blocks[1]){in0}->(blocks[1]){in0}", "blocks[1]"),
+])
+def test_second_prefix_at_one_block_is_a_config_error(text, site):
+    # a block's attention takes one prefix; a second would never train
+    with pytest.raises(ConfigError, match=f"prefix twice at '{re.escape(site)}'"):
+        compile_plan(parse_config(text), VIT)
 
 
 def test_shared_instance_shape_check():

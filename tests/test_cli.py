@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zjkit import cli, errors, linalg, merger
+from zjkit import architect, cli, errors, linalg, merger
 from zjkit import data as data_mod
 from zjkit.checkpoint import from_params, load_checkpoint, save_checkpoint
 from zjkit.cli import main, parse_run_config
@@ -256,6 +256,73 @@ def test_eval_writes_metrics_file(tmp_path, capsys):
     assert code == 0
     metrics = json.loads((eo / "metrics.json").read_text())
     assert "per_class_accuracy" in metrics
+
+
+def test_two_checkpoint_eval_takes_adapter_tensors_from_the_checkpoints(
+        tmp_path, capsys, monkeypatch):
+    cfg = _with("architect.config", "'(LoRA.adapt):->(layers[0]){inout}'")
+    ck = [str(_train(tmp_path, d, cfg) / "final.zjk1") for d in ("l1", "l2")]
+    drawn = []
+    monkeypatch.setattr(architect, "_init_extras", lambda *a: drawn.append(a))
+    code = main(["eval", "--config", _cfg(tmp_path, cfg), "--out", str(tmp_path / "e"),
+                 "--ckpt", ck[0], "--ckpt", ck[1]])
+    assert code == 0
+    assert drawn == []
+
+
+@pytest.mark.parametrize("trained, word", [
+    ("'(LoRA.adapt|r=2):->(layers[0]){inout}'", r"lora[0].a: (2, 2) != (4, 2)"),
+    ("'(LinearProbe.adapt):'", "unknown parameter path 'lora[0].a'"),
+])
+def test_eval_of_a_checkpoint_without_the_plans_tensors_exit_3(tmp_path, capsys, trained,
+                                                              word):
+    ck = _train(tmp_path, "t", _with("architect.config", trained)) / "final.zjk1"
+    cfg = _with("architect.config", "'(LoRA.adapt|r=4):->(layers[0]){inout}'")
+    code = main(["eval", "--config", _cfg(tmp_path, cfg), "--out", str(tmp_path / "e"),
+                 "--ckpt", str(ck)])
+    assert code == 3
+    assert word in capsys.readouterr().err
+
+
+VIT_CFG = """\
+model.kind=mini_vit
+model.dim=8
+model.blocks=2
+model.heads=2
+model.mlp_dim=16
+model.classes=2
+model.seq_len=2
+model.input_dim=2
+data.source=token_xor(n=64,seq=2,d=2,sigma=0.1)
+architect.config='(LoRA.adapt):->(blocks[*].attn.qkv){inout}'
+tuner.epochs=1
+tuner.batch_size=32
+seed=0
+"""
+
+
+@pytest.mark.parametrize("loss", [
+    "ce,fitnet:1:pairs=blocks[1].output",
+    "ce,rkd_dist:1:hook=blocks[0].output",
+    "ce,rkd_angle:1:hook=blocks[1].preact",
+    "ce,kd_ncm:1:hook=blocks[0].output",
+])
+def test_feature_terms_on_vit_block_hooks_train(tmp_path, capsys, loss):
+    spec = cli._model_spec(parse_run_config(VIT_CFG))
+    ptm = tmp_path / "ptm.zjk1"
+    save_checkpoint(from_params(spec, build_model(spec, seed=5)), ptm)
+    text = _with("teacher.weights", str(ptm), _with("tuner.loss", loss, VIT_CFG))
+    out = _train(tmp_path, "v", text)
+    last = json.loads((out / "history.jsonl").read_text().splitlines()[-1])
+    term = loss.split(",")[1].split(":")[0]
+    assert np.isfinite(last[term]) and last[term] > 0
+
+
+def test_second_prefix_at_one_block_exit_3(tmp_path, capsys):
+    cfg = _with("architect.config", "'(Prefix.adapt):->(blocks[0]){inout}->(blocks[0]){inout}'",
+                VIT_CFG)
+    assert main(["plan", "--config", _cfg(tmp_path, cfg)]) == 3
+    assert "prefix twice at 'blocks[0]'" in capsys.readouterr().err
 
 
 def test_inspect_lists_paths(tmp_path, capsys):

@@ -110,6 +110,20 @@ def test_greedy_soup_accepts_on_tie():
     assert order == [0, 1, 2]
 
 
+def test_greedy_soup_scores_each_candidate_once():
+    ckpts = [_ckpt(seed=s) for s in range(4)]
+    calls = []
+
+    def eval_fn(c, _):
+        calls.append(c)
+        return 0.5
+
+    greedy_soup(ckpts, None, eval_fn)
+    # one score per candidate, then one per tentative soup of the other three
+    assert len(calls) == 7
+    assert calls[:4] == ckpts
+
+
 # -- wise_ft -------------------------------------------------------------
 
 

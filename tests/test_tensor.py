@@ -130,6 +130,28 @@ def test_unary_grads(op):
     check_grads(op, [a])
 
 
+def test_reshape_resolves_one_minus_one():
+    x = rand_tensor(np.random.default_rng(4), (2, 3, 2))
+    assert x.reshape(-1, 3).shape == (4, 3)
+    check_grads(lambda t: t.reshape(-1, 3).square().sum(), [x])
+    for bad in ((5, -1), (-1, -1), (13,), ("a",)):
+        with pytest.raises(ShapeMismatch, match="cannot reshape"):
+            x.reshape(*bad)
+
+
+@pytest.mark.parametrize("shape, axis", [
+    ((3,), 0), ((3,), -1), ((2, 3), (0, 1)), ((2, 3), (-1, 0)), ((2, 3, 2), (0, 2)),
+])
+def test_sum_and_mean_over_an_explicit_axis_set(shape, axis):
+    # a reduction to one element is stored as shape (1,), not ()
+    x = rand_tensor(np.random.default_rng(5), shape)
+    assert np.allclose(x.mean(axis=axis).data, x.data.mean(axis=axis))
+    check_grads(lambda t: t.sum(axis=axis).square().sum(), [x])
+    check_grads(lambda t: t.mean(axis=axis).square().sum(), [x])
+    if x.sum(axis=axis).size == 1:
+        check_grads(lambda t: t.sum(axis=axis), [x])
+
+
 def test_getitem_repeated_fancy_index_accumulates():
     x = Tensor(np.arange(4.0), requires_grad=True)
     assert T.grad(x[[0, 0, 1]].sum(), [x])[0].data.tolist() == [2.0, 1.0, 0.0, 0.0]

@@ -1,5 +1,7 @@
 """Tuner: loss/regularizer oracles, gradient checks, training loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from zjkit import tuner
 from zjkit.architect import apply_plan, compile_plan
 from zjkit.dsl import parse_config
 from zjkit.errors import ConfigError, NoConvergence, ShapeMismatch
-from zjkit.models import MlpSpec, ParamStore, build_model
+from zjkit.models import MiniVitSpec, MlpSpec, ParamStore, build_model
 from zjkit.tensor import Tensor
 from zjkit.tuner import (
     LossSpec,
@@ -200,7 +202,31 @@ def test_fsp_grad():
     check_grads(lambda a, b: fsp_loss([(a, b)], [(t1, t2)]), [s1, s2])
 
 
+def test_fsp_on_token_features_trains():
+    # [n, s, d] block hooks flatten to [n*s, d] rows
+    spec = MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=16, classes=2, seq_len=2,
+                       input_dim=2)
+    h0, h1 = "blocks[0].output", "blocks[1].output"
+    model = apply_plan(spec, build_model(spec, seed=0), compile_plan(
+        parse_config("(LoRA.adapt):->(blocks[*].attn.qkv){inout}"), spec), seed=1)
+    _, history = train(model, Teacher(spec, build_model(spec, seed=5)),
+                       data_mod.token_xor(n=64, seq=2, d=2, sigma=0.1),
+                       LossSpec([LossTerm("ce"), LossTerm("fsp", hooks=(((h0, h1), (h0, h1)),))]),
+                       RegSpec(), TrainConfig(epochs=1, batch_size=32))
+    assert np.isfinite(history[-1]["fsp"]) and history[-1]["fsp"] > 0
+
+
 # -- rkd -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, mode", [("rkd_dist", "dist"), ("rkd_angle", "angle")])
+def test_rkd_on_token_features_relates_samples(kind, mode):
+    # one row per sample, its tokens side by side: 4 points, not 4*3
+    rng = np.random.default_rng(9)
+    s, t = rand_tensor(rng, (4, 3, 2)), Tensor(rng.normal(size=(4, 3, 2)))
+    batch = SimpleNamespace(s_trace={"h": s}, t_trace={"h": t})
+    got = tuner.TERMS[kind].evaluate(LossTerm(kind, hyper=(("hook", "h"),)), batch)
+    assert got.item() == rkd_loss(s.reshape(4, 6), t.reshape(4, 6), mode).item()
 
 
 def _rkd_dist_oracle(s, t, delta=1.0):
