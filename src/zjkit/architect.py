@@ -240,6 +240,13 @@ class AdaptedModel:
         from .models import forward  # looked up per call, so a wrapper on models.forward applies
         return forward(self.spec, self.base, x, capture, self.route)
 
+    def predict(self, x):
+        """Logits for the rows of the array ``x``, forwarded 256 rows at a
+        time; the inference entry of evaluation, validation and ensembles."""
+        chunks = [self.forward(Tensor(x[lo:lo + 256]))[0].data
+                  for lo in range(0, x.shape[0], 256)]
+        return np.concatenate(chunks) if chunks else np.zeros((0, self.spec.n_classes))
+
     def trainable(self):
         """(path, tensor, store) triples the optimizer may update: every
         tensor, base then extras, that requires grad."""
@@ -275,7 +282,7 @@ def merge_reparam(adapted: AdaptedModel):
     return ckpt_mod.from_params(adapted.spec).with_entries(merged)
 
 
-def plan_table(plan: AdaptationPlan, shapes=None):
+def plan_table(plan: AdaptationPlan, shapes):
     """Human-readable table of injections and trainable counts."""
     lines = [f"method: {plan.method}"]
     if plan.injections:
@@ -285,11 +292,8 @@ def plan_table(plan: AdaptationPlan, shapes=None):
             lines.append(f"{inj.site:<28} {inj.kind:<8} {ps}")
     new = {p: s for inj in plan.injections for p, s in inj.params}  # shared once
     new_count = sum(int(np.prod(s)) for s in new.values())
-    if shapes is None:
-        lines.append(f"trainable original paths: {len(plan.trainable_original)}")
-    else:
-        for word, paths in (("frozen", plan.freeze), ("trainable", plan.trainable_original)):
-            count = sum(int(np.prod(shapes[p])) for p in paths)
-            lines.append(f"{word} original parameters: {count}")
+    for word, paths in (("frozen", plan.freeze), ("trainable", plan.trainable_original)):
+        count = sum(int(np.prod(shapes[p])) for p in paths)
+        lines.append(f"{word} original parameters: {count}")
     lines.append(f"new trainable parameters: {new_count}")
     return "\n".join(lines)

@@ -88,7 +88,7 @@ def render_config(cfg):
 
 
 def _num(value, name, cast=float):
-    """A numeric run-config value; a malformed one is a ConfigError."""
+    """A run-config value cast to ``cast``; a malformed one is a ConfigError."""
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -182,10 +182,11 @@ def _parse_terms(text, default=None):
         if len(parts) > 2 and parts[2]:
             for kv in parts[2].split(";"):
                 k, _, v = kv.partition("=")
-                if k == "pairs":
+                if k == "pairs":  # fsp's lo>hi is one couple for student and teacher
                     for pair in v.split("+"):
                         s_hook, _, t_hook = pair.partition(">")
-                        hooks.append((s_hook, t_hook or s_hook))
+                        pair = (s_hook, t_hook or s_hook)
+                        hooks.append((pair, pair) if kind == "fsp" else pair)
                 elif k == "hook":
                     hyper[k] = v
                 else:
@@ -269,18 +270,15 @@ def cmd_train(cfg, args):
         if not tw:
             raise ConfigError("distillation terms require teacher.weights")
         teacher = tuner.Teacher(spec, ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(tw)))
-    train_cfg = tuner.TrainConfig(
-        optimizer=cfg.get("tuner.optimizer", "sgd"),
-        lr=_num(cfg.get("tuner.lr", 0.1), "tuner.lr"),
-        momentum=_num(cfg.get("tuner.momentum", 0.9), "tuner.momentum"),
-        weight_decay=_num(cfg.get("tuner.weight_decay", 0.0), "tuner.weight_decay"),
-        epochs=_num(cfg.get("tuner.epochs", 10), "tuner.epochs", int),
-        batch_size=_num(cfg.get("tuner.batch_size", 32), "tuner.batch_size", int),
-        seed=seed,
-        schedule=cfg.get("tuner.schedule", "constant"),
-    )
+    # each tuner.* key the config sets, cast to the type of its TrainConfig default
+    types = {f.name: type(f.default) for f in dataclasses.fields(tuner.TrainConfig)}
+    train_kw = {"seed": seed}
+    for key, text in cfg.items():
+        name = key[len("tuner."):]
+        if key.startswith("tuner.") and name in types:
+            train_kw[name] = _num(text, key, types[name])
     ckpt, history = tuner.train(adapted, teacher, ds, loss_spec, reg_spec,
-                                train_cfg, ref_params=ref_params)
+                                tuner.TrainConfig(**train_kw), ref_params=ref_params)
     ckpt_mod.save_checkpoint(ckpt, os.path.join(out, "final.zjk1"))
     with ckpt_mod.atomic_open(os.path.join(out, "history.jsonl")) as fh:
         for entry in history:
@@ -372,21 +370,16 @@ def cmd_eval(cfg, args):
     if not ckpts:
         raise ConfigError("eval needs at least one --ckpt")
     plan = _plan(cfg, spec)
-    models = [_model_for_eval(spec, plan, c) for c in ckpts]
+    logits_list = [_model_for_eval(spec, plan, c).predict(x) for c in ckpts]
     mode = cfg.get("merger.ensemble", "prob")
-    pred_mode = mode if len(models) > 1 else "logits"  # one model: its own argmax
-    all_preds = []
+    pred_mode = mode if len(ckpts) > 1 else "logits"  # one model: its own argmax
+    fused = merger.combine_logits(logits_list, "logits")
     total_loss = 0.0
-    for lo in range(0, x.shape[0], 256):
-        xb = Tensor(x[lo:lo + 256])
-        logits_list = [m.forward(xb)[0].data for m in models]
-        fused = merger.combine_logits(logits_list, "logits")
-        total_loss += float(
-            tuner.cross_entropy(Tensor(fused), y[lo:lo + 256]).item()
-        ) * xb.shape[0]
-        combined = merger.combine_logits(logits_list, pred_mode)
-        all_preds.append(combined if pred_mode == "vote" else np.argmax(combined, axis=1))
-    preds = np.concatenate(all_preds) if all_preds else np.zeros(0, dtype=int)
+    for lo in range(0, x.shape[0], 256):  # the loss sums over predict's chunks
+        yb = y[lo:lo + 256]
+        total_loss += float(tuner.cross_entropy(Tensor(fused[lo:lo + 256]), yb).item()) * len(yb)
+    combined = merger.combine_logits(logits_list, pred_mode)
+    preds = combined if pred_mode == "vote" else np.argmax(combined, axis=1)
     acc = float((preds == y).mean()) if len(y) else 0.0
     per_class = {}
     for c in range(ds.n_classes):
@@ -397,8 +390,8 @@ def cmd_eval(cfg, args):
         "accuracy": acc,
         "per_class_accuracy": per_class,
         "mean_loss": total_loss / max(1, len(y)),
-        "n_models": len(models),
-        "ensemble": mode if len(models) > 1 else None,
+        "n_models": len(ckpts),
+        "ensemble": mode if len(ckpts) > 1 else None,
     }
     print(json.dumps(metrics, sort_keys=True))
     if out:
@@ -454,11 +447,7 @@ def main(argv=None):
             cfg["seed"] = str(args.seed)
         if args.command != "inspect" and args.command != "plan" and not args.config:
             raise ConfigError("--config is required")
-        handler = {
-            "plan": cmd_plan, "train": cmd_train, "merge": cmd_merge,
-            "eval": cmd_eval, "inspect": cmd_inspect,
-        }[args.command]
-        return handler(cfg, args)
+        return globals()[f"cmd_{args.command}"](cfg, args)
     except (ZjError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ParseError):

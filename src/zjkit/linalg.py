@@ -1,4 +1,4 @@
-"""Numeric kernels shared by the tuner and merger: SVD and power iteration."""
+"""Numeric kernels of the tuner's regularizers: thin SVD and power iteration."""
 
 from __future__ import annotations
 
@@ -6,24 +6,6 @@ import numpy as np
 
 from .errors import ConfigError, NoConvergence, ShapeMismatch
 from .tensor import Tensor
-
-MAX_SIDE = 512  # desk-scale guard
-
-
-def svd(a):
-    """Thin SVD of a 2-D tensor or array.
-
-    Returns ``(U[m,r], S[r], V[n,r])`` with ``r = min(m, n)``, singular
-    values sorted nonincreasing.
-    """
-    mat = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ShapeMismatch(f"svd expects a matrix, got shape {mat.shape}")
-    m, n = mat.shape
-    if m > MAX_SIDE or n > MAX_SIDE:
-        raise ShapeMismatch(f"svd limited to {MAX_SIDE}x{MAX_SIDE}, got {mat.shape}")
-    u, s, vt = thin_svd(mat)
-    return Tensor(u), Tensor(s), Tensor(vt.T)
 
 
 def thin_svd(mat):

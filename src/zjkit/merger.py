@@ -113,50 +113,41 @@ class FisherDiag:
         return {p: float(a.sum()) for p, a in self.entries.items()}
 
 
-def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0,
-                    label_mode="sampled") -> FisherDiag:
+def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0) -> FisherDiag:
     """Diagonal Fisher estimate from squared log-likelihood gradients.
 
-    ``n_samples`` train rows are drawn with replacement. Labels are drawn
-    from the model's own predictive distribution (``sampled``, the default)
-    or taken from the data (``true``). All samples go through one forward
-    and one per-sample backward of sum_i log p(y_i | x_i), which yields
+    ``n_samples`` train rows are drawn with replacement, and each one's label
+    from the model's own predictive distribution. All samples go through one
+    forward and one per-sample backward of sum_i log p(y_i | x_i), which yields
     sum_i g_i^2 for every parameter directly. The random draws follow the
     order of a per-sample loop (``integers`` for a row, then ``choice`` for
     its label), so the result equals that loop's up to rounding.
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    if label_mode not in ("sampled", "true"):
-        raise ConfigError(f"label_mode must be 'sampled' or 'true', got {label_mode!r}")
     params = to_params(spec, ckpt)
     extra = sorted(set(ckpt.entries) - set(params.paths()))
     if extra:
         raise SpecMismatch(f"fisher_estimate needs the spec's parameters only; the "
                            f"checkpoint also has {len(extra)} other entries "
                            f"({', '.join(extra[:3])}{', ...' if len(extra) > 3 else ''})")
-    x_train, y_train = data.split("train")
+    x_train, _ = data.split("train")
     if x_train.shape[0] == 0:
         raise ConfigError("fisher_estimate needs a non-empty train split")
-    sampled = label_mode == "sampled"
     # choice(k, p=...) takes one double whatever p is, so a twin generator
     # that calls random() in its place draws the loop's rows ahead
     ahead = np.random.default_rng(seed)
     idx = np.empty(n_samples, dtype=np.int64)
     for j in range(n_samples):
         idx[j] = ahead.integers(0, x_train.shape[0])
-        if sampled:
-            ahead.random()
+        ahead.random()
     logits, _ = forward(spec, params, Tensor(x_train[idx]))
-    if sampled:
-        probs = T.softmax(logits.detach()).data
-        rng = np.random.default_rng(seed)
-        labels = np.empty(n_samples, dtype=np.int64)
-        for j in range(n_samples):
-            rng.integers(0, x_train.shape[0])
-            labels[j] = rng.choice(probs.shape[1], p=probs[j])
-    else:
-        labels = y_train[idx].astype(np.int64)
+    probs = T.softmax(logits.detach()).data
+    rng = np.random.default_rng(seed)
+    labels = np.empty(n_samples, dtype=np.int64)
+    for j in range(n_samples):
+        rng.integers(0, x_train.shape[0])
+        labels[j] = rng.choice(probs.shape[1], p=probs[j])
     logp = T.log_softmax(logits)[(np.arange(n_samples), labels)].sum()
     sq = T.backward(logp, per_sample_sq=True)
     entries = {p: (sq[t.uid].data if t.uid in sq else np.zeros(t.shape)) / n_samples
@@ -500,12 +491,8 @@ def combine_logits(logits_list, mode):
 
 
 def ensemble(models, x, mode="logits"):
-    """Run each model on x and fuse the outputs; returns class predictions."""
-    logits_list = []
-    for m in models:
-        logits, _ = m.forward(x if isinstance(x, Tensor) else Tensor(x))
-        logits_list.append(logits.data)
-    fused = combine_logits(logits_list, mode)
+    """Run each model on the array x and fuse the outputs; returns class predictions."""
+    fused = combine_logits([m.predict(x) for m in models], mode)
     if mode == "vote":
         return fused
     return fused.argmax(axis=-1)

@@ -329,15 +329,6 @@ def match_prefixes(paths, pattern):
         lo <= int(i) < hi for i, (lo, hi) in zip(m.groups(), ranges))})
 
 
-def select_paths(store: ParamStore, pattern):
-    """Concrete prefixes of stored paths matched by a pattern.
-
-    ``blocks[0:2].attn.qkv`` on a 2-block model yields the two concrete
-    module prefixes; a pattern matching nothing yields an empty list.
-    """
-    return match_prefixes(store.paths(), pattern)
-
-
 # -- forward ------------------------------------------------------------
 
 

@@ -93,9 +93,6 @@ class Tensor:
             raise ShapeMismatch(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def tolist(self):
-        return self.data.tolist()
-
     def detach(self):
         return Tensor(self.data, requires_grad=False)
 
@@ -306,10 +303,6 @@ def tensor_new(shape, values, requires_grad=False):
             f"shape {shape} implies {int(np.prod(shape))} values, got {values.size}"
         )
     return Tensor(values.reshape(shape), requires_grad=requires_grad)
-
-
-def constant(data):
-    return Tensor(data)
 
 
 def _tracked(t):

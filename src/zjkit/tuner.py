@@ -470,13 +470,9 @@ class Teacher:
 # -- training loop ------------------------------------------------------
 
 
-def accuracy(model, x, y, batch=256):
+def accuracy(model, x, y):
     """Share of rows whose argmax logit is the label (0.0 on an empty split)."""
-    correct = 0
-    for lo in range(0, x.shape[0], batch):
-        logits, _ = model.forward(Tensor(x[lo:lo + batch]))
-        correct += int((np.argmax(logits.data, axis=1) == y[lo:lo + batch]).sum())
-    return correct / max(1, x.shape[0])
+    return int((np.argmax(model.predict(x), axis=1) == y).sum()) / max(1, x.shape[0])
 
 
 def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,

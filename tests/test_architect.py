@@ -276,6 +276,23 @@ def test_backward_reaches_only_trainable_leaves():
     assert set(gmap) == trainable
 
 
+@pytest.mark.parametrize("spec", [MLP, VIT], ids=["mlp", "mini_vit"])
+def test_predict_forwards_256_rows_at_a_time(spec):
+    adapted, _, _ = _adapt(spec, "(LinearProbe.adapt):")
+    rng = np.random.default_rng(0)
+    x = (rng.normal(size=(600, 4)) if spec is MLP
+         else rng.normal(size=(600, VIT.seq_len, VIT.input_dim)))
+    rows, forward = [], adapted.forward
+    adapted.forward = lambda xb, capture=(): rows.append(xb.shape[0]) or forward(xb, capture)
+    logits = adapted.predict(x)
+    assert rows == [256, 256, 88]
+    whole = forward(Tensor(x))[0].data
+    assert logits.shape == whole.shape
+    np.testing.assert_allclose(logits, whole, rtol=1e-12, atol=1e-12)
+    rows.clear()
+    assert adapted.predict(x[:0]).shape == (0, 3) and rows == []
+
+
 def test_plan_table_mentions_counts():
     _, plan, _ = _adapt(VIT, "(LoRA.adapt):->(blocks[0].attn.qkv){inout}")
     table = plan_table(plan, VIT.param_shapes())

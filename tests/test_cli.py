@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zjkit import architect, cli, errors, linalg, merger
+from zjkit import architect, cli, errors, linalg, merger, tuner
 from zjkit import data as data_mod
 from zjkit.checkpoint import from_params, load_checkpoint, save_checkpoint
 from zjkit.cli import main, parse_run_config
@@ -270,6 +270,64 @@ def test_two_checkpoint_eval_takes_adapter_tensors_from_the_checkpoints(
     assert drawn == []
 
 
+def test_validation_eval_and_ensembles_reach_the_model_through_predict(
+        tmp_path, capsys, monkeypatch):
+    predict, forward = architect.AdaptedModel.predict, architect.AdaptedModel.forward
+    rows, inside = [], []
+
+    def spy_predict(self, x):
+        rows.append(x.shape[0])
+        inside.append(self)
+        try:
+            return predict(self, x)
+        finally:
+            inside.pop()
+
+    def spy_forward(self, x, capture=()):
+        assert inside, "a model forward outside AdaptedModel.predict"
+        return forward(self, x, capture)
+
+    monkeypatch.setattr(architect.AdaptedModel, "predict", spy_predict)
+    ck = str(_train(tmp_path, "t") / "final.zjk1")
+    ds = data_mod.blobs(k=3, d=2, n=120, sigma=0.1)
+    n_val, n_test = len(ds.split("val")[1]), len(ds.split("test")[1])
+    assert rows == [n_val] * 3  # tuner.accuracy, once per epoch
+    monkeypatch.setattr(architect.AdaptedModel, "forward", spy_forward)
+    rows.clear()
+    assert main(["eval", "--config", _cfg(tmp_path), "--ckpt", ck, "--ckpt", ck]) == 0
+    assert rows == [n_test] * 2
+    rows.clear()
+    spec = MlpSpec((2, 8, 3))
+    plan = cli._plan(parse_run_config(BASE_CFG), spec)
+    models = [cli._model_for_eval(spec, plan, load_checkpoint(ck))] * 2
+    merger.ensemble(models, ds.x, "prob")
+    tuner.accuracy(models[0], ds.x, ds.y)
+    assert rows == [120] * 3
+
+
+@pytest.mark.parametrize("n_ckpts", [1, 2])
+def test_eval_on_zero_rows(tmp_path, capsys, n_ckpts):
+    ck = str(_train(tmp_path, "t") / "final.zjk1")
+    cfg = _cfg(tmp_path, _with("data.source", "blobs(k=3,d=2,n=0)"), "empty.cfg")
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, *["--ckpt", ck] * n_ckpts]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert metrics["accuracy"] == 0.0 and metrics["mean_loss"] == 0.0
+    assert metrics["n_models"] == n_ckpts
+
+
+def test_train_config_takes_the_set_tuner_keys_in_their_field_types(tmp_path, monkeypatch):
+    seen, train = [], tuner.train
+    monkeypatch.setattr(tuner, "train", lambda *a, **k: seen.append(a[5]) or train(*a, **k))
+    text = _with("tuner.optimizer", "adamw", _with("tuner.weight_decay", "1e-3"))
+    _train(tmp_path, "o", text)
+    want = tuner.TrainConfig(optimizer="adamw", lr=0.2, weight_decay=0.001, epochs=3,
+                             batch_size=16, seed=0)
+    assert seen == [want]
+    assert [type(getattr(seen[0], f)) for f in ("lr", "epochs", "batch_size")] == \
+        [float, int, int]
+
+
 @pytest.mark.parametrize("trained, word", [
     ("'(LoRA.adapt|r=2):->(layers[0]){inout}'", r"lora[0].a: (2, 2) != (4, 2)"),
     ("'(LinearProbe.adapt):'", "unknown parameter path 'lora[0].a'"),
@@ -306,6 +364,7 @@ seed=0
     "ce,rkd_dist:1:hook=blocks[0].output",
     "ce,rkd_angle:1:hook=blocks[1].preact",
     "ce,kd_ncm:1:hook=blocks[0].output",
+    "ce,fsp:1:pairs=blocks[0].output>blocks[1].output",
 ])
 def test_feature_terms_on_vit_block_hooks_train(tmp_path, capsys, loss):
     spec = cli._model_spec(parse_run_config(VIT_CFG))
@@ -430,7 +489,7 @@ FOLDED = {
                      MalformedData, 7),
     "ChecksumMismatch": (lambda tmp: load_checkpoint(_flipped_payload(tmp)),
                          CorruptCheckpoint, 5),
-    "ConvergenceFailure": (lambda tmp: linalg.svd(np.full((2, 2), np.nan)),
+    "ConvergenceFailure": (lambda tmp: linalg.thin_svd(np.full((2, 2), np.nan)),
                            NoConvergence, 6),
 }
 
@@ -455,22 +514,34 @@ def test_exit_code_table(monkeypatch, capsys, tmp_path, site, cls, code):
     assert ("offset: 4" in err) == isinstance(exc, ParseError)
 
 
+def _readme_exit_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return {int(code): set(re.findall(r"`(\w+)`", text))
+            for code, text in re.findall(r"^\| `(\d)` \| (.*) \|$", readme, re.M)}
+
+
+def _docstring_exit_table(doc):
+    """Rows ``    <code>  <text>``, each with its 7-space continuation lines."""
+    return {int(code): set(re.findall(r"\b[A-Z][a-z]+[A-Z]\w*", text))
+            for code, text in re.findall(r"^    (\d)  (.*(?:\n {7}.*)*)", doc, re.M)}
+
+
 def test_error_classes_match_the_readme_table():
-    """Every error class, and no other, is in the exit-code table, at its code."""
+    """Every error class, and no other, is in each copy of the exit-code
+    table, at its code: the README's, the errors module's and the one
+    ``zjkit --help`` prints."""
     classes = [errors.ZjError, *errors.ZjError.__subclasses__()]
     assert sorted(c.__name__ for c in classes) == sorted(
         type(e).__name__ for e, _ in EXIT_CODES if isinstance(e, ZjError))
     assert all(not c.__subclasses__() for c in classes[1:])  # one level deep
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    rows = {}
-    for line in readme.splitlines():
-        m = re.match(r"\| `(\d)` \| (.*) \|$", line)
-        if m:
-            rows[int(m.group(1))] = set(re.findall(r"`(\w+)`", m.group(2)))
-    for cls in classes[1:]:
-        assert cls.__name__ in rows.get(cls.exit_code, ()), cls.__name__
-    # and the table names no class that is gone
-    assert set().union(*rows.values()) <= {c.__name__ for c in classes} | {"ValueError"}
+    tables = {"README.md": _readme_exit_table(),
+              "errors.__doc__": _docstring_exit_table(errors.__doc__),
+              "cli.__doc__": _docstring_exit_table(cli.__doc__)}
+    for name, rows in tables.items():
+        for cls in classes[1:]:
+            assert cls.__name__ in rows.get(cls.exit_code, ()), (name, cls.__name__)
+        # and the table names no class that is gone
+        assert set().union(*rows.values()) <= {c.__name__ for c in classes} | {"ValueError"}, name
 
 
 # -- malformed run-config values -----------------------------------------
@@ -485,7 +556,7 @@ def test_error_classes_match_the_readme_table():
     ("data.source", "blobs(n=-5)", "blobs(n=-5)"),
     ("data.source", "blobs(k=0)", "blobs(k=0)"),
     ("data.source", "csv()", "needs path"),
-    ("tuner.loss", "ce,fsp:1:pairs=a>b", "fsp"),
+    ("tuner.loss", "ce,fsp:1:pairs=a>b", "unknown hook"),
     ("tuner.loss", "ce,kd_kl:1:T=0", "temperature must be positive"),
     ("tuner.reg", "spec_norm:1:iters=0", "iters must be >= 1"),
     ("tuner.lr", "nan", "lr must be finite"),

@@ -16,13 +16,14 @@ GELU = MlpSpec((4, 16, 16, 3), activation="gelu")
 VIT = MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=16, classes=2, seq_len=4, input_dim=4)
 
 
-def fisher_loop(spec, ckpt, data, n_samples, seed, label_mode):
-    """Reference estimate: one batch-1 forward and backward per drawn sample.
+def fisher_loop(spec, ckpt, data, n_samples, seed):
+    """Reference estimate: one batch-1 forward and backward per drawn sample,
+    its label drawn from the model's own predictions.
 
     Returns ``(entries, indices, labels)``.
     """
     params = to_params(spec, ckpt)
-    x_train, y_train = data.split("train")
+    x_train, _ = data.split("train")
     rng = np.random.default_rng(seed)
     acc = {p: np.zeros(t.shape) for p, t in params.items()}
     indices, labels = [], []
@@ -31,10 +32,7 @@ def fisher_loop(spec, ckpt, data, n_samples, seed, label_mode):
         logits, _ = forward(spec, params, Tensor(x_train[i:i + 1]))
         probs = np.exp(logits.data - logits.data.max())
         probs = (probs / probs.sum()).reshape(-1)
-        if label_mode == "sampled":
-            y = int(rng.choice(probs.size, p=probs))
-        else:
-            y = int(y_train[i])
+        y = int(rng.choice(probs.size, p=probs))
         indices.append(i)
         labels.append(y)
         logp = T.log_softmax(logits)[(np.array([0]), np.array([y]))].sum()
@@ -58,14 +56,14 @@ def _case(spec, n):
 DRAWS = {"24_draws": (200, 24), "one_draw": (200, 1), "repeated_rows": (12, 40)}
 
 
-@pytest.mark.parametrize("draws", sorted(DRAWS))
-@pytest.mark.parametrize("label_mode", ["sampled", "true"])
+# the ids also name the labels' source, the model's own predictions
+@pytest.mark.parametrize("draws", sorted(DRAWS), ids=[f"sampled-{d}" for d in sorted(DRAWS)])
 @pytest.mark.parametrize("spec", [RELU, GELU, VIT], ids=["relu_mlp", "gelu_mlp", "mini_vit"])
-def test_batched_fisher_matches_loop(spec, label_mode, draws):
+def test_batched_fisher_matches_loop(spec, draws):
     n_rows, n_samples = DRAWS[draws]
     ckpt, ds = _case(spec, n_rows)
-    want, indices, labels = fisher_loop(spec, ckpt, ds, n_samples, 5, label_mode)
-    got = fisher_estimate(spec, ckpt, ds, n_samples=n_samples, seed=5, label_mode=label_mode)
+    want, indices, labels = fisher_loop(spec, ckpt, ds, n_samples, 5)
+    got = fisher_estimate(spec, ckpt, ds, n_samples=n_samples, seed=5)
     assert got.indices.tolist() == indices
     assert got.labels.tolist() == labels
     if draws == "repeated_rows":
@@ -84,12 +82,6 @@ def test_relu_fisher_has_exact_zeros():
     ckpt, ds = _case(RELU, 200)
     f = fisher_estimate(RELU, ckpt, ds, n_samples=24, seed=5)
     assert any((a == 0).any() for a in f.entries.values())
-
-
-def test_fisher_rejects_unknown_label_mode():
-    ckpt, ds = _case(RELU, 60)
-    with pytest.raises(ValueError, match="label_mode"):
-        fisher_estimate(RELU, ckpt, ds, n_samples=4, label_mode="ture")
 
 
 def test_fisher_rejects_empty_train_split():

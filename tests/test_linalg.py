@@ -1,41 +1,34 @@
-"""SVD and power-iteration spectral norm against residual oracles."""
+"""Thin SVD and power-iteration spectral norm against residual oracles."""
 
 import numpy as np
 import pytest
 
 from zjkit.errors import ShapeMismatch
-from zjkit.linalg import MAX_SIDE, spectral_norm, svd
+from zjkit.linalg import spectral_norm, thin_svd
 
 
 def test_svd_diagonal_matrix():
-    s = svd(np.diag([3.0, 1.0]))[1]
-    assert np.allclose(s.data, [3.0, 1.0])
+    s = thin_svd(np.diag([3.0, 1.0]))[1]
+    assert np.allclose(s, [3.0, 1.0])
 
 
 def test_svd_reconstruction_residual():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(7, 4))
-    u, s, v = svd(a)
-    recon = u.data @ np.diag(s.data) @ v.data.T
+    u, s, vt = thin_svd(a)
+    recon = u @ np.diag(s) @ vt
     assert np.abs(recon - a).max() < 1e-8 * np.linalg.norm(a)
 
 
 def test_svd_orthogonality_and_order():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(5, 6))
-    u, s, v = svd(a)
+    u, s, vt = thin_svd(a)
     r = min(a.shape)
-    assert u.shape == (5, r) and v.shape == (6, r)
-    assert np.abs(u.data.T @ u.data - np.eye(r)).max() < 1e-10
-    assert np.abs(v.data.T @ v.data - np.eye(r)).max() < 1e-10
-    assert (np.diff(s.data) <= 1e-12).all()  # nonincreasing
-
-
-def test_svd_rejects_non_matrix_and_oversize():
-    with pytest.raises(ShapeMismatch):
-        svd(np.ones(3))
-    with pytest.raises(ShapeMismatch):
-        svd(np.ones((MAX_SIDE + 1, 2)))
+    assert u.shape == (5, r) and vt.shape == (r, 6)
+    assert np.abs(u.T @ u - np.eye(r)).max() < 1e-10
+    assert np.abs(vt @ vt.T - np.eye(r)).max() < 1e-10
+    assert (np.diff(s) <= 1e-12).all()  # nonincreasing
 
 
 def test_spectral_norm_matches_svd():

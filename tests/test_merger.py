@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from zjkit import data as data_mod
-from zjkit import merger, tuner
+from zjkit import architect, merger, tuner
 from zjkit.checkpoint import Checkpoint, from_params, to_params
 from zjkit.errors import (
     ConfigError,
@@ -192,6 +192,10 @@ def test_options_no_caller_set_are_gone():
     assert "eps_floor" not in inspect.signature(fisher_merge).parameters
     assert "min_std" not in inspect.signature(repair).parameters
     assert "reg_new_params" not in inspect.signature(tuner.train).parameters
+    assert "label_mode" not in inspect.signature(fisher_estimate).parameters
+    assert "batch" not in inspect.signature(tuner.accuracy).parameters
+    shapes = inspect.signature(architect.plan_table).parameters["shapes"]
+    assert shapes.default is inspect.Parameter.empty
 
 
 def test_fisher_estimate_properties():

@@ -12,7 +12,7 @@ from zjkit.models import (
     ParamStore,
     build_model,
     forward,
-    select_paths,
+    match_prefixes,
     spec_digest,
 )
 from zjkit.tensor import Tensor
@@ -95,24 +95,25 @@ def test_init_distribution():
 
 def test_select_paths_range_half_open():
     store = build_model(VIT)
-    hits = select_paths(store, "blocks[0:2].attn.qkv")
+    hits = match_prefixes(store.paths(), "blocks[0:2].attn.qkv")
     assert hits == ["blocks[0].attn.qkv", "blocks[1].attn.qkv"]
 
 
 def test_select_paths_star_and_exact():
     store = build_model(MlpSpec((4, 8, 3)))
-    assert select_paths(store, "layers[*].bias") == \
+    assert match_prefixes(store.paths(), "layers[*].bias") == \
         ["layers[0].bias", "layers[1].bias"]
-    assert select_paths(store, "layers[1].weight") == ["layers[1].weight"]
-    assert select_paths(build_model(VIT), "blocks[*]") == ["blocks[0]", "blocks[1]"]
+    assert match_prefixes(store.paths(), "layers[1].weight") == ["layers[1].weight"]
+    assert match_prefixes(build_model(VIT).paths(), "blocks[*]") == ["blocks[0]", "blocks[1]"]
 
 
 def test_select_paths_empty_range():
     store = build_model(VIT)
-    assert select_paths(store, "blocks[2:2].attn.qkv") == []
-    assert select_paths(store, "blocks[5:9].attn.qkv") == []
-    assert select_paths(store, "blocks[-1]") == []  # an index no path has
-    assert select_paths(store, "blocks.attn") == []  # an unindexed segment skips blocks[i]
+    assert match_prefixes(store.paths(), "blocks[2:2].attn.qkv") == []
+    assert match_prefixes(store.paths(), "blocks[5:9].attn.qkv") == []
+    paths = store.paths()
+    assert match_prefixes(paths, "blocks[-1]") == []  # an index no path has
+    assert match_prefixes(paths, "blocks.attn") == []  # an unindexed segment skips blocks[i]
 
 
 def test_bad_patterns():
@@ -123,7 +124,7 @@ def test_bad_patterns():
                       ("blocks[:2]", "bad range 'blocks[:2]'"),
                       ("blocks[]", "bad index 'blocks[]'")):
         with pytest.raises(ConfigError, match=re.escape(word)):
-            select_paths(store, bad)
+            match_prefixes(store.paths(), bad)
 
 
 # -- forward -------------------------------------------------------------

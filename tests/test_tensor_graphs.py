@@ -8,6 +8,12 @@ compares every leaf's gradient with central differences. The leaf terms keep
 a gradient that is exactly zero along the graph (a leaf shifted before a
 softmax or a layernorm) from meeting finite-difference noise with no scale
 to compare it against.
+
+A second property checks the per-sample backward: random chains over the
+ops that have a per-sample rule (``affine`` on 2-D and 3-D input,
+``layernorm``, ``expand``), with an activation or a flatten between them,
+must give each leaf the sum over samples of its squared gradient from a
+loop of batch-1 backwards.
 """
 
 import numpy as np
@@ -17,6 +23,7 @@ from hypothesis import strategies as st
 
 from helpers import check_grads, rand_tensor
 from zjkit import tensor as T
+from zjkit.errors import ConfigError
 
 
 def _positive(h):
@@ -99,3 +106,65 @@ def test_each_op_grad(name, start):
        st.sampled_from(START_SHAPES), st.integers(0, 2**16))
 def test_random_graph_grads(names, start, seed):
     check_grads(*_graph(names, start, seed))
+
+
+# name -> (shapes of the op's own leaves for an input shape, the op); every
+# op keeps samples on axis 0 apart, and each leaf is read by one op
+SAMPLE_OPS = {
+    "affine": (lambda s: ((3, s[-1]), (3,)), T.affine),
+    "layernorm": (lambda s: ((s[-1],), (s[-1],)), T.layernorm),
+    "expand_prepended": (lambda s: (s[1:],), lambda h, p: h * p.expand(h.shape)),
+    "expand_from_1": (lambda s: ((1,) + s[1:],), lambda h, p: h * p.expand(h.shape)),
+    "gelu": (lambda s: (), lambda h: h.gelu()),
+    "flatten": (lambda s: (), lambda h: h.reshape(h.shape[0], -1)),
+}
+SAMPLE_STARTS = [(4, 3), (4, 2, 3)]  # 4 samples of a row, or of 2 tokens
+
+
+def _sample_graph(names, start, seed):
+    """(loss of samples lo:hi, leaves) for one chain of ``SAMPLE_OPS`` that
+    ends in an affine head; the loss weights each output by a fixed array."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=start)
+    leaves, steps, h = [], [], T.Tensor(x)
+    for name in [*names, "affine"]:
+        shapes, op = SAMPLE_OPS[name]
+        first = len(leaves)
+        leaves += [rand_tensor(rng, s) for s in shapes(h.shape)]
+        steps.append((op, first, len(leaves)))
+        h = op(h, *leaves[first:])
+    c = rng.normal(size=h.shape)
+
+    def loss(lo, hi):
+        h = T.Tensor(x[lo:hi])
+        for op, first, end in steps:
+            h = op(h, *leaves[first:end])
+        return (h * T.Tensor(c[lo:hi])).sum()
+
+    return loss, leaves
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.sampled_from(sorted(SAMPLE_OPS)), max_size=4),
+       st.sampled_from(SAMPLE_STARTS), st.integers(0, 2**16))
+def test_random_graph_per_sample_sq_matches_loop(names, start, seed):
+    loss, leaves = _sample_graph(names, start, seed)
+    want = [np.zeros(t.shape) for t in leaves]
+    for i in range(start[0]):
+        gmap = T.backward(loss(i, i + 1))
+        for w, t in zip(want, leaves):
+            w += gmap[t.uid].data ** 2
+    got = T.backward(loss(0, start[0]), per_sample_sq=True)
+    assert set(got) == {t.uid for t in leaves}
+    for w, t in zip(want, leaves):
+        np.testing.assert_allclose(got[t.uid].data, w, rtol=1e-9, atol=1e-12 * w.max())
+
+
+def test_per_sample_sq_of_a_leaf_read_by_two_ops_raises():
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.normal(size=(4, 2, 3)))
+    gamma, beta = rand_tensor(rng, (3,)), rand_tensor(rng, (3,))
+    root = T.layernorm(T.layernorm(x, gamma, beta).gelu(), gamma, beta).sum()
+    T.backward(root)  # the plain backward is fine
+    with pytest.raises(ConfigError, match="read by more than one op"):
+        T.backward(root, per_sample_sq=True)
