@@ -5,7 +5,8 @@
 
 Covers ``tuner.train`` (checkpoint and history) for each loss and
 regularizer kind alone and all together under SGD and AdamW, a mini-ViT
-with ``fitnet`` and ``rkd_dist`` on block hooks, each
+with ``fitnet`` and ``rkd_dist`` on block hooks, ``fitnet`` pairs whose
+widths differ (so projectors are drawn) beside ``kd_ncm``, each
 adaptation method on both model families (plus ``merge_reparam`` where it
 applies), each merge recipe, and the plan -> train -> merge -> eval CLI
 pipeline of acceptance criterion 10, plus a greedy soup and a two-checkpoint
@@ -147,6 +148,14 @@ def tuner_digests(out, tmp):
                            loss, RegSpec(), "adamw", Teacher(VIT, build_model(VIT, seed=5)))
     out["tuner/adamw/vit_block_hooks/final.zjk1"] = ckpt_digest(ckpt, tmp)
     out["tuner/adamw/vit_block_hooks/history"] = history_digest(hist)
+    # fitnet pairs of unequal widths, so each draws a projector from the run's rng
+    spec = MlpSpec((2, 8, 6, 3))
+    loss = LossSpec([LossTerm("ce"), LossTerm("fitnet", hooks=((_H0, _H1),)),
+                     LossTerm("kd_ncm"), LossTerm("fitnet", 0.5, hooks=((_H1, _H0),))])
+    _, ckpt, hist = _train(spec, MLP_METHODS["lora"], ds, loss, RegSpec(), "adamw",
+                           Teacher(spec, build_model(spec, seed=5)))
+    out["tuner/adamw/fitnet_projectors/final.zjk1"] = ckpt_digest(ckpt, tmp)
+    out["tuner/adamw/fitnet_projectors/history"] = history_digest(hist)
 
 
 def adaptation_digests(out, tmp):

@@ -48,10 +48,7 @@ def main():
         plan = compile_plan(parse_config(text), spec)
         model = apply_plan(spec, build_model(spec, seed=args.seed), plan,
                            seed=args.seed + 1)
-        n_train = 0
-        for path, t, _ in model.trainable():
-            mask = model.grad_mask(path)
-            n_train += int(mask.sum()) if mask is not None else t.data.size
+        n_train = sum(plan.trained_size(p, t.shape) for p, t, _ in model.trainable())
         cfg = TrainConfig(optimizer="adamw", lr=0.02, epochs=args.epochs,
                           batch_size=32, seed=args.seed, schedule="cosine")
         t0 = time.monotonic()

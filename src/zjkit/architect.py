@@ -127,6 +127,11 @@ class AdaptationPlan:
     trainable_original: set = field(default_factory=set)
     grad_masks: dict = field(default_factory=dict)  # path -> np mask
 
+    def trained_size(self, path, shape):
+        """How many elements of ``path`` train: those its grad mask keeps, else all."""
+        mask = self.grad_masks.get(path)
+        return int(np.prod(shape)) if mask is None else int(mask.sum())
+
 
 def _resolve_sites(adapt, shapes, valid_sites, site_word):
     """Expand hook patterns to concrete sites; (site, hook) pairs in order."""
@@ -253,9 +258,6 @@ class AdaptedModel:
         return [(p, t, store) for store in (self.base, self.extras)
                 for p, t in store.items() if t.requires_grad]
 
-    def grad_mask(self, path):
-        return self.plan.grad_masks.get(path)
-
 
 def apply_plan(spec, params: ParamStore, plan: AdaptationPlan, seed=0) -> AdaptedModel:
     """Wire a compiled plan onto a concrete parameter store, its new
@@ -292,8 +294,9 @@ def plan_table(plan: AdaptationPlan, shapes):
             lines.append(f"{inj.site:<28} {inj.kind:<8} {ps}")
     new = {p: s for inj in plan.injections for p, s in inj.params}  # shared once
     new_count = sum(int(np.prod(s)) for s in new.values())
-    for word, paths in (("frozen", plan.freeze), ("trainable", plan.trainable_original)):
-        count = sum(int(np.prod(shapes[p])) for p in paths)
-        lines.append(f"{word} original parameters: {count}")
+    trained = sum(plan.trained_size(p, shapes[p]) for p in plan.trainable_original)
+    total = sum(int(np.prod(s)) for s in shapes.values())
+    lines.append(f"frozen original parameters: {total - trained}")
+    lines.append(f"trainable original parameters: {trained}")
     lines.append(f"new trainable parameters: {new_count}")
     return "\n".join(lines)

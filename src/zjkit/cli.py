@@ -168,15 +168,15 @@ def _load_dataset(cfg, seed):
         raise ConfigError(f"data.source {source!r}: {exc}") from None
 
 
-def _parse_terms(text, default=None):
-    """name:lambda:key=value;key=value, comma separated."""
+def _parse_terms(text):
+    """name:lambda:key=value;key=value, comma separated. Each value takes the
+    type of its key's default in the kind's ``tuner.TERMS`` record."""
     terms = []
-    if not text:
-        return default or []
-    for chunk in text.split(","):
+    for chunk in text.split(",") if text else ():
         parts = chunk.strip().split(":")
         kind = parts[0]
         weight = _num(parts[1], f"{kind} weight") if len(parts) > 1 and parts[1] else 1.0
+        defaults = tuner.TERMS[kind].defaults if kind in tuner.TERMS else {}
         hyper = {}
         hooks = []
         if len(parts) > 2 and parts[2]:
@@ -187,10 +187,8 @@ def _parse_terms(text, default=None):
                         s_hook, _, t_hook = pair.partition(">")
                         pair = (s_hook, t_hook or s_hook)
                         hooks.append((pair, pair) if kind == "fsp" else pair)
-                elif k == "hook":
-                    hyper[k] = v
-                else:
-                    hyper[k] = _num(v, f"{kind} {k}")
+                else:  # a key the kind does not read stays text; LossSpec rejects it
+                    hyper[k] = _num(v, f"{kind} {k}", type(defaults.get(k, "")))
         terms.append(tuner.LossTerm(kind, weight, tuple(sorted(hyper.items())),
                                     tuple(hooks)))
     return terms
@@ -251,16 +249,16 @@ def cmd_train(cfg, args):
     seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
     ds = _load_dataset(cfg, seed)
-    pretrained = [p for p in cfg.get("pretrained_weights", "").split(",") if p]
+    pretrained = cfg.get("pretrained_weights")
     ref_params = None  # apply_plan copies the store, so training leaves it as loaded
     if pretrained:
-        params = ref_params = ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(pretrained[0]))
+        params = ref_params = ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(pretrained))
     else:
         params = build_model(spec, seed=seed)
     adapted = architect.apply_plan(spec, params, _plan(cfg, spec), seed=seed)
 
-    loss_spec = tuner.LossSpec(_parse_terms(
-        cfg.get("tuner.loss"), default=[tuner.LossTerm("ce")]))
+    loss = cfg.get("tuner.loss")
+    loss_spec = tuner.LossSpec(_parse_terms(loss)) if loss else tuner.LossSpec()
     reg_spec = tuner.RegSpec(_parse_terms(cfg.get("tuner.reg")))
     if any(t.kind == "l2_sp" for t in reg_spec.terms) and ref_params is None:
         raise ConfigError("l2_sp requires pretrained_weights")

@@ -1,10 +1,9 @@
-"""Fusion of weights, features, and predictions across trained models.
+"""Fusion of weights and predictions across trained models.
 
 Weight-space mergers (soups, interpolation, Fisher-weighted averaging,
 optimal-transport and permutation alignment, preactivation repair)
 operate on checkpoints sharing one spec digest; prediction mergers
-combine logits, probabilities, or votes; the feature merger is a
-nearest-class-mean classifier.
+combine logits, probabilities, or votes.
 
 The diagonal Fisher (:func:`fisher_estimate`) takes one batched forward
 and one per-sample backward for all its samples, not one of each per
@@ -203,7 +202,7 @@ def _lse(z, axis):
     return (zmax + np.log(np.exp(z - zmax).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def sinkhorn(cost, eps, iters, tol=1e-9):
+def sinkhorn(cost, eps, iters):
     """Entropic OT plan with uniform marginals, by stabilised scaling.
 
     The potentials ``f, g`` live in a kernel ``K = exp((f + g - cost) / eps)``
@@ -214,7 +213,7 @@ def sinkhorn(cost, eps, iters, tol=1e-9):
     ``[1/ABSORB_TAU, ABSORB_TAU]`` (Schmitzer, arXiv:1610.06519). Where the
     kernel underflows, so that ``K v`` or ``K^T u`` has a zero (small
     ``eps``), that half-step is taken in the log domain instead. The loop
-    stops once the row marginal ``u * K v`` is within ``tol`` of uniform;
+    stops once the row marginal ``u * K v`` is within 1e-9 of uniform;
     the plan is built once, at the end.
 
     Returns ``(plan, {"iterations", "marginal_violation"})``. Raises
@@ -254,7 +253,7 @@ def sinkhorn(cost, eps, iters, tol=1e-9):
                 u, v = np.ones(n), np.ones(m)
                 kern = kernel()
             kv = kern @ v
-            if np.abs(u * kv - a).max() < tol:
+            if np.abs(u * kv - a).max() < 1e-9:
                 break
             if (min(u.min(), v.min()) < 1.0 / ABSORB_TAU
                     or max(u.max(), v.max()) > ABSORB_TAU):
@@ -281,9 +280,6 @@ class Permutation:
 
     maps: list
     stats: list = field(default_factory=list)  # per-layer records of the search, if kept
-
-    def inverse(self):
-        return Permutation([np.argsort(m) for m in self.maps])
 
 
 def _require_mlp(ckpt: Checkpoint):
@@ -496,36 +492,6 @@ def ensemble(models, x, mode="logits"):
     if mode == "vote":
         return fused
     return fused.argmax(axis=-1)
-
-
-# -- nearest class mean -------------------------------------------------
-
-
-class NcmClassifier:
-    """Nearest-class-mean over extracted features."""
-
-    def __init__(self, metric="euclidean"):
-        if metric not in ("euclidean", "cosine"):
-            raise ConfigError(f"unknown metric {metric!r}")
-        self.metric = metric
-        self.means = None
-
-    def fit(self, features, labels):
-        from .tuner import fit_class_means
-        labels = np.asarray(labels)
-        self.means = fit_class_means(features, labels, int(labels.max()) + 1)
-        return self
-
-    def predict(self, features):
-        f = features.data if isinstance(features, Tensor) else np.asarray(features)
-        if self.metric == "euclidean":
-            d = ((f[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=-1)
-        else:
-            fn = f / np.maximum(np.linalg.norm(f, axis=1, keepdims=True), 1e-12)
-            mn = self.means / np.maximum(
-                np.linalg.norm(self.means, axis=1, keepdims=True), 1e-12)
-            d = 1.0 - fn @ mn.T
-        return d.argmin(axis=1)  # argmin ties resolve to lowest class id
 
 
 # -- report helpers -----------------------------------------------------

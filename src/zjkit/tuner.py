@@ -5,7 +5,8 @@ terms against a frozen teacher (KL on softened predictions, NCM-teacher
 logits, hidden-state matching, flow matrices, relational structure), and
 weight/feature regularizers (L2, anchor-to-start, spectral norm, batch
 spectral shrinkage). Each loss or regularizer kind is one record in
-:data:`TERMS`.
+:data:`TERMS`: its evaluator, hooks, the keys it reads with their
+defaults, and its setup before the first minibatch.
 """
 
 from __future__ import annotations
@@ -142,12 +143,12 @@ def fsp_loss(student_pairs, teacher_pairs) -> Tensor:
     return total.scale(1.0 / len(student_pairs))
 
 
-def _huber(x: Tensor, delta=1.0) -> Tensor:
+def _huber(x: Tensor) -> Tensor:
+    """Elementwise Huber loss with threshold 1."""
     a = x.abs()
-    small = (a.data <= delta).astype(np.float64)
+    small = (a.data <= 1.0).astype(np.float64)
     quad = x.square().scale(0.5)
-    lin = (a - 0.5 * delta).scale(delta)
-    return quad * Tensor(small) + lin * Tensor(1.0 - small)
+    return quad * Tensor(small) + (a - 0.5) * Tensor(1.0 - small)
 
 
 def _pairwise_dist(e: Tensor):
@@ -159,8 +160,9 @@ def _pairwise_dist(e: Tensor):
     return sq[(i_idx, j_idx)].sqrt()
 
 
-def rkd_loss(student_emb: Tensor, teacher_emb, mode="dist", delta=1.0) -> Tensor:
-    """Relational distillation over pairwise distances or triplet angles."""
+def rkd_loss(student_emb: Tensor, teacher_emb, mode="dist") -> Tensor:
+    """Relational distillation over pairwise distances or triplet angles,
+    under a Huber loss with threshold 1."""
     t = teacher_emb.detach() if isinstance(teacher_emb, Tensor) else Tensor(teacher_emb)
     n = student_emb.shape[0]
     if mode == "dist":
@@ -171,7 +173,7 @@ def rkd_loss(student_emb: Tensor, teacher_emb, mode="dist", delta=1.0) -> Tensor
         mu_s, mu_t = ds.mean(), dt.mean()
         if mu_s.item() == 0.0 or mu_t.item() == 0.0:
             raise ConfigError("all embeddings coincide")
-        return _huber(ds / mu_s - (dt / mu_t).detach(), delta).mean()
+        return _huber(ds / mu_s - (dt / mu_t).detach()).mean()
     if mode != "angle":
         raise ConfigError(f"unknown rkd mode {mode!r}")
     if n < 3:
@@ -191,7 +193,7 @@ def rkd_loss(student_emb: Tensor, teacher_emb, mode="dist", delta=1.0) -> Tensor
         keep = (i != j) & (k != j) & (i != k)
         return cos[(j[keep], i[keep], k[keep])]
 
-    return _huber(angles(student_emb) - angles(t).detach(), delta).mean()
+    return _huber(angles(student_emb) - angles(t).detach()).mean()
 
 
 # -- regularizers -------------------------------------------------------
@@ -226,8 +228,9 @@ def weight_reg(trainable, ref=None, kind="l2", exclude=()) -> Tensor:
     return total.scale(0.5)
 
 
-def spectral_penalty(trainable, iters=50, seed=0) -> Tensor:
-    """Sum of squared largest singular values over 2-D weights.
+def spectral_penalty(trainable, iters) -> Tensor:
+    """Sum of squared largest singular values over 2-D weights, each by
+    ``iters`` steps of power iteration from seed 0.
 
     Singular vectors are treated as locally constant, so the gradient of
     sigma^2 w.r.t. W is 2 sigma u v^T.
@@ -236,7 +239,7 @@ def spectral_penalty(trainable, iters=50, seed=0) -> Tensor:
     for path, w in trainable:
         if w.ndim != 2:
             raise ShapeMismatch(f"{path} has shape {w.shape}")
-        sigma, u, v = spectral_norm(w.data, iters=iters, seed=seed)
+        sigma, u, v = spectral_norm(w.data, iters=iters)
         outer = 2.0 * sigma * np.outer(u.data, v.data)
         term = T.custom_op([w], np.float64(sigma**2), [lambda g, o=outer: g * o])
         total = term if total is None else total + term
@@ -269,8 +272,9 @@ class LossTerm:
     hyper: tuple = ()          # sorted (key, value) pairs
     hooks: tuple = ()          # (student hook, teacher hook) pairs
 
-    def h(self, key, default=None):
-        return dict(self.hyper).get(key, default)
+    def h(self, key):
+        """The term's value for ``key``, else its kind's default."""
+        return dict(self.hyper).get(key, TERMS[self.kind].defaults[key])
 
 
 @dataclass(frozen=True)
@@ -283,10 +287,15 @@ class TermKind:
     ``ncm_means``, ``targets()`` (regularized (path, tensor) pairs),
     ``ref_params`` and ``head_exclude``. ``hooks(term)`` returns the
     (student, teacher) hook sets the term reads, and raises ConfigError
-    on malformed hooks.
+    on malformed hooks. ``defaults`` maps each key the term reads to its
+    default (``pairs`` stands for the hook pairs). ``setup(term, batch)``
+    runs once before the first minibatch, when ``batch`` also carries the
+    ``model``, ``teacher``, ``data`` and the run's ``rng``.
     """
     evaluate: object
     hooks: object = lambda term: (set(), set())
+    defaults: dict = field(default_factory=dict)
+    setup: object = lambda term, batch: None
     teacher: bool = False
     reg: bool = False
 
@@ -301,6 +310,19 @@ def _fitnet_hooks(term):
     return {s for s, _ in term.hooks}, {t for _, t in term.hooks}
 
 
+def _fitnet_setup(term, b):
+    """A projector for each pair whose widths differ, trained jointly."""
+    x0 = Tensor(b.data.split("train")[0][:1])
+    _, s_tr = b.model.forward(x0, {s for s, _ in term.hooks})
+    _, t_tr = b.teacher.forward(x0, {t for _, t in term.hooks})
+    for s_hook, t_hook in term.hooks:
+        ws, wt = s_tr[s_hook].shape[-1], t_tr[t_hook].shape[-1]
+        if ws != wt and (s_hook, t_hook) not in b.projectors:
+            bound = 1.0 / math.sqrt(ws)
+            b.projectors[(s_hook, t_hook)] = Tensor(
+                b.rng.uniform(-bound, bound, size=(wt, ws)), requires_grad=True)
+
+
 def _fsp_hooks(term):
     if not term.hooks or not all(_is_pair(p, _is_pair) for p in term.hooks):
         raise ConfigError(
@@ -310,15 +332,22 @@ def _fsp_hooks(term):
 
 
 def _feature_hooks(term):
-    hook = {term.h("hook", "feature")}
+    hook = {term.h("hook")}
     return hook, hook
 
 
 def _kd_ncm(term, b):
-    hook = term.h("hook", "feature")
-    tl = ncm_teacher_logits(_sample_rows(b.t_trace[hook]), b.ncm_means[hook],
-                            term.h("tau", 1.0))
-    return kd_kl(b.logits, tl, term.h("T", 1.0))
+    hook = term.h("hook")
+    tl = ncm_teacher_logits(_sample_rows(b.t_trace[hook]), b.ncm_means[hook], term.h("tau"))
+    return kd_kl(b.logits, tl, term.h("T"))
+
+
+def _kd_ncm_setup(term, b):
+    """The teacher's class means at the term's hook, over the training split."""
+    hook = term.h("hook")
+    x, y = b.data.split("train")
+    _, tr = b.teacher.forward(Tensor(x), {hook})
+    b.ncm_means[hook] = fit_class_means(_sample_rows(tr[hook]), y, b.data.n_classes)
 
 
 def _fsp(term, b):
@@ -329,30 +358,33 @@ def _fsp(term, b):
 
 def _rkd(mode):
     def evaluate(term, b):
-        hook = term.h("hook", "feature")
+        hook = term.h("hook")
         return rkd_loss(_sample_rows(b.s_trace[hook]), _sample_rows(b.t_trace[hook]), mode)
     return evaluate
 
 
+_HOOK = {"hook": "feature"}
+
 TERMS = {
     "ce": TermKind(lambda t, b: cross_entropy(b.logits, b.labels)),
-    "kd_kl": TermKind(lambda t, b: kd_kl(b.logits, b.t_trace["logits"], t.h("T", 1.0)),
-                      lambda t: (set(), {"logits"}), teacher=True),
-    "kd_ncm": TermKind(_kd_ncm, lambda t: (set(), {t.h("hook", "feature")}), teacher=True),
+    "kd_kl": TermKind(lambda t, b: kd_kl(b.logits, b.t_trace["logits"], t.h("T")),
+                      lambda t: (set(), {"logits"}), {"T": 1.0}, teacher=True),
+    "kd_ncm": TermKind(_kd_ncm, lambda t: (set(), {t.h("hook")}),
+                       {**_HOOK, "tau": 1.0, "T": 1.0}, _kd_ncm_setup, teacher=True),
     "fitnet": TermKind(
         lambda t, b: fitnet_loss(b.s_trace, b.t_trace, list(t.hooks), b.projectors),
-        _fitnet_hooks, teacher=True),
-    "fsp": TermKind(_fsp, _fsp_hooks, teacher=True),
-    "rkd_dist": TermKind(_rkd("dist"), _feature_hooks, teacher=True),
-    "rkd_angle": TermKind(_rkd("angle"), _feature_hooks, teacher=True),
+        _fitnet_hooks, {"pairs": ()}, _fitnet_setup, teacher=True),
+    "fsp": TermKind(_fsp, _fsp_hooks, {"pairs": ()}, teacher=True),
+    "rkd_dist": TermKind(_rkd("dist"), _feature_hooks, _HOOK, teacher=True),
+    "rkd_angle": TermKind(_rkd("angle"), _feature_hooks, _HOOK, teacher=True),
     "l2": TermKind(lambda t, b: weight_reg(b.targets(), kind="l2"), reg=True),
     "l2_sp": TermKind(lambda t, b: weight_reg(b.targets(), ref=b.ref_params, kind="l2_sp",
                                               exclude=b.head_exclude), reg=True),
-    "spec_norm": TermKind(
-        lambda t, b: spectral_penalty([(p, w) for p, w in b.targets() if w.ndim == 2],
-                                      iters=int(t.h("iters", 20))), reg=True),
-    "bss": TermKind(lambda t, b: bss_penalty(b.s_trace["feature"], int(t.h("k", 1))),
-                    lambda t: ({"feature"}, set()), reg=True),
+    "spec_norm": TermKind(lambda t, b: spectral_penalty(
+        [(p, w) for p, w in b.targets() if w.ndim == 2], int(t.h("iters"))),
+        defaults={"iters": 20}, reg=True),
+    "bss": TermKind(lambda t, b: bss_penalty(b.s_trace["feature"], int(t.h("k"))),
+                    lambda t: ({"feature"}, set()), {"k": 1}, reg=True),
 }
 
 
@@ -363,7 +395,10 @@ def _check_terms(terms, reg):
             raise ConfigError(f"unknown {'reg' if reg else 'loss'} kind {t.kind!r}")
         if not 0 <= t.weight < math.inf:
             raise ConfigError(f"{t.kind} weight must be finite and nonnegative, got {t.weight}")
-        for key, value in t.hyper:
+        for key, value in [*t.hyper, ("pairs", t.hooks)] if t.hooks else t.hyper:
+            if key not in kind.defaults:
+                raise ConfigError(f"{t.kind} has no key {key!r}; it reads "
+                                  f"{', '.join(kind.defaults) or 'no key'}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{t.kind} {key} must be finite, got {value}")
         kind.hooks(t)
@@ -393,7 +428,6 @@ class TrainConfig:
     optimizer: str = "sgd"     # sgd | adamw
     lr: float = 0.1
     momentum: float = 0.9
-    betas: tuple = (0.9, 0.999)
     weight_decay: float = 0.0
     epochs: int = 10
     batch_size: int = 32
@@ -434,6 +468,8 @@ class _Sgd:
 
 
 class _AdamW:
+    """AdamW with betas (0.9, 0.999)."""
+
     def __init__(self, cfg):
         self.cfg = cfg
         self.m = {}
@@ -441,7 +477,7 @@ class _AdamW:
         self.t = {}
 
     def step(self, path, w, g, lr):
-        b1, b2 = self.cfg.betas
+        b1, b2 = 0.9, 0.999
         t = self.t.get(path, 0) + 1
         self.t[path] = t
         m = self.m.get(path, 0.0) * b1 + (1 - b1) * g
@@ -507,33 +543,17 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         s_hooks |= s
         t_hooks |= t
 
-    # fitnet projectors where widths differ, trained jointly
-    projectors = {}
-    if teacher is not None:
-        widths = _probe_widths(model, teacher, x_train[:1], loss_spec)
-        for pair, (ws, wt) in widths.items():
-            if ws != wt:
-                bound = 1.0 / math.sqrt(ws)
-                projectors[pair] = Tensor(
-                    rng.uniform(-bound, bound, size=(wt, ws)), requires_grad=True)
-
-    ncm_means = {}
-    for term in loss_spec.terms:
-        if term.kind == "kd_ncm":
-            hook = term.h("hook", "feature")
-            _, tr = teacher.forward(Tensor(x_train), {hook})
-            ncm_means[hook] = fit_class_means(_sample_rows(tr[hook]), y_train,
-                                              data.n_classes)
-
     base_paths = set(model.base.paths())
 
     def reg_targets():
         return [(p, t) for p, t, _ in model.trainable() if p in base_paths]
 
     head_exclude = (base_paths - set(ref_params.paths())) | model.spec.head_paths()
-    batch = SimpleNamespace(projectors=projectors, ncm_means=ncm_means,
-                            targets=reg_targets, ref_params=ref_params,
-                            head_exclude=head_exclude)
+    batch = SimpleNamespace(projectors={}, ncm_means={}, targets=reg_targets,
+                            ref_params=ref_params, head_exclude=head_exclude,
+                            model=model, teacher=teacher, data=data, rng=rng)
+    for term in terms:
+        TERMS[term.kind].setup(term, batch)
 
     history = []
     n_train = x_train.shape[0]
@@ -579,15 +599,15 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
                 if g is None:
                     continue
                 new = opt.step(path, w.data, g.data, lr)
-                mask = model.grad_mask(path)
+                mask = model.plan.grad_masks.get(path)
                 if mask is not None:  # masked-out elements keep their value
                     new = np.where(mask > 0, new, w.data)
                 store.set(path, Tensor(new, requires_grad=True))
-            for pair, proj in list(projectors.items()):
+            for pair, proj in list(batch.projectors.items()):
                 g = gmap.get(proj.uid)
                 if g is not None:
                     new = opt.step(("proj",) + pair, proj.data, g.data, lr)
-                    projectors[pair] = Tensor(new, requires_grad=True)
+                    batch.projectors[pair] = Tensor(new, requires_grad=True)
 
         entry = {"epoch": epoch}
         entry.update({k: v / n_batches for k, v in sorted(term_sums.items())})
@@ -596,17 +616,3 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         history.append(entry)
 
     return ckpt_mod.from_params(model.spec, model.base, model.extras), history
-
-
-def _probe_widths(model, teacher, x0, loss_spec):
-    """Last-axis widths for every fitnet hook pair (one tiny forward)."""
-    out = {}
-    pairs = [p for term in loss_spec.terms if term.kind == "fitnet"
-             for p in term.hooks]
-    if not pairs:
-        return out
-    _, s_tr = model.forward(Tensor(x0), {s for s, _ in pairs})
-    _, t_tr = teacher.forward(Tensor(x0), {t for _, t in pairs})
-    for s_hook, t_hook in pairs:
-        out[(s_hook, t_hook)] = (s_tr[s_hook].shape[-1], t_tr[t_hook].shape[-1])
-    return out

@@ -87,6 +87,15 @@ def test_parse_terms_fitnet_pairs():
     assert terms[1].kind == "fitnet"
     assert terms[1].weight == 0.5
     assert terms[1].hooks == (("feature", "feature"),)
+    with pytest.raises(ConfigError, match="fitnet has no key 'T'; it reads pairs"):
+        tuner.LossSpec(terms)
+
+
+def test_parse_terms_casts_by_the_record_default():
+    (ncm,) = cli._parse_terms("kd_ncm:1:hook=blocks[0].output;tau=2;T=3")
+    assert ncm.hyper == (("T", 3.0), ("hook", "blocks[0].output"), ("tau", 2.0))
+    (spec_norm,) = cli._parse_terms("spec_norm:1:iters=3")
+    assert spec_norm.hyper == (("iters", 3),) and type(spec_norm.hyper[0][1]) is int
 
 
 # -- plan ----------------------------------------------------------------
@@ -98,6 +107,17 @@ def test_plan_prints_table(tmp_path, capsys):
     assert code == 0
     assert "linear_probe" in out
     assert "trainable original parameters" in out
+
+
+def test_plan_counts_the_rows_a_grad_mask_trains(tmp_path, capsys):
+    text = ("model.kind=mini_vit\nmodel.dim=8\nmodel.blocks=2\nmodel.heads=2\n"
+            "model.mlp_dim=16\nmodel.classes=2\nmodel.seq_len=2\nmodel.input_dim=2\n"
+            "architect.config='(BitFit.adapt):'\n")
+    assert main(["plan", "--config", _cfg(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    # head 8*2+2, the query rows of two qkv biases 2*8, two fc1 biases 2*16
+    assert "trainable original parameters: 66" in out
+    assert "frozen original parameters: 1224" in out
 
 
 def test_plan_malformed_dsl_exit_2(tmp_path, capsys):
@@ -181,6 +201,13 @@ def test_l2sp_without_pretrained_exit_3(tmp_path):
 
 def test_missing_config_file_exit_5(tmp_path):
     assert main(["train", "--config", str(tmp_path / "absent.cfg")]) == 5
+
+
+def test_pretrained_weights_is_one_path(tmp_path, capsys):
+    text = _with("pretrained_weights", f"{_ptm(tmp_path)},{tmp_path / 'absent.zjk1'}")
+    code = main(["train", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == 5
+    assert "absent.zjk1" in capsys.readouterr().err
 
 
 # -- merge / eval / inspect ----------------------------------------------
@@ -567,6 +594,10 @@ def test_error_classes_match_the_readme_table():
     ("tuner.loss", "ce,kd_kl:1:T=nan", "kd_kl T must be finite"),
     ("tuner.reg", "l2:inf", "l2 weight must be finite"),
     ("model.widths", "2,99999999999999999999,3", "more elements than an array can index"),
+    ("tuner.loss", "ce,kd_kl:1:temp=2", "kd_kl has no key 'temp'; it reads T"),
+    ("tuner.loss", "ce,rkd_dist:1:pairs=feature", "rkd_dist has no key 'pairs'; it reads hook"),
+    ("tuner.loss", "ce:1:foo=3", "ce has no key 'foo'; it reads no key"),
+    ("tuner.reg", "spec_norm:1:iter=3", "spec_norm has no key 'iter'; it reads iters"),
 ])
 def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
     text = _with("teacher.weights", _ptm(tmp_path), _with(key, value))

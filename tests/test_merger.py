@@ -1,5 +1,6 @@
 """Merger: soups, interpolation, Fisher, OT/permutation alignment, REPAIR."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -18,7 +19,6 @@ from zjkit.errors import (
 )
 from zjkit.merger import (
     FisherDiag,
-    NcmClassifier,
     Permutation,
     combine_logits,
     coupling_entropy,
@@ -196,6 +196,11 @@ def test_options_no_caller_set_are_gone():
     assert "batch" not in inspect.signature(tuner.accuracy).parameters
     shapes = inspect.signature(architect.plan_table).parameters["shapes"]
     assert shapes.default is inspect.Parameter.empty
+    assert "tol" not in inspect.signature(sinkhorn).parameters
+    assert "delta" not in inspect.signature(tuner.rkd_loss).parameters
+    assert "betas" not in {f.name for f in dataclasses.fields(tuner.TrainConfig)}
+    penalty = inspect.signature(tuner.spectral_penalty).parameters
+    assert "seed" not in penalty and penalty["iters"].default is inspect.Parameter.empty
 
 
 def test_fisher_estimate_properties():
@@ -365,7 +370,8 @@ def test_permute_preserves_function():
 def test_permute_then_inverse_is_identity():
     c = _ckpt(SPEC2, seed=4)
     perm = _rand_perm(SPEC2, 5)
-    back = permute_model(permute_model(c, perm), perm.inverse())
+    back = permute_model(permute_model(c, perm),
+                         Permutation([np.argsort(m) for m in perm.maps]))
     for p in c.entries:
         assert np.array_equal(back.entries[p], c.entries[p])
 
@@ -392,7 +398,7 @@ def test_weight_match_recovers_permutation():
     perm = _rand_perm(SPEC2, 7)
     moved = permute_model(c, perm)
     found, history = weight_match(c, moved)
-    inv = perm.inverse()
+    inv = Permutation([np.argsort(m) for m in perm.maps])
     for f, w in zip(found.maps, inv.maps):
         assert np.array_equal(f, w)
     assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
@@ -419,7 +425,7 @@ def test_ot_fuse_recovers_permutation():
     perm = _rand_perm(SPEC2, 11)
     moved = permute_model(c, perm)
     fused, found = ot_fuse(c, moved, eps=0.001, iters=3000)
-    inv = perm.inverse()
+    inv = Permutation([np.argsort(m) for m in perm.maps])
     for f, w in zip(found.maps, inv.maps):
         assert np.array_equal(f, w)
     # fusing a model with its own permutation returns the model
@@ -523,28 +529,6 @@ def test_vote_majority():
     rows = [np.array([[0.0, 1.0]]), np.array([[0.0, 2.0]]),
             np.array([[3.0, 0.0]])]
     assert combine_logits(rows, "vote").tolist() == [1]
-
-
-# -- NCM -----------------------------------------------------------------
-
-
-def test_ncm_euclidean_oracle():
-    feats = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
-    labels = np.array([0, 0, 1, 1])
-    clf = NcmClassifier().fit(feats, labels)
-    assert clf.predict(np.array([[0.2, 0.1], [4.0, 4.0]])).tolist() == [0, 1]
-
-
-def test_ncm_cosine_scale_invariance():
-    feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    clf = NcmClassifier("cosine").fit(feats, np.array([0, 1]))
-    q = np.array([[0.9, 0.1]])
-    assert clf.predict(q).tolist() == clf.predict(100.0 * q).tolist()
-
-
-def test_ncm_empty_class():
-    with pytest.raises(ConfigError, match="class 1 has no samples"):
-        NcmClassifier().fit(np.zeros((2, 2)), np.array([0, 2]))
 
 
 # -- report helpers ------------------------------------------------------

@@ -408,6 +408,17 @@ def test_loss_spec_validation():
     assert not LossSpec().needs_teacher()
 
 
+def test_term_rejects_a_key_its_record_does_not_declare():
+    with pytest.raises(ConfigError, match="kd_kl has no key 'temp'; it reads T"):
+        LossSpec([LossTerm("kd_kl", hyper=(("temp", 2.0),))])
+    with pytest.raises(ConfigError, match="rkd_dist has no key 'pairs'; it reads hook"):
+        LossSpec([LossTerm("rkd_dist", hooks=(("feature", "feature"),))])
+    with pytest.raises(ConfigError, match="spec_norm has no key 'iter'; it reads iters"):
+        RegSpec([LossTerm("spec_norm", hyper=(("iter", 3),))])
+    assert LossTerm("kd_ncm").h("tau") == 1.0
+    assert LossTerm("kd_ncm", hyper=(("tau", 2.0),)).h("tau") == 2.0
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
