@@ -10,9 +10,10 @@ widths differ (so projectors are drawn) beside ``kd_ncm``, each
 adaptation method on both model families (plus ``merge_reparam`` where it
 applies), each merge recipe, and the plan -> train -> merge -> eval CLI
 pipeline of acceptance criterion 10, plus a greedy soup and a two-checkpoint
-probability ensemble through the CLI. Run it on two trees and ``diff`` the
-outputs to see which outputs a change moves. The last line digests all
-the others.
+probability ensemble through the CLI, and each ``merger.kind`` through
+``zjkit merge`` (the merged checkpoint and its ``merge_report.json``). Run it
+on two trees and ``diff`` the outputs to see which outputs a change moves.
+The last line digests all the others.
 """
 
 import contextlib
@@ -90,6 +91,21 @@ tuner.lr=0.1
 tuner.batch_size=16
 seed=7
 """
+
+# two full fine-tunes (seeds 7 and 8) that every merge recipe takes; the
+# default merger.eps is too small for a net this size
+RECIPE_CFG = """\
+model.kind=mlp
+model.widths=2,8,8,3
+data.source=blobs(k=3,d=2,n=120,sigma=0.3)
+tuner.epochs=3
+tuner.batch_size=16
+merger.samples=16
+merger.eps=0.1
+seed=7
+"""
+RECIPES = ("uniform_soup", "greedy_soup", "wise_ft", "fisher", "ot_fusion", "git_rebasin",
+           "repair")
 
 
 def sha(data):
@@ -264,10 +280,39 @@ def cli_digests(out, tmp):
             out[f"cli/{rel}"] = sha(fh.read())
 
 
+def recipe_digests(out, tmp):
+    """Each merge recipe through ``zjkit merge``. Paths are relative to the
+    run directory, so ``merge_report.json`` holds no temporary path."""
+    run = os.path.join(tmp, "recipes")
+    os.makedirs(run)
+    cwd = os.getcwd()
+    os.chdir(run)
+    try:
+        for kind in RECIPES:
+            with open(f"{kind}.cfg", "w") as fh:
+                fh.write(RECIPE_CFG + f"merger.kind={kind}\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["train", "--config", "uniform_soup.cfg", "--out", "a"],
+                         ["train", "--config", "uniform_soup.cfg", "--seed", "8", "--out", "b"],
+                         *(["merge", "--config", f"{kind}.cfg", "--out", kind,
+                            "--ckpt", "a/final.zjk1", "--ckpt", "b/final.zjk1"]
+                           for kind in RECIPES)):
+                code = cli.main(argv)
+                if code != 0:
+                    raise SystemExit(f"zjkit {' '.join(argv)} exited {code}")
+        for kind in RECIPES:
+            for name in ("merged.zjk1", "merge_report.json"):
+                with open(os.path.join(kind, name), "rb") as fh:
+                    out[f"cli/recipes/{kind}/{name}"] = sha(fh.read())
+    finally:
+        os.chdir(cwd)
+
+
 def main():
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for collect in (tuner_digests, adaptation_digests, merge_digests, cli_digests):
+        for collect in (tuner_digests, adaptation_digests, merge_digests, cli_digests,
+                        recipe_digests):
             collect(out, tmp)
     lines = [f"{name} {digest}" for name, digest in sorted(out.items())]
     for line in lines:

@@ -17,7 +17,6 @@ which :func:`models.forward` lets every injection in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -26,7 +25,7 @@ import numpy as np
 from . import checkpoint as ckpt_mod
 from . import tensor as T
 from .errors import ConfigError, ShapeMismatch
-from .models import ParamStore, check_shapes, match_prefixes
+from .models import ParamStore, check_shapes, init_param, match_prefixes
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -198,14 +197,8 @@ def _init_extras(plan: AdaptationPlan, seed) -> ParamStore:
     extras = ParamStore()
     for inj in plan.injections:
         for (path, shape), (_, fill) in zip(inj.params, METHODS[inj.kind].params):
-            if path in extras:
-                continue
-            if fill == "uniform":
-                bound = 1.0 / math.sqrt(shape[-1])
-                data = rng.uniform(-bound, bound, size=shape)
-            else:
-                data = np.full(shape, fill)
-            extras.set(path, Tensor(data, requires_grad=True))
+            if path not in extras:
+                extras.set(path, init_param(rng, shape, fill))
     return extras
 
 

@@ -7,7 +7,7 @@ error ends a command:
     3  ConfigError, ShapeMismatch, DetachedRoot, AmbiguousAssignment
     4  SpecMismatch
     5  IoError, CorruptCheckpoint
-    6  NonFiniteValue, NonFiniteLoss, NoConvergence
+    6  NonFiniteValue, NoConvergence
     7  MalformedData
 
 ``ZjError`` is the base class and is never raised itself. ``ConfigError``
@@ -70,14 +70,6 @@ class CorruptCheckpoint(ZjError):
 
 class NonFiniteValue(ZjError):
     exit_code = 6
-
-
-class NonFiniteLoss(ZjError):
-    exit_code = 6
-
-    def __init__(self, term, value):
-        self.term = term
-        super().__init__(f"non-finite loss in term '{term}': {value}")
 
 
 class NoConvergence(ZjError):

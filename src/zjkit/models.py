@@ -274,21 +274,23 @@ class ParamStore:
 # -- init / build -------------------------------------------------------
 
 
+def init_param(rng, shape, fill):
+    """A new parameter tensor: ``fill`` everywhere, or for ``"uniform"`` a draw
+    from ``rng`` of uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), fan_in the last axis."""
+    if fill != "uniform":
+        return Tensor(np.full(shape, fill), requires_grad=True)
+    bound = 1.0 / math.sqrt(shape[-1])
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
 def build_model(spec, seed=0) -> ParamStore:
-    """Fresh ParamStore with seeded uniform(-1/sqrt(fan_in), ..) weights."""
+    """Fresh ParamStore: zero biases and betas, unit gammas, and seeded
+    uniform (:func:`init_param`) weights."""
     rng = np.random.default_rng(seed)
     store = ParamStore()
     for path, shape in spec.param_shapes().items():
-        leaf = path.rsplit(".", 1)[-1]
-        if leaf in ("bias", "beta"):
-            data = np.zeros(shape)
-        elif leaf == "gamma":
-            data = np.ones(shape)
-        else:
-            fan_in = shape[-1]
-            bound = 1.0 / math.sqrt(fan_in)
-            data = rng.uniform(-bound, bound, size=shape)
-        store.set(path, Tensor(data, requires_grad=True))
+        fill = {"bias": 0.0, "beta": 0.0, "gamma": 1.0}.get(path.rsplit(".", 1)[-1], "uniform")
+        store.set(path, init_param(rng, shape, fill))
     return store
 
 

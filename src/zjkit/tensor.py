@@ -1,16 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Values are immutable after creation; every op that touches a tensor with
-``requires_grad`` records the local backward rule so that :func:`backward`
-can replay the graph in reverse topological order. A one-input op records
-it through ``Tensor._unary(out, dgrad)``, ``dgrad`` mapping the output's
-gradient to the input's; the ops with more inputs (``_binary``, ``matmul``,
-``affine``, ``attention``, ``layernorm``, ``concat``, ``custom_op``) and
-``expand``, which has a per-sample rule, write their own closures. ``sum``
-and ``mean`` take an int, negative or tuple axis, and ``reshape`` one
-``-1``. Non-finite values are rejected at creation time, which makes
-divergence surface as an error at the op that produced it instead of
-poisoning downstream results.
+Values are immutable after creation; every op that reads a tracked tensor
+(a grad leaf or a recorded result) records a node so that :func:`backward`
+can replay the graph in reverse topological order. Ops record through one
+recorder, ``Tensor._record(out, parents, dgrads)``, and state only the
+derivative they hand each operand: ``dgrads[i]`` maps the output's gradient
+to the gradient of ``parents[i]`` (``Tensor._unary(out, dgrad)`` for one
+input). The untracked rule lives there: an operand that is None or
+untracked gets no tape edge and no derivative call, so a constant, a frozen
+weight or norm costs no derivative work and a frozen prefix of a network
+records no tape at all. Two backward closures remain, the recorder's and
+that of ``attention``, whose three gradients share intermediates and which
+records through ``Tensor._make``. ``sum`` and ``mean`` take an int,
+negative or tuple axis, and ``reshape`` one ``-1``. Non-finite values are
+rejected at creation time, which makes divergence surface as an error at
+the op that produced it instead of poisoning downstream results.
 
 Two fused nodes keep the tape short on the model hot path: :func:`affine`
 (``x @ w.T + b``, one node where a chain took up to six) and
@@ -20,12 +24,9 @@ took 16, or 24 with a prefix). Each is bit-identical in value and
 gradients to the chain it replaces. A leaf that three or more of them
 read (one LoRA instance shared by three sites) sums its gradient
 contributions in another order than the chain did, which can move its
-last bit. ``affine`` and ``layernorm`` skip the gradient of every
-untracked operand, so a frozen weight or norm costs no derivative work
-and a frozen prefix of a network records no tape at all. Backward
-closures keep only what the derivative needs and do the derivative work
-themselves, so a forward that no backward follows pays nothing for it
-(``gelu`` keeps ``x`` and ``tanh(u)``).
+last bit. Derivatives keep only what they need and do the derivative
+work themselves, so a forward that no backward follows pays nothing for
+it (``gelu`` keeps ``x`` and ``tanh(u)``).
 
 Per-sample backward: ``backward(root, per_sample_sq=True)``, on a root
 that sums one term per sample (samples on axis 0, never mixed), maps each
@@ -33,9 +34,10 @@ leaf to the sum over samples of its squared per-sample gradient, from one
 pass over one batched tape (BackPACK's "sum of squared gradients"; the
 diagonal Fisher of ``merger.fisher_estimate``). Samples only meet where a
 leaf's gradient is summed over them, so only those ops carry a
-per-sample rule: ``affine`` (weight and bias; for a 2-D input the weight
-term is ``(g*g).T @ (x*x)``), ``layernorm`` (gamma and beta) and
-``expand``. A leaf that any other op reaches, or that two ops read,
+per-sample rule, a ``(summed over samples, per-sample squares)`` pair of
+maps in place of a derivative: ``affine`` (weight and bias; for a 2-D
+input the weight term is ``(g*g).T @ (x*x)``), ``layernorm`` (gamma and
+beta) and ``expand``. A leaf that any other op reaches, or that two ops read,
 raises ``ConfigError`` rather than give a wrong sum.
 
 Numeric note: ``gelu`` computes ``x*x*x``, not ``x**3``; numpy sends the
@@ -71,7 +73,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.uid = next(_uid_counter)
-        self._parents = tuple(_parents)
+        self._parents = _parents  # every caller passes a tuple
         self._backward = _backward
 
     # -- basics ---------------------------------------------------------
@@ -102,21 +104,55 @@ class Tensor:
     # -- graph plumbing -------------------------------------------------
 
     def _make(self, data, parents, backward):
-        """Wrap an op result; drops the tape when no parent needs grad."""
-        parents = tuple(p for p in parents if isinstance(p, Tensor))
-        if not any(map(_tracked, parents)):
+        """Wrap the result of an op whose ``backward(grad, acc)`` feeds all
+        its ``parents`` at once; drops the tape when none of them is tracked."""
+        if not any(t.requires_grad or t._parents for t in parents):
             return Tensor(data)
         return Tensor(data, _parents=parents, _backward=backward)
 
+    @staticmethod
+    def _record(out, parents, dgrads):
+        """Wrap an op's result ``out`` (an ndarray or numpy scalar); the
+        backward hands each operand ``parents[i]`` (a tuple) the gradient
+        ``dgrads[i](grad)``, accumulated in that order. ``grad`` arrives in
+        the shape numpy gave ``out``, also where ``Tensor`` stores a 0-d
+        result as ``(1,)``. An operand that is None or untracked (a
+        constant, a frozen weight) gets no tape edge and no derivative
+        call, so a frozen prefix of a network records no tape.
+
+        An operand whose gradient is summed over the sample axis 0 takes a
+        per-sample rule, a pair of maps: the gradient summed over samples,
+        and its squared per-sample gradients summed over samples, which a
+        grad leaf gets instead in a per-sample backward."""
+        tape, rules = parents, dgrads
+        for t in parents:  # copy only when an operand drops out: most nodes keep all
+            if t is None or not (t.requires_grad or t._parents):
+                tape, rules = [], []
+                for t, d in zip(parents, dgrads):
+                    if t is not None and (t.requires_grad or t._parents):
+                        tape.append(t)
+                        rules.append(d)
+                if not tape:
+                    return Tensor(out)
+                tape = tuple(tape)
+                break
+        shape = out.shape  # np.shape(out) costs several times more per node
+
+        def backward(grad, acc):
+            g = grad.reshape(shape)
+            for t, d in zip(tape, rules):
+                if type(d) is not tuple:
+                    acc(t, d(g))
+                elif acc.per_sample and _is_leaf(t):
+                    acc.add_sq(t, d[1](g))
+                else:
+                    acc(t, d[0](g))
+
+        return Tensor(out, _parents=tape, _backward=backward)
+
     def _unary(self, out, dgrad):
-        """Wrap the result of a one-input op whose backward hands
-        ``dgrad(grad)`` to ``self``. The gradient arrives in the shape numpy
-        gave ``out``, also where ``Tensor`` stores a 0-d result as ``(1,)``."""
-        if not _tracked(self):
-            return Tensor(out)
-        shape = np.shape(out)
-        return Tensor(out, _parents=(self,),
-                      _backward=lambda grad, acc: acc(self, dgrad(grad.reshape(shape))))
+        """:meth:`_record` for a one-input op."""
+        return Tensor._record(out, (self,), (dgrad,))
 
     # -- elementwise ----------------------------------------------------
 
@@ -128,15 +164,9 @@ class Tensor:
         a, b = self.data, other.data
         if a.shape != b.shape and a.size != 1 and b.size != 1:
             raise ShapeMismatch(f"operand shapes {a.shape} vs {b.shape}")
-        out_data = fwd(a, b)
-
-        def backward(grad, acc):
-            ga = bwd_self(grad, a, b)
-            gb = bwd_other(grad, a, b)
-            acc(self, _unbroadcast(ga, a.shape))
-            acc(other, _unbroadcast(gb, b.shape))
-
-        return self._make(out_data, (self, other), backward)
+        return Tensor._record(fwd(a, b), (self, other),
+                              (lambda g: _unbroadcast(bwd_self(g, a, b), a.shape),
+                               lambda g: _unbroadcast(bwd_other(g, a, b), b.shape)))
 
     def __add__(self, other):
         return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
@@ -255,9 +285,6 @@ class Tensor:
             raise ShapeMismatch(str(exc)) from None
         src = self.shape
 
-        def backward(g, acc):
-            _acc_summed(acc, self, lambda: _sum_to(g, src), lambda: sq(g))
-
         def sq(g):
             # per-sample sums keep axis 0, which src must be broadcast along
             extra = g.ndim - len(src)
@@ -271,7 +298,7 @@ class Tensor:
             per = _sum_to(g, per_shape)
             return (per * per).sum(axis=0).reshape(src)
 
-        return self._make(np.ascontiguousarray(out), (self,), backward)
+        return self._unary(np.ascontiguousarray(out), (lambda g: _sum_to(g, src), sq))
 
     def __getitem__(self, key):
         shape = self.shape
@@ -305,11 +332,6 @@ def tensor_new(shape, values, requires_grad=False):
     return Tensor(values.reshape(shape), requires_grad=requires_grad)
 
 
-def _tracked(t):
-    """True when gradients flow into ``t``: a grad leaf or a recorded op."""
-    return t.requires_grad or bool(t._parents)
-
-
 def _is_leaf(t):
     return t.requires_grad and not t._parents
 
@@ -333,18 +355,6 @@ def _sample_sq(a):
         raise ConfigError(f"no per-sample rule: a {a.shape} gradient has no sample axis")
     per = a.reshape(a.shape[0], -1, a.shape[-1]).sum(axis=1)
     return (per * per).sum(axis=0)
-
-
-def _acc_summed(acc, t, total, sq):
-    """Give ``t`` its gradient summed over the sample axis 0.
-
-    ``total()`` is that sum. In a per-sample backward a grad leaf gets
-    ``sq()`` instead: its squared per-sample gradients summed over samples.
-    """
-    if acc.per_sample and _is_leaf(t):
-        acc.add_sq(t, sq())
-    else:
-        acc(t, total())
 
 
 def _unbroadcast(grad, shape):
@@ -395,20 +405,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"inner dims {a.shape} @ {b.shape}")
     if a.ndim == b.ndim and a.shape[:-2] != b.shape[:-2]:
         raise ShapeMismatch(f"batch dims {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
-
-    def backward(grad, acc):
-        ga = np.matmul(grad, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), grad)
-        # when one operand is 2-D against a batched one, reduce batch dims
-        if ga.ndim > a.ndim:
-            ga = ga.sum(axis=tuple(range(ga.ndim - a.ndim)))
-        if gb.ndim > b.ndim:
-            gb = gb.sum(axis=tuple(range(gb.ndim - b.ndim)))
-        acc(a, ga)
-        acc(b, gb)
-
-    return a._make(out, (a, b), backward)
+    # a 2-D operand against a batched one gets its gradient summed over batch dims
+    return Tensor._record(np.matmul(a.data, b.data), (a, b), (
+        lambda g: _sum_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+        lambda g: _sum_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
@@ -432,18 +432,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     if b is not None:
         y = y + b.data
 
-    def backward(grad, acc):
-        g = grad.reshape(y.shape)
-        if b is not None and _tracked(b):
-            _acc_summed(acc, b, lambda: g.sum(axis=0),
-                        lambda: _sample_sq(g.reshape(x.shape[:-1] + g.shape[1:])))
-        if _tracked(x):
-            acc(x, np.matmul(g, np.swapaxes(wt, -1, -2)).reshape(x.shape))
-        if _tracked(w):
-            _acc_summed(acc, w, lambda: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g)),
-                        lambda: w_sq(g))
+    rows = y.shape
 
     def w_sq(g):
+        g = g.reshape(rows)
         if x.ndim == 2:  # one row per sample: sum_i g_i^2 x_i^2, no [n, out, in]
             return np.matmul((g * g).T, x2 * x2)
         n = x.shape[0]
@@ -457,7 +449,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
             out += np.einsum("noi,noi->oi", per, per)
         return out
 
-    return x._make(y.reshape(x.shape[:-1] + (w.shape[0],)), (x, w, b), backward)
+    return Tensor._record(y.reshape(x.shape[:-1] + (w.shape[0],)), (b, x, w), (
+        (lambda g: g.reshape(rows).sum(axis=0), _sample_sq),
+        lambda g: np.matmul(g.reshape(rows), np.swapaxes(wt, -1, -2)).reshape(x.shape),
+        (lambda g: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g.reshape(rows))),
+         w_sq)))
 
 
 def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
@@ -562,49 +558,37 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
     xhat = (x.data - mu) * inv
     out = gamma.data * xhat + beta.data
 
-    def backward(g, acc):
-        lead = tuple(range(g.ndim - 1))
-        if _tracked(gamma):
-            _acc_summed(acc, gamma, lambda: (g * xhat).sum(axis=lead),
-                        lambda: _sample_sq(g * xhat))
-        if _tracked(beta):
-            _acc_summed(acc, beta, lambda: g.sum(axis=lead), lambda: _sample_sq(g))
-        if _tracked(x):
-            gg = g * gamma.data
-            m1 = gg.mean(axis=-1, keepdims=True)
-            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-            acc(x, (gg - m1 - xhat * m2) * inv)
+    lead = tuple(range(out.ndim - 1))
 
-    return x._make(out, (x, gamma, beta), backward)
+    def dx(g):
+        gg = g * gamma.data
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        return (gg - m1 - xhat * m2) * inv
+
+    return Tensor._record(out, (gamma, beta, x), (
+        (lambda g: (g * xhat).sum(axis=lead), lambda g: _sample_sq(g * xhat)),
+        (lambda g: g.sum(axis=lead), _sample_sq),
+        dx))
 
 
 def concat(tensors, axis=0):
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
     cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def backward(grad, acc):
-        for t, g in zip(tensors, np.split(grad, cuts, axis=axis)):
-            acc(t, g)
-
-    return tensors[0]._make(out, tensors, backward)
+    return Tensor._record(out, tensors, [lambda g, i=i: np.split(g, cuts, axis=axis)[i]
+                                         for i in range(len(tensors))])
 
 
 def custom_op(inputs, value, grads):
     """Graph node with a hand-written backward rule.
 
-    ``grads[i]`` maps the upstream gradient to the gradient of ``inputs[i]``.
-    Used for spectra (SVD / power iteration) where singular vectors are
-    treated as locally constant.
+    ``grads[i]`` maps the upstream gradient to the gradient of ``inputs[i]``;
+    it is not called for an input that is not tracked. Used for spectra
+    (SVD / power iteration) where singular vectors are treated as locally
+    constant.
     """
-    inputs = tuple(inputs)
-
-    def backward(grad, acc):
-        for t, fn in zip(inputs, grads):
-            if fn is not None:
-                acc(t, fn(np.asarray(grad)))
-
-    return inputs[0]._make(value, inputs, backward)
+    return Tensor._record(np.asarray(value), tuple(inputs), grads)
 
 
 # -- reverse pass -------------------------------------------------------
@@ -685,10 +669,3 @@ def backward(root: Tensor, per_sample_sq=False):
     found = acc.sq if per_sample_sq else acc.grads
     return {node.uid: Tensor(found[node.uid]) for node in topo
             if _is_leaf(node) and node.uid in found}
-
-
-def grad(root: Tensor, leaves):
-    """Convenience wrapper: gradients for an explicit leaf list."""
-    gmap = backward(root)
-    zero = lambda t: Tensor(np.zeros(t.shape))
-    return [gmap.get(t.uid, zero(t)) for t in leaves]

@@ -21,9 +21,9 @@ import numpy as np
 from . import checkpoint as ckpt_mod
 from . import tensor as T
 from .architect import AdaptedModel
-from .errors import ConfigError, DetachedRoot, NonFiniteLoss, ShapeMismatch
+from .errors import ConfigError, DetachedRoot, ShapeMismatch
 from .linalg import spectral_norm, thin_svd
-from .models import ParamStore, forward
+from .models import ParamStore, forward, init_param
 from .tensor import Tensor
 
 # -- loss terms ---------------------------------------------------------
@@ -318,9 +318,7 @@ def _fitnet_setup(term, b):
     for s_hook, t_hook in term.hooks:
         ws, wt = s_tr[s_hook].shape[-1], t_tr[t_hook].shape[-1]
         if ws != wt and (s_hook, t_hook) not in b.projectors:
-            bound = 1.0 / math.sqrt(ws)
-            b.projectors[(s_hook, t_hook)] = Tensor(
-                b.rng.uniform(-bound, bound, size=(wt, ws)), requires_grad=True)
+            b.projectors[(s_hook, t_hook)] = init_param(b.rng, (wt, ws), "uniform")
 
 
 def _fsp_hooks(term):
@@ -381,9 +379,9 @@ TERMS = {
     "l2_sp": TermKind(lambda t, b: weight_reg(b.targets(), ref=b.ref_params, kind="l2_sp",
                                               exclude=b.head_exclude), reg=True),
     "spec_norm": TermKind(lambda t, b: spectral_penalty(
-        [(p, w) for p, w in b.targets() if w.ndim == 2], int(t.h("iters"))),
+        [(p, w) for p, w in b.targets() if w.ndim == 2], t.h("iters")),
         defaults={"iters": 20}, reg=True),
-    "bss": TermKind(lambda t, b: bss_penalty(b.s_trace["feature"], int(t.h("k"))),
+    "bss": TermKind(lambda t, b: bss_penalty(b.s_trace["feature"], t.h("k")),
                     lambda t: ({"feature"}, set()), {"k": 1}, reg=True),
 }
 
@@ -399,6 +397,9 @@ def _check_terms(terms, reg):
             if key not in kind.defaults:
                 raise ConfigError(f"{t.kind} has no key {key!r}; it reads "
                                   f"{', '.join(kind.defaults) or 'no key'}")
+            want = type(kind.defaults[key])  # a float key also takes an int
+            if not isinstance(value, (int, float) if want is float else want):
+                raise ConfigError(f"{t.kind} {key} must be {want.__name__}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{t.kind} {key} must be finite, got {value}")
         kind.hooks(t)
@@ -521,6 +522,9 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     by its kind (the second term of a kind is ``kind[1]``, and so on), then
     ``val_acc`` and ``wall_ms``.
     """
+    terms = [*loss_spec.terms, *reg_spec.terms]
+    if not terms:
+        raise ConfigError("the objective has no loss or regularizer term")
     if loss_spec.needs_teacher() and teacher is None:
         raise ConfigError("loss spec requires a teacher model")
     if ref_params is None:
@@ -531,7 +535,6 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     x_train, y_train = data.split("train")
     x_val, y_val = data.split("val")
 
-    terms = [*loss_spec.terms, *reg_spec.terms]
     # history key per term: its kind, then kind[1], kind[2] for repeats
     keys = []
     for term in terms:
@@ -576,17 +579,11 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
                 _, batch.t_trace = teacher.forward(xb, t_hooks)
 
             total = None
-            values = {}
             for key, term in zip(keys, terms):
                 val = TERMS[term.kind].evaluate(term, batch)
-                values[key] = val
+                term_sums[key] = term_sums.get(key, 0.0) + val.item()
                 total = val.scale(term.weight) if total is None \
                     else total + val.scale(term.weight)
-            for name, val in values.items():
-                v = val.item()
-                if not np.isfinite(v):
-                    raise NonFiniteLoss(name, v)
-                term_sums[name] = term_sums.get(name, 0.0) + v
             n_batches += 1
 
             try:

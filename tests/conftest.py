@@ -1,4 +1,12 @@
-"""Print one pass/fail line per acceptance criterion after the run."""
+"""Print one pass/fail line per acceptance criterion after the run, and
+register the hypothesis profile that explores new op graphs."""
+
+from hypothesis import settings
+
+# `pytest tests/test_tensor_graphs.py --hypothesis-profile=explore` checks new
+# random graphs on each run (a non-blocking CI step); without a profile the
+# graph properties replay a fixed set (tests/test_tensor_graphs.py::_graphs)
+settings.register_profile("explore", derandomize=False, deadline=None, max_examples=2000)
 
 _ACCEPTANCE = {}
 

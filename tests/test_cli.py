@@ -19,7 +19,6 @@ from zjkit.errors import (
     IoError,
     MalformedData,
     NoConvergence,
-    NonFiniteLoss,
     NonFiniteValue,
     ParseError,
     ShapeMismatch,
@@ -480,7 +479,6 @@ EXIT_CODES = [
     (CorruptCheckpoint("x"), 5),
     (FileNotFoundError("x"), 5),
     (NonFiniteValue("x"), 6),
-    (NonFiniteLoss("ce", float("nan")), 6),
     (NoConvergence("x"), 6),
     (MalformedData("x"), 7),
 ]

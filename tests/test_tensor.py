@@ -154,7 +154,7 @@ def test_sum_and_mean_over_an_explicit_axis_set(shape, axis):
 
 def test_getitem_repeated_fancy_index_accumulates():
     x = Tensor(np.arange(4.0), requires_grad=True)
-    assert T.grad(x[[0, 0, 1]].sum(), [x])[0].data.tolist() == [2.0, 1.0, 0.0, 0.0]
+    assert T.backward(x[[0, 0, 1]].sum())[x.uid].data.tolist() == [2.0, 1.0, 0.0, 0.0]
     rng = np.random.default_rng(8)
     m = rand_tensor(rng, (3, 2))
     check_grads(lambda t: t[np.array([2, 0, 2, 2])].square().sum(), [m])
@@ -252,9 +252,10 @@ def _assert_same_as_chain(fused, chain, leaves, seed=0):
     outs = [fused(*leaves), chain(*leaves)]
     assert np.array_equal(outs[0].data, outs[1].data)
     probe = Tensor(np.random.default_rng(seed).normal(size=outs[0].shape))
-    g_fused, g_chain = (T.grad((o * probe).sum(), leaves) for o in outs)
-    for a, b in zip(g_fused, g_chain):
-        assert np.array_equal(a.data, b.data)
+    g_fused, g_chain = (T.backward((o * probe).sum()) for o in outs)
+    assert g_fused.keys() == g_chain.keys()
+    for uid, g in g_fused.items():
+        assert np.array_equal(g.data, g_chain[uid].data)
 
 
 # Widths 17 -> 33 and head width 16 are sizes at which numpy's matmul
@@ -333,7 +334,7 @@ def test_gelu_backward_matches_closed_form():
     u = c * (x + 0.044715 * x**3)
     want = 0.5 * (1.0 + np.tanh(u)) + 0.5 * x * c * (1.0 + 3 * 0.044715 * x**2) / np.cosh(u)**2
     leaf = Tensor(x, requires_grad=True)
-    got = T.grad(leaf.gelu().sum(), [leaf])[0].data
+    got = T.backward(leaf.gelu().sum())[leaf.uid].data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -523,12 +524,12 @@ def test_detach_cuts_the_tape():
     assert g[w.uid].data.tolist() == [2.0]  # only the live branch
 
 
-def test_grad_helper_zero_fills():
+def test_backward_maps_only_the_leaves_it_reaches():
     w = Tensor([1.0], requires_grad=True)
     u = Tensor([1.0], requires_grad=True)  # unused leaf
-    gs = T.grad((w * w).sum(), [w, u])
-    assert gs[0].data.tolist() == [2.0]
-    assert gs[1].data.tolist() == [0.0]
+    gs = T.backward((w * w).sum())
+    assert gs[w.uid].data.tolist() == [2.0]
+    assert u.uid not in gs
 
 
 def test_custom_op_grad_routing():
@@ -536,6 +537,27 @@ def test_custom_op_grad_routing():
     out = T.custom_op([w], np.float64(9.0), [lambda g: g * np.array([[6.0]])])
     g = T.backward(out)
     assert g[w.uid].data.tolist() == [[6.0]]
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, c: x * c,
+    lambda x, c: T.matmul(x, c),
+    lambda x, c: T.concat([x, c]),
+    lambda x, c: T.custom_op([x, c], np.float64(1.0), [lambda g: g * np.ones((2, 2))] * 2),
+], ids=["mul", "matmul", "concat", "custom_op"])
+def test_a_constant_operand_gets_no_tape_edge(op):
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    assert op(x, Tensor(np.ones((2, 2))))._parents == (x,)
+
+
+def test_custom_op_calls_no_derivative_of_a_constant_operand():
+    def never(g):
+        raise AssertionError("derivative of a constant operand called")
+
+    x = Tensor([[3.0]], requires_grad=True)
+    out = T.custom_op([x, Tensor([[1.0]])], np.float64(9.0),
+                      [lambda g: g * np.array([[6.0]]), never])
+    assert T.backward(out)[x.uid].data.tolist() == [[6.0]]
 
 
 def test_forward_determinism():

@@ -101,7 +101,15 @@ def test_each_op_grad(name, start):
     check_grads(*_graph([name], start, seed=0))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+def _graphs(n):
+    """Settings of a graph property: the same ``n`` graphs on every run, or a
+    chosen ``--hypothesis-profile``'s own count and draws (CI's "explore")."""
+    if settings.get_current_profile_name() == "default":
+        return settings(derandomize=True, deadline=None, max_examples=n)
+    return settings()
+
+
+@_graphs(300)
 @given(st.lists(st.sampled_from(sorted(OPS)), min_size=2, max_size=4),
        st.sampled_from(START_SHAPES), st.integers(0, 2**16))
 def test_random_graph_grads(names, start, seed):
@@ -144,7 +152,7 @@ def _sample_graph(names, start, seed):
     return loss, leaves
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@_graphs(150)
 @given(st.lists(st.sampled_from(sorted(SAMPLE_OPS)), max_size=4),
        st.sampled_from(SAMPLE_STARTS), st.integers(0, 2**16))
 def test_random_graph_per_sample_sq_matches_loop(names, start, seed):

@@ -419,6 +419,16 @@ def test_term_rejects_a_key_its_record_does_not_declare():
     assert LossTerm("kd_ncm", hyper=(("tau", 2.0),)).h("tau") == 2.0
 
 
+def test_term_values_take_the_type_of_their_record_default():
+    with pytest.raises(ConfigError, match="bss k must be int, got 1.5"):
+        RegSpec([LossTerm("bss", 0.1, (("k", 1.5),))])
+    with pytest.raises(ConfigError, match="spec_norm iters must be int, got 20.0"):
+        RegSpec([LossTerm("spec_norm", hyper=(("iters", 20.0),))])
+    with pytest.raises(ConfigError, match="kd_ncm hook must be str, got 0"):
+        LossSpec([LossTerm("kd_ncm", hyper=(("hook", 0),))])
+    LossSpec([LossTerm("kd_kl", hyper=(("T", 2),))])  # a float key also takes an int
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
@@ -626,6 +636,13 @@ def test_objective_without_trainable_tensors_leaves_weights():
               RegSpec(), TrainConfig(epochs=1, batch_size=16, seed=0))
     for p, t in model.base.items():
         assert np.array_equal(t.data, before[p]), p
+
+
+def test_an_empty_objective_is_a_config_error_before_any_work():
+    _, _, model, cfg = _probe_setup(epochs=1)
+    unread = SimpleNamespace()  # reading the data would raise AttributeError
+    with pytest.raises(ConfigError, match="the objective has no loss or regularizer term"):
+        train(model, None, unread, LossSpec([]), RegSpec(), cfg)
 
 
 def test_accuracy_of_an_empty_split_is_zero():
