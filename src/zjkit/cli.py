@@ -300,53 +300,59 @@ def cmd_merge(cfg, args):
     if kind in ("wise_ft", "ot_fusion", "git_rebasin", "repair") and len(ckpts) != 2:
         raise ConfigError(f"{kind} needs exactly two checkpoints")
     report = {"recipe": kind, "ingredients": list(args.ckpt)}
-    ds = _load_dataset(cfg, seed) if kind in ("greedy_soup", "fisher", "repair") else None
-    plan = _plan(cfg, spec) if kind == "greedy_soup" else None
-    try:
-        if kind == "uniform_soup":
-            merged = merger.uniform_soup(ckpts)
-        elif kind == "greedy_soup":
-            merged, order = merger.greedy_soup(
-                ckpts, ds.split("val"),
-                lambda c, vd: tuner.accuracy(_model_for_eval(spec, plan, c), *vd))
-            report["accepted"] = [args.ckpt[i] for i in order]
-        elif kind == "wise_ft":
-            merged = merger.wise_ft(ckpts[0], ckpts[1],
-                                    _num(cfg.get("merger.alpha", 0.5), "merger.alpha"))
-        elif kind == "fisher":
-            n = _num(cfg.get("merger.samples", 64), "merger.samples", int)
-            fishers = [merger.fisher_estimate(spec, c, ds, n_samples=n, seed=seed + i)
-                       for i, c in enumerate(ckpts)]
-            report["fisher_mass"] = [f.mass() for f in fishers]
-            lams = None
-            if cfg.get("merger.lams"):
-                lams = [_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]
-            merged = merger.fisher_merge(ckpts, fishers, lams)
-        elif kind == "ot_fusion":
-            eps = _num(cfg.get("merger.eps", 0.01), "merger.eps")
-            iters = _num(cfg.get("merger.iters", 500), "merger.iters", int)
-            merged, perm = merger.ot_fuse(ckpts[0], ckpts[1], eps=eps, iters=iters)
-            report["permutation"] = merger.permutation_summary(perm)
-            report["sinkhorn"] = perm.stats
-        elif kind == "git_rebasin":
-            sweeps = _num(cfg.get("merger.sweeps", 20), "merger.sweeps", int)
-            perm, history = merger.weight_match(ckpts[0], ckpts[1], max_sweeps=sweeps)
-            aligned = merger.permute_model(ckpts[1], perm)
-            merged = merger.uniform_soup([ckpts[0], aligned])
-            report["permutation"] = merger.permutation_summary(perm)
-            report["objective"] = history
-        elif kind == "repair":
-            alpha = _num(cfg.get("merger.alpha", 0.5), "merger.alpha")
-            interp = merger.wise_ft(ckpts[1], ckpts[0], alpha)  # weight alpha on a
-            x_train, _ = ds.split("train")
-            merged = merger.repair(interp, (ckpts[0], ckpts[1], alpha), spec,
-                                   x_train[:256], log=log.info)
-        else:
-            raise ConfigError(f"unknown merger.kind {kind!r}")
-    except ConfigError as exc:  # a recipe names its argument, not the run's key
-        given = [f"merger.kind={kind}"] + [f"{k}={v}" for k, v in cfg.items()
-                                            if k.startswith("merger.") and k != "merger.kind"]
-        raise ConfigError(f"{', '.join(given)}: {exc}") from None
+
+    def named(recipe, *a, **kw):  # the recipe names its argument, not the run's key
+        try:
+            return recipe(*a, **kw)
+        except ConfigError as exc:
+            keys = [k for k in cfg if k.startswith("merger.") and k != "merger.kind"]
+            given = ", ".join([f"merger.kind={kind}"] + [f"{k}={cfg[k]}" for k in keys])
+            raise ConfigError(f"{given}: {exc}") from None
+
+    if kind == "uniform_soup":
+        merged = merger.uniform_soup(ckpts)
+    elif kind == "greedy_soup":
+        ds = _load_dataset(cfg, seed)
+        plan = _plan(cfg, spec)
+        merged, order = merger.greedy_soup(
+            ckpts, ds.split("val"),
+            lambda c, vd: tuner.accuracy(_model_for_eval(spec, plan, c), *vd))
+        report["accepted"] = [args.ckpt[i] for i in order]
+    elif kind == "wise_ft":
+        merged = merger.wise_ft(ckpts[0], ckpts[1],
+                                _num(cfg.get("merger.alpha", 0.5), "merger.alpha"))
+    elif kind == "fisher":
+        ds = _load_dataset(cfg, seed)
+        n = _num(cfg.get("merger.samples", 64), "merger.samples", int)
+        fishers = [named(merger.fisher_estimate, spec, c, ds, n_samples=n, seed=seed + i)
+                   for i, c in enumerate(ckpts)]
+        report["fisher_mass"] = [f.mass() for f in fishers]
+        lams = None
+        if cfg.get("merger.lams"):
+            lams = [_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]
+        merged = merger.fisher_merge(ckpts, fishers, lams)
+    elif kind == "ot_fusion":
+        eps = _num(cfg.get("merger.eps", 0.01), "merger.eps")
+        iters = _num(cfg.get("merger.iters", 500), "merger.iters", int)
+        merged, perm = named(merger.ot_fuse, ckpts[0], ckpts[1], eps=eps, iters=iters)
+        report["permutation"] = merger.permutation_summary(perm)
+        report["sinkhorn"] = perm.stats
+    elif kind == "git_rebasin":
+        sweeps = _num(cfg.get("merger.sweeps", 20), "merger.sweeps", int)
+        perm, history = merger.weight_match(ckpts[0], ckpts[1], max_sweeps=sweeps)
+        aligned = merger.permute_model(ckpts[1], perm)
+        merged = merger.uniform_soup([ckpts[0], aligned])
+        report["permutation"] = merger.permutation_summary(perm)
+        report["objective"] = history
+    elif kind == "repair":
+        alpha = _num(cfg.get("merger.alpha", 0.5), "merger.alpha")
+        interp = merger.wise_ft(ckpts[1], ckpts[0], alpha)  # weight alpha on a
+        ds = _load_dataset(cfg, seed)
+        x_train, _ = ds.split("train")
+        merged = merger.repair(interp, (ckpts[0], ckpts[1], alpha), spec,
+                               x_train[:256], log=log.info)
+    else:
+        raise ConfigError(f"unknown merger.kind {kind!r}")
     ckpt_mod.save_checkpoint(merged, os.path.join(out, "merged.zjk1"))
     _write_json(os.path.join(out, "merge_report.json"), report)
     _write_resolved(cfg, out)

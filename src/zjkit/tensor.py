@@ -449,11 +449,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
             out += np.einsum("noi,noi->oi", per, per)
         return out
 
-    return Tensor._record(y.reshape(x.shape[:-1] + (w.shape[0],)), (b, x, w), (
+    first = 1 if b is None else 0  # a bias-free affine records x and w alone
+    return Tensor._record(y.reshape(x.shape[:-1] + (w.shape[0],)), (b, x, w)[first:], (
         (lambda g: g.reshape(rows).sum(axis=0), _sample_sq),
         lambda g: np.matmul(g.reshape(rows), np.swapaxes(wt, -1, -2)).reshape(x.shape),
         (lambda g: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g.reshape(rows))),
-         w_sq)))
+         w_sq))[first:])
 
 
 def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
@@ -575,9 +576,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
 def concat(tensors, axis=0):
     tensors = tuple(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-    return Tensor._record(out, tensors, [lambda g, i=i: np.split(g, cuts, axis=axis)[i]
-                                         for i in range(len(tensors))])
+    ends = np.cumsum([t.shape[axis] for t in tensors])
+    return Tensor._record(out, tensors, [  # each operand gets its own slice
+        lambda g, lo=hi - t.shape[axis], hi=hi: np.take(g, range(lo, hi), axis=axis)
+        for t, hi in zip(tensors, ends)])
 
 
 def custom_op(inputs, value, grads):

@@ -102,9 +102,11 @@ def test_each_op_grad(name, start):
 
 
 def _graphs(n):
-    """Settings of a graph property: the same ``n`` graphs on every run, or a
-    chosen ``--hypothesis-profile``'s own count and draws (CI's "explore")."""
-    if settings.get_current_profile_name() == "default":
+    """Settings of a graph property: the same ``n`` graphs on every run, or,
+    under ``--hypothesis-profile=explore``, that profile's count and draws.
+    Any other profile (hypothesis loads its "ci" one by itself on CI) keeps
+    the fixed ``n``."""
+    if settings.get_current_profile_name() != "explore":
         return settings(derandomize=True, deadline=None, max_examples=n)
     return settings()
 
