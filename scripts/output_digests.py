@@ -4,11 +4,13 @@
     PYTHONPATH=src python scripts/output_digests.py > digests.txt
 
 Covers ``tuner.train`` (checkpoint and history) for each loss and
-regularizer kind alone and all together under SGD and AdamW, a mini-ViT
+regularizer kind alone and all together under SGD and AdamW, weight decay
+under SGD without momentum and under AdamW with a cosine schedule, a mini-ViT
 with ``fitnet`` and ``rkd_dist`` on block hooks, ``fitnet`` pairs whose
 widths differ (so projectors are drawn) beside ``kd_ncm``, each
 adaptation method on both model families (plus ``merge_reparam`` where it
-applies), each merge recipe, and the plan -> train -> merge -> eval CLI
+applies), each merge recipe, weight matching and OT fusion on a three-hidden-layer
+MLP, and the plan -> train -> merge -> eval CLI
 pipeline of acceptance criterion 10, plus a greedy soup and a two-checkpoint
 probability ensemble through the CLI, and each ``merger.kind`` through
 ``zjkit merge`` (the merged checkpoint and its ``merge_report.json``). Run it
@@ -132,11 +134,11 @@ def array_digest(arrays):
     return h.hexdigest()
 
 
-def _train(spec, text, ds, loss, reg, optimizer, teacher=None, seed=0, epochs=3):
+def _train(spec, text, ds, loss, reg, optimizer, teacher=None, seed=0, epochs=3, **opt):
     model = apply_plan(spec, build_model(spec, seed=seed),
                        compile_plan(parse_config(text), spec), seed=seed + 1)
     cfg = TrainConfig(optimizer=optimizer, lr=0.05 if optimizer == "sgd" else 0.01,
-                      epochs=epochs, batch_size=16, seed=seed)
+                      epochs=epochs, batch_size=16, seed=seed, **opt)
     ckpt, history = train(model, teacher, ds, loss, reg, cfg)
     return model, ckpt, history
 
@@ -157,6 +159,13 @@ def tuner_digests(out, tmp):
         _, ckpt, hist = _train(MLP_GELU, full, ds, LossSpec(), RegSpec(), optimizer)
         out[f"tuner/{optimizer}/gelu_mlp/final.zjk1"] = ckpt_digest(ckpt, tmp)
         out[f"tuner/{optimizer}/gelu_mlp/history"] = history_digest(hist)
+    # weight decay on each update rule: without momentum, and under a cosine schedule
+    for optimizer, name, opt in (("sgd", "decay_no_momentum", {"momentum": 0.0}),
+                                 ("adamw", "decay_cosine", {"schedule": "cosine"})):
+        _, ckpt, hist = _train(MLP, full, ds, LossSpec(), RegSpec(), optimizer,
+                               weight_decay=0.01, **opt)
+        out[f"tuner/{optimizer}/{name}/final.zjk1"] = ckpt_digest(ckpt, tmp)
+        out[f"tuner/{optimizer}/{name}/history"] = history_digest(hist)
     # [n, s, d] token features on both feature terms
     loss = LossSpec([LossTerm("ce"), LossTerm("fitnet", hooks=((_B1, _B1),)),
                      LossTerm("rkd_dist", hyper=(("hook", _B0),))])
@@ -248,6 +257,19 @@ def merge_digests(out, tmp):
              for i, c in enumerate((vit_a, vit_b))]
     out["merge/mini_vit/fisher_merge.zjk1"] = ckpt_digest(
         merger.fisher_merge([vit_a, vit_b], vfish), tmp)
+
+    # three hidden layers: the middle one's assignment reads the previous and the next map
+    deep = MlpSpec((2, 8, 8, 8, 3))
+    dds = data_mod.blobs(k=3, d=2, n=120, sigma=0.3, seed=2)
+    deep_a = _fit(deep, build_model(deep, seed=0), dds, 1)
+    deep_b = _fit(deep, build_model(deep, seed=3), dds, 2)
+    perm, objective = merger.weight_match(deep_a, deep_b)
+    out["merge/mlp_deep/weight_match"] = sha(json.dumps(
+        [objective, merger.permutation_summary(perm), [m.tolist() for m in perm.maps]]).encode())
+    fused, perm = merger.ot_fuse(deep_a, deep_b, eps=0.1)
+    out["merge/mlp_deep/ot_fuse.zjk1"] = ckpt_digest(fused, tmp)
+    out["merge/mlp_deep/ot_fuse_perm"] = sha(json.dumps(
+        [[m.tolist() for m in perm.maps], perm.stats]).encode())
 
 
 def cli_digests(out, tmp):

@@ -463,6 +463,24 @@ def test_ot_fuse_independent_nets_give_a_bijection():
         ["coupling_entropy", "iterations", "marginal_violation"]] * 2
 
 
+def test_three_hidden_layers_align_exactly():
+    # the middle hidden layer's map meets a permuted layer on both sides
+    spec = MlpSpec((3, 6, 5, 7, 2))
+    c = _ckpt(spec, seed=13)
+    perm = _rand_perm(spec, 14)
+    moved = permute_model(c, perm)
+    x = np.random.default_rng(15).normal(size=(16, 3))
+    assert np.abs(_logits(spec, c, x) - _logits(spec, moved, x)).max() < 1e-12
+    inv = [np.argsort(m) for m in perm.maps]
+    found, history = weight_match(c, moved)
+    assert all(np.array_equal(f, w) for f, w in zip(found.maps, inv))
+    assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
+    fused, found = ot_fuse(c, moved, eps=0.001, iters=3000)
+    assert all(np.array_equal(f, w) for f, w in zip(found.maps, inv))
+    for p in c.entries:
+        assert np.abs(fused.entries[p] - c.entries[p]).max() < 1e-6
+
+
 # -- permutation consistency property ------------------------------------
 
 
