@@ -6,11 +6,8 @@ with optional teacher supervision and regularizers, then fuse weights,
 features, or predictions of the resulting models.
 """
 
-from .tensor import Tensor, backward, ew_op, layernorm, matmul, softmax, tensor_new
+from .tensor import Tensor, backward, layernorm, matmul, softmax
 
-__all__ = [
-    "Tensor", "backward", "ew_op", "layernorm", "matmul", "softmax",
-    "tensor_new",
-]
+__all__ = ["Tensor", "backward", "layernorm", "matmul", "softmax"]
 
 __version__ = "0.1.0"

@@ -16,6 +16,10 @@ OT fusion (:func:`ot_fuse`) solves each layer's entropic problem on a
 Gram-form cost by stabilised Sinkhorn scaling (:func:`sinkhorn`), a few
 exps per solve rather than three per iteration, and hardens the plan by an
 exact assignment, which is always a bijection.
+
+Permutation, weight matching, OT fusion and REPAIR read and write an MLP
+checkpoint as float64 ``(weight, bias)`` layers; a permutation is one map per
+hidden layer, on that layer's rows and the next layer's columns.
 """
 
 from __future__ import annotations
@@ -282,47 +286,53 @@ class Permutation:
     stats: list = field(default_factory=list)  # per-layer records of the search, if kept
 
 
-def _require_mlp(ckpt: Checkpoint):
-    """Layer count of an mlp checkpoint."""
+def _layers(ckpt: Checkpoint):
+    """An mlp checkpoint's layers as float64 ``[(weight, bias), ...]``."""
     if ckpt.kind != "mlp":
         raise ConfigError(f"operation defined for mlp models, got {ckpt.kind!r}")
-    n = 0
-    while f"layers[{n}].weight" in ckpt.entries:
-        n += 1
-    if n == 0:
+    layers = []
+    while f"layers[{len(layers)}].weight" in ckpt.entries:
+        l = len(layers)
+        layers.append((ckpt.entries[f"layers[{l}].weight"].astype(np.float64),
+                       ckpt.entries[f"layers[{l}].bias"].astype(np.float64)))
+    if not layers:
         raise ConfigError("checkpoint has no layers[i].weight entries")
-    return n
+    return layers
+
+
+def _with_layers(ckpt: Checkpoint, layers) -> Checkpoint:
+    """``ckpt`` with its layer entries replaced by ``layers``."""
+    out = dict(ckpt.entries)
+    for l, (w, b) in enumerate(layers):
+        out[f"layers[{l}].weight"], out[f"layers[{l}].bias"] = w, b
+    return ckpt.with_entries(out)
+
+
+def _permuted(layers, maps):
+    """Each hidden map on its layer's rows and on the next layer's columns.
+    ``maps`` may cover only the first hidden layers; a ``None`` map moves
+    nothing."""
+    out = list(layers)
+    for l, pmap in enumerate(maps):
+        if pmap is not None:
+            (w, b), (w_next, b_next) = out[l], out[l + 1]
+            out[l], out[l + 1] = (w[pmap, :], b[pmap]), (w_next[:, pmap], b_next)
+    return out
 
 
 def permute_model(ckpt: Checkpoint, perm: Permutation) -> Checkpoint:
     """Reorder hidden units; the network function is exactly preserved."""
-    n_layers = _require_mlp(ckpt)
-    if len(perm.maps) != n_layers - 1:
-        raise ShapeMismatch(f"{len(perm.maps)} maps for {n_layers - 1} hidden layers")
-    out = {p: a.astype(np.float64).copy() for p, a in ckpt.entries.items()}
-    for l, pmap in enumerate(perm.maps):
-        w = out[f"layers[{l}].weight"]
+    layers = _layers(ckpt)
+    if len(perm.maps) != len(layers) - 1:
+        raise ShapeMismatch(f"{len(perm.maps)} maps for {len(layers) - 1} hidden layers")
+    for l, (pmap, (w, _)) in enumerate(zip(perm.maps, layers)):
         if pmap.shape != (w.shape[0],) or sorted(pmap) != list(range(w.shape[0])):
             raise ShapeMismatch(f"map {l} is not a bijection over {w.shape[0]} units")
-        out[f"layers[{l}].weight"] = w[pmap, :]
-        out[f"layers[{l}].bias"] = out[f"layers[{l}].bias"][pmap]
-        out[f"layers[{l + 1}].weight"] = out[f"layers[{l + 1}].weight"][:, pmap]
-    return ckpt.with_entries(out)
+    return _with_layers(ckpt, _permuted(layers, perm.maps))
 
 
-def _match_objective(a, b, maps, n_layers):
-    total = 0.0
-    prev = None
-    for l in range(n_layers):
-        wa = a[f"layers[{l}].weight"].astype(np.float64)
-        wb = b[f"layers[{l}].weight"].astype(np.float64)
-        if prev is not None:
-            wb = wb[:, prev]
-        if l < n_layers - 1:
-            wb = wb[maps[l], :]
-            prev = maps[l]
-        total += float((wa * wb).sum())
-    return total
+def _match_objective(a, b, maps):
+    return sum(float((wa * wb).sum()) for (wa, _), (wb, _) in zip(a, _permuted(b, maps)))
 
 
 def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
@@ -334,27 +344,17 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
     Returns ``(Permutation, per-sweep objective values)``.
     """
     _check_aligned([ckpt_a, ckpt_b])
-    n_layers = _require_mlp(ckpt_a)
-    a = {p: v.astype(np.float64) for p, v in ckpt_a.entries.items()}
-    b = {p: v.astype(np.float64) for p, v in ckpt_b.entries.items()}
-    maps = [np.arange(a[f"layers[{l}].weight"].shape[0])
-            for l in range(n_layers - 1)]
-    history = [_match_objective(a, b, maps, n_layers)]
+    a, b = _layers(ckpt_a), _layers(ckpt_b)
+    maps = [np.arange(w.shape[0]) for w, _ in a[:-1]]
+    history = [_match_objective(a, b, maps)]
     for _ in range(max_sweeps):
         changed = False
-        for l in range(n_layers - 1):
-            prev = maps[l - 1] if l > 0 else None
-            wa_l = a[f"layers[{l}].weight"]
-            wb_l = b[f"layers[{l}].weight"]
-            if prev is not None:
-                wb_l = wb_l[:, prev]
-            # score[i, j]: benefit of placing b-unit j in slot i
-            score = wa_l @ wb_l.T
-            wa_n = a[f"layers[{l + 1}].weight"]
-            wb_n = b[f"layers[{l + 1}].weight"]
-            if l + 1 < n_layers - 1:
-                wb_n = wb_n[maps[l + 1], :]
-            score += wa_n.T @ wb_n
+        for l in range(len(maps)):
+            # score[i, j]: benefit of placing b-unit j in slot i, b under every
+            # map but this layer's
+            (wb, _), (wb_next, _) = _permuted(b, maps[:l] + [None] + maps[l + 1:])[l:l + 2]
+            score = a[l][0] @ wb.T
+            score += a[l + 1][0].T @ wb_next
             rows, cols = linear_sum_assignment(-score)
             cand = cols[np.argsort(rows)]
             cur_val = float(score[np.arange(score.shape[0]), maps[l]].sum())
@@ -365,7 +365,7 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
             if new_val > cur_val + 1e-12 and not np.array_equal(cand, maps[l]):
                 maps[l] = cand
                 changed = True
-        history.append(_match_objective(a, b, maps, n_layers))
+        history.append(_match_objective(a, b, maps))
         if not changed:
             break
     return Permutation(maps), history
@@ -389,29 +389,19 @@ def ot_fuse(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500):
     iterations, final marginal violation and the plan's coupling entropy.
     """
     _check_aligned([ckpt_a, ckpt_b])
-    n_layers = _require_mlp(ckpt_a)
-    a = {p: v.astype(np.float64) for p, v in ckpt_a.entries.items()}
-    b = {p: v.astype(np.float64) for p, v in ckpt_b.entries.items()}
+    a, b = _layers(ckpt_a), _layers(ckpt_b)
     maps, stats = [], []
-    prev = None
-    for l in range(n_layers - 1):
-        wa = a[f"layers[{l}].weight"]
-        wb = b[f"layers[{l}].weight"]
-        if prev is not None:
-            wb = wb[:, prev]
-        ba = a[f"layers[{l}].bias"]
-        bb = b[f"layers[{l}].bias"]
+    for wa, ba in a[:-1]:
+        # b's next layer to align, under the maps found so far
+        wb, bb = _permuted(b, maps)[len(maps)]
         rows_a = np.concatenate([wa, ba[:, None]], axis=1)
         rows_b = np.concatenate([wb, bb[:, None]], axis=1)
         plan, record = sinkhorn(_sq_dists(rows_a, rows_b), eps=eps, iters=iters)
         record["coupling_entropy"] = coupling_entropy(plan)
-        assign = linear_sum_assignment(-plan)[1]
-        maps.append(assign)
+        maps.append(linear_sum_assignment(-plan)[1])
         stats.append(record)
-        prev = assign
     perm = Permutation(maps, stats)
-    aligned_b = permute_model(ckpt_b, perm)
-    return uniform_soup([ckpt_a, aligned_b]), perm
+    return uniform_soup([ckpt_a, permute_model(ckpt_b, perm)]), perm
 
 
 # -- REPAIR -------------------------------------------------------------
@@ -434,17 +424,15 @@ def repair(interp: Checkpoint, endpoints, spec, calib_x, log=None) -> Checkpoint
     """
     ckpt_a, ckpt_b, alpha = endpoints
     _check_aligned([interp, ckpt_a, ckpt_b])
-    if spec.kind != "mlp":
-        raise ConfigError("repair is defined for mlp models")
+    layers = _layers(interp)
     calib_x = np.asarray(calib_x, dtype=np.float64)
     if calib_x.shape[0] < 16:
         raise ConfigError("calibration batch must have >= 16 samples")
     stats_a = _mlp_preacts(spec, ckpt_a, calib_x)
     stats_b = _mlp_preacts(spec, ckpt_b, calib_x)
-    out = {p: v.astype(np.float64) for p, v in interp.entries.items()}
-    for l in range(spec.n_layers - 1):
+    for l in range(len(layers) - 1):
         hook = f"layers[{l}].preact"
-        cur = _mlp_preacts(spec, interp.with_entries(out), calib_x)[hook]
+        cur = _mlp_preacts(spec, _with_layers(interp, layers), calib_x)[hook]
         m_t = alpha * stats_a[hook].mean(0) + (1 - alpha) * stats_b[hook].mean(0)
         s_t = alpha * stats_a[hook].std(0) + (1 - alpha) * stats_b[hook].std(0)
         m_c = cur.mean(0)
@@ -455,9 +443,9 @@ def repair(interp: Checkpoint, endpoints, spec, calib_x, log=None) -> Checkpoint
         if not ok.all() and log is not None:
             log(f"layer {l}: {int((~ok).sum())} degenerate units, shift-only")
         shift = m_t - scale * m_c
-        out[f"layers[{l}].weight"] = scale[:, None] * out[f"layers[{l}].weight"]
-        out[f"layers[{l}].bias"] = scale * out[f"layers[{l}].bias"] + shift
-    return interp.with_entries(out)
+        w, b = layers[l]
+        layers[l] = (scale[:, None] * w, scale * b + shift)
+    return _with_layers(interp, layers)
 
 
 # -- prediction mergers -------------------------------------------------

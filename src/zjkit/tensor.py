@@ -318,18 +318,7 @@ class Tensor:
     __matmul__ = matmul
 
 
-# -- construction -------------------------------------------------------
-
-
-def tensor_new(shape, values, requires_grad=False):
-    """Build a tensor from an explicit flat value list."""
-    shape = tuple(int(d) for d in shape)
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if int(np.prod(shape)) != values.size:
-        raise ShapeMismatch(
-            f"shape {shape} implies {int(np.prod(shape))} values, got {values.size}"
-        )
-    return Tensor(values.reshape(shape), requires_grad=requires_grad)
+# -- gradient helpers ---------------------------------------------------
 
 
 def _is_leaf(t):
@@ -368,31 +357,6 @@ def _unbroadcast(grad, shape):
 
 
 # -- free-function ops --------------------------------------------------
-
-_EW_UNARY = {
-    "relu": Tensor.relu,
-    "gelu": Tensor.gelu,
-    "exp": Tensor.exp,
-    "log": Tensor.log,
-    "square": Tensor.square,
-}
-
-_EW_BINARY = {
-    "add": Tensor.__add__,
-    "sub": Tensor.__sub__,
-    "mul": Tensor.__mul__,
-}
-
-
-def ew_op(kind, a, b=None):
-    """Elementwise op dispatcher over the documented kind set."""
-    if kind in _EW_UNARY:
-        return _EW_UNARY[kind](a)
-    if kind == "scale":
-        return a.scale(b)
-    if kind in _EW_BINARY:
-        return _EW_BINARY[kind](a, b)
-    raise ConfigError(f"unknown elementwise op {kind!r}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -6,13 +6,15 @@ logits, hidden-state matching, flow matrices, relational structure), and
 weight/feature regularizers (L2, anchor-to-start, spectral norm, batch
 spectral shrinkage). Each loss or regularizer kind is one record in
 :data:`TERMS`: its evaluator, hooks, the keys it reads with their
-defaults, and its setup before the first minibatch.
+defaults, and its setup before the first minibatch. Each optimizer is one
+update rule in :data:`OPTIMIZERS`, kept with a state per trained tensor.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -424,9 +426,37 @@ class RegSpec:
         _check_terms(self.terms, reg=True)
 
 
+# -- optimizers ---------------------------------------------------------
+
+
+def _sgd(cfg, state, w, g, lr):
+    """SGD with momentum; weight decay joins the gradient."""
+    if cfg.weight_decay:
+        g = g + cfg.weight_decay * w
+    v = state["v"] = cfg.momentum * state.get("v", 0.0) + g
+    return w - lr * v
+
+
+def _adamw(cfg, state, w, g, lr):
+    """AdamW with betas (0.9, 0.999); weight decay is decoupled."""
+    b1, b2 = 0.9, 0.999
+    t = state["t"] = state.get("t", 0) + 1
+    m = state["m"] = state.get("m", 0.0) * b1 + (1 - b1) * g
+    v = state["v"] = state.get("v", 0.0) * b2 + (1 - b2) * g * g
+    mhat = m / (1 - b1**t)
+    vhat = v / (1 - b2**t)
+    w = w - lr * cfg.weight_decay * w
+    return w - lr * mhat / (np.sqrt(vhat) + 1e-8)
+
+
+#: Optimizer name -> update rule ``(cfg, state, w, g, lr) -> new w``; ``state``
+#: is the tensor's own dict, kept across steps.
+OPTIMIZERS = {"sgd": _sgd, "adamw": _adamw}
+
+
 @dataclass
 class TrainConfig:
-    optimizer: str = "sgd"     # sgd | adamw
+    optimizer: str = "sgd"     # a key of OPTIMIZERS
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.0
@@ -445,49 +475,10 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.optimizer not in ("sgd", "adamw"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
-
-
-# -- optimizers ---------------------------------------------------------
-
-
-class _Sgd:
-    def __init__(self, cfg):
-        self.cfg = cfg
-        self.vel = {}
-
-    def step(self, path, w, g, lr):
-        if self.cfg.weight_decay:
-            g = g + self.cfg.weight_decay * w
-        v = self.vel.get(path, 0.0)
-        v = self.cfg.momentum * v + g
-        self.vel[path] = v
-        return w - lr * v
-
-
-class _AdamW:
-    """AdamW with betas (0.9, 0.999)."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-        self.m = {}
-        self.v = {}
-        self.t = {}
-
-    def step(self, path, w, g, lr):
-        b1, b2 = 0.9, 0.999
-        t = self.t.get(path, 0) + 1
-        self.t[path] = t
-        m = self.m.get(path, 0.0) * b1 + (1 - b1) * g
-        v = self.v.get(path, 0.0) * b2 + (1 - b2) * g * g
-        self.m[path], self.v[path] = m, v
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        w = w - lr * self.cfg.weight_decay * w
-        return w - lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 # -- teacher wrapper ----------------------------------------------------
@@ -527,13 +518,16 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         raise ConfigError("the objective has no loss or regularizer term")
     if loss_spec.needs_teacher() and teacher is None:
         raise ConfigError("loss spec requires a teacher model")
+    x_train, y_train = data.split("train")
+    if x_train.shape[0] == 0:
+        raise ConfigError("train needs a non-empty train split")
+    x_val, y_val = data.split("val")
     if ref_params is None:
         ref_params = ParamStore({p: t.detach() for p, t in model.base.items()})
 
     rng = np.random.default_rng(cfg.seed)
-    opt = _Sgd(cfg) if cfg.optimizer == "sgd" else _AdamW(cfg)
-    x_train, y_train = data.split("train")
-    x_val, y_val = data.split("val")
+    step = OPTIMIZERS[cfg.optimizer]
+    states = defaultdict(dict)  # path, or a projector's hook pair -> its rule's state
 
     # history key per term: its kind, then kind[1], kind[2] for repeats
     keys = []
@@ -551,9 +545,8 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     def reg_targets():
         return [(p, t) for p, t, _ in model.trainable() if p in base_paths]
 
-    head_exclude = (base_paths - set(ref_params.paths())) | model.spec.head_paths()
     batch = SimpleNamespace(projectors={}, ncm_means={}, targets=reg_targets,
-                            ref_params=ref_params, head_exclude=head_exclude,
+                            ref_params=ref_params, head_exclude=model.spec.head_paths(),
                             model=model, teacher=teacher, data=data, rng=rng)
     for term in terms:
         TERMS[term.kind].setup(term, batch)
@@ -595,7 +588,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
                 g = gmap.get(w.uid)
                 if g is None:
                     continue
-                new = opt.step(path, w.data, g.data, lr)
+                new = step(cfg, states[path], w.data, g.data, lr)
                 mask = model.plan.grad_masks.get(path)
                 if mask is not None:  # masked-out elements keep their value
                     new = np.where(mask > 0, new, w.data)
@@ -603,7 +596,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
             for pair, proj in list(batch.projectors.items()):
                 g = gmap.get(proj.uid)
                 if g is not None:
-                    new = opt.step(("proj",) + pair, proj.data, g.data, lr)
+                    new = step(cfg, states[pair], proj.data, g.data, lr)
                     batch.projectors[pair] = Tensor(new, requires_grad=True)
 
         entry = {"epoch": epoch}

@@ -596,6 +596,8 @@ def test_error_classes_match_the_readme_table():
     ("tuner.loss", "ce,rkd_dist:1:pairs=feature", "rkd_dist has no key 'pairs'; it reads hook"),
     ("tuner.loss", "ce:1:foo=3", "ce has no key 'foo'; it reads no key"),
     ("tuner.reg", "spec_norm:1:iter=3", "spec_norm has no key 'iter'; it reads iters"),
+    ("tuner.loss", "ce:1::extra", "term 'ce:1::extra' has more than three ':' fields"),
+    ("tuner.reg", "l2:0.1::", "term 'l2:0.1::' has more than three ':' fields"),
 ])
 def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
     text = _with("teacher.weights", _ptm(tmp_path), _with(key, value))
@@ -603,6 +605,14 @@ def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert word in capsys.readouterr().err
+
+
+def test_train_on_an_empty_train_split_exit_3(tmp_path, capsys):
+    text = _with("data.source", "blobs(k=3,d=2,n=1)")
+    out = tmp_path / "o"
+    assert main(["train", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 3
+    assert "train needs a non-empty train split" in capsys.readouterr().err
+    assert not (out / "final.zjk1").exists()
 
 
 def test_data_source_arguments_take_the_type_of_their_default():

@@ -436,6 +436,28 @@ def test_train_config_validation():
         TrainConfig(optimizer="lbfgs")
 
 
+def test_an_optimizer_is_one_entry_of_the_table(monkeypatch):
+    # a rule registered in OPTIMIZERS is accepted and drives every update,
+    # with a state of its own for each tensor that lasts across steps
+    counts = []
+
+    def sign_step(cfg, state, w, g, lr):
+        state["n"] = state.get("n", 0) + 1
+        counts.append(state["n"])
+        return w - lr * np.sign(g)
+
+    monkeypatch.setitem(tuner.OPTIMIZERS, "sign", sign_step)
+    _, ds, model, cfg = _probe_setup(epochs=1, optimizer="sign")
+    before = {p: t.data for p, t in model.base.items()}
+    train(model, None, ds, LossSpec(), RegSpec(), cfg)
+    n_batches = -(-ds.split("train")[0].shape[0] // cfg.batch_size)
+    tensors = model.plan.trainable_original
+    assert sorted(counts) == sorted(list(range(1, n_batches + 1)) * len(tensors))
+    for p in tensors:
+        steps = (before[p] - model.base.get(p).data) / cfg.lr
+        assert np.allclose(steps, np.round(steps)) and np.abs(steps).max() > 0, p
+
+
 def test_train_config_rejects_batch_size_below_one():
     for bs in (0, -4):
         with pytest.raises(ConfigError):
@@ -643,6 +665,17 @@ def test_an_empty_objective_is_a_config_error_before_any_work():
     unread = SimpleNamespace()  # reading the data would raise AttributeError
     with pytest.raises(ConfigError, match="the objective has no loss or regularizer term"):
         train(model, None, unread, LossSpec([]), RegSpec(), cfg)
+
+
+@pytest.mark.parametrize("loss", [LossSpec(), LossSpec([LossTerm("ce"), LossTerm("kd_ncm")])])
+def test_an_empty_train_split_is_a_config_error_before_any_setup(loss):
+    spec, _, model, cfg = _probe_setup(epochs=2)
+    before = {p: t.data for p, t in model.base.items()}
+    empty = data_mod.blobs(k=3, d=2, n=1)  # one row a class: every row goes to test
+    with pytest.raises(ConfigError, match="train needs a non-empty train split"):
+        train(model, Teacher(spec, build_model(spec, seed=9)), empty, loss, RegSpec(), cfg)
+    for p, t in model.base.items():
+        assert np.array_equal(t.data, before[p]), p
 
 
 def test_accuracy_of_an_empty_split_is_zero():
