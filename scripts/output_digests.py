@@ -9,8 +9,8 @@ under SGD without momentum and under AdamW with a cosine schedule, a mini-ViT
 with ``fitnet`` and ``rkd_dist`` on block hooks, ``fitnet`` pairs whose
 widths differ (so projectors are drawn) beside ``kd_ncm``, each
 adaptation method on both model families (plus ``merge_reparam`` where it
-applies), each merge recipe, weight matching and OT fusion on a three-hidden-layer
-MLP, and the plan -> train -> merge -> eval CLI
+applies), each merge recipe, weight matching and OT fusion on a
+three-hidden-layer MLP, and the plan -> train -> merge -> eval CLI
 pipeline of acceptance criterion 10, plus a greedy soup and a two-checkpoint
 probability ensemble through the CLI, and each ``merger.kind`` through
 ``zjkit merge`` (the merged checkpoint and its ``merge_report.json``). Run it

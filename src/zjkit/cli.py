@@ -175,7 +175,7 @@ def _parse_terms(text):
     for chunk in text.split(",") if text else ():
         parts = chunk.strip().split(":")
         if len(parts) > 3:
-            raise ConfigError(f"term {chunk.strip()!r} has more than three ':' fields")
+            raise ConfigError(f"term {chunk.strip()!r} has more fields than name:weight:keys")
         kind = parts[0]
         weight = _num(parts[1], f"{kind} weight") if len(parts) > 1 and parts[1] else 1.0
         defaults = tuner.TERMS[kind].defaults if kind in tuner.TERMS else {}

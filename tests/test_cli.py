@@ -596,8 +596,8 @@ def test_error_classes_match_the_readme_table():
     ("tuner.loss", "ce,rkd_dist:1:pairs=feature", "rkd_dist has no key 'pairs'; it reads hook"),
     ("tuner.loss", "ce:1:foo=3", "ce has no key 'foo'; it reads no key"),
     ("tuner.reg", "spec_norm:1:iter=3", "spec_norm has no key 'iter'; it reads iters"),
-    ("tuner.loss", "ce:1::extra", "term 'ce:1::extra' has more than three ':' fields"),
-    ("tuner.reg", "l2:0.1::", "term 'l2:0.1::' has more than three ':' fields"),
+    ("tuner.loss", "ce:1::extra", "term 'ce:1::extra' has more fields than name:weight:keys"),
+    ("tuner.reg", "l2:0.1::", "term 'l2:0.1::' has more fields than name:weight:keys"),
 ])
 def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
     text = _with("teacher.weights", _ptm(tmp_path), _with(key, value))
