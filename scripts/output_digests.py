@@ -12,8 +12,9 @@ adaptation method on both model families (plus ``merge_reparam`` where it
 applies), each merge recipe, weight matching and OT fusion on a
 three-hidden-layer MLP, and the plan -> train -> merge -> eval CLI
 pipeline of acceptance criterion 10, plus a greedy soup and a two-checkpoint
-probability ensemble through the CLI, and each ``merger.kind`` through
-``zjkit merge`` (the merged checkpoint and its ``merge_report.json``). Run it
+ensemble in each ``merger.ensemble`` mode through the CLI, and each
+``merger.kind`` through ``zjkit merge`` (the merged checkpoint and its
+``merge_report.json``), Fisher also at its default sample count. Run it
 on two trees and ``diff`` the outputs to see which outputs a change moves.
 The last line digests all the others.
 """
@@ -274,10 +275,14 @@ def merge_digests(out, tmp):
 
 def cli_digests(out, tmp):
     cfg, soup_cfg = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "soup.cfg")
+    mode_cfgs = {mode: os.path.join(tmp, f"{mode}.cfg") for mode in ("vote", "logits")}
     with open(cfg, "w") as fh:
         fh.write(PIPE_CFG)
     with open(soup_cfg, "w") as fh:
         fh.write(PIPE_CFG + "merger.kind=greedy_soup\n")
+    for mode, path in mode_cfgs.items():
+        with open(path, "w") as fh:
+            fh.write(PIPE_CFG + f"merger.ensemble={mode}\n")
     run = os.path.join(tmp, "pipe")
     ck, ck2 = (os.path.join(run, d, "final.zjk1") for d in ("t", "t2"))
     with contextlib.redirect_stdout(io.StringIO()):
@@ -292,12 +297,16 @@ def cli_digests(out, tmp):
                      ["merge", "--config", soup_cfg, "--out", os.path.join(run, "g"),
                       "--ckpt", ck, "--ckpt", ck2],
                      ["eval", "--config", cfg, "--out", os.path.join(run, "e2"),
-                      "--ckpt", ck, "--ckpt", ck2]):
+                      "--ckpt", ck, "--ckpt", ck2],
+                     # the same two checkpoints in the other ensemble modes
+                     *(["eval", "--config", path, "--out", os.path.join(run, f"e2_{mode}"),
+                        "--ckpt", ck, "--ckpt", ck2] for mode, path in mode_cfgs.items())):
             code = cli.main(argv)
             if code != 0:
                 raise SystemExit(f"zjkit {argv[0]} exited {code}")
     for rel in ("t/final.zjk1", "t/history.jsonl", "m/merged.zjk1", "e/metrics.json",
-                "t2/final.zjk1", "g/merged.zjk1", "e2/metrics.json"):
+                "t2/final.zjk1", "g/merged.zjk1", "e2/metrics.json",
+                "e2_vote/metrics.json", "e2_logits/metrics.json"):
         with open(os.path.join(run, rel), "rb") as fh:
             out[f"cli/{rel}"] = sha(fh.read())
 
@@ -313,19 +322,22 @@ def recipe_digests(out, tmp):
         for kind in RECIPES:
             with open(f"{kind}.cfg", "w") as fh:
                 fh.write(RECIPE_CFG + f"merger.kind={kind}\n")
+        with open("fisher_default_samples.cfg", "w") as fh:  # merger.samples unset
+            fh.write(RECIPE_CFG.replace("merger.samples=16\n", "") + "merger.kind=fisher\n")
+        runs = RECIPES + ("fisher_default_samples",)
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in (["train", "--config", "uniform_soup.cfg", "--out", "a"],
                          ["train", "--config", "uniform_soup.cfg", "--seed", "8", "--out", "b"],
-                         *(["merge", "--config", f"{kind}.cfg", "--out", kind,
+                         *(["merge", "--config", f"{name}.cfg", "--out", name,
                             "--ckpt", "a/final.zjk1", "--ckpt", "b/final.zjk1"]
-                           for kind in RECIPES)):
+                           for name in runs)):
                 code = cli.main(argv)
                 if code != 0:
                     raise SystemExit(f"zjkit {' '.join(argv)} exited {code}")
-        for kind in RECIPES:
+        for run_name in runs:
             for name in ("merged.zjk1", "merge_report.json"):
-                with open(os.path.join(kind, name), "rb") as fh:
-                    out[f"cli/recipes/{kind}/{name}"] = sha(fh.read())
+                with open(os.path.join(run_name, name), "rb") as fh:
+                    out[f"cli/recipes/{run_name}/{name}"] = sha(fh.read())
     finally:
         os.chdir(cwd)
 
