@@ -95,6 +95,14 @@ def _num(value, name, cast=float):
         raise ConfigError(f"{name}: expected {cast.__name__}, got {value!r}") from None
 
 
+def _kwargs(cfg, fn, **keys):
+    """``fn``'s keyword arguments the run config sets (``keys``: parameter ->
+    config key), each cast to the type of the parameter's default."""
+    params = inspect.signature(fn).parameters
+    return {name: _num(cfg[key], key, type(params[name].default))
+            for name, key in keys.items() if key in cfg}
+
+
 def _model_spec(cfg):
     kind = cfg.get("model.kind")
     if kind == "mlp":
@@ -270,15 +278,10 @@ def cmd_train(cfg, args):
         if not tw:
             raise ConfigError("distillation terms require teacher.weights")
         teacher = tuner.Teacher(spec, ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(tw)))
-    # each tuner.* key the config sets, cast to the type of its TrainConfig default
-    types = {f.name: type(f.default) for f in dataclasses.fields(tuner.TrainConfig)}
-    train_kw = {"seed": seed}
-    for key, text in cfg.items():
-        name = key[len("tuner."):]
-        if key.startswith("tuner.") and name in types:
-            train_kw[name] = _num(text, key, types[name])
+    fields = dataclasses.fields(tuner.TrainConfig)
+    train_kw = _kwargs(cfg, tuner.TrainConfig, **{f.name: f"tuner.{f.name}" for f in fields})
     ckpt, history = tuner.train(adapted, teacher, ds, loss_spec, reg_spec,
-                                tuner.TrainConfig(**train_kw), ref_params=ref_params)
+                                tuner.TrainConfig(**train_kw, seed=seed), ref_params=ref_params)
     ckpt_mod.save_checkpoint(ckpt, os.path.join(out, "final.zjk1"))
     with ckpt_mod.atomic_open(os.path.join(out, "history.jsonl")) as fh:
         for entry in history:
@@ -325,8 +328,8 @@ def cmd_merge(cfg, args):
                                 _num(cfg.get("merger.alpha", 0.5), "merger.alpha"))
     elif kind == "fisher":
         ds = _load_dataset(cfg, seed)
-        n = _num(cfg.get("merger.samples", 64), "merger.samples", int)
-        fishers = [named(merger.fisher_estimate, spec, c, ds, n_samples=n, seed=seed + i)
+        kw = _kwargs(cfg, merger.fisher_estimate, n_samples="merger.samples")
+        fishers = [named(merger.fisher_estimate, spec, c, ds, seed=seed + i, **kw)
                    for i, c in enumerate(ckpts)]
         report["fisher_mass"] = [f.mass() for f in fishers]
         lams = None
@@ -334,14 +337,13 @@ def cmd_merge(cfg, args):
             lams = [_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]
         merged = merger.fisher_merge(ckpts, fishers, lams)
     elif kind == "ot_fusion":
-        eps = _num(cfg.get("merger.eps", 0.01), "merger.eps")
-        iters = _num(cfg.get("merger.iters", 500), "merger.iters", int)
-        merged, perm = named(merger.ot_fuse, ckpts[0], ckpts[1], eps=eps, iters=iters)
+        kw = _kwargs(cfg, merger.ot_fuse, eps="merger.eps", iters="merger.iters")
+        merged, perm = named(merger.ot_fuse, ckpts[0], ckpts[1], **kw)
         report["permutation"] = merger.permutation_summary(perm)
         report["sinkhorn"] = perm.stats
     elif kind == "git_rebasin":
-        sweeps = _num(cfg.get("merger.sweeps", 20), "merger.sweeps", int)
-        perm, history = merger.weight_match(ckpts[0], ckpts[1], max_sweeps=sweeps)
+        perm, history = merger.weight_match(
+            ckpts[0], ckpts[1], **_kwargs(cfg, merger.weight_match, max_sweeps="merger.sweeps"))
         aligned = merger.permute_model(ckpts[1], perm)
         merged = merger.uniform_soup([ckpts[0], aligned])
         report["permutation"] = merger.permutation_summary(perm)
@@ -381,8 +383,7 @@ def cmd_eval(cfg, args):
     for lo in range(0, x.shape[0], 256):  # the loss sums over predict's chunks
         yb = y[lo:lo + 256]
         total_loss += float(tuner.cross_entropy(Tensor(fused[lo:lo + 256]), yb).item()) * len(yb)
-    combined = merger.combine_logits(logits_list, pred_mode)
-    preds = combined if pred_mode == "vote" else np.argmax(combined, axis=1)
+    preds = np.argmax(merger.combine_logits(logits_list, pred_mode), axis=1)
     acc = float((preds == y).mean()) if len(y) else 0.0
     per_class = {}
     for c in range(ds.n_classes):

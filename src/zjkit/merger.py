@@ -18,8 +18,9 @@ exps per solve rather than three per iteration, and hardens the plan by an
 exact assignment, which is always a bijection.
 
 Permutation, weight matching, OT fusion and REPAIR read and write an MLP
-checkpoint as float64 ``(weight, bias)`` layers; a permutation is one map per
-hidden layer, on that layer's rows and the next layer's columns.
+checkpoint as float64 ``(weight, bias)`` layers and refuse any other entry;
+a permutation is one map per hidden layer, on that layer's rows and the next
+layer's columns.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ from .models import forward
 from .tensor import Tensor
 
 EPS_FLOOR = 1e-12
+
+
+def _refuse_others(ckpt, paths, what):
+    """SpecMismatch naming the entries of ``ckpt`` that ``paths`` lacks, if any."""
+    extra = sorted(set(ckpt.entries) - set(paths))
+    if extra:
+        raise SpecMismatch(f"{what} only; the checkpoint also has {len(extra)} other "
+                           f"entries ({', '.join(extra[:3])}{', ...' if len(extra) > 3 else ''})")
 
 
 def _check_aligned(checkpoints):
@@ -129,11 +138,7 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0) -> Fishe
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     params = to_params(spec, ckpt)
-    extra = sorted(set(ckpt.entries) - set(params.paths()))
-    if extra:
-        raise SpecMismatch(f"fisher_estimate needs the spec's parameters only; the "
-                           f"checkpoint also has {len(extra)} other entries "
-                           f"({', '.join(extra[:3])}{', ...' if len(extra) > 3 else ''})")
+    _refuse_others(ckpt, params.paths(), "fisher_estimate needs the spec's parameters")
     x_train, _ = data.split("train")
     if x_train.shape[0] == 0:
         raise ConfigError("fisher_estimate needs a non-empty train split")
@@ -287,17 +292,18 @@ class Permutation:
 
 
 def _layers(ckpt: Checkpoint):
-    """An mlp checkpoint's layers as float64 ``[(weight, bias), ...]``."""
+    """An mlp checkpoint's layers as float64 ``[(weight, bias), ...]``; other
+    entries (adapter factors) would not move with the units and are refused."""
     if ckpt.kind != "mlp":
         raise ConfigError(f"operation defined for mlp models, got {ckpt.kind!r}")
-    layers = []
-    while f"layers[{len(layers)}].weight" in ckpt.entries:
-        l = len(layers)
-        layers.append((ckpt.entries[f"layers[{l}].weight"].astype(np.float64),
-                       ckpt.entries[f"layers[{l}].bias"].astype(np.float64)))
-    if not layers:
+    names = []  # (weight, bias) entry names, layer by layer
+    while f"layers[{len(names)}].weight" in ckpt.entries:
+        names.append((f"layers[{len(names)}].weight", f"layers[{len(names)}].bias"))
+    if not names:
         raise ConfigError("checkpoint has no layers[i].weight entries")
-    return layers
+    _refuse_others(ckpt, [p for pair in names for p in pair],
+                   "permutation, alignment and repair read layers[i] entries")
+    return [tuple(ckpt.entries[p].astype(np.float64) for p in pair) for pair in names]
 
 
 def _with_layers(ckpt: Checkpoint, layers) -> Checkpoint:
@@ -452,7 +458,8 @@ def repair(interp: Checkpoint, endpoints, spec, calib_x, log=None) -> Checkpoint
 
 
 def combine_logits(logits_list, mode):
-    """Fuse per-model logits: mean logits, mean probabilities, or votes."""
+    """Fuse per-model logits into ``[n, classes]`` scores: mean logits, mean
+    probabilities, or vote counts."""
     if not logits_list:
         raise ConfigError("no logits to combine")
     shape = np.asarray(logits_list[0]).shape
@@ -464,22 +471,15 @@ def combine_logits(logits_list, mode):
         return stack.mean(axis=0)
     if mode == "prob":
         return T.softmax(Tensor(stack)).data.mean(axis=0)
-    if mode == "vote":
-        preds = stack.argmax(axis=-1)  # [models, n]
-        n_class = shape[-1]
-        counts = np.zeros((preds.shape[1], n_class), dtype=int)
-        for row in preds:
-            counts[np.arange(row.size), row] += 1
-        return counts.argmax(axis=1)  # ties: lowest class id
+    if mode == "vote":  # [n, classes] counts of the models' argmax
+        return (stack.argmax(axis=-1)[..., None] == np.arange(shape[-1])).sum(axis=0)
     raise ConfigError(f"unknown ensemble mode {mode!r}")
 
 
 def ensemble(models, x, mode="logits"):
-    """Run each model on the array x and fuse the outputs; returns class predictions."""
-    fused = combine_logits([m.predict(x) for m in models], mode)
-    if mode == "vote":
-        return fused
-    return fused.argmax(axis=-1)
+    """Run each model on the array x and fuse the outputs; returns class
+    predictions, a tie going to the lowest class."""
+    return combine_logits([m.predict(x) for m in models], mode).argmax(axis=-1)
 
 
 # -- report helpers -----------------------------------------------------

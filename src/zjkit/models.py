@@ -249,9 +249,6 @@ class ParamStore:
     def __contains__(self, path):
         return path in self._entries
 
-    def __len__(self):
-        return len(self._entries)
-
     def get(self, path) -> Tensor:
         if path not in self._entries:
             raise ConfigError(f"unknown parameter path {path!r}")

@@ -11,7 +11,8 @@ untracked gets no tape edge and no derivative call, so a constant, a frozen
 weight or norm costs no derivative work and a frozen prefix of a network
 records no tape at all. Two backward closures remain, the recorder's and
 that of ``attention``, whose three gradients share intermediates and which
-records through ``Tensor._make``. ``sum`` and ``mean`` take an int,
+records through ``Tensor._make``. One reducer, ``_sum_to``, sums a broadcast
+operand's gradient back to its shape. ``sum`` and ``mean`` take an int,
 negative or tuple axis, and ``reshape`` one ``-1``. Non-finite values are
 rejected at creation time, which makes divergence surface as an error at
 the op that produced it instead of poisoning downstream results.
@@ -165,8 +166,8 @@ class Tensor:
         if a.shape != b.shape and a.size != 1 and b.size != 1:
             raise ShapeMismatch(f"operand shapes {a.shape} vs {b.shape}")
         return Tensor._record(fwd(a, b), (self, other),
-                              (lambda g: _unbroadcast(bwd_self(g, a, b), a.shape),
-                               lambda g: _unbroadcast(bwd_other(g, a, b), b.shape)))
+                              (lambda g: _sum_to(bwd_self(g, a, b), a.shape),
+                               lambda g: _sum_to(bwd_other(g, a, b), b.shape)))
 
     def __add__(self, other):
         return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
@@ -217,20 +218,6 @@ class Tensor:
 
         return self._unary(0.5 * x * (1.0 + t), dgrad)
 
-    def tanh(self):
-        t = np.tanh(self.data)
-        return self._unary(t, lambda g: g * (1.0 - t**2))
-
-    def exp(self):
-        e = np.exp(self.data)
-        return self._unary(e, lambda g: g * e)
-
-    def log(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(self.data)
-        x = self.data
-        return self._unary(out, lambda g: g / x)
-
     def sqrt(self):
         r = np.sqrt(self.data)
         return self._unary(r, lambda g: g * 0.5 / r)
@@ -256,8 +243,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims).scale(1.0 / n)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         try:
             out = self.data.reshape(shape)  # numpy resolves one -1
         except (TypeError, ValueError):
@@ -268,8 +253,6 @@ class Tensor:
     def transpose(self, *axes):
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
         return self._unary(np.transpose(self.data, axes), lambda g: np.transpose(g, inv))
 
@@ -344,16 +327,6 @@ def _sample_sq(a):
         raise ConfigError(f"no per-sample rule: a {a.shape} gradient has no sample axis")
     per = a.reshape(a.shape[0], -1, a.shape[-1]).sum(axis=1)
     return (per * per).sum(axis=0)
-
-
-def _unbroadcast(grad, shape):
-    g = np.asarray(grad, dtype=np.float64)
-    if g.shape == shape:
-        return g
-    if int(np.prod(shape)) == 1:
-        return np.full(shape, g.sum())
-    # the other operand has size 1 but higher rank: same size, more axes
-    return g.reshape(shape)
 
 
 # -- free-function ops --------------------------------------------------

@@ -1,7 +1,10 @@
 """CLI: config parsing, commands, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +109,17 @@ def test_plan_prints_table(tmp_path, capsys):
     assert code == 0
     assert "linear_probe" in out
     assert "trainable original parameters" in out
+
+
+@pytest.mark.parametrize("argv,code", [(["inspect", "--ckpt", "missing.zjk1"], 5),
+                                       (["plan", "--config", "run.cfg"], 0)])
+def test_python_m_zjkit_exits_with_the_command_code(tmp_path, argv, code):
+    _cfg(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "zjkit", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert ("linear_probe" in done.stdout) == (code == 0)
 
 
 def test_plan_counts_the_rows_a_grad_mask_trains(tmp_path, capsys):
@@ -673,6 +687,20 @@ def test_fisher_merge_of_adapter_checkpoints_exit_4(tmp_path, capsys):
                  "--ckpt", ck, "--ckpt", ck])
     assert code == 4
     assert "lora[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["git_rebasin", "ot_fusion", "repair"])
+def test_alignment_merge_of_adapter_checkpoints_exit_4(tmp_path, capsys, kind):
+    # LoRA factors would not move with the permuted or rescaled units
+    lora = _with("architect.config", "'(LoRA.adapt):->(layers[0]){inout}'",
+                 _with("merger.kind", kind))
+    ck = str(_train(tmp_path, "t", lora) / "final.zjk1")
+    capsys.readouterr()
+    code = main(["merge", "--config", _cfg(tmp_path, lora), "--out", str(tmp_path / "o"),
+                 "--ckpt", ck, "--ckpt", ck])
+    assert code == 4
+    assert "lora[0]" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "merged.zjk1").exists()
 
 
 def test_fisher_merge_reports_fisher_mass(tmp_path):

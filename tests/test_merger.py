@@ -393,6 +393,22 @@ def test_permute_requires_mlp():
         permute_model(c, Permutation([np.arange(8)]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda c: permute_model(c, _rand_perm(SPEC2, 1)),
+    lambda c: weight_match(c, c),
+    lambda c: ot_fuse(c, c, eps=0.1),
+    lambda c: repair(c, (c, c, 0.5), SPEC2, np.zeros((16, 3))),
+], ids=["permute_model", "weight_match", "ot_fuse", "repair"])
+def test_alignment_refuses_entries_beside_the_layers(call):
+    # a LoRA factor would not move with the units, so the result would compute
+    # another function
+    c = _ckpt(SPEC2, seed=1)
+    adapted = Checkpoint(c.kind, c.digest,
+                         {**c.entries, "lora[0].a": np.ones((2, 3), np.float32)})
+    with pytest.raises(SpecMismatch, match=r"1 other entries \(lora\[0\]\.a\)"):
+        call(adapted)
+
+
 def test_weight_match_recovers_permutation():
     c = _ckpt(SPEC2, seed=6)
     perm = _rand_perm(SPEC2, 7)
@@ -529,7 +545,8 @@ def test_combine_logits_modes():
     probs = combine_logits([l1, l2], "prob")
     assert abs(probs.sum() - 1.0) < 1e-12
     votes = combine_logits([l1, l2], "vote")
-    assert votes.tolist() == [0]  # 1-1 tie resolves to lowest class id
+    assert votes.tolist() == [[1, 1]]  # one vote per class
+    assert votes.argmax(axis=1).tolist() == [0]  # the tie goes to the lowest class id
 
 
 def test_combine_logits_validation():
@@ -546,7 +563,9 @@ def test_combine_logits_validation():
 def test_vote_majority():
     rows = [np.array([[0.0, 1.0]]), np.array([[0.0, 2.0]]),
             np.array([[3.0, 0.0]])]
-    assert combine_logits(rows, "vote").tolist() == [1]
+    votes = combine_logits(rows, "vote")
+    assert votes.tolist() == [[1, 2]]
+    assert votes.argmax(axis=1).tolist() == [1]
 
 
 # -- report helpers ------------------------------------------------------

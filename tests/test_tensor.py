@@ -92,12 +92,9 @@ def test_binary_grads_size_one_operand_of_higher_rank(shapes):
 
 
 @pytest.mark.parametrize("op", [
-    lambda a: a.tanh().sum(),
-    lambda a: a.exp().sum(),
     lambda a: a.gelu().sum(),
     lambda a: a.square().sum(),
     lambda a: (a * a + 1.0).sqrt().sum(),
-    lambda a: (a * a + 0.5).log().sum(),
     lambda a: a.mean(),
     lambda a: a.sum(axis=0).square().sum(),
     lambda a: a.reshape(12).square().sum(),
