@@ -112,7 +112,8 @@ def test_plan_prints_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,code", [(["inspect", "--ckpt", "missing.zjk1"], 5),
-                                       (["plan", "--config", "run.cfg"], 0)])
+                                       (["plan", "--config", "run.cfg"], 0)],
+                         ids=["inspect_missing_ckpt", "plan"])
 def test_python_m_zjkit_exits_with_the_command_code(tmp_path, argv, code):
     _cfg(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
