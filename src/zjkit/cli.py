@@ -9,7 +9,7 @@ Exit codes (each error class in ``errors`` carries its own ``exit_code``):
 
     0  ok
     2  config-language parse error: ParseError (the byte offset goes to stderr)
-    3  invalid run config or input: ConfigError, ShapeMismatch, DetachedRoot,
+    3  invalid run config or input, bad usage: ConfigError, ShapeMismatch,
        AmbiguousAssignment
     4  spec mismatch: SpecMismatch
     5  i/o error, corrupt checkpoint, missing file: IoError, CorruptCheckpoint
@@ -305,6 +305,7 @@ def cmd_merge(cfg, args):
     if kind in ("wise_ft", "ot_fusion", "git_rebasin", "repair") and len(ckpts) != 2:
         raise ConfigError(f"{kind} needs exactly two checkpoints")
     report = {"recipe": kind, "ingredients": list(args.ckpt)}
+    alpha = cfg.get("merger.alpha", 0.5)  # checked only by the recipes that read it
 
     def named(recipe, *a, **kw):  # the recipe names its argument, not the run's key
         try:
@@ -324,8 +325,7 @@ def cmd_merge(cfg, args):
             lambda c, vd: tuner.accuracy(_model_for_eval(spec, plan, c), *vd))
         report["accepted"] = [args.ckpt[i] for i in order]
     elif kind == "wise_ft":
-        merged = merger.wise_ft(ckpts[0], ckpts[1],
-                                _num(cfg.get("merger.alpha", 0.5), "merger.alpha"))
+        merged = merger.wise_ft(ckpts[0], ckpts[1], _num(alpha, "merger.alpha"))
     elif kind == "fisher":
         ds = _load_dataset(cfg, seed)
         kw = _kwargs(cfg, merger.fisher_estimate, n_samples="merger.samples")
@@ -349,7 +349,7 @@ def cmd_merge(cfg, args):
         report["permutation"] = merger.permutation_summary(perm)
         report["objective"] = history
     elif kind == "repair":
-        alpha = _num(cfg.get("merger.alpha", 0.5), "merger.alpha")
+        alpha = _num(alpha, "merger.alpha")
         interp = merger.wise_ft(ckpts[1], ckpts[0], alpha)  # weight alpha on a
         ds = _load_dataset(cfg, seed)
         x_train, _ = ds.split("train")
@@ -422,8 +422,13 @@ def cmd_inspect(cfg, args):
 # -- entry point --------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers share the class
+    def error(self, message):  # a usage error exits 3, not 2, ParseError's code
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="zjkit", description=__doc__)
+    parser = _Parser(prog="zjkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("plan", "train", "merge", "eval", "inspect"):
         p = sub.add_parser(name)
@@ -439,9 +444,9 @@ def main(argv=None):
              "debug": logging.DEBUG}.get(os.environ.get("ZJ_LOG", "quiet"),
                                          logging.ERROR)
     logging.basicConfig(level=level, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
     cfg = {}
     try:
+        args = build_parser().parse_args(argv)
         if args.config:
             if not os.path.exists(args.config):
                 raise IoError(f"no such config: {args.config}")

@@ -4,7 +4,7 @@ Each class's ``exit_code`` is the status ``zjkit`` exits with when the
 error ends a command:
 
     2  ParseError
-    3  ConfigError, ShapeMismatch, DetachedRoot, AmbiguousAssignment
+    3  ConfigError, ShapeMismatch, AmbiguousAssignment
     4  SpecMismatch
     5  IoError, CorruptCheckpoint
     6  NonFiniteValue, NoConvergence
@@ -40,10 +40,6 @@ class ConfigError(ZjError, ValueError):
 
 class ShapeMismatch(ZjError):
     """Operands whose shapes, widths, batch sizes or counts disagree."""
-
-
-class DetachedRoot(ZjError):
-    """A backward root that no tape records."""
 
 
 # Nothing in zjkit raises this since ot_fuse hardens its coupling by exact

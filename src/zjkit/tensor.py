@@ -9,9 +9,9 @@ to the gradient of ``parents[i]`` (``Tensor._unary(out, dgrad)`` for one
 input). The untracked rule lives there: an operand that is None or
 untracked gets no tape edge and no derivative call, so a constant, a frozen
 weight or norm costs no derivative work and a frozen prefix of a network
-records no tape at all. Two backward closures remain, the recorder's and
-that of ``attention``, whose three gradients share intermediates and which
-records through ``Tensor._make``. One reducer, ``_sum_to``, sums a broadcast
+records no tape at all. One backward closure, the recorder's, serves every
+op; ``attention``'s three derivatives share their work through a memo kept
+for one incoming gradient. One reducer, ``_sum_to``, sums a broadcast
 operand's gradient back to its shape. ``sum`` and ``mean`` take an int,
 negative or tuple axis, and ``reshape`` one ``-1``. Non-finite values are
 rejected at creation time, which makes divergence surface as an error at
@@ -50,10 +50,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 
-from .errors import ConfigError, DetachedRoot, NonFiniteValue, ShapeMismatch
+from .errors import ConfigError, NonFiniteValue, ShapeMismatch
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _PER_SAMPLE_BLOCK = 1 << 17  # float64 elements (1 MiB) of per-sample affine gradients
@@ -67,7 +68,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteValue("tensor contains NaN or Inf")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
@@ -103,13 +104,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- graph plumbing -------------------------------------------------
-
-    def _make(self, data, parents, backward):
-        """Wrap the result of an op whose ``backward(grad, acc)`` feeds all
-        its ``parents`` at once; drops the tape when none of them is tracked."""
-        if not any(t.requires_grad or t._parents for t in parents):
-            return Tensor(data)
-        return Tensor(data, _parents=parents, _backward=backward)
 
     @staticmethod
     def _record(out, parents, dgrads):
@@ -417,43 +411,47 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
 
     q = np.ascontiguousarray(split(qkv.data, 0, s))
     k, v = split(qkv.data, d, s), split(qkv.data, 2 * d, s)
-    parents = (qkv,)
     if prefix is not None:
-        parents += tuple(prefix)
         t = prefix[0].shape[0]
-        if any(p.shape != (t, d) for p in prefix):
-            raise ShapeMismatch(f"prefix {[p.shape for p in prefix]}, expected [t,{d}]")
+        if len(prefix) != 2 or any(p.shape != (t, d) for p in prefix):
+            raise ShapeMismatch(f"prefix {[p.shape for p in prefix]}, expected two [t,{d}]")
         k, v = (np.concatenate([np.broadcast_to(split(p.data, 0, t), (n, heads, t, hd)), a],
                                axis=2) for p, a in zip(prefix, (k, v)))
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     v = np.ascontiguousarray(v)
     attn = _softmax(np.matmul(q, kt) * scale)
     ctx = np.matmul(attn, v)
+    memo = []  # [weakref to g, (g_q, g_k, g_v)] for one g, dropped with it after the backward
 
-    def backward(grad, acc):
-        g = np.transpose(grad.reshape(n, s, heads, hd), (0, 2, 1, 3))
-        g_attn = np.matmul(g, np.swapaxes(v, -1, -2))
-        g_v = np.matmul(np.swapaxes(attn, -1, -2), g)
-        g_scores = _softmax_grad(g_attn, attn) * scale
-        g_q = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
-        g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
-        if prefix is not None:
-            for p, gp in zip(prefix, (g_k[:, :, :t], g_v[:, :, :t])):
-                acc(p, np.transpose(gp.sum(axis=0), (1, 0, 2)).reshape(t, d))
-            g_k, g_v = g_k[:, :, t:], g_v[:, :, t:]
-        g_qkv = np.zeros(qkv.shape)
-        for i, gi in enumerate((g_q, g_k, g_v)):
-            g_qkv[:, :, i * d:(i + 1) * d] += np.transpose(gi, (0, 2, 1, 3)).reshape(n, s, d)
-        acc(qkv, g_qkv)
+    def shared(g):
+        if not memo or memo[0]() is not g:
+            gh = np.transpose(g.reshape(n, s, heads, hd), (0, 2, 1, 3))
+            g_attn = np.matmul(gh, np.swapaxes(v, -1, -2))
+            g_v = np.matmul(np.swapaxes(attn, -1, -2), gh)
+            g_scores = _softmax_grad(g_attn, attn) * scale
+            g_q = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
+            g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
+            memo[:] = weakref.ref(g, lambda _: memo.clear()), (g_q, g_k, g_v)
+        return memo[1]
 
-    return qkv._make(np.transpose(ctx, (0, 2, 1, 3)).reshape(n, s, d), parents, backward)
+    def d_qkv(g):
+        g_qkv = np.zeros((n, s, 3, d))
+        for i, gi in enumerate(shared(g)):  # keys and values past the prefix
+            g_qkv[:, :, i] += np.transpose(gi[:, :, -s:], (0, 2, 1, 3)).reshape(n, s, d)
+        return g_qkv.reshape(qkv.shape)
+
+    def d_prefix(i):  # the prefix rows of the key (1) or value (2) gradient
+        return lambda g: np.transpose(shared(g)[i][:, :, :t].sum(axis=0), (1, 0, 2)).reshape(t, d)
+
+    return Tensor._record(np.transpose(ctx, (0, 2, 1, 3)).reshape(n, s, d),  # None: no prefix
+                          (qkv, *(prefix or (None, None))), (d_qkv, d_prefix(1), d_prefix(2)))
 
 
 def _softmax(z):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteValue("softmax overflow")
     return y
 
@@ -580,7 +578,7 @@ def backward(root: Tensor, per_sample_sq=False):
     if root.size != 1:
         raise ShapeMismatch(f"backward root has shape {root.shape}")
     if not root._parents and not root.requires_grad:
-        raise DetachedRoot("root is not recorded on any tape")
+        raise ConfigError("root is not recorded on any tape")
 
     topo = []
     seen = set()

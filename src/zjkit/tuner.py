@@ -23,7 +23,7 @@ import numpy as np
 from . import checkpoint as ckpt_mod
 from . import tensor as T
 from .architect import AdaptedModel
-from .errors import ConfigError, DetachedRoot, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 from .linalg import spectral_norm, thin_svd
 from .models import ParamStore, forward, init_param
 from .tensor import Tensor
@@ -581,7 +581,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
 
             try:
                 gmap = T.backward(total)
-            except DetachedRoot:  # raised at the first batch, before any update
+            except ConfigError:  # an untaped root, at the first batch before any update
                 raise ConfigError("no trainable tensor is reached by the objective's "
                                   f"terms: {', '.join(keys)}") from None
             for path, w, store in model.trainable():

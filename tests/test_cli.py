@@ -18,7 +18,6 @@ from zjkit.errors import (
     AmbiguousAssignment,
     ConfigError,
     CorruptCheckpoint,
-    DetachedRoot,
     IoError,
     MalformedData,
     NoConvergence,
@@ -112,8 +111,10 @@ def test_plan_prints_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,code", [(["inspect", "--ckpt", "missing.zjk1"], 5),
-                                       (["plan", "--config", "run.cfg"], 0)],
-                         ids=["inspect_missing_ckpt", "plan"])
+                                       (["plan", "--config", "run.cfg"], 0),
+                                       ([], 3),
+                                       (["train", "--seed", "x"], 3)],
+                         ids=["inspect_missing_ckpt", "plan", "no_command", "seed_not_int"])
 def test_python_m_zjkit_exits_with_the_command_code(tmp_path, argv, code):
     _cfg(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -487,7 +488,6 @@ EXIT_CODES = [
     (ParseError(4, {"("}), 2),
     (ConfigError("x"), 3),
     (ShapeMismatch("x"), 3),
-    (DetachedRoot("x"), 3),
     (AmbiguousAssignment("x"), 3),
     (SpecMismatch("x"), 4),
     (IoError("x"), 5),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import check_grads, rand_tensor
 from zjkit import tensor as T
-from zjkit.errors import ConfigError, DetachedRoot, NonFiniteValue, ShapeMismatch
+from zjkit.errors import ConfigError, NonFiniteValue, ShapeMismatch
 from zjkit.tensor import Tensor
 
 
@@ -278,8 +278,9 @@ def test_affine_shape_errors():
         T.affine(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
 
 
-def _attention_leaves(rng, n, s, d, prefix_len):
-    leaves = [rand_tensor(rng, (n, s, 3 * d))]
+def _attention_leaves(rng, n, s, d, prefix_len, frozen_qkv=False):
+    """qkv (frozen: not requiring grad) and, with a prefix, its key and value."""
+    leaves = [rand_tensor(rng, (n, s, 3 * d), not frozen_qkv)]
     return leaves + [rand_tensor(rng, (prefix_len, d)) for _ in range(2 if prefix_len else 0)]
 
 
@@ -287,14 +288,39 @@ def _with_heads(fn, heads):
     return lambda qkv, *pre: fn(qkv, heads, tuple(pre) if pre else None)
 
 
-@pytest.mark.parametrize("prefix_len", [0, 2])
-def test_attention_matches_chain(prefix_len):
+@pytest.mark.parametrize("prefix_len, frozen_qkv", [(0, False), (2, False), (2, True)],
+                         ids=["0", "2", "2-frozen_qkv"])
+def test_attention_matches_chain(prefix_len, frozen_qkv):
     rng = np.random.default_rng(12)
-    leaves = _attention_leaves(rng, 2, 16, 32, prefix_len)
+    leaves = _attention_leaves(rng, 2, 16, 32, prefix_len, frozen_qkv)
     _assert_same_as_chain(_with_heads(T.attention, 2), _with_heads(_attention_chain, 2),
                           leaves)
-    small = _attention_leaves(rng, 2, 3, 4, prefix_len)
-    check_grads(lambda *ls: _with_heads(T.attention, 2)(*ls).square().sum(), small)
+    small = _attention_leaves(rng, 2, 3, 4, prefix_len, frozen_qkv)
+    fixed = small[:1] if frozen_qkv else []  # finite differences move tracked leaves alone
+    check_grads(lambda *ls: _with_heads(T.attention, 2)(*fixed, *ls).square().sum(),
+                small[len(fixed):])
+    if frozen_qkv:  # the frozen qkv gets no gradient work at all
+        out = _with_heads(T.attention, 2)(*leaves)
+        reached = []
+        out._backward(np.ones(out.shape), lambda t, g: reached.append(t.uid))
+        assert reached == [leaves[1].uid, leaves[2].uid]
+
+
+def test_attention_two_backwards_through_one_node_match_the_chain():
+    """The derivatives share work per incoming gradient; a second backward
+    through the same node, with another gradient, must not reuse the first's."""
+    rng = np.random.default_rng(15)
+    leaves = _attention_leaves(rng, 2, 16, 32, 2)
+    fused, chain = (_with_heads(fn, 2)(*leaves) for fn in (T.attention, _attention_chain))
+    probes = [np.random.default_rng(seed).normal(size=fused.shape) for seed in (0, 1)]
+    got = [{}, {}]
+    for probe, grads in zip(probes, got):  # back to back, as a reused id would meet them
+        fused._backward(probe, lambda t, g, grads=grads: grads.__setitem__(t.uid, g))
+    for probe, grads in zip(probes, got):
+        want = T.backward((chain * Tensor(probe)).sum())
+        assert grads.keys() == want.keys() == {t.uid for t in leaves}
+        for uid, g in grads.items():
+            assert np.array_equal(g, want[uid].data)
 
 
 def test_attention_shape_errors():
@@ -303,6 +329,8 @@ def test_attention_shape_errors():
     with pytest.raises(ShapeMismatch):
         T.attention(Tensor(np.ones((2, 3, 12))), 2,
                     (Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4)))))
+    with pytest.raises(ShapeMismatch, match="expected two"):  # a key without its value
+        T.attention(Tensor(np.ones((2, 3, 12))), 2, (Tensor(np.ones((2, 4))),))
 
 
 def test_gelu_backward_matches_closed_form():
@@ -444,11 +472,14 @@ def test_per_sample_sq_raises_without_a_rule():
     x = Tensor(rng.normal(size=(5, 4)))
     w = rand_tensor(rng, (4, 4))
     p = rand_tensor(rng, (5, 4))
+    prefix = (rand_tensor(rng, (1, 2)), rand_tensor(rng, (1, 2)))
     roots = (T.matmul(x, w).sum(),                          # matmul has no rule
              (x * w.reshape(16)[:4].expand((5, 4))).sum(),  # nor reshape or slicing
+             T.attention(Tensor(rng.normal(size=(5, 2, 6))), 1,
+                         prefix).sum(),                     # nor a Prefix pair
              T.affine(T.affine(x, w), w).sum(),             # a leaf read by two ops
              (x * p.expand((5, 4))).sum())                  # not shared by samples
-    words = ("leaf is reached by an op with no per-sample rule",) * 2 + (
+    words = ("leaf is reached by an op with no per-sample rule",) * 3 + (
         "no per-sample rule: the .* leaf is read by more than one op",
         "no per-sample rule: expand .* keeps the sample axis")
     for root, word in zip(roots, words):
@@ -483,7 +514,7 @@ def test_backward_requires_scalar_root():
 
 
 def test_backward_detached_root():
-    with pytest.raises(DetachedRoot):
+    with pytest.raises(ConfigError, match="root is not recorded on any tape"):
         T.backward(Tensor(1.0))
 
 

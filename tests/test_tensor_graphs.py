@@ -2,7 +2,7 @@
 
 Each graph starts from one leaf and applies a few ops drawn from ``OPS``;
 an op may add leaves of its own (a size-1 factor, an affine weight, a
-concat partner). The scalar root weights the last node by a fixed random
+concat partner, an attention block's projection and prefix pair). The scalar root weights the last node by a fixed random
 array, plus each leaf weighted by one of its own, and ``check_grads``
 compares every leaf's gradient with central differences. The leaf terms keep
 a gradient that is exactly zero along the graph (a leaf shifted before a
@@ -66,6 +66,9 @@ OPS = {
     "matmul": (lambda s: ((s[-1], 2),), lambda h, w: T.matmul(_rows(h), w)),
     "layernorm": (lambda s: ((s[-1],), (s[-1],)), T.layernorm),
     "concat": (lambda s: (s,), lambda h, c: T.concat([h, c], axis=-1)),
+    "attention": (lambda s: ((6, s[-1]), (6,), (1, 2), (1, 2)),  # one head, width 2
+                  lambda h, w, b, *prefix: T.attention(
+                      T.affine(_rows(h), w, b).reshape(1, -1, 6), 1, prefix)),
 }
 START_SHAPES = [(3,), (2, 3), (2, 1, 2)]
 
