@@ -14,7 +14,8 @@ three-hidden-layer MLP, and the plan -> train -> merge -> eval CLI
 pipeline of acceptance criterion 10, plus a greedy soup and a two-checkpoint
 ensemble in each ``merger.ensemble`` mode through the CLI, and each
 ``merger.kind`` through ``zjkit merge`` (the merged checkpoint and its
-``merge_report.json``), Fisher also at its default sample count. Run it
+``merge_report.json``), Fisher also at its default sample count, and a CLI
+``l2_sp`` run toward ``pretrained_weights``. Run it
 on two trees and ``diff`` the outputs to see which outputs a change moves.
 The last line digests all the others.
 """
@@ -276,15 +277,19 @@ def merge_digests(out, tmp):
 def cli_digests(out, tmp):
     cfg, soup_cfg = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "soup.cfg")
     mode_cfgs = {mode: os.path.join(tmp, f"{mode}.cfg") for mode in ("vote", "logits")}
+    run = os.path.join(tmp, "pipe")
+    ck, ck2 = (os.path.join(run, d, "final.zjk1") for d in ("t", "t2"))
+    l2sp_cfg = os.path.join(tmp, "l2sp.cfg")
     with open(cfg, "w") as fh:
         fh.write(PIPE_CFG)
+    with open(l2sp_cfg, "w") as fh:  # full fine-tune of the first run's weights
+        fh.write(PIPE_CFG.replace("architect.config='(LoRA.adapt):->(layers[0]){inout}'\n", "")
+                 + f"pretrained_weights={ck}\ntuner.reg=l2_sp:0.1\n")
     with open(soup_cfg, "w") as fh:
         fh.write(PIPE_CFG + "merger.kind=greedy_soup\n")
     for mode, path in mode_cfgs.items():
         with open(path, "w") as fh:
             fh.write(PIPE_CFG + f"merger.ensemble={mode}\n")
-    run = os.path.join(tmp, "pipe")
-    ck, ck2 = (os.path.join(run, d, "final.zjk1") for d in ("t", "t2"))
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in (["plan", "--config", cfg],
                      ["train", "--config", cfg, "--out", os.path.join(run, "t")],
@@ -300,13 +305,16 @@ def cli_digests(out, tmp):
                       "--ckpt", ck, "--ckpt", ck2],
                      # the same two checkpoints in the other ensemble modes
                      *(["eval", "--config", path, "--out", os.path.join(run, f"e2_{mode}"),
-                        "--ckpt", ck, "--ckpt", ck2] for mode, path in mode_cfgs.items())):
+                        "--ckpt", ck, "--ckpt", ck2] for mode, path in mode_cfgs.items()),
+                     # l2_sp toward the first run's weights, loaded as pretrained_weights
+                     ["train", "--config", l2sp_cfg, "--out", os.path.join(run, "l2sp")]):
             code = cli.main(argv)
             if code != 0:
                 raise SystemExit(f"zjkit {argv[0]} exited {code}")
     for rel in ("t/final.zjk1", "t/history.jsonl", "m/merged.zjk1", "e/metrics.json",
                 "t2/final.zjk1", "g/merged.zjk1", "e2/metrics.json",
-                "e2_vote/metrics.json", "e2_logits/metrics.json"):
+                "e2_vote/metrics.json", "e2_logits/metrics.json", "l2sp/final.zjk1",
+                "l2sp/history.jsonl"):
         with open(os.path.join(run, rel), "rb") as fh:
             out[f"cli/{rel}"] = sha(fh.read())
 
