@@ -240,9 +240,11 @@ class AdaptedModel:
 
     def predict(self, x):
         """Logits for the rows of the array ``x``, forwarded 256 rows at a
-        time; the inference entry of evaluation, validation and ensembles."""
-        chunks = [self.forward(Tensor(x[lo:lo + 256]))[0].data
-                  for lo in range(0, x.shape[0], 256)]
+        time under :func:`tensor.no_grad`; the inference entry of evaluation,
+        validation and ensembles."""
+        with T.no_grad():
+            chunks = [self.forward(Tensor(x[lo:lo + 256]))[0].data
+                      for lo in range(0, x.shape[0], 256)]
         return np.concatenate(chunks) if chunks else np.zeros((0, self.spec.n_classes))
 
     def trainable(self):

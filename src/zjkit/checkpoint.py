@@ -55,7 +55,9 @@ def from_params(spec, *stores: ParamStore) -> Checkpoint:
 def to_params(spec, ckpt: Checkpoint) -> ParamStore:
     """Materialize a checkpoint against a spec, validating digest and shapes.
 
-    Every tensor requires grad, as in :func:`models.build_model`.
+    The leaves are frozen (no tensor requires grad), so a forward on them
+    records no tape. :class:`architect.AdaptedModel` sets trainability from
+    its plan; a caller that reads gradients makes its own grad leaves.
     """
     if ckpt.digest != spec_digest(spec):
         raise SpecMismatch("checkpoint digest does not match model spec")
@@ -67,7 +69,7 @@ def to_params(spec, ckpt: Checkpoint) -> ParamStore:
         arr = ckpt.entries[path]
         if arr.shape != shape:
             raise ShapeMismatch(f"{path}: {arr.shape} != {shape}")
-        store.set(path, Tensor(arr.astype(np.float64), requires_grad=True))
+        store.set(path, Tensor(arr.astype(np.float64)))
     return store
 
 

@@ -218,7 +218,7 @@ def _model_for_eval(spec, plan, ckpt):
     """Forward-capable model from a checkpoint: the plan on its spec entries,
     its other entries the plan's new parameters."""
     base = ckpt_mod.to_params(spec, ckpt)
-    extras = ParamStore({p: Tensor(a.astype(np.float64), requires_grad=True)
+    extras = ParamStore({p: Tensor(a.astype(np.float64))
                          for p, a in ckpt.entries.items() if p not in base})
     return architect.AdaptedModel(spec, base, plan, extras)
 

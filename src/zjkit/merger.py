@@ -10,7 +10,8 @@ and one per-sample backward for all its samples, not one of each per
 sample; its row and label draws replay a per-sample loop's RNG order, so
 it equals that loop up to rounding (the loop is the reference in the
 tests). It takes checkpoints of the spec's own parameters only; adapter
-entries are refused.
+entries are refused. It is the one reader of gradients here, so it makes
+grad leaves of its own from the frozen :func:`checkpoint.to_params` store.
 
 OT fusion (:func:`ot_fuse`) solves each layer's entropic problem on a
 Gram-form cost by stabilised Sinkhorn scaling (:func:`sinkhorn`), a few
@@ -33,7 +34,7 @@ from scipy.optimize import linear_sum_assignment
 from . import tensor as T
 from .checkpoint import Checkpoint, to_params
 from .errors import ConfigError, NoConvergence, NonFiniteValue, ShapeMismatch, SpecMismatch
-from .models import forward
+from .models import ParamStore, forward
 from .tensor import Tensor
 
 EPS_FLOOR = 1e-12
@@ -137,7 +138,8 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0) -> Fishe
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    params = to_params(spec, ckpt)
+    params = ParamStore({p: Tensor(t.data, requires_grad=True)  # to_params leaves are frozen
+                         for p, t in to_params(spec, ckpt).items()})
     _refuse_others(ckpt, params.paths(), "fisher_estimate needs the spec's parameters")
     x_train, _ = data.split("train")
     if x_train.shape[0] == 0:

@@ -29,6 +29,14 @@ last bit. Derivatives keep only what they need and do the derivative
 work themselves, so a forward that no backward follows pays nothing for
 it (``gelu`` keeps ``x`` and ``tanh(u)``).
 
+Inference: inside ``with no_grad():`` no op records a tape. The context
+flips one switch that only ``Tensor._record`` reads: while it is off the
+recorder returns ``Tensor(out)`` at once, with no tape edge and no
+closure, so a forward keeps no activation alive for a backward nobody
+runs, and a ``backward`` from its result raises ``ConfigError``. Values
+are the ones a taped forward computes, and the finiteness check still
+runs. The switch is restored on exit, also when the block raises.
+
 Per-sample backward: ``backward(root, per_sample_sq=True)``, on a root
 that sums one term per sample (samples on axis 0, never mixed), maps each
 leaf to the sum over samples of its squared per-sample gradient, from one
@@ -48,6 +56,7 @@ cubes differ by one ulp in about a quarter of the elements.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import weakref
@@ -59,6 +68,18 @@ from .errors import ConfigError, NonFiniteValue, ShapeMismatch
 _GELU_C = math.sqrt(2.0 / math.pi)
 _PER_SAMPLE_BLOCK = 1 << 17  # float64 elements (1 MiB) of per-sample affine gradients
 _uid_counter = itertools.count()
+_recording = True  # off inside no_grad(); of the ops, Tensor._record alone reads it
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block (see the module docstring); nests."""
+    global _recording
+    was, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = was
 
 
 class Tensor:
@@ -118,7 +139,11 @@ class Tensor:
         An operand whose gradient is summed over the sample axis 0 takes a
         per-sample rule, a pair of maps: the gradient summed over samples,
         and its squared per-sample gradients summed over samples, which a
-        grad leaf gets instead in a per-sample backward."""
+        grad leaf gets instead in a per-sample backward.
+
+        Inside :func:`no_grad` the result is a bare ``Tensor(out)``."""
+        if not _recording:
+            return Tensor(out)
         tape, rules = parents, dgrads
         for t in parents:  # copy only when an operand drops out: most nodes keep all
             if t is None or not (t.requires_grad or t._parents):
@@ -412,9 +437,9 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     q = np.ascontiguousarray(split(qkv.data, 0, s))
     k, v = split(qkv.data, d, s), split(qkv.data, 2 * d, s)
     if prefix is not None:
-        t = prefix[0].shape[0]
-        if len(prefix) != 2 or any(p.shape != (t, d) for p in prefix):
+        if len(prefix) != 2 or any(p.shape != (prefix[0].shape[0], d) for p in prefix):
             raise ShapeMismatch(f"prefix {[p.shape for p in prefix]}, expected two [t,{d}]")
+        t = prefix[0].shape[0]
         k, v = (np.concatenate([np.broadcast_to(split(p.data, 0, t), (n, heads, t, hd)), a],
                                axis=2) for p, a in zip(prefix, (k, v)))
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))

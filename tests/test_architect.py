@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zjkit import data as data_mod
+from zjkit import models as models_mod
 from zjkit import tensor as T
 from zjkit.architect import (
     METHODS,
@@ -291,6 +292,27 @@ def test_predict_forwards_256_rows_at_a_time(spec):
     np.testing.assert_allclose(logits, whole, rtol=1e-12, atol=1e-12)
     rows.clear()
     assert adapted.predict(x[:0]).shape == (0, 3) and rows == []
+
+
+@pytest.mark.parametrize("spec", [MLP, VIT], ids=["mlp", "mini_vit"])
+def test_predict_records_no_tape(spec, monkeypatch):
+    adapted, _, _ = _adapt(spec, "(LoRA.adapt):->(layers[0]){inout}" if spec is MLP
+                           else "(LoRA.adapt):->(blocks[*].attn.qkv){inout}")
+    rng = np.random.default_rng(0)
+    x = (rng.normal(size=(40, 4)) if spec is MLP
+         else rng.normal(size=(40, VIT.seq_len, VIT.input_dim)))
+    taped = adapted.forward(Tensor(x))[0]
+    assert taped._parents  # the LoRA factors and the head train
+    outs, real = [], models_mod.forward
+
+    def spy(*args):
+        outs.append(real(*args))
+        return outs[-1]
+
+    monkeypatch.setattr(models_mod, "forward", spy)
+    logits = adapted.predict(x)
+    assert len(outs) == 1 and outs[0][0]._parents == ()
+    assert logits.tobytes() == taped.data.tobytes()
 
 
 def test_plan_table_mentions_counts():

@@ -101,6 +101,11 @@ def test_to_params_round_trip_values(tmp_path):
                               t.data.astype(np.float32).astype(np.float64))
 
 
+def test_to_params_leaves_are_frozen():
+    back = to_params(SPEC, from_params(SPEC, build_model(SPEC, seed=2)))
+    assert not any(t.requires_grad for _, t in back.items())
+
+
 def test_header_fields(tmp_path):
     _, path = _save(tmp_path)
     raw = path.read_bytes()

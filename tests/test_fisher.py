@@ -8,7 +8,7 @@ from zjkit import tensor as T
 from zjkit.checkpoint import Checkpoint, from_params, to_params
 from zjkit.errors import ConfigError, ShapeMismatch, SpecMismatch
 from zjkit.merger import FisherDiag, fisher_estimate, fisher_merge
-from zjkit.models import MiniVitSpec, MlpSpec, build_model, forward
+from zjkit.models import MiniVitSpec, MlpSpec, ParamStore, build_model, forward
 from zjkit.tensor import Tensor
 
 RELU = MlpSpec((4, 16, 16, 3))
@@ -22,7 +22,8 @@ def fisher_loop(spec, ckpt, data, n_samples, seed):
 
     Returns ``(entries, indices, labels)``.
     """
-    params = to_params(spec, ckpt)
+    params = ParamStore({p: Tensor(t.data, requires_grad=True)  # to_params leaves are frozen
+                         for p, t in to_params(spec, ckpt).items()})
     x_train, _ = data.split("train")
     rng = np.random.default_rng(seed)
     acc = {p: np.zeros(t.shape) for p, t in params.items()}

@@ -529,6 +529,21 @@ def test_repair_matches_target_stats():
     assert (np.abs(got - target) / target).max() < 0.01
 
 
+def test_repair_preactivations_record_no_tape(monkeypatch):
+    outs, real = [], merger.forward
+
+    def spy(*args):
+        outs.append(real(*args))
+        return outs[-1]
+
+    monkeypatch.setattr(merger, "forward", spy)
+    spec = MlpSpec((4, 16, 3))
+    merger._mlp_preacts(spec, _ckpt(spec), np.random.default_rng(0).normal(size=(32, 4)))
+    ((_, trace),) = outs
+    assert set(trace) == {"layers[0].preact"}
+    assert all(t._parents == () for t in trace.values())
+
+
 def test_repair_requires_enough_calibration():
     a, b = _ckpt(seed=0), _ckpt(seed=1)
     with pytest.raises(ValueError):

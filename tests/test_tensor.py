@@ -329,8 +329,13 @@ def test_attention_shape_errors():
     with pytest.raises(ShapeMismatch):
         T.attention(Tensor(np.ones((2, 3, 12))), 2,
                     (Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4)))))
-    with pytest.raises(ShapeMismatch, match="expected two"):  # a key without its value
-        T.attention(Tensor(np.ones((2, 3, 12))), 2, (Tensor(np.ones((2, 4))),))
+
+
+@pytest.mark.parametrize("count", [0, 1, 3], ids=["empty", "key_only", "three"])
+def test_attention_prefix_must_be_a_pair(count):
+    prefix = tuple(Tensor(np.ones((2, 4))) for _ in range(count))
+    with pytest.raises(ShapeMismatch, match="expected two"):
+        T.attention(Tensor(np.ones((2, 3, 12))), 2, prefix)
 
 
 def test_gelu_backward_matches_closed_form():
@@ -516,6 +521,39 @@ def test_backward_requires_scalar_root():
 def test_backward_detached_root():
     with pytest.raises(ConfigError, match="root is not recorded on any tape"):
         T.backward(Tensor(1.0))
+
+
+def test_backward_from_a_no_grad_root():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with T.no_grad():
+        root = (w * w).sum()
+    assert root._parents == ()
+    with pytest.raises(ConfigError, match="root is not recorded on any tape"):
+        T.backward(root)
+
+
+def test_no_grad_nests():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with T.no_grad():
+        with T.no_grad():
+            assert (w * 2.0)._parents == ()
+        assert (w * 2.0)._parents == ()  # the inner exit leaves the outer block off
+    assert (w * 2.0)._parents[0] is w
+    assert T.backward((w * 2.0).sum())[w.uid].data.tolist() == [2.0, 2.0]
+
+
+def test_no_grad_restores_the_tape_after_an_exception():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(ShapeMismatch):
+        with T.no_grad():
+            w.reshape(3)
+    assert (w * 2.0)._parents[0] is w
+
+
+def test_no_grad_keeps_the_finiteness_check():
+    big = Tensor([1e308], requires_grad=True)
+    with T.no_grad(), np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+        big * 10.0
 
 
 def test_backward_skips_untracked_leaves():
