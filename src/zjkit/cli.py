@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import logging
@@ -427,6 +428,7 @@ class _Parser(argparse.ArgumentParser):  # subparsers share the class
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache  # main runs many times in one process (tests, demos, the bench)
 def build_parser():
     parser = _Parser(prog="zjkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -29,6 +29,18 @@ last bit. Derivatives keep only what they need and do the derivative
 work themselves, so a forward that no backward follows pays nothing for
 it (``gelu`` keeps ``x`` and ``tanh(u)``).
 
+Buffers: the hot ops (``affine``, ``layernorm``, ``gelu``, softmax and
+``attention``) write each large temporary into an array they allocated in
+the same call, with ``+=``, ``*=`` and ``out=``, keeping every IEEE
+operation and its operand grouping, so values and gradients are the ones
+the fresh-temporary formulas give. Three kinds of array are never written:
+an operand's ``.data``, the incoming gradient ``g`` (``add`` hands one
+array to both operands, so ``backward`` makes every gradient it stores
+read-only), and an array a derivative keeps (``xhat``, ``t``, ``attn``).
+The finiteness check sums the array first: a finite sum proves every
+element finite, and only a sum that is not (NaN, an infinity, or an
+overflow, which numpy warns of) runs the elementwise check.
+
 Inference: inside ``with no_grad():`` no op records a tape. The context
 flips one switch that only ``Tensor._record`` reads: while it is off the
 recorder returns ``Tensor(out)`` at once, with no tape edge and no
@@ -89,7 +101,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if not _finite(arr):
             raise NonFiniteValue("tensor contains NaN or Inf")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
@@ -228,14 +240,33 @@ class Tensor:
     def gelu(self):
         # tanh approximation; x*x*x, not x**3, which numpy sends through pow
         x = self.data
-        t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+        t = x * x
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= _GELU_C
+        np.tanh(t, out=t)  # tanh(c (x + 0.044715 x^3)), kept by dgrad
+        out = x * 0.5
+        out *= np.add(t, 1.0)
 
         def dgrad(g):
-            # d/dx [0.5 x (1 + tanh(u))], u = c (x + 0.044715 x^3)
-            du = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-            return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+            # d/dx [0.5 x (1 + tanh(u))], u = c (x + 0.044715 x^3), grouped as
+            # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du)
+            du = x * x
+            du *= 3 * 0.044715
+            du += 1.0
+            du *= _GELU_C
+            r = t * t
+            np.subtract(1.0, r, out=r)
+            r *= 0.5 * x
+            r *= du
+            np.add(t, 1.0, out=du)
+            du *= 0.5
+            du += r
+            du *= g
+            return du
 
-        return self._unary(0.5 * x * (1.0 + t), dgrad)
+        return self._unary(out, dgrad)
 
     def sqrt(self):
         r = np.sqrt(self.data)
@@ -386,7 +417,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     wt = np.ascontiguousarray(w.data.T)
     y = np.matmul(x2, wt)
     if b is not None:
-        y = y + b.data
+        y += b.data
 
     rows = y.shape
 
@@ -444,7 +475,9 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
                                axis=2) for p, a in zip(prefix, (k, v)))
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     v = np.ascontiguousarray(v)
-    attn = _softmax(np.matmul(q, kt) * scale)
+    scores = np.matmul(q, kt)
+    scores *= scale
+    attn = _softmax(scores)
     ctx = np.matmul(attn, v)
     memo = []  # [weakref to g, (g_q, g_k, g_v)] for one g, dropped with it after the backward
 
@@ -453,7 +486,8 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
             gh = np.transpose(g.reshape(n, s, heads, hd), (0, 2, 1, 3))
             g_attn = np.matmul(gh, np.swapaxes(v, -1, -2))
             g_v = np.matmul(np.swapaxes(attn, -1, -2), gh)
-            g_scores = _softmax_grad(g_attn, attn) * scale
+            g_scores = _softmax_grad(g_attn, attn)
+            g_scores *= scale
             g_q = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
             g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
             memo[:] = weakref.ref(g, lambda _: memo.clear()), (g_q, g_k, g_v)
@@ -472,17 +506,30 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
                           (qkv, *(prefix or (None, None))), (d_qkv, d_prefix(1), d_prefix(2)))
 
 
+def _finite(a):
+    """Every element of ``a`` is finite. A finite sum proves it; a sum that is
+    not (NaN, an infinity, or finite elements that overflow) falls back to
+    the elementwise check."""
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+
+
 def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    if not np.isfinite(y).all():
+    """Softmax along the last axis, written into ``z``, a buffer the caller
+    allocated."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    if not _finite(z):
         raise NonFiniteValue("softmax overflow")
-    return y
+    return z
 
 
 def _softmax_grad(g, y):
-    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+    """``(g - (g * y).sum(-1)) * y`` in one new buffer."""
+    r = g * y
+    np.subtract(g, r.sum(axis=-1, keepdims=True), out=r)
+    r *= y
+    return r
 
 
 def softmax(x: Tensor, temperature=1.0) -> Tensor:
@@ -513,19 +560,27 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
         raise ShapeMismatch(
             f"gamma/beta must be [{d}], got {gamma.shape} / {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = gamma.data * xhat + beta.data
+    # x centred once for the variance and xhat; the mean of its squares is
+    # what x.var() computes after centring x again
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(gamma.data, xhat, out=out)
+    out += beta.data
 
     lead = tuple(range(out.ndim - 1))
 
-    def dx(g):
+    def dx(g):  # (gg - m1 - xhat * m2) * inv
         gg = g * gamma.data
+        r = gg * xhat
         m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        return (gg - m1 - xhat * m2) * inv
+        m2 = r.mean(axis=-1, keepdims=True)
+        gg -= m1
+        np.multiply(xhat, m2, out=r)
+        gg -= r
+        gg *= inv
+        return gg
 
     return Tensor._record(out, (gamma, beta, x), (
         (lambda g: (g * xhat).sum(axis=lead), lambda g: _sample_sq(g * xhat)),
@@ -562,7 +617,7 @@ class _Acc:
     :meth:`add_sq`, one squared-gradient sum from one op."""
 
     def __init__(self, root, per_sample):
-        self.grads = {root.uid: np.ones(root.shape)}
+        self.grads = {root.uid: _frozen(np.ones(root.shape))}
         self.per_sample = per_sample
         self.sq = {}
 
@@ -574,9 +629,8 @@ class _Acc:
         if g.shape != t.shape:
             g = g.reshape(t.shape)
         if t.uid in self.grads:
-            self.grads[t.uid] = self.grads[t.uid] + g
-        else:
-            self.grads[t.uid] = g
+            g = self.grads[t.uid] + g
+        self.grads[t.uid] = _frozen(g)  # derivatives may share it: one g feeds both of add's
 
     def add_sq(self, t, sq):
         if t.uid in self.sq:
@@ -584,6 +638,11 @@ class _Acc:
             raise ConfigError(f"no per-sample rule: the {t.shape} leaf is read by "
                               "more than one op")
         self.sq[t.uid] = sq
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 def backward(root: Tensor, per_sample_sq=False):

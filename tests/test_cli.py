@@ -124,6 +124,20 @@ def test_python_m_zjkit_exits_with_the_command_code(tmp_path, argv, code):
     assert ("linear_probe" in done.stdout) == (code == 0)
 
 
+def test_main_runs_again_after_a_usage_error_and_before_help(tmp_path, capsys):
+    """One process, one parser: a usage error leaves it able to parse the next
+    command line, and ``--help`` still prints and exits 0."""
+    assert main(["train", "--seed", "x"]) == 3
+    assert "argument --seed" in capsys.readouterr().err
+    assert main(["plan", "--config", _cfg(tmp_path)]) == 0
+    assert "linear_probe" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert "usage: zjkit" in capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_plan_counts_the_rows_a_grad_mask_trains(tmp_path, capsys):
     text = ("model.kind=mini_vit\nmodel.dim=8\nmodel.blocks=2\nmodel.heads=2\n"
             "model.mlp_dim=16\nmodel.classes=2\nmodel.seq_len=2\nmodel.input_dim=2\n"

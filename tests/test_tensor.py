@@ -1,5 +1,8 @@
 """Tensor core: elementwise ops, matmul, softmax, layernorm, backward."""
 
+import contextlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,34 @@ def test_nan_rejected_at_creation():
         Tensor([1.0, np.nan])
     with pytest.raises(NonFiniteValue):
         Tensor([np.inf])
+
+
+def test_a_finite_array_whose_sum_overflows_is_accepted():
+    # the sum-first finiteness check falls back to the elementwise one
+    with np.errstate(over="ignore"):  # numpy warns of the overflowing sum
+        t = Tensor(np.array([1e308, 1e308]))
+        with T.no_grad():
+            u = T.custom_op([t], t.data, [None])
+    assert t.data.tolist() == u.data.tolist() == [1e308, 1e308]
+
+
+@pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                         ids=["nan", "inf", "-inf", "inf,-inf"])
+@pytest.mark.parametrize("tape", [contextlib.nullcontext, T.no_grad], ids=["taped", "no_grad"])
+def test_non_finite_values_are_rejected(values, tape):
+    w = Tensor([1.0], requires_grad=True)
+    with tape(), np.errstate(invalid="ignore"):  # inf + -inf warns as the sum is taken
+        with pytest.raises(NonFiniteValue):
+            Tensor(np.array(values))
+        with pytest.raises(NonFiniteValue):  # an op's result, through the recorder
+            T.custom_op([w], np.array(values), [lambda g: g])
+
+
+def test_a_0d_input_is_stored_as_shape_1():
+    assert Tensor(np.float64(3.0)).shape == (1,)
+    assert Tensor(np.array(3.0)).data.tolist() == [3.0]
+    with pytest.raises(NonFiniteValue):
+        Tensor(np.array(np.nan))
 
 
 def test_data_is_immutable():
@@ -331,6 +362,154 @@ def test_attention_shape_errors():
                     (Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4)))))
 
 
+# -- the hot ops against their formulas with fresh temporaries ------------
+#
+# affine, layernorm, gelu, softmax and attention write their temporaries into
+# buffers they allocate; each reference below is the op as written before,
+# with a fresh array per step, and the op must match it bit for bit.
+
+
+def affine_ref(x, w, b):
+    """Reference: ``affine`` with a bias; the value and a map from the output
+    gradient to the gradients of x, w and b."""
+    x2 = x.reshape(-1, x.shape[-1])
+    wt = np.ascontiguousarray(w.T)
+    y = np.matmul(x2, wt)
+    y = y + b
+
+    def grads(g):
+        g = g.reshape(y.shape)
+        return [np.matmul(g, np.swapaxes(wt, -1, -2)).reshape(x.shape),
+                np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g)), g.sum(axis=0)]
+
+    return y.reshape(x.shape[:-1] + (w.shape[0],)), grads
+
+
+def layernorm_ref(x, gamma, beta, eps=1e-6):
+    """Reference: ``layernorm``, x centred by ``x.var()`` and again for xhat."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    lead = tuple(range(x.ndim - 1))
+
+    def grads(g):
+        gg = g * gamma
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        return [(gg - m1 - xhat * m2) * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+    return gamma * xhat + beta, grads
+
+
+def gelu_ref(x):
+    """Reference: the tanh-approximate ``gelu`` and its derivative."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+
+    def grads(g):
+        du = c * (1.0 + 3 * 0.044715 * (x * x))
+        return [g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)]
+
+    return 0.5 * x * (1.0 + t), grads
+
+
+def _softmax_ref(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad_ref(g, y):
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
+def softmax_ref(x, temperature=1.0):
+    """Reference: ``softmax`` at a temperature."""
+    y = _softmax_ref(x / temperature)
+    return y, lambda g: [_softmax_grad_ref(g, y) / temperature]
+
+
+def attention_ref(qkv, heads, pk=None, pv=None):
+    """Reference: ``attention`` with the scores and their gradient scaled
+    into fresh arrays; gradients of qkv (and the prefix key and value)."""
+    n, s, d3 = qkv.shape
+    d = d3 // 3
+    hd = d // heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def split(a, lo, rows):
+        return a[..., lo:lo + d].reshape(-1, rows, heads, hd).transpose(0, 2, 1, 3)
+
+    q = np.ascontiguousarray(split(qkv, 0, s))
+    k, v = split(qkv, d, s), split(qkv, 2 * d, s)
+    t = 0 if pk is None else pk.shape[0]
+    if pk is not None:
+        k, v = (np.concatenate([np.broadcast_to(split(p, 0, t), (n, heads, t, hd)), a], axis=2)
+                for p, a in ((pk, k), (pv, v)))
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    v = np.ascontiguousarray(v)
+    attn = _softmax_ref(np.matmul(q, kt) * scale)
+    ctx = np.matmul(attn, v)
+
+    def grads(g):
+        gh = np.transpose(g.reshape(n, s, heads, hd), (0, 2, 1, 3))
+        g_attn = np.matmul(gh, np.swapaxes(v, -1, -2))
+        g_v = np.matmul(np.swapaxes(attn, -1, -2), gh)
+        g_scores = _softmax_grad_ref(g_attn, attn) * scale
+        g_q = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
+        g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
+        g_qkv = np.zeros((n, s, 3, d))
+        for i, gi in enumerate((g_q, g_k, g_v)):
+            g_qkv[:, :, i] += np.transpose(gi[:, :, -s:], (0, 2, 1, 3)).reshape(n, s, d)
+        return [g_qkv.reshape(qkv.shape)] + [
+            np.transpose(gi[:, :, :t].sum(axis=0), (1, 0, 2)).reshape(t, d)
+            for gi in ((g_k, g_v) if t else ())]
+
+    return np.transpose(ctx, (0, 2, 1, 3)).reshape(n, s, d), grads
+
+
+def _assert_matches_reference(op, ref, leaves):
+    """The op's value, and each leaf gradient of two backwards through the
+    one node, equal the reference's bit for bit. A derivative that writes
+    into an array it keeps gets the second backward wrong."""
+    out = op(*leaves)
+    want, grads = ref(*(t.data for t in leaves))
+    assert np.array_equal(out.data, want)
+    for seed in (0, 1):
+        probe = np.random.default_rng(seed).normal(size=out.shape)
+        got = T.backward((out * Tensor(probe)).sum())  # hands the op the probe itself
+        for t, w in zip(leaves, grads(probe), strict=True):
+            assert np.array_equal(got[t.uid].data, w), (seed, t.shape)
+
+
+# name: (op, reference, leaf shapes past the [..., 17] input)
+HOT_OPS = {
+    "affine": (T.affine, affine_ref, [(33, 17), (33,)]),
+    "layernorm": (T.layernorm, layernorm_ref, [(17,), (17,)]),
+    "gelu": (Tensor.gelu, gelu_ref, []),
+    "softmax": (T.softmax, softmax_ref, []),
+    "softmax_T2": (lambda x: T.softmax(x, 2.0), lambda x: softmax_ref(x, 2.0), []),
+}
+
+
+@pytest.mark.parametrize("x_shape", [(8, 17), (4, 9, 17)], ids=["2d", "tokens"])
+@pytest.mark.parametrize("name", sorted(HOT_OPS))
+def test_hot_op_matches_its_reference(name, x_shape):
+    op, ref, shapes = HOT_OPS[name]
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.normal(0.5, 2.0, size=x_shape), requires_grad=True)  # off-centre rows
+    _assert_matches_reference(op, ref, [x] + [rand_tensor(rng, s) for s in shapes])
+
+
+@pytest.mark.parametrize("prefix_len", [0, 3])
+def test_attention_matches_its_reference(prefix_len):
+    rng = np.random.default_rng(17)
+    leaves = _attention_leaves(rng, 4, 9, 32, prefix_len)
+    _assert_matches_reference(_with_heads(T.attention, 4),
+                              lambda qkv, *pre: attention_ref(qkv, 4, *pre), leaves)
+
+
 @pytest.mark.parametrize("count", [0, 1, 3], ids=["empty", "key_only", "three"])
 def test_attention_prefix_must_be_a_pair(count):
     prefix = tuple(Tensor(np.ones((2, 4))) for _ in range(count))
@@ -510,6 +689,21 @@ def test_backward_shared_subexpression():
     w = Tensor([1.0, 2.0], requires_grad=True)
     g = T.backward((w + w).sum())
     assert g[w.uid].data.tolist() == [2.0, 2.0]
+
+
+def test_a_derivative_cannot_write_into_a_shared_gradient():
+    """``a + b`` hands one gradient array to both operands: a derivative that
+    wrote into it would change what the other one reads."""
+    x = Tensor([1.0], requires_grad=True)
+
+    def doubling(g):
+        g *= 2
+        return g
+
+    a = T.custom_op([x], x.data * 2.0, [doubling])
+    b = T.custom_op([x], x.data * 5.0, [lambda g: g * 5.0])
+    with pytest.raises(ValueError, match="read-only"):
+        T.backward(a + b)
 
 
 def test_backward_requires_scalar_root():
