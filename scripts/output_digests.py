@@ -17,15 +17,24 @@ ensemble in each ``merger.ensemble`` mode through the CLI, and each
 ``merge_report.json``), Fisher also at its default sample count, and a CLI
 ``l2_sp`` run toward ``pretrained_weights``. Run it
 on two trees and ``diff`` the outputs to see which outputs a change moves.
-The last line digests all the others.
+
+OpenBLAS picks its matmul kernel by CPU, and the kernels round differently,
+so the script pins the Haswell kernel before numpy loads: it runs on every
+AVX2 machine, and Zen's kernel prints the same lines. The first line names
+the BLAS, its version and the kernel it runs ("kernel unknown" for a BLAS
+that does not report one). The last line digests the lines between.
 """
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import json
 import os
 import tempfile
+
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"  # read once, when numpy loads OpenBLAS
 
 import numpy as np
 
@@ -350,7 +359,21 @@ def recipe_digests(out, tmp):
         os.chdir(cwd)
 
 
+def blas_line():
+    """The BLAS numpy links, its version, and the kernel OpenBLAS runs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    kernel = "kernel unknown"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            kernel = f"kernel {corename().decode()}"
+    return f"blas {blas['name']} {blas['version']} {kernel}"
+
+
 def main():
+    print(blas_line())
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for collect in (tuner_digests, adaptation_digests, merge_digests, cli_digests,
