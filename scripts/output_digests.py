@@ -133,8 +133,7 @@ def ckpt_digest(ckpt, tmp):
 
 
 def history_digest(history):
-    rows = ({k: v for k, v in e.items() if k != "wall_ms"} for e in history)
-    return sha("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows).encode())
+    return sha("".join(json.dumps(e, sort_keys=True) + "\n" for e in history).encode())
 
 
 def array_digest(arrays):

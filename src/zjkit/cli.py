@@ -12,7 +12,8 @@ Exit codes (each error class in ``errors`` carries its own ``exit_code``):
     3  invalid run config or input, bad usage: ConfigError, ShapeMismatch,
        AmbiguousAssignment
     4  spec mismatch: SpecMismatch
-    5  i/o error, corrupt checkpoint, missing file: IoError, CorruptCheckpoint
+    5  i/o error, corrupt checkpoint, missing file: IoError, CorruptCheckpoint,
+       any OS error
     6  numeric failure: NonFiniteValue, NoConvergence
     7  malformed dataset (bad IDX magic, label mismatch, malformed CSV):
        MalformedData
@@ -38,15 +39,13 @@ from .tensor import Tensor
 
 log = logging.getLogger("zjkit")
 
+# TrainConfig field -> its run-config key; the run's seed is the top-level key
+_TUNER_KEYS = {f.name: f"tuner.{f.name}" for f in dataclasses.fields(tuner.TrainConfig)
+               if f.name != "seed"}
 KNOWN_KEYS = {
-    "model.kind", "model.widths", "model.activation",
-    "model.dim", "model.blocks", "model.heads", "model.mlp_dim",
-    "model.classes", "model.seq_len", "model.input_dim",
-    "data.source",
-    "architect.config",
-    "tuner.loss", "tuner.reg", "tuner.optimizer", "tuner.lr",
-    "tuner.momentum", "tuner.weight_decay", "tuner.epochs",
-    "tuner.batch_size", "tuner.schedule",
+    "model.kind", *(f"model.{f.name}" for spec in (MlpSpec, MiniVitSpec)
+                    for f in dataclasses.fields(spec)),
+    "data.source", "architect.config", "tuner.loss", "tuner.reg", *_TUNER_KEYS.values(),
     "teacher.weights",
     "merger.kind", "merger.alpha", "merger.eps", "merger.iters",
     "merger.samples", "merger.sweeps", "merger.ensemble", "merger.lams",
@@ -109,7 +108,7 @@ def _model_spec(cfg):
     if kind == "mlp":
         widths = tuple(_num(w, "model.widths", int)
                        for w in cfg.get("model.widths", "").split(","))
-        return MlpSpec(widths, cfg.get("model.activation", "relu"))
+        return MlpSpec(widths, **_kwargs(cfg, MlpSpec, activation="model.activation"))
     if kind == "mini_vit":
         keys = [f.name for f in dataclasses.fields(MiniVitSpec)]
         return MiniVitSpec(**{k: _num(cfg.get(f"model.{k}"), f"model.{k}", int)
@@ -135,11 +134,10 @@ def _call_spec(text):
     return name, kwargs
 
 
-# data.source name -> data function; config keys that differ from its parameters
+# data.source name -> data function
 _SOURCES = {"blobs": data_mod.blobs, "blobs_shifted": data_mod.blobs_shifted,
             "moons": data_mod.moons, "token_xor": data_mod.token_xor,
             "idx": data_mod.load_idx, "csv": data_mod.load_csv}
-_SOURCE_KEYS = {"images": "images_path", "labels": "labels_path"}
 
 
 def _load_dataset(cfg, seed):
@@ -159,7 +157,7 @@ def _load_dataset(cfg, seed):
     params = inspect.signature(_SOURCES[name]).parameters
     args = {"seed": seed}
     for key, text in kw.items():
-        param = params.get(_SOURCE_KEYS.get(key, key))
+        param = params.get(key)
         if param is None:
             raise ConfigError(f"data.source {name}() has no argument {key!r}")
         default = param.default
@@ -255,18 +253,24 @@ def cmd_plan(cfg, args):
     return 0
 
 
+def _ckpts(args):
+    """The ``--ckpt`` checkpoints, of which the command needs at least one."""
+    if not args.ckpt:
+        raise ConfigError(f"{args.command} needs at least one --ckpt")
+    return [ckpt_mod.load_checkpoint(p) for p in args.ckpt]
+
+
 def cmd_train(cfg, args):
     out = _out_dir(cfg, args)
-    seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
-    ds = _load_dataset(cfg, seed)
+    ds = _load_dataset(cfg, args.seed)
     pretrained = cfg.get("pretrained_weights")
     ref_params = None  # apply_plan copies the store, so training leaves it as loaded
     if pretrained:
         params = ref_params = ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(pretrained))
     else:
-        params = build_model(spec, seed=seed)
-    adapted = architect.apply_plan(spec, params, _plan(cfg, spec), seed=seed)
+        params = build_model(spec, seed=args.seed)
+    adapted = architect.apply_plan(spec, params, _plan(cfg, spec), seed=args.seed)
 
     loss = cfg.get("tuner.loss")
     loss_spec = tuner.LossSpec(_parse_terms(loss)) if loss else tuner.LossSpec()
@@ -279,15 +283,13 @@ def cmd_train(cfg, args):
         if not tw:
             raise ConfigError("distillation terms require teacher.weights")
         teacher = tuner.Teacher(spec, ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(tw)))
-    fields = dataclasses.fields(tuner.TrainConfig)
-    train_kw = _kwargs(cfg, tuner.TrainConfig, **{f.name: f"tuner.{f.name}" for f in fields})
-    ckpt, history = tuner.train(adapted, teacher, ds, loss_spec, reg_spec,
-                                tuner.TrainConfig(**train_kw, seed=seed), ref_params=ref_params)
+    train_cfg = tuner.TrainConfig(**_kwargs(cfg, tuner.TrainConfig, **_TUNER_KEYS), seed=args.seed)
+    ckpt, history = tuner.train(adapted, teacher, ds, loss_spec, reg_spec, train_cfg,
+                                ref_params=ref_params)
     ckpt_mod.save_checkpoint(ckpt, os.path.join(out, "final.zjk1"))
     with ckpt_mod.atomic_open(os.path.join(out, "history.jsonl")) as fh:
         for entry in history:
-            row = {k: v for k, v in entry.items() if k != "wall_ms"}
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
     _write_resolved(cfg, out)
     final = history[-1]
     log.info("trained %d epochs, final val_acc=%.4f", len(history), final["val_acc"])
@@ -297,11 +299,8 @@ def cmd_train(cfg, args):
 
 def cmd_merge(cfg, args):
     out = _out_dir(cfg, args)
-    seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
-    ckpts = [ckpt_mod.load_checkpoint(p) for p in args.ckpt]
-    if not ckpts:
-        raise ConfigError("merge needs at least one --ckpt")
+    ckpts = _ckpts(args)
     kind = cfg.get("merger.kind", "uniform_soup")
     if kind in ("wise_ft", "ot_fusion", "git_rebasin", "repair") and len(ckpts) != 2:
         raise ConfigError(f"{kind} needs exactly two checkpoints")
@@ -319,7 +318,7 @@ def cmd_merge(cfg, args):
     if kind == "uniform_soup":
         merged = merger.uniform_soup(ckpts)
     elif kind == "greedy_soup":
-        ds = _load_dataset(cfg, seed)
+        ds = _load_dataset(cfg, args.seed)
         plan = _plan(cfg, spec)
         merged, order = merger.greedy_soup(
             ckpts, ds.split("val"),
@@ -328,9 +327,9 @@ def cmd_merge(cfg, args):
     elif kind == "wise_ft":
         merged = merger.wise_ft(ckpts[0], ckpts[1], _num(alpha, "merger.alpha"))
     elif kind == "fisher":
-        ds = _load_dataset(cfg, seed)
+        ds = _load_dataset(cfg, args.seed)
         kw = _kwargs(cfg, merger.fisher_estimate, n_samples="merger.samples")
-        fishers = [named(merger.fisher_estimate, spec, c, ds, seed=seed + i, **kw)
+        fishers = [named(merger.fisher_estimate, spec, c, ds, seed=args.seed + i, **kw)
                    for i, c in enumerate(ckpts)]
         report["fisher_mass"] = [f.mass() for f in fishers]
         lams = None
@@ -352,7 +351,7 @@ def cmd_merge(cfg, args):
     elif kind == "repair":
         alpha = _num(alpha, "merger.alpha")
         interp = merger.wise_ft(ckpts[1], ckpts[0], alpha)  # weight alpha on a
-        ds = _load_dataset(cfg, seed)
+        ds = _load_dataset(cfg, args.seed)
         x_train, _ = ds.split("train")
         merged = merger.repair(interp, (ckpts[0], ckpts[1], alpha), spec,
                                x_train[:256], log=log.info)
@@ -367,14 +366,11 @@ def cmd_merge(cfg, args):
 
 def cmd_eval(cfg, args):
     out = _out_dir(cfg, args) if args.out or cfg.get("out_dir") else None
-    seed = _num(cfg.get("seed", 0), "seed", int)
     spec = _model_spec(cfg)
-    ds = _load_dataset(cfg, seed)
+    ds = _load_dataset(cfg, args.seed)
     split = "test"
     x, y = ds.split(split)
-    ckpts = [ckpt_mod.load_checkpoint(p) for p in args.ckpt]
-    if not ckpts:
-        raise ConfigError("eval needs at least one --ckpt")
+    ckpts = _ckpts(args)
     plan = _plan(cfg, spec)
     logits_list = [_model_for_eval(spec, plan, c).predict(x) for c in ckpts]
     mode = cfg.get("merger.ensemble", "prob")
@@ -423,7 +419,7 @@ def cmd_inspect(cfg, args):
 # -- entry point --------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):  # subparsers share the class
+class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error exits 3, not 2, ParseError's code
         raise ConfigError(f"{self.prog}: {message}")
 
@@ -431,13 +427,11 @@ class _Parser(argparse.ArgumentParser):  # subparsers share the class
 @functools.cache  # main runs many times in one process (tests, demos, the bench)
 def build_parser():
     parser = _Parser(prog="zjkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("plan", "train", "merge", "eval", "inspect"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--ckpt", action="append", default=[])
+    parser.add_argument("command", choices=("plan", "train", "merge", "eval", "inspect"))
+    parser.add_argument("--config")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out")
+    parser.add_argument("--ckpt", action="append", default=[])
     return parser
 
 
@@ -450,16 +444,18 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         if args.config:
-            if not os.path.exists(args.config):
-                raise IoError(f"no such config: {args.config}")
-            with open(args.config) as fh:
-                cfg = parse_run_config(fh.read())
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    cfg = parse_run_config(fh.read())
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not UTF-8 text (byte {exc.start})") from None
         if args.seed is not None:
             cfg["seed"] = str(args.seed)
+        args.seed = _num(cfg.get("seed", 0), "seed", int)  # the one cast the commands read
         if args.command != "inspect" and args.command != "plan" and not args.config:
             raise ConfigError("--config is required")
         return globals()[f"cmd_{args.command}"](cfg, args)
-    except (ZjError, FileNotFoundError) as exc:
+    except (ZjError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ParseError):
             print(f"offset: {exc.offset}", file=sys.stderr)

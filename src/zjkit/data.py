@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IoError, MalformedData
+from .errors import ConfigError, IoError, MalformedData
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -96,19 +96,19 @@ def token_xor(n=512, seq=4, d=4, sigma=0.3, seed=0):
 # -- file sources -------------------------------------------------------
 
 
-def load_idx(images_path, labels_path, seed=0):
+def load_idx(images, labels, seed=0):
     """MNIST-style IDX ubyte pair; validates magic numbers and counts."""
     try:
-        with open(images_path, "rb") as fh:
+        with open(images, "rb") as fh:
             img = fh.read()
-        with open(labels_path, "rb") as fh:
+        with open(labels, "rb") as fh:
             lab = fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
     if len(img) < 16 or struct.unpack(">I", img[:4])[0] != IDX_IMAGES_MAGIC:
-        raise MalformedData(f"bad image magic in {images_path}")
+        raise MalformedData(f"bad image magic in {images}")
     if len(lab) < 8 or struct.unpack(">I", lab[:4])[0] != IDX_LABELS_MAGIC:
-        raise MalformedData(f"bad label magic in {labels_path}")
+        raise MalformedData(f"bad label magic in {labels}")
     n_img, rows, cols = struct.unpack(">III", img[4:16])
     n_lab = struct.unpack(">I", lab[4:8])[0]
     if n_img != n_lab:
@@ -126,12 +126,17 @@ def load_idx(images_path, labels_path, seed=0):
 def load_csv(path, label_col=-1, has_header="auto", seed=0):
     """Numeric CSV with one label column; diagnostics carry row/col."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv_mod.reader(fh))
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedData(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if not rows:
         raise MalformedData("empty file")
+    for r, row in enumerate(rows):
+        if not row:
+            raise MalformedData(f"row {r}: blank")
     start = 0
     if has_header == "auto":
         try:
@@ -140,7 +145,12 @@ def load_csv(path, label_col=-1, has_header="auto", seed=0):
             start = 1
     elif has_header:
         start = 1
-    width = len(rows[start]) if start < len(rows) else 0
+    if start == len(rows):
+        raise MalformedData("no data rows")
+    width = len(rows[start])
+    if not -width <= label_col < width:
+        raise ConfigError(f"label_col {label_col} outside [-{width}, {width})")
+    lc = label_col % width
     feats, labels = [], []
     for r, row in enumerate(rows[start:], start=start):
         if len(row) != width:
@@ -151,7 +161,6 @@ def load_csv(path, label_col=-1, has_header="auto", seed=0):
                 vals.append(float(cell))
             except ValueError:
                 raise MalformedData(f"row {r}, column {c}: non-numeric {cell!r}") from None
-        lc = label_col if label_col >= 0 else width + label_col
         labels.append(vals[lc])
         feats.append([v for i, v in enumerate(vals) if i != lc])
     y = np.asarray(labels)

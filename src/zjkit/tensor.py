@@ -493,11 +493,9 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
             memo[:] = weakref.ref(g, lambda _: memo.clear()), (g_q, g_k, g_v)
         return memo[1]
 
-    def d_qkv(g):
-        g_qkv = np.zeros((n, s, 3, d))
-        for i, gi in enumerate(shared(g)):  # keys and values past the prefix
-            g_qkv[:, :, i] += np.transpose(gi[:, :, -s:], (0, 2, 1, 3)).reshape(n, s, d)
-        return g_qkv.reshape(qkv.shape)
+    def d_qkv(g):  # [n, s, heads, hd] slabs side by side; keys and values past the prefix
+        return np.concatenate([np.transpose(gi[:, :, -s:], (0, 2, 1, 3)) for gi in shared(g)],
+                              axis=2).reshape(qkv.shape)
 
     def d_prefix(i):  # the prefix rows of the key (1) or value (2) gradient
         return lambda g: np.transpose(shared(g)[i][:, :, :t].sum(axis=0), (1, 0, 2)).reshape(t, d)
@@ -509,8 +507,12 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
 def _finite(a):
     """Every element of ``a`` is finite. A finite sum proves it; a sum that is
     not (NaN, an infinity, or finite elements that overflow) falls back to
-    the elementwise check."""
-    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+    the elementwise check, as does a sum that numpy's error state or warning
+    filters turn into an exception."""
+    try:
+        return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+    except (FloatingPointError, RuntimeWarning):
+        return bool(np.isfinite(a).all())
 
 
 def _softmax(z):

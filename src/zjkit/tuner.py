@@ -13,7 +13,6 @@ update rule in :data:`OPTIMIZERS`, kept with a state per trained tensor.
 from __future__ import annotations
 
 import math
-import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -511,7 +510,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     model's full parameter set (base plus injected parameters) under the
     base spec digest. History is one dict per epoch: each term's mean keyed
     by its kind (the second term of a kind is ``kind[1]``, and so on), then
-    ``val_acc`` and ``wall_ms``.
+    ``val_acc``.
     """
     terms = [*loss_spec.terms, *reg_spec.terms]
     if not terms:
@@ -554,7 +553,6 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     history = []
     n_train = x_train.shape[0]
     for epoch in range(cfg.epochs):
-        t0 = time.monotonic()
         if cfg.schedule == "cosine":
             lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
         else:
@@ -602,7 +600,6 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         entry = {"epoch": epoch}
         entry.update({k: v / n_batches for k, v in sorted(term_sums.items())})
         entry["val_acc"] = accuracy(model, x_val, y_val)
-        entry["wall_ms"] = (time.monotonic() - t0) * 1000.0
         history.append(entry)
 
     return ckpt_mod.from_params(model.spec, model.base, model.extras), history

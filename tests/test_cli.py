@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,45 @@ def test_missing_config_file_exit_5(tmp_path):
     assert main(["train", "--config", str(tmp_path / "absent.cfg")]) == 5
 
 
+def test_config_that_is_a_directory_exit_5(tmp_path, capsys):
+    assert main(["train", "--config", str(tmp_path)]) == 5
+    assert f"error: [Errno 21] Is a directory: {str(tmp_path)!r}" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exit_3(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(BASE_CFG.encode() + b"# \xff\n")
+    assert main(["train", "--config", str(path)]) == 3
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "train", "merge", "eval", "inspect"])
+def test_malformed_config_seed_exit_3_for_every_command(tmp_path, capsys, command):
+    assert main([command, "--config", _cfg(tmp_path, _with("seed", "x"))]) == 3
+    assert "seed: expected int, got 'x'" in capsys.readouterr().err
+
+
+def test_options_may_come_before_the_command(tmp_path, capsys):
+    assert main(["--config", _cfg(tmp_path), "plan"]) == 0
+    assert "linear_probe" in capsys.readouterr().out
+
+
+def test_known_keys_are_the_documented_run_config_keys():
+    assert cli.KNOWN_KEYS == {
+        "model.kind", "model.widths", "model.activation",
+        "model.dim", "model.blocks", "model.heads", "model.mlp_dim",
+        "model.classes", "model.seq_len", "model.input_dim",
+        "data.source", "architect.config",
+        "tuner.loss", "tuner.reg", "tuner.optimizer", "tuner.lr",
+        "tuner.momentum", "tuner.weight_decay", "tuner.epochs",
+        "tuner.batch_size", "tuner.schedule",
+        "teacher.weights",
+        "merger.kind", "merger.alpha", "merger.eps", "merger.iters",
+        "merger.samples", "merger.sweeps", "merger.ensemble", "merger.lams",
+        "pretrained_weights", "seed", "out_dir",
+    }
+
+
 def test_pretrained_weights_is_one_path(tmp_path, capsys):
     text = _with("pretrained_weights", f"{_ptm(tmp_path)},{tmp_path / 'absent.zjk1'}")
     code = main(["train", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")])
@@ -272,6 +312,12 @@ def test_merge_digest_mismatch_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["merge", "eval"])
+def test_merge_and_eval_without_a_ckpt_exit_3(tmp_path, capsys, command):
+    assert main([command, "--config", _cfg(tmp_path), "--out", str(tmp_path / "o")]) == 3
+    assert f"error: {command} needs at least one --ckpt" in capsys.readouterr().err
+
+
 def test_merge_missing_ckpt_exit_5(tmp_path):
     code = main(["merge", "--config", _cfg(tmp_path),
                  "--out", str(tmp_path / "o"),
@@ -302,6 +348,34 @@ def test_malformed_csv_exit_7(tmp_path):
     code = main(["train", "--config", _cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "o")])
     assert code == 7
+
+
+@pytest.mark.parametrize("text, args, code, words", [
+    (b"\n1,2,0\n3,4,1\n", "", 7, "row 0: blank"),
+    (b"\n\n\n", "", 7, "row 0: blank"),
+    (b"1,2,0\n3,4,1\n", ",label_col=5", 3, "label_col 5 outside [-3, 3)"),
+    (b"1,2,0\n3,4,1\n", ",label_col=-4", 3, "label_col -4 outside [-3, 3)"),
+    (b"a,b,label\n", "", 7, "no data rows"),
+    (b"1,2,0\n3,4,\xff\n", "", 7, "not UTF-8 text"),
+], ids=["blank_first_line", "blank_lines", "label_col_past_the_end",
+        "label_col_before_the_start", "header_only", "not_utf8"])
+def test_malformed_csv_ends_typed(tmp_path, capsys, text, args, code, words):
+    data = tmp_path / "d.csv"
+    data.write_bytes(text)
+    cfg = _with("data.source", f"csv(path={data}{args})")
+    assert main(["train", "--config", _cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == code
+    assert words in capsys.readouterr().err
+
+
+def test_train_on_idx_files(tmp_path, capsys):
+    n = 60
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, n, 1, 2) + bytes(range(2 * n)))
+    labels.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 3 for i in range(n)))
+    cfg = _with("data.source", f"idx(images={images},labels={labels})")
+    assert main(["train", "--config", _cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    assert "val_acc=" in capsys.readouterr().out
+    assert (tmp_path / "o" / "final.zjk1").exists()
 
 
 def test_eval_writes_metrics_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,22 @@ def test_non_finite_values_are_rejected(values, tape):
             Tensor(np.array(values))
         with pytest.raises(NonFiniteValue):  # an op's result, through the recorder
             T.custom_op([w], np.array(values), [lambda g: g])
+
+
+@contextlib.contextmanager
+def _runtime_warnings_raise():  # as under python -W error::RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
+
+
+@pytest.mark.parametrize("strict", [lambda: np.errstate(all="raise"), _runtime_warnings_raise],
+                         ids=["errstate_raise", "warnings_error"])
+def test_the_finiteness_check_holds_where_numpy_raises_on_the_sum(strict):
+    with strict():
+        assert Tensor(np.array([1e308, 1e308])).data.tolist() == [1e308, 1e308]
+        with pytest.raises(NonFiniteValue):
+            Tensor(np.array([np.inf, -np.inf]))
 
 
 def test_a_0d_input_is_stored_as_shape_1():
