@@ -493,9 +493,11 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
             memo[:] = weakref.ref(g, lambda _: memo.clear()), (g_q, g_k, g_v)
         return memo[1]
 
-    def d_qkv(g):  # [n, s, heads, hd] slabs side by side; keys and values past the prefix
-        return np.concatenate([np.transpose(gi[:, :, -s:], (0, 2, 1, 3)) for gi in shared(g)],
-                              axis=2).reshape(qkv.shape)
+    def d_qkv(g):  # each slab copied once into its place; keys and values past the prefix
+        g_qkv = np.empty((n, s, 3, heads, hd))
+        for i, gi in enumerate(shared(g)):
+            g_qkv[:, :, i] = np.transpose(gi[:, :, -s:], (0, 2, 1, 3))
+        return g_qkv.reshape(qkv.shape)
 
     def d_prefix(i):  # the prefix rows of the key (1) or value (2) gradient
         return lambda g: np.transpose(shared(g)[i][:, :, :t].sum(axis=0), (1, 0, 2)).reshape(t, d)
