@@ -7,7 +7,8 @@ Covers ``tuner.train`` (checkpoint and history) for each loss and
 regularizer kind alone and all together under SGD and AdamW, weight decay
 under SGD without momentum and under AdamW with a cosine schedule, a mini-ViT
 with ``fitnet`` and ``rkd_dist`` on block hooks, ``fitnet`` pairs whose
-widths differ (so projectors are drawn) beside ``kd_ncm``, each
+widths differ (so projectors are drawn) beside ``kd_ncm``, one LoRA
+instance shared by three sites under a half-weight ``ce`` and ``l2``, each
 adaptation method on both model families (plus ``merge_reparam`` where it
 applies), each merge recipe, weight matching and OT fusion on a
 three-hidden-layer MLP, and the plan -> train -> merge -> eval CLI
@@ -191,6 +192,13 @@ def tuner_digests(out, tmp):
                            Teacher(spec, build_model(spec, seed=5)))
     out["tuner/adamw/fitnet_projectors/final.zjk1"] = ckpt_digest(ckpt, tmp)
     out["tuner/adamw/fitnet_projectors/history"] = history_digest(hist)
+    # one LoRA instance at three sites, so its factors sum three gradient
+    # contributions each; a scaled loss term beside a regularizer
+    spec = MlpSpec((2, 8, 8, 8, 8, 3))
+    _, ckpt, hist = _train(spec, "(LoRA.adapt|r=2,alpha=4):->(layers[1:4]){inout0}", ds,
+                           LossSpec([LossTerm("ce", 0.5)]), RegSpec([REGS["l2"]]), "adamw")
+    out["tuner/adamw/lora_shared/final.zjk1"] = ckpt_digest(ckpt, tmp)
+    out["tuner/adamw/lora_shared/history"] = history_digest(hist)
 
 
 def adaptation_digests(out, tmp):
