@@ -71,7 +71,7 @@ METHODS = {
         params=(("a", "uniform"), ("b", 0.0)),
         shapes=lambda at, hp: ((int(hp["r"]), at[1]), (at[0], int(hp["r"]))),
         route="linear_out",
-        compute=lambda hp, y, x, a, b: y + T.affine(T.affine(x, a), b).scale(_lora_scale(hp)),
+        compute=lambda hp, y, x, a, b: T.lowrank(y, x, a, b, _lora_scale(hp)),
         fold=lambda hp, w, bias, a, b: (w + _lora_scale(hp) * (b @ a), bias)),
     "adapter": Method(
         "Adapter", {"dim": 8.0}, ("dim", 1),

@@ -7,6 +7,7 @@ train/val/test splits derived from the seed.
 from __future__ import annotations
 
 import csv as csv_mod
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -161,6 +162,8 @@ def load_csv(path, label_col=-1, has_header="auto", seed=0):
                 vals.append(float(cell))
             except ValueError:
                 raise MalformedData(f"row {r}, column {c}: non-numeric {cell!r}") from None
+            if not math.isfinite(vals[-1]):
+                raise MalformedData(f"row {r}, column {c}: non-finite {cell!r}")
         labels.append(vals[lc])
         feats.append([v for i, v in enumerate(vals) if i != lc])
     y = np.asarray(labels)

@@ -10,30 +10,34 @@ input). The untracked rule lives there: an operand that is None or
 untracked gets no tape edge and no derivative call, so a constant, a frozen
 weight or norm costs no derivative work and a frozen prefix of a network
 records no tape at all. One backward closure, the recorder's, serves every
-op; ``attention``'s three derivatives share their work through a memo kept
-for one incoming gradient. One reducer, ``_sum_to``, sums a broadcast
-operand's gradient back to its shape. ``sum`` and ``mean`` take an int,
-negative or tuple axis, and ``reshape`` one ``-1``. Non-finite values are
-rejected at creation time, which makes divergence surface as an error at
-the op that produced it instead of poisoning downstream results.
+op; the derivatives of ``attention`` and of ``lowrank`` share their work
+through ``_per_grad``, a memo kept for one incoming gradient. One reducer,
+``_sum_to``, sums a broadcast operand's gradient back to its shape.
+``sum`` and ``mean`` take an int, negative or tuple axis, and ``reshape``
+one ``-1``. Non-finite values are rejected at creation time, which makes
+divergence surface as an error at the op that produced it instead of
+poisoning downstream results.
 
-Two fused nodes keep the tape short on the model hot path: :func:`affine`
-(``x @ w.T + b``, one node where a chain took up to six) and
+Three fused nodes keep the tape short on the model hot path:
+:func:`affine` (``x @ w.T + b``, one node where a chain took up to six),
 :func:`attention` (a whole multi-head attention block on a fused qkv
 projection, with optional prefix keys and values, one node where a chain
-took 16, or 24 with a prefix). Each is bit-identical in value and
-gradients to the chain it replaces. A leaf that three or more of them
-read (one LoRA instance shared by three sites) sums its gradient
+took 16, or 24 with a prefix) and :func:`lowrank` (LoRA's
+``y + s * (x @ a.T) @ b.T`` at one site, one node where a chain took
+four). Each is bit-identical in value and gradients to the chain it
+replaces. A tensor that three or more ops read can sum its gradient
 contributions in another order than the chain did, which can move its
-last bit. Derivatives keep only what they need and do the derivative
+last bit: a LoRA site's input gets the ``lowrank`` node's contribution
+before the base ``affine``'s, where the chain handed it the affine's
+first. Derivatives keep only what they need and do the derivative
 work themselves, so a forward that no backward follows pays nothing for
 it (``gelu`` keeps ``x`` and ``tanh(u)``).
 
-Buffers: the hot ops (``affine``, ``layernorm``, ``gelu``, softmax and
-``attention``) write each large temporary into an array they allocated in
-the same call, with ``+=``, ``*=`` and ``out=``, keeping every IEEE
-operation and its operand grouping, so values and gradients are the ones
-the fresh-temporary formulas give. Three kinds of array are never written:
+Buffers: the hot ops (``affine``, ``lowrank``, ``layernorm``, ``gelu``,
+softmax and ``attention``) write each large temporary into an array they
+allocated in the same call, with ``+=``, ``*=`` and ``out=``, keeping
+every IEEE operation and its operand grouping, so values and gradients are
+the ones the fresh-temporary formulas give. Three kinds of array are never written:
 an operand's ``.data``, the incoming gradient ``g`` (``add`` hands one
 array to both operands, so ``backward`` makes every gradient it stores
 read-only), and an array a derivative keeps (``xhat``, ``t``, ``attn``).
@@ -57,9 +61,10 @@ diagonal Fisher of ``merger.fisher_estimate``). Samples only meet where a
 leaf's gradient is summed over them, so only those ops carry a
 per-sample rule, a ``(summed over samples, per-sample squares)`` pair of
 maps in place of a derivative: ``affine`` (weight and bias; for a 2-D
-input the weight term is ``(g*g).T @ (x*x)``), ``layernorm`` (gamma and
-beta) and ``expand``. A leaf that any other op reaches, or that two ops read,
-raises ``ConfigError`` rather than give a wrong sum.
+input the weight term is ``(g*g).T @ (x*x)``), ``lowrank`` (both factors,
+by the same rule), ``layernorm`` (gamma and beta) and ``expand``. A leaf
+that any other op reaches, or that two ops read, raises ``ConfigError``
+rather than give a wrong sum.
 
 Numeric note: ``gelu`` computes ``x*x*x``, not ``x**3``; numpy sends the
 latter through libm ``pow``, about a hundred times slower, and the two
@@ -370,6 +375,39 @@ def _sum_to(g, shape):
     return g
 
 
+def _per_grad(fn):
+    """``fn`` computed once per incoming gradient: a one-slot memo keyed on
+    the gradient array and dropped with it, so the derivatives of one node
+    share work and nothing outlives the node's backward."""
+    memo = []  # [weakref to g, fn(g)]
+
+    def shared(g):
+        if not memo or memo[0]() is not g:
+            memo[:] = weakref.ref(g, lambda _: memo.clear()), fn(g)
+        return memo[1]
+
+    return shared
+
+
+def _weight_sq(g, x2, x_shape):
+    """Summed squared per-sample gradients of an affine weight, from the
+    output gradient ``g`` and the input rows ``x2`` of an input of shape
+    ``x_shape`` whose axis 0 holds the samples."""
+    g = g.reshape(-1, g.shape[-1])
+    if len(x_shape) == 2:  # one row per sample: sum_i g_i^2 x_i^2, no [n, out, in]
+        return np.matmul((g * g).T, x2 * x2)
+    n = x_shape[0]
+    gs = np.swapaxes(g.reshape(n, -1, g.shape[1]), 1, 2)
+    xs = x2.reshape(n, -1, x2.shape[1])
+    out = np.zeros((g.shape[1], x2.shape[1]))
+    # per-sample [out, in] gradients, a cache-sized block of samples at a time
+    step = max(1, _PER_SAMPLE_BLOCK // out.size)
+    for lo in range(0, n, step):
+        per = np.matmul(gs[lo:lo + step], xs[lo:lo + step])
+        out += np.einsum("noi,noi->oi", per, per)
+    return out
+
+
 def _sample_sq(a):
     """``[n, ..., d] -> [d]``: each sample's sum over the middle axes, squared,
     summed over the samples."""
@@ -420,28 +458,49 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
         y += b.data
 
     rows = y.shape
-
-    def w_sq(g):
-        g = g.reshape(rows)
-        if x.ndim == 2:  # one row per sample: sum_i g_i^2 x_i^2, no [n, out, in]
-            return np.matmul((g * g).T, x2 * x2)
-        n = x.shape[0]
-        gs = np.swapaxes(g.reshape(n, -1, g.shape[1]), 1, 2)
-        xs = x2.reshape(n, -1, x2.shape[1])
-        out = np.zeros((g.shape[1], x2.shape[1]))
-        # per-sample [out, in] gradients, a cache-sized block of samples at a time
-        step = max(1, _PER_SAMPLE_BLOCK // out.size)
-        for lo in range(0, n, step):
-            per = np.matmul(gs[lo:lo + step], xs[lo:lo + step])
-            out += np.einsum("noi,noi->oi", per, per)
-        return out
-
     first = 1 if b is None else 0  # a bias-free affine records x and w alone
     return Tensor._record(y.reshape(x.shape[:-1] + (w.shape[0],)), (b, x, w)[first:], (
         (lambda g: g.reshape(rows).sum(axis=0), _sample_sq),
         lambda g: np.matmul(g.reshape(rows), np.swapaxes(wt, -1, -2)).reshape(x.shape),
         (lambda g: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g.reshape(rows))),
-         w_sq))[first:])
+         lambda g: _weight_sq(g, x2, x.shape)))[first:])
+
+
+def lowrank(y: Tensor, x: Tensor, a: Tensor, b: Tensor, s) -> Tensor:
+    """``y + s * (x @ a.T) @ b.T``, one node: LoRA's update of the output
+    ``y`` of an affine from its ``[..., in]`` input ``x`` through ``[r, in]``
+    and ``[out, r]`` factors.
+
+    Bit-identical in value and gradients to
+    ``y + affine(affine(x, a), b).scale(s)``: the same numpy calls in the
+    same order. ``x`` and ``a`` share the gradient of ``x @ a.T``, computed
+    once per incoming gradient. A per-sample backward gets the summed
+    squared per-sample gradients of ``a`` and ``b``, as the chain's two
+    affines gave them.
+    """
+    if (x.ndim < 2 or a.ndim != 2 or x.shape[-1] != a.shape[1]
+            or b.shape != (y.shape[-1], a.shape[0]) or y.shape[:-1] != x.shape[:-1]):
+        raise ShapeMismatch(f"lowrank output {y.shape}, input {x.shape}, "
+                            f"factors {a.shape} and {b.shape}")
+    s = float(s)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    at = np.ascontiguousarray(a.data.T)
+    h = np.matmul(x2, at)
+    bt = np.ascontiguousarray(b.data.T)
+    u = np.matmul(h, bt)
+    u *= s
+    np.add(y.data.reshape(u.shape), u, out=u)
+
+    rows = u.shape
+    gs = _per_grad(lambda g: g * s)  # the gradient of (x @ a.T) @ b.T
+    dh = _per_grad(lambda g: np.matmul(gs(g).reshape(rows), np.swapaxes(bt, -1, -2)))
+    return Tensor._record(u.reshape(y.shape), (y, x, a, b), (
+        lambda g: g,
+        lambda g: np.matmul(dh(g), np.swapaxes(at, -1, -2)).reshape(x.shape),
+        (lambda g: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), dh(g))),
+         lambda g: _weight_sq(dh(g), x2, x.shape)),
+        (lambda g: np.transpose(np.matmul(np.swapaxes(h, -1, -2), gs(g).reshape(rows))),
+         lambda g: _weight_sq(gs(g), h, x.shape))))
 
 
 def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
@@ -479,19 +538,17 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     scores *= scale
     attn = _softmax(scores)
     ctx = np.matmul(attn, v)
-    memo = []  # [weakref to g, (g_q, g_k, g_v)] for one g, dropped with it after the backward
 
+    @_per_grad
     def shared(g):
-        if not memo or memo[0]() is not g:
-            gh = np.transpose(g.reshape(n, s, heads, hd), (0, 2, 1, 3))
-            g_attn = np.matmul(gh, np.swapaxes(v, -1, -2))
-            g_v = np.matmul(np.swapaxes(attn, -1, -2), gh)
-            g_scores = _softmax_grad(g_attn, attn)
-            g_scores *= scale
-            g_q = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
-            g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
-            memo[:] = weakref.ref(g, lambda _: memo.clear()), (g_q, g_k, g_v)
-        return memo[1]
+        gh = np.transpose(g.reshape(n, s, heads, hd), (0, 2, 1, 3))
+        g_attn = np.matmul(gh, np.swapaxes(v, -1, -2))
+        g_v = np.matmul(np.swapaxes(attn, -1, -2), gh)
+        g_scores = _softmax_grad(g_attn, attn)
+        g_scores *= scale
+        g_q = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
+        g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
+        return g_q, g_k, g_v
 
     def d_qkv(g):  # each slab copied once into its place; keys and values past the prefix
         g_qkv = np.empty((n, s, 3, heads, hd))
@@ -520,7 +577,10 @@ def _finite(a):
 def _softmax(z):
     """Softmax along the last axis, written into ``z``, a buffer the caller
     allocated."""
-    z -= z.max(axis=-1, keepdims=True)
+    m = z[..., 0].copy()  # the row max a column at a time: numpy's max over a
+    for j in range(1, z.shape[-1]):  # short last axis is several times slower
+        np.maximum(m, z[..., j], out=m)
+    z -= m[..., None]
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     if not _finite(z):
@@ -660,8 +720,9 @@ def backward(root: Tensor, per_sample_sq=False):
     Each leaf then maps to the sum over samples of its squared per-sample
     gradient, all from one backward pass. Only the ops that sum a leaf's
     gradient over the samples have a rule for that (``affine`` weight and
-    bias, ``layernorm`` gamma and beta, ``expand``); a leaf that another op
-    reaches, or that two ops read, raises :class:`ConfigError`.
+    bias, ``lowrank`` factors, ``layernorm`` gamma and beta, ``expand``); a
+    leaf that another op reaches, or that two ops read, raises
+    :class:`ConfigError`.
     """
     if root.size != 1:
         raise ShapeMismatch(f"backward root has shape {root.shape}")

@@ -277,6 +277,22 @@ def test_backward_reaches_only_trainable_leaves():
     assert set(gmap) == trainable
 
 
+def test_one_lora_site_records_one_node():
+    """A site's low-rank update is one node on the affine output, its input
+    and the two factors, equal to LoRA's fold of the factors into the weight."""
+    spec = MlpSpec((4, 8, 8, 3))
+    adapted, _, _ = _adapt(spec, "(LoRA.adapt|r=2,alpha=3):->(layers[1]){inout}")
+    a = adapted.extras.get("lora[0].a")
+    b = Tensor(np.arange(16.0).reshape(8, 2) / 16, requires_grad=True)  # b starts at zero
+    adapted.extras.set("lora[0].b", b)
+    x = Tensor(np.random.default_rng(3).normal(size=(5, 8)), requires_grad=True)
+    y = T.affine(x, adapted.base.get("layers[1].weight"), adapted.base.get("layers[1].bias"))
+    out = adapted.route("linear_out", "layers[1]", y, x)
+    assert out._parents == (y, x, a, b)
+    folded = y.data + x.data @ (1.5 * (b.data @ a.data)).T
+    np.testing.assert_allclose(out.data, folded, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("spec", [MLP, VIT], ids=["mlp", "mini_vit"])
 def test_predict_forwards_256_rows_at_a_time(spec):
     adapted, _, _ = _adapt(spec, "(LinearProbe.adapt):")

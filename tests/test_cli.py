@@ -357,14 +357,31 @@ def test_malformed_csv_exit_7(tmp_path):
     (b"1,2,0\n3,4,1\n", ",label_col=-4", 3, "label_col -4 outside [-3, 3)"),
     (b"a,b,label\n", "", 7, "no data rows"),
     (b"1,2,0\n3,4,\xff\n", "", 7, "not UTF-8 text"),
+    (b"nan,2,0\n3,4,1\n", "", 7, "row 0, column 0: non-finite 'nan'"),
+    (b"1,2,0\n3,-inf,1\n", "", 7, "row 1, column 1: non-finite '-inf'"),
+    (b"x,y,label\n1,2,0\n3,4,inf\n", "", 7, "row 2, column 2: non-finite 'inf'"),
 ], ids=["blank_first_line", "blank_lines", "label_col_past_the_end",
-        "label_col_before_the_start", "header_only", "not_utf8"])
+        "label_col_before_the_start", "header_only", "not_utf8", "nan_feature",
+        "minus_inf_feature", "inf_label"])
 def test_malformed_csv_ends_typed(tmp_path, capsys, text, args, code, words):
     data = tmp_path / "d.csv"
     data.write_bytes(text)
     cfg = _with("data.source", f"csv(path={data}{args})")
     assert main(["train", "--config", _cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == code
     assert words in capsys.readouterr().err
+
+
+def test_a_label_past_the_model_in_any_split_exit_3(tmp_path, capsys):
+    """Row 10 falls in the test split at seed 0; train checks every label."""
+    rows = [f"{i % 3}.5,{i}.25,{i % 3}" for i in range(12)]
+    rows[10] = "1.5,10.25,100000"
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(rows) + "\n")
+    cfg = _with("data.source", f"csv(path={data})")
+    out = tmp_path / "o"
+    assert main(["train", "--config", _cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "labels must be in [0,3)" in capsys.readouterr().err
+    assert not (out / "final.zjk1").exists()
 
 
 def test_train_on_idx_files(tmp_path, capsys):

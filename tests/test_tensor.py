@@ -383,7 +383,9 @@ def test_attention_shape_errors():
 #
 # affine, layernorm, gelu, softmax and attention write their temporaries into
 # buffers they allocate; each reference below is the op as written before,
-# with a fresh array per step, and the op must match it bit for bit.
+# with a fresh array per step, and the op must match it bit for bit. The
+# reference of lowrank is the chain of tape ops it replaces; its rank 8 is a
+# size at which the matmul results depend on operand layout.
 
 
 def affine_ref(x, w, b):
@@ -486,37 +488,85 @@ def attention_ref(qkv, heads, pk=None, pv=None):
     return np.transpose(ctx, (0, 2, 1, 3)).reshape(n, s, d), grads
 
 
+def lowrank_chain(x, y, a, b):
+    """Reference: LoRA's chain ``y + affine(affine(x, a), b).scale(1.5)``,
+    which ``lowrank`` replaces, on tracked copies of every operand."""
+    leaves = [Tensor(v, requires_grad=True) for v in (x, y, a, b)]
+    out = leaves[1] + T.affine(T.affine(leaves[0], leaves[2]), leaves[3]).scale(1.5)
+
+    def grads(g):
+        got = T.backward((out * Tensor(g)).sum())
+        return [got[t.uid].data for t in leaves]
+
+    return out.data, grads
+
+
 def _assert_matches_reference(op, ref, leaves):
-    """The op's value, and each leaf gradient of two backwards through the
-    one node, equal the reference's bit for bit. A derivative that writes
-    into an array it keeps gets the second backward wrong."""
+    """The op's value, and each tracked leaf's gradient of two backwards
+    through the one node, equal the reference's bit for bit. A derivative
+    that writes into an array it keeps gets the second backward wrong."""
     out = op(*leaves)
     want, grads = ref(*(t.data for t in leaves))
     assert np.array_equal(out.data, want)
     for seed in (0, 1):
         probe = np.random.default_rng(seed).normal(size=out.shape)
         got = T.backward((out * Tensor(probe)).sum())  # hands the op the probe itself
+        assert got.keys() == {t.uid for t in leaves if t.requires_grad}
         for t, w in zip(leaves, grads(probe), strict=True):
-            assert np.array_equal(got[t.uid].data, w), (seed, t.shape)
+            if t.requires_grad:
+                assert np.array_equal(got[t.uid].data, w), (seed, t.shape)
 
 
-# name: (op, reference, leaf shapes past the [..., 17] input)
+def _lowrank(x, y, a, b):
+    return T.lowrank(y, x, a, b, 1.5)
+
+
+# name: (op, reference, leaf shapes past the [..., 17] input, where "out" is
+# the input's shape with 33 on its last axis; the leaves at the indices given
+# last, the input being 0, are frozen)
 HOT_OPS = {
     "affine": (T.affine, affine_ref, [(33, 17), (33,)]),
     "layernorm": (T.layernorm, layernorm_ref, [(17,), (17,)]),
     "gelu": (Tensor.gelu, gelu_ref, []),
     "softmax": (T.softmax, softmax_ref, []),
     "softmax_T2": (lambda x: T.softmax(x, 2.0), lambda x: softmax_ref(x, 2.0), []),
+    **{f"lowrank{tag}": (_lowrank, lowrank_chain, ["out", (8, 17), (33, 8)], frozen)
+       for tag, frozen in (("", ()), ("_frozen_x", (0,)), ("_frozen_y", (1,)),
+                           ("_frozen_x_y", (0, 1)))},
 }
 
 
 @pytest.mark.parametrize("x_shape", [(8, 17), (4, 9, 17)], ids=["2d", "tokens"])
 @pytest.mark.parametrize("name", sorted(HOT_OPS))
 def test_hot_op_matches_its_reference(name, x_shape):
-    op, ref, shapes = HOT_OPS[name]
+    op, ref, shapes, *frozen = HOT_OPS[name]
     rng = np.random.default_rng(16)
     x = Tensor(rng.normal(0.5, 2.0, size=x_shape), requires_grad=True)  # off-centre rows
-    _assert_matches_reference(op, ref, [x] + [rand_tensor(rng, s) for s in shapes])
+    leaves = [x] + [rand_tensor(rng, x_shape[:-1] + (33,) if s == "out" else s)
+                    for s in shapes]
+    for i in frozen[0] if frozen else ():
+        leaves[i] = Tensor(leaves[i].data)
+    _assert_matches_reference(op, ref, leaves)
+
+
+def test_lowrank_shape_errors():
+    x, y = Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3)))
+    a, b = Tensor(np.ones((2, 4))), Tensor(np.ones((3, 2)))
+    T.lowrank(y, x, a, b, 1.0)
+    for args in ((y, x, a, b.T), (y, x, a.T, b), (Tensor(np.ones((2, 2))), x, a, b),
+                 (y, Tensor(np.ones(4)), a, b), (y, x, Tensor(np.ones(4)), b)):
+        with pytest.raises(ShapeMismatch, match="lowrank"):
+            T.lowrank(*args, 1.0)
+
+
+def test_one_lowrank_node_per_site():
+    rng = np.random.default_rng(18)
+    y, x, a, b = (rand_tensor(rng, s) for s in ((5, 3), (5, 4), (2, 4), (3, 2)))
+    out = T.lowrank(y, x, a, b, 2.0)
+    assert out._parents == (y, x, a, b)  # the leaves themselves: no node between
+    # frozen operands drop out of the node: no tape edge, no gradient work
+    out = T.lowrank(Tensor(y.data), Tensor(x.data), a, b, 2.0)
+    assert out._parents == (a, b)
 
 
 @pytest.mark.parametrize("prefix_len", [0, 3])
@@ -635,6 +685,7 @@ def test_layernorm_frozen_gamma_beta_get_no_gradient_work():
 
 # Per-sample backward: each rule against a loop of batch-1 backwards.
 # (input shape, op on (x, *leaves), leaf shapes)
+_W34 = Tensor(np.random.default_rng(19).normal(size=(3, 4)))  # a frozen weight
 PER_SAMPLE_OPS = {
     "affine_2d": ((5, 4), T.affine, [(3, 4), (3,)]),
     "affine_3d": ((5, 3, 4), T.affine, [(3, 4), (3,)]),
@@ -644,6 +695,11 @@ PER_SAMPLE_OPS = {
     "expand_prepended": ((5, 3, 4), lambda x, p: x * p.expand(x.shape), [(3, 4)]),
     "expand_from_1": ((5, 4), lambda x, p: x * p.expand(x.shape), [(1, 4)]),
     "expand_cls": ((5, 1, 4), lambda x, p: x * p.expand(x.shape), [(4,)]),
+    # a LoRA site on a frozen affine: the factors' rules
+    "lowrank_2d": ((5, 4), lambda x, a, b: T.lowrank(T.affine(x, _W34), x, a, b, 1.5),
+                   [(2, 4), (3, 2)]),
+    "lowrank_3d": ((5, 3, 4), lambda x, a, b: T.lowrank(T.affine(x, _W34), x, a, b, 1.5),
+                   [(2, 4), (3, 2)]),
 }
 
 

@@ -59,6 +59,22 @@ def test_ce_grad():
     check_grads(lambda t: cross_entropy(t, y), [x])
 
 
+def test_ce_matches_the_chain_it_replaces():
+    """One node, bit-identical in value and gradient to
+    ``-log_softmax(l)[rows, y].mean()``, through two backwards of the node
+    and a zero gradient (the sign of each zero included)."""
+    rng = np.random.default_rng(20)
+    logits = Tensor(rng.normal(0.5, 3.0, size=(7, 5)), requires_grad=True)
+    y = np.array([0, 4, 4, 1, 0, 2, 4])  # repeated labels
+    ce = cross_entropy(logits, y)
+    assert ce._parents == (logits,)  # one node on the leaf
+    chain = -T.log_softmax(logits)[(np.arange(7), y)].mean()
+    assert ce.data.tobytes() == chain.data.tobytes()
+    for probe in (0.37, -2.5, 0.0):
+        got, want = (T.backward(t.scale(probe))[logits.uid].data for t in (ce, chain))
+        assert got.tobytes() == want.tobytes(), probe
+
+
 # -- kd_kl ---------------------------------------------------------------
 
 
@@ -507,6 +523,18 @@ def test_train_deterministic_checkpoints():
     assert h1 == h2
     for p in c1.entries:
         assert np.array_equal(c1.entries[p], c2.entries[p])
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_train_checks_every_label_before_setup(monkeypatch, split):
+    _, ds, model, cfg = _probe_setup()
+    y = ds.y.copy()
+    y[ds.splits[split][0]] = 3  # the model has 3 classes
+    bad = data_mod.Dataset(ds.x, y, 4, ds.splits)
+    monkeypatch.setitem(tuner.TERMS, "ce", tuner.TermKind(
+        tuner.TERMS["ce"].evaluate, setup=lambda term, b: pytest.fail("setup ran")))
+    with pytest.raises(ConfigError, match=r"labels must be in \[0,3\)"):
+        train(model, None, bad, LossSpec(), RegSpec(), cfg)
 
 
 def test_frozen_paths_bit_identical():
