@@ -8,7 +8,8 @@ of the payload. Save/load round trips are byte identical.
 
 Files are written through :func:`atomic_open`, so a failed write leaves
 any earlier file at the path whole. Loading turns every malformed file
-into a :class:`CorruptCheckpoint`, a failed checksum included.
+into a :class:`CorruptCheckpoint`, a failed checksum or a repeated entry
+path included.
 """
 
 from __future__ import annotations
@@ -52,25 +53,30 @@ def from_params(spec, *stores: ParamStore) -> Checkpoint:
         {p: t.data for store in stores for p, t in store.items()})
 
 
+def check_spec(spec, ckpt: Checkpoint):
+    """Check that ``ckpt`` was saved for ``spec``: its kind and digest, and an
+    entry of the spec's shape at every spec path (other entries may follow)."""
+    if ckpt.kind != spec.kind:
+        raise SpecMismatch(f"checkpoint kind {ckpt.kind!r} is not the spec's {spec.kind!r}")
+    if ckpt.digest != spec_digest(spec):
+        raise SpecMismatch("checkpoint digest does not match model spec")
+    for path, shape in spec.param_shapes().items():
+        if path not in ckpt.entries:
+            raise SpecMismatch(f"missing entry {path}")
+        if ckpt.entries[path].shape != shape:
+            raise ShapeMismatch(f"{path}: {ckpt.entries[path].shape} != {shape}")
+
+
 def to_params(spec, ckpt: Checkpoint) -> ParamStore:
-    """Materialize a checkpoint against a spec, validating digest and shapes.
+    """Materialize a checkpoint against a spec, checked by :func:`check_spec`.
 
     The leaves are frozen (no tensor requires grad), so a forward on them
     records no tape. :class:`architect.AdaptedModel` sets trainability from
     its plan; a caller that reads gradients makes its own grad leaves.
     """
-    if ckpt.digest != spec_digest(spec):
-        raise SpecMismatch("checkpoint digest does not match model spec")
-    shapes = spec.param_shapes()
-    store = ParamStore()
-    for path, shape in shapes.items():
-        if path not in ckpt.entries:
-            raise SpecMismatch(f"missing entry {path}")
-        arr = ckpt.entries[path]
-        if arr.shape != shape:
-            raise ShapeMismatch(f"{path}: {arr.shape} != {shape}")
-        store.set(path, Tensor(arr.astype(np.float64)))
-    return store
+    check_spec(spec, ckpt)
+    return ParamStore({p: Tensor(ckpt.entries[p].astype(np.float64))
+                       for p in spec.param_shapes()})
 
 
 @contextlib.contextmanager
@@ -160,6 +166,8 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(count):
         (plen,) = r.unpack("<H")
         p = r.text(plen)
+        if p in entries:
+            raise CorruptCheckpoint(f"repeated entry {p}")
         dtype, ndim = r.unpack("<BB")
         if dtype != 0:
             raise CorruptCheckpoint(f"unknown dtype {dtype}")

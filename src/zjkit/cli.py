@@ -27,6 +27,7 @@ import functools
 import inspect
 import json
 import logging
+import math
 import os
 import sys
 
@@ -146,7 +147,8 @@ def _load_dataset(cfg, seed):
     Each argument takes the type of the function's default; one without a
     default (a file path) stays text, and csv's ``has_header`` takes
     ``auto`` or an integer flag. An unknown source, unknown or missing
-    argument, or value the function rejects is a ConfigError.
+    argument, non-finite float, or value the function rejects (or that
+    does not fit in memory) is a ConfigError.
     """
     source = cfg.get("data.source")
     if not source:
@@ -165,14 +167,18 @@ def _load_dataset(cfg, seed):
             args[param.name] = text
         else:
             cast = type(default) if type(default) in (int, float) else int
-            args[param.name] = _num(text, f"data.source {key}", cast)
+            args[param.name] = value = _num(text, f"data.source {key}", cast)
+            if cast is float and not math.isfinite(value):
+                raise ConfigError(f"data.source {key} must be finite, got {value}")
     missing = [p for p, v in params.items() if v.default is v.empty and p not in args]
     if missing:
         raise ConfigError(f"data.source {name}() needs {', '.join(missing)}")
     try:
         return _SOURCES[name](**args)
-    except ValueError as exc:  # numpy rejecting an argument, e.g. n=-5
+    except (ValueError, OverflowError) as exc:  # numpy rejecting an argument, e.g. n=-5
         raise ConfigError(f"data.source {source!r}: {exc}") from None
+    except MemoryError:  # an argument that sizes the data past memory
+        raise ConfigError(f"data.source {source!r}: out of memory") from None
 
 
 def _parse_terms(text):
@@ -301,6 +307,8 @@ def cmd_merge(cfg, args):
     out = _out_dir(cfg, args)
     spec = _model_spec(cfg)
     ckpts = _ckpts(args)
+    for c in ckpts:  # the recipes that never read the spec merge only its checkpoints
+        ckpt_mod.check_spec(spec, c)
     kind = cfg.get("merger.kind", "uniform_soup")
     if kind in ("wise_ft", "ot_fusion", "git_rebasin", "repair") and len(ckpts) != 2:
         raise ConfigError(f"{kind} needs exactly two checkpoints")

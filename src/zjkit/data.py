@@ -85,6 +85,8 @@ def token_xor(n=512, seq=4, d=4, sigma=0.3, seed=0):
     Built so a linear head on frozen random features stays near chance
     while an adapted backbone can learn the interaction.
     """
+    if seq < 2 or d < 2:  # the label reads tokens 0 and 1, dims 0 and 1
+        raise ConfigError(f"token_xor needs seq >= 2 and d >= 2, got seq={seq}, d={d}")
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, size=(n, seq, d))
     a = np.sign(x[:, 0, 0])

@@ -1,11 +1,10 @@
-"""Numeric kernels of the tuner's regularizers: thin SVD and power iteration."""
+"""Numeric kernels of the tuner's regularizers, on ndarrays: thin SVD and power iteration."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigError, NoConvergence, ShapeMismatch
-from .tensor import Tensor
 
 
 def thin_svd(mat):
@@ -19,11 +18,11 @@ def thin_svd(mat):
 def spectral_norm(w, iters=50, seed=0):
     """Largest singular value of a matrix by seeded power iteration.
 
-    Returns ``(sigma, u, v)`` with unit singular vectors, sign-normalized
+    Returns ``(sigma, u, v)`` with unit singular vector arrays, sign-normalized
     so the first nonzero component of ``u`` is positive. A zero matrix
     yields sigma 0.
     """
-    mat = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
+    mat = np.asarray(w, dtype=np.float64)
     if mat.ndim != 2:
         raise ShapeMismatch(f"spectral_norm expects a matrix, got {mat.shape}")
     if iters < 1:
@@ -38,15 +37,15 @@ def spectral_norm(w, iters=50, seed=0):
         wv = mat @ v
         nu = np.linalg.norm(wv)
         if nu == 0.0:
-            return 0.0, Tensor(np.zeros(m)), Tensor(v)
+            return 0.0, np.zeros(m), v
         u = wv / nu
         wu = mat.T @ u
         sigma = np.linalg.norm(wu)
         if sigma == 0.0:
-            return 0.0, Tensor(np.zeros(m)), Tensor(v)
+            return 0.0, np.zeros(m), v
         v = wu / sigma
     nz = np.nonzero(u)[0]
     if nz.size and u[nz[0]] < 0:
         u = -u
         v = -v
-    return float(sigma), Tensor(u), Tensor(v)
+    return float(sigma), u, v

@@ -160,7 +160,7 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0) -> Fishe
         labels[j] = rng.choice(probs.shape[1], p=probs[j])
     logp = T.log_softmax(logits)[(np.arange(n_samples), labels)].sum()
     sq = T.backward(logp, per_sample_sq=True)
-    entries = {p: (sq[t.uid].data if t.uid in sq else np.zeros(t.shape)) / n_samples
+    entries = {p: (sq[t.uid] if t.uid in sq else np.zeros(t.shape)) / n_samples
                for p, t in params.items()}
     return FisherDiag(entries, idx, labels)
 

@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Values are immutable after creation; every op that reads a tracked tensor
-(a grad leaf or a recorded result) records a node so that :func:`backward`
-can replay the graph in reverse topological order. Ops record through one
+(a grad leaf or a recorded result) records a node that :func:`backward`
+replays in reverse topological order. A gradient leaves the tape as the
+read-only ndarray it was summed in, not a ``Tensor``. Ops record through one
 recorder, ``Tensor._record(out, parents, dgrads)``, and state only the
 derivative they hand each operand: ``dgrads[i]`` maps the output's gradient
 to the gradient of ``parents[i]`` (``Tensor._unary(out, dgrad)`` for one
@@ -701,7 +702,7 @@ class _Acc:
             # sum_i (a_i + b_i)^2 is not sum_i a_i^2 + sum_i b_i^2
             raise ConfigError(f"no per-sample rule: the {t.shape} leaf is read by "
                               "more than one op")
-        self.sq[t.uid] = sq
+        self.sq[t.uid] = _frozen(sq)
 
 
 def _frozen(a):
@@ -712,8 +713,9 @@ def _frozen(a):
 def backward(root: Tensor, per_sample_sq=False):
     """Run reverse-mode accumulation from a scalar root.
 
-    Returns a map ``leaf uid -> gradient Tensor`` over all reachable
-    leaves with ``requires_grad``.
+    Returns a map ``leaf uid -> gradient``, a read-only ndarray of the
+    leaf's shape, over all reachable leaves with ``requires_grad``; a
+    non-finite gradient raises :class:`NonFiniteValue`.
 
     With ``per_sample_sq`` the root must be a sum of per-sample terms,
     with the samples on axis 0 of every activation and no op mixing them.
@@ -753,5 +755,7 @@ def backward(root: Tensor, per_sample_sq=False):
         node._backward(g, acc)
 
     found = acc.sq if per_sample_sq else acc.grads
-    return {node.uid: Tensor(found[node.uid]) for node in topo
-            if _is_leaf(node) and node.uid in found}
+    grads = {node.uid: found[node.uid] for node in topo if _is_leaf(node) and node.uid in found}
+    if not all(_finite(g) for g in grads.values()):
+        raise NonFiniteValue("gradient contains NaN or Inf")
+    return grads

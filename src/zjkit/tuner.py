@@ -259,7 +259,7 @@ def spectral_penalty(trainable, iters) -> Tensor:
         if w.ndim != 2:
             raise ShapeMismatch(f"{path} has shape {w.shape}")
         sigma, u, v = spectral_norm(w.data, iters=iters)
-        outer = 2.0 * sigma * np.outer(u.data, v.data)
+        outer = 2.0 * sigma * np.outer(u, v)
         term = T.custom_op([w], np.float64(sigma**2), [lambda g, o=outer: g * o])
         total = term if total is None else total + term
     return total if total is not None else Tensor(0.0)
@@ -602,20 +602,17 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
             except ConfigError:  # an untaped root, at the first batch before any update
                 raise ConfigError("no trainable tensor is reached by the objective's "
                                   f"terms: {', '.join(keys)}") from None
-            for path, w, store in model.trainable():
+            sites = [(p, w, store.set) for p, w, store in model.trainable()]
+            sites += [(k, w, batch.projectors.__setitem__) for k, w in batch.projectors.items()]
+            for key, w, put in sites:  # base, extras, then fitnet projectors
                 g = gmap.get(w.uid)
                 if g is None:
                     continue
-                new = step(cfg, states[path], w.data, g.data, lr)
-                mask = model.plan.grad_masks.get(path)
+                new = step(cfg, states[key], w.data, g, lr)
+                mask = model.plan.grad_masks.get(key)  # a projector's hook pair is no path
                 if mask is not None:  # masked-out elements keep their value
                     new = np.where(mask > 0, new, w.data)
-                store.set(path, Tensor(new, requires_grad=True))
-            for pair, proj in list(batch.projectors.items()):
-                g = gmap.get(proj.uid)
-                if g is not None:
-                    new = step(cfg, states[pair], proj.data, g.data, lr)
-                    batch.projectors[pair] = Tensor(new, requires_grad=True)
+                put(key, Tensor(new, requires_grad=True))
 
         entry = {"epoch": epoch}
         entry.update({k: v / n_batches for k, v in sorted(term_sums.items())})

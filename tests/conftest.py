@@ -1,11 +1,13 @@
 """Print one pass/fail line per acceptance criterion after the run, and
-register the hypothesis profile that explores new op graphs."""
+register the hypothesis profile that explores new op graphs and run-config
+values."""
 
 from hypothesis import settings
 
 # `pytest tests/test_tensor_graphs.py --hypothesis-profile=explore` checks new
-# random graphs on each run (a non-blocking CI step); without a profile the
-# graph properties replay a fixed set (tests/test_tensor_graphs.py::_graphs)
+# random graphs on each run (a non-blocking CI step, which also runs the
+# run-config fuzz of tests/test_cli.py); without a profile the graph
+# properties and the fuzz replay a fixed set (tests/helpers.py::fixed_or_explored)
 settings.register_profile("explore", derandomize=False, deadline=None, max_examples=2000)
 
 _ACCEPTANCE = {}

@@ -1,6 +1,8 @@
-"""Shared test utilities: finite-difference oracle and small builders."""
+"""Shared test utilities: finite-difference oracle, small builders and the
+settings of the replayed hypothesis properties."""
 
 import numpy as np
+from hypothesis import settings
 
 from zjkit import tensor as T
 from zjkit.tensor import Tensor
@@ -35,7 +37,7 @@ def check_grads(fn, leaves, rtol=1e-4, h=1e-5):
     numeric = finite_diff(fn, leaves, h=h)
     for leaf, num in zip(leaves, numeric):
         got = gmap.get(leaf.uid)
-        ana = got.data if got is not None else np.zeros(leaf.shape)
+        ana = got if got is not None else np.zeros(leaf.shape)
         scale = max(np.abs(num).max(), np.abs(ana).max(), 1e-8)
         err = np.abs(ana - num).max() / scale
         assert err < rtol, f"grad mismatch: rel err {err:.3e}"
@@ -44,3 +46,13 @@ def check_grads(fn, leaves, rtol=1e-4, h=1e-5):
 
 def rand_tensor(rng, shape, requires_grad=True, scale=1.0):
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
+
+
+def fixed_or_explored(n):
+    """Settings of a hypothesis property: the same ``n`` examples on every run,
+    or, under ``--hypothesis-profile=explore``, that profile's count and draws.
+    Any other profile (hypothesis loads its "ci" one by itself on CI) keeps
+    the fixed ``n``."""
+    if settings.get_current_profile_name() != "explore":
+        return settings(derandomize=True, deadline=None, max_examples=n)
+    return settings()

@@ -14,6 +14,7 @@ from zjkit.checkpoint import (
 from zjkit.errors import (
     CorruptCheckpoint,
     IoError,
+    ShapeMismatch,
     SpecMismatch,
     ZjError,
 )
@@ -90,6 +91,34 @@ def test_to_params_digest_mismatch(tmp_path):
     ckpt, _ = _save(tmp_path)
     with pytest.raises(SpecMismatch):
         to_params(MlpSpec((4, 9, 3)), ckpt)
+
+
+def test_to_params_kind_mismatch(tmp_path):
+    ckpt, _ = _save(tmp_path)
+    ckpt.kind = "mlq"  # bit 0 of the kind's last byte flipped
+    with pytest.raises(SpecMismatch, match="kind 'mlq'"):
+        to_params(SPEC, ckpt)
+
+
+def test_check_spec_allows_entries_past_the_spec_and_checks_every_spec_path(tmp_path):
+    ckpt, _ = _save(tmp_path)
+    ckpt.entries["lora[0].a"] = np.zeros((2, 4), np.float32)
+    ckpt_mod.check_spec(SPEC, ckpt)
+    del ckpt.entries["layers[1].bias"]
+    with pytest.raises(SpecMismatch, match="missing entry layers\\[1\\].bias"):
+        ckpt_mod.check_spec(SPEC, ckpt)
+    ckpt.entries["layers[1].bias"] = np.zeros(4, np.float32)
+    with pytest.raises(ShapeMismatch, match="layers\\[1\\].bias"):
+        ckpt_mod.check_spec(SPEC, ckpt)
+
+
+def test_repeated_entry_path_is_corrupt(tmp_path):
+    _, path = _save(tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"layers[0].bias") + len("layers[")] ^= 0x01  # "0" -> "1"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptCheckpoint, match="repeated entry layers\\[1\\].bias"):
+        load_checkpoint(path)
 
 
 def test_to_params_round_trip_values(tmp_path):

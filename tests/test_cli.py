@@ -1,16 +1,22 @@
 """CLI: config parsing, commands, exit codes, determinism."""
 
+import dataclasses
+import inspect
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from helpers import fixed_or_explored
 from zjkit import architect, cli, errors, linalg, merger, tuner
 from zjkit import data as data_mod
 from zjkit.checkpoint import from_params, load_checkpoint, save_checkpoint
@@ -28,7 +34,7 @@ from zjkit.errors import (
     SpecMismatch,
     ZjError,
 )
-from zjkit.models import MlpSpec, build_model
+from zjkit.models import MiniVitSpec, MlpSpec, build_model
 
 BASE_CFG = """\
 model.kind=mlp
@@ -310,6 +316,59 @@ def test_merge_digest_mismatch_exit_4(tmp_path):
                  "--out", str(tmp_path / "o"),
                  "--ckpt", str(pa), "--ckpt", str(pb)])
     assert code == 4
+
+
+@pytest.mark.parametrize("kind", ["uniform_soup", "wise_ft", "ot_fusion", "git_rebasin"])
+def test_merge_of_checkpoints_of_another_model_exit_4(tmp_path, capsys, kind):
+    spec = MlpSpec((2, 9, 3))  # the run config's model is 2-8-3
+    cks = [tmp_path / "a.zjk1", tmp_path / "b.zjk1"]
+    for seed, path in enumerate(cks):
+        save_checkpoint(from_params(spec, build_model(spec, seed=seed)), path)
+    out = tmp_path / "o"
+    code = main(["merge", "--config", _cfg(tmp_path, _with("merger.kind", kind)),
+                 "--out", str(out), "--ckpt", str(cks[0]), "--ckpt", str(cks[1])])
+    assert code == 4
+    assert "checkpoint digest does not match model spec" in capsys.readouterr().err
+    assert not (out / "merged.zjk1").exists()
+
+
+SWEEP_CFG = """\
+model.kind=mlp
+model.widths=2,3,2
+data.source=blobs(k=2,d=2,n=40)
+"""
+
+
+def test_every_flipped_bit_of_a_checkpoint_ends_eval_and_merge_with_exit_4_or_5(
+        tmp_path, capsys):
+    """Bit 0x01 or 0x80 of any one byte of a 2-3-2 MLP checkpoint flipped:
+    eval and a merge of the file with itself end with exit 4 (another model)
+    or 5 (a corrupt file), and the merge writes no checkpoint."""
+    spec = MlpSpec((2, 3, 2))
+    good, flipped = tmp_path / "good.zjk1", tmp_path / "flipped.zjk1"
+    save_checkpoint(from_params(spec, build_model(spec, seed=1)), good)
+    raw = good.read_bytes()
+    assert len(raw) == 257
+    cfg, out = _cfg(tmp_path, SWEEP_CFG), tmp_path / "o"
+
+    def run(path):
+        return (main(["eval", "--config", cfg, "--ckpt", str(path)]),
+                main(["merge", "--config", cfg, "--out", str(out),
+                      "--ckpt", str(path), "--ckpt", str(path)]))
+
+    assert run(good) == (0, 0)
+    (out / "merged.zjk1").unlink()
+    escaped = []
+    for at in range(len(raw)):
+        for bit in (0x01, 0x80):
+            blob = bytearray(raw)
+            blob[at] ^= bit
+            flipped.write_bytes(bytes(blob))
+            codes = run(flipped)
+            if not set(codes) <= {4, 5} or (out / "merged.zjk1").exists():
+                escaped.append((at, bit, codes))
+    capsys.readouterr()
+    assert escaped == []
 
 
 @pytest.mark.parametrize("command", ["merge", "eval"])
@@ -718,6 +777,16 @@ def test_error_classes_match_the_readme_table():
     ("tuner.reg", "spec_norm:1:iter=3", "spec_norm has no key 'iter'; it reads iters"),
     ("tuner.loss", "ce:1::extra", "term 'ce:1::extra' has more fields than name:weight:keys"),
     ("tuner.reg", "l2:0.1::", "term 'l2:0.1::' has more fields than name:weight:keys"),
+    ("data.source", "blobs(spread=inf)", "data.source spread must be finite"),
+    ("data.source", "blobs(spread=1e308)", "blobs(spread=1e308)"),
+    ("data.source", "token_xor(seq=0)", "token_xor needs seq >= 2 and d >= 2"),
+    ("data.source", "token_xor(seq=1)", "token_xor needs seq >= 2 and d >= 2"),
+    ("data.source", "token_xor(d=0)", "token_xor needs seq >= 2 and d >= 2"),
+    ("data.source", "token_xor(d=1)", "token_xor needs seq >= 2 and d >= 2"),
+    ("data.source", "blobs(sigma=nan)", "data.source sigma must be finite"),
+    ("data.source", "blobs(sigma=inf)", "data.source sigma must be finite"),
+    ("data.source", "moons(noise=nan)", "data.source noise must be finite"),
+    ("data.source", "blobs_shifted(delta=inf)", "data.source delta must be finite"),
 ])
 def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
     text = _with("teacher.weights", _ptm(tmp_path), _with(key, value))
@@ -725,6 +794,17 @@ def test_malformed_train_value_exit_3(tmp_path, capsys, key, value, word):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert word in capsys.readouterr().err
+
+
+def test_data_source_past_memory_exit_3(tmp_path, capsys, monkeypatch):
+    def blobs(k=3, d=2, n=300, sigma=0.1, seed=0, spread=2.0):
+        raise MemoryError  # what numpy raises for blobs(n=99999999999999)
+    monkeypatch.setitem(cli._SOURCES, "blobs", blobs)
+    out = tmp_path / "o"
+    code = main(["train", "--config", _cfg(tmp_path), "--out", str(out)])
+    assert code == 3
+    assert "data.source 'blobs(k=3,d=2,n=120,sigma=0.1)': out of memory" in capsys.readouterr().err
+    assert not (out / "final.zjk1").exists()
 
 
 def test_train_on_an_empty_train_split_exit_3(tmp_path, capsys):
@@ -870,3 +950,95 @@ def test_ot_fusion_reports_sinkhorn_per_layer(tmp_path):
     assert record["iterations"] >= 1
     assert 0 <= record["marginal_violation"] <= 1e-4
     assert 0 < record["coupling_entropy"] <= np.log(8 * 8)
+
+
+# -- run-config fuzz ------------------------------------------------------
+
+# bad or odd values for any key; keys that size the work take FUZZ_SMALL only,
+# so no example starts a long run or a large allocation
+FUZZ_TEXT = ["", "0", "1", "2", "-1", "0.5", "-0.5", "1e308", "-1e308", "nan", "inf",
+             "-inf", "99999999999999999999", "-99999999999999999999", "abc", "1,2", "2,,3",
+             "(", ")", "=", ":", ";", ">", "+", "'", "\u00e9", "1:2:3"]
+FUZZ_SMALL = ["", "0", "1", "2", "-1", "0.5", "nan", "inf", "abc", "1,2",
+              "-99999999999999999999"]
+SIZING_KEYS = {"tuner.epochs", "merger.iters", "merger.sweeps", "merger.samples",
+               *(k for k in cli.KNOWN_KEYS if k.startswith("model."))}
+SIZING_ARGS = {"n", "k", "d", "seq", "iters"}  # data.source and term arguments
+# the keys an MLP run reads: the mini-ViT's model keys are left out
+FUZZ_KEYS = sorted(cli.KNOWN_KEYS - {f"model.{f.name}" for f in dataclasses.fields(MiniVitSpec)})
+RECIPES = ["uniform_soup", "greedy_soup", "wise_ft", "fisher", "ot_fusion", "git_rebasin",
+           "repair"]
+
+
+def _small_or_any(key):
+    return st.sampled_from(FUZZ_SMALL if key in SIZING_ARGS else FUZZ_TEXT)
+
+
+@st.composite
+def _fuzz_source(draw):
+    """A data.source call: a known source or not, with up to two arguments."""
+    name = draw(st.sampled_from(sorted(cli._SOURCES) + ["nope"]))
+    keys = list(inspect.signature(cli._SOURCES[name]).parameters) if name in cli._SOURCES else []
+    args = draw(st.lists(st.sampled_from(keys + ["bogus"]), max_size=2, unique=True))
+    return f"{name}({','.join(f'{k}={draw(_small_or_any(k))}' for k in args)})"
+
+
+@st.composite
+def _fuzz_terms(draw):
+    """ce plus one term of any kind, with a drawn weight and one key."""
+    kind = draw(st.sampled_from(sorted(tuner.TERMS) + ["bogus"]))
+    key = draw(st.sampled_from(list(tuner.TERMS[kind].defaults if kind in tuner.TERMS else ())
+                               + ["bogus"]))
+    return f"ce,{kind}:{draw(st.sampled_from(FUZZ_TEXT))}:{key}={draw(_small_or_any(key))}"
+
+
+@st.composite
+def _fuzz_value(draw, key):
+    if key in SIZING_KEYS:
+        return draw(st.sampled_from(FUZZ_SMALL))
+    if key == "data.source":
+        return draw(st.one_of(_fuzz_source(), st.sampled_from(FUZZ_TEXT)))
+    if key in ("tuner.loss", "tuner.reg"):
+        return draw(st.one_of(_fuzz_terms(), st.sampled_from(FUZZ_TEXT)))
+    return draw(st.sampled_from(FUZZ_TEXT))
+
+
+@st.composite
+def _fuzz_case(draw):
+    command = draw(st.sampled_from(["plan", "train", "merge", "eval"]))
+    recipe = draw(st.sampled_from(RECIPES))
+    key = draw(st.sampled_from(FUZZ_KEYS))
+    return command, recipe, key, draw(_fuzz_value(key))
+
+
+@pytest.fixture(scope="module")
+def fuzz_ptm(tmp_path_factory):
+    return _ptm(tmp_path_factory.mktemp("fuzz"))
+
+
+@fixed_or_explored(200)
+@given(_fuzz_case())
+@example(("train", "uniform_soup", "data.source", "blobs(spread=inf)"))
+@example(("train", "uniform_soup", "data.source", "blobs(spread=1e308)"))
+@example(("train", "uniform_soup", "data.source", "token_xor(seq=0)"))
+@example(("train", "uniform_soup", "data.source", "token_xor(seq=1)"))
+@example(("train", "uniform_soup", "data.source", "token_xor(d=0)"))
+@example(("train", "uniform_soup", "data.source", "token_xor(d=1)"))
+@example(("train", "uniform_soup", "data.source", "blobs(sigma=nan)"))
+@example(("train", "uniform_soup", "data.source", "moons(noise=nan)"))
+@example(("train", "uniform_soup", "data.source", "blobs_shifted(delta=inf)"))
+def test_a_bad_run_config_value_ends_with_a_documented_exit_code(fuzz_ptm, case):
+    """One run-config key of plan, train, merge (under each recipe) or eval
+    set to a bad value: the command returns a documented exit code and
+    raises nothing."""
+    command, recipe, key, value = case
+    text = _with(key, value, _with("merger.kind", recipe,
+                                   _with("teacher.weights", fuzz_ptm)))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)  # an out_dir value is a directory under it
+        cfg = _cfg(Path(tmp), text)
+        argv = [command, "--config", cfg]
+        if command in ("merge", "eval"):
+            argv += ["--ckpt", fuzz_ptm, "--ckpt", fuzz_ptm]
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5, 6, 7), (case, code)

@@ -41,7 +41,7 @@ def fisher_loop(spec, ckpt, data, n_samples, seed):
         for p, t in params.items():
             g = gmap.get(t.uid)
             if g is not None:
-                acc[p] += g.data**2
+                acc[p] += g**2
     return {p: a / n_samples for p, a in acc.items()}, indices, labels
 
 

@@ -39,15 +39,15 @@ def test_spectral_norm_matches_svd():
         top = np.linalg.svd(a, compute_uv=False)[0]
         assert abs(sigma - top) < 1e-6 * max(1.0, top)
         # u, v are a consistent singular pair: A v = sigma u
-        assert np.abs(a @ v.data - sigma * u.data).max() < 1e-5
+        assert np.abs(a @ v - sigma * u).max() < 1e-5
 
 
 def test_spectral_norm_sign_normalization():
     a = np.diag([5.0, 2.0])
     sigma, u, v = spectral_norm(a, iters=100)
     assert abs(sigma - 5.0) < 1e-10
-    nz = np.nonzero(u.data)[0]
-    assert u.data[nz[0]] > 0
+    nz = np.nonzero(u)[0]
+    assert u[nz[0]] > 0
 
 
 def test_spectral_norm_zero_matrix():
@@ -60,7 +60,7 @@ def test_spectral_norm_deterministic():
     r1 = spectral_norm(a, seed=7)
     r2 = spectral_norm(a, seed=7)
     assert r1[0] == r2[0]
-    assert np.array_equal(r1[1].data, r2[1].data)
+    assert np.array_equal(r1[1], r2[1])
 
 
 def test_spectral_norm_arg_checks():

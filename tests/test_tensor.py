@@ -179,7 +179,7 @@ def test_sum_and_mean_over_an_explicit_axis_set(shape, axis):
 
 def test_getitem_repeated_fancy_index_accumulates():
     x = Tensor(np.arange(4.0), requires_grad=True)
-    assert T.backward(x[[0, 0, 1]].sum())[x.uid].data.tolist() == [2.0, 1.0, 0.0, 0.0]
+    assert T.backward(x[[0, 0, 1]].sum())[x.uid].tolist() == [2.0, 1.0, 0.0, 0.0]
     rng = np.random.default_rng(8)
     m = rand_tensor(rng, (3, 2))
     check_grads(lambda t: t[np.array([2, 0, 2, 2])].square().sum(), [m])
@@ -280,7 +280,7 @@ def _assert_same_as_chain(fused, chain, leaves, seed=0):
     g_fused, g_chain = (T.backward((o * probe).sum()) for o in outs)
     assert g_fused.keys() == g_chain.keys()
     for uid, g in g_fused.items():
-        assert np.array_equal(g.data, g_chain[uid].data)
+        assert np.array_equal(g, g_chain[uid])
 
 
 # Widths 17 -> 33 and head width 16 are sizes at which numpy's matmul
@@ -368,7 +368,7 @@ def test_attention_two_backwards_through_one_node_match_the_chain():
         want = T.backward((chain * Tensor(probe)).sum())
         assert grads.keys() == want.keys() == {t.uid for t in leaves}
         for uid, g in grads.items():
-            assert np.array_equal(g, want[uid].data)
+            assert np.array_equal(g, want[uid])
 
 
 def test_attention_shape_errors():
@@ -496,7 +496,7 @@ def lowrank_chain(x, y, a, b):
 
     def grads(g):
         got = T.backward((out * Tensor(g)).sum())
-        return [got[t.uid].data for t in leaves]
+        return [got[t.uid] for t in leaves]
 
     return out.data, grads
 
@@ -514,7 +514,7 @@ def _assert_matches_reference(op, ref, leaves):
         assert got.keys() == {t.uid for t in leaves if t.requires_grad}
         for t, w in zip(leaves, grads(probe), strict=True):
             if t.requires_grad:
-                assert np.array_equal(got[t.uid].data, w), (seed, t.shape)
+                assert np.array_equal(got[t.uid], w), (seed, t.shape)
 
 
 def _lowrank(x, y, a, b):
@@ -590,7 +590,7 @@ def test_gelu_backward_matches_closed_form():
     u = c * (x + 0.044715 * x**3)
     want = 0.5 * (1.0 + np.tanh(u)) + 0.5 * x * c * (1.0 + 3 * 0.044715 * x**2) / np.cosh(u)**2
     leaf = Tensor(x, requires_grad=True)
-    got = T.backward(leaf.gelu().sum())[leaf.uid].data
+    got = T.backward(leaf.gelu().sum())[leaf.uid]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -677,7 +677,7 @@ def test_layernorm_frozen_gamma_beta_get_no_gradient_work():
     frozen = T.backward((out * w).sum())[x.uid]
     tracked = [Tensor(t.data, requires_grad=True) for t in (gamma, beta)]
     full = T.backward((T.layernorm(x, *tracked) * w).sum())[x.uid]
-    assert np.array_equal(frozen.data, full.data)
+    assert np.array_equal(frozen, full)
 
 
 # -- backward ------------------------------------------------------------
@@ -718,10 +718,10 @@ def test_per_sample_sq_matches_loop(name):
     for i in range(x.shape[0]):
         gmap = T.backward(loss(i, i + 1))
         for w, leaf in zip(want, leaves):
-            w += gmap[leaf.uid].data ** 2
+            w += gmap[leaf.uid] ** 2
     got = T.backward(loss(0, x.shape[0]), per_sample_sq=True)
     for w, leaf in zip(want, leaves):
-        np.testing.assert_allclose(got[leaf.uid].data, w, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[leaf.uid], w, rtol=1e-12, atol=0)
 
 
 def test_per_sample_sq_raises_without_a_rule():
@@ -748,20 +748,20 @@ def test_per_sample_sq_raises_without_a_rule():
 def test_backward_sum_gives_ones():
     w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     g = T.backward(w.sum())
-    assert g[w.uid].data.tolist() == [[1, 1, 1], [1, 1, 1]]
+    assert g[w.uid].tolist() == [[1, 1, 1], [1, 1, 1]]
 
 
 def test_backward_sum_of_squares():
     w = Tensor([1.0, -2.0, 3.0], requires_grad=True)
     g = T.backward((w * w).sum())
-    assert g[w.uid].data.tolist() == [2.0, -4.0, 6.0]
+    assert g[w.uid].tolist() == [2.0, -4.0, 6.0]
 
 
 def test_backward_shared_subexpression():
     # y = (w + w).sum() accumulates both branches: grad 2
     w = Tensor([1.0, 2.0], requires_grad=True)
     g = T.backward((w + w).sum())
-    assert g[w.uid].data.tolist() == [2.0, 2.0]
+    assert g[w.uid].tolist() == [2.0, 2.0]
 
 
 def test_a_derivative_cannot_write_into_a_shared_gradient():
@@ -806,7 +806,7 @@ def test_no_grad_nests():
             assert (w * 2.0)._parents == ()
         assert (w * 2.0)._parents == ()  # the inner exit leaves the outer block off
     assert (w * 2.0)._parents[0] is w
-    assert T.backward((w * 2.0).sum())[w.uid].data.tolist() == [2.0, 2.0]
+    assert T.backward((w * 2.0).sum())[w.uid].tolist() == [2.0, 2.0]
 
 
 def test_no_grad_restores_the_tape_after_an_exception():
@@ -834,14 +834,14 @@ def test_detach_cuts_the_tape():
     w = Tensor([2.0], requires_grad=True)
     y = (w.detach() * w).sum()
     g = T.backward(y)
-    assert g[w.uid].data.tolist() == [2.0]  # only the live branch
+    assert g[w.uid].tolist() == [2.0]  # only the live branch
 
 
 def test_backward_maps_only_the_leaves_it_reaches():
     w = Tensor([1.0], requires_grad=True)
     u = Tensor([1.0], requires_grad=True)  # unused leaf
     gs = T.backward((w * w).sum())
-    assert gs[w.uid].data.tolist() == [2.0]
+    assert gs[w.uid].tolist() == [2.0]
     assert u.uid not in gs
 
 
@@ -849,7 +849,7 @@ def test_custom_op_grad_routing():
     w = Tensor([[3.0]], requires_grad=True)
     out = T.custom_op([w], np.float64(9.0), [lambda g: g * np.array([[6.0]])])
     g = T.backward(out)
-    assert g[w.uid].data.tolist() == [[6.0]]
+    assert g[w.uid].tolist() == [[6.0]]
 
 
 @pytest.mark.parametrize("op", [
@@ -870,7 +870,7 @@ def test_custom_op_calls_no_derivative_of_a_constant_operand():
     x = Tensor([[3.0]], requires_grad=True)
     out = T.custom_op([x, Tensor([[1.0]])], np.float64(9.0),
                       [lambda g: g * np.array([[6.0]]), never])
-    assert T.backward(out)[x.uid].data.tolist() == [[6.0]]
+    assert T.backward(out)[x.uid].tolist() == [[6.0]]
 
 
 def test_forward_determinism():
@@ -878,7 +878,7 @@ def test_forward_determinism():
         rng = np.random.default_rng(42)
         a = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         y = T.softmax(a @ a.T).sum()
-        return T.backward(y)[a.uid].data
+        return T.backward(y)[a.uid]
 
     g1, g2 = run(), run()
     assert np.array_equal(g1, g2)

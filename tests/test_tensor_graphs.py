@@ -18,10 +18,10 @@ loop of batch-1 backwards.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import check_grads, rand_tensor
+from helpers import check_grads, fixed_or_explored, rand_tensor
 from zjkit import tensor as T
 from zjkit.errors import ConfigError
 
@@ -101,17 +101,7 @@ def test_each_op_grad(name, start):
     check_grads(*_graph([name], start, seed=0))
 
 
-def _graphs(n):
-    """Settings of a graph property: the same ``n`` graphs on every run, or,
-    under ``--hypothesis-profile=explore``, that profile's count and draws.
-    Any other profile (hypothesis loads its "ci" one by itself on CI) keeps
-    the fixed ``n``."""
-    if settings.get_current_profile_name() != "explore":
-        return settings(derandomize=True, deadline=None, max_examples=n)
-    return settings()
-
-
-@_graphs(300)
+@fixed_or_explored(300)
 @given(st.lists(st.sampled_from(sorted(OPS)), min_size=2, max_size=4),
        st.sampled_from(START_SHAPES), st.integers(0, 2**16))
 def test_random_graph_grads(names, start, seed):
@@ -154,7 +144,7 @@ def _sample_graph(names, start, seed):
     return loss, leaves
 
 
-@_graphs(150)
+@fixed_or_explored(150)
 @given(st.lists(st.sampled_from(sorted(SAMPLE_OPS)), max_size=4),
        st.sampled_from(SAMPLE_STARTS), st.integers(0, 2**16))
 def test_random_graph_per_sample_sq_matches_loop(names, start, seed):
@@ -163,11 +153,11 @@ def test_random_graph_per_sample_sq_matches_loop(names, start, seed):
     for i in range(start[0]):
         gmap = T.backward(loss(i, i + 1))
         for w, t in zip(want, leaves):
-            w += gmap[t.uid].data ** 2
+            w += gmap[t.uid] ** 2
     got = T.backward(loss(0, start[0]), per_sample_sq=True)
     assert set(got) == {t.uid for t in leaves}
     for w, t in zip(want, leaves):
-        np.testing.assert_allclose(got[t.uid].data, w, rtol=1e-9, atol=1e-12 * w.max())
+        np.testing.assert_allclose(got[t.uid], w, rtol=1e-9, atol=1e-12 * w.max())
 
 
 def test_per_sample_sq_of_a_leaf_read_by_two_ops_raises():

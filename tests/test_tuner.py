@@ -71,7 +71,7 @@ def test_ce_matches_the_chain_it_replaces():
     chain = -T.log_softmax(logits)[(np.arange(7), y)].mean()
     assert ce.data.tobytes() == chain.data.tobytes()
     for probe in (0.37, -2.5, 0.0):
-        got, want = (T.backward(t.scale(probe))[logits.uid].data for t in (ce, chain))
+        got, want = (T.backward(t.scale(probe))[logits.uid] for t in (ce, chain))
         assert got.tobytes() == want.tobytes(), probe
 
 
