@@ -764,6 +764,18 @@ def test_backward_shared_subexpression():
     assert g[w.uid].tolist() == [2.0, 2.0]
 
 
+def test_backward_returns_read_only_arrays_and_rejects_a_non_finite_one():
+    w = Tensor([[1.0, -2.0]], requires_grad=True)
+    x = Tensor([[3.0, 4.0], [5.0, 6.0]])
+    for per_sample in (False, True):
+        (g,) = T.backward(T.affine(x, w).sum(), per_sample_sq=per_sample).values()
+        assert type(g) is np.ndarray and g.shape == w.shape and not g.flags.writeable
+    with pytest.raises(NonFiniteValue, match="gradient contains NaN or Inf"):
+        T.backward(T.custom_op([w], np.float64(1.0), [lambda g: g * np.full(w.shape, np.inf)]))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):  # x*x overflows
+        T.backward(T.affine(Tensor([[1e200, 1.0]]), w).sum(), per_sample_sq=True)
+
+
 def test_a_derivative_cannot_write_into_a_shared_gradient():
     """``a + b`` hands one gradient array to both operands: a derivative that
     wrote into it would change what the other one reads."""
