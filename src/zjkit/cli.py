@@ -307,7 +307,7 @@ def cmd_merge(cfg, args):
     out = _out_dir(cfg, args)
     spec = _model_spec(cfg)
     ckpts = _ckpts(args)
-    for c in ckpts:  # the recipes that never read the spec merge only its checkpoints
+    for c in ckpts:  # recipes that never read the spec still merge only its checkpoints
         ckpt_mod.check_spec(spec, c)
     kind = cfg.get("merger.kind", "uniform_soup")
     if kind in ("wise_ft", "ot_fusion", "git_rebasin", "repair") and len(ckpts) != 2:

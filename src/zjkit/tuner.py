@@ -609,7 +609,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
                 if g is None:
                     continue
                 new = step(cfg, states[key], w.data, g, lr)
-                mask = model.plan.grad_masks.get(key)  # a projector's hook pair is no path
+                mask = model.plan.grad_masks.get(key)  # a projector's hook-pair key has no mask
                 if mask is not None:  # masked-out elements keep their value
                     new = np.where(mask > 0, new, w.data)
                 put(key, Tensor(new, requires_grad=True))
