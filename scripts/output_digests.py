@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 digests of fixed-seed zjkit outputs, one line per output.
 
-    PYTHONPATH=src python scripts/output_digests.py > digests.txt
+    PYTHONPATH=src python scripts/output_digests.py [--kernel NAME] > digests.txt
 
 Covers ``tuner.train`` (checkpoint and history) for each loss and
 regularizer kind alone and all together under SGD and AdamW, weight decay
@@ -21,11 +21,16 @@ on two trees and ``diff`` the outputs to see which outputs a change moves.
 
 OpenBLAS picks its matmul kernel by CPU, and the kernels round differently,
 so the script pins the Haswell kernel before numpy loads: it runs on every
-AVX2 machine, and Zen's kernel prints the same lines. The first line names
-the BLAS, its version and the kernel it runs ("kernel unknown" for a BLAS
-that does not report one). The last line digests the lines between.
+AVX2 machine, and Zen's kernel prints the same lines. ``--kernel`` pins
+another ``OPENBLAS_CORETYPE`` name instead, to see which lines a kernel
+moves: ``Prescott`` runs on every x86-64 machine (OpenBLAS reports it as
+Katmai), and a name OpenBLAS does not know leaves it to pick by CPU. The
+first line names the BLAS, its version and the kernel it runs ("kernel
+unknown" for a BLAS that does not report one). The last line digests the
+lines between.
 """
 
+import argparse
 import contextlib
 import ctypes
 import glob
@@ -35,7 +40,12 @@ import json
 import os
 import tempfile
 
-os.environ["OPENBLAS_CORETYPE"] = "Haswell"  # read once, when numpy loads OpenBLAS
+KERNEL = "Haswell"
+if __name__ == "__main__":  # before numpy loads: OpenBLAS reads the kernel once, then
+    parser = argparse.ArgumentParser(description="SHA-256 digests of fixed-seed zjkit outputs")
+    parser.add_argument("--kernel", default=KERNEL, help="OpenBLAS kernel to pin")
+    KERNEL = parser.parse_args().kernel
+os.environ["OPENBLAS_CORETYPE"] = KERNEL
 
 import numpy as np
 

@@ -2,8 +2,10 @@
 
 Values are immutable after creation; every op that reads a tracked tensor
 (a grad leaf or a recorded result) records a node that :func:`backward`
-replays in reverse topological order. A gradient leaves the tape as the
-read-only ndarray it was summed in, not a ``Tensor``. Ops record through one
+replays in reverse topological order, dropping each interior node's
+gradient once that node's derivatives have run. Only the leaves' gradients
+are kept, and each leaves the tape as the read-only ndarray it was summed
+in, not a ``Tensor``. Ops record through one
 recorder, ``Tensor._record(out, parents, dgrads)``, and state only the
 derivative they hand each operand: ``dgrads[i]`` maps the output's gradient
 to the gradient of ``parents[i]`` (``Tensor._unary(out, dgrad)`` for one
@@ -14,10 +16,12 @@ records no tape at all. One backward closure, the recorder's, serves every
 op; the derivatives of ``attention`` and of ``lowrank`` share their work
 through ``_per_grad``, a memo kept for one incoming gradient. One reducer,
 ``_sum_to``, sums a broadcast operand's gradient back to its shape.
-``sum`` and ``mean`` take an int, negative or tuple axis, and ``reshape``
-one ``-1``. Non-finite values are rejected at creation time, which makes
-divergence surface as an error at the op that produced it instead of
-poisoning downstream results.
+``sum`` and ``mean`` take an int, negative or tuple axis, ``transpose``
+negative axes, and ``reshape`` one ``-1``; a bad axis or shape, in these,
+``expand`` or ``concat``, or a ``mean`` of no elements, is
+``ShapeMismatch``. Non-finite values are rejected at creation time, which
+makes divergence surface as an error at the op that produced it instead
+of poisoning downstream results.
 
 Three fused nodes keep the tape short on the model hot path:
 :func:`affine` (``x @ w.T + b``, one node where a chain took up to six),
@@ -290,13 +294,19 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         shape = self.shape
+        try:
+            out = self.data.sum(axis=axis, keepdims=keepdims)
+        except (TypeError, ValueError, IndexError):  # out of range or repeated
+            raise ShapeMismatch(f"cannot sum {shape} over axis {axis}") from None
         dropped = () if axis is None or keepdims else axis  # axes the gradient lacks
-        return self._unary(self.data.sum(axis=axis, keepdims=keepdims),
-                           lambda g: np.broadcast_to(np.expand_dims(g, dropped), shape))
+        return self._unary(out, lambda g: np.broadcast_to(np.expand_dims(g, dropped), shape))
 
     def mean(self, axis=None, keepdims=False):
+        out = self.sum(axis=axis, keepdims=keepdims)  # checks the axes
         n = self.size if axis is None else int(np.prod(np.take(self.shape, axis)))
-        return self.sum(axis=axis, keepdims=keepdims).scale(1.0 / n)
+        if n == 0:  # numpy's mean of nothing is NaN
+            raise ShapeMismatch(f"mean of {self.shape} over axis {axis} has no elements")
+        return out.scale(1.0 / n)
 
     def reshape(self, *shape):
         try:
@@ -309,8 +319,12 @@ class Tensor:
     def transpose(self, *axes):
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        inv = np.argsort(axes)
-        return self._unary(np.transpose(self.data, axes), lambda g: np.transpose(g, inv))
+        try:
+            out = np.transpose(self.data, axes)
+        except (TypeError, ValueError, IndexError):  # out of range, repeated or too few
+            raise ShapeMismatch(f"cannot transpose {self.shape} by axes {axes}") from None
+        inv = np.argsort([a % self.ndim for a in axes])  # -1 is the last axis
+        return self._unary(out, lambda g: np.transpose(g, inv))
 
     @property
     def T(self):
@@ -575,6 +589,11 @@ def _finite(a):
         return bool(np.isfinite(a).all())
 
 
+def _positive(name, v):
+    if not 0 < v < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"{name} must be positive and finite, got {v}")
+
+
 def _softmax(z):
     """Softmax along the last axis, written into ``z``, a buffer the caller
     allocated."""
@@ -599,15 +618,13 @@ def _softmax_grad(g, y):
 
 def softmax(x: Tensor, temperature=1.0) -> Tensor:
     """Row-stabilized softmax along the last axis at the given temperature."""
-    if temperature <= 0:
-        raise ConfigError("temperature must be positive")
+    _positive("temperature", temperature)
     y = _softmax(x.data / temperature)
     return x._unary(y, lambda g: _softmax_grad(g, y) / temperature)
 
 
 def log_softmax(x: Tensor, temperature=1.0) -> Tensor:
-    if temperature <= 0:
-        raise ConfigError("temperature must be positive")
+    _positive("temperature", temperature)
     z = x.data / temperature
     z = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -618,8 +635,7 @@ def log_softmax(x: Tensor, temperature=1.0) -> Tensor:
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    _positive("eps", eps)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeMismatch(
@@ -655,7 +671,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
 
 def concat(tensors, axis=0):
     tensors = tuple(tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except (TypeError, ValueError, IndexError):  # none, 0-d, shapes that disagree off the axis
+        raise ShapeMismatch(f"cannot concat {[t.shape for t in tensors]} on axis {axis}") from None
     ends = np.cumsum([t.shape[axis] for t in tensors])
     return Tensor._record(out, tensors, [  # each operand gets its own slice
         lambda g, lo=hi - t.shape[axis], hi=hi: np.take(g, range(lo, hi), axis=axis)
@@ -715,7 +734,10 @@ def backward(root: Tensor, per_sample_sq=False):
 
     Returns a map ``leaf uid -> gradient``, a read-only ndarray of the
     leaf's shape, over all reachable leaves with ``requires_grad``; a
-    non-finite gradient raises :class:`NonFiniteValue`.
+    non-finite gradient raises :class:`NonFiniteValue`. Interior gradients
+    are dropped once used: a node's gradient is complete when its turn
+    comes and is freed once its derivatives have run, so only leaf
+    gradients live until the return.
 
     With ``per_sample_sq`` the root must be a sum of per-sample terms,
     with the samples on axis 0 of every activation and no op mixing them.
@@ -749,10 +771,11 @@ def backward(root: Tensor, per_sample_sq=False):
 
     acc = _Acc(root, per_sample_sq)
     for node in reversed(topo):
-        g = acc.grads.get(node.uid)
-        if g is None or node._backward is None:
+        if node._backward is None:  # a leaf keeps its gradient for the map
             continue
-        node._backward(g, acc)
+        g = acc.grads.pop(node.uid, None)  # complete: every node adding to it has run
+        if g is not None:
+            node._backward(g, acc)
 
     found = acc.sq if per_sample_sq else acc.grads
     grads = {node.uid: found[node.uid] for node in topo if _is_leaf(node) and node.uid in found}

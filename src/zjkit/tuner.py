@@ -613,6 +613,8 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
                 if mask is not None:  # masked-out elements keep their value
                     new = np.where(mask > 0, new, w.data)
                 put(key, Tensor(new, requires_grad=True))
+            # every name holding this step's tape, so none outlives its backward
+            total = val = gmap = batch.logits = batch.s_trace = batch.t_trace = None
 
         entry = {"epoch": epoch}
         entry.update({k: v / n_batches for k, v in sorted(term_sums.items())})

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -147,6 +148,7 @@ def test_binary_grads_size_one_operand_of_higher_rank(shapes):
     lambda a: a.sum(axis=0).square().sum(),
     lambda a: a.reshape(12).square().sum(),
     lambda a: a.T.square().mean(),
+    lambda a: a.transpose(-1, 0).square().sum(),  # -1 in the gradient's inverse too
     lambda a: a[1:, :2].sum(),
 ])
 def test_unary_grads(op):
@@ -196,6 +198,29 @@ def test_concat_grad():
     a = rand_tensor(rng, (2, 3))
     b = rand_tensor(rng, (4, 3))
     check_grads(lambda x, y: T.concat([x, y], axis=0).square().sum(), [a, b])
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x.transpose(0, 0),
+    lambda x: x.transpose(0, 2),
+    lambda x: x.transpose(0),
+    lambda x: x.sum(axis=5),
+    lambda x: x.sum(axis=(0, 0)),
+    lambda x: x.mean(axis=5),
+    lambda x: x.mean(axis=(0, -2)),
+    lambda x: x[:0].mean(),
+    lambda x: x[:0].mean(axis=0),
+    lambda x: T.concat([]),
+    lambda x: T.concat([x, Tensor(np.ones((2, 2)))]),
+    lambda x: T.concat([x, x], axis=2),
+], ids=["transpose_repeated", "transpose_out_of_range", "transpose_too_few", "sum_out_of_range",
+        "sum_repeated", "mean_out_of_range", "mean_repeated", "mean_of_nothing",
+        "mean_of_nothing_on_an_axis", "concat_nothing", "concat_off_axis_mismatch",
+        "concat_out_of_range"])
+def test_a_bad_axis_or_operand_of_a_shape_op_is_a_shape_mismatch(op):
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeMismatch):
+        op(x)
 
 
 # -- matmul --------------------------------------------------------------
@@ -626,6 +651,17 @@ def test_softmax_grad():
     check_grads(lambda t: (T.softmax(t, 2.0) * w).sum(), [x])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_temperature_or_eps_that_is_not_positive_and_finite_is_a_config_error(bad):
+    x = Tensor(np.ones((2, 3)))
+    gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    for op, name in ((lambda: T.softmax(x, bad), "temperature"),
+                     (lambda: T.log_softmax(x, bad), "temperature"),
+                     (lambda: T.layernorm(x, gamma, beta, eps=bad), "eps")):
+        with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+            op()
+
+
 def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(4, 6)))
@@ -789,6 +825,34 @@ def test_a_derivative_cannot_write_into_a_shared_gradient():
     b = T.custom_op([x], x.data * 5.0, [lambda g: g * 5.0])
     with pytest.raises(ValueError, match="read-only"):
         T.backward(a + b)
+
+
+def test_backward_frees_each_interior_gradient_once_its_node_has_run():
+    """Only leaf gradients outlive ``backward``: a node's gradient is dropped
+    once its derivatives have run, before any node below it runs its own."""
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    seen = {}
+
+    def into_b(g):  # b's gradient, as backward stores it
+        gb = g * np.ones(x.shape)
+        seen["b"] = weakref.ref(gb)
+        return gb
+
+    def into_x(g):
+        seen["b alive"] = seen["b"]() is not None
+        return g * 2.0
+
+    a = T.custom_op([x], x.data * 2.0, [into_x])
+    b = T.custom_op([a], a.data * 3.0, [lambda g: g * 3.0])
+    root = T.custom_op([b], np.float64(b.data.sum()), [into_b])
+    grads = T.backward(root)
+    assert seen["b alive"] is False
+    assert list(grads) == [x.uid] and grads[x.uid].tolist() == [6.0, 6.0]
+
+
+def test_a_root_that_is_a_grad_leaf_gets_its_gradient():
+    w = Tensor([3.0], requires_grad=True)
+    assert T.backward(w)[w.uid].tolist() == [1.0]
 
 
 def test_backward_requires_scalar_root():

@@ -1,5 +1,6 @@
 """Tuner: loss/regularizer oracles, gradient checks, training loop."""
 
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -590,6 +591,31 @@ def test_fitnet_projector_created_when_widths_differ():
                        LossSpec([LossTerm("ce"), term]), RegSpec(), cfg)
     assert "fitnet" in history[0]
     assert np.isfinite(history[-1]["fitnet"])
+
+
+def test_a_step_drops_its_tape_before_the_next_forward():
+    """When a step's forward starts, nothing holds the previous step's tape:
+    the arrays of its logits and hooked features are gone, as they are when
+    the epoch's validation pass starts."""
+    spec = MlpSpec((2, 8, 3))
+    ds = data_mod.blobs(k=3, d=2, n=60, sigma=0.1, seed=3)
+    plan = compile_plan(parse_config("(PartialK.adapt|k=2):"), spec)
+    model = apply_plan(spec, build_model(spec, seed=0), plan, seed=0)
+    teacher = Teacher(spec, build_model(spec, seed=1))
+    hint = LossTerm("fitnet", 1.0, hooks=(("layers[0].output", "layers[0].output"),))
+    cfg = TrainConfig(lr=0.05, epochs=2, batch_size=16, seed=0)
+    forward, taped, alive = model.forward, [], []
+
+    def watched(x, capture=()):
+        alive.append(sum(r() is not None for r in taped))
+        logits, trace = forward(x, capture)
+        if logits._parents:  # a training step's; validation records no tape
+            taped.extend(weakref.ref(t.data) for t in (logits, *trace.values()))
+        return logits, trace
+
+    model.forward = watched
+    train(model, teacher, ds, LossSpec([LossTerm("ce"), hint]), RegSpec(), cfg)
+    assert len(taped) > 4 and not any(alive)
 
 
 def test_bss_reg_wired_through_training():
