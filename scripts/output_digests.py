@@ -24,10 +24,11 @@ so the script pins the Haswell kernel before numpy loads: it runs on every
 AVX2 machine, and Zen's kernel prints the same lines. ``--kernel`` pins
 another ``OPENBLAS_CORETYPE`` name instead, to see which lines a kernel
 moves: ``Prescott`` runs on every x86-64 machine (OpenBLAS reports it as
-Katmai), and a name OpenBLAS does not know leaves it to pick by CPU. The
-first line names the BLAS, its version and the kernel it runs ("kernel
-unknown" for a BLAS that does not report one). The last line digests the
-lines between.
+Katmai). If OpenBLAS reports another kernel than the one pinned (a name it
+does not know, or a kernel the CPU cannot run), the script exits non-zero,
+naming both, before any digest. The first line names the BLAS, its version
+and the kernel it runs ("kernel unknown" for a BLAS that does not report
+one; that BLAS runs unchecked). The last line digests the lines between.
 """
 
 import argparse
@@ -41,6 +42,7 @@ import os
 import tempfile
 
 KERNEL = "Haswell"
+REPORTED_AS = {"prescott": "katmai"}  # the names OpenBLAS reports some kernels under
 if __name__ == "__main__":  # before numpy loads: OpenBLAS reads the kernel once, then
     parser = argparse.ArgumentParser(description="SHA-256 digests of fixed-seed zjkit outputs")
     parser.add_argument("--kernel", default=KERNEL, help="OpenBLAS kernel to pin")
@@ -376,21 +378,23 @@ def recipe_digests(out, tmp):
         os.chdir(cwd)
 
 
-def blas_line():
-    """The BLAS numpy links, its version, and the kernel OpenBLAS runs."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    kernel = "kernel unknown"
+def blas_kernel():
+    """The kernel OpenBLAS runs, or None for a BLAS that does not report one."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
         corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
         if corename is not None:
             corename.restype = ctypes.c_char_p
-            kernel = f"kernel {corename().decode()}"
-    return f"blas {blas['name']} {blas['version']} {kernel}"
+            return corename().decode()
+    return None
 
 
 def main():
-    print(blas_line())
+    kernel = blas_kernel()
+    if kernel is not None and kernel.lower() != REPORTED_AS.get(KERNEL.lower(), KERNEL.lower()):
+        raise SystemExit(f"OpenBLAS kernel {KERNEL} was asked for, but it runs {kernel}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"blas {blas['name']} {blas['version']} kernel {kernel or 'unknown'}")
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for collect in (tuner_digests, adaptation_digests, merge_digests, cli_digests,

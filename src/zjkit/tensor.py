@@ -5,8 +5,13 @@ Values are immutable after creation; every op that reads a tracked tensor
 replays in reverse topological order, dropping each interior node's
 gradient once that node's derivatives have run. Only the leaves' gradients
 are kept, and each leaves the tape as the read-only ndarray it was summed
-in, not a ``Tensor``. Ops record through one
-recorder, ``Tensor._record(out, parents, dgrads)``, and state only the
+in, not a ``Tensor``. The tape holds nodes, not values: a node is a plain
+tuple (uid, shape, parent nodes, backward closure) owned by its
+``Tensor``, with no array, and each derivative keeps only the arrays and
+shapes it reads. So an activation that no derivative reads (a LoRA site's
+base affine output, both operands of an add, the input of a frozen-weight
+affine) is freed once the caller drops its ``Tensor``. Ops record through
+one recorder, ``Tensor._record(out, parents, dgrads)``, and state only the
 derivative they hand each operand: ``dgrads[i]`` maps the output's gradient
 to the gradient of ``parents[i]`` (``Tensor._unary(out, dgrad)`` for one
 input). The untracked rule lives there: an operand that is None or
@@ -34,9 +39,11 @@ replaces. A tensor that three or more ops read can sum its gradient
 contributions in another order than the chain did, which can move its
 last bit: a LoRA site's input gets the ``lowrank`` node's contribution
 before the base ``affine``'s, where the chain handed it the affine's
-first. Derivatives keep only what they need and do the derivative
+first. Derivatives keep only what they read and do the derivative
 work themselves, so a forward that no backward follows pays nothing for
-it (``gelu`` keeps ``x`` and ``tanh(u)``).
+it (``gelu`` keeps ``x`` and ``tanh(u)``; an affine keeps its input only
+for a tracked weight's gradient, and its transposed weight only for a
+tracked input's).
 
 Buffers: the hot ops (``affine``, ``lowrank``, ``layernorm``, ``gelu``,
 softmax and ``attention``) write each large temporary into an array they
@@ -105,11 +112,12 @@ def no_grad():
 
 
 class Tensor:
-    """Immutable dense array node of the autodiff graph."""
+    """Immutable dense array. A tracked one (a grad leaf or a recorded
+    result) owns a tape node that holds no array (see :meth:`_record`)."""
 
-    __slots__ = ("data", "requires_grad", "uid", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "uid", "_node")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         if not _finite(arr):
             raise NonFiniteValue("tensor contains NaN or Inf")
@@ -118,8 +126,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.uid = next(_uid_counter)
-        self._parents = _parents  # every caller passes a tuple
-        self._backward = _backward
+        # a node is (uid, shape, parent nodes, backward); a grad leaf's has neither
+        self._node = (self.uid, arr.shape, (), None) if requires_grad else None
 
     # -- basics ---------------------------------------------------------
 
@@ -158,6 +166,11 @@ class Tensor:
         constant, a frozen weight) gets no tape edge and no derivative
         call, so a frozen prefix of a network records no tape.
 
+        The result's node links the operands' nodes, not the operands, and
+        holds no array: an array outlives the ``Tensor`` that holds it only
+        where a derivative reads it, so each ``dgrads[i]`` captures the
+        arrays and shapes it reads, never an operand.
+
         An operand whose gradient is summed over the sample axis 0 takes a
         per-sample rule, a pair of maps: the gradient summed over samples,
         and its squared per-sample gradients summed over samples, which a
@@ -166,31 +179,28 @@ class Tensor:
         Inside :func:`no_grad` the result is a bare ``Tensor(out)``."""
         if not _recording:
             return Tensor(out)
-        tape, rules = parents, dgrads
-        for t in parents:  # copy only when an operand drops out: most nodes keep all
-            if t is None or not (t.requires_grad or t._parents):
-                tape, rules = [], []
-                for t, d in zip(parents, dgrads):
-                    if t is not None and (t.requires_grad or t._parents):
-                        tape.append(t)
-                        rules.append(d)
-                if not tape:
-                    return Tensor(out)
-                tape = tuple(tape)
-                break
+        tape = tuple([None if t is None else t._node for t in parents])
+        rules = dgrads
+        if None in tape:  # copy the rules only when an operand drops out: most nodes keep all
+            rules = [d for n, d in zip(tape, dgrads) if n is not None]
+            tape = tuple([n for n in tape if n is not None])
+            if not tape:
+                return Tensor(out)
         shape = out.shape  # np.shape(out) costs several times more per node
 
         def backward(grad, acc):
             g = grad.reshape(shape)
-            for t, d in zip(tape, rules):
+            for n, d in zip(tape, rules):
                 if type(d) is not tuple:
-                    acc(t, d(g))
-                elif acc.per_sample and _is_leaf(t):
-                    acc.add_sq(t, d[1](g))
+                    acc(n, d(g))
+                elif acc.per_sample and not n[2]:  # a grad leaf
+                    acc.add_sq(n, d[1](g))
                 else:
-                    acc(t, d[0](g))
+                    acc(n, d[0](g))
 
-        return Tensor(out, _parents=tape, _backward=backward)
+        res = Tensor(out)
+        res._node = (res.uid, res.data.shape, tape, backward)
+        return res
 
     def _unary(self, out, dgrad):
         """:meth:`_record` for a one-input op."""
@@ -198,7 +208,9 @@ class Tensor:
 
     # -- elementwise ----------------------------------------------------
 
-    def _binary(self, other, fwd, bwd_self, bwd_other):
+    def _binary(self, other, fwd, dgrads):
+        """``dgrads(a, b)`` gives the two derivatives, each capturing only the
+        arrays it reads, before broadcasting is summed back."""
         if isinstance(other, (int, float)):
             other = Tensor(np.float64(other))
         if not isinstance(other, Tensor):
@@ -206,35 +218,30 @@ class Tensor:
         a, b = self.data, other.data
         if a.shape != b.shape and a.size != 1 and b.size != 1:
             raise ShapeMismatch(f"operand shapes {a.shape} vs {b.shape}")
+        da, db = dgrads(a, b)
+        sa, sb = a.shape, b.shape
         return Tensor._record(fwd(a, b), (self, other),
-                              (lambda g: _sum_to(bwd_self(g, a, b), a.shape),
-                               lambda g: _sum_to(bwd_other(g, a, b), b.shape)))
+                              (lambda g: _sum_to(da(g), sa), lambda g: _sum_to(db(g), sb)))
 
     def __add__(self, other):
-        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
+        return self._binary(other, np.add, lambda a, b: (_same, _same))  # reads no array
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+        return self._binary(other, np.subtract, lambda a, b: (_same, np.negative))
 
     def __rsub__(self, other):
         return Tensor(np.float64(other)) - self
 
     def __mul__(self, other):
-        return self._binary(
-            other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a
-        )
+        return self._binary(other, np.multiply, lambda a, b: (lambda g: g * b, lambda g: g * a))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(
-            other,
-            np.divide,
-            lambda g, a, b: g / b,
-            lambda g, a, b: -g * a / (b * b),
-        )
+        return self._binary(other, np.divide,
+                            lambda a, b: (lambda g: g / b, lambda g: -g * a / (b * b)))
 
     def __neg__(self):
         return self.scale(-1.0)
@@ -374,8 +381,8 @@ class Tensor:
 # -- gradient helpers ---------------------------------------------------
 
 
-def _is_leaf(t):
-    return t.requires_grad and not t._parents
+def _same(g):
+    return g
 
 
 def _sum_to(g, shape):
@@ -446,9 +453,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim == b.ndim and a.shape[:-2] != b.shape[:-2]:
         raise ShapeMismatch(f"batch dims {a.shape} @ {b.shape}")
     # a 2-D operand against a batched one gets its gradient summed over batch dims
-    return Tensor._record(np.matmul(a.data, b.data), (a, b), (
-        lambda g: _sum_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
-        lambda g: _sum_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    return Tensor._record(np.matmul(ad, bd), (a, b), (
+        lambda g: _sum_to(np.matmul(g, np.swapaxes(bd, -1, -2)), sa),
+        lambda g: _sum_to(np.matmul(np.swapaxes(ad, -1, -2), g), sb)))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
@@ -472,13 +480,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     if b is not None:
         y += b.data
 
-    rows = y.shape
+    rows, xs = y.shape, x.shape
     first = 1 if b is None else 0  # a bias-free affine records x and w alone
-    return Tensor._record(y.reshape(x.shape[:-1] + (w.shape[0],)), (b, x, w)[first:], (
+    return Tensor._record(y.reshape(xs[:-1] + (w.shape[0],)), (b, x, w)[first:], (
         (lambda g: g.reshape(rows).sum(axis=0), _sample_sq),
-        lambda g: np.matmul(g.reshape(rows), np.swapaxes(wt, -1, -2)).reshape(x.shape),
+        lambda g: np.matmul(g.reshape(rows), np.swapaxes(wt, -1, -2)).reshape(xs),
         (lambda g: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g.reshape(rows))),
-         lambda g: _weight_sq(g, x2, x.shape)))[first:])
+         lambda g: _weight_sq(g, x2, xs)))[first:])
 
 
 def lowrank(y: Tensor, x: Tensor, a: Tensor, b: Tensor, s) -> Tensor:
@@ -506,16 +514,16 @@ def lowrank(y: Tensor, x: Tensor, a: Tensor, b: Tensor, s) -> Tensor:
     u *= s
     np.add(y.data.reshape(u.shape), u, out=u)
 
-    rows = u.shape
+    rows, xs = u.shape, x.shape
     gs = _per_grad(lambda g: g * s)  # the gradient of (x @ a.T) @ b.T
     dh = _per_grad(lambda g: np.matmul(gs(g).reshape(rows), np.swapaxes(bt, -1, -2)))
     return Tensor._record(u.reshape(y.shape), (y, x, a, b), (
-        lambda g: g,
-        lambda g: np.matmul(dh(g), np.swapaxes(at, -1, -2)).reshape(x.shape),
+        _same,
+        lambda g: np.matmul(dh(g), np.swapaxes(at, -1, -2)).reshape(xs),
         (lambda g: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), dh(g))),
-         lambda g: _weight_sq(dh(g), x2, x.shape)),
+         lambda g: _weight_sq(dh(g), x2, xs)),
         (lambda g: np.transpose(np.matmul(np.swapaxes(h, -1, -2), gs(g).reshape(rows))),
-         lambda g: _weight_sq(gs(g), h, x.shape))))
+         lambda g: _weight_sq(gs(g), h, xs))))
 
 
 def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
@@ -569,7 +577,7 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
         g_qkv = np.empty((n, s, 3, heads, hd))
         for i, gi in enumerate(shared(g)):
             g_qkv[:, :, i] = np.transpose(gi[:, :, -s:], (0, 2, 1, 3))
-        return g_qkv.reshape(qkv.shape)
+        return g_qkv.reshape(n, s, d3)
 
     def d_prefix(i):  # the prefix rows of the key (1) or value (2) gradient
         return lambda g: np.transpose(shared(g)[i][:, :, :t].sum(axis=0), (1, 0, 2)).reshape(t, d)
@@ -651,9 +659,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
     out += beta.data
 
     lead = tuple(range(out.ndim - 1))
+    gd = gamma.data
 
     def dx(g):  # (gg - m1 - xhat * m2) * inv
-        gg = g * gamma.data
+        gg = g * gd
         r = gg * xhat
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = r.mean(axis=-1, keepdims=True)
@@ -696,32 +705,38 @@ def custom_op(inputs, value, grads):
 
 
 class _Acc:
-    """The ``acc`` handed to backward closures: ``acc(t, g)`` adds ``g`` to
-    the gradient of ``t``; in a per-sample backward a grad leaf takes only
-    :meth:`add_sq`, one squared-gradient sum from one op."""
+    """The ``acc`` handed to backward closures: ``acc(node, g)`` adds ``g``
+    to the gradient of ``node``, whose shape it must have (a size-1 ``g``
+    may differ in shape: a 0-d result is stored as ``(1,)``); in a
+    per-sample backward a grad leaf takes only :meth:`add_sq`, one
+    squared-gradient sum from one op."""
 
     def __init__(self, root, per_sample):
-        self.grads = {root.uid: _frozen(np.ones(root.shape))}
+        self.grads = {root[0]: _frozen(np.ones(root[1]))}
         self.per_sample = per_sample
         self.sq = {}
 
-    def __call__(self, t, g):
-        if self.per_sample and _is_leaf(t):
-            raise ConfigError(f"the {t.shape} leaf is reached by an op with no "
+    def __call__(self, node, g):
+        uid, shape, parents, _ = node
+        if self.per_sample and not parents:
+            raise ConfigError(f"the {shape} leaf is reached by an op with no "
                               "per-sample rule")
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != t.shape:
-            g = g.reshape(t.shape)
-        if t.uid in self.grads:
-            g = self.grads[t.uid] + g
-        self.grads[t.uid] = _frozen(g)  # derivatives may share it: one g feeds both of add's
+        if g.shape != shape:
+            if g.size != 1 or math.prod(shape) != 1:
+                raise ShapeMismatch(f"a {g.shape} gradient for a {shape} operand")
+            g = g.reshape(shape)
+        if uid in self.grads:
+            g = self.grads[uid] + g
+        self.grads[uid] = _frozen(g)  # derivatives may share it: one g feeds both of add's
 
-    def add_sq(self, t, sq):
-        if t.uid in self.sq:
+    def add_sq(self, node, sq):
+        uid, shape = node[:2]
+        if uid in self.sq:
             # sum_i (a_i + b_i)^2 is not sum_i a_i^2 + sum_i b_i^2
-            raise ConfigError(f"no per-sample rule: the {t.shape} leaf is read by "
+            raise ConfigError(f"no per-sample rule: the {shape} leaf is read by "
                               "more than one op")
-        self.sq[t.uid] = _frozen(sq)
+        self.sq[uid] = _frozen(sq)
 
 
 def _frozen(a):
@@ -734,10 +749,12 @@ def backward(root: Tensor, per_sample_sq=False):
 
     Returns a map ``leaf uid -> gradient``, a read-only ndarray of the
     leaf's shape, over all reachable leaves with ``requires_grad``; a
-    non-finite gradient raises :class:`NonFiniteValue`. Interior gradients
-    are dropped once used: a node's gradient is complete when its turn
-    comes and is freed once its derivatives have run, so only leaf
-    gradients live until the return.
+    non-finite gradient raises :class:`NonFiniteValue`. The walk runs on
+    tape nodes, which hold no arrays: the derivatives read only what they
+    captured, so a forward's activations that no derivative reads are
+    already gone. Interior gradients are dropped once used: a node's
+    gradient is complete when its turn comes and is freed once its
+    derivatives have run, so only leaf gradients live until the return.
 
     With ``per_sample_sq`` the root must be a sum of per-sample terms,
     with the samples on axis 0 of every activation and no op mixing them.
@@ -750,35 +767,35 @@ def backward(root: Tensor, per_sample_sq=False):
     """
     if root.size != 1:
         raise ShapeMismatch(f"backward root has shape {root.shape}")
-    if not root._parents and not root.requires_grad:
+    if root._node is None:
         raise ConfigError("root is not recorded on any tape")
 
     topo = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root._node, False)]
     while stack:
         node, done = stack.pop()
         if done:
             topo.append(node)
             continue
-        if node.uid in seen:
+        if node[0] in seen:
             continue
-        seen.add(node.uid)
+        seen.add(node[0])
         stack.append((node, True))
-        for p in node._parents:
-            if p.uid not in seen:
+        for p in node[2]:
+            if p[0] not in seen:
                 stack.append((p, False))
 
-    acc = _Acc(root, per_sample_sq)
-    for node in reversed(topo):
-        if node._backward is None:  # a leaf keeps its gradient for the map
+    acc = _Acc(root._node, per_sample_sq)
+    for uid, _, _, bwd in reversed(topo):
+        if bwd is None:  # a leaf keeps its gradient for the map
             continue
-        g = acc.grads.pop(node.uid, None)  # complete: every node adding to it has run
+        g = acc.grads.pop(uid, None)  # complete: every node adding to it has run
         if g is not None:
-            node._backward(g, acc)
+            bwd(g, acc)
 
     found = acc.sq if per_sample_sq else acc.grads
-    grads = {node.uid: found[node.uid] for node in topo if _is_leaf(node) and node.uid in found}
+    grads = {n[0]: found[n[0]] for n in topo if not n[2] and n[0] in found}  # the leaves
     if not all(_finite(g) for g in grads.values()):
         raise NonFiniteValue("gradient contains NaN or Inf")
     return grads

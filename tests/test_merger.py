@@ -541,7 +541,7 @@ def test_repair_preactivations_record_no_tape(monkeypatch):
     merger._mlp_preacts(spec, _ckpt(spec), np.random.default_rng(0).normal(size=(32, 4)))
     ((_, trace),) = outs
     assert set(trace) == {"layers[0].preact"}
-    assert all(t._parents == () for t in trace.values())
+    assert all(t._node is None for t in trace.values())
 
 
 def test_repair_requires_enough_calibration():

@@ -68,7 +68,7 @@ def test_ce_matches_the_chain_it_replaces():
     logits = Tensor(rng.normal(0.5, 3.0, size=(7, 5)), requires_grad=True)
     y = np.array([0, 4, 4, 1, 0, 2, 4])  # repeated labels
     ce = cross_entropy(logits, y)
-    assert ce._parents == (logits,)  # one node on the leaf
+    assert ce._node[2] == (logits._node,)  # one node on the leaf
     chain = -T.log_softmax(logits)[(np.arange(7), y)].mean()
     assert ce.data.tobytes() == chain.data.tobytes()
     for probe in (0.37, -2.5, 0.0):
@@ -609,7 +609,7 @@ def test_a_step_drops_its_tape_before_the_next_forward():
     def watched(x, capture=()):
         alive.append(sum(r() is not None for r in taped))
         logits, trace = forward(x, capture)
-        if logits._parents:  # a training step's; validation records no tape
+        if logits._node:  # a training step's; validation records no tape
             taped.extend(weakref.ref(t.data) for t in (logits, *trace.values()))
         return logits, trace
 
