@@ -225,8 +225,8 @@ class MiniVitSpec:
             mlp_out = route("post_mlp", blk, mlp_out)
             h = h + mlp_out
             hook(f"{blk}.output", h)
-        h = T.layernorm(h, params.get("norm.gamma"), params.get("norm.beta"))
-        feature = h[:, 0, :]
+        # the head reads the cls row alone, and layernorm normalizes row by row
+        feature = T.layernorm(h[:, 0, :], params.get("norm.gamma"), params.get("norm.beta"))
         return lin("head", feature), feature
 
 

@@ -23,10 +23,12 @@ through ``_per_grad``, a memo kept for one incoming gradient. One reducer,
 ``_sum_to``, sums a broadcast operand's gradient back to its shape.
 ``sum`` and ``mean`` take an int, negative or tuple axis, ``transpose``
 negative axes, and ``reshape`` one ``-1``; a bad axis or shape, in these,
-``expand`` or ``concat``, or a ``mean`` of no elements, is
+``expand`` or ``concat``, a ``mean`` of no elements, or a ``softmax``,
+``log_softmax`` or ``layernorm`` over an empty last axis, is
 ``ShapeMismatch``. Non-finite values are rejected at creation time, which
 makes divergence surface as an error at the op that produced it instead
-of poisoning downstream results.
+of poisoning downstream results; a ``layernorm`` row whose variance
+overflows is ``NonFiniteValue`` there too, not a row of ``beta``.
 
 Three fused nodes keep the tape short on the model hot path:
 :func:`affine` (``x @ w.T + b``, one node where a chain took up to six),
@@ -41,9 +43,9 @@ last bit: a LoRA site's input gets the ``lowrank`` node's contribution
 before the base ``affine``'s, where the chain handed it the affine's
 first. Derivatives keep only what they read and do the derivative
 work themselves, so a forward that no backward follows pays nothing for
-it (``gelu`` keeps ``x`` and ``tanh(u)``; an affine keeps its input only
-for a tracked weight's gradient, and its transposed weight only for a
-tracked input's).
+it (``gelu`` keeps ``x`` alone, and its derivative recomputes ``tanh(u)``
+from it; an affine keeps its input only for a tracked weight's gradient,
+and its transposed weight only for a tracked input's).
 
 Buffers: the hot ops (``affine``, ``lowrank``, ``layernorm``, ``gelu``,
 softmax and ``attention``) write each large temporary into an array they
@@ -52,7 +54,7 @@ every IEEE operation and its operand grouping, so values and gradients are
 the ones the fresh-temporary formulas give. Three kinds of array are never written:
 an operand's ``.data``, the incoming gradient ``g`` (``add`` hands one
 array to both operands, so ``backward`` makes every gradient it stores
-read-only), and an array a derivative keeps (``xhat``, ``t``, ``attn``).
+read-only), and an array a derivative keeps (``xhat``, ``attn``).
 The finiteness check sums the array first: a finite sum proves every
 element finite, and only a sum that is not (NaN, an infinity, or an
 overflow, which numpy warns of) runs the elementwise check.
@@ -255,33 +257,32 @@ class Tensor:
         return self._unary(np.where(mask, self.data, 0.0), lambda g: g * mask)
 
     def gelu(self):
-        # tanh approximation; x*x*x, not x**3, which numpy sends through pow
+        # tanh approximation 0.5 x (1 + t); the node keeps x alone, and the
+        # derivative recomputes t from it, bit for bit
         x = self.data
-        t = x * x
-        t *= x
-        t *= 0.044715
-        t += x
-        t *= _GELU_C
-        np.tanh(t, out=t)  # tanh(c (x + 0.044715 x^3)), kept by dgrad
+        t = _gelu_tanh(x)
+        t += 1.0
         out = x * 0.5
-        out *= np.add(t, 1.0)
+        out *= t
 
         def dgrad(g):
             # d/dx [0.5 x (1 + tanh(u))], u = c (x + 0.044715 x^3), grouped as
-            # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du)
-            du = x * x
+            # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du), in three buffers
+            t = _gelu_tanh(x)
+            r = t * t
+            np.subtract(1.0, r, out=r)
+            du = x * 0.5
+            r *= du
+            np.multiply(x, x, out=du)
             du *= 3 * 0.044715
             du += 1.0
             du *= _GELU_C
-            r = t * t
-            np.subtract(1.0, r, out=r)
-            r *= 0.5 * x
             r *= du
-            np.add(t, 1.0, out=du)
-            du *= 0.5
-            du += r
-            du *= g
-            return du
+            t += 1.0
+            t *= 0.5
+            t += r
+            t *= g
+            return t
 
         return self._unary(out, dgrad)
 
@@ -383,6 +384,17 @@ class Tensor:
 
 def _same(g):
     return g
+
+
+def _gelu_tanh(x):
+    """``tanh(c (x + 0.044715 x^3))`` in a new buffer, by the same calls each time."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    return t
 
 
 def _sum_to(g, shape):
@@ -602,6 +614,18 @@ def _positive(name, v):
         raise ConfigError(f"{name} must be positive and finite, got {v}")
 
 
+def _rows(op, x):
+    if x.shape[-1] == 0:  # the row reductions of nothing are NaN or raise
+        raise ShapeMismatch(f"{op} over the empty last axis of {x.shape}")
+
+
+def _row_mean(a):
+    """``a.mean(axis=-1, keepdims=True)``: ``np.mean``'s two calls, not its wrapper."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
 def _softmax(z):
     """Softmax along the last axis, written into ``z``, a buffer the caller
     allocated."""
@@ -627,12 +651,14 @@ def _softmax_grad(g, y):
 def softmax(x: Tensor, temperature=1.0) -> Tensor:
     """Row-stabilized softmax along the last axis at the given temperature."""
     _positive("temperature", temperature)
+    _rows("softmax", x)
     y = _softmax(x.data / temperature)
     return x._unary(y, lambda g: _softmax_grad(g, y) / temperature)
 
 
 def log_softmax(x: Tensor, temperature=1.0) -> Tensor:
     _positive("temperature", temperature)
+    _rows("log_softmax", x)
     z = x.data / temperature
     z = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -644,6 +670,7 @@ def log_softmax(x: Tensor, temperature=1.0) -> Tensor:
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     _positive("eps", eps)
+    _rows("layernorm", x)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeMismatch(
@@ -651,9 +678,11 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
         )
     # x centred once for the variance and xhat; the mean of its squares is
     # what x.var() computes after centring x again
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - _row_mean(x.data)
     out = xhat * xhat
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(out) + eps)
+    if not inv.all():  # 0 exactly where a row's variance is infinite
+        raise NonFiniteValue("layernorm overflow: a row's variance is infinite")
     xhat *= inv
     np.multiply(gamma.data, xhat, out=out)
     out += beta.data
@@ -664,8 +693,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
     def dx(g):  # (gg - m1 - xhat * m2) * inv
         gg = g * gd
         r = gg * xhat
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = r.mean(axis=-1, keepdims=True)
+        m1 = _row_mean(gg)
+        m2 = _row_mean(r)
         gg -= m1
         np.multiply(xhat, m2, out=r)
         gg -= r

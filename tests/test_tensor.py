@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -619,6 +620,21 @@ def test_gelu_backward_matches_closed_form():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_gelu_keeps_its_input_alone():
+    """The node's derivative recomputes ``tanh(u)`` from ``x``, so the forward
+    leaves only its output behind (``tanh(u)`` was kept too), and it peaks at
+    two new buffers, not three."""
+    x = Tensor(np.random.default_rng(6).normal(size=1 << 16), requires_grad=True)
+    tracemalloc.start()
+    try:
+        y = x.gelu()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.5 * y.data.nbytes, kept / y.data.nbytes
+    assert peak < 2.5 * y.data.nbytes, peak / y.data.nbytes
+
+
 # -- softmax / log_softmax / layernorm -----------------------------------
 
 
@@ -714,6 +730,54 @@ def test_layernorm_frozen_gamma_beta_get_no_gradient_work():
     tracked = [Tensor(t.data, requires_grad=True) for t in (gamma, beta)]
     full = T.backward((T.layernorm(x, *tracked) * w).sum())[x.uid]
     assert np.array_equal(frozen, full)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: T.softmax(x),
+    lambda x: T.log_softmax(x),
+    lambda x: T.layernorm(x, Tensor(np.ones(0)), Tensor(np.zeros(0))),
+], ids=["softmax", "log_softmax", "layernorm"])
+def test_a_row_op_over_an_empty_last_axis_is_a_shape_mismatch(op):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # layernorm warned "Mean of empty slice"
+        with pytest.raises(ShapeMismatch, match="empty last axis"):
+            op(Tensor(np.zeros((2, 0))))
+
+
+def test_layernorm_of_a_row_whose_variance_overflows_is_a_non_finite_value():
+    """The row's mean is 0 but its variance is infinite, so ``inv`` is 0 and
+    the output was ``beta``, with a zero gradient."""
+    x = Tensor([[1e200, -1e200, 0.0], [1.0, 2.0, 3.0]], requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="layernorm"):
+        T.layernorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_layernorm_of_one_token_is_that_token_of_the_layernorm(seed):
+    """The mini-ViT normalises only the cls row its head reads: rows are
+    normalised one by one, so the value and every gradient agree byte for
+    byte, the per-sample squares of gamma and beta too. The one exception is
+    the sign of a zero: the rows of h that the slice drops get +0.0, where
+    the whole-sequence norm's derivative could give them -0.0."""
+    rng = np.random.default_rng(seed)
+    n, s, d = rng.integers(1, 6), rng.integers(1, 10), rng.integers(2, 40)
+    h = rand_tensor(rng, (n, s, d))
+    gamma, beta = rand_tensor(rng, (d,)), rand_tensor(rng, (d,))
+    w = Tensor(rng.normal(size=(n, d)))
+    for per_sample in (False, True):
+        if per_sample:  # a per-sample backward has no rule for h's slice
+            h = Tensor(h.data)
+        whole = T.layernorm(h, gamma, beta)[:, 0, :]
+        row = T.layernorm(h[:, 0, :], gamma, beta)
+        assert whole.data.tobytes() == row.data.tobytes()
+        want = T.backward((whole * w).sum(), per_sample_sq=per_sample)
+        got = T.backward((row * w).sum(), per_sample_sq=per_sample)
+        assert want.keys() == got.keys() == {t.uid for t in (h, gamma, beta) if t.requires_grad}
+        if not per_sample:
+            assert not got[h.uid][:, 1:].any()
+            want[h.uid] = want[h.uid] + 0.0  # -0.0 + 0.0 is +0.0; no other bit moves
+        for uid in want:
+            assert got[uid].tobytes() == want[uid].tobytes()
 
 
 # -- backward ------------------------------------------------------------
