@@ -11,7 +11,8 @@ widths differ (so projectors are drawn) beside ``kd_ncm``, one LoRA
 instance shared by three sites under a half-weight ``ce`` and ``l2``, each
 adaptation method on both model families (plus ``merge_reparam`` where it
 applies), each merge recipe, weight matching and OT fusion on a
-three-hidden-layer MLP, and the plan -> train -> merge -> eval CLI
+three-hidden-layer MLP, weight matching, OT fusion and REPAIR on a mini-ViT,
+and the plan -> train -> merge -> eval CLI
 pipeline of acceptance criterion 10, plus a greedy soup and a two-checkpoint
 ensemble in each ``merger.ensemble`` mode through the CLI, and each
 ``merger.kind`` through ``zjkit merge`` (the merged checkpoint and its
@@ -28,7 +29,9 @@ Katmai). If OpenBLAS reports another kernel than the one pinned (a name it
 does not know, or a kernel the CPU cannot run), the script exits non-zero,
 naming both, before any digest. The first line names the BLAS, its version
 and the kernel it runs ("kernel unknown" for a BLAS that does not report
-one; that BLAS runs unchecked). The last line digests the lines between.
+one; that BLAS runs unchecked). The ``all`` line digests the lines between;
+the mini-ViT alignment lines (``AFTER_ALL``) follow it, so it digests the
+same set it did before they were added.
 """
 
 import argparse
@@ -60,6 +63,9 @@ from zjkit.errors import ZjError
 from zjkit.models import MiniVitSpec, MlpSpec, build_model, forward
 from zjkit.tensor import Tensor
 from zjkit.tuner import LossSpec, LossTerm, RegSpec, Teacher, TrainConfig, train
+
+# outputs added after the roll-up's set was fixed: printed after it, so it stays put
+AFTER_ALL = {f"merge/mini_vit/{name}.zjk1" for name in ("weight_match_soup", "ot_fuse", "repair")}
 
 MLP = MlpSpec((2, 8, 8, 3))
 MLP_GELU = MlpSpec((2, 8, 8, 3), activation="gelu")
@@ -287,6 +293,15 @@ def merge_digests(out, tmp):
              for i, c in enumerate((vit_a, vit_b))]
     out["merge/mini_vit/fisher_merge.zjk1"] = ckpt_digest(
         merger.fisher_merge([vit_a, vit_b], vfish), tmp)
+    # alignment through the mini-ViT's unit groups, each block's MLP units
+    vit_c = _fit(VIT, build_model(VIT, seed=3), vds, 2)
+    vit_aligned = merger.permute_model(vit_c, merger.weight_match(vit_b, vit_c)[0])
+    vit_interp = merger.wise_ft(vit_aligned, vit_b, 0.5)
+    for name, ckpt in (("weight_match_soup", merger.uniform_soup([vit_b, vit_aligned])),
+                       ("ot_fuse", merger.ot_fuse(vit_b, vit_c, eps=0.1)[0]),
+                       ("repair", merger.repair(vit_interp, (vit_b, vit_aligned, 0.5), VIT,
+                                                vds.split("train")[0]))):
+        out[f"merge/mini_vit/{name}.zjk1"] = ckpt_digest(ckpt, tmp)
 
     # three hidden layers: the middle one's assignment reads the previous and the next map
     deep = MlpSpec((2, 8, 8, 8, 3))
@@ -400,10 +415,12 @@ def main():
         for collect in (tuner_digests, adaptation_digests, merge_digests, cli_digests,
                         recipe_digests):
             collect(out, tmp)
-    lines = [f"{name} {digest}" for name, digest in sorted(out.items())]
+    lines = [f"{name} {digest}" for name, digest in sorted(out.items()) if name not in AFTER_ALL]
     for line in lines:
         print(line)
     print(f"all {sha(''.join(line + chr(10) for line in lines).encode())}")
+    for name in sorted(AFTER_ALL):
+        print(f"{name} {out[name]}")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import architect, checkpoint as ckpt_mod, data as data_mod, dsl, merger, tuner
 from .errors import ConfigError, IoError, ParseError, ZjError
-from .models import MiniVitSpec, MlpSpec, ParamStore, build_model
+from .models import SPECS, MlpSpec, ParamStore, build_model
 from .tensor import Tensor
 
 log = logging.getLogger("zjkit")
@@ -44,7 +44,7 @@ log = logging.getLogger("zjkit")
 _TUNER_KEYS = {f.name: f"tuner.{f.name}" for f in dataclasses.fields(tuner.TrainConfig)
                if f.name != "seed"}
 KNOWN_KEYS = {
-    "model.kind", *(f"model.{f.name}" for spec in (MlpSpec, MiniVitSpec)
+    "model.kind", *(f"model.{f.name}" for spec in SPECS.values()
                     for f in dataclasses.fields(spec)),
     "data.source", "architect.config", "tuner.loss", "tuner.reg", *_TUNER_KEYS.values(),
     "teacher.weights",
@@ -110,11 +110,10 @@ def _model_spec(cfg):
         widths = tuple(_num(w, "model.widths", int)
                        for w in cfg.get("model.widths", "").split(","))
         return MlpSpec(widths, **_kwargs(cfg, MlpSpec, activation="model.activation"))
-    if kind == "mini_vit":
-        keys = [f.name for f in dataclasses.fields(MiniVitSpec)]
-        return MiniVitSpec(**{k: _num(cfg.get(f"model.{k}"), f"model.{k}", int)
-                              for k in keys})
-    raise ConfigError(f"model.kind must be mlp or mini_vit, got {kind!r}")
+    if kind not in SPECS:
+        raise ConfigError(f"model.kind must be {' or '.join(SPECS)}, got {kind!r}")
+    return SPECS[kind](**{f.name: _num(cfg.get(f"model.{f.name}"), f"model.{f.name}", int)
+                          for f in dataclasses.fields(SPECS[kind])})
 
 
 def _call_spec(text):

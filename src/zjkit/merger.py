@@ -18,23 +18,25 @@ Gram-form cost by stabilised Sinkhorn scaling (:func:`sinkhorn`), a few
 exps per solve rather than three per iteration, and hardens the plan by an
 exact assignment, which is always a bijection.
 
-Permutation, weight matching, OT fusion and REPAIR read and write an MLP
-checkpoint as float64 ``(weight, bias)`` layers and refuse any other entry;
-a permutation is one map per hidden layer, on that layer's rows and the next
-layer's columns.
+Permutation, weight matching, OT fusion and REPAIR work on a checkpoint's
+own float64 entries through the unit groups its family declares
+(``models.SPECS[kind].unit_group``), one map per group; they refuse adapter
+entries, whose root is an ``architect.METHODS`` key.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
+from .architect import METHODS
 from .checkpoint import Checkpoint, to_params
 from .errors import ConfigError, NoConvergence, NonFiniteValue, ShapeMismatch, SpecMismatch
-from .models import ParamStore, forward
+from .models import SPECS, ParamStore, forward
 from .tensor import Tensor
 
 EPS_FLOOR = 1e-12
@@ -182,9 +184,7 @@ def fisher_merge(checkpoints, fishers, lams=None) -> Checkpoint:
         raise ShapeMismatch("one Fisher per checkpoint required")
     out = {}
     for p in checkpoints[0].entries:
-        num = np.zeros(checkpoints[0].entries[p].shape)
-        den = np.zeros_like(num)
-        plain = np.zeros_like(num)
+        num, den, plain = (np.zeros(checkpoints[0].entries[p].shape) for _ in range(3))
         for c, f, l in zip(checkpoints, fishers, lams):
             if p not in f.entries:
                 raise ShapeMismatch(f"fisher has no entry for checkpoint path {p}")
@@ -195,9 +195,7 @@ def fisher_merge(checkpoints, fishers, lams=None) -> Checkpoint:
             num += l * fe * theta
             den += l * fe
             plain += l * theta
-        plain /= sum(lams)
-        merged = num / (den + EPS_FLOOR)
-        out[p] = np.where(den > 0, merged, plain)
+        out[p] = np.where(den > 0, num / (den + EPS_FLOOR), plain / sum(lams))
     return checkpoints[0].with_entries(out)
 
 
@@ -287,82 +285,80 @@ def sinkhorn(cost, eps, iters):
 
 @dataclass
 class Permutation:
-    """Per-hidden-layer unit reordering: new slot i takes old unit maps[l][i]."""
+    """Per-group unit reordering: new slot i takes old unit maps[g][i]."""
 
     maps: list
-    stats: list = field(default_factory=list)  # per-layer records of the search, if kept
+    stats: list = field(default_factory=list)  # per-group records of the search, if kept
 
 
-def _layers(ckpt: Checkpoint):
-    """An mlp checkpoint's layers as float64 ``[(weight, bias), ...]``; other
-    entries (adapter factors) would not move with the units and are refused."""
-    if ckpt.kind != "mlp":
-        raise ConfigError(f"operation defined for mlp models, got {ckpt.kind!r}")
-    names = []  # (weight, bias) entry names, layer by layer
-    while f"layers[{len(names)}].weight" in ckpt.entries:
-        names.append((f"layers[{len(names)}].weight", f"layers[{len(names)}].bias"))
-    if not names:
-        raise ConfigError("checkpoint has no layers[i].weight entries")
-    _refuse_others(ckpt, [p for pair in names for p in pair],
-                   "permutation, alignment and repair read layers[i] entries")
-    return [tuple(ckpt.entries[p].astype(np.float64) for p in pair) for pair in names]
+def _groups(ckpt: Checkpoint):
+    """The unit groups that ``ckpt``'s entries hold, and the entries as float64.
+    Adapter entries would not move with the units, so they are refused."""
+    spec = SPECS.get(ckpt.kind)
+    if spec is None:
+        raise ConfigError(f"unknown model kind {ckpt.kind!r}")
+    _refuse_others(ckpt, [p for p in ckpt.entries if re.split(r"[.[]", p)[0] not in METHODS],
+                   "permutation, alignment and repair read the model's own entries")
+    groups = []
+    while (group := spec.unit_group(len(groups)))[2] in ckpt.entries:
+        groups.append(group)
+    return groups, {p: a.astype(np.float64) for p, a in ckpt.entries.items()}
 
 
-def _with_layers(ckpt: Checkpoint, layers) -> Checkpoint:
-    """``ckpt`` with its layer entries replaced by ``layers``."""
-    out = dict(ckpt.entries)
-    for l, (w, b) in enumerate(layers):
-        out[f"layers[{l}].weight"], out[f"layers[{l}].bias"] = w, b
-    return ckpt.with_entries(out)
-
-
-def _permuted(layers, maps):
-    """Each hidden map on its layer's rows and on the next layer's columns.
-    ``maps`` may cover only the first hidden layers; a ``None`` map moves
-    nothing."""
-    out = list(layers)
-    for l, pmap in enumerate(maps):
+def _permuted(entries, groups, maps):
+    """Each map on its group's site rows and bias and on its reader's columns.
+    ``maps`` may cover only the first groups; a ``None`` map moves nothing."""
+    out = dict(entries)
+    for (_, site, reader), pmap in zip(groups, maps):
         if pmap is not None:
-            (w, b), (w_next, b_next) = out[l], out[l + 1]
-            out[l], out[l + 1] = (w[pmap, :], b[pmap]), (w_next[:, pmap], b_next)
+            for p in (f"{site}.weight", f"{site}.bias"):
+                out[p] = out[p][pmap]
+            out[reader] = out[reader][:, pmap]
     return out
 
 
 def permute_model(ckpt: Checkpoint, perm: Permutation) -> Checkpoint:
-    """Reorder hidden units; the network function is exactly preserved."""
-    layers = _layers(ckpt)
-    if len(perm.maps) != len(layers) - 1:
-        raise ShapeMismatch(f"{len(perm.maps)} maps for {len(layers) - 1} hidden layers")
-    for l, (pmap, (w, _)) in enumerate(zip(perm.maps, layers)):
-        if pmap.shape != (w.shape[0],) or sorted(pmap) != list(range(w.shape[0])):
-            raise ShapeMismatch(f"map {l} is not a bijection over {w.shape[0]} units")
-    return _with_layers(ckpt, _permuted(layers, perm.maps))
-
-
-def _match_objective(a, b, maps):
-    return sum(float((wa * wb).sum()) for (wa, _), (wb, _) in zip(a, _permuted(b, maps)))
+    """Reorder each group's units; the network function is exactly preserved."""
+    groups, entries = _groups(ckpt)
+    if len(perm.maps) != len(groups):
+        raise ShapeMismatch(f"{len(perm.maps)} maps for {len(groups)} hidden layers")
+    maps = [np.asarray(m) for m in perm.maps]
+    for l, (pmap, (_, site, _)) in enumerate(zip(maps, groups)):
+        units = entries[f"{site}.bias"].shape[0]
+        if pmap.dtype.kind not in "iu":
+            raise ShapeMismatch(f"map {l} is not an integer array but {pmap.dtype}")
+        if pmap.shape != (units,) or not np.array_equal(np.sort(pmap), np.arange(units)):
+            raise ShapeMismatch(f"map {l} is not a bijection over {units} units")
+    return ckpt.with_entries(_permuted(entries, groups, maps))
 
 
 def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
-    """Permutation aligning b's hidden units to a by coordinate descent.
+    """Permutation aligning b's units to a by coordinate descent.
 
-    Each hidden layer solves an exact linear assignment with neighbors
-    fixed; sweeps repeat until no layer changes. The trace objective is
-    nondecreasing per accepted step; ties prefer the identity map.
+    Each group solves an exact linear assignment on its site and reader
+    weights, others fixed; sweeps repeat until no group changes. The trace
+    objective over the moved weights is nondecreasing per accepted step;
+    ties prefer the identity map.
     Returns ``(Permutation, per-sweep objective values)``.
     """
     _check_aligned([ckpt_a, ckpt_b])
-    a, b = _layers(ckpt_a), _layers(ckpt_b)
-    maps = [np.arange(w.shape[0]) for w, _ in a[:-1]]
-    history = [_match_objective(a, b, maps)]
+    (groups, a), (_, b) = _groups(ckpt_a), _groups(ckpt_b)
+    moved = dict.fromkeys(p for _, site, reader in groups for p in (f"{site}.weight", reader))
+
+    def objective(maps):
+        b_maps = _permuted(b, groups, maps)
+        return sum(float((a[p] * b_maps[p]).sum()) for p in moved)
+
+    maps = [np.arange(a[f"{site}.bias"].shape[0]) for _, site, _ in groups]
+    history = [objective(maps)]
     for _ in range(max_sweeps):
         changed = False
-        for l in range(len(maps)):
+        for l, (_, site, reader) in enumerate(groups):
             # score[i, j]: benefit of placing b-unit j in slot i, b under every
-            # map but this layer's
-            (wb, _), (wb_next, _) = _permuted(b, maps[:l] + [None] + maps[l + 1:])[l:l + 2]
-            score = a[l][0] @ wb.T
-            score += a[l + 1][0].T @ wb_next
+            # map but this group's
+            b_others = _permuted(b, groups, maps[:l] + [None] + maps[l + 1:])
+            score = a[f"{site}.weight"] @ b_others[f"{site}.weight"].T
+            score += a[reader].T @ b_others[reader]
             rows, cols = linear_sum_assignment(-score)
             cand = cols[np.argsort(rows)]
             cur_val = float(score[np.arange(score.shape[0]), maps[l]].sum())
@@ -373,7 +369,7 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
             if new_val > cur_val + 1e-12 and not np.array_equal(cand, maps[l]):
                 maps[l] = cand
                 changed = True
-        history.append(_match_objective(a, b, maps))
+        history.append(objective(maps))
         if not changed:
             break
     return Permutation(maps), history
@@ -389,21 +385,20 @@ def _sq_dists(x, y):
 def ot_fuse(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500):
     """Align b's units to a via entropic OT on incoming weights, then average.
 
-    Per hidden layer, the cost of pairing two units is the squared distance
-    between their incoming weight rows and biases. The :func:`sinkhorn`
+    Per group, the cost of pairing two units is the squared distance between
+    their ``[weight | bias]`` rows at the group's site. The :func:`sinkhorn`
     plan is hardened by an exact assignment, ``linear_sum_assignment(-plan)``,
     which is always a bijection. Returns ``(fused checkpoint, Permutation)``;
-    the permutation's ``stats`` hold one record per layer: Sinkhorn
+    the permutation's ``stats`` hold one record per group: Sinkhorn
     iterations, final marginal violation and the plan's coupling entropy.
     """
     _check_aligned([ckpt_a, ckpt_b])
-    a, b = _layers(ckpt_a), _layers(ckpt_b)
+    (groups, a), (_, b) = _groups(ckpt_a), _groups(ckpt_b)
     maps, stats = [], []
-    for wa, ba in a[:-1]:
-        # b's next layer to align, under the maps found so far
-        wb, bb = _permuted(b, maps)[len(maps)]
-        rows_a = np.concatenate([wa, ba[:, None]], axis=1)
-        rows_b = np.concatenate([wb, bb[:, None]], axis=1)
+    for _, site, _ in groups:
+        # b's rows under the maps found so far, which move an MLP site's columns
+        rows_a, rows_b = (np.concatenate([e[f"{site}.weight"], e[f"{site}.bias"][:, None]], 1)
+                          for e in (a, _permuted(b, groups, maps)))
         plan, record = sinkhorn(_sq_dists(rows_a, rows_b), eps=eps, iters=iters)
         record["coupling_entropy"] = coupling_entropy(plan)
         maps.append(linear_sum_assignment(-plan)[1])
@@ -415,45 +410,42 @@ def ot_fuse(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500):
 # -- REPAIR -------------------------------------------------------------
 
 
-def _mlp_preacts(spec, ckpt, x):
-    params = to_params(spec, ckpt)
-    hooks = {f"layers[{i}].preact" for i in range(spec.n_layers - 1)}
-    _, trace = forward(spec, params, Tensor(x), hooks)
-    return {h: t.data for h, t in trace.items()}
-
-
 def repair(interp: Checkpoint, endpoints, spec, calib_x, log=None) -> Checkpoint:
     """Per-unit affine correction of an interpolated network.
 
-    Targets are the alpha-weighted endpoint preactivation statistics
-    (alpha weights endpoint a). Corrections are folded into the unit's
-    weight row and bias, layer by layer, recomputing the corrected
-    model's stats as earlier layers change.
+    Targets are the alpha-weighted endpoint statistics at each group's preact
+    hook (alpha weights endpoint a; a token hook's rows pool per unit), folded
+    into the site's weight rows and bias group by group, recomputing the
+    corrected model's stats as earlier groups change.
     """
     ckpt_a, ckpt_b, alpha = endpoints
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha {alpha} outside [0,1]")
     _check_aligned([interp, ckpt_a, ckpt_b])
-    layers = _layers(interp)
-    calib_x = np.asarray(calib_x, dtype=np.float64)
-    if calib_x.shape[0] < 16:
+    groups, entries = _groups(interp)
+    calib = Tensor(np.asarray(calib_x, dtype=np.float64))
+    if calib.shape[0] < 16:
         raise ConfigError("calibration batch must have >= 16 samples")
-    stats_a = _mlp_preacts(spec, ckpt_a, calib_x)
-    stats_b = _mlp_preacts(spec, ckpt_b, calib_x)
-    for l in range(len(layers) - 1):
-        hook = f"layers[{l}].preact"
-        cur = _mlp_preacts(spec, _with_layers(interp, layers), calib_x)[hook]
+
+    def preacts(ckpt):
+        _, trace = forward(spec, to_params(spec, ckpt), calib, [g[0] for g in groups])
+        return {h: t.data.reshape(-1, t.shape[-1]) for h, t in trace.items()}
+
+    stats_a, stats_b = preacts(ckpt_a), preacts(ckpt_b)
+    for l, (hook, site, _) in enumerate(groups):
+        cur = preacts(interp.with_entries(entries))[hook]
         m_t = alpha * stats_a[hook].mean(0) + (1 - alpha) * stats_b[hook].mean(0)
         s_t = alpha * stats_a[hook].std(0) + (1 - alpha) * stats_b[hook].std(0)
-        m_c = cur.mean(0)
-        s_c = cur.std(0)
+        m_c, s_c = cur.mean(0), cur.std(0)
         scale = np.ones_like(s_c)
         ok = s_c >= 1e-8  # a unit with less spread gets a shift only
         scale[ok] = s_t[ok] / s_c[ok]
         if not ok.all() and log is not None:
             log(f"layer {l}: {int((~ok).sum())} degenerate units, shift-only")
         shift = m_t - scale * m_c
-        w, b = layers[l]
-        layers[l] = (scale[:, None] * w, scale * b + shift)
-    return _with_layers(interp, layers)
+        w, b = f"{site}.weight", f"{site}.bias"
+        entries[w], entries[b] = scale[:, None] * entries[w], scale * entries[b] + shift
+    return interp.with_entries(entries)
 
 
 # -- prediction mergers -------------------------------------------------
@@ -490,16 +482,14 @@ def ensemble(models, x, mode="logits"):
 def permutation_summary(perm: Permutation):
     out = []
     for pmap in perm.maps:
-        seen = np.zeros(pmap.size, dtype=bool)
-        cycles = 0
+        seen, cycles = np.zeros(pmap.size, dtype=bool), 0
         fixed = int((pmap == np.arange(pmap.size)).sum())
         for i in range(pmap.size):
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = pmap[j]
+            cycles += not seen[i]
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = pmap[j]
         out.append({"units": int(pmap.size), "cycles": cycles,
                     "fixed_points": fixed})
     return out

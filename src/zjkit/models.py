@@ -6,8 +6,9 @@ path set is a pure function of the spec, so two builds of the same spec
 enumerate identical paths in identical (lexicographic) order.
 
 Each spec class carries its family's facts: parameter shapes, hook names,
-head paths, adaptation sites and trainable sets, and the forward body that
-:func:`forward` runs after its shared prologue.
+head paths, adaptation sites and trainable sets, the unit groups that
+alignment and REPAIR move, and the forward body that :func:`forward` runs
+after its shared prologue. :data:`SPECS` registers each class by its kind.
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ class MlpSpec:
         """(trainable paths, gradient masks): every bias plus the head."""
         biases = {p for p in self.param_shapes() if p.endswith(".bias")}
         return biases | self.head_paths(), {}
+
+    @staticmethod
+    def unit_group(i):  # (preact hook, site whose rows are the units, weight reading them)
+        return f"layers[{i}].preact", f"layers[{i}]", f"layers[{i + 1}].weight"
 
     def _forward(self, params, x, hook, lin, route):
         if x.ndim != 2 or x.shape[1] != self.widths[0]:
@@ -198,6 +203,10 @@ class MiniVitSpec:
             trainable |= {qb, f"blocks[{i}].mlp.fc1.bias"}
         return trainable, masks
 
+    @staticmethod
+    def unit_group(i):  # block i's MLP units; the residual stream and heads stay
+        return f"blocks[{i}].preact", f"blocks[{i}].mlp.fc1", f"blocks[{i}].mlp.fc2.weight"
+
     def _forward(self, params, x, hook, lin, route):
         if x.ndim != 3 or x.shape[1] != self.seq_len or x.shape[2] != self.input_dim:
             raise ShapeMismatch(
@@ -228,6 +237,10 @@ class MiniVitSpec:
         # the head reads the cls row alone, and layernorm normalizes row by row
         feature = T.layernorm(h[:, 0, :], params.get("norm.gamma"), params.get("norm.beta"))
         return lin("head", feature), feature
+
+
+#: kind -> spec class, the one place a model family is registered
+SPECS = {spec.kind: spec for spec in (MlpSpec, MiniVitSpec)}
 
 
 def spec_digest(spec) -> bytes:

@@ -549,8 +549,8 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     and softmax it replaces: matmul operands get the memory layout that
     chain gave them, and the backward keeps its order of operations.
     """
-    if qkv.ndim != 3 or qkv.shape[-1] % (3 * heads):
-        raise ShapeMismatch(f"qkv {qkv.shape} is not [n, s, 3 x a multiple of {heads}]")
+    if qkv.ndim != 3 or 0 in qkv.shape[1:] or qkv.shape[-1] % (3 * heads):
+        raise ShapeMismatch(f"qkv {qkv.shape} is not [n, s>0, 3 x a positive multiple of {heads}]")
     n, s, d3 = qkv.shape
     d = d3 // 3
     hd = d // heads

@@ -340,9 +340,12 @@ def test_criterion_08_repair():
     calib = np.random.default_rng(2).normal(size=(256, 4))
     fixed = merger.repair(interp, (a, b, alpha), spec, calib)
     hook = "layers[0].preact"
-    target = (alpha * merger._mlp_preacts(spec, a, calib)[hook].std(0)
-              + (1 - alpha) * merger._mlp_preacts(spec, b, calib)[hook].std(0))
-    got = merger._mlp_preacts(spec, fixed, calib)[hook].std(0)
+
+    def preacts(ckpt):
+        return forward(spec, to_params(spec, ckpt), Tensor(calib), {hook})[1][hook].data
+
+    target = alpha * preacts(a).std(0) + (1 - alpha) * preacts(b).std(0)
+    got = preacts(fixed).std(0)
     assert (np.abs(got - target) / target).max() < 0.01
 
 

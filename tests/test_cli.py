@@ -583,6 +583,24 @@ def test_feature_terms_on_vit_block_hooks_train(tmp_path, capsys, loss):
     assert np.isfinite(last[term]) and last[term] > 0
 
 
+@pytest.mark.parametrize("kind", ["git_rebasin", "ot_fusion", "repair"])
+def test_alignment_merges_of_mini_vit_checkpoints_exit_0(tmp_path, capsys, kind):
+    # they exited 3, "operation defined for mlp models"
+    spec = cli._model_spec(parse_run_config(VIT_CFG))
+    cks = [str(tmp_path / f"{seed}.zjk1") for seed in (1, 2)]
+    for seed, ck in zip((1, 2), cks):
+        save_checkpoint(from_params(spec, build_model(spec, seed=seed)), ck)
+    out = tmp_path / "o"
+    # OT's default eps is absolute, and too small to converge on these costs
+    text = _with("merger.eps", "0.1", _with("merger.kind", kind, VIT_CFG))
+    code = main(["merge", "--config", _cfg(tmp_path, text),
+                 "--out", str(out), "--ckpt", cks[0], "--ckpt", cks[1]])
+    assert code == 0, capsys.readouterr().err
+    merged = load_checkpoint(out / "merged.zjk1")
+    assert merged.kind == "mini_vit" and set(merged.entries) == set(spec.param_shapes())
+    assert f"with {kind}" in capsys.readouterr().out
+
+
 def test_second_prefix_at_one_block_exit_3(tmp_path, capsys):
     cfg = _with("architect.config", "'(Prefix.adapt):->(blocks[0]){inout}->(blocks[0]){inout}'",
                 VIT_CFG)

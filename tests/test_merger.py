@@ -34,11 +34,13 @@ from zjkit.merger import (
     weight_match,
     wise_ft,
 )
-from zjkit.models import MlpSpec, build_model, forward
+from zjkit.dsl import parse_config
+from zjkit.models import MiniVitSpec, MlpSpec, build_model, forward
 from zjkit.tensor import Tensor
 
 SPEC = MlpSpec((4, 8, 3))
 SPEC2 = MlpSpec((3, 6, 6, 2))  # 2 hidden layers
+VIT = MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=16, classes=3, seq_len=3, input_dim=4)
 
 
 def _ckpt(spec=SPEC, seed=0):
@@ -48,6 +50,11 @@ def _ckpt(spec=SPEC, seed=0):
 def _logits(spec, ckpt, x):
     out, _ = forward(spec, to_params(spec, ckpt), Tensor(x))
     return out.data
+
+
+def _preacts(spec, ckpt, x, hook):
+    _, trace = forward(spec, to_params(spec, ckpt), Tensor(x), {hook})
+    return trace[hook].data
 
 
 # -- soups ---------------------------------------------------------------
@@ -384,29 +391,51 @@ def test_permute_rejects_non_bijection():
         permute_model(c, Permutation([np.arange(8), np.arange(8)]))
 
 
-def test_permute_requires_mlp():
-    from zjkit.models import MiniVitSpec
-    vit = MiniVitSpec(dim=8, blocks=1, heads=2, mlp_dim=16, classes=2,
-                      seq_len=2, input_dim=4)
-    c = from_params(vit, build_model(vit))
-    with pytest.raises(ConfigError, match="operation defined for mlp models, got 'mini_vit'"):
-        permute_model(c, Permutation([np.arange(8)]))
+@pytest.mark.parametrize("pmap", [np.arange(8.0), np.arange(8) > 3, None],
+                         ids=["float", "bool", "none"])
+def test_permute_rejects_a_map_that_is_not_an_integer_array(pmap):
+    # a float map that holds a bijection's values ended in numpy's IndexError
+    with pytest.raises(ShapeMismatch, match="map 0 is not an integer array"):
+        permute_model(_ckpt(SPEC, seed=0), Permutation([pmap]))
 
 
 @pytest.mark.parametrize("call", [
-    lambda c: permute_model(c, _rand_perm(SPEC2, 1)),
+    lambda c: permute_model(c, _rand_perm(SPEC2, 0)),
     lambda c: weight_match(c, c),
     lambda c: ot_fuse(c, c, eps=0.1),
     lambda c: repair(c, (c, c, 0.5), SPEC2, np.zeros((16, 3))),
 ], ids=["permute_model", "weight_match", "ot_fuse", "repair"])
-def test_alignment_refuses_entries_beside_the_layers(call):
+def test_alignment_of_an_unknown_checkpoint_kind_is_a_config_error(call):
+    c = _ckpt(SPEC2, seed=1)
+    with pytest.raises(ConfigError, match="unknown model kind 'resnet'"):
+        call(Checkpoint("resnet", c.digest, c.entries))
+
+
+def _mlp_with_a_factor():
+    c = _ckpt(SPEC2, seed=1)
+    return Checkpoint(c.kind, c.digest, {**c.entries, "lora[0].a": np.ones((2, 3), np.float32)})
+
+
+def _vit_lora():  # a LoRA run's checkpoint: the model's entries and the factors beside them
+    plan = architect.compile_plan(parse_config("(LoRA.adapt):->(blocks[0].mlp.fc1){inout}"), VIT)
+    model = architect.apply_plan(VIT, build_model(VIT, seed=1), plan, seed=2)
+    return from_params(VIT, model.base, model.extras)
+
+
+@pytest.mark.parametrize("make, call, named", [
+    (_mlp_with_a_factor, lambda c: permute_model(c, _rand_perm(SPEC2, 1)), r"lora\[0\]\.a"),
+    (_mlp_with_a_factor, lambda c: weight_match(c, c), r"lora\[0\]\.a"),
+    (_mlp_with_a_factor, lambda c: ot_fuse(c, c, eps=0.1), r"lora\[0\]\.a"),
+    (_mlp_with_a_factor, lambda c: repair(c, (c, c, 0.5), SPEC2, np.zeros((16, 3))),
+     r"lora\[0\]\.a"),
+    (_vit_lora, lambda c: repair(c, (c, c, 0.5), VIT, np.zeros((16, 3, 4))),
+     r"lora\[0\]\.a, lora\[0\]\.b"),
+], ids=["permute_model", "weight_match", "ot_fuse", "repair", "mini_vit_lora"])
+def test_alignment_refuses_entries_beside_the_layers(make, call, named):
     # a LoRA factor would not move with the units, so the result would compute
     # another function
-    c = _ckpt(SPEC2, seed=1)
-    adapted = Checkpoint(c.kind, c.digest,
-                         {**c.entries, "lora[0].a": np.ones((2, 3), np.float32)})
-    with pytest.raises(SpecMismatch, match=r"1 other entries \(lora\[0\]\.a\)"):
-        call(adapted)
+    with pytest.raises(SpecMismatch, match=rf"{named.count(',') + 1} other entries \({named}\)"):
+        call(make())
 
 
 def test_weight_match_recovers_permutation():
@@ -497,6 +526,44 @@ def test_three_hidden_layers_align_exactly():
         assert np.abs(fused.entries[p] - c.entries[p]).max() < 1e-6
 
 
+def _vit_ckpt(seed):  # every entry drawn, so no bias or norm is a constant
+    rng = np.random.default_rng(seed)
+    return _ckpt(VIT).with_entries({p: rng.normal(size=shape)
+                                    for p, shape in VIT.param_shapes().items()})
+
+
+def _vit_perm(seed):
+    rng = np.random.default_rng(seed)
+    return Permutation([rng.permutation(VIT.mlp_dim) for _ in range(VIT.blocks)])
+
+
+def test_mini_vit_permutation_keeps_the_logits():
+    c = _vit_ckpt(0)
+    x = np.random.default_rng(1).normal(size=(8, VIT.seq_len, VIT.input_dim))
+    for seed in range(3):
+        moved = permute_model(c, _vit_perm(seed))
+        assert not np.array_equal(moved.entries["blocks[1].mlp.fc1.weight"],
+                                  c.entries["blocks[1].mlp.fc1.weight"])
+        assert np.abs(_logits(VIT, c, x) - _logits(VIT, moved, x)).max() < 1e-12
+        for p in c.entries:  # the residual stream, attention and head stay in place
+            if ".mlp." not in p:
+                assert np.array_equal(moved.entries[p], c.entries[p])
+
+
+def test_mini_vit_alignment_recovers_a_known_permutation():
+    c = _vit_ckpt(2)
+    perm = _vit_perm(3)
+    moved = permute_model(c, perm)
+    inv = [np.argsort(m) for m in perm.maps]
+    found, history = weight_match(c, moved)
+    assert all(np.array_equal(f, w) for f, w in zip(found.maps, inv))
+    assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
+    fused, found = ot_fuse(c, moved, eps=0.001, iters=3000)
+    assert all(np.array_equal(f, w) for f, w in zip(found.maps, inv))
+    for p in c.entries:
+        assert np.abs(fused.entries[p] - c.entries[p]).max() < 1e-6
+
+
 # -- permutation consistency property ------------------------------------
 
 
@@ -522,11 +589,33 @@ def test_repair_matches_target_stats():
     interp = wise_ft(b, a, alpha)  # alpha weights endpoint a
     calib = rng.normal(size=(256, 4))
     fixed = repair(interp, (a, b, alpha), spec, calib)
-    sa = merger._mlp_preacts(spec, a, calib)["layers[0].preact"].std(0)
-    sb = merger._mlp_preacts(spec, b, calib)["layers[0].preact"].std(0)
+    sa = _preacts(spec, a, calib, "layers[0].preact").std(0)
+    sb = _preacts(spec, b, calib, "layers[0].preact").std(0)
     target = alpha * sa + (1 - alpha) * sb
-    got = merger._mlp_preacts(spec, fixed, calib)["layers[0].preact"].std(0)
+    got = _preacts(spec, fixed, calib, "layers[0].preact").std(0)
     assert (np.abs(got - target) / target).max() < 0.01
+
+
+def test_mini_vit_repair_meets_the_pooled_target_std():
+    a, b = _vit_ckpt(4), _vit_ckpt(5)
+    alpha = 0.3
+    calib = np.random.default_rng(6).normal(size=(64, VIT.seq_len, VIT.input_dim))
+    fixed = repair(wise_ft(b, a, alpha), (a, b, alpha), VIT, calib)
+    for i in range(VIT.blocks):  # a block's [n, s, mlp_dim] preacts pool per unit
+        hook = f"blocks[{i}].preact"
+        sa, sb, got = (_preacts(VIT, c, calib, hook).reshape(-1, VIT.mlp_dim).std(0)
+                       for c in (a, b, fixed))
+        target = alpha * sa + (1 - alpha) * sb
+        assert (np.abs(got - target) / target).max() < 0.01
+
+
+@pytest.mark.parametrize("alpha", [np.nan, 2.0, -0.5])
+def test_repair_refuses_alpha_outside_the_unit_interval(alpha):
+    # at nan it returned NaN weights, and at 2 a checkpoint
+    spec = MlpSpec((4, 16, 3))
+    a, b = _ckpt(spec, seed=0), _ckpt(spec, seed=1)
+    with pytest.raises(ConfigError, match=r"alpha .* outside \[0,1\]"):
+        repair(uniform_soup([a, b]), (a, b, alpha), spec, np.zeros((16, 4)))
 
 
 def test_repair_preactivations_record_no_tape(monkeypatch):
@@ -538,10 +627,12 @@ def test_repair_preactivations_record_no_tape(monkeypatch):
 
     monkeypatch.setattr(merger, "forward", spy)
     spec = MlpSpec((4, 16, 3))
-    merger._mlp_preacts(spec, _ckpt(spec), np.random.default_rng(0).normal(size=(32, 4)))
-    ((_, trace),) = outs
-    assert set(trace) == {"layers[0].preact"}
-    assert all(t._node is None for t in trace.values())
+    a, b = _ckpt(spec, seed=0), _ckpt(spec, seed=1)
+    repair(uniform_soup([a, b]), (a, b, 0.5), spec, np.random.default_rng(0).normal(size=(32, 4)))
+    assert len(outs) == 3  # each endpoint, then the merge before its one group
+    for _, trace in outs:
+        assert set(trace) == {"layers[0].preact"}
+        assert all(t._node is None for t in trace.values())
 
 
 def test_repair_requires_enough_calibration():

@@ -744,6 +744,15 @@ def test_a_row_op_over_an_empty_last_axis_is_a_shape_mismatch(op):
             op(Tensor(np.zeros((2, 0))))
 
 
+@pytest.mark.parametrize("prefix", [False, True])
+def test_attention_over_zero_tokens_is_a_shape_mismatch(prefix):
+    # it raised numpy's "cannot reshape array of size 0" from its head split
+    pre = (Tensor(np.ones((0, 4))), Tensor(np.ones((0, 4)))) if prefix else None
+    with pytest.raises(ShapeMismatch, match=r"qkv \(2, 0, 12\) is not \[n, s>0"):
+        T.attention(Tensor(np.zeros((2, 0, 12))), 2, pre)
+    assert T.attention(Tensor(np.zeros((0, 3, 12))), 2).shape == (0, 3, 4)  # zero samples work
+
+
 def test_layernorm_of_a_row_whose_variance_overflows_is_a_non_finite_value():
     """The row's mean is 0 but its variance is infinite, so ``inv`` is 0 and
     the output was ``beta``, with a zero gradient."""
