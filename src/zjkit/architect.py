@@ -75,7 +75,7 @@ METHODS = {
         fold=lambda hp, w, bias, a, b: (w + _lora_scale(hp) * (b @ a), bias)),
     "adapter": Method(
         "Adapter", {"dim": 8.0}, ("dim", 1),
-        sites=lambda spec, shapes: spec.adapter_sites(), site_word="block position",
+        sites=lambda spec, shapes: spec.sites("post_mlp"), site_word="block position",
         params=(("down.weight", "uniform"), ("down.bias", 0.0),
                 ("up.weight", 0.0), ("up.bias", 0.0)),
         shapes=lambda at, hp: ((int(hp["dim"]), at), (int(hp["dim"]),),
@@ -85,7 +85,7 @@ METHODS = {
             h + T.affine(T.affine(h, dw, db).gelu(), uw) + ub.expand(h.shape)),
     "prefix": Method(
         "Prefix", {"tokens": 2.0}, ("tokens", 1),
-        sites=lambda spec, shapes: spec.prefix_sites(), site_word="block",
+        sites=lambda spec, shapes: spec.sites("kv_prefix"), site_word="block",
         params=(("key", "uniform"), ("value", "uniform")),
         shapes=lambda at, hp: ((int(hp["tokens"]), at), (int(hp["tokens"]), at)),
         route="kv_prefix",

@@ -1,22 +1,26 @@
-"""Model family (MLP and mini transformer) with named parameter paths.
+"""Model families (MLP and mini transformer) with named parameter paths.
 
 Parameter paths follow ``segment('.'segment)*`` with ``name[index]``
 segments, e.g. ``layers[0].weight`` or ``blocks[1].attn.qkv.bias``. The
 path set is a pure function of the spec, so two builds of the same spec
 enumerate identical paths in identical (lexicographic) order.
 
-Each spec class carries its family's facts: parameter shapes, hook names,
-head paths, adaptation sites and trainable sets, the unit groups that
-alignment and REPAIR move, and the forward body that :func:`forward` runs
-after its shared prologue. :data:`SPECS` registers each class by its kind.
+Each spec class states its family's structure once, as the :class:`Stage`
+list its ``stages()`` returns. :func:`forward` walks the list, and
+:class:`StagedSpec` derives from it the parameter shapes (in definition
+order, which ``build_model``'s draws follow), the hooks, the head and
+``PartialK`` paths and the sites each route joins. A spec class also states
+its BitFit set and unit groups. :data:`SPECS` registers each class by kind.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -35,16 +39,64 @@ def check_shapes(shapes):
                               "than an array can index")
 
 
+def _counts(values, what, least=1):
+    """``least`` or more positive integers as plain ints (numpy ints and bools
+    convert), so that equal specs read alike and can share ``stages()``."""
+    try:
+        ints = tuple(map(operator.index, values))
+    except TypeError:
+        ints = ()
+    if len(ints) < least or min(ints, default=0) <= 0:
+        raise ConfigError(f"bad {what}")
+    return ints
+
+
 @dataclass(frozen=True)
-class MlpSpec:
+class Stage:
+    """One forward step; a block has ``.input/.preact/.output`` hooks and is one PartialK unit."""
+
+    site: str
+    step: object     # (params, h, hook, lin, route) -> h
+    params: dict     # path -> shape the step reads, in definition order
+    block: bool = False
+    routes: dict = field(default_factory=dict)  # route joined at the site -> width
+
+
+class StagedSpec:
+    """What a spec derives from its ``stages()``, a tuple cached by spec value."""
+
+    def param_shapes(self):
+        """Map parameter path -> shape tuple, in definition order."""
+        return {p: s for stage in self.stages() for p, s in stage.params.items()}
+
+    def all_hooks(self):
+        return {"feature", "logits"} | {f"{s.site}.{h}" for s in self.stages() if s.block
+                                        for h in ("input", "preact", "output")}
+
+    def head_paths(self):
+        return set(self.stages()[-1].params)
+
+    def sites(self, route):
+        """Site -> width of each stage that ``route`` joins."""
+        return {s.site: s.routes[route] for s in self.stages() if route in s.routes}
+
+    def partial_k_paths(self, k):
+        """The head and every stage from the k-th last block on; all once k >= blocks."""
+        stages = self.stages()
+        blocks = [i for i, s in enumerate(stages) if s.block]
+        start = len(stages) - 1 if k <= 0 else 0 if k >= len(blocks) else blocks[-k]
+        return {p for s in stages[start:] for p in s.params}
+
+
+@dataclass(frozen=True)
+class MlpSpec(StagedSpec):
     widths: tuple  # input width, hidden widths..., class count
     activation: str = "relu"
 
     kind = "mlp"
 
     def __post_init__(self):
-        if len(self.widths) < 2 or any(w <= 0 for w in self.widths):
-            raise ConfigError(f"bad widths {self.widths}")
+        object.__setattr__(self, "widths", _counts(self.widths, f"widths {self.widths}", 2))
         if self.activation not in ("relu", "gelu"):
             raise ConfigError(f"unknown activation {self.activation}")
         check_shapes(self.param_shapes())
@@ -60,35 +112,24 @@ class MlpSpec:
     def canonical(self):
         return f"mlp:{','.join(str(w) for w in self.widths)}:{self.activation}"
 
-    def param_shapes(self):
-        """Map parameter path -> shape tuple, in definition order."""
-        shapes = {}
-        for i in range(self.n_layers):
-            fan_out, fan_in = self.widths[i + 1], self.widths[i]
-            shapes[f"layers[{i}].weight"] = (fan_out, fan_in)
-            shapes[f"layers[{i}].bias"] = (fan_out,)
-        return shapes
-
-    def all_hooks(self):
-        return {"feature", "logits"} | {f"layers[{i}].{h}" for i in range(self.n_layers)
-                                        for h in ("input", "preact", "output")}
-
-    def head_paths(self):
+    @functools.lru_cache(maxsize=8)
+    def stages(self):
+        """One block per layer; each hidden layer's output joins ``post_mlp``."""
+        act = Tensor.relu if self.activation == "relu" else Tensor.gelu
         last = self.n_layers - 1
-        return {f"layers[{last}].weight", f"layers[{last}].bias"}
 
-    def adapter_sites(self):
-        """Site -> width for bottleneck adapters: every hidden layer."""
-        return {f"layers[{i}]": self.widths[i + 1] for i in range(self.n_layers - 1)}
+        def layer(i):
+            site, (fan_in, fan_out) = f"layers[{i}]", self.widths[i:i + 2]
 
-    def prefix_sites(self):
-        return {}
-
-    def partial_k_paths(self, k):
-        """Head plus the last k layers."""
-        n = self.n_layers
-        return self.head_paths() | {f"layers[{i}].{leaf}" for i in range(max(0, n - k), n)
-                                    for leaf in ("weight", "bias")}
+            def step(params, h, hook, lin, route):
+                if i == 0 and (h.ndim != 2 or h.shape[1] != fan_in):
+                    raise ShapeMismatch(f"mlp input {h.shape}, expected [n,{fan_in}]")
+                h = lin(site, h)
+                hook(f"{site}.preact", h)
+                return h if i == last else route("post_mlp", site, act(h))  # logits stay raw
+            shapes = {f"{site}.weight": (fan_out, fan_in), f"{site}.bias": (fan_out,)}
+            return Stage(site, step, shapes, True, {} if i == last else {"post_mlp": fan_out})
+        return tuple(map(layer, range(self.n_layers)))
 
     def bitfit_paths(self):
         """(trainable paths, gradient masks): every bias plus the head."""
@@ -99,24 +140,9 @@ class MlpSpec:
     def unit_group(i):  # (preact hook, site whose rows are the units, weight reading them)
         return f"layers[{i}].preact", f"layers[{i}]", f"layers[{i + 1}].weight"
 
-    def _forward(self, params, x, hook, lin, route):
-        if x.ndim != 2 or x.shape[1] != self.widths[0]:
-            raise ShapeMismatch(f"mlp input {x.shape}, expected [n,{self.widths[0]}]")
-        act = Tensor.relu if self.activation == "relu" else Tensor.gelu
-        h = feature = x
-        for i in range(self.n_layers):
-            site = f"layers[{i}]"
-            hook(f"{site}.input", h)
-            h = lin(site, h)
-            hook(f"{site}.preact", h)
-            if i < self.n_layers - 1:  # the last layer's output is the logits
-                h = feature = route("post_mlp", site, act(h))
-            hook(f"{site}.output", h)
-        return h, feature
-
 
 @dataclass(frozen=True)
-class MiniVitSpec:
+class MiniVitSpec(StagedSpec):
     dim: int
     blocks: int
     heads: int
@@ -128,10 +154,8 @@ class MiniVitSpec:
     kind = "mini_vit"
 
     def __post_init__(self):
-        dims = (self.dim, self.blocks, self.heads, self.mlp_dim,
-                self.classes, self.seq_len, self.input_dim)
-        if any(d <= 0 for d in dims):
-            raise ConfigError(f"all dims must be positive: {self}")
+        for f, d in zip(fields(self), _counts(astuple(self), f"dims in {self}")):
+            object.__setattr__(self, f.name, d)
         if self.dim % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must divide dim {self.dim}")
         check_shapes(self.param_shapes())
@@ -145,52 +169,47 @@ class MiniVitSpec:
                 .format(self.dim, self.blocks, self.heads, self.mlp_dim,
                         self.classes, self.seq_len, self.input_dim))
 
-    def param_shapes(self):
-        """Map parameter path -> shape tuple, in definition order."""
-        d = self.dim
-        shapes = {"patch_embed.weight": (d, self.input_dim), "patch_embed.bias": (d,),
-                  "cls_token": (d,), "pos_embed": (self.seq_len + 1, d)}
-        for i in range(self.blocks):
-            p = f"blocks[{i}]"
-            shapes[f"{p}.norm1.gamma"] = (d,)
-            shapes[f"{p}.norm1.beta"] = (d,)
-            shapes[f"{p}.attn.qkv.weight"] = (3 * d, d)
-            shapes[f"{p}.attn.qkv.bias"] = (3 * d,)
-            shapes[f"{p}.attn.proj.weight"] = (d, d)
-            shapes[f"{p}.attn.proj.bias"] = (d,)
-            shapes[f"{p}.norm2.gamma"] = (d,)
-            shapes[f"{p}.norm2.beta"] = (d,)
-            shapes[f"{p}.mlp.fc1.weight"] = (self.mlp_dim, d)
-            shapes[f"{p}.mlp.fc1.bias"] = (self.mlp_dim,)
-            shapes[f"{p}.mlp.fc2.weight"] = (d, self.mlp_dim)
-            shapes[f"{p}.mlp.fc2.bias"] = (d,)
-        shapes["norm.gamma"] = (d,)
-        shapes["norm.beta"] = (d,)
-        shapes["head.weight"] = (self.classes, d)
-        shapes["head.bias"] = (self.classes,)
-        return shapes
+    @functools.lru_cache(maxsize=8)
+    def stages(self):
+        """``embed``, the blocks, ``norm`` of the cls row alone (the head's one row), ``head``."""
+        d, m, s, din = self.dim, self.mlp_dim, self.seq_len, self.input_dim
 
-    def all_hooks(self):
-        return {"feature", "logits"} | {f"blocks[{i}].{h}" for i in range(self.blocks)
-                                        for h in ("input", "preact", "output")}
+        def ln(params, h, name):  # layernorm normalizes row by row
+            return T.layernorm(h, params.get(f"{name}.gamma"), params.get(f"{name}.beta"))
 
-    def head_paths(self):
-        return {"head.weight", "head.bias"}
+        def embed(params, x, hook, lin, route):
+            if x.ndim != 3 or x.shape[1] != s or x.shape[2] != din:
+                raise ShapeMismatch(f"vit input {x.shape}, expected [n,{s},{din}]")
+            tokens = lin("patch_embed", x)
+            cls = params.get("cls_token").expand((x.shape[0], 1, d))
+            h = T.concat([cls, tokens], axis=1)
+            return h + params.get("pos_embed").expand(h.shape)
 
-    def adapter_sites(self):
-        """Site -> width for bottleneck adapters and prefix tokens: every block."""
-        return {f"blocks[{i}]": self.dim for i in range(self.blocks)}
+        def block(i):
+            blk = f"blocks[{i}]"
 
-    prefix_sites = adapter_sites
+            def step(params, h, hook, lin, route):
+                qkv = lin(f"{blk}.attn.qkv", ln(params, h, f"{blk}.norm1"))  # [n, s, 3d]
+                ctx = T.attention(qkv, self.heads, route("kv_prefix", blk, None))
+                h = h + lin(f"{blk}.attn.proj", ctx)
+                pre = lin(f"{blk}.mlp.fc1", ln(params, h, f"{blk}.norm2"))
+                hook(f"{blk}.preact", pre)
+                return h + route("post_mlp", blk, lin(f"{blk}.mlp.fc2", pre.gelu()))
+            leaves = {"norm1.gamma": (d,), "norm1.beta": (d,), "attn.qkv.weight": (3 * d, d),
+                      "attn.qkv.bias": (3 * d,), "attn.proj.weight": (d, d),
+                      "attn.proj.bias": (d,), "norm2.gamma": (d,), "norm2.beta": (d,),
+                      "mlp.fc1.weight": (m, d), "mlp.fc1.bias": (m,),
+                      "mlp.fc2.weight": (d, m), "mlp.fc2.bias": (d,)}
+            return Stage(blk, step, {f"{blk}.{leaf}": shape for leaf, shape in leaves.items()},
+                         block=True, routes={"kv_prefix": d, "post_mlp": d})
 
-    def partial_k_paths(self, k):
-        """Head plus the last k blocks and the final norm; everything once k >= blocks."""
-        b = self.blocks
-        if k >= b:
-            return set(self.param_shapes())
-        last = tuple(f"blocks[{i}]." for i in range(max(0, b - k), b))
-        paths = self.head_paths() | {p for p in self.param_shapes() if p.startswith(last)}
-        return paths | {"norm.gamma", "norm.beta"} if k > 0 else paths
+        return (Stage("embed", embed, {"patch_embed.weight": (d, din), "patch_embed.bias": (d,),
+                                       "cls_token": (d,), "pos_embed": (s + 1, d)}),
+                *map(block, range(self.blocks)),
+                Stage("norm", lambda params, h, hook, lin, route: ln(params, h[:, 0, :], "norm"),
+                      {"norm.gamma": (d,), "norm.beta": (d,)}),
+                Stage("head", lambda params, h, hook, lin, route: lin("head", h),
+                      {"head.weight": (self.classes, d), "head.bias": (self.classes,)}))
 
     def bitfit_paths(self):
         """(trainable paths, gradient masks): head, query rows of each fused
@@ -206,37 +225,6 @@ class MiniVitSpec:
     @staticmethod
     def unit_group(i):  # block i's MLP units; the residual stream and heads stay
         return f"blocks[{i}].preact", f"blocks[{i}].mlp.fc1", f"blocks[{i}].mlp.fc2.weight"
-
-    def _forward(self, params, x, hook, lin, route):
-        if x.ndim != 3 or x.shape[1] != self.seq_len or x.shape[2] != self.input_dim:
-            raise ShapeMismatch(
-                f"vit input {x.shape}, expected [n,{self.seq_len},{self.input_dim}]"
-            )
-        n, d = x.shape[0], self.dim
-        tokens = lin("patch_embed", x)
-        cls = params.get("cls_token").expand((n, 1, d))
-        h = T.concat([cls, tokens], axis=1)
-        h = h + params.get("pos_embed").expand(h.shape)
-        for i in range(self.blocks):
-            blk = f"blocks[{i}]"
-            hook(f"{blk}.input", h)
-            a_in = T.layernorm(h, params.get(f"{blk}.norm1.gamma"),
-                               params.get(f"{blk}.norm1.beta"))
-            qkv = lin(f"{blk}.attn.qkv", a_in)  # [n, s, 3d]
-            ctx = T.attention(qkv, self.heads, route("kv_prefix", blk, None))
-            h = h + lin(f"{blk}.attn.proj", ctx)
-            m_in = T.layernorm(h, params.get(f"{blk}.norm2.gamma"),
-                               params.get(f"{blk}.norm2.beta"))
-            pre = lin(f"{blk}.mlp.fc1", m_in)
-            hook(f"{blk}.preact", pre)
-            mid = pre.gelu()
-            mlp_out = lin(f"{blk}.mlp.fc2", mid)
-            mlp_out = route("post_mlp", blk, mlp_out)
-            h = h + mlp_out
-            hook(f"{blk}.output", h)
-        # the head reads the cls row alone, and layernorm normalizes row by row
-        feature = T.layernorm(h[:, 0, :], params.get("norm.gamma"), params.get("norm.beta"))
-        return lin("head", feature), feature
 
 
 #: kind -> spec class, the one place a model family is registered
@@ -371,7 +359,14 @@ def forward(spec, params: ParamStore, x: Tensor, capture=(), route=None):
         b = params.get(f"{site}.bias")
         return route("linear_out", site, T.affine(inp, w, b), inp)
 
-    logits, feature = spec._forward(params, x, hook, lin, route)
+    h = x
+    for stage in spec.stages():
+        feature = h  # the head stage's input, once the loop ends
+        if stage.block:
+            hook(f"{stage.site}.input", h)
+        h = stage.step(params, h, hook, lin, route)
+        if stage.block:
+            hook(f"{stage.site}.output", h)
     hook("feature", feature)
-    hook("logits", logits)
-    return logits, trace
+    hook("logits", h)
+    return h, trace

@@ -547,8 +547,11 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     context, heads concatenated. Bit-identical in value and gradients to
     the chain of slices, reshapes, transposes, prefix concat, matmuls, scale
     and softmax it replaces: matmul operands get the memory layout that
-    chain gave them, and the backward keeps its order of operations.
+    chain gave them, and the backward keeps its order of operations. A
+    ``heads`` that is not a positive integer is ``ConfigError``.
     """
+    if isinstance(heads, bool) or not isinstance(heads, (int, np.integer)) or heads < 1:
+        raise ConfigError(f"heads {heads!r} is not a positive integer")
     if qkv.ndim != 3 or 0 in qkv.shape[1:] or qkv.shape[-1] % (3 * heads):
         raise ShapeMismatch(f"qkv {qkv.shape} is not [n, s>0, 3 x a positive multiple of {heads}]")
     n, s, d3 = qkv.shape

@@ -189,3 +189,113 @@ def test_mlp_feature_hook_is_last_hidden():
     x = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
     _, trace = forward(spec, store, x, {"feature", "layers[0].output"})
     assert np.array_equal(trace["feature"].data, trace["layers[0].output"].data)
+
+
+# -- structure derived from the stage lists ------------------------------
+# The expected values are what the hand-written per-family methods that the
+# stage lists replaced gave for these two specs.
+
+MLP3 = MlpSpec((5, 7, 6, 3))
+VIT2 = MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=12, classes=3, seq_len=3, input_dim=4)
+
+
+def _layer(i):
+    return {f"layers[{i}].weight", f"layers[{i}].bias"}
+
+
+def _block(i):
+    return [(f"blocks[{i}].{leaf}", shape) for leaf, shape in (
+        ("norm1.gamma", (8,)), ("norm1.beta", (8,)),
+        ("attn.qkv.weight", (24, 8)), ("attn.qkv.bias", (24,)),
+        ("attn.proj.weight", (8, 8)), ("attn.proj.bias", (8,)),
+        ("norm2.gamma", (8,)), ("norm2.beta", (8,)),
+        ("mlp.fc1.weight", (12, 8)), ("mlp.fc1.bias", (12,)),
+        ("mlp.fc2.weight", (8, 12)), ("mlp.fc2.bias", (8,)))]
+
+
+_VIT_SHAPES = [("patch_embed.weight", (8, 4)), ("patch_embed.bias", (8,)),
+               ("cls_token", (8,)), ("pos_embed", (4, 8)), *_block(0), *_block(1),
+               ("norm.gamma", (8,)), ("norm.beta", (8,)),
+               ("head.weight", (3, 8)), ("head.bias", (3,))]
+_VIT_HEAD = {"head.weight", "head.bias"}
+_VIT_LAST_K1 = {p for p, _ in _block(1)} | {"norm.gamma", "norm.beta"} | _VIT_HEAD
+
+STRUCTURE = {
+    "mlp": (MLP3, {
+        "shapes": [("layers[0].weight", (7, 5)), ("layers[0].bias", (7,)),
+                   ("layers[1].weight", (6, 7)), ("layers[1].bias", (6,)),
+                   ("layers[2].weight", (3, 6)), ("layers[2].bias", (3,))],
+        "hooks": {"feature", "logits"} | {f"layers[{i}].{h}" for i in range(3)
+                                          for h in ("input", "preact", "output")},
+        "head": _layer(2),
+        "post_mlp": {"layers[0]": 7, "layers[1]": 6},
+        "kv_prefix": {},
+        "partial_k": {0: _layer(2), 1: _layer(2), 2: _layer(1) | _layer(2),
+                      3: _layer(0) | _layer(1) | _layer(2),
+                      4: _layer(0) | _layer(1) | _layer(2)},
+    }),
+    "mini_vit": (VIT2, {
+        "shapes": _VIT_SHAPES,
+        "hooks": {"feature", "logits"} | {f"blocks[{i}].{h}" for i in range(2)
+                                          for h in ("input", "preact", "output")},
+        "head": _VIT_HEAD,
+        "post_mlp": {"blocks[0]": 8, "blocks[1]": 8},
+        "kv_prefix": {"blocks[0]": 8, "blocks[1]": 8},
+        "partial_k": {0: _VIT_HEAD, 1: _VIT_LAST_K1,
+                      2: {p for p, _ in _VIT_SHAPES}, 3: {p for p, _ in _VIT_SHAPES}},
+    }),
+}
+
+
+@pytest.mark.parametrize("family", STRUCTURE)
+def test_each_family_derives_its_structure_from_its_stages(family):
+    spec, want = STRUCTURE[family]
+    assert list(spec.param_shapes().items()) == want["shapes"]  # build_model draws in this order
+    assert spec.all_hooks() == want["hooks"]
+    assert spec.head_paths() == want["head"]
+    assert spec.sites("post_mlp") == want["post_mlp"]
+    assert spec.sites("kv_prefix") == want["kv_prefix"]
+    depth = sum(stage.block for stage in spec.stages())
+    for k in (0, 1, depth - 1, depth, depth + 1):
+        assert spec.partial_k_paths(k) == want["partial_k"][k], k
+
+
+@pytest.mark.parametrize("spec, row", [(MLP3, (5,)), (VIT2, (3, 4))], ids=["mlp", "mini_vit"])
+def test_a_forward_calls_the_routes_its_stages_declare(spec, row):
+    calls = []
+
+    def spy(name, site, value, *args):
+        calls.append((name, site))
+        return value
+
+    x = Tensor(np.random.default_rng(0).normal(size=(2, *row)))
+    forward(spec, build_model(spec), x, route=spy)
+    for name in ("post_mlp", "kv_prefix"):
+        assert [site for n, site in calls if n == name] == list(spec.sites(name))
+    assert [site for n, site in calls if n == "linear_out"] == [
+        p[:-len(".weight")] for p in spec.param_shapes() if p.endswith(".weight")]
+
+
+def test_an_mlp_spec_from_a_list_of_widths_builds_and_forwards():
+    spec = MlpSpec([4, 8, 3])
+    assert spec.canonical() == "mlp:4,8,3:relu"
+    logits, _ = forward(spec, build_model(spec, seed=0), Tensor(np.ones((2, 4))))
+    assert logits.shape == (2, 3)
+    assert spec.stages() is MlpSpec((4, 8, 3)).stages()  # one stage list per spec value
+
+
+def test_spec_fields_are_plain_ints_so_equal_specs_read_alike():
+    # a float field passed construction and failed later with a raw TypeError
+    kw = dict(dim=8, blocks=1, heads=2, mlp_dim=8, classes=2, seq_len=2, input_dim=4)
+    for bad in ({"heads": 2.0}, {"blocks": 1.5}, {"dim": None}):
+        with pytest.raises(ConfigError, match=r"bad dims in MiniVitSpec\("):
+            MiniVitSpec(**{**kw, **bad})
+    for widths in ((4, 8.5, 3), (4.0, 8, 3), 5):
+        with pytest.raises(ConfigError, match="bad widths"):
+            MlpSpec(widths)
+    spec = MiniVitSpec(**{**kw, "heads": np.int64(2), "blocks": True})
+    assert spec == MiniVitSpec(**kw) and {type(v) for v in vars(spec).values()} == {int}
+    assert spec.stages() is MiniVitSpec(**kw).stages()
+    logits, _ = forward(spec, build_model(spec), Tensor(np.zeros((1, 2, 4))))
+    assert logits.shape == (1, 2)
+    assert MlpSpec((4, np.int64(8), 3)).widths == (4, 8, 3)

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -751,6 +752,14 @@ def test_attention_over_zero_tokens_is_a_shape_mismatch(prefix):
     with pytest.raises(ShapeMismatch, match=r"qkv \(2, 0, 12\) is not \[n, s>0"):
         T.attention(Tensor(np.zeros((2, 0, 12))), 2, pre)
     assert T.attention(Tensor(np.zeros((0, 3, 12))), 2).shape == (0, 3, 4)  # zero samples work
+
+
+@pytest.mark.parametrize("heads", [0, -1, True, 2.0, None])
+def test_attention_heads_that_are_not_a_positive_integer_are_a_config_error(heads):
+    # 0, -1 and True raised a raw ZeroDivisionError, ValueError and TypeError
+    with pytest.raises(ConfigError, match=f"heads {re.escape(repr(heads))} is not a positive"):
+        T.attention(Tensor(np.zeros((2, 3, 12))), heads)
+    assert T.attention(Tensor(np.zeros((2, 3, 12))), np.int64(2)).shape == (2, 3, 4)
 
 
 def test_layernorm_of_a_row_whose_variance_overflows_is_a_non_finite_value():
