@@ -15,6 +15,8 @@ is also a ``ValueError``, so callers that catch ``ValueError`` for a bad
 argument still catch it.
 """
 
+import numbers
+
 
 class ZjError(Exception):
     """Base class for all toolbox errors."""
@@ -36,6 +38,15 @@ class ParseError(ZjError):
 
 class ConfigError(ZjError, ValueError):
     """A value, option or combination of inputs the toolbox does not accept."""
+
+
+def check_count(name, value, least=1):
+    """The one check of a count argument: ``value`` as an int when it is an
+    integer (numpy's too, not a bool) of at least ``least``, 1 or 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ConfigError(f"{name} {value!r} is not a {kind} integer")
+    return int(value)
 
 
 class ShapeMismatch(ZjError):

@@ -35,7 +35,8 @@ from scipy.optimize import linear_sum_assignment
 from . import tensor as T
 from .architect import METHODS
 from .checkpoint import Checkpoint, to_params
-from .errors import ConfigError, NoConvergence, NonFiniteValue, ShapeMismatch, SpecMismatch
+from .errors import (ConfigError, NoConvergence, NonFiniteValue, ShapeMismatch, SpecMismatch,
+                     check_count)
 from .models import SPECS, ParamStore, forward
 from .tensor import Tensor
 
@@ -138,8 +139,7 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0) -> Fishe
     order of a per-sample loop (``integers`` for a row, then ``choice`` for
     its label), so the result equals that loop's up to rounding.
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
+    n_samples = check_count("n_samples", n_samples)
     params = ParamStore({p: Tensor(t.data, requires_grad=True)  # to_params leaves are frozen
                          for p, t in to_params(spec, ckpt).items()})
     _refuse_others(ckpt, params.paths(), "fisher_estimate needs the spec's parameters")
@@ -233,8 +233,7 @@ def sinkhorn(cost, eps, iters):
         raise NonFiniteValue("cost matrix contains NaN/Inf")
     if not (np.isfinite(eps) and eps > 0):
         raise ConfigError(f"eps must be positive and finite, got {eps}")
-    if iters < 1:
-        raise ConfigError("iters must be >= 1")
+    iters = check_count("iters", iters)
     n, m = cost.shape
     log_a = np.full(n, -np.log(n))
     log_b = np.full(m, -np.log(m))
@@ -341,6 +340,7 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
     ties prefer the identity map.
     Returns ``(Permutation, per-sweep objective values)``.
     """
+    max_sweeps = check_count("max_sweeps", max_sweeps, least=0)
     _check_aligned([ckpt_a, ckpt_b])
     (groups, a), (_, b) = _groups(ckpt_a), _groups(ckpt_b)
     moved = dict.fromkeys(p for _, site, reader in groups for p in (f"{site}.weight", reader))

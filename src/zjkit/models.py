@@ -189,8 +189,9 @@ class MiniVitSpec(StagedSpec):
             blk = f"blocks[{i}]"
 
             def step(params, h, hook, lin, route):
-                qkv = lin(f"{blk}.attn.qkv", ln(params, h, f"{blk}.norm1"))  # [n, s, 3d]
-                ctx = T.attention(qkv, self.heads, route("kv_prefix", blk, None))
+                # no derivative reads the [n, s, 3d] qkv: it dies when attention returns
+                ctx = T.attention(lin(f"{blk}.attn.qkv", ln(params, h, f"{blk}.norm1")),
+                                  self.heads, route("kv_prefix", blk, None))
                 h = h + lin(f"{blk}.attn.proj", ctx)
                 pre = lin(f"{blk}.mlp.fc1", ln(params, h, f"{blk}.norm2"))
                 hook(f"{blk}.preact", pre)

@@ -45,7 +45,14 @@ first. Derivatives keep only what they read and do the derivative
 work themselves, so a forward that no backward follows pays nothing for
 it (``gelu`` keeps ``x`` alone, and its derivative recomputes ``tanh(u)``
 from it; an affine keeps its input only for a tracked weight's gradient,
-and its transposed weight only for a tracked input's).
+and its transposed weight only for a tracked input's). Nor do they keep a
+value the tape can rebuild bit for bit and cheaply: a recorded result may
+carry ``recompute``, a function rebuilding its ``.data`` from arrays the
+tape keeps, and an affine's weight gradient and lowrank's ``a`` read their
+input through it. ``layernorm`` sets it (``gamma * xhat + beta``, from its
+node's ``xhat``); ``gelu`` does not, as that takes ``tanh``. A prefixed
+``attention`` keeps its own keys and values and the ``[t, d]`` prefix,
+and its backward rebuilds the n per-sample copies.
 
 Buffers: the hot ops (``affine``, ``lowrank``, ``layernorm``, ``gelu``,
 softmax and ``attention``) write each large temporary into an array they
@@ -94,7 +101,7 @@ import weakref
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue, ShapeMismatch
+from .errors import ConfigError, NonFiniteValue, ShapeMismatch, check_count
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _PER_SAMPLE_BLOCK = 1 << 17  # float64 elements (1 MiB) of per-sample affine gradients
@@ -117,7 +124,7 @@ class Tensor:
     """Immutable dense array. A tracked one (a grad leaf or a recorded
     result) owns a tape node that holds no array (see :meth:`_record`)."""
 
-    __slots__ = ("data", "requires_grad", "uid", "_node")
+    __slots__ = ("data", "requires_grad", "uid", "_node", "recompute")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -130,6 +137,7 @@ class Tensor:
         self.uid = next(_uid_counter)
         # a node is (uid, shape, parent nodes, backward); a grad leaf's has neither
         self._node = (self.uid, arr.shape, (), None) if requires_grad else None
+        self.recompute = None  # or a function rebuilding data, bit for bit, from kept arrays
 
     # -- basics ---------------------------------------------------------
 
@@ -159,7 +167,7 @@ class Tensor:
     # -- graph plumbing -------------------------------------------------
 
     @staticmethod
-    def _record(out, parents, dgrads):
+    def _record(out, parents, dgrads, recompute=None):
         """Wrap an op's result ``out`` (an ndarray or numpy scalar); the
         backward hands each operand ``parents[i]`` (a tuple) the gradient
         ``dgrads[i](grad)``, accumulated in that order. ``grad`` arrives in
@@ -171,7 +179,8 @@ class Tensor:
         The result's node links the operands' nodes, not the operands, and
         holds no array: an array outlives the ``Tensor`` that holds it only
         where a derivative reads it, so each ``dgrads[i]`` captures the
-        arrays and shapes it reads, never an operand.
+        arrays and shapes it reads, never an operand; ``affine`` and
+        ``lowrank`` read their input through its ``recompute`` (:func:`_values`).
 
         An operand whose gradient is summed over the sample axis 0 takes a
         per-sample rule, a pair of maps: the gradient summed over samples,
@@ -202,6 +211,7 @@ class Tensor:
 
         res = Tensor(out)
         res._node = (res.uid, res.data.shape, tape, backward)
+        res.recompute = recompute
         return res
 
     def _unary(self, out, dgrad):
@@ -260,10 +270,10 @@ class Tensor:
         # tanh approximation 0.5 x (1 + t); the node keeps x alone, and the
         # derivative recomputes t from it, bit for bit
         x = self.data
-        t = _gelu_tanh(x)
-        t += 1.0
-        out = x * 0.5
-        out *= t
+        out = _gelu_tanh(x)
+        out += 1.0
+        out *= 0.5  # exact, so this is x*0.5*(1 + t) bit for bit (subnormal x aside)
+        out *= x
 
         def dgrad(g):
             # d/dx [0.5 x (1 + tanh(u))], u = c (x + 0.044715 x^3), grouped as
@@ -423,6 +433,13 @@ def _per_grad(fn):
     return shared
 
 
+def _values(x):
+    """A function giving ``x``'s values as ``[rows, in]``, for a derivative
+    to keep: it reads ``x.recompute`` where ``x`` has one, not ``x.data``."""
+    rebuild, width = x.recompute or (lambda data=x.data: data), x.shape[-1]
+    return lambda: rebuild().reshape(-1, width)
+
+
 def _weight_sq(g, x2, x_shape):
     """Summed squared per-sample gradients of an affine weight, from the
     output gradient ``g`` and the input rows ``x2`` of an input of shape
@@ -492,13 +509,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     if b is not None:
         y += b.data
 
-    rows, xs = y.shape, x.shape
+    rows, xs, xv = y.shape, x.shape, _values(x)
     first = 1 if b is None else 0  # a bias-free affine records x and w alone
     return Tensor._record(y.reshape(xs[:-1] + (w.shape[0],)), (b, x, w)[first:], (
         (lambda g: g.reshape(rows).sum(axis=0), _sample_sq),
         lambda g: np.matmul(g.reshape(rows), np.swapaxes(wt, -1, -2)).reshape(xs),
-        (lambda g: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), g.reshape(rows))),
-         lambda g: _weight_sq(g, x2, xs)))[first:])
+        (lambda g: np.transpose(np.matmul(np.swapaxes(xv(), -1, -2), g.reshape(rows))),
+         lambda g: _weight_sq(g, xv(), xs)))[first:])
 
 
 def lowrank(y: Tensor, x: Tensor, a: Tensor, b: Tensor, s) -> Tensor:
@@ -526,14 +543,14 @@ def lowrank(y: Tensor, x: Tensor, a: Tensor, b: Tensor, s) -> Tensor:
     u *= s
     np.add(y.data.reshape(u.shape), u, out=u)
 
-    rows, xs = u.shape, x.shape
+    rows, xs, xv = u.shape, x.shape, _values(x)
     gs = _per_grad(lambda g: g * s)  # the gradient of (x @ a.T) @ b.T
     dh = _per_grad(lambda g: np.matmul(gs(g).reshape(rows), np.swapaxes(bt, -1, -2)))
     return Tensor._record(u.reshape(y.shape), (y, x, a, b), (
         _same,
         lambda g: np.matmul(dh(g), np.swapaxes(at, -1, -2)).reshape(xs),
-        (lambda g: np.transpose(np.matmul(np.swapaxes(x2, -1, -2), dh(g))),
-         lambda g: _weight_sq(dh(g), x2, xs)),
+        (lambda g: np.transpose(np.matmul(np.swapaxes(xv(), -1, -2), dh(g))),
+         lambda g: _weight_sq(dh(g), xv(), xs)),
         (lambda g: np.transpose(np.matmul(np.swapaxes(h, -1, -2), gs(g).reshape(rows))),
          lambda g: _weight_sq(gs(g), h, xs))))
 
@@ -550,8 +567,7 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     chain gave them, and the backward keeps its order of operations. A
     ``heads`` that is not a positive integer is ``ConfigError``.
     """
-    if isinstance(heads, bool) or not isinstance(heads, (int, np.integer)) or heads < 1:
-        raise ConfigError(f"heads {heads!r} is not a positive integer")
+    heads = check_count("heads", heads)
     if qkv.ndim != 3 or 0 in qkv.shape[1:] or qkv.shape[-1] % (3 * heads):
         raise ShapeMismatch(f"qkv {qkv.shape} is not [n, s>0, 3 x a positive multiple of {heads}]")
     n, s, d3 = qkv.shape
@@ -563,22 +579,31 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
         return a[..., lo:lo + d].reshape(-1, rows, heads, hd).transpose(0, 2, 1, 3)
 
     q = np.ascontiguousarray(split(qkv.data, 0, s))
-    k, v = split(qkv.data, d, s), split(qkv.data, 2 * d, s)
+    kt = np.ascontiguousarray(np.swapaxes(split(qkv.data, d, s), -1, -2))  # own tokens'
+    v = np.ascontiguousarray(split(qkv.data, 2 * d, s))
     if prefix is not None:
         if len(prefix) != 2 or any(p.shape != (prefix[0].shape[0], d) for p in prefix):
             raise ShapeMismatch(f"prefix {[p.shape for p in prefix]}, expected two [t,{d}]")
         t = prefix[0].shape[0]
-        k, v = (np.concatenate([np.broadcast_to(split(p.data, 0, t), (n, heads, t, hd)), a],
-                               axis=2) for p, a in zip(prefix, (k, v)))
-    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
-    v = np.ascontiguousarray(v)
-    scores = np.matmul(q, kt)
+        pkt, pv = np.swapaxes(split(prefix[0].data, 0, t), -1, -2), split(prefix[1].data, 0, t)
+
+    def operands():  # the keys transposed and the values, each prefix row first, in C order
+        if prefix is None:
+            return kt, v
+        return (np.concatenate([np.broadcast_to(pkt, (n, heads, hd, t)), kt], axis=3,
+                               out=np.empty((n, heads, hd, t + s))),
+                np.concatenate([np.broadcast_to(pv, (n, heads, t, hd)), v], axis=2,
+                               out=np.empty((n, heads, t + s, hd))))
+
+    keys, values = operands()
+    scores = np.matmul(q, keys)
     scores *= scale
     attn = _softmax(scores)
-    ctx = np.matmul(attn, v)
+    ctx = np.matmul(attn, values)
 
     @_per_grad
     def shared(g):
+        kt, v = operands()
         gh = np.transpose(g.reshape(n, s, heads, hd), (0, 2, 1, 3))
         g_attn = np.matmul(gh, np.swapaxes(v, -1, -2))
         g_v = np.matmul(np.swapaxes(attn, -1, -2), gh)
@@ -682,16 +707,17 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
     # x centred once for the variance and xhat; the mean of its squares is
     # what x.var() computes after centring x again
     xhat = x.data - _row_mean(x.data)
-    out = xhat * xhat
-    inv = 1.0 / np.sqrt(_row_mean(out) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
     if not inv.all():  # 0 exactly where a row's variance is infinite
         raise NonFiniteValue("layernorm overflow: a row's variance is infinite")
     xhat *= inv
-    np.multiply(gamma.data, xhat, out=out)
-    out += beta.data
+    lead = tuple(range(xhat.ndim - 1))
+    gd, bd = gamma.data, beta.data
 
-    lead = tuple(range(out.ndim - 1))
-    gd = gamma.data
+    def rebuild():  # the output, from the xhat the derivatives keep; the forward's too
+        out = np.multiply(gd, xhat)
+        out += bd
+        return out
 
     def dx(g):  # (gg - m1 - xhat * m2) * inv
         gg = g * gd
@@ -704,10 +730,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
         gg *= inv
         return gg
 
-    return Tensor._record(out, (gamma, beta, x), (
+    return Tensor._record(rebuild(), (gamma, beta, x), (
         (lambda g: (g * xhat).sum(axis=lead), lambda g: _sample_sq(g * xhat)),
         (lambda g: g.sum(axis=lead), _sample_sq),
-        dx))
+        dx), rebuild)
 
 
 def concat(tensors, axis=0):

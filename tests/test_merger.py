@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,41 @@ def test_sinkhorn_nan_violation_is_no_convergence():
     # every (g - cost) / eps is -inf, so the log-sum-exp is NaN
     with pytest.raises(NoConvergence):
         sinkhorn(np.full((2, 2), 1e308), eps=1e-300, iters=5)
+
+
+_BLOBS = data_mod.blobs(k=3, d=4, n=30, sigma=0.2, seed=0)
+# call with a count argument: (its name, whether 0 is a count it takes)
+COUNT_ARGS = {
+    "sinkhorn": (lambda v: sinkhorn(np.zeros((2, 2)), eps=0.1, iters=v), "iters", False),
+    "ot_fuse": (lambda v: ot_fuse(_ckpt(), _ckpt(seed=1), eps=0.1, iters=v), "iters", False),
+    "weight_match": (lambda v: weight_match(_ckpt(), _ckpt(seed=1), max_sweeps=v),
+                     "max_sweeps", True),
+    "fisher_estimate": (lambda v: fisher_estimate(SPEC, _ckpt(), _BLOBS, n_samples=v),
+                        "n_samples", False),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, None, True, "3", -1, 0])
+@pytest.mark.parametrize("call", sorted(COUNT_ARGS))
+def test_a_count_argument_that_is_not_an_integer_is_a_config_error(call, bad):
+    """2.5, None and "3" raised raw TypeErrors, True ran as one iteration or
+    sample, and weight matching with -1 sweeps returned identity maps."""
+    fn, name, zero_ok = COUNT_ARGS[call]
+    if bad == 0 and zero_ok:
+        bad = np.int64(0)  # no sweep: the identity maps, as before
+        perm, history = fn(bad)
+        assert len(history) == 1 and all(np.array_equal(m, np.arange(8)) for m in perm.maps)
+        return
+    kind = "non-negative" if zero_ok else "positive"
+    with pytest.raises(ConfigError, match=f"^{name} {re.escape(repr(bad))} is not a {kind} "):
+        fn(bad)
+
+
+@pytest.mark.parametrize("call", sorted(COUNT_ARGS))
+def test_a_numpy_integer_count_is_the_int(call):
+    fn = COUNT_ARGS[call][0]
+    want, got = fn(300), fn(np.int64(300))
+    assert repr(want) == repr(got)
 
 
 def sinkhorn_loop(cost, eps, iters, tol=1e-9):

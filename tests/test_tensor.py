@@ -982,6 +982,91 @@ def test_a_frozen_weight_affine_keeps_neither_its_input_nor_its_output(bias):
     assert T.backward(root)[v.uid].tobytes() == want.tobytes()
 
 
+def _layernorm_operands(rng, x_shape, tracked):
+    """x (off-centre rows), gamma with zeros and negatives, and beta; the
+    names in ``tracked`` require grad."""
+    d = x_shape[-1]
+    gamma = rng.normal(size=d)
+    gamma[::3], gamma[1::3] = 0.0, -np.abs(gamma[1::3])
+    values = {"x": rng.normal(0.5, 2.0, size=x_shape), "gamma": gamma, "beta": rng.normal(size=d)}
+    return [Tensor(v, requires_grad=k in tracked) for k, v in values.items()]
+
+
+@pytest.mark.parametrize("x_shape", [(6, 7), (3, 5, 7)], ids=["2d", "3d"])
+@pytest.mark.parametrize("tracked", [("x",), ("gamma",), ("beta",), ("x", "gamma", "beta"), ()])
+def test_a_layernorm_output_is_rebuilt_bit_for_bit(x_shape, tracked):
+    """A recorded layernorm result carries a recompute, from the ``xhat`` its
+    derivatives keep, that gives its values exactly; a result that records
+    nothing, untracked or under ``no_grad``, carries none."""
+    for seed in range(3):
+        x, gamma, beta = _layernorm_operands(np.random.default_rng(seed), x_shape, tracked)
+        out = T.layernorm(x, gamma, beta)
+        if not tracked:
+            assert out.recompute is None
+            continue
+        again = out.recompute()
+        assert np.array_equal(again, out.data) and again.tobytes() == out.data.tobytes()
+        with T.no_grad():
+            assert T.layernorm(x, gamma, beta).recompute is None
+
+
+def _reads_a_norm(name, out, leaves):
+    """A LoRA site or a tracked-weight affine that reads a layernorm output."""
+    w, a, b, bias = leaves
+    if name == "lowrank":
+        return T.lowrank(T.affine(out, Tensor(w.data)), out, a, b, 1.5)
+    return T.affine(out, w, bias)
+
+
+@pytest.mark.parametrize("x_shape", [(6, 7), (3, 5, 7)], ids=["2d", "3d"])
+@pytest.mark.parametrize("name", ["lowrank", "affine"])
+def test_a_node_reading_a_layernorm_output_keeps_no_copy_of_it(name, x_shape):
+    """The output's array dies with its ``Tensor``: the reader's derivatives
+    rebuild it from the norm's ``xhat``. Gradients and per-sample squares are
+    the ones a reader that keeps the array gives, byte for byte."""
+    rng = np.random.default_rng(34)
+    x, gamma, beta = _layernorm_operands(rng, x_shape, ("gamma", "beta"))
+    leaves = [rand_tensor(rng, s) for s in ((4, 7), (2, 7), (4, 2), (4,))]
+    probe = Tensor(rng.normal(size=x_shape[:-1] + (4,)))
+    out = T.layernorm(x, gamma, beta)
+    array = weakref.ref(out.data)
+    root = (_reads_a_norm(name, out, leaves) * probe).sum()
+    del out
+    assert array() is None
+    kept = T.layernorm(x, gamma, beta)
+    kept.recompute = None  # the reader keeps the array itself
+    want_root = (_reads_a_norm(name, kept, leaves) * probe).sum()
+    for per_sample in (False, True):
+        got, want = (T.backward(r, per_sample_sq=per_sample) for r in (root, want_root))
+        assert got.keys() == want.keys() and len(got) == 4  # gamma, beta and two of the reader's
+        for uid, g in got.items():
+            assert g.tobytes() == want[uid].tobytes()
+
+
+def test_prefix_attention_keeps_no_copy_of_its_broadcast_keys_or_values():
+    """Attention puts the ``[t, d]`` prefix rows in front of each of the n
+    samples' keys and values. The node keeps its own tokens' keys and values,
+    the queries and the attention weights, not the n copies of the prefix
+    rows (it kept ``[n, heads, t + s, hd]`` keys and values); the backward
+    rebuilds them and still equals the chain bit for bit."""
+    n, s, d, heads, t = 4, 4, 32, 2, 16
+    leaves = _attention_leaves(np.random.default_rng(35), n, s, d, t)
+    tracemalloc.start()
+    try:
+        out = _with_heads(T.attention, heads)(*leaves)
+        kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    own = 8 * (3 * n * s * d + n * heads * s * (t + s))  # q, k, v and the weights
+    assert own < kept < own + 8192, (own, kept)  # the prefix copies were 32 KiB more
+    probe = Tensor(np.random.default_rng(36).normal(size=out.shape))
+    got = T.backward((out * probe).sum())
+    want = T.backward((_with_heads(_attention_chain, heads)(*leaves) * probe).sum())
+    assert got.keys() == want.keys() == {leaf.uid for leaf in leaves}
+    for uid, g in got.items():
+        assert g.tobytes() == want[uid].tobytes()
+
+
 def test_a_gradient_of_another_shape_is_a_shape_mismatch():
     """A derivative must hand back its operand's shape; only a size-1
     gradient is reshaped, since a 0-d result is stored as ``(1,)``."""
