@@ -29,13 +29,10 @@ def main():
     ds = data_mod.moons(n=240, noise=0.1, seed=0)
     x_val, y_val = ds.split("val")
 
-    def loss(ckpt):
+    def show(label, ckpt, note=""):  # one forward gives the loss and the accuracy
         logits, _ = forward(spec, to_params(spec, ckpt), Tensor(x_val))
-        return cross_entropy(logits, y_val).item()
-
-    def acc(ckpt):
-        logits, _ = forward(spec, to_params(spec, ckpt), Tensor(x_val))
-        return float((np.argmax(logits.data, axis=1) == y_val).mean())
+        acc = float((np.argmax(logits.data, axis=1) == y_val).mean())
+        print(f"{label}loss={cross_entropy(logits, y_val).item():.4f} acc={acc:.3f}{note}")
 
     ckpts = []
     for seed in (args.seed, args.seed + 1):
@@ -44,30 +41,24 @@ def main():
         cfg = TrainConfig(lr=0.3, epochs=args.epochs, batch_size=16, seed=seed)
         ckpt, _ = train(model, None, ds, LossSpec(), RegSpec(), cfg)
         ckpts.append(ckpt)
-        print(f"endpoint seed={seed}: loss={loss(ckpt):.4f} acc={acc(ckpt):.3f}")
+        show(f"endpoint seed={seed}: ", ckpt)
 
     a, b = ckpts
-    naive = merger.uniform_soup([a, b])
-    print(f"naive midpoint:      loss={loss(naive):.4f} acc={acc(naive):.3f}")
+    show("naive midpoint:      ", merger.uniform_soup([a, b]))
 
     perm_wm, history = merger.weight_match(a, b)
-    aligned = merger.uniform_soup([a, merger.permute_model(b, perm_wm)])
-    print(f"weight-match mid:    loss={loss(aligned):.4f} "
-          f"acc={acc(aligned):.3f}  (objective {history[0]:.3f} -> "
-          f"{history[-1]:.3f} in {len(history)} steps)")
+    b_wm = merger.permute_model(b, perm_wm)
+    aligned = merger.uniform_soup([a, b_wm])
+    show("weight-match mid:    ", aligned, f"  (objective {history[0]:.3f} -> "
+         f"{history[-1]:.3f} in {len(history)} steps)")
 
     try:
-        _, perm_ot = merger.ot_fuse(a, b, eps=0.05, iters=3000)
-        aligned_ot = merger.uniform_soup([a, merger.permute_model(b, perm_ot)])
-        print(f"ot-fusion mid:       loss={loss(aligned_ot):.4f} "
-              f"acc={acc(aligned_ot):.3f}")
+        show("ot-fusion mid:       ", merger.ot_fuse(a, b, eps=0.05, iters=3000)[0])
     except errors.NoConvergence as exc:
         print(f"ot-fusion mid:       skipped ({exc})")
 
     calib = ds.split("train")[0][:256]
-    fixed = merger.repair(aligned, (a, merger.permute_model(b, perm_wm), 0.5),
-                          spec, calib)
-    print(f"aligned + repair:    loss={loss(fixed):.4f} acc={acc(fixed):.3f}")
+    show("aligned + repair:    ", merger.repair(aligned, (a, b_wm, 0.5), spec, calib))
 
     for i, stats in enumerate(merger.permutation_summary(perm_wm)):
         print(f"hidden layer {i}: {stats}")

@@ -303,67 +303,62 @@ def cmd_train(cfg, args):
 
 
 def cmd_merge(cfg, args):
+    """Align, then combine: ``ot_fusion``, ``git_rebasin`` and ``repair`` permute
+    b's units onto a's first; then the one combine of the recipe runs."""
     out = _out_dir(cfg, args)
     spec = _model_spec(cfg)
     ckpts = _ckpts(args)
     for c in ckpts:  # recipes that never read the spec still merge only its checkpoints
         ckpt_mod.check_spec(spec, c)
     kind = cfg.get("merger.kind", "uniform_soup")
-    if kind in ("wise_ft", "ot_fusion", "git_rebasin", "repair") and len(ckpts) != 2:
+    aligning = kind in ("ot_fusion", "git_rebasin", "repair")
+    if kind not in ("uniform_soup", "greedy_soup", "wise_ft", "fisher") and not aligning:
+        raise ConfigError(f"unknown merger.kind {kind!r}")
+    if (aligning or kind == "wise_ft") and len(ckpts) != 2:
         raise ConfigError(f"{kind} needs exactly two checkpoints")
     report = {"recipe": kind, "ingredients": list(args.ckpt)}
-    alpha = cfg.get("merger.alpha", 0.5)  # checked only by the recipes that read it
-
-    def named(recipe, *a, **kw):  # the recipe names its argument, not the run's key
-        try:
-            return recipe(*a, **kw)
-        except ConfigError as exc:
-            keys = [k for k in cfg if k.startswith("merger.") and k != "merger.kind"]
-            given = ", ".join([f"merger.kind={kind}"] + [f"{k}={cfg[k]}" for k in keys])
-            raise ConfigError(f"{given}: {exc}") from None
-
-    if kind == "uniform_soup":
-        merged = merger.uniform_soup(ckpts)
-    elif kind == "greedy_soup":
-        ds = _load_dataset(cfg, args.seed)
-        plan = _plan(cfg, spec)
-        merged, order = merger.greedy_soup(
-            ckpts, ds.split("val"),
-            lambda c, vd: tuner.accuracy(_model_for_eval(spec, plan, c), *vd))
-        report["accepted"] = [args.ckpt[i] for i in order]
-    elif kind == "wise_ft":
-        merged = merger.wise_ft(ckpts[0], ckpts[1], _num(alpha, "merger.alpha"))
-    elif kind == "fisher":
-        ds = _load_dataset(cfg, args.seed)
-        kw = _kwargs(cfg, merger.fisher_estimate, n_samples="merger.samples")
-        fishers = [named(merger.fisher_estimate, spec, c, ds, seed=args.seed + i, **kw)
-                   for i, c in enumerate(ckpts)]
-        report["fisher_mass"] = [f.mass() for f in fishers]
-        lams = None
-        if cfg.get("merger.lams"):
-            lams = [_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]
-        merged = merger.fisher_merge(ckpts, fishers, lams)
-    elif kind == "ot_fusion":
-        kw = _kwargs(cfg, merger.ot_fuse, eps="merger.eps", iters="merger.iters")
-        merged, perm = named(merger.ot_fuse, ckpts[0], ckpts[1], **kw)
-        report["permutation"] = merger.permutation_summary(perm)
-        report["sinkhorn"] = perm.stats
-    elif kind == "git_rebasin":
-        perm, history = merger.weight_match(
-            ckpts[0], ckpts[1], **_kwargs(cfg, merger.weight_match, max_sweeps="merger.sweeps"))
-        aligned = merger.permute_model(ckpts[1], perm)
-        merged = merger.uniform_soup([ckpts[0], aligned])
-        report["permutation"] = merger.permutation_summary(perm)
-        report["objective"] = history
-    elif kind == "repair":
-        alpha = _num(alpha, "merger.alpha")
-        interp = merger.wise_ft(ckpts[1], ckpts[0], alpha)  # weight alpha on a
-        ds = _load_dataset(cfg, args.seed)
-        x_train, _ = ds.split("train")
-        merged = merger.repair(interp, (ckpts[0], ckpts[1], alpha), spec,
-                               x_train[:256], log=log.info)
-    else:
-        raise ConfigError(f"unknown merger.kind {kind!r}")
+    if kind in ("wise_ft", "repair"):  # before any alignment or data load
+        alpha = _num(cfg.get("merger.alpha", 0.5), "merger.alpha")
+        if not 0.0 <= alpha <= 1.0:
+            raise ConfigError(f"merger.alpha {alpha} outside [0,1]")
+    # data.source and architect.config errors name their own keys
+    ds = _load_dataset(cfg, args.seed) if kind in ("greedy_soup", "fisher", "repair") else None
+    plan = _plan(cfg, spec) if kind == "greedy_soup" else None
+    try:
+        if aligning:
+            if kind == "ot_fusion":
+                perm = merger.ot_align(*ckpts, **_kwargs(cfg, merger.ot_align, eps="merger.eps",
+                                                         iters="merger.iters"))
+                report["sinkhorn"] = perm.stats
+            else:
+                perm, report["objective"] = merger.weight_match(
+                    *ckpts, **_kwargs(cfg, merger.weight_match, max_sweeps="merger.sweeps"))
+            report["permutation"] = merger.permutation_summary(perm)
+            ckpts = [ckpts[0], merger.permute_model(ckpts[1], perm)]
+        if kind == "greedy_soup":
+            merged, order = merger.greedy_soup(
+                ckpts, ds.split("val"),
+                lambda c, vd: tuner.accuracy(_model_for_eval(spec, plan, c), *vd))
+            report["accepted"] = [args.ckpt[i] for i in order]
+        elif kind == "wise_ft":
+            merged = merger.wise_ft(*ckpts, alpha)
+        elif kind == "fisher":
+            kw = _kwargs(cfg, merger.fisher_estimate, n_samples="merger.samples")
+            fishers = [merger.fisher_estimate(spec, c, ds, seed=args.seed + i, **kw)
+                       for i, c in enumerate(ckpts)]
+            report["fisher_mass"] = [f.mass() for f in fishers]
+            lams = ([_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]
+                    if cfg.get("merger.lams") else None)
+            merged = merger.fisher_merge(ckpts, fishers, lams)
+        elif kind == "repair":  # alpha weights a
+            merged = merger.repair(merger.wise_ft(ckpts[1], ckpts[0], alpha), (*ckpts, alpha),
+                                   spec, ds.split("train")[0][:256], log=log.info)
+        else:  # uniform_soup, ot_fusion, git_rebasin
+            merged = merger.uniform_soup(ckpts)
+    except ConfigError as exc:  # a recipe names its argument, not the run's key
+        keys = [k for k in cfg if k.startswith("merger.") and k != "merger.kind"]
+        given = ", ".join([f"merger.kind={kind}"] + [f"{k}={cfg[k]}" for k in keys])
+        raise ConfigError(f"{given}: {exc}") from None
     ckpt_mod.save_checkpoint(merged, os.path.join(out, "merged.zjk1"))
     _write_json(os.path.join(out, "merge_report.json"), report)
     _write_resolved(cfg, out)

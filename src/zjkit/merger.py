@@ -13,12 +13,12 @@ tests). It takes checkpoints of the spec's own parameters only; adapter
 entries are refused. It is the one reader of gradients here, so it makes
 grad leaves of its own from the frozen :func:`checkpoint.to_params` store.
 
-OT fusion (:func:`ot_fuse`) solves each layer's entropic problem on a
+OT alignment (:func:`ot_align`) solves each layer's entropic problem on a
 Gram-form cost by stabilised Sinkhorn scaling (:func:`sinkhorn`), a few
 exps per solve rather than three per iteration, and hardens the plan by an
 exact assignment, which is always a bijection.
 
-Permutation, weight matching, OT fusion and REPAIR work on a checkpoint's
+Permutation, weight matching, OT alignment and REPAIR work on a checkpoint's
 own float64 entries through the unit groups its family declares
 (``models.SPECS[kind].unit_group``), one map per group; they refuse adapter
 entries, whose root is an ``architect.METHODS`` key.
@@ -71,11 +71,9 @@ def _check_aligned(checkpoints):
 def uniform_soup(checkpoints) -> Checkpoint:
     """Elementwise arithmetic mean of the input checkpoints."""
     _check_aligned(checkpoints)
-    out = {}
-    for p in checkpoints[0].entries:
-        out[p] = np.mean([c.entries[p].astype(np.float64) for c in checkpoints],
-                         axis=0)
-    return checkpoints[0].with_entries(out)
+    return checkpoints[0].with_entries(
+        {p: np.mean([c.entries[p].astype(np.float64) for c in checkpoints], axis=0)
+         for p in checkpoints[0].entries})
 
 
 def greedy_soup(checkpoints, val_data, eval_fn):
@@ -382,16 +380,18 @@ def _sq_dists(x, y):
     return np.maximum(d, 0.0, out=d)
 
 
-def ot_fuse(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500):
-    """Align b's units to a via entropic OT on incoming weights, then average.
+def ot_align(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500) -> Permutation:
+    """Permutation aligning b's units to a by entropic OT on incoming weights.
 
     Per group, the cost of pairing two units is the squared distance between
     their ``[weight | bias]`` rows at the group's site. The :func:`sinkhorn`
     plan is hardened by an exact assignment, ``linear_sum_assignment(-plan)``,
-    which is always a bijection. Returns ``(fused checkpoint, Permutation)``;
-    the permutation's ``stats`` hold one record per group: Sinkhorn
+    which is always a bijection. Its ``stats`` hold one record per group: Sinkhorn
     iterations, final marginal violation and the plan's coupling entropy.
     """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be positive and finite, got {eps}")
+    iters = check_count("iters", iters)
     _check_aligned([ckpt_a, ckpt_b])
     (groups, a), (_, b) = _groups(ckpt_a), _groups(ckpt_b)
     maps, stats = [], []
@@ -403,7 +403,12 @@ def ot_fuse(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500):
         record["coupling_entropy"] = coupling_entropy(plan)
         maps.append(linear_sum_assignment(-plan)[1])
         stats.append(record)
-    perm = Permutation(maps, stats)
+    return Permutation(maps, stats)
+
+
+def ot_fuse(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500):
+    """The mean of a and b aligned by :func:`ot_align`, and the permutation."""
+    perm = ot_align(ckpt_a, ckpt_b, eps, iters)
     return uniform_soup([ckpt_a, permute_model(ckpt_b, perm)]), perm
 
 

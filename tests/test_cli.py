@@ -970,6 +970,116 @@ def test_ot_fusion_reports_sinkhorn_per_layer(tmp_path):
     assert 0 < record["coupling_entropy"] <= np.log(8 * 8)
 
 
+def test_ot_fusion_of_a_net_with_no_hidden_layer_checks_eps_exit_3(tmp_path, capsys):
+    # no unit group reaches Sinkhorn, which was the one check: this exited 0
+    spec = MlpSpec((4, 3))
+    ck = tmp_path / "a.zjk1"
+    save_checkpoint(from_params(spec, build_model(spec)), ck)
+    text = _with("merger.eps", "nan", _with("model.widths", "4,3", OT_CFG))
+    code = main(["merge", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--ckpt", str(ck), "--ckpt", str(ck)])
+    assert code == 3
+    assert "eps must be positive and finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "merged.zjk1").exists()
+
+
+# -- the align step and the recipe dispatch -----------------------------------
+
+
+# one task for every run seed: without seed=0 in data.source, --seed redraws the blobs
+PAIR_CFG = """\
+model.kind=mlp
+model.widths=4,16,16,3
+data.source=blobs(k=3,d=4,n=200,sigma=1.0,seed=0)
+tuner.epochs=2
+tuner.batch_size=16
+merger.kind=repair
+merger.alpha=0.4
+"""
+
+
+def test_repair_merge_is_the_aligned_library_composition(tmp_path, capsys):
+    """weight_match -> permute_model -> wise_ft(b', a, alpha) -> repair, byte
+    for byte, on two independently initialised runs. The CLI used to REPAIR
+    the interpolation of the unaligned pair."""
+    cfg = _cfg(tmp_path, PAIR_CFG)
+    cks = []
+    for seed in (3, 13):
+        assert main(["train", "--config", cfg, "--seed", str(seed),
+                     "--out", str(tmp_path / str(seed))]) == 0
+        cks.append(str(tmp_path / str(seed) / "final.zjk1"))
+    out = tmp_path / "o"
+    assert main(["merge", "--config", cfg, "--out", str(out),
+                 "--ckpt", cks[0], "--ckpt", cks[1]]) == 0
+    capsys.readouterr()
+    a, b = (load_checkpoint(ck) for ck in cks)
+    perm, history = merger.weight_match(a, b)
+    assert any(not np.array_equal(m, np.arange(m.size)) for m in perm.maps)
+    aligned = merger.permute_model(b, perm)
+    calib = data_mod.blobs(k=3, d=4, n=200, sigma=1.0, seed=0).split("train")[0][:256]
+    want = merger.repair(merger.wise_ft(aligned, a, 0.4), (a, aligned, 0.4),
+                         MlpSpec((4, 16, 16, 3)), calib)
+    save_checkpoint(want, tmp_path / "want.zjk1")
+    assert (out / "merged.zjk1").read_bytes() == (tmp_path / "want.zjk1").read_bytes()
+    report = json.loads((out / "merge_report.json").read_text())
+    assert report["permutation"] == merger.permutation_summary(perm)
+    assert report["objective"] == history
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kind", ["wise_ft", "ot_fusion", "git_rebasin", "repair"])
+def test_a_two_checkpoint_recipe_of_one_or_three_exit_3(tmp_path, capsys, kind, n):
+    ck = _ptm(tmp_path)
+    out = tmp_path / "o"
+    code = main(["merge", "--config", _cfg(tmp_path, _with("merger.kind", kind)),
+                 "--out", str(out), *["--ckpt", ck] * n])
+    assert code == 3
+    assert f"error: {kind} needs exactly two checkpoints" in capsys.readouterr().err
+    assert not (out / "merged.zjk1").exists()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_unknown_merger_kind_exit_3(tmp_path, capsys, n):
+    ck = _ptm(tmp_path)
+    out = tmp_path / "o"
+    code = main(["merge", "--config", _cfg(tmp_path, _with("merger.kind", "bogus")),
+                 "--out", str(out), *["--ckpt", ck] * n])
+    assert code == 3
+    assert capsys.readouterr().err == "error: unknown merger.kind 'bogus'\n"
+    assert not (out / "merged.zjk1").exists()
+
+
+@pytest.mark.parametrize("kind", ["repair", "wise_ft"])
+@pytest.mark.parametrize("value, words", [("2", "merger.alpha 2.0 outside [0,1]"),
+                                          ("half", "merger.alpha: expected float, got 'half'")])
+def test_a_bad_alpha_fails_before_any_weight_matching_or_data_load(
+        tmp_path, capsys, monkeypatch, kind, value, words):
+    monkeypatch.setattr(cli, "_load_dataset", lambda *a: pytest.fail("loaded data"))
+    monkeypatch.setattr(merger, "weight_match", lambda *a, **k: pytest.fail("matched weights"))
+    ck = _ptm(tmp_path)
+    text = _with("merger.alpha", value, _with("merger.kind", kind))
+    code = main(["merge", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--ckpt", ck, "--ckpt", ck])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {words}\n"
+
+
+@pytest.mark.parametrize("kind, key, value, words", [
+    ("fisher", "data.source", "nope()", "unknown data source 'nope'"),
+    ("repair", "data.source", "blobs(sigma=nan)", "data.source sigma must be finite, got nan"),
+    ("greedy_soup", "architect.config", "'(LoRA.adapt):->(layers[7]){inout}'", "layers[7]"),
+])
+def test_a_data_or_plan_error_is_not_prefixed_with_merger_settings(
+        tmp_path, capsys, kind, key, value, words):
+    ck = _ptm(tmp_path)
+    text = _with(key, value, _with("merger.samples", "16", _with("merger.kind", kind)))
+    code = main(["merge", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--ckpt", ck, "--ckpt", ck])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert words in err and "merger." not in err
+
+
 # -- run-config fuzz ------------------------------------------------------
 
 # bad or odd values for any key; keys that size the work take FUZZ_SMALL only,

@@ -271,6 +271,8 @@ _BLOBS = data_mod.blobs(k=3, d=4, n=30, sigma=0.2, seed=0)
 COUNT_ARGS = {
     "sinkhorn": (lambda v: sinkhorn(np.zeros((2, 2)), eps=0.1, iters=v), "iters", False),
     "ot_fuse": (lambda v: ot_fuse(_ckpt(), _ckpt(seed=1), eps=0.1, iters=v), "iters", False),
+    "ot_align": (lambda v: merger.ot_align(_ckpt(), _ckpt(seed=1), eps=0.1, iters=v), "iters",
+                 False),
     "weight_match": (lambda v: weight_match(_ckpt(), _ckpt(seed=1), max_sweeps=v),
                      "max_sweeps", True),
     "fisher_estimate": (lambda v: fisher_estimate(SPEC, _ckpt(), _BLOBS, n_samples=v),
@@ -542,6 +544,23 @@ def test_ot_fuse_independent_nets_give_a_bijection():
         assert np.array_equal(fused.entries[p], want.entries[p])
     assert [sorted(r) for r in perm.stats] == [
         ["coupling_entropy", "iterations", "marginal_violation"]] * 2
+    aligned = merger.ot_align(a, b)  # ot_fuse's permutation, with no soup
+    assert all(np.array_equal(m, n) for m, n in zip(aligned.maps, perm.maps))
+    assert aligned.stats == perm.stats
+
+
+@pytest.mark.parametrize("name", ["ot_align", "ot_fuse"])
+@pytest.mark.parametrize("kw, words", [
+    ({"eps": float("nan"), "iters": 2.5}, "eps must be positive and finite, got nan"),
+    ({"eps": 0.0}, "eps must be positive and finite, got 0.0"),
+    ({"iters": 2.5}, "iters 2.5 is not a positive integer"),
+], ids=["eps_nan_iters_2.5", "eps_0", "iters_2.5"])
+def test_ot_checks_eps_and_iters_on_a_net_with_no_hidden_layer(name, kw, words):
+    """With no unit group no Sinkhorn solve checks them: eps=nan and
+    iters=2.5 returned the plain average with empty maps."""
+    c = _ckpt(MlpSpec((4, 3)))
+    with pytest.raises(ConfigError, match=re.escape(words)):
+        getattr(merger, name)(c, c, **kw)
 
 
 def test_three_hidden_layers_align_exactly():
