@@ -4,9 +4,9 @@ A plan is the bridge between the config language and a concrete model:
 it lists parameter injections (LoRA factors, adapters, prefix tokens,
 scale/shift vectors), which original paths train and which stay frozen,
 and any per-element gradient masks (BitFit's query-bias rows). Applying a
-plan records that split on the tensors themselves: a parameter trains iff
-its tensor requires grad, so frozen weights record no tape. LoRA and SSF
-plans can be folded back into plain weights via :func:`merge_reparam`.
+plan keeps that split in the plan: an adapted model's tensors are frozen,
+and ``tuner.train`` alone makes those the plan trains grad leaves, an epoch
+at a time. LoRA and SSF plans fold into plain weights (:func:`merge_reparam`).
 
 An adaptation method is registered in one place, its :class:`Method` record
 in :data:`METHODS`, which the config language, plan compilation, extras
@@ -205,19 +205,19 @@ def _init_extras(plan: AdaptationPlan, seed) -> ParamStore:
 class AdaptedModel:
     """A base model plus an applied plan; forward-capable composite.
 
-    ``params`` become the base: fresh tensors that require grad exactly on
-    the plan's trainable original paths, whatever flags ``params`` carries.
-    ``extras`` must hold each new parameter of the plan at its shape.
+    ``params`` become the base and ``extras`` the new parameters, each a
+    frozen tensor sharing the given array, whatever flags it carries; the
+    given stores are left as they are. ``extras`` must hold each new
+    parameter of the plan at its shape.
     """
 
     def __init__(self, spec, params: ParamStore, plan: AdaptationPlan, extras: ParamStore):
         if plan.model_canonical != spec.canonical():
             raise ConfigError("plan was compiled against a different model spec")
         self.spec = spec
-        self.base = ParamStore({p: Tensor(t.data, requires_grad=p in plan.trainable_original)
-                                for p, t in params.items()})
+        self.base, self.extras = (ParamStore({p: Tensor(t.data) for p, t in store.items()})
+                                  for store in (params, extras))
         self.plan = plan
-        self.extras = extras
         self._routes = {}  # (route, site) -> [(compute, leaf paths), ...]
         for inj in plan.injections:
             for path, shape in inj.params:
@@ -240,18 +240,18 @@ class AdaptedModel:
 
     def predict(self, x):
         """Logits for the rows of the array ``x``, forwarded 256 rows at a
-        time under :func:`tensor.no_grad`; the inference entry of evaluation,
-        validation and ensembles."""
-        with T.no_grad():
-            chunks = [self.forward(Tensor(x[lo:lo + 256]))[0].data
-                      for lo in range(0, x.shape[0], 256)]
+        time; the inference entry of evaluation, validation and ensembles.
+        It records no tape, as the model's tensors are frozen."""
+        chunks = [self.forward(Tensor(x[lo:lo + 256]))[0].data
+                  for lo in range(0, x.shape[0], 256)]
         return np.concatenate(chunks) if chunks else np.zeros((0, self.spec.n_classes))
 
     def trainable(self):
-        """(path, tensor, store) triples the optimizer may update: every
-        tensor, base then extras, that requires grad."""
-        return [(p, t, store) for store in (self.base, self.extras)
-                for p, t in store.items() if t.requires_grad]
+        """(path, tensor, store) triples the optimizer may update, as the
+        plan names them: its trained original paths, then every extra."""
+        trained = self.plan.trainable_original
+        base = [(p, t, self.base) for p, t in self.base.items() if p in trained]
+        return base + [(p, t, self.extras) for p, t in self.extras.items()]
 
 
 def apply_plan(spec, params: ParamStore, plan: AdaptationPlan, seed=0) -> AdaptedModel:

@@ -70,9 +70,9 @@ def check_spec(spec, ckpt: Checkpoint):
 def to_params(spec, ckpt: Checkpoint) -> ParamStore:
     """Materialize a checkpoint against a spec, checked by :func:`check_spec`.
 
-    The leaves are frozen (no tensor requires grad), so a forward on them
-    records no tape. :class:`architect.AdaptedModel` sets trainability from
-    its plan; a caller that reads gradients makes its own grad leaves.
+    The tensors are frozen, so a forward on them records no tape; a caller
+    that reads gradients makes its own grad leaves, as ``tuner.train`` does
+    for what an :class:`architect.AdaptedModel`'s plan trains.
     """
     check_spec(spec, ckpt)
     return ParamStore({p: Tensor(ckpt.entries[p].astype(np.float64))

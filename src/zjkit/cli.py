@@ -350,8 +350,8 @@ def cmd_merge(cfg, args):
             lams = ([_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]
                     if cfg.get("merger.lams") else None)
             merged = merger.fisher_merge(ckpts, fishers, lams)
-        elif kind == "repair":  # alpha weights a
-            merged = merger.repair(merger.wise_ft(ckpts[1], ckpts[0], alpha), (*ckpts, alpha),
+        elif kind == "repair":  # alpha weights b', as in wise_ft
+            merged = merger.repair(merger.wise_ft(*ckpts, alpha), (*ckpts, 1.0 - alpha),
                                    spec, ds.split("train")[0][:256], log=log.info)
         else:  # uniform_soup, ot_fusion, git_rebasin
             merged = merger.uniform_soup(ckpts)

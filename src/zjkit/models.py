@@ -240,7 +240,7 @@ def spec_digest(spec) -> bytes:
 
 
 class ParamStore:
-    """Ordered path -> Tensor map; a parameter trains iff its tensor requires grad."""
+    """Ordered path -> Tensor map; a forward over it records a tape iff a tensor is a grad leaf."""
 
     def __init__(self, entries=None):
         self._entries = dict(entries or {})

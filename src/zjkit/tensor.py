@@ -66,13 +66,12 @@ The finiteness check sums the array first: a finite sum proves every
 element finite, and only a sum that is not (NaN, an infinity, or an
 overflow, which numpy warns of) runs the elementwise check.
 
-Inference: inside ``with no_grad():`` no op records a tape. The context
-flips one switch that only ``Tensor._record`` reads: while it is off the
-recorder returns ``Tensor(out)`` at once, with no tape edge and no
-closure, so a forward keeps no activation alive for a backward nobody
-runs, and a ``backward`` from its result raises ``ConfigError``. Values
-are the ones a taped forward computes, and the finiteness check still
-runs. The switch is restored on exit, also when the block raises.
+Inference: a result is recorded iff an operand is tracked, and nothing
+else switches the tape on or off. A forward over frozen tensors (a
+checkpoint's ``to_params``, a ``Teacher``, an ``AdaptedModel`` outside
+``tuner.train``) records no node and keeps no activation alive for a
+backward nobody runs; a ``backward`` from its result raises
+``ConfigError``. A gradient reader makes its own grad leaves.
 
 Per-sample backward: ``backward(root, per_sample_sq=True)``, on a root
 that sums one term per sample (samples on axis 0, never mixed), maps each
@@ -94,7 +93,6 @@ cubes differ by one ulp in about a quarter of the elements.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import weakref
@@ -106,18 +104,6 @@ from .errors import ConfigError, NonFiniteValue, ShapeMismatch, check_count
 _GELU_C = math.sqrt(2.0 / math.pi)
 _PER_SAMPLE_BLOCK = 1 << 17  # float64 elements (1 MiB) of per-sample affine gradients
 _uid_counter = itertools.count()
-_recording = True  # off inside no_grad(); of the ops, Tensor._record alone reads it
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Record no tape inside the block (see the module docstring); nests."""
-    global _recording
-    was, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = was
 
 
 class Tensor:
@@ -185,11 +171,7 @@ class Tensor:
         An operand whose gradient is summed over the sample axis 0 takes a
         per-sample rule, a pair of maps: the gradient summed over samples,
         and its squared per-sample gradients summed over samples, which a
-        grad leaf gets instead in a per-sample backward.
-
-        Inside :func:`no_grad` the result is a bare ``Tensor(out)``."""
-        if not _recording:
-            return Tensor(out)
+        grad leaf gets instead in a per-sample backward."""
         tape = tuple([None if t is None else t._node for t in parents])
         rules = dgrads
         if None in tape:  # copy the rules only when an operand drops out: most nodes keep all

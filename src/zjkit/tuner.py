@@ -520,6 +520,12 @@ def accuracy(model, x, y):
     return int((np.argmax(model.predict(x), axis=1) == y).sum()) / max(1, x.shape[0])
 
 
+def _set_leaves(model, leaves):
+    """Make the tensors ``model.trainable()`` names grad leaves, or frozen."""
+    for p, t, store in model.trainable():
+        store.set(p, Tensor(t.data, requires_grad=leaves))
+
+
 def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
           reg_spec: RegSpec, cfg: TrainConfig, ref_params=None):
     """Minibatch optimization of the composite objective.
@@ -528,7 +534,9 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     model's full parameter set (base plus injected parameters) under the
     base spec digest. History is one dict per epoch: each term's mean keyed
     by its kind (the second term of a kind is ``kind[1]``, and so on), then
-    ``val_acc``.
+    ``val_acc``. The tensors ``model.trainable()`` names are grad leaves from
+    each epoch's first batch to its last step, and frozen otherwise (also
+    after a step raises), so ``val_acc`` and any later forward record no tape.
     """
     terms = [*loss_spec.terms, *reg_spec.terms]
     if not terms:
@@ -541,7 +549,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         raise ConfigError("train needs a non-empty train split")
     x_val, y_val = data.split("val")
     if ref_params is None:
-        ref_params = ParamStore({p: t.detach() for p, t in model.base.items()})
+        ref_params = model.base.clone()  # frozen tensors, which steps replace in model.base
 
     rng = np.random.default_rng(cfg.seed)
     step = OPTIMIZERS[cfg.optimizer]
@@ -579,42 +587,47 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         order = rng.permutation(n_train)
         term_sums = {}
         n_batches = 0
-        for lo in range(0, n_train, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            xb = Tensor(x_train[idx])
-            batch.labels = y_train[idx]
-            batch.logits, batch.s_trace = model.forward(xb, s_hooks)
-            batch.t_trace = {}
-            if teacher is not None and t_hooks:
-                _, batch.t_trace = teacher.forward(xb, t_hooks)
+        _set_leaves(model, True)
+        try:
+            for lo in range(0, n_train, cfg.batch_size):
+                idx = order[lo:lo + cfg.batch_size]
+                xb = Tensor(x_train[idx])
+                batch.labels = y_train[idx]
+                batch.logits, batch.s_trace = model.forward(xb, s_hooks)
+                batch.t_trace = {}
+                if teacher is not None and t_hooks:
+                    _, batch.t_trace = teacher.forward(xb, t_hooks)
 
-            total = None
-            for key, term in zip(keys, terms):
-                val = TERMS[term.kind].evaluate(term, batch)
-                term_sums[key] = term_sums.get(key, 0.0) + val.item()
-                if term.weight != 1.0:  # times 1.0 is exact, in the value and the gradient
-                    val = val.scale(term.weight)
-                total = val if total is None else total + val
-            n_batches += 1
+                total = None
+                for key, term in zip(keys, terms):
+                    val = TERMS[term.kind].evaluate(term, batch)
+                    term_sums[key] = term_sums.get(key, 0.0) + val.item()
+                    if term.weight != 1.0:  # times 1.0 is exact, in the value and the gradient
+                        val = val.scale(term.weight)
+                    total = val if total is None else total + val
+                n_batches += 1
 
-            try:
-                gmap = T.backward(total)
-            except ConfigError:  # an untaped root, at the first batch before any update
-                raise ConfigError("no trainable tensor is reached by the objective's "
-                                  f"terms: {', '.join(keys)}") from None
-            sites = [(p, w, store.set) for p, w, store in model.trainable()]
-            sites += [(k, w, batch.projectors.__setitem__) for k, w in batch.projectors.items()]
-            for key, w, put in sites:  # base, extras, then fitnet projectors
-                g = gmap.get(w.uid)
-                if g is None:
-                    continue
-                new = step(cfg, states[key], w.data, g, lr)
-                mask = model.plan.grad_masks.get(key)  # a projector's hook-pair key has no mask
-                if mask is not None:  # masked-out elements keep their value
-                    new = np.where(mask > 0, new, w.data)
-                put(key, Tensor(new, requires_grad=True))
-            # every name holding this step's tape, so none outlives its backward
-            total = val = gmap = batch.logits = batch.s_trace = batch.t_trace = None
+                try:
+                    gmap = T.backward(total)
+                except ConfigError:  # an untaped root, at the first batch before any update
+                    raise ConfigError("no trainable tensor is reached by the objective's "
+                                      f"terms: {', '.join(keys)}") from None
+                sites = [(p, w, store.set) for p, w, store in model.trainable()]
+                sites += [(k, w, batch.projectors.__setitem__)
+                          for k, w in batch.projectors.items()]
+                for key, w, put in sites:  # base, extras, then fitnet projectors
+                    g = gmap.get(w.uid)
+                    if g is None:
+                        continue
+                    new = step(cfg, states[key], w.data, g, lr)
+                    mask = model.plan.grad_masks.get(key)  # None for a projector's key
+                    if mask is not None:  # masked-out elements keep their value
+                        new = np.where(mask > 0, new, w.data)
+                    put(key, Tensor(new, requires_grad=True))
+                # every name holding this step's tape, so none outlives its backward
+                total = val = gmap = batch.logits = batch.s_trace = batch.t_trace = None
+        finally:
+            _set_leaves(model, False)
 
         entry = {"epoch": epoch}
         entry.update({k: v / n_batches for k, v in sorted(term_sums.items())})

@@ -9,6 +9,7 @@ import pytest
 from zjkit import data as data_mod
 from zjkit import models as models_mod
 from zjkit import tensor as T
+from zjkit import tuner as tuner_mod
 from zjkit.architect import (
     METHODS,
     apply_plan,
@@ -18,7 +19,7 @@ from zjkit.architect import (
 )
 from zjkit.checkpoint import to_params
 from zjkit.dsl import parse_config, serialize
-from zjkit.errors import ConfigError
+from zjkit.errors import ConfigError, NonFiniteValue
 from zjkit.models import (
     MiniVitSpec,
     MlpSpec,
@@ -26,7 +27,7 @@ from zjkit.models import (
     forward,
 )
 from zjkit.tensor import Tensor
-from zjkit.tuner import LossSpec, RegSpec, TrainConfig, cross_entropy, train
+from zjkit.tuner import LossSpec, RegSpec, TrainConfig, _set_leaves, cross_entropy, train
 
 VIT = MiniVitSpec(dim=16, blocks=2, heads=4, mlp_dim=32, classes=3,
                   seq_len=4, input_dim=8)
@@ -271,6 +272,7 @@ def test_backward_reaches_only_trainable_leaves():
     spec = MiniVitSpec(dim=16, blocks=4, heads=4, mlp_dim=32, classes=3,
                        seq_len=4, input_dim=8)
     adapted, _, _ = _adapt(spec, "(LoRA.adapt):->(blocks[*].attn.qkv){inout}")
+    _set_leaves(adapted, True)  # as train does for an epoch
     logits, _ = adapted.forward(_vit_x())
     gmap = T.backward(cross_entropy(logits, np.array([0, 1, 2, 0])))
     trainable = {t.uid for _, t, _ in adapted.trainable()}
@@ -283,6 +285,7 @@ def test_one_lora_site_records_one_node():
     and the two factors, equal to LoRA's fold of the factors into the weight."""
     spec = MlpSpec((4, 8, 8, 3))
     adapted, _, _ = _adapt(spec, "(LoRA.adapt|r=2,alpha=3):->(layers[1]){inout}")
+    _set_leaves(adapted, True)
     a = adapted.extras.get("lora[0].a")
     b = Tensor(np.arange(16.0).reshape(8, 2) / 16, requires_grad=True)  # b starts at zero
     adapted.extras.set("lora[0].b", b)
@@ -294,12 +297,18 @@ def test_one_lora_site_records_one_node():
     np.testing.assert_allclose(out.data, folded, rtol=1e-12, atol=1e-12)
 
 
-def _taped_vit_peak(config):
-    """The tracemalloc peak, in MiB, of a taped 384-row forward of the bench's
-    mini-ViT under ``config``."""
-    spec = MiniVitSpec(dim=32, blocks=4, heads=4, mlp_dim=64, classes=4, seq_len=8,
-                       input_dim=8)
-    adapted, _, _ = _adapt(spec, config)
+BENCH_VIT = MiniVitSpec(dim=32, blocks=4, heads=4, mlp_dim=64, classes=4, seq_len=8,
+                        input_dim=8)
+BENCH_PLANS = {  # the bench's three vit_peft_train plans
+    "lora": "(LoRA.adapt|r=4,alpha=8):->(blocks[*].attn.qkv){inout}->(blocks[*].mlp.fc1){inout}",
+    "adapter": "(Adapter.adapt|dim=8):->(blocks[*]){in}",
+    "prefix": "(Prefix.adapt|tokens=4):->(blocks[*]){in}",
+}
+
+
+def _vit_forward_peak(adapted):
+    """The tracemalloc peak, in MiB, of a 384-row forward of the bench's
+    mini-ViT, and the logits."""
     x = Tensor(np.random.default_rng(0).normal(size=(384, 8, 8)))
     tracemalloc.start()
     try:
@@ -307,8 +316,17 @@ def _taped_vit_peak(config):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak / 2**20, logits
+
+
+def _taped_vit_peak(config):
+    """The peak of a taped forward under ``config``: the leaves are made as
+    ``train`` makes them for an epoch."""
+    adapted, _, _ = _adapt(BENCH_VIT, config)
+    _set_leaves(adapted, True)
+    peak, logits = _vit_forward_peak(adapted)
     assert logits._node
-    return peak / 2**20
+    return peak
 
 
 def test_a_taped_lora_forward_keeps_only_what_its_derivatives_read():
@@ -319,14 +337,13 @@ def test_a_taped_lora_forward_keeps_only_what_its_derivatives_read():
     MiB later), and 33.9 MiB once each LoRA site reads its norm's output
     through the norm's recompute, ``gelu`` writes its output into its
     ``tanh`` buffer and each block drops ``qkv`` when attention returns."""
-    peak = _taped_vit_peak("(LoRA.adapt|r=4,alpha=8):->(blocks[*].attn.qkv){inout}"
-                           "->(blocks[*].mlp.fc1){inout}")
+    peak = _taped_vit_peak(BENCH_PLANS["lora"])
     assert peak < 36, peak
 
 
 @pytest.mark.parametrize("config, bound", [
-    ("(Adapter.adapt|dim=8):->(blocks[*]){in}", 33),  # 43.1, 37.4, 33.6 MiB before; 31.1 now
-    ("(Prefix.adapt|tokens=4):->(blocks[*]){in}", 36),  # 51.1, 44.4, 40.1 MiB before; 33.8 now
+    (BENCH_PLANS["adapter"], 33),  # 43.1, 37.4, 33.6 MiB before; 31.1 now
+    (BENCH_PLANS["prefix"], 36),  # 51.1, 44.4, 40.1 MiB before; 33.8 now
 ], ids=["adapter", "prefix"])
 def test_a_taped_adapter_or_prefix_forward_keeps_only_what_its_derivatives_read(config, bound):
     """As the LoRA bound above. The sizes before are, in turn: ``gelu``
@@ -335,6 +352,20 @@ def test_a_taped_adapter_or_prefix_forward_keeps_only_what_its_derivatives_read(
     ``gelu`` holding two buffers and each block keeping ``qkv`` to its end."""
     peak = _taped_vit_peak(config)
     assert peak < bound, peak
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PLANS))
+def test_a_trained_model_forwards_the_bench_eval_untaped(name):
+    """``train`` leaves the model frozen, so the bench's 384-row eval forward
+    records no node and peaks under 14 MiB (8.5 for LoRA and Adapter, 11.4
+    for Prefix); taped, it peaked at 33.9, 31.1 and 33.8 MiB."""
+    adapted, _, _ = _adapt(BENCH_VIT, BENCH_PLANS[name])
+    ds = data_mod.blobs(k=4, d=64, n=64, seed=0)
+    ds.x = ds.x.reshape(64, 8, 8)
+    train(adapted, None, ds, LossSpec(), RegSpec(), TrainConfig(lr=0.02, epochs=1, batch_size=16))
+    peak, logits = _vit_forward_peak(adapted)
+    assert logits._node is None
+    assert peak < 14, peak
 
 
 @pytest.mark.parametrize("spec", [MLP, VIT], ids=["mlp", "mini_vit"])
@@ -361,8 +392,10 @@ def test_predict_records_no_tape(spec, monkeypatch):
     rng = np.random.default_rng(0)
     x = (rng.normal(size=(40, 4)) if spec is MLP
          else rng.normal(size=(40, VIT.seq_len, VIT.input_dim)))
+    _set_leaves(adapted, True)
     taped = adapted.forward(Tensor(x))[0]
     assert taped._node  # the LoRA factors and the head train
+    _set_leaves(adapted, False)
     outs, real = [], models_mod.forward
 
     def spy(*args):
@@ -429,3 +462,49 @@ def test_every_registered_method_adapts_trains_and_merges(key, family):
     want, _ = model.forward(x)
     got, _ = forward(spec, to_params(spec, merge_reparam(model)), x)
     assert np.abs(want.data - got.data).max() < 1e-5
+
+
+def _frozen(model):
+    return all(t._node is None for store in (model.base, model.extras) for _, t in store.items())
+
+
+def _sites(method, spec):
+    return {} if method.hook_free else method.sites(spec, spec.param_shapes())
+
+
+@pytest.mark.parametrize("key, family", [
+    (k, f) for k in sorted(METHODS) for f, (spec, _) in sorted(TABLE_FAMILIES.items())
+    if METHODS[k].hook_free or _sites(METHODS[k], spec)])
+def test_an_adapted_model_records_no_tape_before_or_after_training(key, family):
+    """Only ``train`` makes grad leaves, for the length of an epoch; the plan
+    names what it trains: its original paths, then every new parameter."""
+    method, (spec, make_data) = METHODS[key], TABLE_FAMILIES[family]
+    hooks = "".join(f"->({s}){{inout}}" for s in sorted(_sites(method, spec)))
+    plan = compile_plan(parse_config(f"({method.name}.adapt):{hooks}"), spec)
+    model = apply_plan(spec, build_model(spec, seed=0), plan, seed=1)
+    new = sorted({p for inj in plan.injections for p, _ in inj.params})
+    assert [p for p, _, _ in model.trainable()] == sorted(plan.trainable_original) + new
+    ds = make_data()
+    x = Tensor(ds.split("test")[0])
+    assert _frozen(model) and model.forward(x)[0]._node is None
+    train(model, None, ds, LossSpec(), RegSpec(),
+          TrainConfig(lr=0.05, epochs=1, batch_size=16, seed=0))
+    assert _frozen(model) and model.forward(x)[0]._node is None
+    assert [p for p, _, _ in model.trainable()] == sorted(plan.trainable_original) + new
+
+
+def test_a_step_that_raises_leaves_the_model_frozen(monkeypatch):
+    model, _, _ = _adapt(MLP, "(LoRA.adapt):->(layers[0]){inout}")
+    calls, real = [], tuner_mod.cross_entropy
+
+    def second_step_overflows(logits, labels):
+        calls.append(logits._node is not None)  # the step's forward was taped
+        if len(calls) == 2:
+            raise NonFiniteValue("tensor contains NaN or Inf")
+        return real(logits, labels)
+
+    monkeypatch.setattr(tuner_mod, "cross_entropy", second_step_overflows)
+    with pytest.raises(NonFiniteValue):
+        train(model, None, data_mod.blobs(k=3, d=4, n=64), LossSpec(), RegSpec(),
+              TrainConfig(epochs=2, batch_size=16))
+    assert calls == [True, True] and _frozen(model)

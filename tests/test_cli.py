@@ -998,16 +998,31 @@ merger.alpha=0.4
 """
 
 
-def test_repair_merge_is_the_aligned_library_composition(tmp_path, capsys):
-    """weight_match -> permute_model -> wise_ft(b', a, alpha) -> repair, byte
-    for byte, on two independently initialised runs. The CLI used to REPAIR
-    the interpolation of the unaligned pair."""
-    cfg = _cfg(tmp_path, PAIR_CFG)
+def _independent_pair(tmp_path, cfg):
+    """Two runs of ``cfg`` from independent initialisations, seeds 3 and 13."""
     cks = []
     for seed in (3, 13):
         assert main(["train", "--config", cfg, "--seed", str(seed),
                      "--out", str(tmp_path / str(seed))]) == 0
         cks.append(str(tmp_path / str(seed) / "final.zjk1"))
+    return cks
+
+
+def _repair_composition(a, b, alpha):
+    """weight_match -> permute_model -> wise_ft(a, b', alpha) -> repair toward
+    (a, b', 1 - alpha): alpha weights b', as in wise_ft."""
+    aligned = merger.permute_model(b, merger.weight_match(a, b)[0])
+    calib = data_mod.blobs(k=3, d=4, n=200, sigma=1.0, seed=0).split("train")[0][:256]
+    return merger.repair(merger.wise_ft(a, aligned, alpha), (a, aligned, 1.0 - alpha),
+                         MlpSpec((4, 16, 16, 3)), calib)
+
+
+def test_repair_merge_is_the_aligned_library_composition(tmp_path, capsys):
+    """The library composition, byte for byte, on two independently
+    initialised runs. The CLI used to REPAIR the interpolation of the
+    unaligned pair, and then weighted the first checkpoint by alpha."""
+    cfg = _cfg(tmp_path, PAIR_CFG)
+    cks = _independent_pair(tmp_path, cfg)
     out = tmp_path / "o"
     assert main(["merge", "--config", cfg, "--out", str(out),
                  "--ckpt", cks[0], "--ckpt", cks[1]]) == 0
@@ -1015,15 +1030,28 @@ def test_repair_merge_is_the_aligned_library_composition(tmp_path, capsys):
     a, b = (load_checkpoint(ck) for ck in cks)
     perm, history = merger.weight_match(a, b)
     assert any(not np.array_equal(m, np.arange(m.size)) for m in perm.maps)
-    aligned = merger.permute_model(b, perm)
-    calib = data_mod.blobs(k=3, d=4, n=200, sigma=1.0, seed=0).split("train")[0][:256]
-    want = merger.repair(merger.wise_ft(aligned, a, 0.4), (a, aligned, 0.4),
-                         MlpSpec((4, 16, 16, 3)), calib)
-    save_checkpoint(want, tmp_path / "want.zjk1")
+    save_checkpoint(_repair_composition(a, b, 0.4), tmp_path / "want.zjk1")
     assert (out / "merged.zjk1").read_bytes() == (tmp_path / "want.zjk1").read_bytes()
     report = json.loads((out / "merge_report.json").read_text())
     assert report["permutation"] == merger.permutation_summary(perm)
     assert report["objective"] == history
+
+
+def test_merger_alpha_weights_the_second_checkpoint_in_wise_ft_and_repair(tmp_path, capsys):
+    """At alpha 0.3 ``wise_ft`` gives 0.7 a + 0.3 b, and ``repair`` the
+    composition that interpolates a and b' the same way."""
+    cks = _independent_pair(tmp_path, _cfg(tmp_path, PAIR_CFG))
+    a, b = (load_checkpoint(ck) for ck in cks)
+    want = {"wise_ft": merger.wise_ft(a, b, 0.3), "repair": _repair_composition(a, b, 0.3)}
+    for kind, ckpt in want.items():
+        cfg = _cfg(tmp_path, _with("merger.kind", kind, _with("merger.alpha", "0.3", PAIR_CFG)),
+                   name=f"{kind}.cfg")
+        assert main(["merge", "--config", cfg, "--out", str(tmp_path / kind),
+                     "--ckpt", cks[0], "--ckpt", cks[1]]) == 0
+        save_checkpoint(ckpt, tmp_path / f"{kind}.zjk1")
+        got = (tmp_path / kind / "merged.zjk1").read_bytes()
+        assert got == (tmp_path / f"{kind}.zjk1").read_bytes(), kind
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("n", [1, 3])

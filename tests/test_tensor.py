@@ -32,17 +32,16 @@ def test_a_finite_array_whose_sum_overflows_is_accepted():
     # the sum-first finiteness check falls back to the elementwise one
     with np.errstate(over="ignore"):  # numpy warns of the overflowing sum
         t = Tensor(np.array([1e308, 1e308]))
-        with T.no_grad():
-            u = T.custom_op([t], t.data, [None])
+        u = T.custom_op([t], t.data, [None])  # an untracked operand: a bare result
     assert t.data.tolist() == u.data.tolist() == [1e308, 1e308]
 
 
 @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
                          ids=["nan", "inf", "-inf", "inf,-inf"])
-@pytest.mark.parametrize("tape", [contextlib.nullcontext, T.no_grad], ids=["taped", "no_grad"])
-def test_non_finite_values_are_rejected(values, tape):
-    w = Tensor([1.0], requires_grad=True)
-    with tape(), np.errstate(invalid="ignore"):  # inf + -inf warns as the sum is taken
+@pytest.mark.parametrize("tracked", [True, False], ids=["taped", "untracked"])
+def test_non_finite_values_are_rejected(values, tracked):
+    w = Tensor([1.0], requires_grad=tracked)  # untracked, the recorder returns a bare result
+    with np.errstate(invalid="ignore"):  # inf + -inf warns as the sum is taken
         with pytest.raises(NonFiniteValue):
             Tensor(np.array(values))
         with pytest.raises(NonFiniteValue):  # an op's result, through the recorder
@@ -997,7 +996,7 @@ def _layernorm_operands(rng, x_shape, tracked):
 def test_a_layernorm_output_is_rebuilt_bit_for_bit(x_shape, tracked):
     """A recorded layernorm result carries a recompute, from the ``xhat`` its
     derivatives keep, that gives its values exactly; a result that records
-    nothing, untracked or under ``no_grad``, carries none."""
+    nothing, of untracked operands, carries none."""
     for seed in range(3):
         x, gamma, beta = _layernorm_operands(np.random.default_rng(seed), x_shape, tracked)
         out = T.layernorm(x, gamma, beta)
@@ -1006,8 +1005,6 @@ def test_a_layernorm_output_is_rebuilt_bit_for_bit(x_shape, tracked):
             continue
         again = out.recompute()
         assert np.array_equal(again, out.data) and again.tobytes() == out.data.tobytes()
-        with T.no_grad():
-            assert T.layernorm(x, gamma, beta).recompute is None
 
 
 def _reads_a_norm(name, out, leaves):
@@ -1095,37 +1092,12 @@ def test_backward_detached_root():
         T.backward(Tensor(1.0))
 
 
-def test_backward_from_a_no_grad_root():
-    w = Tensor([1.0, 2.0], requires_grad=True)
-    with T.no_grad():
-        root = (w * w).sum()
+def test_backward_from_an_untracked_root():
+    w = Tensor([1.0, 2.0])  # frozen: the ops reading it record no node
+    root = (w * w).sum()
     assert root._node is None
     with pytest.raises(ConfigError, match="root is not recorded on any tape"):
         T.backward(root)
-
-
-def test_no_grad_nests():
-    w = Tensor([1.0, 2.0], requires_grad=True)
-    with T.no_grad():
-        with T.no_grad():
-            assert (w * 2.0)._node is None
-        assert (w * 2.0)._node is None  # the inner exit leaves the outer block off
-    assert (w * 2.0)._node[2][0] is w._node
-    assert T.backward((w * 2.0).sum())[w.uid].tolist() == [2.0, 2.0]
-
-
-def test_no_grad_restores_the_tape_after_an_exception():
-    w = Tensor([1.0, 2.0], requires_grad=True)
-    with pytest.raises(ShapeMismatch):
-        with T.no_grad():
-            w.reshape(3)
-    assert (w * 2.0)._node[2][0] is w._node
-
-
-def test_no_grad_keeps_the_finiteness_check():
-    big = Tensor([1e308], requires_grad=True)
-    with T.no_grad(), np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
-        big * 10.0
 
 
 def test_backward_skips_untracked_leaves():
