@@ -58,7 +58,8 @@ Buffers: the hot ops (``affine``, ``lowrank``, ``layernorm``, ``gelu``,
 softmax and ``attention``) write each large temporary into an array they
 allocated in the same call, with ``+=``, ``*=`` and ``out=``, keeping
 every IEEE operation and its operand grouping, so values and gradients are
-the ones the fresh-temporary formulas give. Three kinds of array are never written:
+the ones the fresh-temporary formulas give; an untaped ``attention``
+makes them one block of samples at a time. Three kinds of array are never written:
 an operand's ``.data``, the incoming gradient ``g`` (``add`` hands one
 array to both operands, so ``backward`` makes every gradient it stores
 read-only), and an array a derivative keeps (``xhat``, ``attn``).
@@ -71,7 +72,10 @@ else switches the tape on or off. A forward over frozen tensors (a
 checkpoint's ``to_params``, a ``Teacher``, an ``AdaptedModel`` outside
 ``tuner.train``) records no node and keeps no activation alive for a
 backward nobody runs; a ``backward`` from its result raises
-``ConfigError``. A gradient reader makes its own grad leaves.
+``ConfigError``. A gradient reader makes its own grad leaves. An untaped
+``attention`` runs a block of samples at a time (per-sample matmuls and a
+row-wise softmax: the taped bits), so a prefixed one never holds the n
+joined keys and values.
 
 Per-sample backward: ``backward(root, per_sample_sq=True)``, on a root
 that sums one term per sample (samples on axis 0, never mixed), maps each
@@ -103,6 +107,7 @@ from .errors import ConfigError, NonFiniteValue, ShapeMismatch, check_count
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _PER_SAMPLE_BLOCK = 1 << 17  # float64 elements (1 MiB) of per-sample affine gradients
+_ATTENTION_BLOCK = 1 << 14  # float64 elements (128 KiB) of an untaped sample block's scores
 _uid_counter = itertools.count()
 
 
@@ -546,7 +551,10 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     context, heads concatenated. Bit-identical in value and gradients to
     the chain of slices, reshapes, transposes, prefix concat, matmuls, scale
     and softmax it replaces: matmul operands get the memory layout that
-    chain gave them, and the backward keeps its order of operations. A
+    chain gave them, and the backward keeps its order of operations. The
+    derivatives read q, kᵀ, v and the weights whole, so a tracked operand
+    takes one block of all n samples; untaped, the blocks' scores fit
+    ``_ATTENTION_BLOCK``, and no n joined prefix copies are made. A
     ``heads`` that is not a positive integer is ``ConfigError``.
     """
     heads = check_count("heads", heads)
@@ -557,41 +565,49 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     hd = d // heads
     scale = 1.0 / math.sqrt(hd)
 
-    def split(a, lo, rows):  # [rows, d] per sample -> [n, heads, rows, hd]
+    def split(a, lo, rows):  # [rows, d] per sample -> [m, heads, rows, hd]
         return a[..., lo:lo + d].reshape(-1, rows, heads, hd).transpose(0, 2, 1, 3)
 
-    q = np.ascontiguousarray(split(qkv.data, 0, s))
-    kt = np.ascontiguousarray(np.swapaxes(split(qkv.data, d, s), -1, -2))  # own tokens'
-    v = np.ascontiguousarray(split(qkv.data, 2 * d, s))
+    t = prefix[0].shape[0] if prefix else 0
     if prefix is not None:
-        if len(prefix) != 2 or any(p.shape != (prefix[0].shape[0], d) for p in prefix):
+        if len(prefix) != 2 or any(p.shape != (t, d) for p in prefix):
             raise ShapeMismatch(f"prefix {[p.shape for p in prefix]}, expected two [t,{d}]")
-        t = prefix[0].shape[0]
         pkt, pv = np.swapaxes(split(prefix[0].data, 0, t), -1, -2), split(prefix[1].data, 0, t)
 
-    def operands():  # the keys transposed and the values, each prefix row first, in C order
+    def operands(kt, v):  # the keys transposed and the values, each prefix row first, in C order
         if prefix is None:
             return kt, v
-        return (np.concatenate([np.broadcast_to(pkt, (n, heads, hd, t)), kt], axis=3,
-                               out=np.empty((n, heads, hd, t + s))),
-                np.concatenate([np.broadcast_to(pv, (n, heads, t, hd)), v], axis=2,
-                               out=np.empty((n, heads, t + s, hd))))
+        return (np.concatenate([np.broadcast_to(pkt, (len(kt), heads, hd, t)), kt], axis=3,
+                               out=np.empty((len(kt), heads, hd, t + s))),
+                np.concatenate([np.broadcast_to(pv, (len(v), heads, t, hd)), v], axis=2,
+                               out=np.empty((len(v), heads, t + s, hd))))
 
-    keys, values = operands()
-    scores = np.matmul(q, keys)
-    scores *= scale
-    attn = _softmax(scores)
-    ctx = np.matmul(attn, values)
+    def block(rows):  # q, kᵀ, v and attn of the samples in ``rows``; their context into out
+        q = np.ascontiguousarray(split(qkv.data[rows], 0, s))
+        kt = np.ascontiguousarray(np.swapaxes(split(qkv.data[rows], d, s), -1, -2))  # own tokens'
+        v = np.ascontiguousarray(split(qkv.data[rows], 2 * d, s))
+        keys, values = operands(kt, v)
+        scores = np.matmul(q, keys)
+        scores *= scale
+        attn = _softmax(scores)
+        out[rows].reshape(-1, s, heads, hd)[...] = np.swapaxes(np.matmul(attn, values), 1, 2)
+        return q, kt, v, attn
+
+    tracked = any(p._node for p in (qkv, *(prefix or ())))
+    step = max(1, n if tracked else _ATTENTION_BLOCK // (heads * s * (t + s)))
+    out = np.empty((n, s, d))
+    for lo in range(0, max(n, 1), step):  # an empty block for no samples
+        q, kt, v, attn = block(slice(lo, lo + step))
 
     @_per_grad
     def shared(g):
-        kt, v = operands()
+        keys, values = operands(kt, v)
         gh = np.transpose(g.reshape(n, s, heads, hd), (0, 2, 1, 3))
-        g_attn = np.matmul(gh, np.swapaxes(v, -1, -2))
+        g_attn = np.matmul(gh, np.swapaxes(values, -1, -2))
         g_v = np.matmul(np.swapaxes(attn, -1, -2), gh)
         g_scores = _softmax_grad(g_attn, attn)
         g_scores *= scale
-        g_q = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
+        g_q = np.matmul(g_scores, np.swapaxes(keys, -1, -2))
         g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
         return g_q, g_k, g_v
 
@@ -604,8 +620,7 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     def d_prefix(i):  # the prefix rows of the key (1) or value (2) gradient
         return lambda g: np.transpose(shared(g)[i][:, :, :t].sum(axis=0), (1, 0, 2)).reshape(t, d)
 
-    return Tensor._record(np.transpose(ctx, (0, 2, 1, 3)).reshape(n, s, d),  # None: no prefix
-                          (qkv, *(prefix or (None, None))), (d_qkv, d_prefix(1), d_prefix(2)))
+    return Tensor._record(out, (qkv, *(prefix or (None, None))), (d_qkv, d_prefix(1), d_prefix(2)))
 
 
 def _finite(a):

@@ -595,12 +595,41 @@ def test_one_lowrank_node_per_site():
     assert out._node[2] == (a._node, b._node)
 
 
-@pytest.mark.parametrize("prefix_len", [0, 3])
-def test_attention_matches_its_reference(prefix_len):
+@pytest.mark.parametrize("prefix_len, heads, samples", [
+    pytest.param(0, 4, (0, 4), id="0"), pytest.param(3, 4, (0, 4), id="3"),
+    *(pytest.param(t, h, (k, j), id=f"{t}-heads{h}-{name}") for t in (0, 3) for h in (1, 4)
+      for name, k, j in (("0", 0, 0), ("1", 0, 1), ("m-1", 1, -1), ("m", 1, 0),
+                         ("m+1", 1, 1), ("3m+5", 3, 5)))])
+def test_attention_matches_its_reference(prefix_len, heads, samples):
+    """Taped, and untaped in blocks of m samples (``k m + j`` of them, m the
+    block the budget gives at this shape), bit for bit."""
+    m = T._ATTENTION_BLOCK // (heads * 9 * (9 + prefix_len))
     rng = np.random.default_rng(17)
-    leaves = _attention_leaves(rng, 4, 9, 32, prefix_len)
-    _assert_matches_reference(_with_heads(T.attention, 4),
-                              lambda qkv, *pre: attention_ref(qkv, 4, *pre), leaves)
+    leaves = _attention_leaves(rng, samples[0] * m + samples[1], 9, 32, prefix_len)
+    _assert_matches_reference(_with_heads(T.attention, heads),
+                              lambda qkv, *pre: attention_ref(qkv, heads, *pre), leaves)
+    untaped = _with_heads(T.attention, heads)(*(Tensor(t.data) for t in leaves))
+    want = attention_ref(leaves[0].data, heads, *(t.data for t in leaves[1:]))[0]
+    assert untaped._node is None and np.array_equal(untaped.data, want)
+
+
+@pytest.mark.parametrize("prefix_len", [0, 4])
+def test_untaped_attention_holds_no_full_batch_temporary(prefix_len):
+    """The bench's 384-sample attention (s 9, d 32, 4 heads), untaped, works
+    in blocks of 32-64 samples and peaks under 3 MiB, its ``[n, s, d]``
+    output included: 1.9 MiB with or without a 4-row prefix, against 5.2 and
+    8.0 when it held full-batch q, kᵀ, v, scores and joined prefix copies."""
+    assert 32 <= T._ATTENTION_BLOCK // (4 * 9 * (9 + prefix_len)) <= 64
+    qkv, *prefix = (Tensor(t.data) for t in
+                    _attention_leaves(np.random.default_rng(19), 384, 9, 32, prefix_len))
+    tracemalloc.start()
+    try:
+        out = _with_heads(T.attention, 4)(qkv, *prefix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out._node is None and out.shape == (384, 9, 32)
+    assert peak < 3 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("count", [0, 1, 3], ids=["empty", "key_only", "three"])
