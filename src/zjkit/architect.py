@@ -112,7 +112,6 @@ METHODS = {
 class Injection:
     site: str          # concrete module prefix, e.g. blocks[0].attn.qkv
     kind: str          # the METHODS key: lora | adapter | prefix | ssf
-    instance: int      # adapter-instance index; shared index = shared weights
     params: tuple      # ((new path, shape), ...) in the record's params order
 
 
@@ -182,7 +181,7 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
                     f"shared instance {idx} used at sites with different shapes")
             if method.route == "kv_prefix" and any(i.site == site for i in plan.injections):
                 raise ConfigError(f"{adapt.method} twice at {site!r}: a block takes one prefix")
-            plan.injections.append(Injection(site, adapt.method, idx, params))
+            plan.injections.append(Injection(site, adapt.method, params))
 
     plan.trainable_original = set(trainable) & all_paths
     plan.freeze = all_paths - plan.trainable_original

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergence, ShapeMismatch
+from .errors import NoConvergence, ShapeMismatch, check_count
 
 
 def thin_svd(mat):
@@ -25,8 +25,7 @@ def spectral_norm(w, iters=50, seed=0):
     mat = np.asarray(w, dtype=np.float64)
     if mat.ndim != 2:
         raise ShapeMismatch(f"spectral_norm expects a matrix, got {mat.shape}")
-    if iters < 1:
-        raise ConfigError("iters must be >= 1")
+    iters = check_count("iters", iters)
     m, n = mat.shape
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, size=n)

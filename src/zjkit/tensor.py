@@ -1,25 +1,25 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Values are immutable after creation; every op that reads a tracked tensor
-(a grad leaf or a recorded result) records a node that :func:`backward`
-replays in reverse topological order, dropping each interior node's
-gradient once that node's derivatives have run. Only the leaves' gradients
-are kept, and each leaves the tape as the read-only ndarray it was summed
-in, not a ``Tensor``. The tape holds nodes, not values: a node is a plain
-tuple (uid, shape, parent nodes, backward closure) owned by its
-``Tensor``, with no array, and each derivative keeps only the arrays and
-shapes it reads. So an activation that no derivative reads (a LoRA site's
-base affine output, both operands of an add, the input of a frozen-weight
-affine) is freed once the caller drops its ``Tensor``. Ops record through
-one recorder, ``Tensor._record(out, parents, dgrads)``, and state only the
-derivative they hand each operand: ``dgrads[i]`` maps the output's gradient
-to the gradient of ``parents[i]`` (``Tensor._unary(out, dgrad)`` for one
-input). The untracked rule lives there: an operand that is None or
-untracked gets no tape edge and no derivative call, so a constant, a frozen
-weight or norm costs no derivative work and a frozen prefix of a network
-records no tape at all. One backward closure, the recorder's, serves every
-op; the derivatives of ``attention`` and of ``lowrank`` share their work
-through ``_per_grad``, a memo kept for one incoming gradient. One reducer,
+(a grad leaf or a recorded result) records a tape node, a plain tuple
+``(uid, shape, parent nodes, rules)`` owned by its ``Tensor``: ``shape`` is
+the shape numpy gave the result, and ``rules[i]`` maps the result's
+gradient to the gradient of ``parents[i]``. A grad leaf's node is
+``(uid, shape, (), ())``. :func:`backward` is the one loop that runs a
+rule: it visits the nodes in reverse topological order, dropping each
+interior node's gradient once its rules have run, so only the leaves'
+gradients are kept, each as the read-only ndarray it was summed in. A node
+holds no array, and each rule keeps only the arrays and shapes it reads.
+So an activation that no rule reads (a LoRA site's base affine output,
+both operands of an add, the input of a frozen-weight affine) is freed
+once the caller drops its ``Tensor``. Ops record through one recorder,
+``Tensor._record(out, parents, dgrads)`` (``Tensor._unary(out, dgrad)``
+for one input), and state only the rule they hand each operand. The
+untracked rule lives there: an operand that is None or untracked gets no
+parent and no rule, so a constant, a frozen weight or norm costs no
+derivative work and a frozen prefix of a network records no tape at all.
+The rules of ``attention`` and of ``lowrank`` share their work through
+``_per_grad``, a memo kept for one incoming gradient. One reducer,
 ``_sum_to``, sums a broadcast operand's gradient back to its shape.
 ``sum`` and ``mean`` take an int, negative or tuple axis, ``transpose``
 negative axes, and ``reshape`` one ``-1``; a bad axis or shape, in these,
@@ -31,28 +31,26 @@ of poisoning downstream results; a ``layernorm`` row whose variance
 overflows is ``NonFiniteValue`` there too, not a row of ``beta``.
 
 Three fused nodes keep the tape short on the model hot path:
-:func:`affine` (``x @ w.T + b``, one node where a chain took up to six),
-:func:`attention` (a whole multi-head attention block on a fused qkv
-projection, with optional prefix keys and values, one node where a chain
-took 16, or 24 with a prefix) and :func:`lowrank` (LoRA's
-``y + s * (x @ a.T) @ b.T`` at one site, one node where a chain took
-four). Each is bit-identical in value and gradients to the chain it
-replaces. A tensor that three or more ops read can sum its gradient
-contributions in another order than the chain did, which can move its
-last bit: a LoRA site's input gets the ``lowrank`` node's contribution
-before the base ``affine``'s, where the chain handed it the affine's
-first. Derivatives keep only what they read and do the derivative
-work themselves, so a forward that no backward follows pays nothing for
-it (``gelu`` keeps ``x`` alone, and its derivative recomputes ``tanh(u)``
-from it; an affine keeps its input only for a tracked weight's gradient,
-and its transposed weight only for a tracked input's). Nor do they keep a
-value the tape can rebuild bit for bit and cheaply: a recorded result may
-carry ``recompute``, a function rebuilding its ``.data`` from arrays the
-tape keeps, and an affine's weight gradient and lowrank's ``a`` read their
-input through it. ``layernorm`` sets it (``gamma * xhat + beta``, from its
-node's ``xhat``); ``gelu`` does not, as that takes ``tanh``. A prefixed
-``attention`` keeps its own keys and values and the ``[t, d]`` prefix,
-and its backward rebuilds the n per-sample copies.
+:func:`affine` (``x @ w.T + b``), :func:`attention` (a whole multi-head
+attention block on a fused qkv projection, with optional prefix keys and
+values) and :func:`lowrank` (LoRA's ``y + s * (x @ a.T) @ b.T`` at one
+site). Each is bit-identical in value and gradients to the chain of
+primitive ops it stands for. A tensor that three or more ops read can sum
+its gradient contributions in another order than the chain would, which
+can move its last bit: a LoRA site's input gets the ``lowrank`` node's
+contribution before the base ``affine``'s. Rules keep only what they read
+and do the derivative work themselves, so a forward that no backward
+follows pays nothing for it (``gelu`` keeps ``x`` alone, and its rule
+recomputes ``tanh(u)`` from it; an affine keeps its input only for a
+tracked weight's gradient, and its transposed weight only for a tracked
+input's). Nor do they keep a value the tape can rebuild bit for bit and
+cheaply: a recorded result may carry ``recompute``, a function rebuilding
+its ``.data`` from arrays the tape keeps, and an affine's weight gradient
+and lowrank's ``a`` read their input through it. ``layernorm`` sets it
+(``gamma * xhat + beta``, from the ``xhat`` its rules keep); ``gelu`` does
+not, as that takes ``tanh``. A prefixed ``attention`` keeps its own keys
+and values and the ``[t, d]`` prefix, and its rules rebuild the n
+per-sample copies.
 
 Buffers: the hot ops (``affine``, ``lowrank``, ``layernorm``, ``gelu``,
 softmax and ``attention``) write each large temporary into an array they
@@ -62,7 +60,7 @@ the ones the fresh-temporary formulas give; an untaped ``attention``
 makes them one block of samples at a time. Three kinds of array are never written:
 an operand's ``.data``, the incoming gradient ``g`` (``add`` hands one
 array to both operands, so ``backward`` makes every gradient it stores
-read-only), and an array a derivative keeps (``xhat``, ``attn``).
+read-only), and an array a rule keeps (``xhat``, ``attn``).
 The finiteness check sums the array first: a finite sum proves every
 element finite, and only a sum that is not (NaN, an infinity, or an
 overflow, which numpy warns of) runs the elementwise check.
@@ -84,7 +82,7 @@ pass over one batched tape (BackPACK's "sum of squared gradients"; the
 diagonal Fisher of ``merger.fisher_estimate``). Samples only meet where a
 leaf's gradient is summed over them, so only those ops carry a
 per-sample rule, a ``(summed over samples, per-sample squares)`` pair of
-maps in place of a derivative: ``affine`` (weight and bias; for a 2-D
+maps in place of one map: ``affine`` (weight and bias; for a 2-D
 input the weight term is ``(g*g).T @ (x*x)``), ``lowrank`` (both factors,
 by the same rule), ``layernorm`` (gamma and beta) and ``expand``. A leaf
 that any other op reaches, or that two ops read, raises ``ConfigError``
@@ -126,8 +124,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.uid = next(_uid_counter)
-        # a node is (uid, shape, parent nodes, backward); a grad leaf's has neither
-        self._node = (self.uid, arr.shape, (), None) if requires_grad else None
+        # a node is (uid, shape, parent nodes, rules); a grad leaf's has neither
+        self._node = (self.uid, arr.shape, (), ()) if requires_grad else None
         self.recompute = None  # or a function rebuilding data, bit for bit, from kept arrays
 
     # -- basics ---------------------------------------------------------
@@ -159,45 +157,32 @@ class Tensor:
 
     @staticmethod
     def _record(out, parents, dgrads, recompute=None):
-        """Wrap an op's result ``out`` (an ndarray or numpy scalar); the
-        backward hands each operand ``parents[i]`` (a tuple) the gradient
-        ``dgrads[i](grad)``, accumulated in that order. ``grad`` arrives in
-        the shape numpy gave ``out``, also where ``Tensor`` stores a 0-d
-        result as ``(1,)``. An operand that is None or untracked (a
-        constant, a frozen weight) gets no tape edge and no derivative
-        call, so a frozen prefix of a network records no tape.
+        """Wrap an op's result ``out`` (an ndarray or numpy scalar) with the
+        node ``(uid, out.shape, parent nodes, rules)``: :func:`backward`
+        hands each tracked operand ``parents[i]`` the gradient
+        ``dgrads[i](g)``, in that order, ``g`` arriving in ``out``'s shape
+        (a 0-d result is one, where ``Tensor`` stores ``(1,)``). An operand
+        that is None or untracked (a constant, a frozen weight) gets no
+        parent and no rule, so a frozen prefix of a network records no tape.
 
-        The result's node links the operands' nodes, not the operands, and
-        holds no array: an array outlives the ``Tensor`` that holds it only
-        where a derivative reads it, so each ``dgrads[i]`` captures the
-        arrays and shapes it reads, never an operand; ``affine`` and
-        ``lowrank`` read their input through its ``recompute`` (:func:`_values`).
+        The node links the operands' nodes, not the operands, and holds no
+        array: an array outlives the ``Tensor`` that holds it only where a
+        rule reads it, so each ``dgrads[i]`` captures the arrays and shapes
+        it reads, never an operand; ``affine`` and ``lowrank`` read their
+        input through its ``recompute`` (:func:`_values`).
 
         An operand whose gradient is summed over the sample axis 0 takes a
         per-sample rule, a pair of maps: the gradient summed over samples,
         and its squared per-sample gradients summed over samples, which a
         grad leaf gets instead in a per-sample backward."""
         tape = tuple([None if t is None else t._node for t in parents])
-        rules = dgrads
         if None in tape:  # copy the rules only when an operand drops out: most nodes keep all
-            rules = [d for n, d in zip(tape, dgrads) if n is not None]
+            dgrads = tuple([d for n, d in zip(tape, dgrads) if n is not None])
             tape = tuple([n for n in tape if n is not None])
             if not tape:
                 return Tensor(out)
-        shape = out.shape  # np.shape(out) costs several times more per node
-
-        def backward(grad, acc):
-            g = grad.reshape(shape)
-            for n, d in zip(tape, rules):
-                if type(d) is not tuple:
-                    acc(n, d(g))
-                elif acc.per_sample and not n[2]:  # a grad leaf
-                    acc.add_sq(n, d[1](g))
-                else:
-                    acc(n, d[0](g))
-
         res = Tensor(out)
-        res._node = (res.uid, res.data.shape, tape, backward)
+        res._node = (res.uid, out.shape, tape, dgrads)  # np.shape(out) costs several times more
         res.recompute = recompute
         return res
 
@@ -740,9 +725,9 @@ def concat(tensors, axis=0):
     except (TypeError, ValueError, IndexError):  # none, 0-d, shapes that disagree off the axis
         raise ShapeMismatch(f"cannot concat {[t.shape for t in tensors]} on axis {axis}") from None
     ends = np.cumsum([t.shape[axis] for t in tensors])
-    return Tensor._record(out, tensors, [  # each operand gets its own slice
+    return Tensor._record(out, tensors, tuple(  # each operand gets its own slice
         lambda g, lo=hi - t.shape[axis], hi=hi: np.take(g, range(lo, hi), axis=axis)
-        for t, hi in zip(tensors, ends)])
+        for t, hi in zip(tensors, ends)))
 
 
 def custom_op(inputs, value, grads):
@@ -753,45 +738,10 @@ def custom_op(inputs, value, grads):
     (SVD / power iteration) where singular vectors are treated as locally
     constant.
     """
-    return Tensor._record(np.asarray(value), tuple(inputs), grads)
+    return Tensor._record(np.asarray(value), tuple(inputs), tuple(grads))
 
 
 # -- reverse pass -------------------------------------------------------
-
-
-class _Acc:
-    """The ``acc`` handed to backward closures: ``acc(node, g)`` adds ``g``
-    to the gradient of ``node``, whose shape it must have (a size-1 ``g``
-    may differ in shape: a 0-d result is stored as ``(1,)``); in a
-    per-sample backward a grad leaf takes only :meth:`add_sq`, one
-    squared-gradient sum from one op."""
-
-    def __init__(self, root, per_sample):
-        self.grads = {root[0]: _frozen(np.ones(root[1]))}
-        self.per_sample = per_sample
-        self.sq = {}
-
-    def __call__(self, node, g):
-        uid, shape, parents, _ = node
-        if self.per_sample and not parents:
-            raise ConfigError(f"the {shape} leaf is reached by an op with no "
-                              "per-sample rule")
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != shape:
-            if g.size != 1 or math.prod(shape) != 1:
-                raise ShapeMismatch(f"a {g.shape} gradient for a {shape} operand")
-            g = g.reshape(shape)
-        if uid in self.grads:
-            g = self.grads[uid] + g
-        self.grads[uid] = _frozen(g)  # derivatives may share it: one g feeds both of add's
-
-    def add_sq(self, node, sq):
-        uid, shape = node[:2]
-        if uid in self.sq:
-            # sum_i (a_i + b_i)^2 is not sum_i a_i^2 + sum_i b_i^2
-            raise ConfigError(f"no per-sample rule: the {shape} leaf is read by "
-                              "more than one op")
-        self.sq[uid] = _frozen(sq)
 
 
 def _frozen(a):
@@ -804,12 +754,15 @@ def backward(root: Tensor, per_sample_sq=False):
 
     Returns a map ``leaf uid -> gradient``, a read-only ndarray of the
     leaf's shape, over all reachable leaves with ``requires_grad``; a
-    non-finite gradient raises :class:`NonFiniteValue`. The walk runs on
-    tape nodes, which hold no arrays: the derivatives read only what they
-    captured, so a forward's activations that no derivative reads are
-    already gone. Interior gradients are dropped once used: a node's
-    gradient is complete when its turn comes and is freed once its
-    derivatives have run, so only leaf gradients live until the return.
+    non-finite gradient raises :class:`NonFiniteValue`. One loop runs
+    every derivative: it walks the tape nodes in reverse depth-first
+    post-order from the root, and at each interior node pops its gradient,
+    now complete, and runs the node's rules in order, adding each result
+    to an operand's gradient, which must have the operand's shape (a
+    size-1 one may differ: a 0-d result is stored as ``(1,)``). The nodes
+    hold no arrays and the rules read only what they captured, so a
+    forward's activations that no rule reads are already gone, and only
+    leaf gradients live until the return.
 
     With ``per_sample_sq`` the root must be a sum of per-sample terms,
     with the samples on axis 0 of every activation and no op mixing them.
@@ -825,31 +778,54 @@ def backward(root: Tensor, per_sample_sq=False):
     if root._node is None:
         raise ConfigError("root is not recorded on any tape")
 
-    topo = []
-    seen = set()
-    stack = [(root._node, False)]
+    topo, seen, stack = [], set(), [(root._node, False)]  # depth-first, each node after its parents
     while stack:
         node, done = stack.pop()
         if done:
             topo.append(node)
-            continue
-        if node[0] in seen:
-            continue
-        seen.add(node[0])
-        stack.append((node, True))
-        for p in node[2]:
-            if p[0] not in seen:
-                stack.append((p, False))
+        elif node[0] not in seen:
+            seen.add(node[0])
+            stack.append((node, True))
+            for p in node[2]:
+                if p[0] not in seen:
+                    stack.append((p, False))
 
-    acc = _Acc(root._node, per_sample_sq)
-    for uid, _, _, bwd in reversed(topo):
-        if bwd is None:  # a leaf keeps its gradient for the map
-            continue
-        g = acc.grads.pop(uid, None)  # complete: every node adding to it has run
-        if g is not None:
-            bwd(g, acc)
+    grads = {root._node[0]: _frozen(np.ones(root._node[1]))}
+    sq = {}
 
-    found = acc.sq if per_sample_sq else acc.grads
+    def add(node, g):
+        uid, shape, parents, _ = node
+        if per_sample_sq and not parents:
+            raise ConfigError(f"the {shape} leaf is reached by an op with no per-sample rule")
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != shape:
+            if g.size != 1 or math.prod(shape) != 1:
+                raise ShapeMismatch(f"a {g.shape} gradient for a {shape} operand")
+            g = g.reshape(shape)
+        if uid in grads:
+            g = grads[uid] + g
+        grads[uid] = _frozen(g)  # rules may share it: one g feeds both of add's
+
+    def add_sq(node, g):
+        if node[0] in sq:  # sum_i (a_i + b_i)^2 is not sum_i a_i^2 + sum_i b_i^2
+            raise ConfigError(f"no per-sample rule: the {node[1]} leaf is read by "
+                              "more than one op")
+        sq[node[0]] = _frozen(g)
+
+    for uid, shape, parents, rules in reversed(topo):
+        if not parents:  # a leaf keeps its gradient for the map
+            continue
+        # complete, as every node adding to it has run; the node's own view keys its _per_grad memos
+        g = grads.pop(uid).reshape(shape)
+        for n, d in zip(parents, rules):
+            if type(d) is not tuple:
+                add(n, d(g))
+            elif per_sample_sq and not n[2]:  # a grad leaf
+                add_sq(n, d[1](g))
+            else:
+                add(n, d[0](g))
+
+    found = sq if per_sample_sq else grads
     grads = {n[0]: found[n[0]] for n in topo if not n[2] and n[0] in found}  # the leaves
     if not all(_finite(g) for g in grads.values()):
         raise NonFiniteValue("gradient contains NaN or Inf")

@@ -22,7 +22,7 @@ import numpy as np
 from . import checkpoint as ckpt_mod
 from . import tensor as T
 from .architect import AdaptedModel
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, check_count
 from .linalg import spectral_norm, thin_svd
 from .models import ParamStore, forward, init_param
 from .tensor import Tensor
@@ -254,6 +254,7 @@ def spectral_penalty(trainable, iters) -> Tensor:
     Singular vectors are treated as locally constant, so the gradient of
     sigma^2 w.r.t. W is 2 sigma u v^T.
     """
+    iters = check_count("iters", iters)  # also with no 2-D weight to iterate on
     total = None
     for path, w in trainable:
         if w.ndim != 2:
@@ -270,6 +271,7 @@ def bss_penalty(features: Tensor, k) -> Tensor:
     f = _flatten_feature(features)
     n, d = f.shape
     r = min(n, d)
+    k = check_count("k", k, least=0)
     if not 1 <= k <= r:
         raise ConfigError(f"k={k} outside [1,{r}]")
     u, s, vt = thin_svd(f.data)
@@ -488,10 +490,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        self.epochs = check_count("epochs", self.epochs)
+        self.batch_size = check_count("batch_size", self.batch_size)
+        self.seed = check_count("seed", self.seed, least=0)
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):

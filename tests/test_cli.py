@@ -780,7 +780,7 @@ def test_error_classes_match_the_readme_table():
     ("data.source", "csv()", "needs path"),
     ("tuner.loss", "ce,fsp:1:pairs=a>b", "unknown hook"),
     ("tuner.loss", "ce,kd_kl:1:T=0", "temperature must be positive"),
-    ("tuner.reg", "spec_norm:1:iters=0", "iters must be >= 1"),
+    ("tuner.reg", "spec_norm:1:iters=0", "iters 0 is not a positive integer"),
     ("tuner.lr", "nan", "lr must be finite"),
     ("tuner.lr", "inf", "lr must be finite"),
     ("tuner.momentum", "nan", "momentum must be finite"),

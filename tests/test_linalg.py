@@ -1,9 +1,11 @@
 """Thin SVD and power-iteration spectral norm against residual oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
-from zjkit.errors import ShapeMismatch
+from zjkit.errors import ConfigError, ShapeMismatch
 from zjkit.linalg import spectral_norm, thin_svd
 
 
@@ -68,3 +70,10 @@ def test_spectral_norm_arg_checks():
         spectral_norm(np.ones(4))
     with pytest.raises(ValueError):
         spectral_norm(np.ones((2, 2)), iters=0)
+
+
+@pytest.mark.parametrize("iters", [0, 2.5, True, None, "3"])
+def test_spectral_norm_iters_is_a_positive_integer(iters):
+    with pytest.raises(ConfigError, match=f"iters {re.escape(repr(iters))} is not a positive"):
+        spectral_norm(np.ones((2, 2)), iters=iters)
+    assert spectral_norm(np.eye(2), iters=np.int64(3))[0] == pytest.approx(1.0)

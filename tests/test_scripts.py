@@ -1,4 +1,5 @@
-"""Scripts under ``scripts/``: the digest script's kernel check and the merge demo."""
+"""Scripts under ``scripts/``: the fixed-seed digests against the recorded ones, the digest
+script's kernel check and the merge demo."""
 
 import os
 import subprocess
@@ -8,15 +9,45 @@ import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORDED = os.path.join(ROOT, "tests", "output_digests.txt")
+
+
+def _digests(*args):
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "output_digests.py"), *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+
+
+def test_fixed_seed_outputs_match_the_recorded_digests():
+    """Every output the digest script covers is byte-identical to the recorded
+    one. The record's first line names the numpy it was made with, the rest is
+    the script's output; on another numpy, BLAS or kernel the digests may
+    differ by rounding, so the test skips. A change that moves outputs on
+    purpose rewrites the record:
+
+        (echo "numpy $(python -c 'import numpy; print(numpy.__version__)')";
+         PYTHONPATH=src python scripts/output_digests.py) > tests/output_digests.txt
+    """
+    with open(RECORDED) as f:
+        numpy_line, *want = f.read().splitlines()
+    if numpy_line != f"numpy {np.__version__}":
+        pytest.skip(f"digests recorded under {numpy_line}, this is numpy {np.__version__}")
+    run = _digests()
+    if run.returncode and not run.stdout and "was asked for, but it runs" in run.stderr:
+        pytest.skip(run.stderr.strip().splitlines()[-1])  # the CPU cannot run the pinned kernel
+    assert run.returncode == 0, run.stderr
+    got = run.stdout.splitlines()
+    if got[:1] != want[:1]:
+        pytest.skip(f"digests recorded under '{want[0]}', this machine runs '{' '.join(got[:1])}'")
+    moved = sorted(set(got) ^ set(want))
+    assert got == want, "lines that differ from the record:\n" + "\n".join(moved)
 
 
 @pytest.mark.skipif(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
                     != "scipy-openblas", reason="only scipy-openblas reports its kernel")
 def test_a_kernel_openblas_does_not_run_ends_the_digests_before_any_line():
-    run = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "output_digests.py"), "--kernel", "Bogus"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+    run = _digests("--kernel", "Bogus")
     assert run.returncode != 0 and run.stdout == ""
     assert "OpenBLAS kernel Bogus was asked for, but it runs" in run.stderr
 

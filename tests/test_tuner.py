@@ -481,6 +481,33 @@ def test_train_config_rejects_batch_size_below_one():
             TrainConfig(batch_size=bs)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("epochs", 2.5), ("epochs", True), ("epochs", 0), ("batch_size", 2.5),
+    ("batch_size", None), ("seed", -1), ("seed", 1.5)])
+def test_train_config_counts_are_checked_integers(key, value):
+    kind = "non-negative" if key == "seed" else "positive"
+    with pytest.raises(ConfigError, match=f"{key} {value!r} is not a {kind} integer"):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_takes_a_numpy_count_as_an_int():
+    cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), seed=np.uint8(0))
+    assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 8, 0)
+    assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed))
+
+
+def test_penalty_counts_that_are_not_integers_are_config_errors():
+    w = Tensor(np.eye(3), requires_grad=True)
+    for trainable in ([("w", w)], []):  # checked with no weight to iterate on, too
+        with pytest.raises(ConfigError, match="iters 2.5 is not a positive integer"):
+            spectral_penalty(trainable, 2.5)
+    with pytest.raises(ConfigError, match="k 1.5 is not a non-negative integer"):
+        bss_penalty(w, 1.5)
+    with pytest.raises(ConfigError, match="k -1 is not a non-negative integer"):
+        bss_penalty(w, -1)
+    assert bss_penalty(w, np.int64(1)).item() == pytest.approx(1.0)
+
+
 def test_fsp_hook_shape_checked_when_spec_is_built():
     # fsp pairs are ((student lo, hi), (teacher lo, hi)); flat pairs do not fit
     for hooks in ((("a", "b"),), (), ((("a", "b"), "c"),)):
