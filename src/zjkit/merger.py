@@ -5,13 +5,16 @@ optimal-transport and permutation alignment, preactivation repair)
 operate on checkpoints sharing one spec digest; prediction mergers
 combine logits, probabilities, or votes.
 
-The diagonal Fisher (:func:`fisher_estimate`) takes one batched forward
-and one per-sample backward for all its samples, not one of each per
-sample; its row and label draws replay a per-sample loop's RNG order, so
+The diagonal Fisher (:func:`fisher_estimate`) runs its samples in blocks
+of about ``_FISHER_BLOCK`` input rows, one batched forward and one
+per-sample backward each, so its memory does not grow with the sample
+count; its row and label draws replay a per-sample loop's RNG order, so
 it equals that loop up to rounding (the loop is the reference in the
 tests). It takes checkpoints of the spec's own parameters only; adapter
 entries are refused. It is the one reader of gradients here, so it makes
 grad leaves of its own from the frozen :func:`checkpoint.to_params` store.
+REPAIR keeps per-unit means and deviations, not preactivation traces, and
+a soup sums its ingredients into one float64 buffer per entry.
 
 OT alignment (:func:`ot_align`) solves each layer's entropic problem on a
 Gram-form cost by stabilised Sinkhorn scaling (:func:`sinkhorn`), a few
@@ -26,6 +29,7 @@ entries, whose root is an ``architect.METHODS`` key.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -41,6 +45,7 @@ from .models import SPECS, ParamStore, forward
 from .tensor import Tensor
 
 EPS_FLOOR = 1e-12
+_FISHER_BLOCK = 192  # input rows (samples times tokens) on one fisher_estimate tape
 
 
 def _refuse_others(ckpt, paths, what):
@@ -71,9 +76,14 @@ def _check_aligned(checkpoints):
 def uniform_soup(checkpoints) -> Checkpoint:
     """Elementwise arithmetic mean of the input checkpoints."""
     _check_aligned(checkpoints)
-    return checkpoints[0].with_entries(
-        {p: np.mean([c.entries[p].astype(np.float64) for c in checkpoints], axis=0)
-         for p in checkpoints[0].entries})
+    out = {}
+    for p, first in checkpoints[0].entries.items():
+        # one float64 buffer, summed in order; no stacked copy
+        acc = out[p] = first.astype(np.float64)
+        for c in checkpoints[1:]:
+            acc += c.entries[p]
+        acc /= len(checkpoints)
+    return checkpoints[0].with_entries(out)
 
 
 def greedy_soup(checkpoints, val_data, eval_fn):
@@ -131,11 +141,15 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0) -> Fishe
     """Diagonal Fisher estimate from squared log-likelihood gradients.
 
     ``n_samples`` train rows are drawn with replacement, and each one's label
-    from the model's own predictive distribution. All samples go through one
-    forward and one per-sample backward of sum_i log p(y_i | x_i), which yields
-    sum_i g_i^2 for every parameter directly. The random draws follow the
-    order of a per-sample loop (``integers`` for a row, then ``choice`` for
-    its label), so the result equals that loop's up to rounding.
+    from the model's own predictive distribution. The samples are split
+    evenly over ``ceil(n_samples * rows / _FISHER_BLOCK)`` blocks, where
+    ``rows`` counts a sample's input rows (a token input has one per token).
+    Each block takes one forward and one per-sample backward of
+    sum_i log p(y_i | x_i), which yields sum_i g_i^2 for every parameter,
+    and the blocks' sums add up; a block's tape is dropped before the next
+    one's forward. The random draws follow the order of a per-sample loop
+    (``integers`` for a row, then ``choice`` for its label), so the result
+    equals that loop's up to rounding.
     """
     n_samples = check_count("n_samples", n_samples)
     params = ParamStore({p: Tensor(t.data, requires_grad=True)  # to_params leaves are frozen
@@ -144,24 +158,27 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0) -> Fishe
     x_train, _ = data.split("train")
     if x_train.shape[0] == 0:
         raise ConfigError("fisher_estimate needs a non-empty train split")
-    # choice(k, p=...) takes one double whatever p is, so a twin generator
-    # that calls random() in its place draws the loop's rows ahead
-    ahead = np.random.default_rng(seed)
-    idx = np.empty(n_samples, dtype=np.int64)
-    for j in range(n_samples):
-        idx[j] = ahead.integers(0, x_train.shape[0])
-        ahead.random()
-    logits, _ = forward(spec, params, Tensor(x_train[idx]))
-    probs = T.softmax(logits.detach()).data
+    # choice(k, p=...) draws one random() and takes the first class whose
+    # normalised cumulative p exceeds it, so every draw can come first
     rng = np.random.default_rng(seed)
-    labels = np.empty(n_samples, dtype=np.int64)
+    idx, u = np.empty(n_samples, dtype=np.int64), np.empty(n_samples)
     for j in range(n_samples):
-        rng.integers(0, x_train.shape[0])
-        labels[j] = rng.choice(probs.shape[1], p=probs[j])
-    logp = T.log_softmax(logits)[(np.arange(n_samples), labels)].sum()
-    sq = T.backward(logp, per_sample_sq=True)
-    entries = {p: (sq[t.uid] if t.uid in sq else np.zeros(t.shape)) / n_samples
-               for p, t in params.items()}
+        idx[j] = rng.integers(0, x_train.shape[0])
+        u[j] = rng.random()
+    labels = np.empty(n_samples, dtype=np.int64)
+    blocks = max(1, -(-n_samples * math.prod(x_train.shape[1:-1]) // _FISHER_BLOCK))
+    step = -(-n_samples // blocks)
+    sq = {}
+    for lo in range(0, n_samples, step):
+        rows = slice(lo, lo + step)
+        logits, _ = forward(spec, params, Tensor(x_train[idx[rows]]))
+        cdf = np.cumsum(T.softmax(logits.detach()).data, axis=1)
+        labels[rows] = (cdf / cdf[:, -1:] <= u[rows, None]).sum(1)
+        logp = T.log_softmax(logits)[(np.arange(cdf.shape[0]), labels[rows])].sum()
+        for uid, g in T.backward(logp, per_sample_sq=True).items():
+            sq[uid] = sq[uid] + g if uid in sq else g
+        del logits, logp  # this block's tape goes before the next forward
+    entries = {p: sq.get(t.uid, np.zeros(t.shape)) / n_samples for p, t in params.items()}
     return FisherDiag(entries, idx, labels)
 
 
@@ -247,22 +264,25 @@ def sinkhorn(cost, eps, iters):
         kv = kern.sum(axis=1)
         for k in range(1, iters + 1):
             u = a / kv
-            if not 0 < u.min() <= u.max() < np.inf:
+            u_lo, u_hi = u.min(), u.max()
+            if not 0 < u_lo <= u_hi < np.inf:
                 g += eps * np.log(v)
                 f = eps * (log_a - _lse((g[None, :] - cost) / eps, axis=1))
                 u, v = np.ones(n), np.ones(m)
+                u_lo = u_hi = 1.0
                 kern = kernel()
             v = b / (kern.T @ u)
-            if not 0 < v.min() <= v.max() < np.inf:
+            v_lo, v_hi = v.min(), v.max()
+            if not 0 < v_lo <= v_hi < np.inf:
                 f += eps * np.log(u)
                 g = eps * (log_b - _lse((f[:, None] - cost) / eps, axis=0))
                 u, v = np.ones(n), np.ones(m)
+                u_lo = u_hi = v_lo = v_hi = 1.0
                 kern = kernel()
             kv = kern @ v
             if np.abs(u * kv - a).max() < 1e-9:
                 break
-            if (min(u.min(), v.min()) < 1.0 / ABSORB_TAU
-                    or max(u.max(), v.max()) > ABSORB_TAU):
+            if min(u_lo, v_lo) < 1.0 / ABSORB_TAU or max(u_hi, v_hi) > ABSORB_TAU:
                 f += eps * np.log(u)
                 g += eps * np.log(v)
                 u, v = np.ones(n), np.ones(m)
@@ -432,16 +452,19 @@ def repair(interp: Checkpoint, endpoints, spec, calib_x, log=None) -> Checkpoint
     if calib.shape[0] < 16:
         raise ConfigError("calibration batch must have >= 16 samples")
 
-    def preacts(ckpt):
-        _, trace = forward(spec, to_params(spec, ckpt), calib, [g[0] for g in groups])
-        return {h: t.data.reshape(-1, t.shape[-1]) for h, t in trace.items()}
+    def stats(ckpt, hooks):
+        """Per-unit (mean, std) at each of ``hooks``, not the traces."""
+        _, trace = forward(spec, to_params(spec, ckpt), calib, hooks)
+        return {h: (a.mean(0), a.std(0)) for h, t in trace.items()
+                for a in (t.data.reshape(-1, t.shape[-1]),)}
 
-    stats_a, stats_b = preacts(ckpt_a), preacts(ckpt_b)
+    hooks = [g[0] for g in groups]
+    stats_a, stats_b = stats(ckpt_a, hooks), stats(ckpt_b, hooks)
     for l, (hook, site, _) in enumerate(groups):
-        cur = preacts(interp.with_entries(entries))[hook]
-        m_t = alpha * stats_a[hook].mean(0) + (1 - alpha) * stats_b[hook].mean(0)
-        s_t = alpha * stats_a[hook].std(0) + (1 - alpha) * stats_b[hook].std(0)
-        m_c, s_c = cur.mean(0), cur.std(0)
+        (m_a, s_a), (m_b, s_b) = stats_a[hook], stats_b[hook]
+        m_t = alpha * m_a + (1 - alpha) * m_b
+        s_t = alpha * s_a + (1 - alpha) * s_b
+        m_c, s_c = stats(interp.with_entries(entries), [hook])[hook]
         scale = np.ones_like(s_c)
         ok = s_c >= 1e-8  # a unit with less spread gets a shift only
         scale[ok] = s_t[ok] / s_c[ok]

@@ -13,6 +13,7 @@ update rule in :data:`OPTIMIZERS`, kept with a state per trained tensor.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -486,14 +487,17 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lr", "momentum", "weight_decay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         self.epochs = check_count("epochs", self.epochs)
         self.batch_size = check_count("batch_size", self.batch_size)
         self.seed = check_count("seed", self.seed, least=0)
-        if self.optimizer not in OPTIMIZERS:
+        if not isinstance(self.optimizer, str) or self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")

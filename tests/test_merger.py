@@ -70,6 +70,21 @@ def test_uniform_soup_mean_oracle():
         assert np.abs(soup.entries[p] - want).max() < 1e-7
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("spec", [SPEC2, VIT], ids=["mlp", "mini_vit"])
+def test_uniform_soup_is_the_mean_of_the_stacked_entries(spec, k, monkeypatch):
+    ckpts = [_ckpt(spec, seed=s) for s in range(k)]
+    means, real = {}, Checkpoint.with_entries  # the float64 means, before the float32 store
+    monkeypatch.setattr(Checkpoint, "with_entries",
+                        lambda self, arrays: means.update(arrays) or real(self, arrays))
+    soup = uniform_soup(ckpts)
+    assert set(means) == set(ckpts[0].entries)
+    for p, got in means.items():
+        want = np.mean(np.stack([c.entries[p].astype(np.float64) for c in ckpts]), axis=0)
+        assert got.dtype == np.float64 and np.array_equal(got, want), p
+        assert np.array_equal(soup.entries[p], want.astype(np.float32)), p
+
+
 def test_uniform_soup_idempotent_on_duplicates():
     a = _ckpt(seed=2)
     soup = uniform_soup([a, a.clone(), a.clone()])
@@ -649,6 +664,42 @@ def test_repair_matches_target_stats():
     target = alpha * sa + (1 - alpha) * sb
     got = _preacts(spec, fixed, calib, "layers[0].preact").std(0)
     assert (np.abs(got - target) / target).max() < 0.01
+
+
+def repair_with_traces(interp, endpoints, spec, calib):
+    """Reference: REPAIR from the whole preactivation traces of each model."""
+    ckpt_a, ckpt_b, alpha = endpoints
+    groups, entries = merger._groups(interp)
+    hooks = [g[0] for g in groups]
+
+    def preacts(ckpt):
+        _, trace = forward(spec, to_params(spec, ckpt), Tensor(calib), hooks)
+        return {h: t.data.reshape(-1, t.shape[-1]) for h, t in trace.items()}
+
+    trace_a, trace_b = preacts(ckpt_a), preacts(ckpt_b)
+    for hook, site, _ in groups:
+        cur = preacts(interp.with_entries(entries))[hook]
+        m_t = alpha * trace_a[hook].mean(0) + (1 - alpha) * trace_b[hook].mean(0)
+        s_t = alpha * trace_a[hook].std(0) + (1 - alpha) * trace_b[hook].std(0)
+        ok = cur.std(0) >= 1e-8
+        scale = np.ones_like(s_t)
+        scale[ok] = s_t[ok] / cur.std(0)[ok]
+        shift = m_t - scale * cur.mean(0)
+        w, b = f"{site}.weight", f"{site}.bias"
+        entries[w], entries[b] = scale[:, None] * entries[w], scale * entries[b] + shift
+    return interp.with_entries(entries)
+
+
+@pytest.mark.parametrize("spec", [SPEC2, VIT], ids=["mlp", "mini_vit"])
+def test_repair_from_statistics_equals_repair_from_traces(spec):
+    a, b, alpha = _ckpt(spec, seed=0), _ckpt(spec, seed=1), 0.3
+    interp = wise_ft(b, a, alpha)
+    shape = (48, 3) if spec is SPEC2 else (48, VIT.seq_len, VIT.input_dim)
+    calib = np.random.default_rng(7).normal(size=shape)
+    want = repair_with_traces(interp, (a, b, alpha), spec, calib)
+    got = repair(interp, (a, b, alpha), spec, calib)
+    for p, w in want.entries.items():
+        assert np.array_equal(got.entries[p], w), p
 
 
 def test_mini_vit_repair_meets_the_pooled_target_std():

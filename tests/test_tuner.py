@@ -490,6 +490,24 @@ def test_train_config_counts_are_checked_integers(key, value):
         TrainConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("lr", None, "lr must be a real number, got None"),
+    ("lr", "0.1", "lr must be a real number, got '0.1'"),
+    ("lr", True, "lr must be a real number, got True"),
+    ("momentum", None, "momentum must be a real number, got None"),
+    ("weight_decay", False, "weight_decay must be a real number, got False"),
+    ("optimizer", ["sgd"], r"unknown optimizer \['sgd'\]"),
+    ("schedule", ["constant"], r"unknown schedule \['constant'\]")])
+def test_train_config_fields_of_the_wrong_type_are_config_errors(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_takes_numpy_and_integer_rates():
+    cfg = TrainConfig(lr=np.float32(0.5), momentum=0, weight_decay=np.float64(1e-4))
+    assert (cfg.lr, cfg.momentum, cfg.weight_decay) == (np.float32(0.5), 0, 1e-4)
+
+
 def test_train_config_takes_a_numpy_count_as_an_int():
     cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), seed=np.uint8(0))
     assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 8, 0)
