@@ -322,17 +322,23 @@ def cli_digests(out, tmp):
     mode_cfgs = {mode: os.path.join(tmp, f"{mode}.cfg") for mode in ("vote", "logits")}
     run = os.path.join(tmp, "pipe")
     ck, ck2 = (os.path.join(run, d, "final.zjk1") for d in ("t", "t2"))
-    l2sp_cfg = os.path.join(tmp, "l2sp.cfg")
+    l2sp_cfg, base = os.path.join(tmp, "l2sp.cfg"), os.path.join(tmp, "t_base.zjk1")
     with open(cfg, "w") as fh:
         fh.write(PIPE_CFG)
-    with open(l2sp_cfg, "w") as fh:  # full fine-tune of the first run's weights
+    with open(l2sp_cfg, "w") as fh:  # full fine-tune of the first run's spec entries
         fh.write(PIPE_CFG.replace("architect.config='(LoRA.adapt):->(layers[0]){inout}'\n", "")
-                 + f"pretrained_weights={ck}\ntuner.reg=l2_sp:0.1\n")
+                 + f"pretrained_weights={base}\ntuner.reg=l2_sp:0.1\n")
     with open(soup_cfg, "w") as fh:
         fh.write(PIPE_CFG + "merger.kind=greedy_soup\n")
     for mode, path in mode_cfgs.items():
         with open(path, "w") as fh:
             fh.write(PIPE_CFG + f"merger.ensemble={mode}\n")
+
+    def zjkit(argv):
+        code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"zjkit {argv[0]} exited {code}")
+
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in (["plan", "--config", cfg],
                      ["train", "--config", cfg, "--out", os.path.join(run, "t")],
@@ -348,12 +354,15 @@ def cli_digests(out, tmp):
                       "--ckpt", ck, "--ckpt", ck2],
                      # the same two checkpoints in the other ensemble modes
                      *(["eval", "--config", path, "--out", os.path.join(run, f"e2_{mode}"),
-                        "--ckpt", ck, "--ckpt", ck2] for mode, path in mode_cfgs.items()),
-                     # l2_sp toward the first run's weights, loaded as pretrained_weights
-                     ["train", "--config", l2sp_cfg, "--out", os.path.join(run, "l2sp")]):
-            code = cli.main(argv)
-            if code != 0:
-                raise SystemExit(f"zjkit {argv[0]} exited {code}")
+                        "--ckpt", ck, "--ckpt", ck2] for mode, path in mode_cfgs.items())):
+            zjkit(argv)
+        # l2_sp toward the first run's spec entries, as pretrained_weights; its
+        # LoRA factors stay behind, as the full plan reads none
+        first = ckpt_mod.load_checkpoint(ck)
+        spec = cli._model_spec(cli.parse_run_config(PIPE_CFG))
+        ckpt_mod.save_checkpoint(first.with_entries(
+            {p: first.entries[p] for p in spec.param_shapes()}), base)
+        zjkit(["train", "--config", l2sp_cfg, "--out", os.path.join(run, "l2sp")])
     for rel in ("t/final.zjk1", "t/history.jsonl", "m/merged.zjk1", "e/metrics.json",
                 "t2/final.zjk1", "g/merged.zjk1", "e2/metrics.json",
                 "e2_vote/metrics.json", "e2_logits/metrics.json", "l2sp/final.zjk1",

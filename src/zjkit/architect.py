@@ -253,6 +253,12 @@ class AdaptedModel:
         return base + [(p, t, self.extras) for p, t in self.extras.items()]
 
 
+def full_plan(spec) -> AdaptationPlan:
+    """Full fine-tuning of ``spec``: no injection, and every original path trains."""
+    return AdaptationPlan("finetune", {}, spec.canonical(),
+                          trainable_original=set(spec.param_shapes()))
+
+
 def apply_plan(spec, params: ParamStore, plan: AdaptationPlan, seed=0) -> AdaptedModel:
     """Wire a compiled plan onto a concrete parameter store, its new
     parameters freshly initialised from ``seed`` (see :class:`AdaptedModel`)."""

@@ -67,6 +67,14 @@ def check_spec(spec, ckpt: Checkpoint):
             raise ShapeMismatch(f"{path}: {ckpt.entries[path].shape} != {shape}")
 
 
+def refuse_others(ckpt: Checkpoint, paths, what):
+    """SpecMismatch naming up to three entries of ``ckpt`` that ``paths`` lacks, if any."""
+    extra = sorted(set(ckpt.entries) - set(paths))
+    if extra:
+        raise SpecMismatch(f"{what} only; the checkpoint also has {len(extra)} other "
+                           f"entries ({', '.join(extra[:3])}{', ...' if len(extra) > 3 else ''})")
+
+
 def to_params(spec, ckpt: Checkpoint) -> ParamStore:
     """Materialize a checkpoint against a spec, checked by :func:`check_spec`.
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import architect, checkpoint as ckpt_mod, data as data_mod, dsl, merger, tuner
 from .errors import ConfigError, IoError, ParseError, ZjError
-from .models import SPECS, MlpSpec, ParamStore, build_model
+from .models import SPECS, ParamStore, build_model
 from .tensor import Tensor
 
 log = logging.getLogger("zjkit")
@@ -105,15 +105,20 @@ def _kwargs(cfg, fn, **keys):
 
 
 def _model_spec(cfg):
+    """The ``model.kind`` spec; each field is read from ``model.<field>`` by its
+    declared type: ``int``, ``str``, or ``tuple``, a comma list of ints. A
+    field with a default may be unset."""
     kind = cfg.get("model.kind")
-    if kind == "mlp":
-        widths = tuple(_num(w, "model.widths", int)
-                       for w in cfg.get("model.widths", "").split(","))
-        return MlpSpec(widths, **_kwargs(cfg, MlpSpec, activation="model.activation"))
     if kind not in SPECS:
         raise ConfigError(f"model.kind must be {' or '.join(SPECS)}, got {kind!r}")
-    return SPECS[kind](**{f.name: _num(cfg.get(f"model.{f.name}"), f"model.{f.name}", int)
-                          for f in dataclasses.fields(SPECS[kind])})
+    args = {}
+    for f in dataclasses.fields(SPECS[kind]):
+        key, name = f"model.{f.name}", getattr(f.type, "__name__", f.type)
+        if key in cfg or f.default is dataclasses.MISSING:
+            cast = {"str": str}.get(name, int)
+            args[f.name] = (tuple(_num(w, key, int) for w in cfg.get(key, "").split(","))
+                            if name == "tuple" else _num(cfg.get(key), key, cast))
+    return SPECS[kind](**args)
 
 
 def _call_spec(text):
@@ -211,19 +216,18 @@ def _parse_terms(text):
 def _plan(cfg, spec):
     """The plan compiled from architect.config; full fine-tuning without one."""
     text = cfg.get("architect.config")
-    if text:
-        return architect.compile_plan(dsl.parse_config(text), spec)
-    plan = architect.AdaptationPlan("finetune", {}, spec.canonical())
-    plan.trainable_original = set(spec.param_shapes())
-    return plan
+    return (architect.compile_plan(dsl.parse_config(text), spec) if text
+            else architect.full_plan(spec))
 
 
-def _model_for_eval(spec, plan, ckpt):
-    """Forward-capable model from a checkpoint: the plan on its spec entries,
-    its other entries the plan's new parameters."""
+def _load_model(spec, plan, ckpt):
+    """The model ``plan`` makes of a checkpoint: its spec entries the base, the
+    plan's new parameters the extras. Any other entry is SpecMismatch."""
     base = ckpt_mod.to_params(spec, ckpt)
-    extras = ParamStore({p: Tensor(a.astype(np.float64))
-                         for p, a in ckpt.entries.items() if p not in base})
+    extras = ParamStore({p: Tensor(ckpt.entries[p].astype(np.float64))
+                         for inj in plan.injections for p, _ in inj.params if p in ckpt.entries})
+    ckpt_mod.refuse_others(ckpt, [*base.paths(), *extras.paths()],
+                           "the plan reads the spec's entries and its new parameters")
     return architect.AdaptedModel(spec, base, plan, extras)
 
 
@@ -270,9 +274,9 @@ def cmd_train(cfg, args):
     spec = _model_spec(cfg)
     ds = _load_dataset(cfg, args.seed)
     pretrained = cfg.get("pretrained_weights")
-    ref_params = None  # apply_plan copies the store, so training leaves it as loaded
-    if pretrained:
-        params = ref_params = ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(pretrained))
+    if pretrained:  # l2_sp anchors to these weights, the base as training starts
+        params = _load_model(spec, architect.full_plan(spec),
+                             ckpt_mod.load_checkpoint(pretrained)).base
     else:
         params = build_model(spec, seed=args.seed)
     adapted = architect.apply_plan(spec, params, _plan(cfg, spec), seed=args.seed)
@@ -280,22 +284,21 @@ def cmd_train(cfg, args):
     loss = cfg.get("tuner.loss")
     loss_spec = tuner.LossSpec(_parse_terms(loss)) if loss else tuner.LossSpec()
     reg_spec = tuner.RegSpec(_parse_terms(cfg.get("tuner.reg")))
-    if any(t.kind == "l2_sp" for t in reg_spec.terms) and ref_params is None:
+    if any(t.kind == "l2_sp" for t in reg_spec.terms) and not pretrained:
         raise ConfigError("l2_sp requires pretrained_weights")
     teacher = None
     if loss_spec.needs_teacher():
         tw = cfg.get("teacher.weights")
         if not tw:
             raise ConfigError("distillation terms require teacher.weights")
-        teacher = tuner.Teacher(spec, ckpt_mod.to_params(spec, ckpt_mod.load_checkpoint(tw)))
+        teacher = _load_model(spec, architect.full_plan(spec), ckpt_mod.load_checkpoint(tw))
     train_cfg = tuner.TrainConfig(**_kwargs(cfg, tuner.TrainConfig, **_TUNER_KEYS), seed=args.seed)
-    ckpt, history = tuner.train(adapted, teacher, ds, loss_spec, reg_spec, train_cfg,
-                                ref_params=ref_params)
+    _write_resolved(cfg, out)  # first, so a run that fails still names its config
+    ckpt, history = tuner.train(adapted, teacher, ds, loss_spec, reg_spec, train_cfg)
     ckpt_mod.save_checkpoint(ckpt, os.path.join(out, "final.zjk1"))
     with ckpt_mod.atomic_open(os.path.join(out, "history.jsonl")) as fh:
         for entry in history:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    _write_resolved(cfg, out)
     final = history[-1]
     log.info("trained %d epochs, final val_acc=%.4f", len(history), final["val_acc"])
     print(f"val_acc={final['val_acc']:.4f}")
@@ -338,7 +341,7 @@ def cmd_merge(cfg, args):
         if kind == "greedy_soup":
             merged, order = merger.greedy_soup(
                 ckpts, ds.split("val"),
-                lambda c, vd: tuner.accuracy(_model_for_eval(spec, plan, c), *vd))
+                lambda c, vd: tuner.accuracy(_load_model(spec, plan, c), *vd))
             report["accepted"] = [args.ckpt[i] for i in order]
         elif kind == "wise_ft":
             merged = merger.wise_ft(*ckpts, alpha)
@@ -374,7 +377,7 @@ def cmd_eval(cfg, args):
     x, y = ds.split(split)
     ckpts = _ckpts(args)
     plan = _plan(cfg, spec)
-    logits_list = [_model_for_eval(spec, plan, c).predict(x) for c in ckpts]
+    logits_list = [_load_model(spec, plan, c).predict(x) for c in ckpts]
     mode = cfg.get("merger.ensemble", "prob")
     pred_mode = mode if len(ckpts) > 1 else "logits"  # one model: its own argmax
     fused = merger.combine_logits(logits_list, "logits")

@@ -38,7 +38,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
 from .architect import METHODS
-from .checkpoint import Checkpoint, to_params
+from .checkpoint import Checkpoint, refuse_others, to_params
 from .errors import (ConfigError, NoConvergence, NonFiniteValue, ShapeMismatch, SpecMismatch,
                      check_count)
 from .models import SPECS, ParamStore, forward
@@ -46,14 +46,6 @@ from .tensor import Tensor
 
 EPS_FLOOR = 1e-12
 _FISHER_BLOCK = 192  # input rows (samples times tokens) on one fisher_estimate tape
-
-
-def _refuse_others(ckpt, paths, what):
-    """SpecMismatch naming the entries of ``ckpt`` that ``paths`` lacks, if any."""
-    extra = sorted(set(ckpt.entries) - set(paths))
-    if extra:
-        raise SpecMismatch(f"{what} only; the checkpoint also has {len(extra)} other "
-                           f"entries ({', '.join(extra[:3])}{', ...' if len(extra) > 3 else ''})")
 
 
 def _check_aligned(checkpoints):
@@ -154,7 +146,7 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0) -> Fishe
     n_samples = check_count("n_samples", n_samples)
     params = ParamStore({p: Tensor(t.data, requires_grad=True)  # to_params leaves are frozen
                          for p, t in to_params(spec, ckpt).items()})
-    _refuse_others(ckpt, params.paths(), "fisher_estimate needs the spec's parameters")
+    refuse_others(ckpt, params.paths(), "fisher_estimate needs the spec's parameters")
     x_train, _ = data.split("train")
     if x_train.shape[0] == 0:
         raise ConfigError("fisher_estimate needs a non-empty train split")
@@ -314,8 +306,8 @@ def _groups(ckpt: Checkpoint):
     spec = SPECS.get(ckpt.kind)
     if spec is None:
         raise ConfigError(f"unknown model kind {ckpt.kind!r}")
-    _refuse_others(ckpt, [p for p in ckpt.entries if re.split(r"[.[]", p)[0] not in METHODS],
-                   "permutation, alignment and repair read the model's own entries")
+    refuse_others(ckpt, [p for p in ckpt.entries if re.split(r"[.[]", p)[0] not in METHODS],
+                  "permutation, alignment and repair read the model's own entries")
     groups = []
     while (group := spec.unit_group(len(groups)))[2] in ckpt.entries:
         groups.append(group)

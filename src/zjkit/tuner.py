@@ -22,10 +22,10 @@ import numpy as np
 
 from . import checkpoint as ckpt_mod
 from . import tensor as T
-from .architect import AdaptedModel
+from .architect import AdaptedModel, full_plan
 from .errors import ConfigError, ShapeMismatch, check_count
 from .linalg import spectral_norm, thin_svd
-from .models import ParamStore, forward, init_param
+from .models import ParamStore, init_param
 from .tensor import Tensor
 
 # -- loss terms ---------------------------------------------------------
@@ -503,18 +503,16 @@ class TrainConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
 
 
-# -- teacher wrapper ----------------------------------------------------
+# -- teacher ------------------------------------------------------------
 
 
-class Teacher:
-    """Frozen (spec, params) pair; forward never touches the tape."""
+class Teacher(AdaptedModel):
+    """A model of ``spec`` over ``params`` under the full plan, with no extras.
+    Its tensors are frozen, and ``train`` never makes them grad leaves, so
+    its forward records no tape."""
 
     def __init__(self, spec, params: ParamStore):
-        self.spec = spec
-        self.params = ParamStore({p: t.detach() for p, t in params.items()})
-
-    def forward(self, x, capture=()):
-        return forward(self.spec, self.params, x, capture)
+        super().__init__(spec, params, full_plan(spec), ParamStore())
 
 
 # -- training loop ------------------------------------------------------
@@ -532,7 +530,7 @@ def _set_leaves(model, leaves):
 
 
 def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
-          reg_spec: RegSpec, cfg: TrainConfig, ref_params=None):
+          reg_spec: RegSpec, cfg: TrainConfig):
     """Minibatch optimization of the composite objective.
 
     Returns ``(Checkpoint, history)``; the checkpoint holds the adapted
@@ -542,6 +540,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     ``val_acc``. The tensors ``model.trainable()`` names are grad leaves from
     each epoch's first batch to its last step, and frozen otherwise (also
     after a step raises), so ``val_acc`` and any later forward record no tape.
+    ``l2_sp`` anchors to the model's base as training starts.
     """
     terms = [*loss_spec.terms, *reg_spec.terms]
     if not terms:
@@ -553,8 +552,7 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     if x_train.shape[0] == 0:
         raise ConfigError("train needs a non-empty train split")
     x_val, y_val = data.split("val")
-    if ref_params is None:
-        ref_params = model.base.clone()  # frozen tensors, which steps replace in model.base
+    ref_params = model.base.clone()  # frozen tensors, which steps replace in model.base
 
     rng = np.random.default_rng(cfg.seed)
     step = OPTIMIZERS[cfg.optimizer]

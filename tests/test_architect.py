@@ -14,6 +14,7 @@ from zjkit.architect import (
     METHODS,
     apply_plan,
     compile_plan,
+    full_plan,
     merge_reparam,
     plan_table,
 )
@@ -464,6 +465,15 @@ def test_every_registered_method_adapts_trains_and_merges(key, family):
     want, _ = model.forward(x)
     got, _ = forward(spec, to_params(spec, merge_reparam(model)), x)
     assert np.abs(want.data - got.data).max() < 1e-5
+
+
+@pytest.mark.parametrize("spec", [MLP, VIT], ids=["mlp", "mini_vit"])
+def test_the_full_plan_trains_every_original_path_and_injects_nothing(spec):
+    plan = full_plan(spec)
+    assert plan.injections == [] and plan.freeze == set() and plan.grad_masks == {}
+    assert plan.trainable_original == set(spec.param_shapes())
+    model = apply_plan(spec, build_model(spec, seed=0), plan)
+    assert [p for p, _, _ in model.trainable()] == sorted(spec.param_shapes())
 
 
 def _frozen(model):

@@ -8,6 +8,7 @@ from zjkit.checkpoint import (
     Checkpoint,
     from_params,
     load_checkpoint,
+    refuse_others,
     save_checkpoint,
     to_params,
 )
@@ -194,3 +195,14 @@ def test_atomic_open_failure_is_io_error_and_leaves_no_temporary(tmp_path):
         with ckpt_mod.atomic_open(target) as fh:
             fh.write("x")
     assert [f.name for f in tmp_path.iterdir()] == ["out"]
+
+
+def test_refuse_others_names_up_to_three_entries():
+    ckpt = from_params(SPEC, build_model(SPEC))
+    refuse_others(ckpt, ckpt.entries, "all")  # nothing else: no error
+    extra = ckpt.with_entries({**ckpt.entries, **{f"x[{i}].a": np.zeros(1) for i in range(4)}})
+    with pytest.raises(SpecMismatch, match=r"^the spec only; the checkpoint also has 4 other "
+                       r"entries \(x\[0\]\.a, x\[1\]\.a, x\[2\]\.a, \.\.\.\)$"):
+        refuse_others(extra, SPEC.param_shapes(), "the spec")
+    with pytest.raises(SpecMismatch, match=r"1 other entries \(x\[3\]\.a\)$"):
+        refuse_others(extra, [*SPEC.param_shapes(), "x[0].a", "x[1].a", "x[2].a"], "some")

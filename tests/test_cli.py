@@ -34,7 +34,7 @@ from zjkit.errors import (
     SpecMismatch,
     ZjError,
 )
-from zjkit.models import MiniVitSpec, MlpSpec, build_model
+from zjkit.models import SPECS, MiniVitSpec, MlpSpec, build_model
 
 BASE_CFG = """\
 model.kind=mlp
@@ -505,10 +505,86 @@ def test_validation_eval_and_ensembles_reach_the_model_through_predict(
     rows.clear()
     spec = MlpSpec((2, 8, 3))
     plan = cli._plan(parse_run_config(BASE_CFG), spec)
-    models = [cli._model_for_eval(spec, plan, load_checkpoint(ck))] * 2
+    models = [cli._load_model(spec, plan, load_checkpoint(ck))] * 2
     merger.ensemble(models, ds.x, "prob")
     tuner.accuracy(models[0], ds.x, ds.y)
     assert rows == [120] * 3
+
+
+LORA_CFG = _with("architect.config", "'(LoRA.adapt):->(layers[0]){inout}'")
+NO_PLAN_CFG = "".join(l for l in BASE_CFG.splitlines(True) if not l.startswith("architect."))
+
+
+def _loader_run(tmp_path, route, cfg, ck):
+    """``ck`` reaching a model through ``route``: exit code and output files."""
+    out = tmp_path / route
+    distilled = _with("tuner.loss", "ce,kd_kl:0.5", cfg)
+    cfg = {"greedy_soup": _with("merger.kind", "greedy_soup", cfg),
+           "teacher.weights": _with("teacher.weights", ck, distilled),
+           "pretrained_weights": _with("pretrained_weights", ck, cfg)}.get(route, cfg)
+    command = {"eval": ["eval", "--ckpt", ck],
+               "greedy_soup": ["merge", "--ckpt", ck, "--ckpt", ck]}.get(route, ["train"])
+    code = main([*command, "--config", _cfg(tmp_path, cfg, f"{route}.cfg"), "--out", str(out)])
+    return code, sorted(f.name for f in out.iterdir())
+
+
+ROUTES = ["eval", "greedy_soup", "teacher.weights", "pretrained_weights"]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_checkpoint_entry_no_plan_reads_is_a_spec_mismatch(tmp_path, capsys, route):
+    """A LoRA run's checkpoint read without the LoRA plan: eval and the greedy
+    soup under a config without ``architect.config``, and the teacher and
+    pretrained weights, which take the full plan. Each dropped the factors
+    and scored the base model; now each exits 4, names them and writes no
+    output file."""
+    ck = str(_train(tmp_path, "lora", LORA_CFG) / "final.zjk1")
+    capsys.readouterr()
+    code, written = _loader_run(tmp_path, route, NO_PLAN_CFG, ck)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "lora[0].a" in err and "2 other entries" in err, err
+    assert written == []
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_checkpoint_the_plan_reads_whole_loads(tmp_path, capsys, route):
+    """The same routes on a checkpoint whose every entry the plan reads: the
+    LoRA plan for eval and the soup, the spec entries alone for the teacher
+    and pretrained weights."""
+    ck = _train(tmp_path, "lora", LORA_CFG) / "final.zjk1"
+    if route in ("eval", "greedy_soup"):
+        cfg = LORA_CFG
+    else:
+        cfg, lora = NO_PLAN_CFG, load_checkpoint(ck)
+        spec_only = lora.with_entries({p: a for p, a in lora.entries.items()
+                                       if not p.startswith("lora")})
+        ck = tmp_path / "spec_only.zjk1"
+        save_checkpoint(spec_only, ck)
+    code, written = _loader_run(tmp_path, route, cfg, str(ck))
+    assert code == 0, capsys.readouterr().err
+    want = {"eval": ["metrics.json"], "greedy_soup": ["merge_report.json", "merged.zjk1"]}
+    assert written == sorted(want.get(route, ["final.zjk1", "history.jsonl"]) + ["resolved.cfg"])
+
+
+def test_model_spec_reads_a_registered_family_by_field_type(monkeypatch):
+    """A family registered in ``SPECS`` alone is read from ``model.<field>``:
+    ints, strings and comma lists, a field with a default left unset."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Toy:
+        sizes: tuple
+        depth: int
+        act: str = "relu"
+
+    monkeypatch.setitem(SPECS, "toy", Toy)
+    cfg = {"model.kind": "toy", "model.sizes": "2,5", "model.depth": "3"}
+    assert cli._model_spec(cfg) == Toy((2, 5), 3, "relu")
+    assert cli._model_spec({**cfg, "model.act": "gelu"}) == Toy((2, 5), 3, "gelu")
+    with pytest.raises(ConfigError, match="model.depth: expected int, got None"):
+        cli._model_spec({"model.kind": "toy", "model.sizes": "2,5"})
+    with pytest.raises(ConfigError, match="model.sizes: expected int, got 'x'"):
+        cli._model_spec({**cfg, "model.sizes": "2,x"})
 
 
 @pytest.mark.parametrize("n_ckpts", [1, 2])
@@ -659,7 +735,32 @@ def test_unwritable_output_exit_5(tmp_path, capsys):
     code = main(["train", "--config", _cfg(tmp_path), "--out", str(out)])
     assert code == 5
     assert "error:" in capsys.readouterr().err
-    assert sorted(f.name for f in out.iterdir()) == ["final.zjk1", "history.jsonl"]
+    assert sorted(f.name for f in out.iterdir()) == ["final.zjk1", "history.jsonl",
+                                                      "resolved.cfg"]
+
+
+DIVERGING_CFG = """\
+model.kind=mlp
+model.widths=2,32,32,3
+data.source=blobs(k=3,d=2,n=300,sigma=0.15)
+architect.config='(LoRA.adapt|r=4,alpha=8):->(layers[0]){inout}'
+tuner.batch_size=16
+tuner.epochs=40
+tuner.lr=2
+"""
+
+
+def test_a_run_that_diverges_leaves_its_resolved_config(tmp_path, capsys):
+    """``resolved.cfg`` is written before training, so a run that fails in
+    it still names its config, in the bytes a finished run writes."""
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", _cfg(tmp_path, DIVERGING_CFG), "--out", str(out)])
+    assert code == 6
+    assert "NaN or Inf" in capsys.readouterr().err
+    assert [f.name for f in out.iterdir()] == ["resolved.cfg"]
+    assert (out / "resolved.cfg").read_text() == cli.render_config(
+        parse_run_config(DIVERGING_CFG))
 
 
 # -- exit codes ----------------------------------------------------------

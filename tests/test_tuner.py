@@ -10,7 +10,7 @@ from helpers import check_grads, rand_tensor
 from zjkit import data as data_mod
 from zjkit import tensor as T
 from zjkit import tuner
-from zjkit.architect import apply_plan, compile_plan
+from zjkit.architect import AdaptedModel, apply_plan, compile_plan, full_plan
 from zjkit.dsl import parse_config
 from zjkit.errors import ConfigError, NoConvergence, ShapeMismatch
 from zjkit.models import MiniVitSpec, MlpSpec, ParamStore, build_model
@@ -594,11 +594,24 @@ def test_frozen_paths_bit_identical():
 def test_teacher_params_never_change():
     spec, ds, model, cfg = _probe_setup(epochs=2)
     teacher = Teacher(spec, build_model(spec, seed=9))
-    before = {p: t.data.copy() for p, t in teacher.params.items()}
+    before = {p: t.data.copy() for p, t in teacher.base.items()}
     train(model, teacher, ds, LossSpec([LossTerm("ce"), LossTerm("kd_kl", 0.5)]),
           RegSpec(), cfg)
     for p, v in before.items():
-        assert np.array_equal(teacher.params.get(p).data, v)
+        assert np.array_equal(teacher.base.get(p).data, v)
+
+
+def test_a_teacher_is_a_frozen_adapted_model_under_the_full_plan():
+    spec = MlpSpec((2, 8, 3))
+    store = build_model(spec, seed=9)  # grad leaves, as build_model makes them
+    teacher = Teacher(spec, store)
+    assert isinstance(teacher, AdaptedModel)
+    assert teacher.plan == full_plan(spec) and teacher.extras.paths() == []
+    assert teacher.base.paths() == store.paths()
+    assert not any(t.requires_grad for _, t in teacher.base.items())
+    assert all(store.get(p).requires_grad for p in store.paths())  # the given store is kept
+    logits, _ = teacher.forward(Tensor(np.ones((3, 2))))
+    assert logits._node is None
 
 
 def test_kd_only_fixed_point_keeps_weights():
@@ -730,7 +743,7 @@ def test_every_registered_term_trains(kind):
 def test_plan_on_detached_store_trains_its_head():
     spec = MlpSpec((2, 8, 3))
     ds = data_mod.blobs(k=3, d=2, n=120, sigma=0.1, seed=1)
-    frozen = Teacher(spec, build_model(spec, seed=0)).params
+    frozen = Teacher(spec, build_model(spec, seed=0)).base
     assert not any(t.requires_grad for _, t in frozen.items())
     plan = compile_plan(parse_config("(LinearProbe.adapt):"), spec)
     model = apply_plan(spec, frozen, plan, seed=0)
