@@ -48,7 +48,7 @@ def main():
         plan = compile_plan(parse_config(text), spec)
         model = apply_plan(spec, build_model(spec, seed=args.seed), plan,
                            seed=args.seed + 1)
-        n_train = sum(plan.trained_size(p, t.shape) for p, t, _ in model.trainable())
+        n_train = sum(plan.trained_size(p, t.shape) for p, t in model.trainable())
         cfg = TrainConfig(optimizer="adamw", lr=0.02, epochs=args.epochs,
                           batch_size=32, seed=args.seed, schedule="cosine")
         t0 = time.monotonic()

@@ -25,7 +25,7 @@ import numpy as np
 from . import checkpoint as ckpt_mod
 from . import tensor as T
 from .errors import ConfigError, ShapeMismatch
-from .models import ParamStore, check_shapes, init_param, match_prefixes
+from .models import ParamStore, check_shapes, init_param, match_prefixes, spec_digest
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -111,8 +111,7 @@ METHODS = {
 @dataclass(frozen=True)
 class Injection:
     site: str          # concrete module prefix, e.g. blocks[0].attn.qkv
-    kind: str          # the METHODS key: lora | adapter | prefix | ssf
-    params: tuple      # ((new path, shape), ...) in the record's params order
+    params: tuple      # ((new path, shape), ...) in the method record's params order
 
 
 @dataclass
@@ -120,10 +119,13 @@ class AdaptationPlan:
     method: str
     hyper: dict
     model_canonical: str
-    injections: list = field(default_factory=list)
-    freeze: set = field(default_factory=set)
+    injections: list = field(default_factory=list)  # all of METHODS[method]
     trainable_original: set = field(default_factory=set)
     grad_masks: dict = field(default_factory=dict)  # path -> np mask
+
+    def new_shapes(self):
+        """The new parameters' path -> shape, a shared instance once."""
+        return {p: s for inj in self.injections for p, s in inj.params}
 
     def trained_size(self, path, shape):
         """How many elements of ``path`` train: those its grad mask keeps, else all."""
@@ -153,7 +155,6 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
     if method is None:
         raise ConfigError(f"unknown method {adapt.method}")
     shapes = model_spec.param_shapes()
-    all_paths = set(shapes)
     hyper = adapt.hyperparams()
     plan = AdaptationPlan(adapt.method, hyper, model_spec.canonical())
 
@@ -181,48 +182,48 @@ def compile_plan(adapt: AdaptSpec, model_spec) -> AdaptationPlan:
                     f"shared instance {idx} used at sites with different shapes")
             if method.route == "kv_prefix" and any(i.site == site for i in plan.injections):
                 raise ConfigError(f"{adapt.method} twice at {site!r}: a block takes one prefix")
-            plan.injections.append(Injection(site, adapt.method, params))
+            plan.injections.append(Injection(site, params))
 
-    plan.trainable_original = set(trainable) & all_paths
-    plan.freeze = all_paths - plan.trainable_original
+    plan.trainable_original = set(trainable) & set(shapes)
     return plan
 
 
 # -- applying plans -----------------------------------------------------
 
 
-def _init_extras(plan: AdaptationPlan, seed) -> ParamStore:
+def _init_extras(plan: AdaptationPlan, seed) -> dict:
+    """The plan's new parameters, path -> tensor, drawn from ``seed`` in
+    injection order."""
     rng = np.random.default_rng(seed)
-    extras = ParamStore()
+    extras = {}
     for inj in plan.injections:
-        for (path, shape), (_, fill) in zip(inj.params, METHODS[inj.kind].params):
+        for (path, shape), (_, fill) in zip(inj.params, METHODS[plan.method].params):
             if path not in extras:
-                extras.set(path, init_param(rng, shape, fill))
+                extras[path] = init_param(rng, shape, fill)
     return extras
 
 
 class AdaptedModel:
-    """A base model plus an applied plan; forward-capable composite.
+    """A model of ``spec`` under an applied plan; forward-capable composite.
 
-    ``params`` become the base and ``extras`` the new parameters, each a
-    frozen tensor sharing the given array, whatever flags it carries; the
-    given stores are left as they are. ``extras`` must hold each new
-    parameter of the plan at its shape.
+    ``params`` holds the spec's paths and the plan's new parameters, each at
+    its shape. The model keeps one store, ``params``, of frozen tensors that
+    share the given arrays, whatever flags they carry; the given store is
+    left as it is. The plan alone says which paths are new and which train.
     """
 
-    def __init__(self, spec, params: ParamStore, plan: AdaptationPlan, extras: ParamStore):
+    def __init__(self, spec, params: ParamStore, plan: AdaptationPlan):
         if plan.model_canonical != spec.canonical():
             raise ConfigError("plan was compiled against a different model spec")
         self.spec = spec
-        self.base, self.extras = (ParamStore({p: Tensor(t.data) for p, t in store.items()})
-                                  for store in (params, extras))
+        self.params = ParamStore({p: Tensor(t.data) for p, t in params.items()})
         self.plan = plan
         self._routes = {}  # (route, site) -> [(compute, leaf paths), ...]
         for inj in plan.injections:
             for path, shape in inj.params:
-                if extras.get(path).shape != shape:
-                    raise ShapeMismatch(f"{path}: {extras.get(path).shape} != {shape}")
-            method = METHODS[inj.kind]
+                if params.get(path).shape != shape:
+                    raise ShapeMismatch(f"{path}: {params.get(path).shape} != {shape}")
+            method = METHODS[plan.method]
             self._routes.setdefault((method.route, inj.site), []).append(
                 (method.compute, [p for p, _ in inj.params]))
 
@@ -230,12 +231,12 @@ class AdaptedModel:
         """The route :func:`models.forward` calls: each injection joining
         ``name`` at ``site`` computes on ``value`` in turn."""
         for compute, paths in self._routes.get((name, site), ()):
-            value = compute(self.plan.hyper, value, *args, *map(self.extras.get, paths))
+            value = compute(self.plan.hyper, value, *args, *map(self.params.get, paths))
         return value
 
     def forward(self, x, capture=()):
         from .models import forward  # looked up per call, so a wrapper on models.forward applies
-        return forward(self.spec, self.base, x, capture, self.route)
+        return forward(self.spec, self.params, x, capture, self.route)
 
     def predict(self, x):
         """Logits for the rows of the array ``x``, forwarded 256 rows at a
@@ -246,11 +247,10 @@ class AdaptedModel:
         return np.concatenate(chunks) if chunks else np.zeros((0, self.spec.n_classes))
 
     def trainable(self):
-        """(path, tensor, store) triples the optimizer may update, as the
-        plan names them: its trained original paths, then every extra."""
-        trained = self.plan.trainable_original
-        base = [(p, t, self.base) for p, t in self.base.items() if p in trained]
-        return base + [(p, t, self.extras) for p, t in self.extras.items()]
+        """(path, tensor) pairs the optimizer may update, by path, as the plan
+        names them: its trained original paths and its new parameters."""
+        trained, new = self.plan.trainable_original, self.plan.new_shapes()
+        return [(p, t) for p, t in self.params.items() if p in trained or p in new]
 
 
 def full_plan(spec) -> AdaptationPlan:
@@ -262,7 +262,8 @@ def full_plan(spec) -> AdaptationPlan:
 def apply_plan(spec, params: ParamStore, plan: AdaptationPlan, seed=0) -> AdaptedModel:
     """Wire a compiled plan onto a concrete parameter store, its new
     parameters freshly initialised from ``seed`` (see :class:`AdaptedModel`)."""
-    return AdaptedModel(spec, params, plan, _init_extras(plan, seed))
+    return AdaptedModel(spec, ParamStore({**dict(params.items()), **_init_extras(plan, seed)}),
+                        plan)
 
 
 def merge_reparam(adapted: AdaptedModel):
@@ -272,16 +273,16 @@ def merge_reparam(adapted: AdaptedModel):
     and prefix injections change the computation graph and cannot be
     expressed as plain weights.
     """
-    bad = [i.kind for i in adapted.plan.injections if METHODS[i.kind].fold is None]
-    if bad:
-        raise ConfigError(f"injections of kind {sorted(set(bad))} cannot be merged")
-    merged = {p: t.data.copy() for p, t in adapted.base.items()}
-    for inj in adapted.plan.injections:
+    plan, params = adapted.plan, adapted.params
+    if plan.injections and METHODS[plan.method].fold is None:
+        raise ConfigError(f"injections of kind {[plan.method]} cannot be merged")
+    merged = {p: params.get(p).data for p in adapted.spec.param_shapes()}
+    for inj in plan.injections:  # a fold returns new arrays; the model's stay as they are
         w, b = f"{inj.site}.weight", f"{inj.site}.bias"
-        leaves = [adapted.extras.get(p).data for p, _ in inj.params]
-        merged[w], merged[b] = METHODS[inj.kind].fold(
-            adapted.plan.hyper, merged[w], merged[b], *leaves)
-    return ckpt_mod.from_params(adapted.spec).with_entries(merged)
+        leaves = [params.get(p).data for p, _ in inj.params]
+        merged[w], merged[b] = METHODS[plan.method].fold(
+            plan.hyper, merged[w], merged[b], *leaves)
+    return ckpt_mod.Checkpoint(adapted.spec.kind, spec_digest(adapted.spec)).with_entries(merged)
 
 
 def plan_table(plan: AdaptationPlan, shapes):
@@ -291,9 +292,8 @@ def plan_table(plan: AdaptationPlan, shapes):
         lines.append(f"{'site':<28} {'kind':<8} new parameters")
         for inj in plan.injections:
             ps = ", ".join(f"{p} {list(s)}" for p, s in inj.params)
-            lines.append(f"{inj.site:<28} {inj.kind:<8} {ps}")
-    new = {p: s for inj in plan.injections for p, s in inj.params}  # shared once
-    new_count = sum(int(np.prod(s)) for s in new.values())
+            lines.append(f"{inj.site:<28} {plan.method:<8} {ps}")
+    new_count = sum(int(np.prod(s)) for s in plan.new_shapes().values())
     trained = sum(plan.trained_size(p, shapes[p]) for p in plan.trainable_original)
     total = sum(int(np.prod(s)) for s in shapes.values())
     lines.append(f"frozen original parameters: {total - trained}")

@@ -9,7 +9,8 @@ of the payload. Save/load round trips are byte identical.
 Files are written through :func:`atomic_open`, so a failed write leaves
 any earlier file at the path whole. Loading turns every malformed file
 into a :class:`CorruptCheckpoint`, a failed checksum or a repeated entry
-path included.
+path included, and an entry holding NaN or an infinity into a
+:class:`NonFiniteValue` naming the file and the entry.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, IoError, ShapeMismatch, SpecMismatch
+from .errors import CorruptCheckpoint, IoError, NonFiniteValue, ShapeMismatch, SpecMismatch
 from .models import ParamStore, spec_digest
 from .tensor import Tensor
 
@@ -47,10 +48,10 @@ class Checkpoint:
         return self.with_entries(self.entries)
 
 
-def from_params(spec, *stores: ParamStore) -> Checkpoint:
-    """The parameters of every store, packed under the spec's digest."""
+def from_params(spec, store: ParamStore) -> Checkpoint:
+    """The parameters of ``store``, packed under the spec's digest."""
     return Checkpoint(spec.kind, spec_digest(spec)).with_entries(
-        {p: t.data for store in stores for p, t in store.items()})
+        {p: t.data for p, t in store.items()})
 
 
 def check_spec(spec, ckpt: Checkpoint):
@@ -188,6 +189,8 @@ def load_checkpoint(path) -> Checkpoint:
             entries[p] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         except ValueError as exc:  # more than 32 dims, or a zero-size overflow
             raise CorruptCheckpoint(f"bad shape {dims} for {p}: {exc}") from None
+        if not np.isfinite(entries[p]).all():
+            raise NonFiniteValue(f"{path}: entry {p} contains NaN or Inf")
     if r.pos != len(data):
         raise CorruptCheckpoint("trailing bytes")
     return Checkpoint(kind, digest, entries)

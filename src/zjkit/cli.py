@@ -26,7 +26,6 @@ import dataclasses
 import functools
 import inspect
 import json
-import logging
 import math
 import os
 import sys
@@ -35,10 +34,8 @@ import numpy as np
 
 from . import architect, checkpoint as ckpt_mod, data as data_mod, dsl, merger, tuner
 from .errors import ConfigError, IoError, ParseError, ZjError
-from .models import SPECS, ParamStore, build_model
+from .models import SPECS, build_model
 from .tensor import Tensor
-
-log = logging.getLogger("zjkit")
 
 # TrainConfig field -> its run-config key; the run's seed is the top-level key
 _TUNER_KEYS = {f.name: f"tuner.{f.name}" for f in dataclasses.fields(tuner.TrainConfig)
@@ -221,14 +218,15 @@ def _plan(cfg, spec):
 
 
 def _load_model(spec, plan, ckpt):
-    """The model ``plan`` makes of a checkpoint: its spec entries the base, the
-    plan's new parameters the extras. Any other entry is SpecMismatch."""
-    base = ckpt_mod.to_params(spec, ckpt)
-    extras = ParamStore({p: Tensor(ckpt.entries[p].astype(np.float64))
-                         for inj in plan.injections for p, _ in inj.params if p in ckpt.entries})
-    ckpt_mod.refuse_others(ckpt, [*base.paths(), *extras.paths()],
+    """The model ``plan`` makes of a checkpoint: its spec entries, then the
+    plan's new parameters it holds, in one store. Any other entry is SpecMismatch."""
+    params = ckpt_mod.to_params(spec, ckpt)
+    for p in plan.new_shapes():
+        if p in ckpt.entries:
+            params.set(p, Tensor(ckpt.entries[p].astype(np.float64)))
+    ckpt_mod.refuse_others(ckpt, params.paths(),
                            "the plan reads the spec's entries and its new parameters")
-    return architect.AdaptedModel(spec, base, plan, extras)
+    return architect.AdaptedModel(spec, params, plan)
 
 
 # -- commands -----------------------------------------------------------
@@ -276,7 +274,7 @@ def cmd_train(cfg, args):
     pretrained = cfg.get("pretrained_weights")
     if pretrained:  # l2_sp anchors to these weights, the base as training starts
         params = _load_model(spec, architect.full_plan(spec),
-                             ckpt_mod.load_checkpoint(pretrained)).base
+                             ckpt_mod.load_checkpoint(pretrained)).params
     else:
         params = build_model(spec, seed=args.seed)
     adapted = architect.apply_plan(spec, params, _plan(cfg, spec), seed=args.seed)
@@ -299,9 +297,7 @@ def cmd_train(cfg, args):
     with ckpt_mod.atomic_open(os.path.join(out, "history.jsonl")) as fh:
         for entry in history:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    final = history[-1]
-    log.info("trained %d epochs, final val_acc=%.4f", len(history), final["val_acc"])
-    print(f"val_acc={final['val_acc']:.4f}")
+    print(f"val_acc={history[-1]['val_acc']:.4f}")
     return 0
 
 
@@ -355,7 +351,8 @@ def cmd_merge(cfg, args):
             merged = merger.fisher_merge(ckpts, fishers, lams)
         elif kind == "repair":  # alpha weights b', as in wise_ft
             merged = merger.repair(merger.wise_ft(*ckpts, alpha), (*ckpts, 1.0 - alpha),
-                                   spec, ds.split("train")[0][:256], log=log.info)
+                                   spec, ds.split("train")[0][:256],
+                                   log=functools.partial(print, file=sys.stderr))
         else:  # uniform_soup, ot_fusion, git_rebasin
             merged = merger.uniform_soup(ckpts)
     except ConfigError as exc:  # a recipe names its argument, not the run's key
@@ -403,16 +400,11 @@ def cmd_eval(cfg, args):
     if out:
         _write_json(os.path.join(out, "metrics.json"), metrics)
         _write_resolved(cfg, out)
-    if log.isEnabledFor(logging.INFO):
-        width = max(len(k) for k in metrics)
-        for k in sorted(metrics):
-            log.info("%-*s %s", width, k, metrics[k])
     return 0
 
 
 def cmd_inspect(cfg, args):
-    for path in args.ckpt:
-        ckpt = ckpt_mod.load_checkpoint(path)
+    for path, ckpt in zip(args.ckpt, _ckpts(args)):
         print(f"{path}: kind={ckpt.kind} digest={ckpt.digest.hex()[:16]}...")
         for p in sorted(ckpt.entries):
             a = ckpt.entries[p]
@@ -441,10 +433,6 @@ def build_parser():
 
 
 def main(argv=None):
-    level = {"quiet": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("ZJ_LOG", "quiet"),
-                                         logging.ERROR)
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
     cfg = {}
     try:
         args = build_parser().parse_args(argv)

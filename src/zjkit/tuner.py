@@ -507,12 +507,12 @@ class TrainConfig:
 
 
 class Teacher(AdaptedModel):
-    """A model of ``spec`` over ``params`` under the full plan, with no extras.
-    Its tensors are frozen, and ``train`` never makes them grad leaves, so
-    its forward records no tape."""
+    """A model of ``spec`` over ``params`` under the full plan, which adds no
+    parameter. Its tensors are frozen, and ``train`` never makes them grad
+    leaves, so its forward records no tape."""
 
     def __init__(self, spec, params: ParamStore):
-        super().__init__(spec, params, full_plan(spec), ParamStore())
+        super().__init__(spec, params, full_plan(spec))
 
 
 # -- training loop ------------------------------------------------------
@@ -525,22 +525,22 @@ def accuracy(model, x, y):
 
 def _set_leaves(model, leaves):
     """Make the tensors ``model.trainable()`` names grad leaves, or frozen."""
-    for p, t, store in model.trainable():
-        store.set(p, Tensor(t.data, requires_grad=leaves))
+    for p, t in model.trainable():
+        model.params.set(p, Tensor(t.data, requires_grad=leaves))
 
 
 def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
           reg_spec: RegSpec, cfg: TrainConfig):
     """Minibatch optimization of the composite objective.
 
-    Returns ``(Checkpoint, history)``; the checkpoint holds the adapted
-    model's full parameter set (base plus injected parameters) under the
-    base spec digest. History is one dict per epoch: each term's mean keyed
+    Returns ``(Checkpoint, history)``; the checkpoint holds every path of
+    ``model.params`` (the spec's and the plan's new ones) under the spec's
+    digest. History is one dict per epoch: each term's mean keyed
     by its kind (the second term of a kind is ``kind[1]``, and so on), then
     ``val_acc``. The tensors ``model.trainable()`` names are grad leaves from
     each epoch's first batch to its last step, and frozen otherwise (also
     after a step raises), so ``val_acc`` and any later forward record no tape.
-    ``l2_sp`` anchors to the model's base as training starts.
+    ``l2_sp`` anchors the spec's paths to their values as training starts.
     """
     terms = [*loss_spec.terms, *reg_spec.terms]
     if not terms:
@@ -552,7 +552,9 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     if x_train.shape[0] == 0:
         raise ConfigError("train needs a non-empty train split")
     x_val, y_val = data.split("val")
-    ref_params = model.base.clone()  # frozen tensors, which steps replace in model.base
+    # the spec's frozen tensors, which steps replace in model.params; not the
+    # new ones, which no l2_sp term reads and which would stay alive for the run
+    ref_params = ParamStore({p: model.params.get(p) for p in model.spec.param_shapes()})
 
     rng = np.random.default_rng(cfg.seed)
     step = OPTIMIZERS[cfg.optimizer]
@@ -569,10 +571,8 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         s_hooks |= s
         t_hooks |= t
 
-    base_paths = set(model.base.paths())
-
     def reg_targets():
-        return [(p, t) for p, t, _ in model.trainable() if p in base_paths]
+        return [(p, model.params.get(p)) for p in sorted(model.plan.trainable_original)]
 
     batch = SimpleNamespace(projectors={}, ncm_means={}, targets=reg_targets,
                             ref_params=ref_params, head_exclude=model.spec.head_paths(),
@@ -615,10 +615,10 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
                 except ConfigError:  # an untaped root, at the first batch before any update
                     raise ConfigError("no trainable tensor is reached by the objective's "
                                       f"terms: {', '.join(keys)}") from None
-                sites = [(p, w, store.set) for p, w, store in model.trainable()]
+                sites = [(p, w, model.params.set) for p, w in model.trainable()]
                 sites += [(k, w, batch.projectors.__setitem__)
                           for k, w in batch.projectors.items()]
-                for key, w, put in sites:  # base, extras, then fitnet projectors
+                for key, w, put in sites:  # the model's by path, then fitnet projectors
                     g = gmap.get(w.uid)
                     if g is None:
                         continue
@@ -637,4 +637,4 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         entry["val_acc"] = accuracy(model, x_val, y_val)
         history.append(entry)
 
-    return ckpt_mod.from_params(model.spec, model.base, model.extras), history
+    return ckpt_mod.from_params(model.spec, model.params), history

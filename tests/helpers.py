@@ -1,11 +1,21 @@
-"""Shared test utilities: finite-difference oracle, small builders and the
-settings of the replayed hypothesis properties."""
+"""Shared test utilities: finite-difference oracle, small builders, an
+example spec per model family and the settings of the replayed hypothesis
+properties."""
 
 import numpy as np
 from hypothesis import settings
 
 from zjkit import tensor as T
+from zjkit.models import MiniVitSpec, MlpSpec
 from zjkit.tensor import Tensor
+
+#: family -> a small example spec and the shape of one sample; a family
+#: registered in ``models.SPECS`` needs its example here
+EXAMPLES = {
+    "mlp": (MlpSpec((3, 6, 5, 3)), (3,)),
+    "mini_vit": (MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=12, classes=2, seq_len=2,
+                             input_dim=2), (2, 2)),
+}
 
 
 def finite_diff(fn, leaves, h=1e-5):

@@ -127,9 +127,9 @@ def test_criterion_02_reparameterization():
         init, _ = adapted.forward(x0)
         assert np.array_equal(base.data, init.data)
         # perturb injected parameters, then merge back into plain weights
-        for p in adapted.extras.paths():
-            t = adapted.extras.get(p)
-            adapted.extras.set(p, Tensor(
+        for p in sorted(adapted.plan.new_shapes()):
+            t = adapted.params.get(p)
+            adapted.params.set(p, Tensor(
                 t.data + rng.normal(0, 0.05, size=t.shape), requires_grad=True))
         mparams = to_params(VIT, merge_reparam(adapted))
         x = Tensor(rng.normal(size=(100, 4, 8)))
@@ -165,11 +165,12 @@ def test_criterion_03_freeze_integrity():
         ds = ds if ds is not None else mlp_ds
         plan = compile_plan(parse_config(text), spec)
         model = apply_plan(spec, build_model(spec, seed=0), plan, seed=1)
-        before = {p: model.base.get(p).data.copy() for p in plan.freeze}
+        frozen = set(spec.param_shapes()) - plan.trainable_original
+        before = {p: model.params.get(p).data.copy() for p in frozen}
         cfg = TrainConfig(lr=0.1, epochs=20, batch_size=16, seed=0)
         train(model, None, ds, LossSpec(), RegSpec(), cfg)
         for p, v in before.items():
-            assert np.array_equal(model.base.get(p).data, v), (text, p)
+            assert np.array_equal(model.params.get(p).data, v), (text, p)
 
 
 # -- 4. distillation fixed points ----------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import EXAMPLES
 from zjkit import data as data_mod
 from zjkit import models as models_mod
 from zjkit import tensor as T
@@ -22,6 +23,7 @@ from zjkit.checkpoint import to_params
 from zjkit.dsl import parse_config, serialize
 from zjkit.errors import ConfigError, NonFiniteValue
 from zjkit.models import (
+    SPECS,
     MiniVitSpec,
     MlpSpec,
     build_model,
@@ -49,7 +51,7 @@ def _vit_x(n=4, seed=0):
 
 
 def test_lora_plan_shapes_and_counts():
-    _, plan, _ = _adapt(VIT, "(LoRA.adapt):->(blocks[0:2].attn.qkv){inout}")
+    adapted, plan, _ = _adapt(VIT, "(LoRA.adapt):->(blocks[0:2].attn.qkv){inout}")
     assert len(plan.injections) == 2
     for inj, i in zip(plan.injections, range(2)):
         assert inj.site == f"blocks[{i}].attn.qkv"
@@ -57,7 +59,8 @@ def test_lora_plan_shapes_and_counts():
         assert dict(inj.params)[f"lora[{i}].b"] == (48, 4)
     # head stays trainable, rest of the originals frozen
     assert plan.trainable_original == {"head.weight", "head.bias"}
-    assert plan.freeze == set(VIT.param_shapes()) - plan.trainable_original
+    assert [p for p, _ in adapted.trainable()] == sorted(
+        {"head.weight", "head.bias", *(f"lora[{i}].{leaf}" for i in range(2) for leaf in "ab")})
 
 
 def test_linear_probe_freezes_backbone():
@@ -69,7 +72,7 @@ def test_linear_probe_freezes_backbone():
 def test_partial_k_unfreezes_last_blocks():
     _, plan, _ = _adapt(VIT, "(PartialK.adapt|k=1):")
     assert "blocks[1].attn.qkv.weight" in plan.trainable_original
-    assert "blocks[0].attn.qkv.weight" in plan.freeze
+    assert "blocks[0].attn.qkv.weight" not in plan.trainable_original
     assert "norm.gamma" in plan.trainable_original
 
 
@@ -160,9 +163,10 @@ def test_freeze_covers_all_original_paths():
                  "(PartialK.adapt|k=1):"):
         plan = compile_plan(parse_config(text), VIT)
         allp = set(VIT.param_shapes())
-        assert plan.freeze | plan.trainable_original == allp
-        assert not plan.freeze & plan.trainable_original
-        assert not {p for inj in plan.injections for p, _ in inj.params} & allp
+        frozen = allp - plan.trainable_original
+        assert frozen | plan.trainable_original == allp
+        assert not frozen & plan.trainable_original
+        assert not set(plan.new_shapes()) & allp
 
 
 # -- identity at init ----------------------------------------------------
@@ -204,10 +208,8 @@ def test_prefix_changes_attention_but_runs():
 
 def _perturb_extras(adapted, seed=7):
     rng = np.random.default_rng(seed)
-    for p in adapted.extras.paths():
-        t = adapted.extras.get(p)
-        adapted.extras.set(p, Tensor(rng.normal(0, 0.05, size=t.shape),
-                                     requires_grad=True))
+    for p, shape in sorted(adapted.plan.new_shapes().items()):
+        adapted.params.set(p, Tensor(rng.normal(0, 0.05, size=shape), requires_grad=True))
 
 
 def test_lora_merge_matches_adapted_forward():
@@ -225,10 +227,10 @@ def test_lora_merge_matches_adapted_forward():
 
 def test_ssf_merge_closed_form():
     adapted, _, _ = _adapt(MLP, "(SSF.adapt):->(layers[0]){out}")
-    w0 = adapted.base.get("layers[0].weight").data.copy()
-    b0 = adapted.base.get("layers[0].bias").data.copy()
-    adapted.extras.set("ssf[0].gamma", Tensor(np.full(8, 2.0), requires_grad=True))
-    adapted.extras.set("ssf[0].beta", Tensor(np.full(8, 1.0), requires_grad=True))
+    w0 = adapted.params.get("layers[0].weight").data.copy()
+    b0 = adapted.params.get("layers[0].bias").data.copy()
+    adapted.params.set("ssf[0].gamma", Tensor(np.full(8, 2.0), requires_grad=True))
+    adapted.params.set("ssf[0].beta", Tensor(np.full(8, 1.0), requires_grad=True))
     merged = merge_reparam(adapted)
     assert np.allclose(merged.entries["layers[0].weight"], 2.0 * w0, atol=1e-6)
     assert np.allclose(merged.entries["layers[0].bias"], 2.0 * b0 + 1.0, atol=1e-6)
@@ -238,8 +240,8 @@ def test_ssf_merge_matches_adapted_forward():
     adapted, _, _ = _adapt(MLP, "(SSF.adapt):->(layers[0]){out}")
     _perturb_extras(adapted, seed=11)
     # make the affine nontrivial around identity
-    g = adapted.extras.get("ssf[0].gamma").data + 1.0
-    adapted.extras.set("ssf[0].gamma", Tensor(g, requires_grad=True))
+    g = adapted.params.get("ssf[0].gamma").data + 1.0
+    adapted.params.set("ssf[0].gamma", Tensor(g, requires_grad=True))
     merged = to_params(MLP, merge_reparam(adapted))
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(16, 4)))
@@ -260,12 +262,12 @@ def test_adapter_not_mergeable():
 # -- trainable bookkeeping ----------------------------------------------
 
 
-def test_trainable_triples():
+def test_trainable_pairs():
     adapted, plan, params = _adapt(VIT, "(LoRA.adapt):->(blocks[0].attn.qkv){inout}")
-    paths = {p for p, _, _ in adapted.trainable()}
+    paths = {p for p, _ in adapted.trainable()}
     assert paths == {"head.weight", "head.bias", "lora[0].a", "lora[0].b"}
-    for p in plan.freeze:
-        assert not adapted.base.get(p).requires_grad
+    for p in set(VIT.param_shapes()) - plan.trainable_original:
+        assert not adapted.params.get(p).requires_grad
     assert all(t.requires_grad for _, t in params.items())  # input store untouched
 
 
@@ -276,7 +278,7 @@ def test_backward_reaches_only_trainable_leaves():
     _set_leaves(adapted, True)  # as train does for an epoch
     logits, _ = adapted.forward(_vit_x())
     gmap = T.backward(cross_entropy(logits, np.array([0, 1, 2, 0])))
-    trainable = {t.uid for _, t, _ in adapted.trainable()}
+    trainable = {t.uid for _, t in adapted.trainable()}
     assert len(trainable) == 10  # four LoRA pairs plus the head
     assert set(gmap) == trainable
 
@@ -287,11 +289,11 @@ def test_one_lora_site_records_one_node():
     spec = MlpSpec((4, 8, 8, 3))
     adapted, _, _ = _adapt(spec, "(LoRA.adapt|r=2,alpha=3):->(layers[1]){inout}")
     _set_leaves(adapted, True)
-    a = adapted.extras.get("lora[0].a")
+    a = adapted.params.get("lora[0].a")
     b = Tensor(np.arange(16.0).reshape(8, 2) / 16, requires_grad=True)  # b starts at zero
-    adapted.extras.set("lora[0].b", b)
+    adapted.params.set("lora[0].b", b)
     x = Tensor(np.random.default_rng(3).normal(size=(5, 8)), requires_grad=True)
-    y = T.affine(x, adapted.base.get("layers[1].weight"), adapted.base.get("layers[1].bias"))
+    y = T.affine(x, adapted.params.get("layers[1].weight"), adapted.params.get("layers[1].bias"))
     out = adapted.route("linear_out", "layers[1]", y, x)
     assert out._node[2] == (y._node, x._node, a._node, b._node)
     folded = y.data + x.data @ (1.5 * (b.data @ a.data)).T
@@ -423,7 +425,8 @@ def test_shared_instance_single_param_set():
     adapted, plan, _ = _adapt(
         VIT, "(LoRA.adapt):->(blocks[0].attn.qkv){in0}->(blocks[1].attn.qkv){in0}")
     assert len(plan.injections) == 2
-    assert adapted.extras.paths() == ["lora[0].a", "lora[0].b"]
+    assert [p for p in adapted.params.paths() if p not in VIT.param_shapes()] == [
+        "lora[0].a", "lora[0].b"]
 
 
 # -- the METHODS table ---------------------------------------------------
@@ -470,14 +473,14 @@ def test_every_registered_method_adapts_trains_and_merges(key, family):
 @pytest.mark.parametrize("spec", [MLP, VIT], ids=["mlp", "mini_vit"])
 def test_the_full_plan_trains_every_original_path_and_injects_nothing(spec):
     plan = full_plan(spec)
-    assert plan.injections == [] and plan.freeze == set() and plan.grad_masks == {}
+    assert plan.injections == [] and plan.grad_masks == {}
     assert plan.trainable_original == set(spec.param_shapes())
     model = apply_plan(spec, build_model(spec, seed=0), plan)
-    assert [p for p, _, _ in model.trainable()] == sorted(spec.param_shapes())
+    assert [p for p, _ in model.trainable()] == sorted(spec.param_shapes())
 
 
 def _frozen(model):
-    return all(t._node is None for store in (model.base, model.extras) for _, t in store.items())
+    return all(t._node is None for _, t in model.params.items())
 
 
 def _sites(method, spec):
@@ -489,20 +492,42 @@ def _sites(method, spec):
     if METHODS[k].hook_free or _sites(METHODS[k], spec)])
 def test_an_adapted_model_records_no_tape_before_or_after_training(key, family):
     """Only ``train`` makes grad leaves, for the length of an epoch; the plan
-    names what it trains: its original paths, then every new parameter."""
+    names what it trains: its original paths and every new parameter, by path."""
     method, (spec, make_data) = METHODS[key], TABLE_FAMILIES[family]
     hooks = "".join(f"->({s}){{inout}}" for s in sorted(_sites(method, spec)))
     plan = compile_plan(parse_config(f"({method.name}.adapt):{hooks}"), spec)
     model = apply_plan(spec, build_model(spec, seed=0), plan, seed=1)
-    new = sorted({p for inj in plan.injections for p, _ in inj.params})
-    assert [p for p, _, _ in model.trainable()] == sorted(plan.trainable_original) + new
+    trained = sorted(plan.trainable_original | set(plan.new_shapes()))
+    assert [p for p, _ in model.trainable()] == trained
     ds = make_data()
     x = Tensor(ds.split("test")[0])
     assert _frozen(model) and model.forward(x)[0]._node is None
     train(model, None, ds, LossSpec(), RegSpec(),
           TrainConfig(lr=0.05, epochs=1, batch_size=16, seed=0))
     assert _frozen(model) and model.forward(x)[0]._node is None
-    assert [p for p, _, _ in model.trainable()] == sorted(plan.trainable_original) + new
+    assert [p for p, _ in model.trainable()] == trained
+
+
+@pytest.mark.parametrize("key, family", [
+    (k, f) for k in sorted(METHODS) for f in sorted(SPECS)
+    if METHODS[k].hook_free or _sites(METHODS[k], EXAMPLES[f][0])])
+def test_one_store_holds_the_spec_and_the_plans_new_paths(key, family):
+    """An adapted model is one store and its plan: the store holds the spec's
+    paths and the plan's new ones at their shapes, ``trainable()`` is what the
+    plan trains, and a trained epoch's checkpoint holds exactly the store."""
+    method, (spec, sample) = METHODS[key], EXAMPLES[family]
+    hooks = "".join(f"->({s}){{inout}}" for s in sorted(_sites(method, spec)))
+    plan = compile_plan(parse_config(f"({method.name}.adapt):{hooks}"), spec)
+    model = apply_plan(spec, build_model(spec, seed=0), plan, seed=1)
+    new = plan.new_shapes()
+    assert not set(new) & set(spec.param_shapes())
+    assert {p: t.shape for p, t in model.params.items()} == {**spec.param_shapes(), **new}
+    assert [p for p, _ in model.trainable()] == sorted(plan.trainable_original | set(new))
+    rng = np.random.default_rng(2)
+    ds = data_mod.Dataset(rng.normal(size=(16, *sample)), rng.integers(0, spec.n_classes, 16),
+                          spec.n_classes, {"train": np.arange(12), "val": np.arange(12, 16)})
+    ckpt, _ = train(model, None, ds, LossSpec(), RegSpec(), TrainConfig(epochs=1, batch_size=8))
+    assert list(ckpt.entries) == model.params.paths()
 
 
 def test_a_step_that_raises_leaves_the_model_frozen(monkeypatch):

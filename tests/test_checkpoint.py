@@ -15,6 +15,7 @@ from zjkit.checkpoint import (
 from zjkit.errors import (
     CorruptCheckpoint,
     IoError,
+    NonFiniteValue,
     ShapeMismatch,
     SpecMismatch,
     ZjError,
@@ -120,6 +121,17 @@ def test_repeated_entry_path_is_corrupt(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpoint, match="repeated entry layers\\[1\\].bias"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_is_a_typed_error_naming_the_file_and_entry(tmp_path, bad):
+    ckpt, path = _save(tmp_path)
+    ckpt.entries["layers[1].weight"][2, 5] = bad
+    save_checkpoint(ckpt, path)  # its checksum is valid
+    with pytest.raises(NonFiniteValue) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: entry layers[1].weight contains NaN or Inf"
+    assert info.value.exit_code == 6
 
 
 def test_to_params_round_trip_values(tmp_path):

@@ -693,6 +693,12 @@ def test_inspect_lists_paths(tmp_path, capsys):
     assert "kind=mlp" in text
 
 
+def test_inspect_without_a_checkpoint_exit_3(capsys):
+    # it printed nothing and exited 0
+    assert main(["inspect"]) == 3
+    assert capsys.readouterr() == ("", "error: inspect needs at least one --ckpt\n")
+
+
 def test_wise_ft_endpoint_via_cli(tmp_path):
     out = _train(tmp_path, "w")
     ck = str(out / "final.zjk1")
@@ -1051,7 +1057,40 @@ def test_ot_fusion_of_a_non_finite_checkpoint_exit_6(tmp_path, capsys):
     code = main(["merge", "--config", _cfg(tmp_path, OT_CFG), "--out", str(tmp_path / "o"),
                  "--ckpt", _ptm(tmp_path), "--ckpt", str(tmp_path / "inf.zjk1")])
     assert code == 6
-    assert "cost matrix contains NaN/Inf" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'inf.zjk1'}: entry layers[0].weight contains NaN or Inf\n")
+    assert not (tmp_path / "o" / "merged.zjk1").exists()
+
+
+@pytest.mark.parametrize("kind", ["uniform_soup", "wise_ft"])
+def test_a_non_finite_checkpoint_entry_ends_a_merge_with_exit_6(tmp_path, capsys, kind):
+    # the entry's checksum is valid: these recipes wrote a NaN merged.zjk1 and
+    # exited 0, and only a later eval failed, naming no entry
+    ck = str(_train(tmp_path, "t") / "final.zjk1")
+    nan = load_checkpoint(ck)
+    nan.entries["layers[0].bias"][2] = np.nan
+    save_checkpoint(nan, tmp_path / "nan.zjk1")
+    capsys.readouterr()
+    code = main(["merge", "--config", _cfg(tmp_path, _with("merger.kind", kind)),
+                 "--out", str(tmp_path / "o"), "--ckpt", ck, "--ckpt", str(tmp_path / "nan.zjk1")])
+    assert code == 6
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'nan.zjk1'}: entry layers[0].bias contains NaN or Inf\n")
+    assert not (tmp_path / "o" / "merged.zjk1").exists()
+
+
+def test_repair_prints_its_degenerate_unit_note(tmp_path, capsys):
+    # a hidden unit whose weights and bias are zero has no spread to rescale;
+    # the note went only to a log that was off by default
+    dead = load_checkpoint(_ptm(tmp_path))
+    dead.entries["layers[0].weight"][4] = 0.0
+    dead.entries["layers[0].bias"][4] = 0.0
+    save_checkpoint(dead, tmp_path / "dead.zjk1")
+    ck = str(tmp_path / "dead.zjk1")
+    code = main(["merge", "--config", _cfg(tmp_path, _with("merger.kind", "repair")),
+                 "--out", str(tmp_path / "o"), "--ckpt", ck, "--ckpt", ck])
+    assert code == 0
+    assert capsys.readouterr().err == "layer 0: 1 degenerate units, shift-only\n"
 
 
 def test_ot_fusion_reports_sinkhorn_per_layer(tmp_path):

@@ -2,8 +2,8 @@
 
 The cases come from the registries, so a newly registered adaptation
 method, model family or teacher term is covered here with no further edit
-(a family needs its example in ``EXAMPLES``, a pairs term its hooks in
-``PAIRS``): each ``architect.METHODS`` entry on each ``models.SPECS``
+(a family needs its example in ``helpers.EXAMPLES``, a pairs term its
+hooks in ``PAIRS``): each ``architect.METHODS`` entry on each ``models.SPECS``
 family it has a site in, with every site it accepts, and each teacher term
 of ``tuner.TERMS`` once on the mini-ViT, against a ``tuner.Teacher``.
 
@@ -22,23 +22,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import EXAMPLES
 from zjkit import data as data_mod
 from zjkit import tensor as T
 from zjkit import tuner
 from zjkit.architect import METHODS, AdaptedModel, apply_plan, compile_plan
 from zjkit.dsl import parse_config
 from zjkit.errors import ConfigError
-from zjkit.models import SPECS, MiniVitSpec, MlpSpec, ParamStore, build_model
+from zjkit.models import SPECS, ParamStore, build_model
 from zjkit.tensor import Tensor
 
 N, COORDS, H, RTOL = 6, 12, 1e-6, 1e-5
 
-#: family -> a small example spec and the shape of one sample
-EXAMPLES = {
-    "mlp": (MlpSpec((3, 6, 5, 3)), (3,)),
-    "mini_vit": (MiniVitSpec(dim=8, blocks=2, heads=2, mlp_dim=12, classes=2, seq_len=2,
-                             input_dim=2), (2, 2)),
-}
 NO_PER_SAMPLE_RULE = {"prefix"}  # attention's prefix key and value
 #: pairs term -> its hooks on the example mini-ViT
 PAIRS = {"fitnet": (("blocks[1].output", "blocks[1].output"),),
@@ -62,10 +57,11 @@ def _adapted(key, spec, seed):
     plan = compile_plan(parse_config(f"({method.name}.adapt):{hooks}"), spec)
     model = apply_plan(spec, build_model(spec, seed=seed), plan, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
-    base, extras = (ParamStore({p: Tensor(t.data + rng.normal(0.0, 0.3, t.shape))
-                                for p, t in store.items()})
-                    for store in (model.base, model.extras))
-    return AdaptedModel(spec, base, plan, extras)
+    moved = ParamStore()
+    for p in [*sorted(spec.param_shapes()), *sorted(plan.new_shapes())]:  # the spec's draws first
+        t = model.params.get(p)
+        moved.set(p, Tensor(t.data + rng.normal(0.0, 0.3, t.shape)))
+    return AdaptedModel(spec, moved, plan)
 
 
 def _check_against_differences(model, objective):
@@ -74,20 +70,20 @@ def _check_against_differences(model, objective):
     tuner._set_leaves(model, True)
     try:
         grads = T.backward(objective())
-        ana = {p: grads.get(t.uid, np.zeros(t.shape)) for p, t, _ in model.trainable()}
+        ana = {p: grads.get(t.uid, np.zeros(t.shape)) for p, t in model.trainable()}
     finally:
         tuner._set_leaves(model, False)
     rng = np.random.default_rng(0)
-    for path, t, store in model.trainable():
+    for path, t in model.trainable():
         coords = rng.choice(t.data.size, min(COORDS, t.data.size), replace=False)
         num = np.zeros(len(coords))
         for j, i in enumerate(coords):
             for sign in (1, -1):
                 bumped = t.data.copy()
                 bumped.flat[i] += sign * H
-                store.set(path, Tensor(bumped))
+                model.params.set(path, Tensor(bumped))
                 num[j] += sign * objective().item() / (2 * H)
-            store.set(path, t)
+            model.params.set(path, t)
         got = ana[path].reshape(-1)[coords]
         scale = max(np.abs(num).max(), np.abs(got).max(), 1e-8)
         err = np.abs(got - num).max() / scale
@@ -112,7 +108,7 @@ def test_an_adapted_models_gradient_matches_differences(key, family):
 
     tuner._set_leaves(model, True)
     try:
-        leaves = {p: t.uid for p, t, _ in model.trainable()}
+        leaves = {p: t.uid for p, t in model.trainable()}
         if key in NO_PER_SAMPLE_RULE:
             with pytest.raises(ConfigError, match="no per-sample rule"):
                 T.backward(objective(), per_sample_sq=True)

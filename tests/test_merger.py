@@ -472,7 +472,7 @@ def _mlp_with_a_factor():
 def _vit_lora():  # a LoRA run's checkpoint: the model's entries and the factors beside them
     plan = architect.compile_plan(parse_config("(LoRA.adapt):->(blocks[0].mlp.fc1){inout}"), VIT)
     model = architect.apply_plan(VIT, build_model(VIT, seed=1), plan, seed=2)
-    return from_params(VIT, model.base, model.extras)
+    return from_params(VIT, model.params)
 
 
 @pytest.mark.parametrize("make, call, named", [

@@ -465,13 +465,13 @@ def test_an_optimizer_is_one_entry_of_the_table(monkeypatch):
 
     monkeypatch.setitem(tuner.OPTIMIZERS, "sign", sign_step)
     _, ds, model, cfg = _probe_setup(epochs=1, optimizer="sign")
-    before = {p: t.data for p, t in model.base.items()}
+    before = {p: t.data for p, t in model.params.items()}
     train(model, None, ds, LossSpec(), RegSpec(), cfg)
     n_batches = -(-ds.split("train")[0].shape[0] // cfg.batch_size)
     tensors = model.plan.trainable_original
     assert sorted(counts) == sorted(list(range(1, n_batches + 1)) * len(tensors))
     for p in tensors:
-        steps = (before[p] - model.base.get(p).data) / cfg.lr
+        steps = (before[p] - model.params.get(p).data) / cfg.lr
         assert np.allclose(steps, np.round(steps)) and np.abs(steps).max() > 0, p
 
 
@@ -585,20 +585,21 @@ def test_train_checks_every_label_before_setup(monkeypatch, split):
 
 def test_frozen_paths_bit_identical():
     _, ds, model, cfg = _probe_setup(epochs=3)
-    before = {p: model.base.get(p).data.copy() for p in model.plan.freeze}
+    frozen = set(model.spec.param_shapes()) - model.plan.trainable_original
+    before = {p: model.params.get(p).data.copy() for p in frozen}
     train(model, None, ds, LossSpec(), RegSpec(), cfg)
     for p, v in before.items():
-        assert np.array_equal(model.base.get(p).data, v), p
+        assert np.array_equal(model.params.get(p).data, v), p
 
 
 def test_teacher_params_never_change():
     spec, ds, model, cfg = _probe_setup(epochs=2)
     teacher = Teacher(spec, build_model(spec, seed=9))
-    before = {p: t.data.copy() for p, t in teacher.base.items()}
+    before = {p: t.data.copy() for p, t in teacher.params.items()}
     train(model, teacher, ds, LossSpec([LossTerm("ce"), LossTerm("kd_kl", 0.5)]),
           RegSpec(), cfg)
     for p, v in before.items():
-        assert np.array_equal(teacher.base.get(p).data, v)
+        assert np.array_equal(teacher.params.get(p).data, v)
 
 
 def test_a_teacher_is_a_frozen_adapted_model_under_the_full_plan():
@@ -606,9 +607,9 @@ def test_a_teacher_is_a_frozen_adapted_model_under_the_full_plan():
     store = build_model(spec, seed=9)  # grad leaves, as build_model makes them
     teacher = Teacher(spec, store)
     assert isinstance(teacher, AdaptedModel)
-    assert teacher.plan == full_plan(spec) and teacher.extras.paths() == []
-    assert teacher.base.paths() == store.paths()
-    assert not any(t.requires_grad for _, t in teacher.base.items())
+    assert teacher.plan == full_plan(spec)
+    assert teacher.params.paths() == store.paths()
+    assert not any(t.requires_grad for _, t in teacher.params.items())
     assert all(store.get(p).requires_grad for p in store.paths())  # the given store is kept
     logits, _ = teacher.forward(Tensor(np.ones((3, 2))))
     assert logits._node is None
@@ -622,10 +623,10 @@ def test_kd_only_fixed_point_keeps_weights():
     plan = compile_plan(parse_config("(LinearProbe.adapt):"), spec)
     model = apply_plan(spec, params, plan, seed=4)
     teacher = Teacher(spec, build_model(spec, seed=4))
-    before = model.base.get("layers[1].weight").data.copy()
+    before = model.params.get("layers[1].weight").data.copy()
     cfg = TrainConfig(lr=0.5, momentum=0.0, epochs=1, batch_size=16, seed=0)
     train(model, teacher, ds, LossSpec([LossTerm("kd_kl", 1.0)]), RegSpec(), cfg)
-    after = model.base.get("layers[1].weight").data
+    after = model.params.get("layers[1].weight").data
     assert np.abs(after - before).max() < 1e-10
 
 
@@ -743,13 +744,13 @@ def test_every_registered_term_trains(kind):
 def test_plan_on_detached_store_trains_its_head():
     spec = MlpSpec((2, 8, 3))
     ds = data_mod.blobs(k=3, d=2, n=120, sigma=0.1, seed=1)
-    frozen = Teacher(spec, build_model(spec, seed=0)).base
+    frozen = Teacher(spec, build_model(spec, seed=0)).params
     assert not any(t.requires_grad for _, t in frozen.items())
     plan = compile_plan(parse_config("(LinearProbe.adapt):"), spec)
     model = apply_plan(spec, frozen, plan, seed=0)
     train(model, None, ds, LossSpec(), RegSpec(), TrainConfig(lr=0.1, epochs=1, seed=0))
     for p, t in frozen.items():
-        moved = not np.array_equal(model.base.get(p).data, t.data)
+        moved = not np.array_equal(model.params.get(p).data, t.data)
         assert moved == (p in plan.trainable_original), p
 
 
@@ -761,12 +762,12 @@ def test_objective_without_trainable_tensors_leaves_weights():
     ds = data_mod.blobs(k=3, d=2, n=60, sigma=0.1, seed=1)
     plan = compile_plan(parse_config("(LinearProbe.adapt):"), spec)
     model = apply_plan(spec, build_model(spec, seed=0), plan, seed=0)
-    before = {p: t.data for p, t in model.base.items()}
+    before = {p: t.data for p, t in model.params.items()}
     loss = LossSpec([LossTerm("fitnet", hooks=(("feature", "feature"),))])
     with pytest.raises(ConfigError, match="fitnet"):
         train(model, Teacher(spec, build_model(spec, seed=9)), ds, loss,
               RegSpec(), TrainConfig(epochs=1, batch_size=16, seed=0))
-    for p, t in model.base.items():
+    for p, t in model.params.items():
         assert np.array_equal(t.data, before[p]), p
 
 
@@ -780,11 +781,11 @@ def test_an_empty_objective_is_a_config_error_before_any_work():
 @pytest.mark.parametrize("loss", [LossSpec(), LossSpec([LossTerm("ce"), LossTerm("kd_ncm")])])
 def test_an_empty_train_split_is_a_config_error_before_any_setup(loss):
     spec, _, model, cfg = _probe_setup(epochs=2)
-    before = {p: t.data for p, t in model.base.items()}
+    before = {p: t.data for p, t in model.params.items()}
     empty = data_mod.blobs(k=3, d=2, n=1)  # one row a class: every row goes to test
     with pytest.raises(ConfigError, match="train needs a non-empty train split"):
         train(model, Teacher(spec, build_model(spec, seed=9)), empty, loss, RegSpec(), cfg)
-    for p, t in model.base.items():
+    for p, t in model.params.items():
         assert np.array_equal(t.data, before[p]), p
 
 
