@@ -82,7 +82,7 @@ METHODS = {
                                (at, int(hp["dim"])), (at,)),
         route="post_mlp",
         compute=lambda hp, h, dw, db, uw, ub:
-            h + T.affine(T.affine(h, dw, db).gelu(), uw) + ub.expand(h.shape)),
+            h + T.affine(T.affine(h, dw, db).gelu(), uw) + ub),
     "prefix": Method(
         "Prefix", {"tokens": 2.0}, ("tokens", 1),
         sites=lambda spec, shapes: spec.sites("kv_prefix"), site_word="block",
@@ -97,8 +97,7 @@ METHODS = {
         params=(("gamma", 1.0), ("beta", 0.0)),
         shapes=lambda at, hp: ((at[0],), (at[0],)),
         route="linear_out",
-        compute=lambda hp, y, x, gamma, beta:
-            y * gamma.expand(y.shape) + beta.expand(y.shape),
+        compute=lambda hp, y, x, gamma, beta: y * gamma + beta,
         fold=lambda hp, w, bias, gamma, beta: (gamma[:, None] * w, gamma * bias + beta)),
     "linear_probe": Method(
         "LinearProbe", {}, trains=lambda spec, hp: (spec.head_paths(), {})),

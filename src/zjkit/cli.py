@@ -376,13 +376,13 @@ def cmd_eval(cfg, args):
     plan = _plan(cfg, spec)
     logits_list = [_load_model(spec, plan, c).predict(x) for c in ckpts]
     mode = cfg.get("merger.ensemble", "prob")
-    pred_mode = mode if len(ckpts) > 1 else "logits"  # one model: its own argmax
+    scores = merger.combine_logits(logits_list, mode)  # checks the mode for one model too
     fused = merger.combine_logits(logits_list, "logits")
     total_loss = 0.0
     for lo in range(0, x.shape[0], 256):  # the loss sums over predict's chunks
         yb = y[lo:lo + 256]
         total_loss += float(tuner.cross_entropy(Tensor(fused[lo:lo + 256]), yb).item()) * len(yb)
-    preds = np.argmax(merger.combine_logits(logits_list, pred_mode), axis=1)
+    preds = np.argmax(scores if len(ckpts) > 1 else fused, axis=1)  # one model: its own argmax
     acc = float((preds == y).mean()) if len(y) else 0.0
     per_class = {}
     for c in range(ds.n_classes):

@@ -169,8 +169,8 @@ def load_csv(path, label_col=-1, has_header="auto", seed=0):
         labels.append(vals[lc])
         feats.append([v for i, v in enumerate(vals) if i != lc])
     y = np.asarray(labels)
-    if not np.allclose(y, np.round(y)) or y.min() < 0:
-        raise MalformedData("label column must hold nonnegative integers")
+    if not ((y == np.round(y)) & (y >= 0) & (y < 2**31)).all():  # exact, and castable
+        raise MalformedData("label column must hold nonnegative integers below 2^31")
     y = y.astype(int)
     x = np.asarray(feats)
     return _with_splits(x, y, int(y.max()) + 1, seed)

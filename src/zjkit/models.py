@@ -183,7 +183,7 @@ class MiniVitSpec(StagedSpec):
             tokens = lin("patch_embed", x)
             cls = params.get("cls_token").expand((x.shape[0], 1, d))
             h = T.concat([cls, tokens], axis=1)
-            return h + params.get("pos_embed").expand(h.shape)
+            return h + params.get("pos_embed")
 
         def block(i):
             blk = f"blocks[{i}]"

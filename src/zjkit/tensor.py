@@ -19,16 +19,17 @@ untracked rule lives there: an operand that is None or untracked gets no
 parent and no rule, so a constant, a frozen weight or norm costs no
 derivative work and a frozen prefix of a network records no tape at all.
 The rules of ``attention`` and of ``lowrank`` share their work through
-``_per_grad``, a memo kept for one incoming gradient. One reducer,
-``_sum_to``, sums a broadcast operand's gradient back to its shape.
-``sum`` and ``mean`` take an int, negative or tuple axis, ``transpose``
-negative axes, and ``reshape`` one ``-1``; a bad axis or shape, in these,
-``expand`` or ``concat``, a ``mean`` of no elements, or a ``softmax``,
-``log_softmax`` or ``layernorm`` over an empty last axis, is
-``ShapeMismatch``. Non-finite values are rejected at creation time, which
-makes divergence surface as an error at the op that produced it instead
-of poisoning downstream results; a ``layernorm`` row whose variance
-overflows is ``NonFiniteValue`` there too, not a row of ``beta``.
+``_per_grad``, a memo kept for one incoming gradient. Binary ops broadcast
+as numpy does, and one reducer, ``_sum_to``, sums each operand's gradient
+back to its shape. ``sum`` and ``mean`` take an int, negative or tuple
+axis, ``transpose`` negative axes, and ``reshape`` one ``-1``; a bad axis
+or shape, in these, ``expand``, ``concat`` or a binary op, a ``mean`` of
+no elements, or a ``softmax``, ``log_softmax`` or ``layernorm`` over an
+empty last axis, is ``ShapeMismatch``. Non-finite values are rejected at
+creation time, which makes divergence surface as an error at the op that
+produced it instead of poisoning downstream results; a ``layernorm`` row
+whose variance overflows is ``NonFiniteValue`` there too, not a row of
+``beta``.
 
 Three fused nodes keep the tape short on the model hot path:
 :func:`affine` (``x @ w.T + b``), :func:`attention` (a whole multi-head
@@ -84,9 +85,10 @@ leaf's gradient is summed over them, so only those ops carry a
 per-sample rule, a ``(summed over samples, per-sample squares)`` pair of
 maps in place of one map: ``affine`` (weight and bias; for a 2-D
 input the weight term is ``(g*g).T @ (x*x)``), ``lowrank`` (both factors,
-by the same rule), ``layernorm`` (gamma and beta) and ``expand``. A leaf
-that any other op reaches, or that two ops read, raises ``ConfigError``
-rather than give a wrong sum.
+by the same rule), ``layernorm`` (gamma and beta), ``expand`` and a binary
+op's broadcast operand. One per-sample reducer, ``_sample_sq``, serves
+all but the weights. A leaf that any other op reaches, or that two ops
+read, raises ``ConfigError`` rather than give a wrong sum.
 
 Numeric note: ``gelu`` computes ``x*x*x``, not ``x**3``; numpy sends the
 latter through libm ``pow``, about a hundred times slower, and the two
@@ -193,19 +195,20 @@ class Tensor:
     # -- elementwise ----------------------------------------------------
 
     def _binary(self, other, fwd, dgrads):
-        """``dgrads(a, b)`` gives the two derivatives, each capturing only the
-        arrays it reads, before broadcasting is summed back."""
+        """Broadcast as numpy does. ``dgrads(a, b)`` gives the two derivatives,
+        each capturing only the arrays it reads (see :func:`_broadcast_rule`)."""
         if isinstance(other, (int, float)):
             other = Tensor(np.float64(other))
         if not isinstance(other, Tensor):
             raise TypeError(f"unsupported operand {type(other)!r}")
         a, b = self.data, other.data
-        if a.shape != b.shape and a.size != 1 and b.size != 1:
-            raise ShapeMismatch(f"operand shapes {a.shape} vs {b.shape}")
+        try:
+            out = fwd(a, b)
+        except ValueError:  # shapes numpy cannot broadcast
+            raise ShapeMismatch(f"operand shapes {a.shape} vs {b.shape}") from None
         da, db = dgrads(a, b)
-        sa, sb = a.shape, b.shape
-        return Tensor._record(fwd(a, b), (self, other),
-                              (lambda g: _sum_to(da(g), sa), lambda g: _sum_to(db(g), sb)))
+        return Tensor._record(out, (self, other), (_broadcast_rule(da, a.shape, out.shape),
+                                                   _broadcast_rule(db, b.shape, out.shape)))
 
     def __add__(self, other):
         return self._binary(other, np.add, lambda a, b: (_same, _same))  # reads no array
@@ -327,21 +330,8 @@ class Tensor:
         except ValueError as exc:
             raise ShapeMismatch(str(exc)) from None
         src = self.shape
-
-        def sq(g):
-            # per-sample sums keep axis 0, which src must be broadcast along
-            extra = g.ndim - len(src)
-            if extra:
-                per_shape = g.shape[:1] + (1,) * (extra - 1) + src
-            elif src[:1] == (1,):
-                per_shape = g.shape[:1] + src[1:]
-            else:
-                raise ConfigError(f"no per-sample rule: expand {src} -> {g.shape} "
-                                  "keeps the sample axis")
-            per = _sum_to(g, per_shape)
-            return (per * per).sum(axis=0).reshape(src)
-
-        return self._unary(np.ascontiguousarray(out), (lambda g: _sum_to(g, src), sq))
+        return self._unary(np.ascontiguousarray(out),
+                           (lambda g: _sum_to(g, src), lambda g: _sample_sq(g, src)))
 
     def __getitem__(self, key):
         shape = self.shape
@@ -381,11 +371,11 @@ def _gelu_tanh(x):
 
 def _sum_to(g, shape):
     """Sum a gradient broadcast from ``shape``: over prepended axes, then over
-    axes broadcast from 1."""
+    axes broadcast from 1. Tuples come from lists: a generator's is resized."""
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
-    keep = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
+    keep = tuple([i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1])
     if keep:
         g = g.sum(axis=keep, keepdims=True)
     return g
@@ -431,13 +421,25 @@ def _weight_sq(g, x2, x_shape):
     return out
 
 
-def _sample_sq(a):
-    """``[n, ..., d] -> [d]``: each sample's sum over the middle axes, squared,
-    summed over the samples."""
-    if a.ndim < 2:
-        raise ConfigError(f"no per-sample rule: a {a.shape} gradient has no sample axis")
-    per = a.reshape(a.shape[0], -1, a.shape[-1]).sum(axis=1)
-    return (per * per).sum(axis=0)
+def _sample_sq(g, src):
+    """The squared per-sample gradients of an operand of shape ``src``
+    broadcast to ``g``'s shape, summed over the samples on axis 0, along
+    which the operand must be broadcast."""
+    if g.shape == src and g.ndim < 2:  # one [d] row: no axis holds the samples
+        raise ConfigError(f"no per-sample rule: a {g.shape} gradient has no sample axis")
+    padded = (1,) * (g.ndim - len(src)) + src
+    if padded[0] != 1:
+        raise ConfigError(f"no per-sample rule: expand {src} -> {g.shape} keeps the sample axis")
+    per = _sum_to(g, g.shape[:1] + padded[1:])
+    return (per * per).sum(axis=0).reshape(src)
+
+
+def _broadcast_rule(d, src, shape):
+    """The rule of an operand of shape ``src`` whose derivative ``d`` gives a
+    gradient of the result's ``shape``: ``d`` summed back to ``src``, with the
+    per-sample rule where the operand was broadcast."""
+    summed = lambda g: _sum_to(d(g), src)
+    return summed if src == shape else (summed, lambda g: _sample_sq(d(g), src))
 
 
 # -- free-function ops --------------------------------------------------
@@ -463,8 +465,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     """``x @ w.T (+ b)`` over the last axis of an ``[..., in]`` input, one node.
 
-    Bit-identical in value and gradients to ``matmul(x, w.T) + b.expand(...)``
-    on the flattened rows: ``w.T`` is copied to C order as that chain's node
+    Bit-identical in value and gradients to ``matmul(x, w.T) + b`` on the
+    flattened rows: ``w.T`` is copied to C order as that chain's node
     did, and the backward runs the chain's numpy calls in the same order.
     The backward computes no gradient for an operand that is not tracked
     (a frozen weight, a constant input). A per-sample backward gets the
@@ -481,10 +483,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     if b is not None:
         y += b.data
 
-    rows, xs, xv = y.shape, x.shape, _values(x)
+    rows, xs, xv, bs = y.shape, x.shape, _values(x), (w.shape[0],)
     first = 1 if b is None else 0  # a bias-free affine records x and w alone
     return Tensor._record(y.reshape(xs[:-1] + (w.shape[0],)), (b, x, w)[first:], (
-        (lambda g: g.reshape(rows).sum(axis=0), _sample_sq),
+        (lambda g: g.reshape(rows).sum(axis=0), lambda g: _sample_sq(g, bs)),
         lambda g: np.matmul(g.reshape(rows), np.swapaxes(wt, -1, -2)).reshape(xs),
         (lambda g: np.transpose(np.matmul(np.swapaxes(xv(), -1, -2), g.reshape(rows))),
          lambda g: _weight_sq(g, xv(), xs)))[first:])
@@ -713,8 +715,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-6) -> Tensor:
         return gg
 
     return Tensor._record(rebuild(), (gamma, beta, x), (
-        (lambda g: (g * xhat).sum(axis=lead), lambda g: _sample_sq(g * xhat)),
-        (lambda g: g.sum(axis=lead), _sample_sq),
+        (lambda g: (g * xhat).sum(axis=lead), lambda g: _sample_sq(g * xhat, (d,))),
+        (lambda g: g.sum(axis=lead), lambda g: _sample_sq(g, (d,))),
         dx), rebuild)
 
 
@@ -769,9 +771,9 @@ def backward(root: Tensor, per_sample_sq=False):
     Each leaf then maps to the sum over samples of its squared per-sample
     gradient, all from one backward pass. Only the ops that sum a leaf's
     gradient over the samples have a rule for that (``affine`` weight and
-    bias, ``lowrank`` factors, ``layernorm`` gamma and beta, ``expand``); a
-    leaf that another op reaches, or that two ops read, raises
-    :class:`ConfigError`.
+    bias, ``lowrank`` factors, ``layernorm`` gamma and beta, ``expand``, a
+    binary op's broadcast operand); a leaf that another op reaches, or that
+    two ops read, raises :class:`ConfigError`.
     """
     if root.size != 1:
         raise ShapeMismatch(f"backward root has shape {root.shape}")

@@ -42,6 +42,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     Bit-identical in value and gradient to the chain
     ``-log_softmax(logits)[rows, labels].mean()``."""
     labels = np.asarray(labels)
+    if logits.ndim != 2 or 0 in logits.shape:  # a mean over rows, each row's softmax
+        raise ShapeMismatch(f"cross_entropy needs [n>0, c>0] logits, got {logits.shape}")
     n, c = logits.shape
     _check_labels(labels, c)
     rows = np.arange(n)
@@ -69,6 +71,8 @@ def kd_kl(student_logits: Tensor, teacher_logits, temperature=1.0) -> Tensor:
     log_pt = np.log(np.maximum(pt, 1e-300))
     log_ps = T.log_softmax(student_logits, temperature)
     n = student_logits.shape[0]
+    if student_logits.ndim != 2 or not n:  # a mean over rows
+        raise ShapeMismatch(f"kd_kl needs [n>0, c] logits, got {student_logits.shape}")
     ent = float((pt * log_pt).sum()) / n
     cross = (Tensor(pt) * log_ps).sum().scale(1.0 / n)
     kl = cross.scale(-1.0) + ent
@@ -118,6 +122,8 @@ def fitnet_loss(student_trace, teacher_trace, pairs, projectors=None) -> Tensor:
     projection tensor of shape [teacher width, student width]; required
     exactly when widths differ.
     """
+    if not pairs:
+        raise ConfigError("fitnet needs (student hook, teacher hook) pairs")
     projectors = projectors or {}
     total = None
     for s_hook, t_hook in pairs:
@@ -149,8 +155,9 @@ def _fsp_matrix(a1: Tensor, a2: Tensor) -> Tensor:
 
 def fsp_loss(student_pairs, teacher_pairs) -> Tensor:
     """Frobenius gap between flow matrices of paired layer couples."""
-    if len(student_pairs) != len(teacher_pairs):
-        raise ShapeMismatch("pair count mismatch")
+    if not student_pairs or len(student_pairs) != len(teacher_pairs):
+        raise ShapeMismatch(f"fsp pairs: {len(student_pairs)} student vs "
+                            f"{len(teacher_pairs)} teacher, need the same positive count")
     total = None
     for (s1, s2), (t1, t2) in zip(student_pairs, teacher_pairs):
         gs = _fsp_matrix(_flatten_feature(s1), _flatten_feature(s2))
@@ -174,9 +181,7 @@ def _huber(x: Tensor) -> Tensor:
 def _pairwise_dist(e: Tensor):
     n = e.shape[0]
     i_idx, j_idx = np.triu_indices(n, 1)
-    a = e.reshape(n, 1, e.shape[1]).expand((n, n, e.shape[1]))
-    b = e.reshape(1, n, e.shape[1]).expand((n, n, e.shape[1]))
-    sq = (a - b).square().sum(axis=-1)
+    sq = (e.reshape(n, 1, e.shape[1]) - e.reshape(1, n, e.shape[1])).square().sum(axis=-1)
     return sq[(i_idx, j_idx)].sqrt()
 
 
@@ -201,13 +206,11 @@ def rkd_loss(student_emb: Tensor, teacher_emb, mode="dist") -> Tensor:
 
     def angles(e):
         d = e.shape[1]
-        a = e.reshape(1, n, d).expand((n, n, d))
-        b = e.reshape(n, 1, d).expand((n, n, d))
-        diff = a - b  # diff[j, i] = e_i - e_j
+        diff = e.reshape(1, n, d) - e.reshape(n, 1, d)  # diff[j, i] = e_i - e_j
         sq = diff.square().sum(axis=-1)
         eye = np.eye(n)
         norm = (sq + Tensor(eye)).sqrt()
-        unit = diff / norm.reshape(n, n, 1).expand((n, n, d))
+        unit = diff / norm.reshape(n, n, 1)
         cos = T.matmul(unit, unit.transpose(0, 2, 1))  # [j, i, k]
         j, i, k = np.meshgrid(range(n), range(n), range(n), indexing="ij")
         keep = (i != j) & (k != j) & (i != k)
@@ -225,27 +228,22 @@ def weight_reg(trainable, ref=None, kind="l2", exclude=()) -> Tensor:
     ``trainable`` is an iterable of (path, Tensor); for l2_sp, paths
     absent from ``ref`` (new parameters, task head) are skipped.
     """
+    if kind not in ("l2", "l2_sp"):
+        raise ConfigError(f"unknown weight reg {kind!r}")
+    if kind == "l2_sp" and ref is None:
+        raise ConfigError("l2_sp needs a reference store")
     total = None
     for path, w in trainable:
-        if path in exclude:
+        if path in exclude or (kind == "l2_sp" and path not in ref):
             continue
         if kind == "l2_sp":
-            if ref is None:
-                raise ConfigError("l2_sp needs a reference store")
-            if path not in ref:
-                continue
             w0 = ref.get(path)
             if w0.shape != w.shape:
                 raise ShapeMismatch(f"{path}: {w.shape} vs ref {w0.shape}")
-            term = (w - w0.detach()).square().sum()
-        elif kind == "l2":
-            term = w.square().sum()
-        else:
-            raise ConfigError(f"unknown weight reg {kind!r}")
+            w = w - w0.detach()
+        term = w.square().sum()
         total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total.scale(0.5)
+    return Tensor(0.0) if total is None else total.scale(0.5)
 
 
 def spectral_penalty(trainable, iters) -> Tensor:

@@ -357,20 +357,46 @@ def test_a_taped_adapter_or_prefix_forward_keeps_only_what_its_derivatives_read(
     assert peak < bound, peak
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_PLANS))
-def test_a_trained_model_forwards_the_bench_eval_untaped(name):
+SSF_PLAN = "(SSF.adapt):->(blocks[*].attn.qkv){out}->(blocks[*].mlp.fc1){out}"
+
+
+@pytest.mark.parametrize("config, bound", [
+    (BENCH_PLANS["adapter"], 7.2),  # 7.60 when the up bias was copied to [n, s, d]
+    (BENCH_PLANS["lora"], 8.5),
+    (BENCH_PLANS["prefix"], 8.5),
+    (SSF_PLAN, 10),  # 11.8 when gamma and beta were copied to [n, s, d]
+], ids=["adapter", "lora", "prefix", "ssf"])
+def test_a_trained_model_forwards_the_bench_eval_untaped(config, bound):
     """``train`` leaves the model frozen, so the bench's 384-row eval forward
-    records no node and peaks under 8.5 MiB (6.9 for LoRA, 7.6 for Adapter,
-    6.8 for Prefix, as attention works in sample blocks); taped, it peaked at
-    33.9, 31.1 and 33.8 MiB, and untaped with full-batch attention
-    temporaries at 8.5, 8.5 and 11.4 MiB."""
-    adapted, _, _ = _adapt(BENCH_VIT, BENCH_PLANS[name])
+    records no node and peaks under its bound: 6.8 MiB for Adapter and
+    Prefix, 6.9 for LoRA and 9.3 for SSF, as attention works in sample
+    blocks and no broadcast operand is copied to the batch's shape. Taped,
+    Adapter, LoRA and Prefix peaked at 31.1, 33.9 and 33.8 MiB; untaped with
+    full-batch attention temporaries, at 8.5, 8.5 and 11.4 MiB."""
+    adapted, _, _ = _adapt(BENCH_VIT, config)
     ds = data_mod.blobs(k=4, d=64, n=64, seed=0)
     ds.x = ds.x.reshape(64, 8, 8)
     train(adapted, None, ds, LossSpec(), RegSpec(), TrainConfig(lr=0.02, epochs=1, batch_size=16))
     peak, logits = _vit_forward_peak(adapted)
     assert logits._node is None
-    assert peak < 8.5, peak
+    assert peak < bound, peak
+
+
+def test_a_taped_ssf_epoch_keeps_no_copy_of_gamma_or_beta():
+    """One SSF epoch over 200 rows at batch 64 peaks at 9.2 MiB: ``y * gamma``
+    broadcasts ``gamma``, and its rule keeps the ``[d]`` vector. Expanding
+    ``gamma`` and ``beta`` to ``[n, s, d]`` first peaked at 16.2 MiB."""
+    adapted, _, _ = _adapt(BENCH_VIT, SSF_PLAN)
+    ds = data_mod.blobs(k=4, d=64, n=200, seed=0)
+    ds.x = ds.x.reshape(200, 8, 8)
+    tracemalloc.start()
+    try:
+        train(adapted, None, ds, LossSpec(), RegSpec(),
+              TrainConfig(lr=0.02, epochs=1, batch_size=64))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 11, peak
 
 
 @pytest.mark.parametrize("spec", [MLP, VIT], ids=["mlp", "mini_vit"])

@@ -974,6 +974,14 @@ def test_unknown_ensemble_mode_exit_3(tmp_path, capsys):
     assert "unknown ensemble mode 'bogus'" in capsys.readouterr().err
 
 
+def test_unknown_ensemble_mode_with_one_checkpoint_exit_3(tmp_path, capsys):
+    """One model predicts by its own argmax, but the mode is checked all the same."""
+    code = main(["eval", "--config", _cfg(tmp_path, _with("merger.ensemble", "bogus")),
+                 "--ckpt", _ptm(tmp_path)])
+    assert code == 3
+    assert "unknown ensemble mode 'bogus'" in capsys.readouterr().err
+
+
 # -- fisher merge ----------------------------------------------------------
 
 
@@ -1312,6 +1320,9 @@ def fuzz_ptm(tmp_path_factory):
     return _ptm(tmp_path_factory.mktemp("fuzz"))
 
 
+# some drawn values overflow a float64 op, which numpy warns of (ROADMAP item 1):
+# reported here, not raised as the other tests raise a RuntimeWarning
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 @fixed_or_explored(200)
 @given(_fuzz_case())
 @example(("train", "uniform_soup", "data.source", "blobs(spread=inf)"))

@@ -138,3 +138,19 @@ def test_csv_fractional_labels_rejected(tmp_path):
     p.write_text("1,2,0.5\n")
     with pytest.raises(MalformedData, match="label column must hold nonnegative integers"):
         load_csv(p)
+
+
+@pytest.mark.parametrize("label", ["1e-9", "2.0000001", "100000.4", "-1", "1e300"])
+def test_csv_labels_must_be_exact_integers(tmp_path, label):
+    """A label near an integer is not one, and one too large to be a class
+    index is refused before the cast to int."""
+    p = tmp_path / "d.csv"
+    p.write_text(f"1,2,0\n3,4,{label}\n5,6,1\n")
+    with pytest.raises(MalformedData, match="label column must hold nonnegative integers"):
+        load_csv(p)
+
+
+def test_csv_integer_labels_written_as_floats_load(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("1,2,0.0\n3,4,2e0\n5,6,1.000\n")
+    assert load_csv(p).y.tolist() == [0, 2, 1]

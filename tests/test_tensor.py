@@ -95,11 +95,29 @@ def test_add_mul_values():
     assert (b / a).data.tolist() == [3.0, 2.0]
 
 
-def test_scalar_broadcast_only():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert (a + Tensor(1.0)).data.tolist() == [[2.0, 3.0], [4.0, 5.0]]
-    with pytest.raises(ShapeMismatch):
-        a + Tensor([1.0, 2.0])  # row broadcast is not supported
+def test_binary_ops_broadcast_as_numpy():
+    """Each binary op broadcasts as numpy does, either way round, and sums
+    each operand's gradient back to its own shape; shapes numpy rejects
+    are ``ShapeMismatch``."""
+    ops = ((lambda x, y: x + y, np.add), (lambda x, y: x - y, np.subtract),
+           (lambda x, y: x * y, np.multiply), (lambda x, y: x / y, np.divide))
+    rng = np.random.default_rng(0)
+    for sa, sb in [((2, 3), (1,)), ((2, 3), (3,)), ((2, 3), (2, 1)),
+                   ((4, 1, 3), (2, 3)), ((1, 2, 1), (3, 1, 4))]:
+        a = rand_tensor(rng, sa)
+        b = Tensor(rng.uniform(1.0, 2.0, size=sb), requires_grad=True)  # a divisor away from 0
+        w = Tensor(rng.normal(size=np.broadcast_shapes(sa, sb)))
+        for op, np_op in ops:
+            for x, y in ((a, b), (b, a)):
+                assert op(x, y).data.tobytes() == np_op(x.data, y.data).tobytes()
+            check_grads(lambda x, y, op=op: (op(x, y) * w).sum(), [a, b])
+    for sa, sb in [((2, 3), (2,)), ((2, 3), (3, 2)), ((4, 2, 3), (4, 3))]:
+        a, b = Tensor(np.ones(sa)), Tensor(np.ones(sb))
+        for op, _ in ops:
+            for x, y in ((a, b), (b, a)):
+                word = re.escape(f"operand shapes {x.shape} vs {y.shape}")
+                with pytest.raises(ShapeMismatch, match=word):
+                    op(x, y)
 
 
 def test_relu_values():
@@ -834,6 +852,9 @@ PER_SAMPLE_OPS = {
     "expand_prepended": ((5, 3, 4), lambda x, p: x * p.expand(x.shape), [(3, 4)]),
     "expand_from_1": ((5, 4), lambda x, p: x * p.expand(x.shape), [(1, 4)]),
     "expand_cls": ((5, 1, 4), lambda x, p: x * p.expand(x.shape), [(4,)]),
+    "broadcast_mul": ((5, 3, 4), lambda x, p: x * p, [(4,)]),
+    "broadcast_add": ((5, 3, 4), lambda x, p: p + x, [(1, 3, 4)]),
+    "broadcast_scalar": ((5, 4), lambda x, p: x * p, [(1,)]),
     # a LoRA site on a frozen affine: the factors' rules
     "lowrank_2d": ((5, 4), lambda x, a, b: T.lowrank(T.affine(x, _W34), x, a, b, 1.5),
                    [(2, 4), (3, 2)]),
@@ -878,6 +899,21 @@ def test_per_sample_sq_raises_without_a_rule():
     words = ("leaf is reached by an op with no per-sample rule",) * 3 + (
         "no per-sample rule: the .* leaf is read by more than one op",
         "no per-sample rule: expand .* keeps the sample axis")
+    for root, word in zip(roots, words):
+        T.backward(root)  # the plain backward is fine
+        with pytest.raises(ConfigError, match=word):
+            T.backward(root, per_sample_sq=True)
+
+
+def test_per_sample_sq_of_a_leaf_with_a_row_per_sample_raises():
+    """A binary op's operand broadcast within each sample, not across the
+    samples, has no per-sample rule, nor has a 1-D layernorm's gamma."""
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(5, 4)))
+    p, gamma, beta = rand_tensor(rng, (5, 1)), rand_tensor(rng, (4,)), rand_tensor(rng, (4,))
+    roots = ((x * p).sum(), T.layernorm(x[0], gamma, beta).sum())
+    words = (re.escape("no per-sample rule: expand (5, 1) -> (5, 4) keeps the sample axis"),
+             re.escape("no per-sample rule: a (4,) gradient has no sample axis"))
     for root, word in zip(roots, words):
         T.backward(root)  # the plain backward is fine
         with pytest.raises(ConfigError, match=word):

@@ -1,19 +1,20 @@
 """Random small op graphs against finite differences.
 
 Each graph starts from one leaf and applies a few ops drawn from ``OPS``;
-an op may add leaves of its own (a size-1 factor, an affine weight, a
-concat partner, an attention block's projection and prefix pair). The scalar root weights the last node by a fixed random
-array, plus each leaf weighted by one of its own, and ``check_grads``
-compares every leaf's gradient with central differences. The leaf terms keep
-a gradient that is exactly zero along the graph (a leaf shifted before a
-softmax or a layernorm) from meeting finite-difference noise with no scale
-to compare it against.
+an op may add leaves of its own (a broadcast factor or addend, an affine
+weight, a concat partner, an attention block's projection and prefix pair).
+The scalar root weights the last node by a fixed random array, plus each
+leaf weighted by one of its own, and ``check_grads`` compares every leaf's
+gradient with central differences. The leaf terms keep a gradient that is
+exactly zero along the graph (a leaf shifted before a softmax or a
+layernorm) from meeting finite-difference noise with no scale to compare
+it against.
 
 A second property checks the per-sample backward: random chains over the
 ops that have a per-sample rule (``affine`` on 2-D and 3-D input,
-``layernorm``, ``expand``), with an activation or a flatten between them,
-must give each leaf the sum over samples of its squared gradient from a
-loop of batch-1 backwards.
+``layernorm``, ``expand``, and a ``[d]`` leaf broadcast by ``*`` or ``+``),
+with an activation or a flatten between them, must give each leaf the sum
+over samples of its squared gradient from a loop of batch-1 backwards.
 """
 
 import numpy as np
@@ -59,6 +60,8 @@ OPS = {
     "log_softmax": (lambda s: (), lambda h: T.log_softmax(h)),
     "mul_size_one": (lambda s: ((1,) * len(s),), lambda h, c: h * c),
     "add_size_one_higher_rank": (lambda s: ((1,) * (len(s) + 1),), lambda h, c: c + h),
+    "mul_last_axis": (lambda s: ((s[-1],),), lambda h, c: h * c),
+    "add_leading_one": (lambda s: ((1,) + s[1:],), lambda h, c: c + h),
     "div_same": (lambda s: (s,), lambda h, c: h / _positive(c)),
     "sub_scalar": (lambda s: (), lambda h: 1.5 - h),
     "expand": (lambda s: (), lambda h: h.expand((2,) + h.shape)),
@@ -115,6 +118,8 @@ SAMPLE_OPS = {
     "layernorm": (lambda s: ((s[-1],), (s[-1],)), T.layernorm),
     "expand_prepended": (lambda s: (s[1:],), lambda h, p: h * p.expand(h.shape)),
     "expand_from_1": (lambda s: ((1,) + s[1:],), lambda h, p: h * p.expand(h.shape)),
+    "mul_last_axis": (lambda s: ((s[-1],),), lambda h, p: h * p),
+    "add_last_axis": (lambda s: ((s[-1],),), lambda h, p: h + p),
     "gelu": (lambda s: (), lambda h: h.gelu()),
     "flatten": (lambda s: (), lambda h: h.reshape(h.shape[0], -1)),
 }

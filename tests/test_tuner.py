@@ -210,6 +210,28 @@ def test_fsp_direct_oracle():
     assert abs(got - want) < 1e-12
 
 
+_NO_ROWS = Tensor(np.zeros((0, 3)), requires_grad=True)
+
+
+@pytest.mark.parametrize("call, error, word", [
+    (lambda: cross_entropy(_NO_ROWS, np.zeros(0, int)), ShapeMismatch,
+     r"cross_entropy needs \[n>0, c>0\] logits, got \(0, 3\)"),
+    (lambda: cross_entropy(Tensor(np.zeros(3)), [0]), ShapeMismatch, "cross_entropy needs"),
+    (lambda: kd_kl(_NO_ROWS, np.zeros((0, 3))), ShapeMismatch, "kd_kl needs"),
+    (lambda: kd_kl(Tensor([1.0, 2.0]), [2.0, 1.0]), ShapeMismatch, "kd_kl needs"),
+    (lambda: fitnet_loss({}, {}, []), ConfigError, "fitnet needs"),
+    (lambda: fsp_loss([], []), ShapeMismatch, "fsp pairs: 0 student vs 0 teacher"),
+    (lambda: weight_reg([], kind="bogus"), ConfigError, "unknown weight reg 'bogus'"),
+    (lambda: weight_reg([], kind="l2_sp"), ConfigError, "l2_sp needs a reference store"),
+], ids=["ce_no_rows", "ce_1d", "kd_kl_no_rows", "kd_kl_1d", "fitnet_no_pairs", "fsp_no_pairs",
+        "weight_reg_kind", "l2_sp_no_ref"])
+def test_a_degenerate_loss_input_is_a_typed_error(call, error, word):
+    """A loss of no rows or no pairs, or a regularizer of an unknown kind,
+    ends as the typed error its other bad inputs end as."""
+    with pytest.raises(error, match=word):
+        call()
+
+
 def test_fsp_grad():
     rng = np.random.default_rng(7)
     s1 = rand_tensor(rng, (5, 3))
