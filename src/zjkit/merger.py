@@ -19,7 +19,12 @@ a soup sums its ingredients into one float64 buffer per entry.
 OT alignment (:func:`ot_align`) solves each layer's entropic problem on a
 Gram-form cost by stabilised Sinkhorn scaling (:func:`sinkhorn`), a few
 exps per solve rather than three per iteration, and hardens the plan by an
-exact assignment, which is always a bijection.
+exact assignment, which is always a bijection. Weight matching re-solves a
+unit group only when another group has changed a map that moves its site
+weight or reader since its last solve; a skipped solve would give the same
+assignment and decision. scipy's ``linear_sum_assignment`` is imported at
+the first assignment, so importing zjkit and the commands that solve none
+load no scipy.
 
 Permutation, weight matching, OT alignment and REPAIR work on a checkpoint's
 own float64 entries through the unit groups its family declares
@@ -34,7 +39,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
 from .architect import METHODS
@@ -352,8 +356,16 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
     """
     max_sweeps = check_count("max_sweeps", max_sweeps, least=0)
     _check_aligned([ckpt_a, ckpt_b])
+    from scipy.optimize import linear_sum_assignment  # loaded at the first solve, not with zjkit
+
     (groups, a), (_, b) = _groups(ckpt_a), _groups(ckpt_b)
-    moved = dict.fromkeys(p for _, site, reader in groups for p in (f"{site}.weight", reader))
+    reads = [(f"{site}.weight", reader) for _, site, reader in groups]  # of b, by a group's score
+    moved = dict.fromkeys(p for pair in reads for p in pair)
+    # readers[k]: the other groups whose score map k moves (an MLP's neighbours, no mini-ViT group)
+    readers = [[l for l, pair in enumerate(reads)
+                if l != k and {f"{site}.bias", *reads[k]}.intersection(pair)]
+               for k, (_, site, _) in enumerate(groups)]
+    stale = [True] * len(groups)  # score may differ from the group's last solve
 
     def objective(maps):
         b_maps = _permuted(b, groups, maps)
@@ -364,6 +376,9 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
     for _ in range(max_sweeps):
         changed = False
         for l, (_, site, reader) in enumerate(groups):
+            if not stale[l]:  # same score as its last solve, so the same decision
+                continue
+            stale[l] = False
             # score[i, j]: benefit of placing b-unit j in slot i, b under every
             # map but this group's
             b_others = _permuted(b, groups, maps[:l] + [None] + maps[l + 1:])
@@ -379,6 +394,8 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
             if new_val > cur_val + 1e-12 and not np.array_equal(cand, maps[l]):
                 maps[l] = cand
                 changed = True
+                for k in readers[l]:
+                    stale[k] = True
         history.append(objective(maps))
         if not changed:
             break
@@ -405,6 +422,8 @@ def ot_align(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500) -> Per
         raise ConfigError(f"eps must be positive and finite, got {eps}")
     iters = check_count("iters", iters)
     _check_aligned([ckpt_a, ckpt_b])
+    from scipy.optimize import linear_sum_assignment  # loaded at the first solve, not with zjkit
+
     (groups, a), (_, b) = _groups(ckpt_a), _groups(ckpt_b)
     maps, stats = [], []
     for _, site, _ in groups:

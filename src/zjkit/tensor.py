@@ -92,7 +92,11 @@ read, raises ``ConfigError`` rather than give a wrong sum.
 
 Numeric note: ``gelu`` computes ``x*x*x``, not ``x**3``; numpy sends the
 latter through libm ``pow``, about a hundred times slower, and the two
-cubes differ by one ulp in about a quarter of the elements.
+cubes differ by one ulp in about a quarter of the elements. ``relu`` is
+``maximum(x, 0.0) + 0.0``, which equals ``where(x > 0, x, 0.0)`` bit for
+bit on finite input (the ``+ 0.0`` makes a ``-0.0`` from ``maximum`` +0.0)
+and runs in numpy's vector loops, where ``where`` does not; its mask, like
+``abs``'s sign, is built only for a tracked input.
 """
 
 from __future__ import annotations
@@ -238,8 +242,12 @@ class Tensor:
         return self._unary(self.data * s, lambda g: g * s)
 
     def relu(self):
+        out = np.maximum(self.data, 0.0)
+        out += 0.0  # a -0.0 becomes +0.0, as where(x > 0, x, 0.0) gives (the numeric note)
+        if self._node is None:  # only the derivative reads the mask
+            return Tensor(out)
         mask = self.data > 0
-        return self._unary(np.where(mask, self.data, 0.0), lambda g: g * mask)
+        return self._unary(out, lambda g: g * mask)
 
     def gelu(self):
         # tanh approximation 0.5 x (1 + t); the node keeps x alone, and the
@@ -280,8 +288,11 @@ class Tensor:
         return self._unary(x * x, lambda g: g * 2.0 * x)
 
     def abs(self):
+        out = np.abs(self.data)
+        if self._node is None:  # only the derivative reads the sign
+            return Tensor(out)
         s = np.sign(self.data)
-        return self._unary(np.abs(self.data), lambda g: g * s)
+        return self._unary(out, lambda g: g * s)
 
     # -- reductions and shape -------------------------------------------
 

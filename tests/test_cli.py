@@ -131,6 +131,16 @@ def test_python_m_zjkit_exits_with_the_command_code(tmp_path, argv, code):
     assert ("linear_probe" in done.stdout) == (code == 0)
 
 
+def test_importing_the_cli_loads_no_scipy():
+    """scipy is loaded at the first assignment a merge solves, so a command
+    that solves none (plan, train, eval, inspect) does not pay its import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", "import sys, zjkit.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_main_runs_again_after_a_usage_error_and_before_help(tmp_path, capsys):
     """One process, one parser: a usage error leaves it able to parse the next
     command line, and ``--help`` still prints and exits 0."""

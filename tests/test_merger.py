@@ -502,6 +502,87 @@ def test_weight_match_recovers_permutation():
     assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
 
 
+def _weight_match_every_group(ckpt_a, ckpt_b, max_sweeps=20):
+    """Coordinate descent that solves every group in every sweep: the
+    reference for :func:`weight_match`, which skips a group whose score
+    cannot have changed since its last solve."""
+    (groups, a), (_, b) = merger._groups(ckpt_a), merger._groups(ckpt_b)
+    maps = [np.arange(a[f"{site}.bias"].shape[0]) for _, site, _ in groups]
+
+    def objective():
+        moved = merger._permuted(b, groups, maps)
+        return sum(float((a[p] * moved[p]).sum())
+                   for p in dict.fromkeys(p for _, s, r in groups for p in (f"{s}.weight", r)))
+
+    history, solves = [objective()], 0
+    for _ in range(max_sweeps):
+        changed = False
+        for l, (_, site, reader) in enumerate(groups):
+            others = merger._permuted(b, groups, maps[:l] + [None] + maps[l + 1:])
+            score = a[f"{site}.weight"] @ others[f"{site}.weight"].T
+            score += a[reader].T @ others[reader]
+            rows, cols = linear_sum_assignment(-score)
+            solves += 1
+            cand, idx = cols[np.argsort(rows)], np.arange(score.shape[0])
+            new_val = float(score[idx, cand].sum())
+            if float(np.trace(score)) >= new_val - 1e-12:
+                cand, new_val = idx, float(np.trace(score))
+            cur_val = float(score[idx, maps[l]].sum())
+            if new_val > cur_val + 1e-12 and not np.array_equal(cand, maps[l]):
+                maps[l], changed = cand, True
+        history.append(objective())
+        if not changed:
+            break
+    return maps, history, solves
+
+
+def _counting_solver(monkeypatch):
+    import scipy.optimize
+
+    calls, solve = [], scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda cost: calls.append(cost.shape) or solve(cost))
+    return calls
+
+
+def test_weight_match_resolves_only_a_group_whose_score_moved(monkeypatch):
+    """Two groups and a known permutation: sweep 1 moves both maps, sweep 2
+    re-solves group 0, which finds no change, so group 1's score is the one
+    it last solved and is not solved again (3 solves, not 4). The maps and
+    the per-sweep history are the every-group reference's."""
+    c = _ckpt(SPEC2, seed=1)
+    perm = _rand_perm(SPEC2, 2)
+    moved = permute_model(c, perm)
+    want_maps, want_history, every = _weight_match_every_group(c, moved)
+    calls = _counting_solver(monkeypatch)
+    found, history = weight_match(c, moved)
+    assert (len(calls), every) == (3, 4)
+    for f, w, p in zip(found.maps, want_maps, perm.maps):
+        assert np.array_equal(f, w) and np.array_equal(f, np.argsort(p))
+    assert history == want_history
+
+
+@pytest.mark.parametrize("widths", [(3, 6, 6, 2), (8, 32, 32, 32, 3)], ids=["2_groups", "3_groups"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weight_match_equals_solving_every_group(widths, seed, monkeypatch):
+    spec = MlpSpec(widths)
+    a, b = _ckpt(spec, seed=seed), _ckpt(spec, seed=seed + 10)
+    want_maps, want_history, every = _weight_match_every_group(a, b)
+    calls = _counting_solver(monkeypatch)
+    found, history = weight_match(a, b)
+    assert len(calls) < every
+    for f, w in zip(found.maps, want_maps):
+        assert np.array_equal(f, w)
+    assert history == want_history
+
+
+def test_vit_weight_match_solves_each_group_once(monkeypatch):
+    # no mini-ViT group's map moves another group's weights
+    calls = _counting_solver(monkeypatch)
+    found, history = weight_match(_ckpt(VIT, seed=0), _ckpt(VIT, seed=1))
+    assert len(calls) == VIT.blocks and len(history) <= 3
+
+
 def test_weight_match_identity_on_self():
     c = _ckpt(SPEC2, seed=8)
     found, _ = weight_match(c, c)

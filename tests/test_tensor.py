@@ -125,6 +125,32 @@ def test_relu_values():
     assert t.data.tolist() == [0.0, 0.0, 3.0]
 
 
+_TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+_RELU_EDGES = np.array([-0.0, 0.0, _TINY, -_TINY, 1e308, -1e308, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 6), (2, 3, 5)], ids=["1d", "2d", "3d"])
+def test_relu_equals_where_bit_for_bit(shape):
+    """relu's ``maximum`` form gives ``where(x > 0, x, 0.0)``'s bytes, +0.0
+    for both zeros; a tracked relu's gradient is ``g * (x > 0)``'s bytes."""
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape)
+    x.flat[:_RELU_EDGES.size] = _RELU_EDGES[:x.size]
+    assert Tensor(x).relu().data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    g = rng.uniform(-1.0, 1.0, size=shape)  # |g| < 1 keeps g * 1e308 finite
+    out = Tensor(x, requires_grad=True).relu()
+    grads = T.backward((out * Tensor(g)).sum())
+    (grad,) = grads.values()
+    assert grad.tobytes() == (g * (x > 0)).tobytes()
+
+
+@pytest.mark.parametrize("op", [Tensor.relu, Tensor.abs], ids=["relu", "abs"])
+def test_an_untaped_relu_or_abs_records_no_node(op):
+    x = np.array([-1.5, -0.0, 0.0, 2.0])
+    assert op(Tensor(x))._node is None
+    assert op(Tensor(x, requires_grad=True))._node is not None
+
+
 def test_gelu_known_points():
     # gelu(0) = 0 exactly; gelu is odd-symmetric up to the linear term
     x = Tensor([0.0]).gelu()
