@@ -11,6 +11,13 @@ list its ``stages()`` returns. :func:`forward` walks the list, and
 order, which ``build_model``'s draws follow), the hooks, the head and
 ``PartialK`` paths and the sites each route joins. A spec class also states
 its BitFit set and unit groups. :data:`SPECS` registers each class by kind.
+
+The mini-ViT's head reads the cls row alone, so its final norm runs on that
+row, and its last block computes that row alone (its queries, ``proj`` and
+MLP; the keys and values still come from every token) unless one of the
+block's own hooks, ``.preact`` or ``.output``, is captured. Then the block
+runs two query groups, the cls row and the rest, joined by ``concat``; row 0
+comes from the cls group either way, so capturing never moves the logits.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ def _counts(values, what, least=1):
 
 @dataclass(frozen=True)
 class Stage:
-    """One forward step; a block has ``.input/.preact/.output`` hooks and is one PartialK unit."""
+    """One forward step; a block has ``.input/.preact/.output`` hooks and is one PartialK unit.
+    ``hook(name, value)`` records a captured value; ``hook(name)`` says whether it is captured."""
 
     site: str
     step: object     # (params, h, hook, lin, route) -> h
@@ -189,13 +197,23 @@ class MiniVitSpec(StagedSpec):
             blk = f"blocks[{i}]"
 
             def step(params, h, hook, lin, route):
-                # no derivative reads the [n, s, 3d] qkv: it dies when attention returns
-                ctx = T.attention(lin(f"{blk}.attn.qkv", ln(params, h, f"{blk}.norm1")),
-                                  self.heads, route("kv_prefix", blk, None))
-                h = h + lin(f"{blk}.attn.proj", ctx)
-                pre = lin(f"{blk}.mlp.fc1", ln(params, h, f"{blk}.norm2"))
-                hook(f"{blk}.preact", pre)
-                return h + route("post_mlp", blk, lin(f"{blk}.mlp.fc2", pre.gelu()))
+                qkv = lin(f"{blk}.attn.qkv", ln(params, h, f"{blk}.norm1"))
+                prefix = route("kv_prefix", blk, None)
+                # query row groups: all rows (None); in the last block the cls row, which the
+                # head alone reads, and then the other rows only if one of its hooks is captured
+                groups = ((None,) if i < self.blocks - 1 else
+                          (slice(0, 1), slice(1, None)) if hook(f"{blk}.preact")
+                          or hook(f"{blk}.output") else (slice(0, 1),))
+                ctxs = [T.attention(qkv, self.heads, prefix, rows) for rows in groups]
+                del qkv  # no derivative reads the [n, s, 3d] qkv: it dies before the MLP runs
+                pres, outs = [], []
+                for rows in groups:  # each context dies once proj has read it
+                    hr = (h if rows is None else h[:, rows]) + lin(f"{blk}.attn.proj", ctxs.pop(0))
+                    pres.append(lin(f"{blk}.mlp.fc1", ln(params, hr, f"{blk}.norm2")))
+                    outs.append(hr + route("post_mlp", blk, lin(f"{blk}.mlp.fc2", pres[-1].gelu())))
+                if hook(f"{blk}.preact"):
+                    hook(f"{blk}.preact", _join_rows(pres))
+                return _join_rows(outs)
             leaves = {"norm1.gamma": (d,), "norm1.beta": (d,), "attn.qkv.weight": (3 * d, d),
                       "attn.qkv.bias": (3 * d,), "attn.proj.weight": (d, d),
                       "attn.proj.bias": (d,), "norm2.gamma": (d,), "norm2.beta": (d,),
@@ -226,6 +244,11 @@ class MiniVitSpec(StagedSpec):
     @staticmethod
     def unit_group(i):  # block i's MLP units; the residual stream and heads stay
         return f"blocks[{i}].preact", f"blocks[{i}].mlp.fc1", f"blocks[{i}].mlp.fc2.weight"
+
+
+def _join_rows(parts):
+    """A block's row groups joined on the token axis, in order."""
+    return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
 
 
 #: kind -> spec class, the one place a model family is registered
@@ -337,7 +360,10 @@ def forward(spec, params: ParamStore, x: Tensor, capture=(), route=None):
     """Run the model; returns ``(logits, trace)``.
 
     ``capture`` is a set of hook paths to record; the trace contains
-    exactly those hooks and capturing never perturbs the logits.
+    exactly those hooks and capturing never perturbs the logits. A
+    mini-ViT's last block computes the cls row alone, the one row the head
+    reads, unless one of its own hooks (``.preact``, ``.output``) is
+    captured; then it computes every row, and row 0 the same way.
     ``route(name, site, value, *args)`` is where injections enter; the
     forward uses what it returns in place of ``value``: ``linear_out`` gets
     a linear layer's output and then its input, ``post_mlp`` an MLP's
@@ -351,9 +377,11 @@ def forward(spec, params: ParamStore, x: Tensor, capture=(), route=None):
         raise ConfigError(f"unknown hook {', '.join(sorted(unknown))}")
     trace = {}
 
-    def hook(name, value):
-        if name in capture:
+    def hook(name, value=None):  # records a captured value; says whether name is captured
+        wanted = name in capture
+        if wanted and value is not None:
             trace[name] = value
+        return wanted
 
     def lin(site, inp):
         w = params.get(f"{site}.weight")

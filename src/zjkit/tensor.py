@@ -64,7 +64,11 @@ array to both operands, so ``backward`` makes every gradient it stores
 read-only), and an array a rule keeps (``xhat``, ``attn``).
 The finiteness check sums the array first: a finite sum proves every
 element finite, and only a sum that is not (NaN, an infinity, or an
-overflow, which numpy warns of) runs the elementwise check.
+overflow, which numpy warns of) runs the elementwise check. A layout op
+(``reshape``, ``transpose``, ``__getitem__``, ``expand``, ``concat``,
+``relu``, ``abs``) copies, selects, or takes the max with 0 or the absolute
+value of finite elements, so its result skips the check; ``Tensor(data)``
+always runs it.
 
 Inference: a result is recorded iff an operand is tracked, and nothing
 else switches the tape on or off. A forward over frozen tensors (a
@@ -74,7 +78,11 @@ backward nobody runs; a ``backward`` from its result raises
 ``ConfigError``. A gradient reader makes its own grad leaves. An untaped
 ``attention`` runs a block of samples at a time (per-sample matmuls and a
 row-wise softmax: the taped bits), so a prefixed one never holds the n
-joined keys and values.
+joined keys and values. A block holds ``heads * max(queries, hd) * (t + s)``
+elements per sample, for ``queries`` query rows of head width ``hd`` over
+``t`` prefix and ``s`` own tokens: its scores, and its keys and values,
+which a block of few query rows (``attention``'s ``queries``, a slice of
+the rows that query) would otherwise take for many samples at once.
 
 Per-sample backward: ``backward(root, per_sample_sq=True)``, on a root
 that sums one term per sample (samples on axis 0, never mixed), maps each
@@ -111,7 +119,7 @@ from .errors import ConfigError, NonFiniteValue, ShapeMismatch, check_count
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _PER_SAMPLE_BLOCK = 1 << 17  # float64 elements (1 MiB) of per-sample affine gradients
-_ATTENTION_BLOCK = 1 << 14  # float64 elements (128 KiB) of an untaped sample block's scores
+_ATTENTION_BLOCK = 1 << 14  # float64 elements (128 KiB) of an untaped block's scores, keys, values
 _uid_counter = itertools.count()
 
 
@@ -125,6 +133,18 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not _finite(arr):
             raise NonFiniteValue("tensor contains NaN or Inf")
+        self._fill(arr, requires_grad)
+
+    @staticmethod
+    def _unchecked(arr):
+        """A Tensor of the float64 ``arr``, whose elements are finite by
+        construction (a layout op's copy or selection of a tensor's), so
+        :func:`_finite` does not run on it."""
+        res = Tensor.__new__(Tensor)
+        res._fill(arr, False)
+        return res
+
+    def _fill(self, arr, requires_grad):
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         self.data = arr
@@ -162,7 +182,7 @@ class Tensor:
     # -- graph plumbing -------------------------------------------------
 
     @staticmethod
-    def _record(out, parents, dgrads, recompute=None):
+    def _record(out, parents, dgrads, recompute=None, check=True):
         """Wrap an op's result ``out`` (an ndarray or numpy scalar) with the
         node ``(uid, out.shape, parent nodes, rules)``: :func:`backward`
         hands each tracked operand ``parents[i]`` the gradient
@@ -180,21 +200,24 @@ class Tensor:
         An operand whose gradient is summed over the sample axis 0 takes a
         per-sample rule, a pair of maps: the gradient summed over samples,
         and its squared per-sample gradients summed over samples, which a
-        grad leaf gets instead in a per-sample backward."""
+        grad leaf gets instead in a per-sample backward. A layout op passes
+        ``check=False``: its result is finite by construction (the module
+        docstring), so it skips the finiteness check."""
+        new = Tensor if check else Tensor._unchecked
         tape = tuple([None if t is None else t._node for t in parents])
         if None in tape:  # copy the rules only when an operand drops out: most nodes keep all
             dgrads = tuple([d for n, d in zip(tape, dgrads) if n is not None])
             tape = tuple([n for n in tape if n is not None])
             if not tape:
-                return Tensor(out)
-        res = Tensor(out)
+                return new(out)
+        res = new(out)
         res._node = (res.uid, out.shape, tape, dgrads)  # np.shape(out) costs several times more
         res.recompute = recompute
         return res
 
-    def _unary(self, out, dgrad):
+    def _unary(self, out, dgrad, check=True):
         """:meth:`_record` for a one-input op."""
-        return Tensor._record(out, (self,), (dgrad,))
+        return Tensor._record(out, (self,), (dgrad,), check=check)
 
     # -- elementwise ----------------------------------------------------
 
@@ -245,9 +268,9 @@ class Tensor:
         out = np.maximum(self.data, 0.0)
         out += 0.0  # a -0.0 becomes +0.0, as where(x > 0, x, 0.0) gives (the numeric note)
         if self._node is None:  # only the derivative reads the mask
-            return Tensor(out)
+            return Tensor._unchecked(out)
         mask = self.data > 0
-        return self._unary(out, lambda g: g * mask)
+        return self._unary(out, lambda g: g * mask, check=False)
 
     def gelu(self):
         # tanh approximation 0.5 x (1 + t); the node keeps x alone, and the
@@ -290,9 +313,9 @@ class Tensor:
     def abs(self):
         out = np.abs(self.data)
         if self._node is None:  # only the derivative reads the sign
-            return Tensor(out)
+            return Tensor._unchecked(out)
         s = np.sign(self.data)
-        return self._unary(out, lambda g: g * s)
+        return self._unary(out, lambda g: g * s, check=False)
 
     # -- reductions and shape -------------------------------------------
 
@@ -318,7 +341,7 @@ class Tensor:
         except (TypeError, ValueError):
             raise ShapeMismatch(f"cannot reshape {self.shape} to {shape}") from None
         old = self.shape
-        return self._unary(out, lambda g: g.reshape(old))
+        return self._unary(out, lambda g: g.reshape(old), check=False)
 
     def transpose(self, *axes):
         if not axes:
@@ -328,7 +351,7 @@ class Tensor:
         except (TypeError, ValueError, IndexError):  # out of range, repeated or too few
             raise ShapeMismatch(f"cannot transpose {self.shape} by axes {axes}") from None
         inv = np.argsort([a % self.ndim for a in axes])  # -1 is the last axis
-        return self._unary(out, lambda g: np.transpose(g, inv))
+        return self._unary(out, lambda g: np.transpose(g, inv), check=False)
 
     @property
     def T(self):
@@ -342,17 +365,20 @@ class Tensor:
             raise ShapeMismatch(str(exc)) from None
         src = self.shape
         return self._unary(np.ascontiguousarray(out),
-                           (lambda g: _sum_to(g, src), lambda g: _sample_sq(g, src)))
+                           (lambda g: _sum_to(g, src), lambda g: _sample_sq(g, src)), check=False)
 
     def __getitem__(self, key):
         shape = self.shape
 
         def dgrad(g):
             out = np.zeros(shape)
-            np.add.at(out, key, g)  # repeated fancy indices accumulate
+            if _basic(key):  # no element selected twice: the add is np.add.at's, bit for bit
+                out[key] += g
+            else:
+                np.add.at(out, key, g)  # repeated fancy indices accumulate
             return out
 
-        return self._unary(self.data[key], dgrad)
+        return self._unary(self.data[key], dgrad, check=False)
 
     # -- matmul ---------------------------------------------------------
 
@@ -367,6 +393,14 @@ class Tensor:
 
 def _same(g):
     return g
+
+
+def _basic(key):
+    """``key`` is a basic index (ints, slices, None and Ellipsis), which
+    selects each element at most once; a bool is a mask, not an int."""
+    return all(k is None or k is Ellipsis or type(k) is slice
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in (key if type(key) is tuple else (key,)))
 
 
 def _gelu_tanh(x):
@@ -540,20 +574,25 @@ def lowrank(y: Tensor, x: Tensor, a: Tensor, b: Tensor, s) -> Tensor:
          lambda g: _weight_sq(gs(g), h, xs))))
 
 
-def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
+def attention(qkv: Tensor, heads, prefix=None, queries=None) -> Tensor:
     """Multi-head self-attention on a fused ``[n, s, 3d]`` projection, one node.
 
     ``qkv`` holds queries, keys and values side by side on the last axis.
     ``prefix`` is an optional ``(key, value)`` pair of ``[t, d]`` tensors
-    put in front of every sample's keys and values. Returns the ``[n, s, d]``
-    context, heads concatenated. Bit-identical in value and gradients to
-    the chain of slices, reshapes, transposes, prefix concat, matmuls, scale
-    and softmax it replaces: matmul operands get the memory layout that
-    chain gave them, and the backward keeps its order of operations. The
-    derivatives read q, kᵀ, v and the weights whole, so a tracked operand
-    takes one block of all n samples; untaped, the blocks' scores fit
-    ``_ATTENTION_BLOCK``, and no n joined prefix copies are made. A
-    ``heads`` that is not a positive integer is ``ConfigError``.
+    put in front of every sample's keys and values. ``queries``, a slice of
+    the s rows with step 1 (default: all), picks the rows that query: only
+    their scores, softmax and context are computed, over every row's keys
+    and values, and the query slab's gradient is zero outside them; an
+    empty slice or another step is ``ShapeMismatch``. Returns the
+    ``[n, rows, d]`` context, heads concatenated. Bit-identical in value and
+    gradients, over all rows, to the chain of slices, reshapes, transposes,
+    prefix concat, matmuls, scale and softmax it replaces: matmul operands
+    get the memory layout that chain gave them, and the backward keeps its
+    order of operations. The derivatives read q, kᵀ, v and the weights
+    whole, so a tracked operand takes one block of all n samples; untaped, a
+    block's scores, keys and values fit ``_ATTENTION_BLOCK``, and no n
+    joined prefix copies are made. A ``heads`` that is not a positive
+    integer is ``ConfigError``.
     """
     heads = check_count("heads", heads)
     if qkv.ndim != 3 or 0 in qkv.shape[1:] or qkv.shape[-1] % (3 * heads):
@@ -562,6 +601,11 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
     d = d3 // 3
     hd = d // heads
     scale = 1.0 / math.sqrt(hd)
+    queries = slice(None) if queries is None else queries
+    q0, q1, stride = queries.indices(s) if type(queries) is slice else (0, 0, 0)
+    if stride != 1 or q1 <= q0:
+        raise ShapeMismatch(f"queries {queries!r} is not a nonempty slice of {s} rows with step 1")
+    r = q1 - q0  # query rows
 
     def split(a, lo, rows):  # [rows, d] per sample -> [m, heads, rows, hd]
         return a[..., lo:lo + d].reshape(-1, rows, heads, hd).transpose(0, 2, 1, 3)
@@ -581,26 +625,27 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
                                out=np.empty((len(v), heads, t + s, hd))))
 
     def block(rows):  # q, kᵀ, v and attn of the samples in ``rows``; their context into out
-        q = np.ascontiguousarray(split(qkv.data[rows], 0, s))
+        q = np.ascontiguousarray(split(qkv.data[rows, q0:q1], 0, r))
         kt = np.ascontiguousarray(np.swapaxes(split(qkv.data[rows], d, s), -1, -2))  # own tokens'
         v = np.ascontiguousarray(split(qkv.data[rows], 2 * d, s))
         keys, values = operands(kt, v)
         scores = np.matmul(q, keys)
         scores *= scale
         attn = _softmax(scores)
-        out[rows].reshape(-1, s, heads, hd)[...] = np.swapaxes(np.matmul(attn, values), 1, 2)
+        out[rows].reshape(-1, r, heads, hd)[...] = np.swapaxes(np.matmul(attn, values), 1, 2)
         return q, kt, v, attn
 
     tracked = any(p._node for p in (qkv, *(prefix or ())))
-    step = max(1, n if tracked else _ATTENTION_BLOCK // (heads * s * (t + s)))
-    out = np.empty((n, s, d))
+    # untaped, a block holds its scores and its keys and values
+    step = max(1, n if tracked else _ATTENTION_BLOCK // (heads * max(r, hd) * (t + s)))
+    out = np.empty((n, r, d))
     for lo in range(0, max(n, 1), step):  # an empty block for no samples
         q, kt, v, attn = block(slice(lo, lo + step))
 
     @_per_grad
     def shared(g):
         keys, values = operands(kt, v)
-        gh = np.transpose(g.reshape(n, s, heads, hd), (0, 2, 1, 3))
+        gh = np.transpose(g.reshape(n, r, heads, hd), (0, 2, 1, 3))
         g_attn = np.matmul(gh, np.swapaxes(values, -1, -2))
         g_v = np.matmul(np.swapaxes(attn, -1, -2), gh)
         g_scores = _softmax_grad(g_attn, attn)
@@ -610,9 +655,9 @@ def attention(qkv: Tensor, heads, prefix=None) -> Tensor:
         return g_q, g_k, g_v
 
     def d_qkv(g):  # each slab copied once into its place; keys and values past the prefix
-        g_qkv = np.empty((n, s, 3, heads, hd))
-        for i, gi in enumerate(shared(g)):
-            g_qkv[:, :, i] = np.transpose(gi[:, :, -s:], (0, 2, 1, 3))
+        g_qkv = np.zeros((n, s, 3, heads, hd))  # the query slab is zero outside the queries
+        for i, (rows, gi) in enumerate(zip((slice(q0, q1), slice(None), slice(None)), shared(g))):
+            g_qkv[:, rows, i] = np.transpose(gi[:, :, -s:], (0, 2, 1, 3))
         return g_qkv.reshape(n, s, d3)
 
     def d_prefix(i):  # the prefix rows of the key (1) or value (2) gradient
@@ -740,7 +785,7 @@ def concat(tensors, axis=0):
     ends = np.cumsum([t.shape[axis] for t in tensors])
     return Tensor._record(out, tensors, tuple(  # each operand gets its own slice
         lambda g, lo=hi - t.shape[axis], hi=hi: np.take(g, range(lo, hi), axis=axis)
-        for t, hi in zip(tensors, ends)))
+        for t, hi in zip(tensors, ends)), check=False)
 
 
 def custom_op(inputs, value, grads):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from zjkit import tensor as T
 from zjkit.errors import ConfigError, ShapeMismatch
 from zjkit.models import (
     MiniVitSpec,
@@ -159,6 +160,42 @@ def test_vit_capture_bit_identity():
     assert trace["feature"].shape == (2, 16)
     assert trace["logits"].shape == (2, 3)
     assert trace["blocks[0].preact"].shape == (2, 5, 32)
+
+
+def test_the_last_vit_block_computes_the_cls_row_alone_unless_one_of_its_hooks_is_captured():
+    """The head reads the cls row alone, so with no hook of the last block
+    captured its fc1 runs on one row per sample; capturing its preact adds
+    the other rows, whose trace matches the block run on every row, and
+    leaves the logits bit for bit as they were."""
+    store = build_model(VIT, seed=3)
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 4, 8)))
+    last = f"blocks[{VIT.blocks - 1}]"
+    seen = []
+
+    def route(name, site, value, *args):
+        if name == "linear_out" and site.endswith("mlp.fc1"):
+            seen.append((site, value.shape))
+        return value
+
+    plain, _ = forward(VIT, store, x, route=route)
+    assert seen == [("blocks[0].mlp.fc1", (2, 5, 32)), (f"{last}.mlp.fc1", (2, 1, 32))]
+    seen.clear()
+    full, trace = forward(VIT, store, x, {f"{last}.input", f"{last}.preact"}, route=route)
+    assert seen[1:] == [(f"{last}.mlp.fc1", (2, 1, 32)), (f"{last}.mlp.fc1", (2, 4, 32))]
+    assert np.array_equal(plain.data, full.data)
+
+    p = store.get
+    ln = lambda h, name: T.layernorm(h, p(f"{name}.gamma"), p(f"{name}.beta"))
+    lin = lambda h, site: T.affine(h, p(f"{site}.weight"), p(f"{site}.bias"))
+    h = trace[f"{last}.input"]
+    ctx = T.attention(lin(ln(h, f"{last}.norm1"), f"{last}.attn.qkv"), VIT.heads)
+    h = h + lin(ctx, f"{last}.attn.proj")
+    want = lin(ln(h, f"{last}.norm2"), f"{last}.mlp.fc1").data
+    got = trace[f"{last}.preact"].data
+    assert got.shape == want.shape == (2, 5, 32)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    _, out = forward(VIT, store, x, {f"{last}.output"})
+    assert out[f"{last}.output"].shape == (2, 5, 16)
 
 
 def test_unknown_hook_rejected():

@@ -232,6 +232,51 @@ def test_getitem_repeated_fancy_index_accumulates():
     check_grads(lambda t: t[np.array([2, 0, 2, 2])].square().sum(), [m])
 
 
+@pytest.mark.parametrize("key", [
+    (slice(None), 0, slice(None)), (slice(None), slice(0, 1)), 1, -1, np.int64(2), (),
+    (Ellipsis, 2), (None, slice(1, None, 2)), (slice(None, None, -1), 0, None)],
+    ids=["mid_int", "slice", "int", "negative", "np_int", "empty", "ellipsis", "none_step",
+         "reversed"])
+def test_a_basic_index_scatters_its_gradient_as_add_at_does(key):
+    """A basic key selects no element twice, so its rule adds ``g`` into a
+    zero array where ``np.add.at`` would: the same bytes, a ``-0.0`` in ``g``
+    becoming ``+0.0`` in both."""
+    x = rand_tensor(np.random.default_rng(43), (3, 4, 5))
+    y = x[key]
+    g = np.random.default_rng(44).normal(size=y.shape)
+    g.reshape(-1)[::3] = -0.0
+    want = np.zeros(x.shape)
+    np.add.at(want, key, g)
+    assert T._basic(key)
+    assert y._node[3][0](g).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("key", [[0, 0], np.array([1, 0]), True, (slice(None), [0, 1]),
+                                 np.array([True, False, True])],
+                         ids=["list", "array", "bool", "mixed", "mask"])
+def test_a_fancy_index_is_not_basic(key):
+    assert not T._basic(key)
+
+
+def test_layout_ops_skip_the_finiteness_check_and_the_constructor_keeps_it(monkeypatch):
+    """``reshape``, ``transpose``, ``__getitem__``, ``expand``, ``concat``,
+    ``relu`` and ``abs`` copy, select, or take the max with 0 or the absolute
+    value of finite elements, so their results skip ``_finite``;
+    ``Tensor(data)`` still checks."""
+    rng = np.random.default_rng(45)
+    tensors = rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (2, 3, 4), False)
+    calls, real = [], T._finite
+    monkeypatch.setattr(T, "_finite", lambda a: calls.append(a.shape) or real(a))
+    for x in tensors:
+        outs = (x.reshape(6, 4), x.transpose(2, 0, 1), x.T, x[:, 0], x[[0, 0]],
+                x[:, :1].expand((2, 5, 4)), T.concat([x, x], axis=1), x.relu(), x.abs())
+        assert all((o._node is not None) == x.requires_grad for o in outs)
+    assert calls == []
+    with pytest.raises(NonFiniteValue):
+        Tensor([np.nan])
+    assert calls == [(1,)]
+
+
 def test_expand_grad():
     rng = np.random.default_rng(2)
     a = rand_tensor(rng, (1, 4))
@@ -444,6 +489,59 @@ def test_attention_shape_errors():
                     (Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4)))))
 
 
+def _rel(got, want):
+    """The largest difference relative to the largest magnitude of ``want``."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+@pytest.mark.parametrize("prefix_len", [0, 2])
+def test_attention_queries_give_the_full_attention_rows(prefix_len, taped):
+    """The cls row, the rest and any other row range of a ``queries`` slice
+    are the full attention's rows, to the rounding of a shorter matmul."""
+    leaves = _attention_leaves(np.random.default_rng(41), 3, 5, 8, prefix_len)
+    qkv, *pre = leaves if taped else [Tensor(t.data) for t in leaves]
+    full = T.attention(qkv, 2, tuple(pre) or None).data
+    for rows in (slice(0, 1), slice(1, None), slice(2, 4), slice(-2, 9), slice(None)):
+        part = T.attention(qkv, 2, tuple(pre) or None, rows)
+        assert (part._node is not None) == taped and part.shape == full[:, rows].shape
+        assert _rel(part.data, full[:, rows]) <= 1e-14, rows
+
+
+@pytest.mark.parametrize("rows", [slice(0, 1), slice(1, None)], ids=["cls", "rest"])
+@pytest.mark.parametrize("prefix_len", [0, 2])
+def test_attention_query_rows_have_the_full_attention_gradients(rows, prefix_len):
+    """Finite differences agree on ``qkv`` and both prefix tensors; the query
+    slab's gradient is zero outside the rows; and the gradients equal the
+    full attention's under an incoming gradient that is zero off the rows."""
+    small = _attention_leaves(np.random.default_rng(42), 2, 3, 4, prefix_len)
+    check_grads(lambda qkv, *pre: T.attention(qkv, 2, tuple(pre) or None, rows).square().sum(),
+                small)
+    leaves = _attention_leaves(np.random.default_rng(46), 3, 5, 8, prefix_len)
+    qkv, *pre = leaves
+    part = T.attention(qkv, 2, tuple(pre) or None, rows)
+    probe = np.random.default_rng(47).normal(size=part.shape)
+    got = T.backward((part * Tensor(probe)).sum())
+    full = T.attention(qkv, 2, tuple(pre) or None)
+    padded = np.zeros(full.shape)
+    padded[:, rows] = probe
+    want = T.backward((full * Tensor(padded)).sum())
+    off = np.ones(5, bool)
+    off[rows] = False
+    assert not got[qkv.uid][:, off, :8].any()
+    for t in leaves:
+        assert _rel(got[t.uid], want[t.uid]) <= 1e-14
+
+
+@pytest.mark.parametrize("rows", [slice(1, 1), slice(3, None), slice(2, 0), slice(0, 3, 2),
+                                  slice(None, None, -1), 0, (0,)],
+                         ids=["empty", "past_end", "reversed", "step2", "step-1", "int",
+                              "tuple"])
+def test_attention_queries_that_are_not_a_nonempty_unit_step_slice_are_a_shape_mismatch(rows):
+    with pytest.raises(ShapeMismatch, match="queries"):
+        T.attention(Tensor(np.ones((2, 3, 12))), 2, None, rows)
+
+
 # -- the hot ops against their formulas with fresh temporaries ------------
 #
 # affine, layernorm, gelu, softmax and attention write their temporaries into
@@ -641,8 +739,9 @@ def test_one_lowrank_node_per_site():
                          ("m+1", 1, 1), ("3m+5", 3, 5)))])
 def test_attention_matches_its_reference(prefix_len, heads, samples):
     """Taped, and untaped in blocks of m samples (``k m + j`` of them, m the
-    block the budget gives at this shape), bit for bit."""
-    m = T._ATTENTION_BLOCK // (heads * 9 * (9 + prefix_len))
+    block the budget gives at this shape: a block holds ``heads * max(9, hd)
+    * (9 + prefix_len)`` scores, keys and values), bit for bit."""
+    m = T._ATTENTION_BLOCK // (heads * max(9, 32 // heads) * (9 + prefix_len))
     rng = np.random.default_rng(17)
     leaves = _attention_leaves(rng, samples[0] * m + samples[1], 9, 32, prefix_len)
     _assert_matches_reference(_with_heads(T.attention, heads),
