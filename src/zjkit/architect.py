@@ -5,7 +5,7 @@ it lists parameter injections (LoRA factors, adapters, prefix tokens,
 scale/shift vectors), which original paths train and which stay frozen,
 and any per-element gradient masks (BitFit's query-bias rows). Applying a
 plan keeps that split in the plan: an adapted model's tensors are frozen,
-and ``tuner.train`` alone makes those the plan trains grad leaves, an epoch
+and ``tuner.epochs`` alone makes those the plan trains grad leaves, an epoch
 at a time. LoRA and SSF plans fold into plain weights (:func:`merge_reparam`).
 
 An adaptation method is registered in one place, its :class:`Method` record

@@ -6,11 +6,16 @@ string), u32 entry count; per entry: u16 path length, path UTF-8, u8
 dtype (0 = f32), u8 ndim, u64 per dim, row-major f32 payload, u32 CRC32
 of the payload. Save/load round trips are byte identical.
 
-Files are written through :func:`atomic_open`, so a failed write leaves
-any earlier file at the path whole. Loading turns every malformed file
-into a :class:`CorruptCheckpoint`, a failed checksum or a repeated entry
-path included, and an entry holding NaN or an infinity into a
-:class:`NonFiniteValue` naming the file and the entry.
+Every producer makes its checkpoint through :meth:`Checkpoint.with_entries`
+(training's :func:`from_params`, every merge recipe, the reparameterization
+merge), which casts to float32 and refuses an entry whose copy holds NaN or an
+infinity, a float64 value past float32's range included, as a
+:class:`NonFiniteValue` naming the entry; so no producer writes a file that
+no load accepts. Files are written through :func:`atomic_open`, so a failed
+write leaves any earlier file at the path whole. Loading turns every
+malformed file into a :class:`CorruptCheckpoint`, a failed checksum or a
+repeated entry path included, and an entry holding NaN or an infinity into
+a :class:`NonFiniteValue` naming the file and the entry.
 """
 
 from __future__ import annotations
@@ -40,9 +45,14 @@ class Checkpoint:
 
     def with_entries(self, arrays):
         """A checkpoint of this kind and digest holding float32 copies of the
-        given path -> array map, sorted by path."""
-        return Checkpoint(self.kind, self.digest,
-                          {p: arrays[p].astype(np.float32) for p in sorted(arrays)})
+        given path -> array map, sorted by path. An entry whose copy holds NaN
+        or an infinity (a value past float32's range) is NonFiniteValue."""
+        with np.errstate(over="ignore"):  # the check below names the entry
+            entries = {p: arrays[p].astype(np.float32) for p in sorted(arrays)}
+        for p, a in entries.items():
+            if not np.isfinite(a).all():
+                raise NonFiniteValue(f"entry {p} contains NaN or Inf in float32")
+        return Checkpoint(self.kind, self.digest, entries)
 
     def clone(self):
         return self.with_entries(self.entries)
@@ -80,7 +90,7 @@ def to_params(spec, ckpt: Checkpoint) -> ParamStore:
     """Materialize a checkpoint against a spec, checked by :func:`check_spec`.
 
     The tensors are frozen, so a forward on them records no tape; a caller
-    that reads gradients makes its own grad leaves, as ``tuner.train`` does
+    that reads gradients makes its own grad leaves, as ``tuner.epochs`` does
     for what an :class:`architect.AdaptedModel`'s plan trains.
     """
     check_spec(spec, ckpt)

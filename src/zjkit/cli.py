@@ -3,7 +3,10 @@
 Runs are driven by a flat ``key=value`` config file whose one-line
 adaptation string stays first class. Every command writes its fully
 resolved config next to its outputs so a run is reproducible from the
-output directory alone.
+output directory alone. ``train`` writes it before training, rewrites
+``history.jsonl`` with every finished epoch's line after each epoch, and
+saves ``final.zjk1`` after the last, so a run that fails keeps its config
+and the epochs it finished. Every file is written atomically.
 
 Exit codes (each error class in ``errors`` carries its own ``exit_code``):
 
@@ -14,7 +17,8 @@ Exit codes (each error class in ``errors`` carries its own ``exit_code``):
     4  spec mismatch: SpecMismatch
     5  i/o error, corrupt checkpoint, missing file: IoError, CorruptCheckpoint,
        any OS error
-    6  numeric failure: NonFiniteValue, NoConvergence
+    6  numeric failure: NonFiniteValue (also a trained or merged entry past
+       float32's range), NoConvergence
     7  malformed dataset (bad IDX magic, label mismatch, malformed CSV):
        MalformedData
 """
@@ -241,15 +245,10 @@ def _out_dir(cfg, args):
     return out
 
 
-def _write_json(path, obj):
-    with ckpt_mod.atomic_open(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_resolved(cfg, out):
-    with ckpt_mod.atomic_open(os.path.join(out, "resolved.cfg")) as fh:
-        fh.write(render_config(cfg))
+def _write(out, name, text):
+    """Write ``text`` to ``out/name`` atomically."""
+    with ckpt_mod.atomic_open(os.path.join(out, name)) as fh:
+        fh.write(text)
 
 
 def cmd_plan(cfg, args):
@@ -291,13 +290,14 @@ def cmd_train(cfg, args):
             raise ConfigError("distillation terms require teacher.weights")
         teacher = _load_model(spec, architect.full_plan(spec), ckpt_mod.load_checkpoint(tw))
     train_cfg = tuner.TrainConfig(**_kwargs(cfg, tuner.TrainConfig, **_TUNER_KEYS), seed=args.seed)
-    _write_resolved(cfg, out)  # first, so a run that fails still names its config
-    ckpt, history = tuner.train(adapted, teacher, ds, loss_spec, reg_spec, train_cfg)
-    ckpt_mod.save_checkpoint(ckpt, os.path.join(out, "final.zjk1"))
-    with ckpt_mod.atomic_open(os.path.join(out, "history.jsonl")) as fh:
-        for entry in history:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    print(f"val_acc={history[-1]['val_acc']:.4f}")
+    _write(out, "resolved.cfg", render_config(cfg))  # first, so a failed run names its config
+    history = ""  # every finished epoch's line, so a failed run keeps them
+    for entry in tuner.epochs(adapted, teacher, ds, loss_spec, reg_spec, train_cfg):
+        history += json.dumps(entry, sort_keys=True) + "\n"
+        _write(out, "history.jsonl", history)
+    ckpt_mod.save_checkpoint(ckpt_mod.from_params(spec, adapted.params),
+                             os.path.join(out, "final.zjk1"))
+    print(f"val_acc={entry['val_acc']:.4f}")
     return 0
 
 
@@ -360,8 +360,8 @@ def cmd_merge(cfg, args):
         given = ", ".join([f"merger.kind={kind}"] + [f"{k}={cfg[k]}" for k in keys])
         raise ConfigError(f"{given}: {exc}") from None
     ckpt_mod.save_checkpoint(merged, os.path.join(out, "merged.zjk1"))
-    _write_json(os.path.join(out, "merge_report.json"), report)
-    _write_resolved(cfg, out)
+    _write(out, "merge_report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write(out, "resolved.cfg", render_config(cfg))
     print(f"merged {len(ckpts)} checkpoints with {kind}")
     return 0
 
@@ -398,8 +398,8 @@ def cmd_eval(cfg, args):
     }
     print(json.dumps(metrics, sort_keys=True))
     if out:
-        _write_json(os.path.join(out, "metrics.json"), metrics)
-        _write_resolved(cfg, out)
+        _write(out, "metrics.json", json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+        _write(out, "resolved.cfg", render_config(cfg))
     return 0
 
 

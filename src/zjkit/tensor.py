@@ -73,7 +73,7 @@ always runs it.
 Inference: a result is recorded iff an operand is tracked, and nothing
 else switches the tape on or off. A forward over frozen tensors (a
 checkpoint's ``to_params``, an ``AdaptedModel`` such as a ``Teacher``
-outside ``tuner.train``) records no node and keeps no activation alive for a
+outside a ``tuner.epochs`` epoch) records no node and keeps no activation alive for a
 backward nobody runs; a ``backward`` from its result raises
 ``ConfigError``. A gradient reader makes its own grad leaves. An untaped
 ``attention`` runs a block of samples at a time (per-sample matmuls and a

@@ -8,6 +8,11 @@ spectral shrinkage). Each loss or regularizer kind is one record in
 :data:`TERMS`: its evaluator, hooks, the keys it reads with their
 defaults, and its setup before the first minibatch. Each optimizer is one
 update rule in :data:`OPTIMIZERS`, kept with a state per trained tensor.
+
+:func:`epochs` is the one training loop: a generator that trains an epoch
+per step and yields its history entry, with the model frozen, so a
+consumer can keep or check each finished epoch. :func:`train` is that loop
+run to the end, plus the checkpoint of the trained store.
 """
 
 from __future__ import annotations
@@ -527,18 +532,20 @@ def _set_leaves(model, leaves):
         model.params.set(p, Tensor(t.data, requires_grad=leaves))
 
 
-def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
-          reg_spec: RegSpec, cfg: TrainConfig):
-    """Minibatch optimization of the composite objective.
+def epochs(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
+           reg_spec: RegSpec, cfg: TrainConfig):
+    """Minibatch optimization of the composite objective, one epoch a step.
 
-    Returns ``(Checkpoint, history)``; the checkpoint holds every path of
-    ``model.params`` (the spec's and the plan's new ones) under the spec's
-    digest. History is one dict per epoch: each term's mean keyed
-    by its kind (the second term of a kind is ``kind[1]``, and so on), then
-    ``val_acc``. The tensors ``model.trainable()`` names are grad leaves from
-    each epoch's first batch to its last step, and frozen otherwise (also
-    after a step raises), so ``val_acc`` and any later forward record no tape.
-    ``l2_sp`` anchors the spec's paths to their values as training starts.
+    A generator: its checks and setup run at the first ``next``, and each
+    step trains one epoch and yields its history entry: each term's mean
+    keyed by its kind (the second term of a kind is ``kind[1]``, and so on),
+    then ``val_acc``. The tensors ``model.trainable()`` names are grad leaves
+    from each epoch's first batch to its last step, and frozen otherwise
+    (also after a step raises), so at every yield ``model.params`` records no
+    tape and a consumer may read, predict or save it. Closing the generator
+    after k entries leaves the model as a k-epoch run under the constant
+    schedule leaves it. ``l2_sp`` anchors the spec's paths to their values as
+    training starts.
     """
     terms = [*loss_spec.terms, *reg_spec.terms]
     if not terms:
@@ -578,8 +585,8 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
     for term in terms:
         TERMS[term.kind].setup(term, batch)
 
-    history = []
     n_train = x_train.shape[0]
+    n_batches = -(-n_train // cfg.batch_size)
     for epoch in range(cfg.epochs):
         if cfg.schedule == "cosine":
             lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
@@ -587,7 +594,6 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
             lr = cfg.lr
         order = rng.permutation(n_train)
         term_sums = {}
-        n_batches = 0
         _set_leaves(model, True)
         try:
             for lo in range(0, n_train, cfg.batch_size):
@@ -606,7 +612,6 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
                     if term.weight != 1.0:  # times 1.0 is exact, in the value and the gradient
                         val = val.scale(term.weight)
                     total = val if total is None else total + val
-                n_batches += 1
 
                 try:
                     gmap = T.backward(total)
@@ -630,9 +635,14 @@ def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
         finally:
             _set_leaves(model, False)
 
-        entry = {"epoch": epoch}
-        entry.update({k: v / n_batches for k, v in sorted(term_sums.items())})
-        entry["val_acc"] = accuracy(model, x_val, y_val)
-        history.append(entry)
+        yield {"epoch": epoch, **{k: v / n_batches for k, v in sorted(term_sums.items())},
+               "val_acc": accuracy(model, x_val, y_val)}
 
+
+def train(model: AdaptedModel, teacher, data, loss_spec: LossSpec,
+          reg_spec: RegSpec, cfg: TrainConfig):
+    """:func:`epochs` run to the end. Returns ``(Checkpoint, history)``: the
+    checkpoint holds every path of ``model.params`` (the spec's and the plan's
+    new ones) under the spec's digest, and history is the list of entries."""
+    history = list(epochs(model, teacher, data, loss_spec, reg_spec, cfg))
     return ckpt_mod.from_params(model.spec, model.params), history

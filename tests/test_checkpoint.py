@@ -1,5 +1,7 @@
 """ZJK1 checkpoint format: round trips and corruption detection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,15 @@ def test_refuse_others_names_up_to_three_entries():
         refuse_others(extra, SPEC.param_shapes(), "the spec")
     with pytest.raises(SpecMismatch, match=r"1 other entries \(x\[3\]\.a\)$"):
         refuse_others(extra, [*SPEC.param_shapes(), "x[0].a", "x[1].a", "x[2].a"], "some")
+
+
+@pytest.mark.parametrize("bad", [1e39, -1e39, np.inf, np.nan])
+def test_an_entry_float32_cannot_hold_is_refused_where_it_is_made(bad):
+    """A float64 value past float32's range would be saved as an infinity that
+    no load accepts; ``with_entries`` refuses it, naming the entry, and no
+    numpy warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"^entry w contains NaN or Inf in float32$"):
+            Checkpoint("mlp", bytes(32)).with_entries({"v": np.ones(2),
+                                                       "w": np.array([0.5, bad])})

@@ -609,8 +609,8 @@ def test_eval_on_zero_rows(tmp_path, capsys, n_ckpts):
 
 
 def test_train_config_takes_the_set_tuner_keys_in_their_field_types(tmp_path, monkeypatch):
-    seen, train = [], tuner.train
-    monkeypatch.setattr(tuner, "train", lambda *a, **k: seen.append(a[5]) or train(*a, **k))
+    seen, epochs = [], tuner.epochs
+    monkeypatch.setattr(tuner, "epochs", lambda *a, **k: seen.append(a[5]) or epochs(*a, **k))
     text = _with("tuner.optimizer", "adamw", _with("tuner.weight_decay", "1e-3"))
     _train(tmp_path, "o", text)
     want = tuner.TrainConfig(optimizer="adamw", lr=0.2, weight_decay=0.001, epochs=3,
@@ -751,8 +751,7 @@ def test_unwritable_output_exit_5(tmp_path, capsys):
     code = main(["train", "--config", _cfg(tmp_path), "--out", str(out)])
     assert code == 5
     assert "error:" in capsys.readouterr().err
-    assert sorted(f.name for f in out.iterdir()) == ["final.zjk1", "history.jsonl",
-                                                      "resolved.cfg"]
+    assert sorted(f.name for f in out.iterdir()) == ["history.jsonl", "resolved.cfg"]
 
 
 DIVERGING_CFG = """\
@@ -766,17 +765,41 @@ tuner.lr=2
 """
 
 
-def test_a_run_that_diverges_leaves_its_resolved_config(tmp_path, capsys):
-    """``resolved.cfg`` is written before training, so a run that fails in
-    it still names its config, in the bytes a finished run writes."""
-    out = tmp_path / "o"
+def _epochs_kept(out):
+    return [json.loads(line)["epoch"] for line in (out / "history.jsonl").read_text().splitlines()]
+
+
+def test_a_run_that_diverges_keeps_its_config_and_finished_epochs(tmp_path, capsys):
+    """``resolved.cfg`` is written before training and ``history.jsonl`` after
+    each epoch, so a run that fails at epoch 1 still names its config, in the
+    bytes a finished run writes, and keeps epoch 0's line, in the bytes of
+    the same run stopped after one epoch."""
+    out, one = tmp_path / "o", tmp_path / "one"
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["train", "--config", _cfg(tmp_path, DIVERGING_CFG), "--out", str(out)])
+        main(["train", "--config", _cfg(tmp_path, _with("tuner.epochs", "1", DIVERGING_CFG)),
+              "--out", str(one)])
     assert code == 6
     assert "NaN or Inf" in capsys.readouterr().err
-    assert [f.name for f in out.iterdir()] == ["resolved.cfg"]
+    assert sorted(f.name for f in out.iterdir()) == ["history.jsonl", "resolved.cfg"]
     assert (out / "resolved.cfg").read_text() == cli.render_config(
         parse_run_config(DIVERGING_CFG))
+    assert _epochs_kept(out) == [0]
+    assert (out / "history.jsonl").read_bytes() == (one / "history.jsonl").read_bytes()
+
+
+def test_a_trained_entry_past_float32_range_is_exit_6_and_saves_no_checkpoint(tmp_path,
+                                                                              capsys):
+    """The diverging run's epoch 0 leaves weights past float32's range. The
+    checkpoint is refused where it is made, naming the entry, with no numpy
+    warning, and the epoch's history stays."""
+    out = tmp_path / "o"
+    code = main(["train", "--config", _cfg(tmp_path, _with("tuner.epochs", "1", DIVERGING_CFG)),
+                 "--out", str(out)])
+    assert code == 6
+    assert "entry layers[2].weight contains NaN or Inf" in capsys.readouterr().err
+    assert sorted(f.name for f in out.iterdir()) == ["history.jsonl", "resolved.cfg"]
+    assert _epochs_kept(out) == [0]
 
 
 # -- exit codes ----------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import check_grads, rand_tensor
+from zjkit import checkpoint as ckpt_mod
 from zjkit import data as data_mod
 from zjkit import tensor as T
 from zjkit import tuner
@@ -697,6 +698,61 @@ def test_a_step_drops_its_tape_before_the_next_forward():
     model.forward = watched
     train(model, teacher, ds, LossSpec([LossTerm("ce"), hint]), RegSpec(), cfg)
     assert len(taped) > 4 and not any(alive)
+
+
+# -- the epoch generator --------------------------------------------------
+
+
+def _entry_bytes(ckpt):
+    return ckpt.kind, ckpt.digest, {p: a.tobytes() for p, a in ckpt.entries.items()}
+
+
+def test_epochs_checks_and_sets_up_at_the_first_next():
+    _, ds, model, cfg = _probe_setup()
+    run = tuner.epochs(model, None, ds, LossSpec([LossTerm("kd_kl")]), RegSpec(), cfg)
+    with pytest.raises(ConfigError, match="loss spec requires a teacher model"):
+        next(run)
+
+
+@pytest.mark.parametrize("method", ["(LinearProbe.adapt):",
+                                    "(LoRA.adapt|r=2):->(layers[0]){inout}"])
+def test_every_tensor_is_frozen_at_every_yield(method):
+    """A consumer reads the model between epochs: nothing in its store is a
+    grad leaf, so its forward records no tape."""
+    spec = MlpSpec((2, 8, 3))
+    ds = data_mod.blobs(k=3, d=2, n=120, sigma=0.1, seed=1)
+    model = apply_plan(spec, build_model(spec, seed=0),
+                       compile_plan(parse_config(method), spec), seed=0)
+    x = Tensor(ds.split("val")[0])
+    seen = 0
+    for _ in tuner.epochs(model, None, ds, LossSpec(), RegSpec(),
+                          TrainConfig(lr=0.2, epochs=3, batch_size=16, seed=0)):
+        assert all(t._node is None for _, t in model.params.items())
+        assert model.forward(x)[0]._node is None
+        seen += 1
+    assert seen == 3
+
+
+def test_the_first_k_epochs_are_a_k_epoch_run():
+    """Under the constant schedule, a run closed after k entries has the
+    history and the weights of a k-epoch run (cosine reads ``cfg.epochs``)."""
+    _, ds, model, cfg = _probe_setup(epochs=5)
+    run = tuner.epochs(model, None, ds, LossSpec(), RegSpec(), cfg)
+    head = [next(run) for _ in range(2)]
+    run.close()
+    _, ds, short, cfg = _probe_setup(epochs=2)
+    ckpt, history = train(short, None, ds, LossSpec(), RegSpec(), cfg)
+    assert head == history
+    assert _entry_bytes(ckpt_mod.from_params(model.spec, model.params)) == _entry_bytes(ckpt)
+
+
+def test_train_is_the_generator_drained():
+    spec, ds, model, cfg = _probe_setup(epochs=3, optimizer="adamw", schedule="cosine")
+    drained = list(tuner.epochs(model, None, ds, LossSpec(), RegSpec(), cfg))
+    _, ds, again, cfg = _probe_setup(epochs=3, optimizer="adamw", schedule="cosine")
+    ckpt, history = train(again, None, ds, LossSpec(), RegSpec(), cfg)
+    assert history == drained and len(history) == 3
+    assert _entry_bytes(ckpt) == _entry_bytes(ckpt_mod.from_params(spec, model.params))
 
 
 def test_bss_reg_wired_through_training():
