@@ -136,8 +136,7 @@ merger.samples=16
 merger.eps=0.1
 seed=7
 """
-RECIPES = ("uniform_soup", "greedy_soup", "wise_ft", "fisher", "ot_fusion", "git_rebasin",
-           "repair")
+RECIPES = tuple(merger.RECIPES)
 
 
 def sha(data):

@@ -6,7 +6,12 @@ resolved config next to its outputs so a run is reproducible from the
 output directory alone. ``train`` writes it before training, rewrites
 ``history.jsonl`` with every finished epoch's line after each epoch, and
 saves ``final.zjk1`` after the last, so a run that fails keeps its config
-and the epochs it finished. Every file is written atomically.
+and the epochs it finished. ``merge`` reads everything about a recipe from
+its ``merger.RECIPES`` record: which ``merger.*`` keys it reads (each cast
+once, by its default's type, before any data load or alignment), whether it
+takes exactly two checkpoints, loads data or scores under the plan, and its
+align and combine steps; so a recipe is registered there alone. Every file
+is written atomically.
 
 Exit codes (each error class in ``errors`` carries its own ``exit_code``):
 
@@ -33,6 +38,7 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,16 +47,14 @@ from .errors import ConfigError, IoError, ParseError, ZjError
 from .models import SPECS, build_model
 from .tensor import Tensor
 
-# TrainConfig field -> its run-config key; the run's seed is the top-level key
-_TUNER_KEYS = {f.name: f"tuner.{f.name}" for f in dataclasses.fields(tuner.TrainConfig)
-               if f.name != "seed"}
+# TrainConfig field -> its default, read from tuner.<field>; the run's seed is the top-level key
+_TUNER = {f.name: f.default for f in dataclasses.fields(tuner.TrainConfig) if f.name != "seed"}
 KNOWN_KEYS = {
     "model.kind", *(f"model.{f.name}" for spec in SPECS.values()
                     for f in dataclasses.fields(spec)),
-    "data.source", "architect.config", "tuner.loss", "tuner.reg", *_TUNER_KEYS.values(),
-    "teacher.weights",
-    "merger.kind", "merger.alpha", "merger.eps", "merger.iters",
-    "merger.samples", "merger.sweeps", "merger.ensemble", "merger.lams",
+    "data.source", "architect.config", "tuner.loss", "tuner.reg", *(f"tuner.{k}" for k in _TUNER),
+    "teacher.weights", "merger.kind", "merger.ensemble",
+    *(f"merger.{k}" for recipe in merger.RECIPES.values() for k in recipe.keys),
     "pretrained_weights", "seed", "out_dir",
 }
 
@@ -90,19 +94,22 @@ def render_config(cfg):
 
 
 def _num(value, name, cast=float):
-    """A run-config value cast to ``cast``; a malformed one is a ConfigError."""
+    """A run-config value cast to ``cast`` (``tuple``: a comma list of floats,
+    empty for an empty value); a malformed one is a ConfigError."""
+    if cast is tuple:
+        return tuple(_num(v, name) for v in value.split(",")) if value else ()
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}: expected {cast.__name__}, got {value!r}") from None
 
 
-def _kwargs(cfg, fn, **keys):
-    """``fn``'s keyword arguments the run config sets (``keys``: parameter ->
-    config key), each cast to the type of the parameter's default."""
-    params = inspect.signature(fn).parameters
-    return {name: _num(cfg[key], key, type(params[name].default))
-            for name, key in keys.items() if key in cfg}
+def _read(cfg, section, defaults):
+    """Each key of ``defaults`` (key -> default) -> the run config's
+    ``section.key`` cast to the type of the default, or the default if unset."""
+    names = {k: f"{section}.{k}" for k in defaults}
+    return {k: _num(cfg[name], name, type(defaults[k])) if name in cfg else defaults[k]
+            for k, name in names.items()}
 
 
 def _model_spec(cfg):
@@ -289,7 +296,7 @@ def cmd_train(cfg, args):
         if not tw:
             raise ConfigError("distillation terms require teacher.weights")
         teacher = _load_model(spec, architect.full_plan(spec), ckpt_mod.load_checkpoint(tw))
-    train_cfg = tuner.TrainConfig(**_kwargs(cfg, tuner.TrainConfig, **_TUNER_KEYS), seed=args.seed)
+    train_cfg = tuner.TrainConfig(**_read(cfg, "tuner", _TUNER), seed=args.seed)
     _write(out, "resolved.cfg", render_config(cfg))  # first, so a failed run names its config
     history = ""  # every finished epoch's line, so a failed run keeps them
     for entry in tuner.epochs(adapted, teacher, ds, loss_spec, reg_spec, train_cfg):
@@ -302,65 +309,46 @@ def cmd_train(cfg, args):
 
 
 def cmd_merge(cfg, args):
-    """Align, then combine: ``ot_fusion``, ``git_rebasin`` and ``repair`` permute
-    b's units onto a's first; then the one combine of the recipe runs."""
+    """Check the ingredients, cast every ``merger.*`` key the kind's
+    ``merger.RECIPES`` record reads and load what it needs; then its align
+    step, if any, permutes b's units onto a's, and its combine runs."""
     out = _out_dir(cfg, args)
     spec = _model_spec(cfg)
     ckpts = _ckpts(args)
     for c in ckpts:  # recipes that never read the spec still merge only its checkpoints
         ckpt_mod.check_spec(spec, c)
     kind = cfg.get("merger.kind", "uniform_soup")
-    aligning = kind in ("ot_fusion", "git_rebasin", "repair")
-    if kind not in ("uniform_soup", "greedy_soup", "wise_ft", "fisher") and not aligning:
+    recipe = merger.RECIPES.get(kind)
+    if recipe is None:
         raise ConfigError(f"unknown merger.kind {kind!r}")
-    if (aligning or kind == "wise_ft") and len(ckpts) != 2:
+    if recipe.pair and len(ckpts) != 2:
         raise ConfigError(f"{kind} needs exactly two checkpoints")
-    report = {"recipe": kind, "ingredients": list(args.ckpt)}
-    if kind in ("wise_ft", "repair"):  # before any alignment or data load
-        alpha = _num(cfg.get("merger.alpha", 0.5), "merger.alpha")
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"merger.alpha {alpha} outside [0,1]")
-    # data.source and architect.config errors name their own keys
-    ds = _load_dataset(cfg, args.seed) if kind in ("greedy_soup", "fisher", "repair") else None
-    plan = _plan(cfg, spec) if kind == "greedy_soup" else None
+    values = _read(cfg, "merger", recipe.keys)  # before any alignment or data load
+    if not 0.0 <= values.get("alpha", 0.0) <= 1.0:
+        raise ConfigError(f"merger.alpha {values['alpha']} outside [0,1]")
+    # outside the try: data.source and architect.config errors name their own
+    # keys, and an ingredient the plan cannot load fails as under zjkit eval
+    run = SimpleNamespace(spec=spec, seed=args.seed, names=args.ckpt,
+                          report={"recipe": kind, "ingredients": list(args.ckpt)},
+                          data=_load_dataset(cfg, args.seed) if recipe.data else None,
+                          log=functools.partial(print, file=sys.stderr), **values)
+    if recipe.plan:
+        plan = _plan(cfg, spec)
+        for c in ckpts:
+            _load_model(spec, plan, c)
+        run.accuracy = lambda c, xy: tuner.accuracy(_load_model(spec, plan, c), *xy)
     try:
-        if aligning:
-            if kind == "ot_fusion":
-                perm = merger.ot_align(*ckpts, **_kwargs(cfg, merger.ot_align, eps="merger.eps",
-                                                         iters="merger.iters"))
-                report["sinkhorn"] = perm.stats
-            else:
-                perm, report["objective"] = merger.weight_match(
-                    *ckpts, **_kwargs(cfg, merger.weight_match, max_sweeps="merger.sweeps"))
-            report["permutation"] = merger.permutation_summary(perm)
+        if recipe.align:
+            perm = recipe.align(*ckpts, run)
+            run.report["permutation"] = merger.permutation_summary(perm)
             ckpts = [ckpts[0], merger.permute_model(ckpts[1], perm)]
-        if kind == "greedy_soup":
-            merged, order = merger.greedy_soup(
-                ckpts, ds.split("val"),
-                lambda c, vd: tuner.accuracy(_load_model(spec, plan, c), *vd))
-            report["accepted"] = [args.ckpt[i] for i in order]
-        elif kind == "wise_ft":
-            merged = merger.wise_ft(*ckpts, alpha)
-        elif kind == "fisher":
-            kw = _kwargs(cfg, merger.fisher_estimate, n_samples="merger.samples")
-            fishers = [merger.fisher_estimate(spec, c, ds, seed=args.seed + i, **kw)
-                       for i, c in enumerate(ckpts)]
-            report["fisher_mass"] = [f.mass() for f in fishers]
-            lams = ([_num(v, "merger.lams") for v in cfg["merger.lams"].split(",")]
-                    if cfg.get("merger.lams") else None)
-            merged = merger.fisher_merge(ckpts, fishers, lams)
-        elif kind == "repair":  # alpha weights b', as in wise_ft
-            merged = merger.repair(merger.wise_ft(*ckpts, alpha), (*ckpts, 1.0 - alpha),
-                                   spec, ds.split("train")[0][:256],
-                                   log=functools.partial(print, file=sys.stderr))
-        else:  # uniform_soup, ot_fusion, git_rebasin
-            merged = merger.uniform_soup(ckpts)
+        merged = recipe.combine(ckpts, run)
     except ConfigError as exc:  # a recipe names its argument, not the run's key
         keys = [k for k in cfg if k.startswith("merger.") and k != "merger.kind"]
         given = ", ".join([f"merger.kind={kind}"] + [f"{k}={cfg[k]}" for k in keys])
         raise ConfigError(f"{given}: {exc}") from None
     ckpt_mod.save_checkpoint(merged, os.path.join(out, "merged.zjk1"))
-    _write(out, "merge_report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write(out, "merge_report.json", json.dumps(run.report, sort_keys=True, indent=2) + "\n")
     _write(out, "resolved.cfg", render_config(cfg))
     print(f"merged {len(ckpts)} checkpoints with {kind}")
     return 0

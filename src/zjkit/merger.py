@@ -30,6 +30,13 @@ Permutation, weight matching, OT alignment and REPAIR work on a checkpoint's
 own float64 entries through the unit groups its family declares
 (``models.SPECS[kind].unit_group``), one map per group; they refuse adapter
 entries, whose root is an ``architect.METHODS`` key.
+
+:data:`RECIPES` maps each ``merger.kind`` of ``zjkit merge`` to one
+:class:`Recipe` record: its optional align step, its combine, the
+``merger.*`` keys it reads with their defaults (those of the library
+parameters they feed), and whether it takes exactly two checkpoints, reads
+data or scores under the run's plan. It is the one place a recipe is
+registered.
 """
 
 from __future__ import annotations
@@ -485,6 +492,76 @@ def repair(interp: Checkpoint, endpoints, spec, calib_x, log=None) -> Checkpoint
         w, b = f"{site}.weight", f"{site}.bias"
         entries[w], entries[b] = scale[:, None] * entries[w], scale * entries[b] + shift
     return interp.with_entries(entries)
+
+
+# -- recipe table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """One ``merger.kind`` of ``zjkit merge``.
+
+    ``combine(ckpts, run)`` returns the merged checkpoint. ``align(a, b, run)``,
+    if set, runs first: it returns the :class:`Permutation` that puts b's
+    units onto a's and adds its own field to ``run.report``. ``keys`` maps
+    each ``merger.<key>`` the recipe reads to its default, whose type the
+    run-config value takes (a tuple: a comma list of floats). ``pair``: it
+    takes exactly two checkpoints; ``data``: it reads ``data.source``;
+    ``plan``: it scores checkpoints under ``architect.config``. ``run``
+    carries the ``spec``, ``data``, ``seed``, each key's value, the
+    ingredients' ``names``, the ``report`` dict, ``accuracy(ckpt, (x, y))``
+    under the plan and a stderr ``log``.
+    """
+    combine: object
+    align: object = None
+    keys: dict = field(default_factory=dict)
+    pair: bool = False
+    data: bool = False
+    plan: bool = False
+
+
+def _soup(ckpts, run):
+    return uniform_soup(ckpts)
+
+
+def _greedy(ckpts, run):
+    merged, order = greedy_soup(ckpts, run.data.split("val"), run.accuracy)
+    run.report["accepted"] = [run.names[i] for i in order]
+    return merged
+
+
+def _fisher(ckpts, run):
+    fishers = [fisher_estimate(run.spec, c, run.data, run.samples, run.seed + i)
+               for i, c in enumerate(ckpts)]
+    run.report["fisher_mass"] = [f.mass() for f in fishers]
+    return fisher_merge(ckpts, fishers, run.lams or None)
+
+
+def _ot(a, b, run):
+    perm = ot_align(a, b, run.eps, run.iters)
+    run.report["sinkhorn"] = perm.stats
+    return perm
+
+
+def _matched(a, b, run):
+    perm, run.report["objective"] = weight_match(a, b, run.sweeps)
+    return perm
+
+
+RECIPES = {
+    "uniform_soup": Recipe(_soup),
+    "greedy_soup": Recipe(_greedy, data=True, plan=True),
+    "wise_ft": Recipe(lambda ckpts, run: wise_ft(*ckpts, run.alpha), keys={"alpha": 0.5},
+                      pair=True),
+    "fisher": Recipe(_fisher, keys={"samples": 64, "lams": ()}, data=True),
+    "ot_fusion": Recipe(_soup, _ot, {"eps": 0.01, "iters": 500}, pair=True),
+    "git_rebasin": Recipe(_soup, _matched, {"sweeps": 20}, pair=True),
+    # alpha weights b', as in wise_ft; REPAIR calibrates on the first 256 train rows
+    "repair": Recipe(lambda ckpts, run: repair(
+        wise_ft(*ckpts, run.alpha), (*ckpts, 1.0 - run.alpha), run.spec,
+        run.data.split("train")[0][:256], log=run.log),
+        _matched, {"alpha": 0.5, "sweeps": 20}, pair=True, data=True),
+}
 
 
 # -- prediction mergers -------------------------------------------------

@@ -1258,15 +1258,27 @@ def test_an_unknown_merger_kind_exit_3(tmp_path, capsys, n):
     assert not (out / "merged.zjk1").exists()
 
 
-@pytest.mark.parametrize("kind", ["repair", "wise_ft"])
-@pytest.mark.parametrize("value, words", [("2", "merger.alpha 2.0 outside [0,1]"),
-                                          ("half", "merger.alpha: expected float, got 'half'")])
-def test_a_bad_alpha_fails_before_any_weight_matching_or_data_load(
-        tmp_path, capsys, monkeypatch, kind, value, words):
-    monkeypatch.setattr(cli, "_load_dataset", lambda *a: pytest.fail("loaded data"))
-    monkeypatch.setattr(merger, "weight_match", lambda *a, **k: pytest.fail("matched weights"))
+def _bad_merger_values():
+    """(kind, key, value, message) for each key each recipe reads: a value that
+    is not of the default's type, and an alpha outside [0, 1]."""
+    for kind, recipe in merger.RECIPES.items():
+        for key, default in recipe.keys.items():
+            cast = "float" if isinstance(default, tuple) else type(default).__name__
+            yield kind, key, "abc", f"merger.{key}: expected {cast}, got 'abc'"
+            if key == "alpha":
+                yield kind, key, "2", "merger.alpha 2.0 outside [0,1]"
+
+
+@pytest.mark.parametrize("kind, key, value, words", list(_bad_merger_values()))
+def test_a_bad_merger_value_fails_before_any_alignment_or_data_load(
+        tmp_path, capsys, monkeypatch, kind, key, value, words):
+    """Every key the recipe reads is cast before the run loads data or aligns,
+    so its message carries no prefix of the run's merger settings."""
+    for module, name in ((cli, "_load_dataset"), (merger, "weight_match"),
+                         (merger, "ot_align"), (merger, "fisher_estimate")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("ran past the casts"))
     ck = _ptm(tmp_path)
-    text = _with("merger.alpha", value, _with("merger.kind", kind))
+    text = _with(f"merger.{key}", value, _with("merger.kind", kind))
     code = main(["merge", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
                  "--ckpt", ck, "--ckpt", ck])
     assert code == 3
@@ -1277,6 +1289,9 @@ def test_a_bad_alpha_fails_before_any_weight_matching_or_data_load(
     ("fisher", "data.source", "nope()", "unknown data source 'nope'"),
     ("repair", "data.source", "blobs(sigma=nan)", "data.source sigma must be finite, got nan"),
     ("greedy_soup", "architect.config", "'(LoRA.adapt):->(layers[7]){inout}'", "layers[7]"),
+    # the full fine-tunes hold no LoRA factors for the plan, as under zjkit eval
+    ("greedy_soup", "architect.config", "'(LoRA.adapt):->(layers[0]){inout}'",
+     "unknown parameter path 'lora[0].a'"),
 ])
 def test_a_data_or_plan_error_is_not_prefixed_with_merger_settings(
         tmp_path, capsys, kind, key, value, words):
@@ -1287,6 +1302,52 @@ def test_a_data_or_plan_error_is_not_prefixed_with_merger_settings(
     assert code == 3
     err = capsys.readouterr().err
     assert words in err and "merger." not in err
+
+
+def test_a_recipe_registered_in_recipes_merges_with_no_cli_edit(tmp_path, capsys, monkeypatch):
+    """A recipe registered in ``merger.RECIPES`` alone merges through
+    ``zjkit merge``: its keys are cast, its data loaded and its pair rule
+    applied, as ``SPECS`` does for a model family."""
+
+    def combine(ckpts, run):
+        run.report["train_rows"] = len(run.data.split("train")[1])
+        return merger.wise_ft(*ckpts, run.alpha)
+
+    monkeypatch.setitem(merger.RECIPES, "toy", merger.Recipe(
+        combine, keys={"alpha": 0.5}, pair=True, data=True))
+    cks = [_ptm(tmp_path, "a.zjk1"), str(_train(tmp_path, "t") / "final.zjk1")]
+    text = _with("merger.alpha", "0.25", _with("merger.kind", "toy"))
+    out = tmp_path / "o"
+    assert main(["merge", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--ckpt", cks[0], "--ckpt", cks[1]]) == 0
+    save_checkpoint(merger.wise_ft(*(load_checkpoint(ck) for ck in cks), 0.25),
+                    tmp_path / "want.zjk1")
+    assert (out / "merged.zjk1").read_bytes() == (tmp_path / "want.zjk1").read_bytes()
+    report = json.loads((out / "merge_report.json").read_text())
+    assert report["recipe"] == "toy" and report["train_rows"] > 0
+    capsys.readouterr()
+    assert main(["merge", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "one"),
+                 "--ckpt", cks[0]]) == 3
+    assert capsys.readouterr().err == "error: toy needs exactly two checkpoints\n"
+    monkeypatch.setattr(cli, "_load_dataset", lambda *a: pytest.fail("loaded data"))
+    assert main(["merge", "--config", _cfg(tmp_path, _with("merger.alpha", "2", text)),
+                 "--out", str(tmp_path / "two"), "--ckpt", cks[0], "--ckpt", cks[1]]) == 3
+    assert capsys.readouterr().err == "error: merger.alpha 2.0 outside [0,1]\n"
+
+
+def test_each_recipe_key_defaults_to_the_library_parameter_it_feeds():
+    """``zjkit merge`` passes every key a recipe reads, so an unset key must
+    give what the library function gives when its argument is left out."""
+    feeds = {"eps": (merger.ot_align, "eps"), "iters": (merger.ot_align, "iters"),
+             "sweeps": (merger.weight_match, "max_sweeps"),
+             "samples": (merger.fisher_estimate, "n_samples")}
+    checked = set()
+    for kind, recipe in merger.RECIPES.items():
+        for key in recipe.keys.keys() & feeds.keys():
+            fn, param = feeds[key]
+            assert recipe.keys[key] == inspect.signature(fn).parameters[param].default, kind
+            checked.add(kind)
+    assert checked == {"fisher", "ot_fusion", "git_rebasin", "repair"}
 
 
 # -- run-config fuzz ------------------------------------------------------
@@ -1303,8 +1364,7 @@ SIZING_KEYS = {"tuner.epochs", "merger.iters", "merger.sweeps", "merger.samples"
 SIZING_ARGS = {"n", "k", "d", "seq", "iters"}  # data.source and term arguments
 # the keys an MLP run reads: the mini-ViT's model keys are left out
 FUZZ_KEYS = sorted(cli.KNOWN_KEYS - {f"model.{f.name}" for f in dataclasses.fields(MiniVitSpec)})
-RECIPES = ["uniform_soup", "greedy_soup", "wise_ft", "fisher", "ot_fusion", "git_rebasin",
-           "repair"]
+RECIPES = list(merger.RECIPES)
 
 
 def _small_or_any(key):

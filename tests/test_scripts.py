@@ -1,6 +1,7 @@
 """Scripts under ``scripts/``: the fixed-seed digests against the recorded ones, the digest
-script's kernel check and the merge demo."""
+script's kernel check, the merge demo and the source line counter."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -61,3 +62,29 @@ def test_merge_alignment_demo_prints_each_merge():
     labels = [line.split(":")[0] for line in run.stdout.splitlines()]
     assert labels == ["endpoint seed=0", "endpoint seed=1", "naive midpoint", "weight-match mid",
                       "ot-fusion mid", "aligned + repair", "hidden layer 0", "hidden layer 1"]
+
+
+# one line of each kind the counter tells apart; the code lines are marked
+SNIPPET = '''"""Module docstring,
+on two lines."""
+
+import os  # code
+
+
+def f(x):  # code
+    """Function docstring."""
+    # a comment line
+    y = max(x,  # code
+            1)  # code
+    text = """a string  # code
+that is not a docstring"""  # code
+    return y, text  # code
+'''
+
+
+def test_code_lines_counts_no_docstring_comment_or_blank_line():
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", os.path.join(ROOT, "scripts", "src_lines.py"))
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    assert src_lines.code_lines(SNIPPET) == SNIPPET.count("# code") == 7
