@@ -49,21 +49,27 @@ from .tensor import Tensor
 
 # TrainConfig field -> its default, read from tuner.<field>; the run's seed is the top-level key
 _TUNER = {f.name: f.default for f in dataclasses.fields(tuner.TrainConfig) if f.name != "seed"}
-KNOWN_KEYS = {
+_FIXED_KEYS = {
     "model.kind", *(f"model.{f.name}" for spec in SPECS.values()
                     for f in dataclasses.fields(spec)),
     "data.source", "architect.config", "tuner.loss", "tuner.reg", *(f"tuner.{k}" for k in _TUNER),
     "teacher.weights", "merger.kind", "merger.ensemble",
-    *(f"merger.{k}" for recipe in merger.RECIPES.values() for k in recipe.keys),
     "pretrained_weights", "seed", "out_dir",
 }
+
+
+def known_keys():
+    """Every run-config key: the fixed ones and each ``merger.<key>`` a
+    recipe of ``merger.RECIPES`` reads, read at the call, so a recipe
+    registered after import is configurable."""
+    return _FIXED_KEYS | {f"merger.{k}" for recipe in merger.RECIPES.values() for k in recipe.keys}
 
 
 # -- config file --------------------------------------------------------
 
 
 def parse_run_config(text):
-    cfg = {}
+    cfg, known = {}, known_keys()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -75,7 +81,7 @@ def parse_run_config(text):
         value = value.strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
-        if key not in KNOWN_KEYS:
+        if key not in known:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
         if key in cfg:
             raise ConfigError(f"line {ln}: duplicate key {key!r}")

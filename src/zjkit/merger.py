@@ -5,31 +5,41 @@ optimal-transport and permutation alignment, preactivation repair)
 operate on checkpoints sharing one spec digest; prediction mergers
 combine logits, probabilities, or votes.
 
-The diagonal Fisher (:func:`fisher_estimate`) runs its samples in blocks
-of about ``_FISHER_BLOCK`` input rows, one batched forward and one
-per-sample backward each, so its memory does not grow with the sample
-count; its row and label draws replay a per-sample loop's RNG order, so
-it equals that loop up to rounding (the loop is the reference in the
-tests). It takes checkpoints of the spec's own parameters only; adapter
-entries are refused. It is the one reader of gradients here, so it makes
-grad leaves of its own from the frozen :func:`checkpoint.to_params` store.
-REPAIR keeps per-unit means and deviations, not preactivation traces, and
-a soup sums its ingredients into one float64 buffer per entry.
+Each merge holds the model plus one block of work. The diagonal Fisher
+(:func:`fisher_estimate`) runs its samples in blocks of about
+``_FISHER_BLOCK`` (128) input rows, one batched forward and one per-sample
+backward each (which sums per-sample weight gradients 256 KiB at a time,
+``tensor._PER_SAMPLE_BLOCK``), so its memory does not grow with the sample
+count; it reads the drawn rows from ``data.x`` through the train split's
+indices, with no copy of the split. Its row and label draws replay a
+per-sample loop's RNG order, so it equals that loop up to rounding (the
+loop is the reference in the tests). It takes checkpoints of the spec's
+own parameters only; adapter entries are refused. It is the one reader of
+gradients here, so it makes grad leaves of its own from the frozen
+:func:`checkpoint.to_params` store. Fisher merging sums each path in place
+in four float64 buffers of its shape, REPAIR keeps per-unit means and
+deviations, not preactivation traces, and a soup sums its ingredients into
+one float64 buffer per entry.
 
 OT alignment (:func:`ot_align`) solves each layer's entropic problem on a
 Gram-form cost by stabilised Sinkhorn scaling (:func:`sinkhorn`), a few
-exps per solve rather than three per iteration, and hardens the plan by an
-exact assignment, which is always a bijection. Weight matching re-solves a
-unit group only when another group has changed a map that moves its site
-weight or reader since its last solve; a skipped solve would give the same
+exps per solve rather than three per iteration, each kernel built in one
+buffer after the old one is dropped, and hardens the plan by an exact
+assignment, which is always a bijection. Weight matching re-solves a unit
+group only when another group has changed a map that moves its site weight
+or reader since its last solve; a skipped solve would give the same
 assignment and decision. scipy's ``linear_sum_assignment`` is imported at
 the first assignment, so importing zjkit and the commands that solve none
 load no scipy.
 
-Permutation, weight matching, OT alignment and REPAIR work on a checkpoint's
-own float64 entries through the unit groups its family declares
-(``models.SPECS[kind].unit_group``), one map per group; they refuse adapter
-entries, whose root is an ``architect.METHODS`` key.
+Permutation, weight matching, OT alignment and REPAIR work through the unit
+groups a checkpoint's family declares (``models.SPECS[kind].unit_group``),
+one map per group, and refuse adapter entries, whose root is an
+``architect.METHODS`` key. None casts a whole checkpoint to float64: a
+permutation moves the stored float32 entries, which is exact; weight
+matching casts the entries its score reads; OT alignment casts one group's
+two ``[weight | bias]`` row blocks and drops that group's cost and plan
+before the next; REPAIR casts only the rows it corrects.
 
 :data:`RECIPES` maps each ``merger.kind`` of ``zjkit merge`` to one
 :class:`Recipe` record: its optional align step, its combine, the
@@ -56,7 +66,7 @@ from .models import SPECS, ParamStore, forward
 from .tensor import Tensor
 
 EPS_FLOOR = 1e-12
-_FISHER_BLOCK = 192  # input rows (samples times tokens) on one fisher_estimate tape
+_FISHER_BLOCK = 128  # input rows (samples times tokens) on one fisher_estimate tape
 
 
 def _check_aligned(checkpoints):
@@ -158,23 +168,23 @@ def fisher_estimate(spec, ckpt: Checkpoint, data, n_samples=64, seed=0) -> Fishe
     params = ParamStore({p: Tensor(t.data, requires_grad=True)  # to_params leaves are frozen
                          for p, t in to_params(spec, ckpt).items()})
     refuse_others(ckpt, params.paths(), "fisher_estimate needs the spec's parameters")
-    x_train, _ = data.split("train")
-    if x_train.shape[0] == 0:
+    train = data.splits["train"]  # the rows are read through it, not copied out
+    if train.size == 0:
         raise ConfigError("fisher_estimate needs a non-empty train split")
     # choice(k, p=...) draws one random() and takes the first class whose
     # normalised cumulative p exceeds it, so every draw can come first
     rng = np.random.default_rng(seed)
     idx, u = np.empty(n_samples, dtype=np.int64), np.empty(n_samples)
     for j in range(n_samples):
-        idx[j] = rng.integers(0, x_train.shape[0])
+        idx[j] = rng.integers(0, train.size)
         u[j] = rng.random()
     labels = np.empty(n_samples, dtype=np.int64)
-    blocks = max(1, -(-n_samples * math.prod(x_train.shape[1:-1]) // _FISHER_BLOCK))
+    blocks = max(1, -(-n_samples * math.prod(data.x.shape[1:-1]) // _FISHER_BLOCK))
     step = -(-n_samples // blocks)
     sq = {}
     for lo in range(0, n_samples, step):
         rows = slice(lo, lo + step)
-        logits, _ = forward(spec, params, Tensor(x_train[idx[rows]]))
+        logits, _ = forward(spec, params, Tensor(data.x[train[idx[rows]]]))
         cdf = np.cumsum(T.softmax(logits.detach()).data, axis=1)
         labels[rows] = (cdf / cdf[:, -1:] <= u[rows, None]).sum(1)
         logp = T.log_softmax(logits)[(np.arange(cdf.shape[0]), labels[rows])].sum()
@@ -189,7 +199,10 @@ def fisher_merge(checkpoints, fishers, lams=None) -> Checkpoint:
     """Precision-weighted average: theta* = sum(l F theta) / sum(l F).
 
     Elements where every Fisher is zero fall back to the plain
-    lambda-weighted average.
+    lambda-weighted average. A Fisher entry holding NaN or an infinity is
+    NonFiniteValue, and one holding a negative value ConfigError, each
+    naming its path. Each path is summed in place in float64 buffers of
+    its own shape.
     """
     _check_aligned(checkpoints)
     if lams is None:
@@ -202,18 +215,26 @@ def fisher_merge(checkpoints, fishers, lams=None) -> Checkpoint:
         raise ShapeMismatch("one Fisher per checkpoint required")
     out = {}
     for p in checkpoints[0].entries:
-        num, den, plain = (np.zeros(checkpoints[0].entries[p].shape) for _ in range(3))
+        num, den, plain, term = (np.zeros(checkpoints[0].entries[p].shape) for _ in range(4))
         for c, f, l in zip(checkpoints, fishers, lams):
             if p not in f.entries:
                 raise ShapeMismatch(f"fisher has no entry for checkpoint path {p}")
             fe = f.entries[p]
             if fe.shape != num.shape:
                 raise ShapeMismatch(f"fisher shape mismatch at {p}")
-            theta = c.entries[p].astype(np.float64)
-            num += l * fe * theta
-            den += l * fe
-            plain += l * theta
-        out[p] = np.where(den > 0, num / (den + EPS_FLOOR), plain / sum(lams))
+            if not np.isfinite(fe).all():
+                raise NonFiniteValue(f"fisher entry {p} contains NaN or Inf")
+            if (fe < 0).any():
+                raise ConfigError(f"fisher entry {p} has a negative value")
+            theta = c.entries[p]  # float32, read in float64 by each product
+            den += np.multiply(fe, l, out=term)  # l * fe, in fe's dtype
+            num += np.multiply(term, theta, out=term)
+            plain += np.multiply(theta, l, out=term, dtype=np.float64)
+        fallback = den == 0  # every Fisher is zero there
+        num /= np.add(den, EPS_FLOOR, out=den)
+        plain /= sum(lams)
+        num[fallback] = plain[fallback]
+        out[p] = num
     return checkpoints[0].with_entries(out)
 
 
@@ -225,8 +246,10 @@ ABSORB_TAU = 1e3
 
 
 def _lse(z, axis):
+    """Log-sum-exp of ``z`` along ``axis``; ``z`` is overwritten."""
     zmax = z.max(axis=axis, keepdims=True)
-    return (zmax + np.log(np.exp(z - zmax).sum(axis=axis, keepdims=True))).squeeze(axis)
+    z -= zmax
+    return (zmax + np.log(np.exp(z, out=z).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def sinkhorn(cost, eps, iters):
@@ -247,6 +270,8 @@ def sinkhorn(cost, eps, iters):
     ``NoConvergence`` if the final violation exceeds 1e-4 or is NaN.
     """
     cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.size == 0:
+        raise ShapeMismatch(f"cost must be a non-empty 2-D matrix, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise NonFiniteValue("cost matrix contains NaN/Inf")
     if not (np.isfinite(eps) and eps > 0):
@@ -260,8 +285,13 @@ def sinkhorn(cost, eps, iters):
     u, v = np.ones(n), np.ones(m)
 
     def kernel():
-        return np.exp((f[:, None] + g[None, :] - cost) / eps)
+        """``exp((f + g - cost) / eps)`` in one n x m buffer."""
+        z = np.add.outer(f, g)
+        z -= cost
+        z /= eps
+        return np.exp(z, out=z)
 
+    # each rebuild drops the old kernel first, so one n x m kernel is alive at a time
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kern = kernel()
         kv = kern.sum(axis=1)
@@ -269,6 +299,7 @@ def sinkhorn(cost, eps, iters):
             u = a / kv
             u_lo, u_hi = u.min(), u.max()
             if not 0 < u_lo <= u_hi < np.inf:
+                del kern
                 g += eps * np.log(v)
                 f = eps * (log_a - _lse((g[None, :] - cost) / eps, axis=1))
                 u, v = np.ones(n), np.ones(m)
@@ -277,6 +308,7 @@ def sinkhorn(cost, eps, iters):
             v = b / (kern.T @ u)
             v_lo, v_hi = v.min(), v.max()
             if not 0 < v_lo <= v_hi < np.inf:
+                del kern
                 f += eps * np.log(u)
                 g = eps * (log_b - _lse((f[:, None] - cost) / eps, axis=0))
                 u, v = np.ones(n), np.ones(m)
@@ -286,11 +318,13 @@ def sinkhorn(cost, eps, iters):
             if np.abs(u * kv - a).max() < 1e-9:
                 break
             if min(u_lo, v_lo) < 1.0 / ABSORB_TAU or max(u_hi, v_hi) > ABSORB_TAU:
+                del kern
                 f += eps * np.log(u)
                 g += eps * np.log(v)
                 u, v = np.ones(n), np.ones(m)
                 kern = kernel()
                 kv = kern.sum(axis=1)
+        del kern
         f += eps * np.log(u)
         g += eps * np.log(v)
         plan = kernel()
@@ -312,8 +346,8 @@ class Permutation:
 
 
 def _groups(ckpt: Checkpoint):
-    """The unit groups that ``ckpt``'s entries hold, and the entries as float64.
-    Adapter entries would not move with the units, so they are refused."""
+    """The unit groups that ``ckpt``'s entries hold. Adapter entries would
+    not move with the units, so they are refused."""
     spec = SPECS.get(ckpt.kind)
     if spec is None:
         raise ConfigError(f"unknown model kind {ckpt.kind!r}")
@@ -322,7 +356,7 @@ def _groups(ckpt: Checkpoint):
     groups = []
     while (group := spec.unit_group(len(groups)))[2] in ckpt.entries:
         groups.append(group)
-    return groups, {p: a.astype(np.float64) for p, a in ckpt.entries.items()}
+    return groups
 
 
 def _permuted(entries, groups, maps):
@@ -339,7 +373,7 @@ def _permuted(entries, groups, maps):
 
 def permute_model(ckpt: Checkpoint, perm: Permutation) -> Checkpoint:
     """Reorder each group's units; the network function is exactly preserved."""
-    groups, entries = _groups(ckpt)
+    groups, entries = _groups(ckpt), ckpt.entries  # moving float32 entries is exact
     if len(perm.maps) != len(groups):
         raise ShapeMismatch(f"{len(perm.maps)} maps for {len(groups)} hidden layers")
     maps = [np.asarray(m) for m in perm.maps]
@@ -365,9 +399,13 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
     _check_aligned([ckpt_a, ckpt_b])
     from scipy.optimize import linear_sum_assignment  # loaded at the first solve, not with zjkit
 
-    (groups, a), (_, b) = _groups(ckpt_a), _groups(ckpt_b)
+    groups = _groups(ckpt_a)  # b has a's entries, so a's check covers it
     reads = [(f"{site}.weight", reader) for _, site, reader in groups]  # of b, by a group's score
     moved = dict.fromkeys(p for pair in reads for p in pair)
+    # the score is float64: the entries it reads, and the biases a map moves with them
+    a, b = ({p: c.entries[p].astype(np.float64)
+             for p in (*moved, *(f"{site}.bias" for _, site, _ in groups))}
+            for c in (ckpt_a, ckpt_b))
     # readers[k]: the other groups whose score map k moves (an MLP's neighbours, no mini-ViT group)
     readers = [[l for l, pair in enumerate(reads)
                 if l != k and {f"{site}.bias", *reads[k]}.intersection(pair)]
@@ -410,9 +448,12 @@ def weight_match(ckpt_a: Checkpoint, ckpt_b: Checkpoint, max_sweeps=20):
 
 
 def _sq_dists(x, y):
-    """Squared Euclidean distance from each row of x to each row of y."""
+    """Squared Euclidean distance from each row of x to each row of y:
+    ``|x|^2 + |y|^2 - 2 x.y``, in the product's buffer and one more."""
     with np.errstate(over="ignore", invalid="ignore"):  # sinkhorn rejects a non-finite cost
-        d = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
+        d = x @ y.T
+        d *= -2.0
+        d += np.add.outer((x * x).sum(axis=1), (y * y).sum(axis=1))
     return np.maximum(d, 0.0, out=d)
 
 
@@ -431,16 +472,19 @@ def ot_align(ckpt_a: Checkpoint, ckpt_b: Checkpoint, eps=0.01, iters=500) -> Per
     _check_aligned([ckpt_a, ckpt_b])
     from scipy.optimize import linear_sum_assignment  # loaded at the first solve, not with zjkit
 
-    (groups, a), (_, b) = _groups(ckpt_a), _groups(ckpt_b)
+    groups = _groups(ckpt_a)  # b has a's entries, so a's check covers it
     maps, stats = [], []
     for _, site, _ in groups:
-        # b's rows under the maps found so far, which move an MLP site's columns
-        rows_a, rows_b = (np.concatenate([e[f"{site}.weight"], e[f"{site}.bias"][:, None]], 1)
-                          for e in (a, _permuted(b, groups, maps)))
-        plan, record = sinkhorn(_sq_dists(rows_a, rows_b), eps=eps, iters=iters)
+        # one group's float64 rows at a time; b's under the maps found so far,
+        # which move an MLP site's columns
+        rows = (np.concatenate([e[f"{site}.weight"], e[f"{site}.bias"][:, None]], 1,
+                               dtype=np.float64)
+                for e in (ckpt_a.entries, _permuted(ckpt_b.entries, groups, maps)))
+        plan, record = sinkhorn(_sq_dists(*rows), eps=eps, iters=iters)
         record["coupling_entropy"] = coupling_entropy(plan)
-        maps.append(linear_sum_assignment(-plan)[1])
+        maps.append(linear_sum_assignment(np.negative(plan, out=plan))[1])
         stats.append(record)
+        del plan
     return Permutation(maps, stats)
 
 
@@ -465,7 +509,8 @@ def repair(interp: Checkpoint, endpoints, spec, calib_x, log=None) -> Checkpoint
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha {alpha} outside [0,1]")
     _check_aligned([interp, ckpt_a, ckpt_b])
-    groups, entries = _groups(interp)
+    # the corrected rows are float64 (a float32 entry times a float64 scale)
+    groups, entries = _groups(interp), dict(interp.entries)
     calib = Tensor(np.asarray(calib_x, dtype=np.float64))
     if calib.shape[0] < 16:
         raise ConfigError("calibration batch must have >= 16 samples")
@@ -614,4 +659,4 @@ def permutation_summary(perm: Permutation):
 def coupling_entropy(plan):
     p = np.asarray(plan, dtype=np.float64).reshape(-1)
     p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
+    return float(-np.multiply(p, np.log(p), out=p).sum())

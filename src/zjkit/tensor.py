@@ -118,7 +118,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteValue, ShapeMismatch, check_count
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-_PER_SAMPLE_BLOCK = 1 << 17  # float64 elements (1 MiB) of per-sample affine gradients
+_PER_SAMPLE_BLOCK = 1 << 15  # float64 elements (256 KiB) of per-sample affine gradients
 _ATTENTION_BLOCK = 1 << 14  # float64 elements (128 KiB) of an untaped block's scores, keys, values
 _uid_counter = itertools.count()
 

@@ -273,7 +273,7 @@ def test_options_may_come_before_the_command(tmp_path, capsys):
 
 
 def test_known_keys_are_the_documented_run_config_keys():
-    assert cli.KNOWN_KEYS == {
+    assert cli.known_keys() == {
         "model.kind", "model.widths", "model.activation",
         "model.dim", "model.blocks", "model.heads", "model.mlp_dim",
         "model.classes", "model.seq_len", "model.input_dim",
@@ -1335,6 +1335,33 @@ def test_a_recipe_registered_in_recipes_merges_with_no_cli_edit(tmp_path, capsys
     assert capsys.readouterr().err == "error: merger.alpha 2.0 outside [0,1]\n"
 
 
+def test_a_key_only_a_recipe_registered_after_import_reads_is_known(tmp_path, capsys,
+                                                                  monkeypatch):
+    """The run-config keys are checked against ``merger.RECIPES`` when a
+    config is parsed: a ``merger.beta`` that no built-in recipe reads was an
+    unknown key (exit 3) with the recipe registered after import."""
+    cks = [_ptm(tmp_path, "a.zjk1"), str(_train(tmp_path, "t") / "final.zjk1")]
+    text = _with("merger.beta", "0.25", _with("merger.kind", "toy"))
+    assert "merger.beta" not in cli.known_keys()
+    monkeypatch.setitem(merger.RECIPES, "toy", merger.Recipe(
+        lambda ckpts, run: merger.wise_ft(*ckpts, run.beta), keys={"beta": 1.0}, pair=True))
+    assert "merger.beta" in cli.known_keys()
+    out = tmp_path / "o"
+    assert main(["merge", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--ckpt", cks[0], "--ckpt", cks[1]]) == 0
+    save_checkpoint(merger.wise_ft(*(load_checkpoint(ck) for ck in cks), 0.25),
+                    tmp_path / "want.zjk1")
+    assert (out / "merged.zjk1").read_bytes() == (tmp_path / "want.zjk1").read_bytes()
+    capsys.readouterr()
+    assert main(["merge", "--config", _cfg(tmp_path, _with("merger.beta", "abc", text)),
+                 "--out", str(tmp_path / "bad"), "--ckpt", cks[0], "--ckpt", cks[1]]) == 3
+    assert capsys.readouterr().err == "error: merger.beta: expected float, got 'abc'\n"
+    monkeypatch.delitem(merger.RECIPES, "toy")
+    assert main(["merge", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "gone"),
+                 "--ckpt", cks[0], "--ckpt", cks[1]]) == 3
+    assert "unknown key 'merger.beta'" in capsys.readouterr().err
+
+
 def test_each_recipe_key_defaults_to_the_library_parameter_it_feeds():
     """``zjkit merge`` passes every key a recipe reads, so an unset key must
     give what the library function gives when its argument is left out."""
@@ -1360,10 +1387,10 @@ FUZZ_TEXT = ["", "0", "1", "2", "-1", "0.5", "-0.5", "1e308", "-1e308", "nan", "
 FUZZ_SMALL = ["", "0", "1", "2", "-1", "0.5", "nan", "inf", "abc", "1,2",
               "-99999999999999999999"]
 SIZING_KEYS = {"tuner.epochs", "merger.iters", "merger.sweeps", "merger.samples",
-               *(k for k in cli.KNOWN_KEYS if k.startswith("model."))}
+               *(k for k in cli.known_keys() if k.startswith("model."))}
 SIZING_ARGS = {"n", "k", "d", "seq", "iters"}  # data.source and term arguments
 # the keys an MLP run reads: the mini-ViT's model keys are left out
-FUZZ_KEYS = sorted(cli.KNOWN_KEYS - {f"model.{f.name}" for f in dataclasses.fields(MiniVitSpec)})
+FUZZ_KEYS = sorted(cli.known_keys() - {f"model.{f.name}" for f in dataclasses.fields(MiniVitSpec)})
 RECIPES = list(merger.RECIPES)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,40 @@ def test_fisher_merge_zero_fisher_fallback():
     assert abs(merged.entries["w"][1] - 4.0) < 1e-6  # plain average fallback
 
 
+def test_fisher_merge_equals_the_whole_array_formula_bit_for_bit():
+    """The in-place sums give the bytes of ``np.where(den > 0, num / (den +
+    EPS_FLOOR), plain / sum(lams))`` on whole-array products, a float32
+    Fisher (whose ``l * F`` rounds in float32) included."""
+    a, b = _ckpt(SPEC2, seed=0), _ckpt(SPEC2, seed=1)
+    rng = np.random.default_rng(3)
+    fishers = []
+    for dtype in (np.float64, np.float32):
+        entries = {p: rng.exponential(size=v.shape).astype(dtype) for p, v in a.entries.items()}
+        entries["layers[1].weight"][:, :2] = 0  # both Fishers zero: the plain average
+        fishers.append(FisherDiag(entries))
+    lams = [0.3, 1.7]
+    merged = fisher_merge([a, b], fishers, lams)
+    for p in a.entries:
+        num = sum(l * f.entries[p] * c.entries[p].astype(np.float64)
+                  for c, f, l in zip((a, b), fishers, lams))
+        den = sum(l * f.entries[p] for f, l in zip(fishers, lams))
+        plain = sum(l * c.entries[p].astype(np.float64) for c, l in zip((a, b), lams))
+        want = np.where(den > 0, num / (den + merger.EPS_FLOOR), plain / sum(lams))
+        assert np.array_equal(merged.entries[p], want.astype(np.float32)), p
+
+
+@pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteValue), (np.inf, NonFiniteValue),
+                                        (-1.0, ConfigError)], ids=["nan", "inf", "negative"])
+def test_fisher_merge_rejects_an_entry_that_is_not_a_finite_nonnegative_fisher(bad, error):
+    """NaN and a -1 beside a +1 (zero mass) fell back to the plain average,
+    and an infinity ended in a numpy RuntimeWarning."""
+    a, b = _ckpt(SPEC2, seed=0), _ckpt(SPEC2, seed=1)
+    fishers = [FisherDiag({p: np.ones(v.shape) for p, v in a.entries.items()}) for _ in range(2)]
+    fishers[1].entries["layers[1].weight"][0, 0] = bad
+    with pytest.raises(error, match=re.escape("fisher entry layers[1].weight")):
+        fisher_merge([a, b], fishers)
+
+
 def test_fisher_merge_lambda_validation():
     a = _ckpt()
     f = FisherDiag({p: np.ones(v.shape) for p, v in a.entries.items()})
@@ -273,6 +308,15 @@ def test_sinkhorn_arg_checks():
 def test_sinkhorn_rejects_non_finite_eps(eps):
     with pytest.raises(ValueError):
         sinkhorn(np.zeros((2, 2)), eps=eps, iters=10)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,), (2, 2, 2), ()],
+                         ids=["no_rows", "no_columns", "1d", "3d", "scalar"])
+def test_sinkhorn_rejects_a_cost_that_is_not_a_non_empty_matrix(shape):
+    """An empty cost warned "divide by zero" and raised ZeroDivisionError; a
+    1-D or 3-D one raised a raw ValueError."""
+    with pytest.raises(ShapeMismatch, match=re.escape(f"non-empty 2-D matrix, got shape {shape}")):
+        sinkhorn(np.zeros(shape), eps=0.1, iters=10)
 
 
 def test_sinkhorn_nan_violation_is_no_convergence():
@@ -506,7 +550,8 @@ def _weight_match_every_group(ckpt_a, ckpt_b, max_sweeps=20):
     """Coordinate descent that solves every group in every sweep: the
     reference for :func:`weight_match`, which skips a group whose score
     cannot have changed since its last solve."""
-    (groups, a), (_, b) = merger._groups(ckpt_a), merger._groups(ckpt_b)
+    groups = merger._groups(ckpt_a)
+    a, b = ({p: e.astype(np.float64) for p, e in c.entries.items()} for c in (ckpt_a, ckpt_b))
     maps = [np.arange(a[f"{site}.bias"].shape[0]) for _, site, _ in groups]
 
     def objective():
@@ -750,7 +795,8 @@ def test_repair_matches_target_stats():
 def repair_with_traces(interp, endpoints, spec, calib):
     """Reference: REPAIR from the whole preactivation traces of each model."""
     ckpt_a, ckpt_b, alpha = endpoints
-    groups, entries = merger._groups(interp)
+    groups = merger._groups(interp)
+    entries = {p: e.astype(np.float64) for p, e in interp.entries.items()}
     hooks = [g[0] for g in groups]
 
     def preacts(ckpt):
@@ -826,6 +872,43 @@ def test_repair_requires_enough_calibration():
     a, b = _ckpt(seed=0), _ckpt(seed=1)
     with pytest.raises(ValueError):
         repair(uniform_soup([a, b]), (a, b, 0.5), SPEC, np.zeros((4, 4)))
+
+
+# -- memory --------------------------------------------------------------
+
+BENCH_MLP = MlpSpec((32, 256, 256, 10))  # the bench's merge pair: 0.59 MiB in float64
+
+
+def _peak_mb(call):
+    """The tracemalloc peak of ``call()`` above its start, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_merging_the_bench_pair_holds_the_model_plus_one_block_of_work():
+    """Each call casts only what it reads to float64. With float64 copies of
+    whole checkpoints these peaked at 4.70 (ot_align), 1.66 (permute_model),
+    3.63 (fisher_merge) and 3.56 MiB (repair); now at 2.14, 0.65, 2.13 and
+    2.97 MiB."""
+    a, b = (_ckpt(BENCH_MLP, seed) for seed in (0, 1))
+    perm = merger.ot_align(a, b)
+    rng = np.random.default_rng(0)
+    fishers = [FisherDiag({p: rng.exponential(size=v.shape) for p, v in a.entries.items()})
+               for _ in range(2)]
+    calib = rng.normal(size=(256, 32))
+    interp = wise_ft(b, a, 0.5)
+    peaks = {
+        "ot_align": _peak_mb(lambda: merger.ot_align(a, b)),
+        "permute_model": _peak_mb(lambda: permute_model(b, perm)),
+        "fisher_merge": _peak_mb(lambda: fisher_merge([a, b], fishers)),
+        "repair": _peak_mb(lambda: repair(interp, (a, b, 0.5), BENCH_MLP, calib)),
+    }
+    bounds = {"ot_align": 2.2, "permute_model": 0.8, "fisher_merge": 2.8, "repair": 3.2}
+    assert all(peaks[k] <= bounds[k] for k in bounds), peaks
 
 
 # -- prediction mergers --------------------------------------------------
